@@ -24,9 +24,10 @@ the state along different axes:
 
 * :class:`~repro.stream.online_dbscan.OnlineDBSCAN` — segments arrive
   and leave over *time* (inserts, evictions, compaction remaps);
-* :class:`~repro.sweep.engine.SweepEngine` — the segment set is fixed
-  and ε *grows* along a parameter grid, so edges are admitted in
-  ascending distance order and cores are only ever promoted.
+* :class:`~repro.sweep.engine.SweepEngine`'s weighted column walker —
+  the segment set is fixed and ε *grows* along a parameter grid; it
+  rebuilds the state at each ε (the count-cardinality walker keeps its
+  own array forest instead).
 
 Ids are opaque non-negative integers; the only requirement is that
 their numeric order equals the batch scan's positional order (slot

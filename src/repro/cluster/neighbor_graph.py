@@ -50,6 +50,7 @@ import numpy as np
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.index.grid import SegmentGrid
+from repro.model.ragged import concatenate_ranges, sorted_unique
 from repro.model.segmentset import SegmentSet
 
 #: Default number of candidate pairs per kernel block (bounds peak
@@ -157,11 +158,8 @@ def _enumerate_cells(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Expand row-wise integer cell ranges into ``(owner_row, coords)``
     arrays: every cell of row ``r``'s box appears once, owner-major."""
-    total = int(counts.sum())
     owners = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
+    offsets = concatenate_ranges(np.zeros_like(counts), counts)
     strides = _suffix_products(spans)
     coords = lo_cells[owners] + (
         offsets[:, None] // strides[owners]
@@ -273,7 +271,9 @@ def _vector_candidate_stream(
                 (reg_lo <= qry_hi[i]) & (reg_hi >= qry_lo[i]), axis=1
             )
             hit &= ~oversize_mask
-            mates = np.union1d(np.flatnonzero(hit), oversize)
+            mates = sorted_unique(
+                np.concatenate([np.flatnonzero(hit), oversize])
+            )
             mates = mates[mates > i]
             if mates.size:
                 yield from emit(
@@ -330,18 +330,10 @@ def _vector_candidate_stream(
                 sub_row = match_row[lo_m:hi_m]
                 sub_gid = match_gid[lo_m:hi_m]
                 sub_cnt = match_count[lo_m:hi_m]
-                expanded = int(sub_cnt.sum())
-                if expanded:
-                    member_at = (
-                        np.arange(expanded, dtype=np.int64)
-                        - np.repeat(np.cumsum(sub_cnt) - sub_cnt, sub_cnt)
-                        + np.repeat(group_start[sub_gid], sub_cnt)
-                    )
-                    query_ids = chunk[np.repeat(sub_row, sub_cnt)]
-                    candidates = members[member_at]
-                else:
-                    query_ids = np.empty(0, dtype=np.int64)
-                    candidates = np.empty(0, dtype=np.int64)
+                query_ids = chunk[np.repeat(sub_row, sub_cnt)]
+                candidates = members[
+                    concatenate_ranges(group_start[sub_gid], sub_cnt)
+                ]
                 if oversize.size:
                     span = chunk[sub:sub_stop]
                     query_ids = np.concatenate(
@@ -352,7 +344,7 @@ def _vector_candidate_stream(
                     )
                 keep = candidates > query_ids
                 if np.any(keep):
-                    pair_keys = np.unique(
+                    pair_keys = sorted_unique(
                         query_ids[keep] * n + candidates[keep]
                     )
                     yield from emit(pair_keys // n, pair_keys % n)
@@ -512,7 +504,7 @@ class NeighborGraph:
             rows = diagonal
             cols = diagonal.copy()
             vals = np.zeros(n, dtype=np.float64)
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n + cols, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(eps, distance, indptr, cols[order], vals[order])

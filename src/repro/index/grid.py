@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.exceptions import IndexError_
+from repro.model.ragged import sorted_unique
 from repro.model.segmentset import SegmentSet
 
 
@@ -132,7 +133,7 @@ class SegmentGrid:
                     found.extend(members)
         if not found:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.asarray(found, dtype=np.int64))
+        return sorted_unique(np.asarray(found, dtype=np.int64))
 
     def candidates_near(self, index: int, radius: float) -> np.ndarray:
         """Candidate neighbors of stored segment *index* within Euclidean
@@ -219,9 +220,9 @@ class SegmentGrid:
         candidates = np.concatenate(candidate_parts)
         # Dedup (query, candidate) pairs; the combined key sorts
         # query-major with candidates ascending, matching the per-query
-        # np.unique of candidates_in_window.
+        # dedup of candidates_in_window.
         span = max(len(self.segments), 1)
-        keys = np.unique(query_pos * span + candidates)
+        keys = sorted_unique(query_pos * span + candidates)
         return keys // span, keys % span
 
     # -- introspection -------------------------------------------------------

@@ -16,6 +16,8 @@ instead:
 per-window ``(first, count)`` descriptors into one flat index array
 without a Python loop, which is how the lock-step scanner materialises
 every active trajectory's enclosed segments in a single fancy-index.
+:func:`sorted_unique` deduplicates the flat integer keys such
+expansions produce (candidate pairs, cell hits).
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ def concatenate_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     starts = np.cumsum(counts) - counts  # output offset of each range
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return np.repeat(first, counts) + within
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-D integer array, by ``np.sort`` plus
+    an adjacent-difference mask.
+
+    Same output, but numpy 2.x answers a plain ``np.unique`` on integers
+    with a hash table, which is one to two orders of magnitude slower
+    than sorting at 10^3-10^6 int64 keys.
+    """
+    ordered = np.sort(keys)
+    fresh = np.empty(ordered.shape, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
 
 
 class RaggedPoints:

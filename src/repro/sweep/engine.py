@@ -13,15 +13,16 @@ point:
 
 What *does* vary per grid point is cheap.  The builder sorts the
 ε_max-graph's edges by distance; walking a MinLns column with ε
-ascending, each step admits the next run of edges and feeds them to the
-same :class:`~repro.cluster.labeling.CoreGraphLabeler` machinery the
-streaming pipeline uses — cardinalities tick up, cores are promoted
-(never demoted: ε only grows), components merge via union-by-size
-(never split).  Labels then fall out of the shared Figure-12 derivation
-(border rule + Step-3 filter), so every grid point is **bitwise
-identical** to an independent ``TRACLUS.fit`` at those parameters — the
-property tests in ``tests/property/test_sweep_equivalence.py`` assert
-exactly that, edge-distance ties and MinLns boundaries included.
+ascending, each step admits the next run of edges — cardinalities tick
+up, cores are promoted (never demoted: ε only grows), and core
+components merge (never split) by hooking roots onto smaller roots, so
+every component's root stays its smallest core id, the Figure-12 seed.
+Labels then follow from the Figure-12 rules of
+:mod:`repro.cluster.labeling` (border rule + Step-3 filter), so every
+grid point is **bitwise identical** to an independent ``TRACLUS.fit``
+at those parameters — the property tests in
+``tests/property/test_sweep_equivalence.py`` assert exactly that,
+edge-distance ties and MinLns boundaries included.
 
 Weighted cardinalities (Section 4.2) cannot be maintained
 incrementally without float drift — the batch computes ``np.sum`` over
@@ -69,23 +70,20 @@ from repro.partition.approximate import partition_all
 
 def _edge_incidence(
     n: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Directed views of a distance-sorted unordered edge list.
 
-    Returns ``(dnode, dmate, inc_indptr, inc_mate, inc_pos)``:
+    Returns ``(dnode, dmate, inc_indptr, inc_mate)``:
 
     * ``dnode``/``dmate`` interleave both directions of each edge in
       admission order — entries ``2k`` and ``2k + 1`` belong to edge
       ``k``, so the first ``2 * cut`` entries are exactly the directed
       edges admitted at cut ``cut``;
-    * ``inc_indptr``/``inc_mate``/``inc_pos`` are an incidence CSR over
-      nodes: node *u*'s row lists its mates with the owning edge index
-      (``inc_pos``, ascending within the row), so the mates admitted at
-      any cut are a prefix of the row found by one ``searchsorted``.
+    * ``inc_indptr``/``inc_mate`` are an incidence CSR over nodes whose
+      rows keep admission order, so the mates node *u* has at any cut
+      are the first ``degree(u)`` entries of its row.
 
-    Built once per engine and shared by every MinLns column — this is
-    what replaces the per-edge Python adjacency appends of the original
-    column walker.
+    Built once per engine and shared by every MinLns column.
     """
     n_edges = int(edge_u.size)
     dnode = np.empty(2 * n_edges, dtype=np.int64)
@@ -94,13 +92,40 @@ def _edge_incidence(
     dnode[1::2] = edge_v
     dmate[0::2] = edge_v
     dmate[1::2] = edge_u
-    pos = np.repeat(np.arange(n_edges, dtype=np.int64), 2)
-    order = np.argsort(dnode, kind="stable")  # keeps pos ascending per node
-    inc_mate = dmate[order]
-    inc_pos = pos[order]
+    order = np.argsort(dnode, kind="stable")  # keeps admission order
     inc_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dnode, minlength=n), out=inc_indptr[1:])
-    return dnode, dmate, inc_indptr, inc_mate, inc_pos
+    return dnode, dmate, inc_indptr, dmate[order]
+
+
+def _hook_components(
+    parent: np.ndarray, node_a: np.ndarray, node_b: np.ndarray
+) -> None:
+    """Merge, in place, the core components joined by the core-core
+    edges ``node_a[i] -- node_b[i]``.
+
+    ``parent`` arrives and leaves fully compressed: every core points
+    at its component's root, the smallest core id in the component.
+    Each round hooks the larger root of every edge that still spans two
+    roots onto the smallest root it meets, so ``parent[x] <= x`` always
+    holds, then pointer jumping flattens the forest again.
+    """
+    while node_a.size:
+        root_a = parent[node_a]
+        root_b = parent[node_b]
+        split = root_a != root_b
+        if not np.any(split):
+            return
+        node_a, node_b = node_a[split], node_b[split]
+        root_a, root_b = root_a[split], root_b[split]
+        np.minimum.at(
+            parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b)
+        )
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent[:] = hop
 
 
 def _column_labels_counts(
@@ -119,75 +144,37 @@ def _column_labels_counts(
     ``cuts[k]`` is the number of sorted edges admitted at the k-th ε
     (``searchsorted(..., side="right")``, so a distance exactly equal to
     ε is admitted — the same ``dist <= eps`` predicate every engine
-    uses).  Between consecutive ε values the state is updated
-    incrementally and in vectorized blocks: each ε step admits its
-    whole tie-block of edges at once — ``bincount`` degree updates, a
-    vectorized promotion test, union-find merges only for core-core
-    incidences — never a fresh DBSCAN and never a per-edge Python loop.
+    uses).  Each ε step admits its whole tie-block of edges at once:
+    a ``bincount`` degree update, a vectorized core test and one
+    :func:`_hook_components` call over the admitted core-core edges.
+    Python loops over ε steps only, never over nodes or edges.  A
+    core's root is the smallest core id of its component — the
+    Figure-12 seed — so clusters rank in root order.
 
-    The final labels are a pure function of (core set, admitted
-    adjacency, core components, per-component minima), so this walker
-    is bitwise identical to the original per-edge
-    :class:`~repro.cluster.labeling.CoreGraphLabeler` walk (the
+    The labels are a pure function of (core set, admitted adjacency,
+    core components), so this walker is bitwise identical to the
+    per-edge :class:`~repro.cluster.labeling.CoreGraphLabeler` walk (the
     hypothesis suite in ``tests/property/test_sweep_equivalence.py``
     pins both against independent ``TRACLUS.fit`` calls).
     """
     if incidence is None:
         incidence = _edge_incidence(n, edge_u, edge_v)
-    dnode, dmate, inc_indptr, inc_mate, inc_pos = incidence
+    dnode, dmate = incidence[:2]
     step3 = min_lns if threshold is None else threshold
     out = np.empty((cuts.size, n), dtype=np.int64)
 
+    ids = np.arange(n, dtype=np.int64)
     deg = np.zeros(n, dtype=np.int64)
-    core = np.zeros(n, dtype=bool)
-    # Union-find over core ids: union by size, with the component
-    # minimum (the Figure-12 "seed", i.e. formation order) carried on
-    # the root.
-    parent = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    comp_min = np.arange(n, dtype=np.int64)
-    # With no edges every cardinality is 1 (the segment itself); a
-    # MinLns at or below that makes everything core immediately.
-    if n and 1.0 >= min_lns:
-        core[:] = True
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        if comp_min[rb] < comp_min[ra]:
-            comp_min[ra] = comp_min[rb]
+    parent = ids.copy()  # non-cores point at themselves
 
     def derive(cut: int) -> np.ndarray:
         labels = np.full(n, NOISE, dtype=np.int64)
-        cores = np.flatnonzero(core)
-        if cores.size == 0:
+        is_root = core & (parent == ids)
+        n_components = int(np.count_nonzero(is_root))
+        if n_components == 0:
             return labels
-        roots = parent[cores]
-        while True:
-            hop = parent[roots]
-            if np.array_equal(hop, roots):
-                break
-            roots = hop
-        parent[cores] = roots  # vectorized path compression
-        unique_roots = np.unique(roots)
-        order = np.argsort(comp_min[unique_roots], kind="stable")
-        n_components = int(order.size)
-        rank_of = np.empty(n, dtype=np.int64)  # indexed by root id
-        rank_of[unique_roots[order]] = np.arange(n_components, dtype=np.int64)
-        labels[cores] = rank_of[roots]
+        rank_of = np.cumsum(is_root) - 1  # indexed by root id
+        labels[core] = rank_of[parent[core]]
         # Borders, over the admitted directed-edge prefix: the earliest
         # adjacent component claims the segment unless a later-formed
         # cluster's seed has it in its neighborhood (Figure 12 line 07
@@ -198,12 +185,12 @@ def _column_labels_counts(
         if np.any(border_mask):
             b_node = node[border_mask]
             b_mate = mate[border_mask]
-            b_root = parent[b_mate]  # cores were just compressed
+            b_root = parent[b_mate]
             b_rank = rank_of[b_root]
             first_claim = np.full(n, n_components, dtype=np.int64)
             np.minimum.at(first_claim, b_node, b_rank)
             last_seed = np.full(n, -1, dtype=np.int64)
-            seed_mask = b_mate == comp_min[b_root]
+            seed_mask = b_mate == b_root
             if np.any(seed_mask):
                 np.maximum.at(
                     last_seed, b_node[seed_mask], b_rank[seed_mask]
@@ -221,39 +208,16 @@ def _column_labels_counts(
         if cut == at and k > 0:
             out[k] = out[k - 1]  # no edge crossed this ε step
             continue
-        if cut > at:
-            block_u = edge_u[at:cut]
-            block_v = edge_v[at:cut]
-            deg += np.bincount(block_u, minlength=n)
-            deg += np.bincount(block_v, minlength=n)
-            touched = np.unique(np.concatenate([block_u, block_v]))
-            promoted = touched[
-                ~core[touched]
-                & ((deg[touched] + 1).astype(np.float64) >= min_lns)
-            ]
-            core[promoted] = True
-            # A promotion activates every already-admitted edge from the
-            # new core to another core: union along its incidence-row
-            # prefix (mates whose owning edge index is below the cut).
-            for u in promoted.tolist():
-                lo = int(inc_indptr[u])
-                hi = int(inc_indptr[u + 1])
-                admitted = lo + int(
-                    np.searchsorted(inc_pos[lo:hi], cut, side="left")
-                )
-                mates = inc_mate[lo:admitted]
-                for w in mates[core[mates]].tolist():
-                    union(u, w)
-            # Block edges whose endpoints are both core by now (old
-            # cores on both sides; promoted endpoints were already
-            # unioned above — those re-unions are no-ops).
-            both = core[block_u] & core[block_v]
-            if np.any(both):
-                for u, w in zip(
-                    block_u[both].tolist(), block_v[both].tolist()
-                ):
-                    union(u, w)
-            at = cut
+        deg += np.bincount(dnode[2 * at:2 * cut], minlength=n)
+        # |N_eps(L)| is the admitted degree plus L itself; ε only grows,
+        # so cores are only ever promoted.
+        core = (deg + 1).astype(np.float64) >= min_lns
+        # Every admitted core-core edge joins its endpoints' components;
+        # one already inside a component costs a gather.
+        u, v = edge_u[:cut], edge_v[:cut]
+        both = core[u] & core[v]
+        _hook_components(parent, u[both], v[both])
+        at = cut
         out[k] = derive(at)
     return out
 
@@ -284,26 +248,24 @@ def _column_labels_weighted(
     """
     if incidence is None:
         incidence = _edge_incidence(n, edge_u, edge_v)
-    _, _, inc_indptr, inc_mate, inc_pos = incidence
+    dnode, _, inc_indptr, inc_mate = incidence
     labeler = CoreGraphLabeler()
     ids = list(range(n))
     step3 = min_lns if threshold is None else threshold
     out = np.empty((cuts.size, n), dtype=np.int64)
     at = 0
+    deg = np.zeros(n, dtype=np.int64)
 
     def adjacent(uid: int) -> np.ndarray:
         lo = int(inc_indptr[uid])
-        hi = int(inc_indptr[uid + 1])
-        admitted = lo + int(
-            np.searchsorted(inc_pos[lo:hi], at, side="left")
-        )
-        return inc_mate[lo:admitted]
+        return inc_mate[lo:lo + int(deg[uid])]
 
     for k, cut in enumerate(cuts.tolist()):
         if cut == at and k > 0:
             out[k] = out[k - 1]
             continue
         at = cut
+        deg = np.bincount(dnode[:2 * at], minlength=n)
         eps = unique_eps[k]
         cores = []
         for i in range(n):

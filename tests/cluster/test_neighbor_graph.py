@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cluster.neighbor_graph import (
+    DEFAULT_PAIR_BLOCK,
     NeighborGraph,
     PrecomputedNeighborhood,
+    _candidate_pair_stream,
     neighborhood_size_counts,
 )
 from repro.cluster.neighborhood import (
@@ -69,6 +71,75 @@ class TestNeighborGraphStructure:
         graph = NeighborGraph.build(random_segments, eps=10.0)
         with pytest.raises(ValueError):
             graph.row(0)[0] = 99
+
+
+class TestCandidatePairStream:
+    """The join behind every graph build: each unordered pair at most
+    once, ``left < right``, and a superset of the ε-edges."""
+
+    EPS = 3.0
+
+    @staticmethod
+    def segments():
+        rng = np.random.default_rng(31)
+        starts = rng.uniform(0, 20, (60, 2))
+        ends = starts + np.column_stack(
+            [np.full(60, 4.0), rng.normal(0, 0.5, 60)]
+        )
+        segments = [
+            Segment(s, e, traj_id=i % 7)
+            for i, (s, e) in enumerate(zip(starts, ends))
+        ]
+        # At eps=3 a grid cell is ~6.7 wide: the first box covers ~2000
+        # cells (oversize list), the second's query window ~38000 (the
+        # huge-window scan).  Both sit mid-order, so each has partners
+        # on both sides of its id.
+        segments.insert(10, Segment([0.0, 0.0], [300.0, 300.0], traj_id=8))
+        segments.insert(
+            30, Segment([-600.0, 700.0], [700.0, -600.0], traj_id=9)
+        )
+        return SegmentSet.from_segments(segments)
+
+    def pairs(self, segments, pair_block, vectorized):
+        blocks = list(
+            _candidate_pair_stream(
+                segments, self.EPS, SegmentDistance(), None, pair_block,
+                vectorized=vectorized,
+            )
+        )
+        assert all(0 < left.size <= pair_block for left, _ in blocks)
+        left = np.concatenate([left for left, _ in blocks])
+        right = np.concatenate([right for _, right in blocks])
+        return left, right
+
+    @pytest.mark.parametrize("vectorized", [None, False])
+    @pytest.mark.parametrize("pair_block", [3, DEFAULT_PAIR_BLOCK])
+    def test_each_pair_once_and_every_edge_covered(
+        self, vectorized, pair_block
+    ):
+        segments = self.segments()
+        n = len(segments)
+        left, right = self.pairs(segments, pair_block, vectorized)
+        assert np.all(left < right)
+        keys = left * n + right
+        assert np.unique(keys).size == keys.size
+        brute = BruteForceNeighborhood(segments, self.EPS)
+        edges = {
+            (i, int(j)) for i in range(n) for j in brute.neighbors_of(i) if j > i
+        }
+        assert edges <= set(zip(left.tolist(), right.tolist()))
+        # Both outsized segments are joined against the whole set.
+        for big in (10, 30):
+            assert np.count_nonzero((left == big) | (right == big)) == n - 1
+        assert len(edges) > n
+
+    def test_cell_join_and_grid_walk_emit_the_same_pairs(self):
+        segments = self.segments()
+        joined = self.pairs(segments, 7, None)
+        walked = self.pairs(segments, 7, False)
+        assert set(zip(*(a.tolist() for a in joined))) == set(
+            zip(*(a.tolist() for a in walked))
+        )
 
 
 class TestRestrict:

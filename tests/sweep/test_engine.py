@@ -16,11 +16,14 @@ from repro.core.config import SweepConfig, TraclusConfig
 from repro.core.traclus import TRACLUS
 from repro.datasets.synthetic import generate_corridor_set
 from repro.exceptions import ClusteringError, TrajectoryError
+from repro.model.segment import Segment
+from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
 from repro.params.entropy import entropy_curve
 from repro.params.heuristic import recommend_parameters
 from repro.partition.approximate import partition_all
 from repro.sweep import SweepEngine
+from repro.sweep.engine import _hook_components
 
 
 EPS_VALUES = [3.0, 5.0, 8.0, 12.0]
@@ -140,6 +143,100 @@ class TestLabelsBitwiseIdentity:
         column = engine.labels_for_min_lns(3.0)
         grid = engine.labels_grid([3.0])
         assert np.array_equal(column, grid[:, 0, :])
+
+
+def _stack(x, heights):
+    """Unit segments stacked at one x: two of them lie exactly
+    ``|dy|`` apart (no parallel or angle component)."""
+    return [Segment([x, y], [x + 1.0, y]) for y in heights]
+
+
+def _star(x, hub_last):
+    """Four 3-segment leaf bundles, each core on its own from ε=0, at
+    distance 1 from a hub that turns core only at ε=1 and then joins all
+    four at once; the leaves are >= 2 apart from each other."""
+    leaves = []
+    for dx, dy in ((0.0, 1.0), (0.0, -1.0), (2.0, 0.0), (-2.0, 0.0)):
+        leaves += _stack(x + dx, [dy] * 3)
+    hub = _stack(x, [0.0])
+    return leaves + hub if hub_last else hub + leaves
+
+
+def _bridge(x):
+    """Two clusters, each a segment at distance 1 from the bridge plus
+    three copies 1 further out, and the bridge itself, which sees one
+    segment of each at ε=1 but turns core (MinLns=4) only at ε=1.5, when
+    its third neighbor, a non-core, arrives.  The edges that join the
+    two clusters then were all admitted at an earlier ε step."""
+    sides = _stack(x, [1.0, 2.0, 2.0, 2.0, -1.0, -2.0, -2.0, -2.0])
+    return sides + _stack(x, [0.0]) + _stack(x + 2.5, [0.0])
+
+
+@pytest.fixture(scope="module")
+def chain_and_stars():
+    """A 40-segment chain whose gaps alternate 1.0 / 1.5 (it links up
+    over two ε steps) with ids *descending* up the chain, so every hook
+    points at the next link and the forest starts as one long path; two
+    stars, the hub's id above all its leaves in one and below them in
+    the other; and a late bridge between two clusters."""
+    heights = np.cumsum([0.0] + [1.0, 1.5] * 19 + [1.0])
+    segments = _stack(0.0, heights[::-1])
+    segments += _star(100.0, hub_last=True) + _star(200.0, hub_last=False)
+    segments += _bridge(300.0)
+    return SegmentSet.from_segments(
+        Segment(s.start, s.end, traj_id=i) for i, s in enumerate(segments)
+    )
+
+
+class TestAdversarialUnionFind:
+    EPS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+    MIN_LNS = [2.0, 3.0, 4.0]
+
+    def test_labels_equal_brute_dbscan_at_every_eps(self, chain_and_stars):
+        engine = SweepEngine(chain_and_stars, self.EPS)
+        grid = engine.labels_grid(self.MIN_LNS)
+        for i, eps in enumerate(self.EPS):
+            for j, min_lns in enumerate(self.MIN_LNS):
+                _, expected = LineSegmentDBSCAN(
+                    eps, min_lns, neighborhood_method="brute"
+                ).fit(chain_and_stars)
+                assert np.array_equal(grid[i, j], expected), (eps, min_lns)
+        # Not vacuous: at MinLns=3 the eight leaf bundles are separate
+        # clusters until ε=1, where each star collapses into one, and
+        # the chain is one cluster from ε=1.5.
+        stars = slice(40, 66)
+        for eps, n_clusters in ((0.5, 8), (1.0, 2)):
+            labels = grid[self.EPS.index(eps), 1, stars]
+            assert np.unique(labels[labels >= 0]).size == n_clusters
+        chain = grid[self.EPS.index(1.5), 1, 1:39]
+        assert chain.min() >= 0 and np.unique(chain).size == 1
+        # At MinLns=4 the bridged clusters are apart at ε=1, one at 1.5.
+        sides = np.split(np.arange(len(chain_and_stars))[-10:-2], 2)
+        at_1, at_15 = (grid[self.EPS.index(eps), 2] for eps in (1.0, 1.5))
+        assert at_1[sides[0]].min() >= 0 and at_1[sides[1]].min() >= 0
+        assert np.intersect1d(at_1[sides[0]], at_1[sides[1]]).size == 0
+        assert np.unique(at_15[np.concatenate(sides)]).size == 1
+
+    def test_hooking_keeps_every_root_at_its_component_minimum(self):
+        n = 64
+        parent = np.arange(n, dtype=np.int64)
+        evens = np.arange(32, n, 2)
+        _hook_components(parent, evens, evens + 1)  # {32, 33} .. {62, 63}
+        assert np.array_equal(parent[evens + 1], evens)
+        # Chain the pairs through their odd members, ids descending, so
+        # the even roots hook into one long path while sitting on no
+        # edge themselves; plus a star whose hub outranks its leaves.
+        odds = np.arange(n - 1, 32, -2)
+        hub = np.full(16, 31)
+        leaves = np.arange(15, -1, -1)
+        _hook_components(
+            parent,
+            np.concatenate([odds[:-1], hub]),
+            np.concatenate([odds[1:], leaves]),
+        )
+        assert np.all(parent[32:] == 32)
+        assert np.all(parent[leaves] == 0) and parent[31] == 0
+        assert np.array_equal(parent[16:31], np.arange(16, 31))
 
 
 class TestExecutors:
