@@ -108,7 +108,7 @@ LAYOUT_SPEEDUP_FLOOR_SMOKE = 1.15
 def compiled_backends():
     """Names of the usable compiled kernel backends on this host."""
     return [
-        name for name in ("cext", "numba")
+        name for name in ("cext",)
         if kernels.available_backends()[name].startswith("ok")
     ]
 

@@ -5,10 +5,10 @@ trajectory points (the number of MDL evaluations equals the number of
 segments; each evaluation spans one candidate partition).
 
 Lemma 3: Line Segment Clustering is O(n^2) without an index and
-O(n log n) with one.  We measure the grid-engine query's *candidate
-count* against brute force on growing corridor datasets — the grid
-engine examines a per-query candidate set that stays roughly constant
-while brute force examines all n.
+O(n log n) with one.  We measure the grid index's per-query *candidate
+count* against brute force on growing corridor datasets — the
+:class:`~repro.index.grid.SegmentGrid` query examines a candidate set
+that stays roughly constant while brute force examines all n.
 """
 
 import time
@@ -21,11 +21,15 @@ from repro import kernels
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.distance.vectorized import component_distances_pairs
 from repro.model.segmentset import SegmentSet
-from repro.cluster.neighbor_graph import NeighborGraph, PrecomputedNeighborhood
-from repro.cluster.neighborhood import BruteForceNeighborhood, GridNeighborhood
+from repro.cluster.neighbor_graph import (
+    NeighborGraph,
+    PrecomputedNeighborhood,
+    candidate_radius,
+)
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.datasets.synthetic import generate_corridor_set
-from repro.geometry.bbox import BoundingBox
-from repro.index.rtree import RTree
+from repro.distance.weighted import SegmentDistance
+from repro.index.grid import SegmentGrid
 from repro.partition.approximate import approximate_partition
 
 
@@ -77,40 +81,23 @@ def constant_density_segments(n_traj, seed):
 
 
 def run_lemma3():
-    """Candidate counts per epsilon-query: brute vs grid vs R-tree."""
+    """Candidate counts per epsilon-query: brute vs the grid index."""
     rows = []
     for n_traj in (20, 80, 320):
         segments = constant_density_segments(n_traj, seed=17)
         eps = 8.0
+        radius = candidate_radius(eps, SegmentDistance())
         brute = BruteForceNeighborhood(segments, eps)
-        grid = GridNeighborhood(segments, eps)
+        grid = SegmentGrid(segments, cell_size=radius)
         sample = range(0, len(segments), max(1, len(segments) // 50))
-        grid_candidates = np.mean(
-            [grid._grid.candidates_near(i, grid.candidate_radius).size
-             for i in sample]
-        )
-        # Consistency spot-check while we are here.
-        for i in list(sample)[:10]:
-            assert np.array_equal(brute.neighbors_of(i), grid.neighbors_of(i))
-        # R-tree window query for the same radius.
-        tree = RTree.bulk_load(
-            [
-                (BoundingBox.of_segment(segments.starts[i], segments.ends[i]), i)
-                for i in range(len(segments))
-            ]
-        )
-        tree_candidates = np.mean(
-            [
-                len(tree.query_window(
-                    BoundingBox.of_segment(
-                        segments.starts[i], segments.ends[i]
-                    ).expanded(grid.candidate_radius)
-                ))
-                for i in sample
-            ]
-        )
+        candidates = [grid.candidates_near(i, radius) for i in sample]
+        # Soundness spot-check while we are here: the candidates
+        # contain every brute neighbor.
+        for i, found in list(zip(sample, candidates))[:10]:
+            assert np.isin(brute.neighbors_of(i), found).all()
         rows.append(
-            (len(segments), len(segments), grid_candidates, tree_candidates)
+            (len(segments), len(segments),
+             np.mean([found.size for found in candidates]))
         )
     return rows
 
@@ -140,9 +127,9 @@ def run_candidate_generation_comparison(min_segments=5000, eps=8.0):
 
 
 def run_engine_comparison(min_segments=5000):
-    """Full neighbor-graph construction: per-query brute vs per-query
-    grid vs the batched CSR builder, on one constant-density set of at
-    least *min_segments* segments."""
+    """Full neighbor-graph construction: per-query brute vs the batched
+    CSR builder, on one constant-density set of at least
+    *min_segments* segments."""
     n_traj = 20
     segments = constant_density_segments(n_traj, seed=23)
     while len(segments) < min_segments:
@@ -155,18 +142,12 @@ def run_engine_comparison(min_segments=5000):
     brute_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    grid_sizes = GridNeighborhood(segments, eps).neighborhood_sizes()
-    grid_time = time.perf_counter() - start
-
-    start = time.perf_counter()
     batch_sizes = PrecomputedNeighborhood(segments, eps).neighborhood_sizes()
     batch_time = time.perf_counter() - start
 
-    assert np.array_equal(brute_sizes, grid_sizes)
     assert np.array_equal(brute_sizes, batch_sizes)
     return segments, eps, [
         ("brute", len(segments), brute_time),
-        ("grid", len(segments), grid_time),
         ("batch", len(segments), batch_time),
     ]
 
@@ -182,7 +163,7 @@ PAIR_KERNEL_FLOOR_SMOKE = 3.0
 def compiled_backends():
     """Names of the usable compiled kernel backends on this host."""
     return [
-        name for name in ("cext", "numba")
+        name for name in ("cext",)
         if kernels.available_backends()[name].startswith("ok")
     ]
 
@@ -307,11 +288,7 @@ def test_engine_comparison_batch_speedup(benchmark):
     _, labels_brute = LineSegmentDBSCAN(
         eps=eps, min_lns=4, neighborhood_method="brute"
     ).fit(segments)
-    _, labels_grid = LineSegmentDBSCAN(
-        eps=eps, min_lns=4, neighborhood_method="grid"
-    ).fit(segments)
     assert np.array_equal(labels_brute, labels_batch)
-    assert np.array_equal(labels_brute, labels_grid)
 
 
 def test_vectorized_candidate_generation_wins(benchmark):
@@ -351,21 +328,17 @@ def test_lemma1_partitioning_linear(benchmark):
 
 def test_lemma3_index_prunes_candidates(benchmark):
     rows = benchmark.pedantic(run_lemma3, rounds=1, iterations=1)
-    table = [
-        (n, brute, f"{g:.1f}", f"{t:.1f}")
-        for n, brute, g, t in rows
-    ]
+    table = [(n, brute, f"{g:.1f}") for n, brute, g in rows]
     print_table(
         "Lemma 3: mean candidates per eps-query (paper: O(n^2) brute vs "
         "O(n log n) indexed)",
-        table, ("n segments", "brute candidates", "grid", "r-tree"),
+        table, ("n segments", "brute candidates", "grid"),
     )
-    # The indexed engines examine a vanishing fraction as n grows.
+    # The index examines a vanishing fraction as n grows.
     first_ratio = rows[0][2] / rows[0][0]
     last_ratio = rows[-1][2] / rows[-1][0]
     assert last_ratio < first_ratio
     assert rows[-1][2] < rows[-1][0] * 0.5
-    assert rows[-1][3] < rows[-1][0] * 0.5
 
 
 def main(argv=None):

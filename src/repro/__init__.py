@@ -53,7 +53,7 @@ from repro.representative.sweep import (
     generate_representative,
 )
 from repro.stream import StreamingTRACLUS
-from repro.sweep import SweepEngine, SweepResult, run_sweep
+from repro.sweep import SweepEngine, SweepResult
 
 __version__ = "1.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "StreamingTRACLUS",
     "SweepEngine",
     "SweepResult",
-    "run_sweep",
     "LineSegmentDBSCAN",
     "cluster_segments",
     "LineSegmentOPTICS",

@@ -8,10 +8,9 @@ consequences the cache tests pin:
 * changing any result-affecting knob (a distance weight, the
   suppression constant, ``use_weights``, a grid value) changes the key,
   so a stale artifact can never be served;
-* knobs that are *proven* result-neutral (the phase-1 engine choice,
-  the ε-query engine choice — both produce bitwise-identical output by
-  the property suites) are deliberately **excluded**, so switching them
-  keeps the cache warm.
+* knobs that are *proven* result-neutral (the kernel backend, whose
+  compiled kernels are parity-gated bitwise against numpy) are
+  deliberately **excluded**, so switching them keeps the cache warm.
 
 Digests are hex strings; arrays contribute dtype, shape, and raw bytes
 (so ``float64`` values with different spellings but equal bits share a

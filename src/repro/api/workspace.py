@@ -38,15 +38,9 @@ the facade only removes redundant work, never changes results.
 
 When to bypass to the raw engines (see also the README API guide):
 
-* a *single* clustering at known parameters on a corpus you will never
-  re-query — ``cluster_segments`` (or ``TRACLUS.fit`` with a forced
-  ``"brute"``/``"grid"``/``"rtree"`` ε-engine) skips graph
-  materialisation and the edge sort entirely; the default ``fit`` now
-  rides the Workspace and pays the sort once to make every later query
-  free;
-* an ε_max so large the edge list approaches n² — the per-query
-  ``"grid"``/``"rtree"`` engines and the streaming
-  ``neighborhood_size_counts`` never materialise edges;
+* an ε_max so large the edge list approaches n², or a memory cap —
+  ``cluster_segments(..., neighborhood_method="brute")`` and the
+  streaming ``neighborhood_size_counts`` never materialise edges;
 * annealed parameter search (``eps_search_method="anneal"``) — probe
   points are data-dependent, so there is nothing to key a cache on.
 """
@@ -370,8 +364,6 @@ class Workspace:
         )
 
     def _partition_key(self) -> str:
-        # The phase-1 *engine* (python vs batched) is excluded: both
-        # produce bitwise-identical characteristic points.
         return artifact_key(
             [self.corpus_key, "partition", self.config.suppression]
         )
@@ -406,9 +398,7 @@ class Workspace:
         """Phase 1 (Figure 8) over the whole corpus — computed once.
 
         Runs the lock-step batched scanner so the artifact also carries
-        every trajectory's resumable scan state (characteristic points
-        are bitwise identical across phase-1 engines, so the engine
-        choice is not part of the key)."""
+        every trajectory's resumable scan state."""
         key = self._partition_key()
         artifact = self.store.get_object("partition", key)
         if artifact is not None:
@@ -906,7 +896,6 @@ class Workspace:
                     eps_values=config.eps_search_values,
                     distance=self._distance,
                     method=config.eps_search_method,
-                    neighborhood_method=config.neighborhood_method,
                 )
             if eps is None:
                 eps = estimate.eps

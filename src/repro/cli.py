@@ -18,8 +18,8 @@ Eight subcommands, composable through CSV/JSON files:
   numpy) and the numpy/BLAS thread environment.
 
 ``cluster``, ``params``, ``sweep``, and ``serve`` accept
-``--kernel-backend`` (``auto``/``numpy``/``cext``/``numba``) selecting
-the hot-kernel dispatch of :mod:`repro.kernels` — bitwise-neutral, so
+``--kernel-backend`` (``auto``/``numpy``/``cext``) selecting the
+hot-kernel dispatch of :mod:`repro.kernels` — bitwise-neutral, so
 results and caches are unaffected.
 
 ``cluster``, ``params``, and ``sweep`` all accept ``--workspace DIR``:
@@ -28,6 +28,13 @@ labels, entropy counts) are then persisted as fingerprint-keyed npz
 files, so repeated invocations — estimate parameters first, cluster
 second, sweep a grid third — reuse each other's work instead of
 recomputing it.  Results are bitwise independent of the cache.
+
+Error contract: a library error that escapes a subcommand (any
+:class:`~repro.exceptions.ReproError`, e.g. a malformed CSV row or a
+non-finite coordinate) ends the run with one
+``repro <command>: error: <message>`` line on stderr and exit status
+:data:`EXIT_REPRO_ERROR` — distinct from argparse's usage errors (2)
+and from the status 1 of an unexpected traceback.
 
 Examples
 --------
@@ -57,15 +64,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.api.workspace import Workspace
-from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
 from repro.core.config import (
     SWEEP_EXECUTORS,
     StreamConfig,
     SweepConfig,
     TraclusConfig,
 )
+from repro.exceptions import ReproError
 from repro.kernels import KERNEL_BACKENDS
-from repro.partition.approximate import PARTITION_METHODS
 from repro.core.traclus import TRACLUS
 from repro.datasets.hurricane import generate_hurricane_tracks
 from repro.datasets.starkey import generate_deer1995, generate_elk1993
@@ -81,7 +87,6 @@ from repro.io.csvio import (
 )
 from repro.io.jsonio import result_to_dict
 from repro.params.heuristic import recommend_parameters
-from repro.partition.approximate import partition_all
 from repro.stream.pipeline import StreamingTRACLUS
 from repro.viz.svg import render_result_svg, render_trajectories_svg
 
@@ -107,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="weighted eps-neighborhood cardinality")
     cluster.add_argument("--gamma", type=float, default=0.0,
                          help="representative smoothing gamma (Fig 15)")
-    cluster.add_argument("--neighborhood-method", default="auto",
-                         choices=NEIGHBORHOOD_METHODS,
-                         help="eps-neighborhood engine (auto picks the "
-                              "batched graph above a size threshold)")
-    cluster.add_argument("--partition-method", default="auto",
-                         choices=PARTITION_METHODS,
-                         help="phase-1 partitioning engine (auto picks the "
-                              "lock-step batched scanner for multi-"
-                              "trajectory corpora)")
     cluster.add_argument("--kernel-backend", default="auto",
                          choices=KERNEL_BACKENDS,
                          help="hot-kernel dispatch (bitwise-neutral; "
@@ -137,20 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--eps-max", type=float, default=None,
                         help="upper end of the eps search grid")
     params.add_argument("--suppression", type=float, default=0.0)
-    params.add_argument("--neighborhood-method", default="auto",
-                        choices=NEIGHBORHOOD_METHODS,
-                        help="how |N_eps| is counted during the sweep "
-                             "(brute = legacy per-segment rows)")
-    params.add_argument("--partition-method", default="auto",
-                        choices=PARTITION_METHODS,
-                        help="phase-1 partitioning engine")
     params.add_argument("--kernel-backend", default="auto",
                         choices=KERNEL_BACKENDS,
                         help="hot-kernel dispatch (bitwise-neutral)")
     params.add_argument("--workspace", default=None, metavar="DIR",
-                        help="persistent artifact cache (grid method "
-                             "only): the partition and neighborhood "
-                             "counts are stored for later cluster/sweep "
+                        help="persistent artifact cache: the partition "
+                             "(and, for the grid method, the neighborhood "
+                             "counts) are stored for later cluster/sweep "
                              "runs")
 
     sweep = sub.add_parser(
@@ -173,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cardinality-threshold", type=float, default=None,
                        help="fixed Step-3 trajectory-cardinality threshold "
                             "(default: each grid point's MinLns)")
-    sweep.add_argument("--partition-method", default="auto",
-                       choices=PARTITION_METHODS,
-                       help="phase-1 partitioning engine")
     sweep.add_argument("--executor", default="serial",
                        choices=SWEEP_EXECUTORS,
                        help="'process' shards MinLns columns over a "
@@ -439,10 +425,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         min_lns=args.min_lns,
         directed=not args.undirected,
         suppression=args.suppression,
-        partition_method=args.partition_method,
         use_weights=args.use_weights,
         gamma=args.gamma,
-        neighborhood_method=args.neighborhood_method,
         kernel_backend=args.kernel_backend,
     )
     result = TRACLUS(config, workspace_dir=args.workspace).fit(trajectories)
@@ -475,40 +459,25 @@ def _cmd_params(args: argparse.Namespace) -> int:
     eps_values = (
         np.arange(1.0, args.eps_max + 1.0) if args.eps_max else None
     )
-    if args.method == "grid" and args.neighborhood_method in ("auto", "batch"):
-        # The artifact route: partition + counts are computed once and
-        # (with --workspace) persisted for later cluster/sweep runs.
-        workspace = Workspace(
-            trajectories,
-            TraclusConfig(
-                suppression=args.suppression,
-                partition_method=args.partition_method,
-                compute_representatives=False,
-                kernel_backend=args.kernel_backend,
-            ),
-            cache_dir=args.workspace,
-        )
-        segments = workspace.segments()
+    # The partition (and, for the grid method, the neighborhood
+    # counts) are computed once and, with --workspace, persisted for
+    # later cluster/sweep runs.
+    workspace = Workspace(
+        trajectories,
+        TraclusConfig(
+            suppression=args.suppression,
+            compute_representatives=False,
+            kernel_backend=args.kernel_backend,
+        ),
+        cache_dir=args.workspace,
+    )
+    segments = workspace.segments()
+    if args.method == "grid":
         estimate = workspace.recommend_parameters(eps_values)
     else:
-        # Annealing probes uncacheable ε values, and the forced
-        # per-query engines exist to avoid graph materialisation —
-        # both stay on the direct path.
-        if args.workspace:
-            print(
-                f"note: --workspace {args.workspace} is ignored on the "
-                f"direct path (--method {args.method}, "
-                f"--neighborhood-method {args.neighborhood_method})",
-                file=sys.stderr,
-            )
-        segments, _ = partition_all(
-            trajectories,
-            suppression=args.suppression,
-            method=args.partition_method,
-        )
+        # Annealing probes data-dependent ε values: nothing to cache.
         estimate = recommend_parameters(
-            segments, eps_values=eps_values, method=args.method,
-            neighborhood_method=args.neighborhood_method,
+            segments, eps_values=eps_values, method=args.method
         )
     print(f"segments:            {len(segments)}")
     print(f"entropy-optimal eps: {estimate.eps:.3g}")
@@ -562,7 +531,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = TraclusConfig(
         directed=not args.undirected,
         suppression=args.suppression,
-        partition_method=args.partition_method,
         use_weights=args.use_weights,
         cardinality_threshold=args.cardinality_threshold,
         compute_representatives=False,
@@ -1282,8 +1250,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"cpu count:        {report['cpu_count']}")
     if report["auto_resolves_to"] == "numpy":
         print("note: no compiled backend available — hot kernels run "
-              "on the numpy fallback (install a C compiler or "
-              "'pip install .[speed]')")
+              "on the numpy fallback (install a C compiler for cext)")
     if args.json_out:
         if args.json_out == "-":
             json.dump(report, sys.stdout, indent=2)
@@ -1341,12 +1308,21 @@ def _normalize_argv(argv: Sequence[str]) -> List[str]:
     return argv
 
 
+#: Exit status of a run ended by a library error (:class:`ReproError`):
+#: not 1, which an uncaught traceback also returns, and not argparse's 2.
+EXIT_REPRO_ERROR = 3
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_normalize_argv(argv))
     try:
         return _COMMANDS[args.command](args)
+    except ReproError as error:
+        message = " ".join(str(error).splitlines())
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return EXIT_REPRO_ERROR
     except BrokenPipeError:
         # stdout piped into a pager/head that exited early: not an
         # error worth a traceback.  Point the fd at devnull so the

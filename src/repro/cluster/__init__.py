@@ -6,9 +6,7 @@ discussed in Appendix D.
 from repro.cluster.neighborhood import (
     NEIGHBORHOOD_METHODS,
     BruteForceNeighborhood,
-    GridNeighborhood,
     NeighborhoodEngine,
-    RTreeNeighborhood,
     make_neighborhood_engine,
 )
 from repro.cluster.neighbor_graph import (
@@ -23,9 +21,7 @@ from repro.cluster.optics import LineSegmentOPTICS, OpticsResult
 __all__ = [
     "NEIGHBORHOOD_METHODS",
     "BruteForceNeighborhood",
-    "GridNeighborhood",
     "NeighborhoodEngine",
-    "RTreeNeighborhood",
     "NeighborGraph",
     "PrecomputedNeighborhood",
     "neighborhood_size_counts",

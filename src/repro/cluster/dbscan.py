@@ -53,7 +53,7 @@ class LineSegmentDBSCAN:
         When True, ``|N_eps(L)|`` is the *sum of segment weights* in the
         neighborhood instead of the count.
     neighborhood_method:
-        ``"auto"`` (default), ``"brute"``, ``"grid"``, ``"rtree"``, or
+        ``"auto"`` (default), ``"brute"`` (the per-query oracle), or
         ``"batch"`` (see :func:`~repro.cluster.neighborhood.make_neighborhood_engine`).
     """
 

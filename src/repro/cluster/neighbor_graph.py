@@ -1,9 +1,9 @@
 """Batched ε-neighborhood graph (the whole of Definition 4 at once).
 
-The per-query engines in :mod:`repro.cluster.neighborhood` answer
-``N_eps(L_i)`` one segment at a time, so every consumer — DBSCAN
+The brute-force engine in :mod:`repro.cluster.neighborhood` answers
+``N_eps(L_i)`` one segment at a time, so a consumer on it — DBSCAN
 (Figure 12), OPTICS (Appendix D), the entropy heuristic (Formula 10) —
-pays n sequential round-trips through Python.  This module instead
+pays n sequential O(n) passes through Python.  This module instead
 materializes the *entire* ε-neighborhood relation in one pass:
 
 1. **Candidate generation** — a :class:`~repro.index.grid.SegmentGrid`
@@ -14,8 +14,7 @@ materializes the *entire* ε-neighborhood relation in one pass:
    bitwise symmetric (see below), so each pair is evaluated once.
    When either distance weight is zero the geometric prefilter is
    unsound, and the builder falls back to enumerating all ``i < j``
-   pairs — still exact, still blocked, like the grid engine's
-   documented brute-force degradation.
+   pairs — still exact, still blocked.
 2. **Blocked join** — candidate pairs accumulate into fixed-size blocks
    (``pair_block`` pairs) that are evaluated by the many-pairs kernel
    :func:`repro.distance.vectorized.component_distances_pairs` and
@@ -136,7 +135,7 @@ def candidate_radius(eps: float, distance: SegmentDistance) -> float:
 #: bbox covers more cells go to the always-candidate oversize list.
 _MAX_CELLS_PER_SEGMENT = 1024
 
-#: Mirrors the grid engine's big-window escape hatch: query windows
+#: Mirrors ``SegmentGrid``'s big-window escape hatch: query windows
 #: covering more cells than this scan the registration ranges directly.
 _HUGE_WINDOW_CELLS = 16 * _MAX_CELLS_PER_SEGMENT
 

@@ -2,25 +2,21 @@
 
 ``N_eps(L_i) = { L_j in D | dist(L_i, L_j) <= eps }``.
 
-Per-query engines are provided here:
+Two engines answer it, with identical neighborhoods:
 
 * :class:`BruteForceNeighborhood` — one vectorized one-vs-all distance
   evaluation per query; O(n) per query, O(n^2) total (Lemma 3 without
-  an index).
-* :class:`GridNeighborhood` — a uniform-grid spatial prefilter followed
-  by exact distances on the candidates; sub-quadratic on clustered data
-  (Lemma 3 with an index; we use a grid rather than the paper's R-tree
-  for queries because the R-tree substrate in :mod:`repro.index.rtree`
-  shares the same candidate bound).
-* :class:`RTreeNeighborhood` — the same prefilter over a bulk-loaded
-  R-tree, the structure Lemma 3 literally names.
+  an index).  It is the oracle every other path is pinned against.
+* :class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood` (in
+  :mod:`repro.cluster.neighbor_graph`) — Lemma 3 with an index: a
+  uniform-grid cell join yields candidate pairs, each pair's exact
+  distance is evaluated once, and the whole relation is kept as a CSR
+  graph, so every query is an O(1) slice.
 
-The batched engine lives in :mod:`repro.cluster.neighbor_graph`:
-:class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood`
-materializes the whole relation once (grid-bucketed candidates, blocked
-pair evaluation) and serves every query as an O(1) CSR slice.  All four
-return identical neighborhoods; :func:`make_neighborhood_engine` picks
-between them.
+:func:`make_neighborhood_engine` picks between them.  Callers that must
+not materialise the relation (an ε so large the edge list approaches
+n², or a memory cap) use the brute engine or the streaming
+:func:`~repro.cluster.neighbor_graph.neighborhood_size_counts`.
 
 **Why a geometric prefilter is sound even though the TRACLUS distance
 is not a metric.**  With weights ``w_perp, w_par > 0`` and
@@ -38,15 +34,16 @@ distance ``r = sqrt((2 eps / w_perp)^2 + (eps / w_par)^2)`` of an
 endpoint of the longer segment, hence the two segments' bounding boxes,
 after expanding the query's by ``r``, must intersect.  Every true
 neighbor survives the prefilter; the exact distance pass removes false
-positives.  If either weight is zero the bound is vacuous and the grid
-engine degrades to brute force.
+positives.  If either weight is zero the bound is vacuous and the
+batched engine evaluates every pair.
 
 One float subtlety: the *computed* distance of a pair whose geometric
 gap is below ~sqrt(5e-324) underflows to exactly 0, which at ``eps = 0``
 (nominal radius 0) would let an exact bbox prefilter prune a pair the
-distance pass accepts.  All prefilter engines therefore share
-:func:`repro.cluster.neighbor_graph.candidate_radius`, which floors the
-radius just above that underflow scale.
+distance pass accepts.  Every grid prefilter (the batched join, the
+streaming graph's :class:`~repro.index.grid.SegmentGrid` queries)
+therefore shares :func:`repro.cluster.neighbor_graph.candidate_radius`,
+which floors the radius just above that underflow scale.
 """
 
 from __future__ import annotations
@@ -55,14 +52,10 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.cluster.neighbor_graph import (
-    PrecomputedNeighborhood,
-    candidate_radius,
-)
+from repro.cluster.neighbor_graph import PrecomputedNeighborhood
 from repro.core.config import NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
-from repro.index.grid import SegmentGrid
 from repro.model.segmentset import SegmentSet
 
 
@@ -107,124 +100,6 @@ class BruteForceNeighborhood:
         return sizes
 
 
-class GridNeighborhood:
-    """Grid-prefiltered ε-neighborhoods (exact results, fewer distance
-    evaluations).  See the module docstring for the candidate-radius
-    soundness argument."""
-
-    def __init__(
-        self,
-        segments: SegmentSet,
-        eps: float,
-        distance: Optional[SegmentDistance] = None,
-        cell_size: Optional[float] = None,
-    ):
-        if eps < 0:
-            raise ClusteringError(f"eps must be non-negative, got {eps}")
-        self.segments = segments
-        self.eps = float(eps)
-        self.distance = distance if distance is not None else SegmentDistance()
-        if self.distance.w_perp <= 0 or self.distance.w_par <= 0:
-            raise ClusteringError(
-                "the grid prefilter needs w_perp > 0 and w_par > 0; "
-                "use BruteForceNeighborhood for degenerate weightings"
-            )
-        self.candidate_radius = candidate_radius(self.eps, self.distance)
-        if cell_size is None:
-            # Cells comparable to the query radius keep the candidate
-            # window at ~3x3 cells.
-            cell_size = max(self.candidate_radius, 1e-9)
-        self._grid = SegmentGrid(segments, cell_size=cell_size)
-
-    def neighbors_of(self, index: int) -> np.ndarray:
-        candidates = self._grid.candidates_near(index, self.candidate_radius)
-        if candidates.size == 0:
-            return np.array([index], dtype=np.int64)
-        query = self.segments.segment(index)
-        subset = self.segments.subset(candidates)
-        # seg ids within the subset are positional; map the query's id to
-        # its position so equal-length ties order identically.
-        positions = np.nonzero(candidates == index)[0]
-        query_position = int(positions[0]) if positions.size else -1
-        dists = self.distance.to_all(query, subset, query_seg_id=query_position)
-        if query_position >= 0:
-            dists[query_position] = 0.0  # dist(L, L) = 0 by definition
-        return candidates[dists <= self.eps]
-
-    def neighborhood_sizes(self) -> np.ndarray:
-        n = len(self.segments)
-        sizes = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            sizes[i] = self.neighbors_of(i).size
-        return sizes
-
-
-class RTreeNeighborhood:
-    """R-tree-prefiltered ε-neighborhoods (exact results).
-
-    Same candidate-radius soundness argument as the grid engine (module
-    docstring), with a bulk-loaded Guttman R-tree over segment bounding
-    boxes standing in for the hash grid — this is the engine Lemma 3's
-    O(n log n) claim literally describes (reference [10]).
-    """
-
-    def __init__(
-        self,
-        segments: SegmentSet,
-        eps: float,
-        distance: Optional[SegmentDistance] = None,
-        max_entries: int = 16,
-    ):
-        from repro.geometry.bbox import BoundingBox
-        from repro.index.rtree import RTree
-
-        if eps < 0:
-            raise ClusteringError(f"eps must be non-negative, got {eps}")
-        self.segments = segments
-        self.eps = float(eps)
-        self.distance = distance if distance is not None else SegmentDistance()
-        if self.distance.w_perp <= 0 or self.distance.w_par <= 0:
-            raise ClusteringError(
-                "the R-tree prefilter needs w_perp > 0 and w_par > 0; "
-                "use BruteForceNeighborhood for degenerate weightings"
-            )
-        self.candidate_radius = candidate_radius(self.eps, self.distance)
-        self._box_type = BoundingBox
-        self._tree = RTree.bulk_load(
-            (
-                (BoundingBox.of_segment(segments.starts[i], segments.ends[i]), i)
-                for i in range(len(segments))
-            ),
-            max_entries=max_entries,
-        )
-
-    def neighbors_of(self, index: int) -> np.ndarray:
-        window = self._box_type.of_segment(
-            self.segments.starts[index], self.segments.ends[index]
-        ).expanded(self.candidate_radius)
-        candidates = np.array(
-            sorted(e.payload for e in self._tree.query_window(window)),
-            dtype=np.int64,
-        )
-        if candidates.size == 0:
-            return np.array([index], dtype=np.int64)
-        query = self.segments.segment(index)
-        subset = self.segments.subset(candidates)
-        positions = np.nonzero(candidates == index)[0]
-        query_position = int(positions[0]) if positions.size else -1
-        dists = self.distance.to_all(query, subset, query_seg_id=query_position)
-        if query_position >= 0:
-            dists[query_position] = 0.0
-        return candidates[dists <= self.eps]
-
-    def neighborhood_sizes(self) -> np.ndarray:
-        n = len(self.segments)
-        sizes = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            sizes[i] = self.neighbors_of(i).size
-        return sizes
-
-
 #: Below this set size ``"auto"`` keeps the zero-setup brute engine;
 #: above it the batched graph build amortises immediately (every
 #: consumer queries all n rows at least once).  The number itself lives
@@ -234,7 +109,7 @@ AUTO_BATCH_THRESHOLD = NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
 
 #: Engine names accepted by :func:`make_neighborhood_engine` (and by
 #: every ``neighborhood_method`` knob that forwards to it).
-NEIGHBORHOOD_METHODS = ("auto", "brute", "grid", "rtree", "batch")
+NEIGHBORHOOD_METHODS = ("auto", "brute", "batch")
 
 
 def make_neighborhood_engine(
@@ -245,27 +120,20 @@ def make_neighborhood_engine(
 ) -> "NeighborhoodEngine":
     """Engine factory.
 
-    ``method`` is ``"brute"``, ``"grid"``, ``"rtree"``, ``"batch"``
-    (the precomputed CSR graph of
-    :mod:`repro.cluster.neighbor_graph`), or ``"auto"``.
+    ``method`` is ``"brute"``, ``"batch"`` (the precomputed CSR graph
+    of :mod:`repro.cluster.neighbor_graph`), or ``"auto"``.
 
     The ``"auto"`` policy: brute below
     :data:`AUTO_BATCH_THRESHOLD` segments (nothing to amortise) and
     whenever a zero ``w_perp``/``w_par`` weight voids the geometric
     prefilter *and* bounded memory matters (the batch fallback would
     evaluate — exactly but eagerly — all O(n^2) pairs); batch otherwise.
-    Batch strictly dominates grid/rtree for whole-dataset consumers
-    (same candidate sets, each pair evaluated once, no per-query Python
-    loop); the per-query engines remain available explicitly for
-    few-query or memory-capped workloads.
+    Brute stays available explicitly for few-query or memory-capped
+    workloads: it holds no state beyond the segment set.
     """
     distance = distance if distance is not None else SegmentDistance()
     if method == "brute":
         return BruteForceNeighborhood(segments, eps, distance)
-    if method == "grid":
-        return GridNeighborhood(segments, eps, distance)
-    if method == "rtree":
-        return RTreeNeighborhood(segments, eps, distance)
     if method == "batch":
         return PrecomputedNeighborhood(segments, eps, distance)
     if method != "auto":

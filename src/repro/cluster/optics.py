@@ -92,13 +92,10 @@ class LineSegmentOPTICS:
     ``neighborhood_method`` selects how the per-segment neighborhoods
     (and their distances) are obtained: ``"auto"``/``"batch"`` build one
     :class:`~repro.cluster.neighbor_graph.NeighborGraph` and read CSR
-    rows; ``"brute"``, ``"grid"``, and ``"rtree"`` run the
-    one-vectorized-pass-per-segment loop, which never materializes the
-    O(E) edge list (OPTICS needs the distances, not just the indices,
-    so the per-query index engines have nothing to prune here — the
-    names are accepted as the memory-capped escape hatch).  All routes
-    share one distance kernel, so the reachability plot is identical
-    either way.
+    rows; ``"brute"`` runs the one-vectorized-pass-per-segment loop,
+    which never materializes the O(E) edge list (the memory-capped
+    route).  Both routes share one distance kernel, so the
+    reachability plot is identical either way.
     """
 
     def __init__(

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
+from repro.kernels import KERNEL_BACKENDS
 
 #: ``neighborhood_method="auto"`` picks the batched CSR neighbor graph
 #: (:mod:`repro.cluster.neighbor_graph`) from this many segments up
@@ -28,7 +29,7 @@ from repro.exceptions import ClusteringError
 #: zero-setup brute engine wins — tiny sets don't amortise a build.
 NEIGHBORHOOD_AUTO_BATCH_SEGMENTS = 200
 
-#: ``partition_method="auto"`` picks the lock-step batched Figure-8
+#: ``partition_all(method="auto")`` picks the lock-step batched Figure-8
 #: scanner (:mod:`repro.partition.batched`) from this many trajectories
 #: up.  Driving a *single* trajectory through the batched path
 #: degenerates to the python scan plus ragged-gather overhead (~1.5x
@@ -63,12 +64,6 @@ class TraclusConfig:
         Constant added to ``cost_nopar`` during partitioning to favour
         longer partitions (Section 4.1.3); 0 reproduces Figure 8
         exactly.
-    partition_method:
-        Phase-1 (Figure 8) engine: ``"auto"`` (the lock-step batched
-        scanner for multi-trajectory corpora, the per-trajectory python
-        scan otherwise), ``"python"``, or ``"batched"``.  Both engines
-        produce bitwise-identical characteristic points; the knob only
-        trades constant factors.
     cardinality_threshold:
         Minimum trajectory cardinality ``|PTR(C)|`` (Figure 12 Step 3);
         ``None`` uses MinLns.
@@ -77,11 +72,6 @@ class TraclusConfig:
         cardinality (Section 4.2 extension).
     gamma:
         Representative-trajectory smoothing parameter γ (Figure 15).
-    neighborhood_method:
-        ε-query engine: ``"auto"`` (batched graph above a size
-        threshold, brute below), ``"brute"``, ``"grid"``, ``"rtree"``,
-        or ``"batch"`` (precomputed CSR neighbor graph).  Applied to
-        both the grouping phase and the Section 4.4 parameter search.
     eps_search_values:
         Optional explicit ε grid for the heuristic; ``None`` uses a
         data-driven default.
@@ -93,8 +83,8 @@ class TraclusConfig:
         parameter sweeps that only need labels).
     kernel_backend:
         Hot-kernel dispatch (:mod:`repro.kernels`): ``"auto"`` (first
-        available compiled backend, numpy fallback), ``"numpy"``,
-        ``"cext"``, or ``"numba"``.  Bitwise-neutral by the backends'
+        available compiled backend, numpy fallback), ``"numpy"``, or
+        ``"cext"``.  Bitwise-neutral by the backends'
         parity contract, and therefore **excluded** from Workspace
         artifact fingerprints — flipping it keeps every cache warm.
     """
@@ -106,11 +96,9 @@ class TraclusConfig:
     w_theta: float = 1.0
     directed: bool = True
     suppression: float = 0.0
-    partition_method: str = "auto"
     cardinality_threshold: Optional[float] = None
     use_weights: bool = False
     gamma: float = 0.0
-    neighborhood_method: str = "auto"
     eps_search_values: Optional[Sequence[float]] = None
     eps_search_method: str = "grid"
     compute_representatives: bool = True
@@ -132,24 +120,6 @@ class TraclusConfig:
                 "cardinality_threshold must be non-negative, got "
                 f"{self.cardinality_threshold}"
             )
-        # Imported lazily: the engine modules import this module's
-        # auto-selection thresholds at load time, so a top-level import
-        # here would be circular.
-        from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
-        from repro.partition.approximate import PARTITION_METHODS
-
-        if self.neighborhood_method not in NEIGHBORHOOD_METHODS:
-            raise ClusteringError(
-                f"unknown neighborhood method {self.neighborhood_method!r}; "
-                f"expected one of {NEIGHBORHOOD_METHODS}"
-            )
-        if self.partition_method not in PARTITION_METHODS:
-            raise ClusteringError(
-                f"unknown partition method {self.partition_method!r}; "
-                f"expected one of {PARTITION_METHODS}"
-            )
-        from repro.kernels import KERNEL_BACKENDS
-
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ClusteringError(
                 f"unknown kernel backend {self.kernel_backend!r}; "
@@ -176,7 +146,7 @@ class SweepConfig:
     The sweep runs phase 1 once, builds one ε-graph at ``max(eps_values)``
     and derives every grid point from it, so the only knobs here are the
     grid itself and the executor; everything else (distance weights,
-    suppression, partition engine, ``use_weights``, the Step-3
+    suppression, ``use_weights``, the Step-3
     ``cardinality_threshold``) comes from the :class:`TraclusConfig`
     of the ``TRACLUS`` instance running the sweep.
 

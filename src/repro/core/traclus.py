@@ -11,43 +11,27 @@ Two phases plus summarisation:
 3. **Representation** — each surviving cluster receives a
    representative trajectory (Figure 15).
 
-Since the Workspace PR, :meth:`TRACLUS.fit` and :meth:`TRACLUS.sweep`
-are thin compatibility wrappers over the artifact-graph facade
-(:class:`repro.api.Workspace`): one session-scoped cache holds the
+:meth:`TRACLUS.fit` and :meth:`TRACLUS.sweep` are thin wrappers over
+the artifact-graph facade (:class:`repro.api.Workspace`), the one
+pipeline behind every entry point: one session-scoped cache holds the
 partition, the ε-graph, and every derived artifact, so a fit followed
 by a sweep (or a parameter search followed by a fit) never recomputes a
-stage.  Results are bitwise identical to the pre-Workspace direct
-engine calls.  Passing ``workspace_dir`` (or reusing an explicit
-:class:`~repro.api.Workspace`) persists the artifacts across processes.
-
-The one exception: forcing a per-query ε-engine
-(``neighborhood_method="brute"|"grid"|"rtree"``) keeps the legacy
-direct path — those engines exist precisely for workloads where
-materialising the graph is the wrong trade (memory-capped, few
-queries), so routing them through the graph-holding workspace would
-defeat the knob.
+stage.  Labels are bitwise identical to running the engines by hand —
+:func:`~repro.partition.approximate.partition_all` followed by
+:class:`~repro.cluster.dbscan.LineSegmentDBSCAN` with the brute-force
+ε-engine — which the property suites pin.  Passing ``workspace_dir``
+(or reusing an explicit :class:`~repro.api.Workspace`) persists the
+artifacts across processes.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
-from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.core.config import SweepConfig, TraclusConfig
 from repro.exceptions import TrajectoryError
 from repro.model.result import ClusteringResult
 from repro.model.trajectory import Trajectory
-from repro.params.heuristic import recommend_parameters
-from repro.partition.approximate import partition_all
-from repro.representative.sweep import (
-    RepresentativeConfig,
-    generate_all_representatives,
-)
-
-#: ε-engines whose *whole point* is not materialising the neighbor
-#: graph; ``fit`` keeps the legacy per-query path for them.
-_DIRECT_NEIGHBORHOOD_METHODS = ("brute", "grid", "rtree")
 
 
 class TRACLUS:
@@ -101,98 +85,7 @@ class TRACLUS:
             raise TrajectoryError(
                 f"all trajectories must share one dimensionality, got {sorted(dims)}"
             )
-        if self.config.neighborhood_method in _DIRECT_NEIGHBORHOOD_METHODS:
-            if self.workspace_dir is not None:
-                warnings.warn(
-                    f"neighborhood_method="
-                    f"{self.config.neighborhood_method!r} forces the "
-                    f"direct per-query path, which neither reads nor "
-                    f"writes the workspace cache at "
-                    f"{self.workspace_dir!r}; drop the forced engine to "
-                    f"use (and fill) the cache",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            return self._fit_direct(trajectories)
         return self._workspace(trajectories).fit()
-
-    def _fit_direct(
-        self, trajectories: Sequence[Trajectory]
-    ) -> ClusteringResult:
-        """The legacy per-query-engine pipeline, kept for the forced
-        ``"brute"``/``"grid"``/``"rtree"`` ε-engines (memory-capped or
-        few-query workloads that must not materialise the ε-graph).
-        Labels are bitwise identical to the Workspace path."""
-        from repro import kernels
-
-        config = self.config
-        distance = config.distance()
-
-        with kernels.use_backend(config.kernel_backend):
-            return self._fit_direct_inner(trajectories, config, distance)
-
-    def _fit_direct_inner(
-        self,
-        trajectories: Sequence[Trajectory],
-        config: TraclusConfig,
-        distance,
-    ) -> ClusteringResult:
-
-        # Phase 1: partitioning (Figure 4 lines 01-03).
-        segments, characteristic_points = partition_all(
-            trajectories,
-            suppression=config.suppression,
-            method=config.partition_method,
-        )
-
-        # Parameter selection (Section 4.4) when not fully specified.
-        eps = config.eps
-        min_lns = config.min_lns
-        parameters = {}
-        if eps is None or min_lns is None:
-            estimate = recommend_parameters(
-                segments,
-                eps_values=config.eps_search_values,
-                distance=distance,
-                method=config.eps_search_method,
-                neighborhood_method=config.neighborhood_method,
-            )
-            if eps is None:
-                eps = estimate.eps
-            if min_lns is None:
-                min_lns = estimate.avg_neighborhood_size + 2.0
-            parameters["estimated_entropy"] = estimate.entropy
-            parameters["estimated_avg_neighborhood"] = (
-                estimate.avg_neighborhood_size
-            )
-
-        # Phase 2: grouping (Figure 4 line 04).
-        dbscan = LineSegmentDBSCAN(
-            eps=eps,
-            min_lns=min_lns,
-            distance=distance,
-            cardinality_threshold=config.cardinality_threshold,
-            use_weights=config.use_weights,
-            neighborhood_method=config.neighborhood_method,
-        )
-        clusters, labels = dbscan.fit(segments)
-
-        # Representative trajectories (Figure 4 lines 05-06).
-        if config.compute_representatives:
-            representative_config = RepresentativeConfig(
-                min_lns=min_lns, gamma=config.gamma
-            )
-            generate_all_representatives(clusters, representative_config)
-
-        parameters.update({"eps": float(eps), "min_lns": float(min_lns)})
-        return ClusteringResult(
-            clusters=clusters,
-            segments=segments,
-            labels=labels,
-            trajectories=trajectories,
-            characteristic_points=characteristic_points,
-            parameters=parameters,
-        )
 
     def sweep(self, trajectories: Sequence[Trajectory], sweep: SweepConfig):
         """Amortised (ε, MinLns) grid sweep over *trajectories*.
@@ -202,7 +95,7 @@ class TRACLUS:
         it — labels at each point bitwise identical to :meth:`fit` at
         those parameters (see :mod:`repro.sweep.engine`).  This
         instance's config supplies the point-independent knobs
-        (distance weights, suppression, phase-1 engine, ``use_weights``,
+        (distance weights, suppression, ``use_weights``,
         ``cardinality_threshold``); its ``eps``/``min_lns`` are ignored
         in favour of the grid.
 

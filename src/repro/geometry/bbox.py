@@ -1,14 +1,13 @@
 """Axis-aligned bounding boxes.
 
-The spatial-index substrate (R-tree and uniform grid, Section 4.2
-Lemma 3 of the paper) stores the minimum bounding rectangle of each
-line segment.  Boxes are d-dimensional to match the rest of the
-library.
+The minimum bounding box of a segment or a segment set
+(:meth:`repro.model.segment.Segment.bounding_box`,
+:meth:`repro.model.segmentset.SegmentSet.bounding_box`).  Boxes are
+d-dimensional to match the rest of the library; the spatial index
+(:mod:`repro.index.grid`) works on the raw coordinate arrays instead.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ class BoundingBox:
         self.lo = lo
         self.hi = hi
 
-    # -- constructors ----------------------------------------------------
     @classmethod
     def of_points(cls, points: np.ndarray) -> "BoundingBox":
         """Smallest box containing every row of ``(n, d)`` *points*."""
@@ -52,78 +50,6 @@ class BoundingBox:
         start = np.asarray(start, dtype=np.float64)
         end = np.asarray(end, dtype=np.float64)
         return cls(np.minimum(start, end), np.maximum(start, end))
-
-    @classmethod
-    def union_all(cls, boxes: Iterable["BoundingBox"]) -> "BoundingBox":
-        """Smallest box containing every box in *boxes*."""
-        boxes = list(boxes)
-        if not boxes:
-            raise GeometryError("union of zero boxes is undefined")
-        lo = np.min([b.lo for b in boxes], axis=0)
-        hi = np.max([b.hi for b in boxes], axis=0)
-        return cls(lo, hi)
-
-    # -- predicates ------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def extent(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """True when the two (closed) boxes overlap."""
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def contains_point(self, point: np.ndarray) -> bool:
-        point = np.asarray(point, dtype=np.float64)
-        return bool(np.all(self.lo <= point) and np.all(point <= self.hi))
-
-    def contains_box(self, other: "BoundingBox") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
-    def expanded(self, margin: float) -> "BoundingBox":
-        """Box grown by *margin* on every side (used for ε-query windows)."""
-        if margin < 0:
-            raise GeometryError("margin must be non-negative")
-        return BoundingBox(self.lo - margin, self.hi + margin)
-
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(
-            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
-        )
-
-    # -- metrics (used by the R-tree split/choose heuristics) -------------
-    def volume(self) -> float:
-        """Product of extents (area in 2-D)."""
-        return float(np.prod(self.extent))
-
-    def margin(self) -> float:
-        """Sum of extents (perimeter/2 in 2-D)."""
-        return float(np.sum(self.extent))
-
-    def enlargement(self, other: "BoundingBox") -> float:
-        """Volume increase needed to also cover *other*."""
-        return self.union(other).volume() - self.volume()
-
-    def min_distance_to_point(self, point: np.ndarray) -> float:
-        """Smallest Euclidean distance from *point* to the box (0 inside)."""
-        point = np.asarray(point, dtype=np.float64)
-        delta = np.maximum(np.maximum(self.lo - point, point - self.hi), 0.0)
-        return float(np.linalg.norm(delta))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundingBox):
-            return NotImplemented
-        return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
-
-    def __hash__(self) -> int:
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundingBox(lo={self.lo.tolist()}, hi={self.hi.tolist()})"

@@ -1,17 +1,14 @@
 """Spatial index substrate (Lemma 3, reference [10]).
 
 The paper reduces the grouping phase to O(n log n) by answering
-ε-neighborhood queries through a spatial index such as the R-tree.  We
-provide two structures over segment bounding boxes:
-
-* :class:`~repro.index.rtree.RTree` — a from-scratch Guttman R-tree
-  (quadratic split) with STR bulk loading;
-* :class:`~repro.index.grid.SegmentGrid` — a uniform hash grid, which
-  is what the clustering engine uses by default (same candidate set
-  semantics, lower constant factors in pure Python).
+ε-neighborhood queries through a spatial index such as the R-tree.
+Lemma 3 needs only *an* index, so the repo keeps one:
+:class:`~repro.index.grid.SegmentGrid`, a sparse uniform hash grid over
+segment bounding boxes.  The batched neighbor-graph join
+(:mod:`repro.cluster.neighbor_graph`) and the streaming graph
+(:mod:`repro.stream.dynamic_graph`) both draw their candidates from it.
 """
 
 from repro.index.grid import SegmentGrid
-from repro.index.rtree import RTree, RTreeEntry
 
-__all__ = ["SegmentGrid", "RTree", "RTreeEntry"]
+__all__ = ["SegmentGrid"]

@@ -8,6 +8,13 @@ with a header naming the columns.  ``weight`` and ``label`` are
 carried in optional per-trajectory metadata columns (repeated on every
 row of the trajectory; the first row wins on read).
 
+A data row that is too short for the header, or whose id, coordinate,
+weight or time cell does not parse as a number, raises
+:class:`~repro.exceptions.DatasetError` naming the row's line number.
+Non-finite values (``nan``, ``inf``) parse as numbers;
+:class:`~repro.model.trajectory.Trajectory` and the streaming pipeline
+reject them.
+
 :func:`iter_point_rows` reads the same format *incrementally* — one
 point per yield, optionally tailing a growing file — for the streaming
 pipeline (``repro stream``).
@@ -18,7 +25,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +73,74 @@ def write_trajectories_csv(
             writer.writerow(row)
 
 
+class _Columns:
+    """Column positions of a long-format header, and the row parser
+    both readers share."""
+
+    __slots__ = ("header", "id_col", "coord_cols", "weight_col",
+                 "label_col", "time_col", "width")
+
+    def __init__(self, header: Sequence[str], with_label: bool):
+        self.header = list(header)
+        try:
+            self.id_col = self.header.index("traj_id")
+        except ValueError:
+            raise DatasetError(
+                "CSV header must contain a 'traj_id' column"
+            ) from None
+        self.coord_cols = [
+            k for k, name in enumerate(self.header) if name.startswith("c")
+        ]
+        if not self.coord_cols:
+            raise DatasetError("CSV header has no coordinate (c*) columns")
+        self.weight_col = self._find("weight")
+        self.label_col = self._find("label") if with_label else None
+        self.time_col = self._find("t")
+        used = [self.id_col, *self.coord_cols, self.weight_col,
+                self.label_col, self.time_col]
+        #: Cells a data row needs to reach every column read from it.
+        self.width = 1 + max(k for k in used if k is not None)
+
+    def _find(self, name: str) -> Optional[int]:
+        return self.header.index(name) if name in self.header else None
+
+    def parse(
+        self, row: Sequence[str], line: int
+    ) -> Tuple[int, List[float], float, Optional[float]]:
+        """``(traj_id, point, weight, time)`` of one data row."""
+        try:
+            return (
+                int(row[self.id_col]),
+                [float(row[k]) for k in self.coord_cols],
+                float(row[self.weight_col])
+                if self.weight_col is not None else 1.0,
+                float(row[self.time_col])
+                if self.time_col is not None else None,
+            )
+        except (IndexError, ValueError):
+            raise self._row_error(row, line) from None
+
+    def _row_error(self, row: Sequence[str], line: int) -> DatasetError:
+        if len(row) < self.width:
+            return DatasetError(
+                f"line {line}: expected at least {self.width} cells for "
+                f"the header's columns, got {len(row)}"
+            )
+        numeric = [(self.id_col, int)]
+        numeric += [(k, float) for k in self.coord_cols]
+        numeric += [(k, float) for k in (self.weight_col, self.time_col)
+                    if k is not None]
+        for k, convert in numeric:
+            try:
+                convert(row[k])
+            except ValueError:
+                return DatasetError(
+                    f"line {line}: {self.header[k]!r} cell {row[k]!r} is "
+                    f"not a number"
+                )
+        return DatasetError(f"line {line}: malformed row {list(row)!r}")
+
+
 def read_trajectories_csv(source: Union[str, TextIO]) -> List[Trajectory]:
     """Read trajectories written by :func:`write_trajectories_csv`.
 
@@ -80,34 +155,26 @@ def read_trajectories_csv(source: Union[str, TextIO]) -> List[Trajectory]:
         header = next(reader)
     except StopIteration:
         raise DatasetError("empty CSV input") from None
-    try:
-        id_col = header.index("traj_id")
-    except ValueError:
-        raise DatasetError("CSV header must contain a 'traj_id' column") from None
-    coord_cols = [k for k, name in enumerate(header) if name.startswith("c")]
-    if not coord_cols:
-        raise DatasetError("CSV header has no coordinate (c*) columns")
-    weight_col = header.index("weight") if "weight" in header else None
-    label_col = header.index("label") if "label" in header else None
-    time_col = header.index("t") if "t" in header else None
+    columns = _Columns(header, with_label=True)
+    label_col = columns.label_col
 
     groups: "dict[int, dict]" = {}
     order: List[int] = []
     for row in reader:
         if not row:
             continue
-        traj_id = int(row[id_col])
+        traj_id, point, weight, time_ = columns.parse(row, reader.line_num)
         if traj_id not in groups:
             groups[traj_id] = {
                 "points": [],
                 "times": [],
-                "weight": float(row[weight_col]) if weight_col is not None else 1.0,
+                "weight": weight,
                 "label": row[label_col] if label_col is not None else "",
             }
             order.append(traj_id)
-        groups[traj_id]["points"].append([float(row[k]) for k in coord_cols])
-        if time_col is not None:
-            groups[traj_id]["times"].append(float(row[time_col]))
+        groups[traj_id]["points"].append(point)
+        if time_ is not None:
+            groups[traj_id]["times"].append(time_)
 
     trajectories: List[Trajectory] = []
     for traj_id in order:
@@ -165,6 +232,10 @@ def iter_point_rows(
     data row and no header line is consumed (used by ``repro stream
     --bulk-load``, which reads a file's current contents once and then
     keeps tailing the same handle).
+
+    A malformed row raises :class:`~repro.exceptions.DatasetError`
+    naming its line number, counted with the header as line 1; a read
+    resumed with ``header`` numbers its first row as line 2.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -172,18 +243,9 @@ def iter_point_rows(
             return
     if header is None:
         header = read_csv_header(source)
-    else:
-        header = list(header)
-    try:
-        id_col = header.index("traj_id")
-    except ValueError:
-        raise DatasetError("CSV header must contain a 'traj_id' column") from None
-    coord_cols = [k for k, name in enumerate(header) if name.startswith("c")]
-    if not coord_cols:
-        raise DatasetError("CSV header has no coordinate (c*) columns")
-    weight_col = header.index("weight") if "weight" in header else None
-    time_col = header.index("t") if "t" in header else None
+    columns = _Columns(header, with_label=False)
 
+    line_number = 1  # the header line
     idle_polls = 0
     # Text-mode tell() costs more than the readline itself, so track
     # rewind positions only when tailing can actually rewind.
@@ -204,12 +266,12 @@ def iter_point_rows(
         if follow:
             position = source.tell()
         idle_polls = 0
+        line_number += 1
         if not line.strip():
             continue
-        row = next(csv.reader([line]))
+        traj_id, point, weight, time_ = columns.parse(
+            next(csv.reader([line])), line_number
+        )
         yield PointRow(
-            traj_id=int(row[id_col]),
-            point=np.array([float(row[k]) for k in coord_cols]),
-            weight=float(row[weight_col]) if weight_col is not None else 1.0,
-            time=float(row[time_col]) if time_col is not None else None,
+            traj_id=traj_id, point=np.array(point), weight=weight, time=time_
         )

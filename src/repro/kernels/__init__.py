@@ -6,9 +6,9 @@ pure-numpy kernels: the role-assigned pair-component distance kernel
 (:func:`repro.distance.vectorized.component_distances_pairs`, driving
 the blocked neighbor-graph join) and the multi-window MDL cost kernel
 (:func:`repro.partition.mdl.window_mdl_costs`, driving the lock-step
-Figure-8 scanner).  This package provides optional *compiled* backends
-for both, auto-detected at first use, with the numpy path as the
-always-available fallback:
+Figure-8 scanner).  This package provides an optional *compiled*
+backend for both, auto-detected at first use, with the numpy path as
+the always-available reference and fallback:
 
 ``cext``
     A small C library compiled on demand with the system C compiler
@@ -16,9 +16,6 @@ always-available fallback:
     new Python dependency, no build step at install time.  Calls
     release the GIL, so the neighbor-graph join can thread over
     candidate-pair blocks.
-``numba``
-    ``@njit(nogil=True)`` kernels, used when :mod:`numba` is importable
-    (``pip install .[speed]``).
 
 Bitwise contract
 ----------------
@@ -44,7 +41,7 @@ possible:
    numpy instead of corrupting caches.
 
 Selection rides ``TraclusConfig.kernel_backend`` (``"auto"``,
-``"numpy"``, ``"cext"``, ``"numba"``), threaded through the CLI and
+``"numpy"``, ``"cext"``), threaded through the CLI and
 serve worker config.  The knob is *excluded* from Workspace artifact
 fingerprints — flipping it keeps every cache warm.  ``repro doctor``
 reports what is importable and what ``auto`` resolves to.
@@ -62,7 +59,7 @@ import numpy as np
 from repro.exceptions import ClusteringError
 
 #: Accepted values of the ``kernel_backend`` knob.
-KERNEL_BACKENDS = ("auto", "numpy", "cext", "numba")
+KERNEL_BACKENDS = ("auto", "numpy", "cext")
 
 #: Compiled backends replicate numpy's two-accumulator einsum order,
 #: verified for inner (spatial) dims up to this; larger dims always
@@ -70,7 +67,7 @@ KERNEL_BACKENDS = ("auto", "numpy", "cext", "numba")
 MAX_COMPILED_DIM = 5
 
 #: ``auto`` preference order among compiled backends.
-_AUTO_ORDER = ("cext", "numba")
+_AUTO_ORDER = ("cext",)
 
 #: Histogram buckets for per-kernel-call timings (seconds) — kernel
 #: calls are µs-to-ms, far below the serve-layer latency buckets.
@@ -155,12 +152,6 @@ def _init_registry() -> None:
         status["cext"] = reason
         if backend is not None:
             registry["cext"] = backend
-        from repro.kernels import numba_backend as _nb
-
-        backend, reason = _nb.load_backend()
-        status["numba"] = reason
-        if backend is not None:
-            registry["numba"] = backend
         _status = status
         _registry = registry
 

@@ -80,9 +80,8 @@ def neighborhood_size_curve(
             f"expected one of {NEIGHBORHOOD_METHODS}"
         )
     n = len(segments)
-    # Multi-threshold counting only has two real routes: the blocked
-    # pair stream and the per-row loop.  The per-query index engines
-    # ("grid"/"rtree") map to the stream, which uses the same prefilter.
+    # Multi-threshold counting has two routes: the blocked pair stream
+    # ("auto"/"batch") and the per-row brute loop.
     if method != "brute" and n > 0:
         return neighborhood_size_counts(segments, eps_array, distance)
     counts = np.zeros((eps_array.size, n), dtype=np.int64)

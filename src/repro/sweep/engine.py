@@ -36,11 +36,10 @@ optional process-pool executor shards (``SweepConfig.executor =
 "process"``): each worker receives the sorted edge arrays once and
 walks its own columns.
 
-When is the naive per-point refit still preferable?  A single grid
-point (nothing to amortise — ``TRACLUS.fit`` avoids building sweep
-state), or an ε_max so large that the ε_max-graph's ``O(E)`` edge list
-approaches n² and blows memory where a per-point ``"grid"``/``"rtree"``
-engine would not (see the ROADMAP engine-selection note).
+When is a per-point refit still preferable?  When ε_max is so large
+that the ε_max-graph's ``O(E)`` edge list approaches n² and blows
+memory: ``LineSegmentDBSCAN(..., neighborhood_method="brute")`` refits
+one point without ever holding an edge list.
 """
 
 from __future__ import annotations
@@ -53,15 +52,13 @@ import numpy as np
 
 from repro.cluster.labeling import CoreGraphLabeler, apply_cardinality_filter
 from repro.cluster.neighbor_graph import DEFAULT_PAIR_BLOCK, NeighborGraph
-from repro.core.config import SWEEP_EXECUTORS, SweepConfig, TraclusConfig
+from repro.core.config import SWEEP_EXECUTORS
 from repro.distance.weighted import SegmentDistance
-from repro.exceptions import ClusteringError, TrajectoryError
+from repro.exceptions import ClusteringError
 from repro.model.cluster import NOISE, Cluster, clusters_from_labels
 from repro.model.segmentset import SegmentSet
-from repro.model.trajectory import Trajectory
 from repro.obs import NULL_REGISTRY, span
 from repro.params.heuristic import ParameterEstimate, recommend_parameters
-from repro.partition.approximate import partition_all
 
 
 # ---------------------------------------------------------------------------
@@ -634,51 +631,3 @@ class SweepResult:
             f"n_segments={len(self.segments)})"
         )
 
-
-def run_sweep(
-    trajectories: Sequence[Trajectory],
-    config: TraclusConfig,
-    sweep: SweepConfig,
-) -> SweepResult:
-    """Partition once, build one ε_max graph, derive the whole grid.
-
-    ``config`` supplies everything point-independent (distance weights,
-    suppression, phase-1 engine, ``use_weights``, the Step-3
-    ``cardinality_threshold``); its ``eps``/``min_lns``/
-    ``neighborhood_method``/representative knobs are ignored — the grid
-    comes from *sweep*, the ε engine is the shared graph itself, and
-    sweeps stop at labels.
-    """
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise TrajectoryError("a sweep needs at least one trajectory")
-    dims = {t.dim for t in trajectories}
-    if len(dims) != 1:
-        raise TrajectoryError(
-            f"all trajectories must share one dimensionality, got {sorted(dims)}"
-        )
-    segments, characteristic_points = partition_all(
-        trajectories,
-        suppression=config.suppression,
-        method=config.partition_method,
-    )
-    engine = SweepEngine(segments, sweep.eps_values, config.distance())
-    labels = engine.labels_grid(
-        sweep.min_lns_values,
-        cardinality_threshold=config.cardinality_threshold,
-        use_weights=config.use_weights,
-        executor=sweep.executor,
-        n_workers=sweep.n_workers,
-    )
-    entropies, avg_sizes = engine.entropy_curve()
-    return SweepResult(
-        eps_values=tuple(float(e) for e in sweep.eps_values),
-        min_lns_values=tuple(float(m) for m in sweep.min_lns_values),
-        segments=segments,
-        characteristic_points=characteristic_points,
-        labels=labels,
-        neighborhood_counts=engine.neighborhood_counts(),
-        entropies=entropies,
-        avg_neighborhood_sizes=avg_sizes,
-        n_graph_edges=engine.n_edges,
-    )

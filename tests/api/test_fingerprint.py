@@ -126,14 +126,11 @@ class TestWorkspaceKeyInvalidation:
         assert base["labels"] != pinned["labels"]
 
     def test_engine_knobs_keep_cache_warm(self, trajectories):
-        """The phase-1 and ε-query engine choices are bitwise
-        result-neutral (property-pinned), so they must NOT invalidate."""
+        """The kernel backend is bitwise result-neutral (parity-gated),
+        so it must NOT invalidate."""
         base = self._keys(trajectories, TraclusConfig())
-        for config in (
-            TraclusConfig(partition_method="python"),
-            TraclusConfig(partition_method="batched"),
-            TraclusConfig(neighborhood_method="batch"),
-        ):
+        for backend in ("numpy", "cext"):
+            config = TraclusConfig(kernel_backend=backend)
             assert self._keys(trajectories, config) == base
 
     def test_grids_key_counts_and_labels(self, trajectories):

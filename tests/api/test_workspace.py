@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.api.workspace import PartitionArtifact, Workspace
+from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.cluster.neighbor_graph import (
     NeighborGraph,
     neighborhood_size_counts,
@@ -14,7 +15,18 @@ from repro.core.traclus import TRACLUS
 from repro.exceptions import WorkspaceError
 from repro.partition.approximate import partition_all
 from repro.stream.pipeline import StreamingTRACLUS
+from repro.sweep.engine import SweepEngine
 import repro.partition.batched as batched_module
+
+
+def brute_labels(trajectories, eps, min_lns, **kwargs):
+    """Figure-12 labels from the engines run by hand: phase 1, then
+    DBSCAN over the brute-force ε-engine (the oracle)."""
+    segments, _ = partition_all(trajectories)
+    _, labels = LineSegmentDBSCAN(
+        eps, min_lns, neighborhood_method="brute", **kwargs
+    ).fit(segments)
+    return labels
 
 
 @pytest.fixture
@@ -118,19 +130,12 @@ class TestCountsAndLabels:
 
     def test_labels_match_fit_bitwise(self, trajectories, workspace):
         for eps, min_lns in ((4.0, 3.0), (7.0, 5.0)):
-            direct = TRACLUS(
-                TraclusConfig(
-                    eps=eps, min_lns=min_lns, compute_representatives=False,
-                    neighborhood_method="brute",  # the legacy direct path
-                )
-            ).fit(trajectories)
             assert np.array_equal(
-                workspace.labels(eps, min_lns), direct.labels
+                workspace.labels(eps, min_lns),
+                brute_labels(trajectories, eps, min_lns),
             )
 
     def test_labels_cache_short_circuits_engine(self, workspace, monkeypatch):
-        from repro.sweep.engine import SweepEngine
-
         eps_values, min_lns_values = [3.0, 6.0], [3.0, 4.0]
         first = workspace.labels_grid(eps_values, min_lns_values)
 
@@ -144,13 +149,10 @@ class TestCountsAndLabels:
     def test_cardinality_threshold_override(self, workspace, trajectories):
         pinned = workspace.labels_grid([5.0], [4.0], cardinality_threshold=2.0)
         default = workspace.labels_grid([5.0], [4.0])
-        direct = TRACLUS(
-            TraclusConfig(
-                eps=5.0, min_lns=4.0, cardinality_threshold=2.0,
-                compute_representatives=False, neighborhood_method="brute",
-            )
-        ).fit(trajectories)
-        assert np.array_equal(pinned[0, 0], direct.labels)
+        assert np.array_equal(
+            pinned[0, 0],
+            brute_labels(trajectories, 5.0, 4.0, cardinality_threshold=2.0),
+        )
         assert default.shape == pinned.shape
 
     def test_returned_labels_are_read_only(self, workspace):
@@ -163,8 +165,6 @@ class TestCountsAndLabels:
     ):
         """labels()/quality() at a point inside an already-materialised
         grid slice it instead of walking a one-cell column."""
-        from repro.sweep.engine import SweepEngine
-
         grid = workspace.labels_grid([3.0, 5.0, 7.0], [3.0, 4.0])
 
         def exploding(self, *args, **kwargs):
@@ -272,21 +272,23 @@ class TestFacades:
         assert np.array_equal(wrapped.labels, direct.labels)
         assert wrapped.parameters == direct.parameters
 
-    def test_traclus_sweep_equals_run_sweep(self, trajectories):
-        from repro.sweep.engine import run_sweep
-
+    def test_traclus_sweep_equals_sweep_engine(self, trajectories):
         config = TraclusConfig(compute_representatives=False)
         sweep = SweepConfig(eps_values=[3.0, 6.0], min_lns_values=[3.0, 4.0])
         wrapped = TRACLUS(config).sweep(trajectories, sweep)
-        raw = run_sweep(trajectories, config, sweep)
-        assert np.array_equal(wrapped.labels, raw.labels)
+        segments, _ = partition_all(trajectories)
+        engine = SweepEngine(segments, sweep.eps_values, config.distance())
+        entropies, _ = engine.entropy_curve()
         assert np.array_equal(
-            wrapped.neighborhood_counts, raw.neighborhood_counts
+            wrapped.labels, engine.labels_grid(sweep.min_lns_values)
         )
         assert np.array_equal(
-            wrapped.entropies.view(np.uint8), raw.entropies.view(np.uint8)
+            wrapped.neighborhood_counts, engine.neighborhood_counts()
         )
-        assert wrapped.n_graph_edges == raw.n_graph_edges
+        assert np.array_equal(
+            wrapped.entropies.view(np.uint8), entropies.view(np.uint8)
+        )
+        assert wrapped.n_graph_edges == engine.n_edges
 
     def test_seed_streaming_equals_fresh_bulk_load(self, trajectories):
         stream_config = StreamConfig(eps=5.0, min_lns=3.0)

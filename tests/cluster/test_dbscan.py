@@ -190,11 +190,11 @@ class TestConsistencyInvariants:
             )
             assert core_found
 
-    def test_grid_and_brute_give_same_clustering(self, random_segments):
+    def test_batch_and_brute_give_same_clustering(self, random_segments):
         _, labels_brute = cluster_segments(
             random_segments, eps=12.0, min_lns=3, neighborhood_method="brute"
         )
-        _, labels_grid = cluster_segments(
-            random_segments, eps=12.0, min_lns=3, neighborhood_method="grid"
+        _, labels_batch = cluster_segments(
+            random_segments, eps=12.0, min_lns=3, neighborhood_method="batch"
         )
-        assert np.array_equal(labels_brute, labels_grid)
+        assert np.array_equal(labels_brute, labels_batch)

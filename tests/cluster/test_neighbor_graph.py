@@ -214,9 +214,9 @@ class TestPrebuiltEngineGuards:
     def test_optics_per_query_methods_skip_graph_and_match(
         self, random_segments, monkeypatch
     ):
-        """'grid'/'rtree' are the memory-capped escape hatch: OPTICS
-        must run the per-query loop (no O(E) graph) yet produce the
-        identical reachability plot."""
+        """'brute' is the memory-capped escape hatch: OPTICS must run
+        the per-query loop (no O(E) graph) yet produce the identical
+        reachability plot."""
         from repro.cluster import optics as optics_module
         from repro.cluster.optics import LineSegmentOPTICS
 
@@ -230,14 +230,11 @@ class TestPrebuiltEngineGuards:
                 raise AssertionError("per-query method materialized the graph")
 
         monkeypatch.setattr(optics_module, "NeighborGraph", ForbiddenGraph)
-        for method in ("grid", "rtree"):
-            result = LineSegmentOPTICS(
-                8.0, 3, neighborhood_method=method
-            ).fit(random_segments)
-            assert np.array_equal(reference.ordering, result.ordering)
-            assert np.array_equal(
-                reference.reachability, result.reachability
-            )
+        result = LineSegmentOPTICS(
+            8.0, 3, neighborhood_method="brute"
+        ).fit(random_segments)
+        assert np.array_equal(reference.ordering, result.ordering)
+        assert np.array_equal(reference.reachability, result.reachability)
 
 
 class TestFactoryBatch:

@@ -1,18 +1,38 @@
-"""Unit tests for ε-neighborhood engines: brute force and grid must be
-exactly equivalent."""
+"""Unit tests for ε-neighborhood engines: brute force, and the grid
+index queried at the Lemma-3 candidate radius, must be exactly
+equivalent."""
 
 import numpy as np
 import pytest
 
+from repro.cluster.neighbor_graph import PrecomputedNeighborhood, candidate_radius
 from repro.cluster.neighborhood import (
     BruteForceNeighborhood,
-    GridNeighborhood,
     make_neighborhood_engine,
 )
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
+from repro.index.grid import SegmentGrid
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
+
+
+def grid_neighbors(segments, eps, distance=None):
+    """``N_eps`` of every segment through the grid index: candidates
+    within :func:`candidate_radius`, kept when their exact distance is
+    at most ε.  Also checks soundness: the candidates contain every
+    brute-force neighbor."""
+    distance = distance if distance is not None else SegmentDistance()
+    radius = candidate_radius(eps, distance)
+    grid = SegmentGrid(segments, cell_size=radius)
+    brute = BruteForceNeighborhood(segments, eps, distance)
+    rows = []
+    for i in range(len(segments)):
+        candidates = grid.candidates_near(i, radius)
+        assert np.isin(brute.neighbors_of(i), candidates).all()
+        dists = distance.member_to_all(i, segments)[candidates]
+        rows.append(candidates[dists <= eps].tolist())
+    return rows
 
 
 class TestBruteForce:
@@ -53,22 +73,16 @@ class TestGridEquivalence:
     @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0, 40.0])
     def test_grid_equals_brute_random(self, random_segments, eps):
         brute = BruteForceNeighborhood(random_segments, eps)
-        grid = GridNeighborhood(random_segments, eps)
+        grid = grid_neighbors(random_segments, eps)
         for i in range(len(random_segments)):
-            assert grid.neighbors_of(i).tolist() == brute.neighbors_of(i).tolist()
+            assert grid[i] == brute.neighbors_of(i).tolist()
 
     def test_grid_equals_brute_with_weights(self, random_segments):
         distance = SegmentDistance(w_perp=2.0, w_par=0.5, w_theta=1.5)
         brute = BruteForceNeighborhood(random_segments, 8.0, distance)
-        grid = GridNeighborhood(random_segments, 8.0, distance)
+        grid = grid_neighbors(random_segments, 8.0, distance)
         for i in range(len(random_segments)):
-            assert grid.neighbors_of(i).tolist() == brute.neighbors_of(i).tolist()
-
-    def test_grid_rejects_zero_perp_weight(self, random_segments):
-        with pytest.raises(ClusteringError):
-            GridNeighborhood(
-                random_segments, 1.0, SegmentDistance(w_perp=0.0)
-            )
+            assert grid[i] == brute.neighbors_of(i).tolist()
 
     def test_grid_handles_long_outlier_segment(self):
         segments = [
@@ -77,10 +91,10 @@ class TestGridEquivalence:
             Segment([-1e5, -1e5], [1e5, 1e5], seg_id=2),  # oversize
         ]
         store = SegmentSet.from_segments(segments)
-        grid = GridNeighborhood(store, eps=2.0)
+        grid = grid_neighbors(store, eps=2.0)
         brute = BruteForceNeighborhood(store, eps=2.0)
         for i in range(3):
-            assert grid.neighbors_of(i).tolist() == brute.neighbors_of(i).tolist()
+            assert grid[i] == brute.neighbors_of(i).tolist()
 
 
 class TestFactory:
@@ -90,8 +104,8 @@ class TestFactory:
             BruteForceNeighborhood,
         )
         assert isinstance(
-            make_neighborhood_engine(random_segments, 1.0, method="grid"),
-            GridNeighborhood,
+            make_neighborhood_engine(random_segments, 1.0, method="batch"),
+            PrecomputedNeighborhood,
         )
 
     def test_auto_small_set_uses_brute(self, random_segments):

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api.cache import ArtifactStore
+from repro.cli import EXIT_REPRO_ERROR, build_parser, main
 from repro.io.csvio import read_trajectories_csv, write_trajectories_csv
 from repro.model.trajectory import Trajectory
 
@@ -32,53 +33,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode", "x"])
 
-    @pytest.mark.parametrize("command", ["cluster", "params"])
-    def test_neighborhood_method_typo_fails_at_argparse_time(
-        self, command, capsys
-    ):
-        """``choices=`` on --neighborhood-method: a typo must die in
-        argparse (exit code 2), not deep inside the engine factory."""
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                [command, "in.csv", "--neighborhood-method", "bruet"]
-            )
-        assert excinfo.value.code == 2
-        assert "--neighborhood-method" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["cluster", "params"])
-    @pytest.mark.parametrize(
-        "method", ["auto", "brute", "grid", "rtree", "batch"]
-    )
-    def test_every_engine_name_is_accepted(self, command, method):
-        args = build_parser().parse_args(
-            [command, "in.csv", "--neighborhood-method", method]
-        )
-        assert args.neighborhood_method == method
-
     def test_stream_requires_eps_and_min_lns(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["stream", "in.csv"])
         assert excinfo.value.code == 2
         assert "--eps" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["cluster", "params"])
-    @pytest.mark.parametrize("method", ["auto", "python", "batched"])
-    def test_every_partition_method_is_accepted(self, command, method):
-        args = build_parser().parse_args(
-            [command, "in.csv", "--partition-method", method]
-        )
-        assert args.partition_method == method
-
-    @pytest.mark.parametrize("command", ["cluster", "params"])
-    def test_partition_method_typo_fails_at_argparse_time(
-        self, command, capsys
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                [command, "in.csv", "--partition-method", "vectorised"]
-            )
-        assert excinfo.value.code == 2
-        assert "--partition-method" in capsys.readouterr().err
 
 
 class TestClusterCommand:
@@ -107,20 +66,6 @@ class TestClusterCommand:
             "--undirected",
         ]) == 0
 
-    def test_cluster_partition_engines_agree(self, tracks_csv, tmp_path):
-        """Same JSON result whichever phase-1 engine the user forces —
-        the engines are bitwise-equivalent end to end."""
-        payloads = []
-        for method in ("python", "batched"):
-            json_out = str(tmp_path / f"result_{method}.json")
-            assert main([
-                "cluster", tracks_csv, "--eps", "10", "--min-lns", "4",
-                "--partition-method", method, "--json", json_out,
-            ]) == 0
-            with open(json_out) as handle:
-                payloads.append(json.load(handle))
-        assert payloads[0] == payloads[1]
-
 
 class TestParamsCommand:
     def test_params_output(self, tracks_csv, capsys):
@@ -134,6 +79,67 @@ class TestParamsCommand:
             "params", tracks_csv, "--method", "anneal", "--eps-max", "15",
         ]) == 0
         assert "entropy-optimal" in capsys.readouterr().out
+
+    def test_params_anneal_honours_workspace(self, tracks_csv, tmp_path):
+        ws_dir = str(tmp_path / "ws")
+        assert main([
+            "params", tracks_csv, "--method", "anneal", "--eps-max", "15",
+            "--workspace", ws_dir,
+        ]) == 0
+        kinds = {entry["kind"] for entry in ArtifactStore(ws_dir).entries()}
+        assert "partition" in kinds
+
+
+def _corrupt_row(path, tmp_path, name, edit):
+    """Copy the CSV at *path* with its 5th data row (line 6) edited by
+    ``edit(cells) -> cells``."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    lines[5] = ",".join(edit(lines[5].split(",")))
+    out = str(tmp_path / name)
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return out
+
+
+class TestErrorContract:
+    """A library error ends the run with one stderr line and the
+    dedicated exit status — never a traceback."""
+
+    @pytest.fixture
+    def nan_csv(self, tracks_csv, tmp_path):
+        return _corrupt_row(
+            tracks_csv, tmp_path, "nan.csv",
+            lambda cells: [cells[0], "nan", *cells[2:]],
+        )
+
+    @pytest.fixture
+    def short_csv(self, tracks_csv, tmp_path):
+        return _corrupt_row(
+            tracks_csv, tmp_path, "short.csv", lambda cells: cells[:2]
+        )
+
+    def _assert_one_line_error(self, capsys, command):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"repro {command}: error: ")
+        return err
+
+    def test_cluster_non_finite_coordinate(self, nan_csv, capsys):
+        code = main(["cluster", nan_csv, "--eps", "10", "--min-lns", "4"])
+        assert code == EXIT_REPRO_ERROR
+        self._assert_one_line_error(capsys, "cluster")
+
+    def test_cluster_short_row(self, short_csv, capsys):
+        code = main(["cluster", short_csv, "--eps", "10", "--min-lns", "4"])
+        assert code == EXIT_REPRO_ERROR
+        err = self._assert_one_line_error(capsys, "cluster")
+        assert "line 6" in err
+
+    def test_stream_non_finite_coordinate(self, nan_csv, capsys):
+        code = main(["stream", nan_csv, "--eps", "10", "--min-lns", "4"])
+        assert code == EXIT_REPRO_ERROR
+        self._assert_one_line_error(capsys, "stream")
 
 
 class TestGenerateCommand:

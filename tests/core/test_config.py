@@ -42,18 +42,6 @@ class TestValidation:
         with pytest.raises(AttributeError):
             config.eps = 5.0
 
-    def test_partition_method_default_and_choices(self):
-        assert TraclusConfig().partition_method == "auto"
-        for method in ("auto", "python", "batched"):
-            assert (
-                TraclusConfig(partition_method=method).partition_method
-                == method
-            )
-
-    def test_unknown_partition_method_rejected(self):
-        with pytest.raises(ClusteringError):
-            TraclusConfig(partition_method="vectorised")
-
 
 class TestDistanceFactory:
     def test_distance_carries_weights(self):

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DatasetError
-from repro.io.csvio import read_trajectories_csv, write_trajectories_csv
+from repro.io.csvio import (
+    iter_point_rows,
+    read_trajectories_csv,
+    write_trajectories_csv,
+)
 from repro.model.trajectory import Trajectory
 
 
@@ -84,3 +88,27 @@ class TestErrors:
     def test_read_missing_coordinates(self):
         with pytest.raises(DatasetError):
             read_trajectories_csv(io.StringIO("traj_id,weight\n1,1.0\n"))
+
+
+def _read_all(source):
+    return list(iter_point_rows(source))
+
+
+#: Header on line 1, a blank line 3; the malformed row sits on line 5.
+_GOOD_ROWS = "traj_id,c0,c1,t\n0,0.0,0.0,0\n\n0,1.0,1.0,1\n"
+
+
+@pytest.mark.parametrize("reader", [read_trajectories_csv, _read_all])
+class TestMalformedRows:
+    def test_short_row_names_its_line(self, reader):
+        with pytest.raises(DatasetError, match=r"^line 5: expected at least 4"):
+            reader(io.StringIO(_GOOD_ROWS + "0,2.0\n"))
+
+    @pytest.mark.parametrize("row,column", [
+        ("x,2.0,2.0,2", "traj_id"),
+        ("0,2.0,north,2", "c1"),
+        ("0,2.0,2.0,", "t"),
+    ])
+    def test_non_numeric_cell_names_line_and_column(self, reader, row, column):
+        with pytest.raises(DatasetError, match=f"^line 5: '{column}' cell"):
+            reader(io.StringIO(_GOOD_ROWS + row + "\n"))

@@ -28,7 +28,7 @@ def backend_params():
     skip-marked with the doctor status so the report names the gap."""
     statuses = kernels.available_backends()
     params = []
-    for name in ("cext", "numba"):
+    for name in ("cext",):
         status = statuses[name]
         marks = []
         if not status.startswith("ok"):

@@ -1,7 +1,7 @@
 """Registry, dispatch, and degradation behaviour of :mod:`repro.kernels`.
 
 These tests never assume a compiled backend exists: everything here
-must pass on a machine with no compiler and no numba.  Bitwise
+must pass on a machine with no C compiler.  Bitwise
 equivalence of the backends themselves lives in
 ``test_backend_equivalence.py``.
 """
@@ -24,7 +24,7 @@ def _isolated_registry():
 
 
 def test_backend_names_are_closed_set():
-    assert kernels.KERNEL_BACKENDS == ("auto", "numpy", "cext", "numba")
+    assert kernels.KERNEL_BACKENDS == ("auto", "numpy", "cext")
 
 
 def _usable(status):
@@ -33,7 +33,7 @@ def _usable(status):
 
 def test_available_backends_statuses():
     statuses = kernels.available_backends()
-    assert set(statuses) == {"numpy", "cext", "numba"}
+    assert set(statuses) == {"numpy", "cext"}
     assert _usable(statuses["numpy"])  # numpy is unconditional
 
 
@@ -44,12 +44,8 @@ def test_numpy_always_resolves_to_none():
 
 def test_auto_resolves_to_first_available_or_numpy():
     statuses = kernels.available_backends()
-    resolved = kernels.resolved_name("auto")
-    available = [n for n in ("cext", "numba") if _usable(statuses[n])]
-    if available:
-        assert resolved == available[0]
-    else:
-        assert resolved == "numpy"
+    expected = "cext" if _usable(statuses["cext"]) else "numpy"
+    assert kernels.resolved_name("auto") == expected
 
 
 def test_unknown_backend_name_fails_loudly():
@@ -59,23 +55,23 @@ def test_unknown_backend_name_fails_loudly():
         kernels.set_default_backend("fortran")
 
 
-def test_explicit_missing_backend_fails_loudly():
-    statuses = kernels.available_backends()
-    missing = [n for n in ("cext", "numba") if not _usable(statuses[n])]
-    if not missing:
-        pytest.skip("every compiled backend is available here")
-    with pytest.raises(ClusteringError, match=missing[0]):
-        kernels.resolve_backend(missing[0])
+@pytest.fixture
+def cext_missing(monkeypatch):
+    """A host without the C backend, whatever this host has."""
+    monkeypatch.setenv("REPRO_KERNEL_DISABLE_CEXT", "1")
+    kernels._reset_for_tests()
+    assert not _usable(kernels.available_backends()["cext"])
 
 
-def test_active_backend_swallows_missing_explicit_default():
+def test_explicit_missing_backend_fails_loudly(cext_missing):
+    with pytest.raises(ClusteringError, match="cext"):
+        kernels.resolve_backend("cext")
+
+
+def test_active_backend_swallows_missing_explicit_default(cext_missing):
     """A worker process whose configured backend is absent must keep
     serving on numpy (visible via doctor), not crash per-call."""
-    statuses = kernels.available_backends()
-    missing = [n for n in ("cext", "numba") if not _usable(statuses[n])]
-    if not missing:
-        pytest.skip("every compiled backend is available here")
-    kernels.set_default_backend(missing[0])
+    kernels.set_default_backend("cext")
     assert kernels.active_backend() is None  # degraded to numpy
 
 
@@ -105,10 +101,10 @@ def test_default_backend_roundtrip():
 
 def test_capability_report_shape():
     report = kernels.capability_report()
-    assert set(report["backends"]) == {"numpy", "cext", "numba"}
+    assert set(report["backends"]) == {"numpy", "cext"}
     assert report["default"] in kernels.KERNEL_BACKENDS
-    assert report["default_resolves_to"] in ("numpy", "cext", "numba")
-    assert report["auto_resolves_to"] in ("numpy", "cext", "numba")
+    assert report["default_resolves_to"] in ("numpy", "cext")
+    assert report["auto_resolves_to"] in ("numpy", "cext")
     assert report["max_compiled_dim"] == kernels.MAX_COMPILED_DIM
     assert report["numpy_version"] == np.__version__
     assert "REPRO_KERNEL_THREADS" in report["thread_env"]
@@ -117,11 +113,9 @@ def test_capability_report_shape():
 
 def test_disable_env_degrades_cext_gracefully(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_DISABLE_CEXT", "1")
-    monkeypatch.setenv("REPRO_KERNEL_DISABLE_NUMBA", "1")
     kernels._reset_for_tests()
     statuses = kernels.available_backends()
     assert not _usable(statuses["cext"])
-    assert not _usable(statuses["numba"])
     assert kernels.resolved_name("auto") == "numpy"
     assert kernels.resolve_backend("auto") is None
     # Library entry points still work on the numpy path.

@@ -22,7 +22,7 @@ from repro.partition.layout import LockstepLayout
 def _backend_params():
     statuses = kernels.available_backends()
     params = [pytest.param("numpy")]
-    for name in ("cext", "numba"):
+    for name in ("cext",):
         status = statuses[name]
         marks = []
         if not status.startswith("ok"):
@@ -128,7 +128,7 @@ def test_backends_agree_on_deterministic_corpus():
     with kernels.use_backend("numpy"):
         reference = lockstep_scan(ragged, 0.9)
     statuses = kernels.available_backends()
-    for name in ("cext", "numba"):
+    for name in ("cext",):
         if not statuses[name].startswith("ok"):
             continue
         with kernels.use_backend(name):

@@ -109,12 +109,12 @@ class TestDBSCANInvariants:
 
     @given(segment_store(), clustering_params)
     @settings(max_examples=25, deadline=None)
-    def test_grid_engine_equivalent(self, store, params):
+    def test_batch_engine_equivalent(self, store, params):
         eps, min_lns = params
         _, labels_brute = cluster_segments(
             store, eps=eps, min_lns=min_lns, neighborhood_method="brute"
         )
-        _, labels_grid = cluster_segments(
-            store, eps=eps, min_lns=min_lns, neighborhood_method="grid"
+        _, labels_batch = cluster_segments(
+            store, eps=eps, min_lns=min_lns, neighborhood_method="batch"
         )
-        assert np.array_equal(labels_brute, labels_grid)
+        assert np.array_equal(labels_brute, labels_batch)

@@ -1,6 +1,6 @@
-"""Hypothesis property tests for the substrates: R-tree vs brute force,
-grid candidate soundness, embedding triangle inequality, entropy bounds,
-rotation round-trips."""
+"""Hypothesis property tests for the substrates: grid candidate
+soundness, embedding triangle inequality, entropy bounds, rotation
+round-trips."""
 
 import math
 
@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.extensions.embedding import ConstantShiftEmbedding
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.rotation import Rotation2D
 from repro.index.grid import SegmentGrid
-from repro.index.rtree import RTree
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.params.entropy import neighborhood_entropy
@@ -20,47 +18,6 @@ from repro.params.entropy import neighborhood_entropy
 coordinate = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
-
-
-@st.composite
-def box_collection(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
-    boxes = []
-    for i in range(n):
-        cx, cy = draw(coordinate), draw(coordinate)
-        hx = draw(st.floats(min_value=0.0, max_value=10.0))
-        hy = draw(st.floats(min_value=0.0, max_value=10.0))
-        boxes.append(
-            (BoundingBox(np.array([cx - hx, cy - hy]),
-                         np.array([cx + hx, cy + hy])), i)
-        )
-    return boxes
-
-
-class TestRTreeProperties:
-    @given(box_collection(), st.tuples(coordinate, coordinate))
-    @settings(max_examples=60, deadline=None)
-    def test_window_query_matches_brute_force(self, boxes, corner):
-        tree = RTree.bulk_load(boxes, max_entries=6)
-        tree.check_invariants()
-        lo = np.array(corner)
-        window = BoundingBox(lo, lo + 20.0)
-        found = sorted(e.payload for e in tree.query_window(window))
-        expected = sorted(i for box, i in boxes if box.intersects(window))
-        assert found == expected
-
-    @given(box_collection())
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_matches_bulk(self, boxes):
-        bulk = RTree.bulk_load(boxes, max_entries=5)
-        incremental = RTree(max_entries=5)
-        for box, i in boxes:
-            incremental.insert(box, i)
-        incremental.check_invariants()
-        window = BoundingBox(np.array([-50.0, -50.0]), np.array([50.0, 50.0]))
-        assert sorted(e.payload for e in bulk.query_window(window)) == sorted(
-            e.payload for e in incremental.query_window(window)
-        )
 
 
 @st.composite

@@ -1,13 +1,15 @@
 """Hypothesis property tests: Workspace artifacts == direct engine
 calls, bitwise, on arbitrary corpora.
 
-The acceptance criterion of the Workspace PR: for *any* trajectory
-corpus and *any* grid point, the facade's cached artifacts —
-characteristic points, labels, entropy counts — are **bitwise
-identical** to calling the underlying engines directly
-(:func:`partition_all`, :class:`LineSegmentDBSCAN`,
-:func:`neighborhood_size_counts`).  The cache may only remove redundant
-work, never change a bit.
+The Workspace is the one pipeline behind ``TRACLUS.fit`` and
+``TRACLUS.sweep``: for *any* trajectory corpus, distance weighting and
+grid point, its cached artifacts — characteristic points, labels,
+entropy counts — are **bitwise identical** to calling the underlying
+engines directly (:func:`partition_all`, :class:`LineSegmentDBSCAN`
+over the brute-force ε-engine, :func:`neighborhood_size_counts`).  The
+cache may only remove redundant work, never change a bit.  Zero
+``w_perp``/``w_par`` weights are drawn too: there the graph build
+falls back to evaluating all pairs.
 
 Strategies mirror ``test_sweep_equivalence``: half-unit lattice
 coordinates force exact distance ties, ε is drawn from realised edge
@@ -16,7 +18,7 @@ decision boundaries are exercised on every example that has edges.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.api.workspace import Workspace
 from repro.cluster.dbscan import LineSegmentDBSCAN
@@ -57,16 +59,25 @@ def corpora(draw):
     min_lns=st.integers(min_value=1, max_value=10).map(lambda v: v / 2.0),
     suppression=st.sampled_from([0.0, 1.0]),
     use_weights=st.booleans(),
+    w_perp=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    w_par=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    w_theta=st.sampled_from([0.0, 1.0, 1.5]),
+    directed=st.booleans(),
     edge_pick=st.integers(min_value=0, max_value=10**6),
     card_pick=st.integers(min_value=0, max_value=10**6),
 )
 def test_workspace_artifacts_equal_direct_engine_calls(
-    trajectories, eps, min_lns, suppression, use_weights, edge_pick,
-    card_pick,
+    trajectories, eps, min_lns, suppression, use_weights, w_perp, w_par,
+    w_theta, directed, edge_pick, card_pick,
 ):
+    assume(w_perp + w_par + w_theta > 0)
     config = TraclusConfig(
         suppression=suppression,
         use_weights=use_weights,
+        w_perp=w_perp,
+        w_par=w_par,
+        w_theta=w_theta,
+        directed=directed,
         compute_representatives=False,
     )
     workspace = Workspace(trajectories, config)
@@ -98,11 +109,12 @@ def test_workspace_artifacts_equal_direct_engine_calls(
         if realised > 0:
             min_lns = realised
 
-    # Labels: bitwise equal to a direct Figure-12 batch fit.
+    # Labels: bitwise equal to a direct Figure-12 fit over the oracle.
     _, expected_labels = LineSegmentDBSCAN(
         eps=eps,
         min_lns=min_lns,
         distance=config.distance(),
         use_weights=use_weights,
+        neighborhood_method="brute",
     ).fit(segments)
     assert np.array_equal(workspace.labels(eps, min_lns), expected_labels)
