@@ -101,7 +101,7 @@ async def http_request(host, port, name, op, params):
     reader, writer = await asyncio.open_connection(host, port)
     body = json.dumps(params).encode()
     writer.write((
-        f"POST /corpora/{name}/{op} HTTP/1.1\r\nHost: bench\r\n"
+        f"POST /v1/corpora/{name}/{op} HTTP/1.1\r\nHost: bench\r\n"
         f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
     ).encode() + body)
     await writer.drain()
@@ -237,7 +237,7 @@ async def run_load_test(specs, cache_dir, workers, n_clients, warm_rounds,
         if telemetry:
             # The scrape surface must hold up under load: one valid
             # Prometheus exposition covering every instrumented layer.
-            status, text = await http_get_text(host, port, "/metrics")
+            status, text = await http_get_text(host, port, "/v1/metrics")
             assert status == 200, f"/metrics returned {status}"
             metrics_samples = check_scrape(text)
 
@@ -327,7 +327,7 @@ async def _overhead_load_test(specs, work_dir, workers, rounds):
                     percentile(round_latencies, 0.50)
                 )
         # The scrape surface must hold up under load.
-        status, text = await http_get_text(*addresses[True], "/metrics")
+        status, text = await http_get_text(*addresses[True], "/v1/metrics")
         assert status == 200, f"/metrics returned {status}"
         metrics_samples = check_scrape(text)
     finally:

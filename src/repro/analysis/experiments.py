@@ -98,9 +98,9 @@ def entropy_curve_experiment(
     suppression: float = 0.0,
 ) -> EntropyCurveResult:
     """Compute the full entropy-vs-ε curve (Formula 10) in one pass
-    (served from a shared Workspace graph — bitwise equal to the
-    deprecated direct :func:`repro.params.entropy.entropy_curve`
-    rebuild)."""
+    (served from a shared Workspace graph — bitwise equal to
+    :func:`repro.params.entropy.entropy_from_counts` over the brute
+    :func:`~repro.params.entropy.neighborhood_size_curve` counts)."""
     segments = _as_segments(data, suppression)
     if len(segments) == 0:
         raise ParameterSearchError("no segments to analyse")

@@ -86,24 +86,18 @@ class CacheStats:
     #: Expensive engine invocations, by stage — the cold/warm benchmark
     #: asserts ``graph_builds == 0`` on a warm grid re-run.
     builds: Dict[str, int] = field(default_factory=dict)
-    #: Wall seconds spent inside engine builds, by stage (rides the
-    #: same lock as :attr:`builds`; the ``repro workspace stats``
-    #: inspector and ``/stats`` surface these).
+    #: Wall seconds spent inside engine builds, by stage: the same
+    #: clock as each saved artifact's ``build_seconds`` meta, which the
+    #: catalog indexes for ``repro workspace stats`` (see
+    #: :meth:`repro.api.Workspace._materialize`).
     build_seconds: Dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def count_build(self, stage: str, seconds: Optional[float] = None) -> None:
+    def count_build(self, stage: str, seconds: float) -> None:
         with self._lock:
             self.builds[stage] = self.builds.get(stage, 0) + 1
-            if seconds is not None:
-                self.build_seconds[stage] = (
-                    self.build_seconds.get(stage, 0.0) + seconds
-                )
-
-    def add_build_time(self, stage: str, seconds: float) -> None:
-        with self._lock:
             self.build_seconds[stage] = (
                 self.build_seconds.get(stage, 0.0) + seconds
             )

@@ -25,11 +25,14 @@ Every artifact is computed **at most once per configuration
 fingerprint** (:mod:`repro.api.fingerprint`): repeated queries hit the
 in-memory store, and — when the workspace is opened with a directory —
 repeated *processes* hit the npz files on disk
-(:mod:`repro.api.cache`).  Because the stages form a dependency graph
-(labels need the graph, which needs the partition), a single graph
-build at the largest requested ε serves the parameter heuristic, every
-labeling, the entropy curves, and the QMeasure figures; the
-``two-builds-today`` follow-up of the ROADMAP's sweep note closes here.
+(:mod:`repro.api.cache`).  All six kinds take the same read-through
+path, :meth:`Workspace._materialize`: memory, then the per-artifact
+build lock, then npz, then one timed build whose seconds feed the
+session counters, the metrics and the artifact's ``build_seconds``
+alike.  Because the stages form a dependency graph (labels need the
+graph, which needs the partition), a single graph build at the largest
+requested ε serves the parameter heuristic, every labeling, the
+entropy curves, and the QMeasure figures.
 
 Everything a workspace returns is **bitwise identical** to the direct
 engine calls it replaces (characteristic points, labels, neighborhood
@@ -49,8 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from repro.cluster.neighbor_graph import NeighborGraph
 from repro.core.config import SweepConfig, TraclusConfig
 from repro.exceptions import TrajectoryError, WorkspaceError
 from repro.io.artifacts import pack_ragged, unpack_ragged
+from repro.kernels import use_backend
 from repro.model.cluster import Cluster, clusters_from_labels
 from repro.model.result import ClusteringResult
 from repro.model.segmentset import SegmentSet
@@ -82,6 +85,12 @@ from repro.representative.sweep import (
     generate_all_representatives,
 )
 from repro.sweep.engine import SweepEngine, SweepResult
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """Freeze a cached array in place: every caller shares it."""
+    array.setflags(write=False)
+    return array
 
 
 def _grid_cells(
@@ -230,7 +239,7 @@ class Workspace:
         # One lock per (artifact kind, fingerprint key): concurrent
         # builds of the *same* artifact collapse to one compute while
         # distinct keys proceed in parallel.  The meta-lock only guards
-        # the registry dict, never a build.
+        # this dict and the grid registry, never a build.
         self._build_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._build_locks_meta = threading.Lock()
         if trajectories is not None:
@@ -304,36 +313,76 @@ class Workspace:
                 lock = self._build_locks[pair] = threading.Lock()
         return lock
 
-    @contextmanager
-    def _measure_build(self, stage: str):
-        """Wrap one engine build: counts it (``CacheStats.builds`` and
-        ``repro_builds_total{stage}``), records wall time
-        (``CacheStats.build_seconds`` and
-        ``repro_build_seconds{stage}``), opens a ``build:<stage>``
-        span in any ambient request trace, and applies the configured
-        (result-neutral, fingerprint-excluded) kernel backend for the
-        duration of the build."""
-        from repro import kernels
+    def _materialize(
+        self,
+        kind: str,
+        key: str,
+        compute: Callable,
+        encode: Callable,
+        decode: Callable,
+        meta: Callable,
+        inputs: Callable[[], tuple] = tuple,
+        fresh: Optional[Callable] = None,
+    ):
+        """The one read-through path behind every artifact.
 
-        self.stats.count_build(stage)
-        self.metrics.counter(
-            "repro_builds_total",
-            help="Engine builds (cache misses reaching compute) by stage.",
-            stage=stage,
-        ).inc()
-        started = time.perf_counter()
-        try:
-            with span(f"build:{stage}"):
-                with kernels.use_backend(self.config.kernel_backend):
-                    yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.stats.add_build_time(stage, elapsed)
-            self.metrics.histogram(
-                "repro_build_seconds",
-                help="Wall seconds per engine build by stage.",
-                stage=stage,
-            ).observe(elapsed)
+        The memory tier first; on a miss, the (kind, key) build lock
+        and a second look; then the npz tier, where ``decode(arrays,
+        meta)`` rebuilds the object; and only then a build.  A build
+        resolves ``inputs()`` — the upstream artifacts, which count as
+        their own builds or hits — before its clock starts, then runs
+        ``compute(*inputs)`` inside a ``build:<kind>`` span under the
+        configured kernel backend (result-neutral and excluded from
+        fingerprints).  That one ``elapsed`` feeds
+        :attr:`CacheStats.builds`/``build_seconds``,
+        ``repro_builds_total``/``repro_build_seconds{stage}`` and the
+        saved artifact's ``build_seconds`` meta.  ``encode(value)``
+        gives the npz arrays and ``meta(value)`` the kind-specific meta
+        fields.  *fresh* rejects a cached object that cannot serve this
+        call (the graph's grow-only rule: any ε up to its own)."""
+
+        def usable(value) -> bool:
+            return value is not None and (fresh is None or fresh(value))
+
+        value = self.store.get_object(kind, key)
+        if usable(value):
+            return value
+        with self._artifact_lock(kind, key):
+            value = self.store.get_object(kind, key)
+            if usable(value):
+                return value
+            loaded = self.store.load_arrays(kind, key)
+            value = None if loaded is None else decode(*loaded)
+            if not usable(value):
+                upstream = inputs()
+                started = time.perf_counter()
+                try:
+                    with span(f"build:{kind}"), use_backend(
+                        self.config.kernel_backend
+                    ):
+                        value = compute(*upstream)
+                finally:
+                    elapsed = time.perf_counter() - started
+                    self.stats.count_build(kind, elapsed)
+                    self.metrics.counter(
+                        "repro_builds_total",
+                        help="Engine builds (cache misses reaching "
+                             "compute) by stage.",
+                        stage=kind,
+                    ).inc()
+                    self.metrics.histogram(
+                        "repro_build_seconds",
+                        help="Wall seconds per engine build by stage.",
+                        stage=kind,
+                    ).observe(elapsed)
+                if self.store.cache_dir is not None:
+                    self.store.save_arrays(
+                        kind, key, encode(value),
+                        {"kind": kind, "corpus": self.corpus_key,
+                         **meta(value), "build_seconds": elapsed},
+                    )
+            self.store.put_object(kind, key, value)
+            return value
 
     def artifact_entries(self) -> List[dict]:
         """Persisted artifacts (the ``repro workspace`` inspector)."""
@@ -399,34 +448,15 @@ class Workspace:
 
         Runs the lock-step batched scanner so the artifact also carries
         every trajectory's resumable scan state."""
-        key = self._partition_key()
-        artifact = self.store.get_object("partition", key)
-        if artifact is not None:
-            return artifact
-        with self._artifact_lock("partition", key):
-            artifact = self.store.get_object("partition", key)
-            if artifact is not None:
-                return artifact
-            loaded = self.store.load_arrays("partition", key)
-            if loaded is not None:
-                artifact = self._partition_from_arrays(loaded[0])
-            else:
-                started = time.perf_counter()
-                artifact = self._build_partition()
-                self.store.save_arrays(
-                    "partition", key, self._partition_to_arrays(artifact),
-                    {"kind": "partition", "corpus": self.corpus_key,
-                     "suppression": self.config.suppression,
-                     "n_segments": len(artifact.segments),
-                     "n_trajectories": len(self.trajectories or ()),
-                     "build_seconds": time.perf_counter() - started},
-                )
-            self.store._catalog_call(
-                "register_corpus", self.corpus_key, None, None,
-                len(artifact.segments),
-            )
-            self.store.put_object("partition", key, artifact)
-            return artifact
+        return self._materialize(
+            "partition", self._partition_key(), self._build_partition,
+            self._partition_to_arrays, self._partition_from_arrays,
+            lambda artifact: {
+                "suppression": self.config.suppression,
+                "n_segments": len(artifact.segments),
+                "n_trajectories": len(self.trajectories or ()),
+            },
+        )
 
     def _build_partition(self) -> PartitionArtifact:
         from repro.model.ragged import RaggedPoints
@@ -434,10 +464,9 @@ class Workspace:
 
         trajectories = self.trajectories
         ragged = RaggedPoints.from_arrays([t.points for t in trajectories])
-        with self._measure_build("partition"):
-            committed, starts, lengths = lockstep_scan(
-                ragged, self.config.suppression
-            )
+        committed, starts, lengths = lockstep_scan(
+            ragged, self.config.suppression
+        )
         characteristic_points: List[List[int]] = []
         for row, trajectory in enumerate(trajectories):
             cps = list(committed[row])
@@ -458,9 +487,18 @@ class Workspace:
             corpus_key=self.corpus_key,
         )
 
+    def _register_segment_count(self, artifact: PartitionArtifact) -> None:
+        """Record the corpus's segment count in the catalog whenever
+        the partition crosses the npz tier (either direction)."""
+        self.store._catalog_call(
+            "register_corpus", self.corpus_key, None, None,
+            len(artifact.segments),
+        )
+
     def _partition_to_arrays(
         self, artifact: PartitionArtifact
     ) -> Dict[str, np.ndarray]:
+        self._register_segment_count(artifact)
         cps_flat, cps_offsets = pack_ragged(artifact.characteristic_points)
         com_flat, com_offsets = pack_ragged(artifact.committed)
         return {
@@ -477,13 +515,13 @@ class Workspace:
         }
 
     def _partition_from_arrays(
-        self, arrays: Dict[str, np.ndarray]
+        self, arrays: Dict[str, np.ndarray], meta: dict
     ) -> PartitionArtifact:
         segments = SegmentSet(
             arrays["seg_starts"], arrays["seg_ends"],
             arrays["seg_traj_ids"], arrays["seg_weights"],
         )
-        return PartitionArtifact(
+        artifact = PartitionArtifact(
             segments,
             [list(map(int, row)) for row in unpack_ragged(
                 arrays["cps_flat"], arrays["cps_offsets"])],
@@ -494,6 +532,8 @@ class Workspace:
             suppression=self.config.suppression,
             corpus_key=self.corpus_key,
         )
+        self._register_segment_count(artifact)
+        return artifact
 
     def segments(self) -> SegmentSet:
         """The partition set ``D`` (phase-1 output)."""
@@ -513,43 +553,28 @@ class Workspace:
         config; it only ever grows — any smaller ε is served by
         filtering the stored edge distances, bitwise identical to a
         fresh build)."""
-        key = self._graph_key()
-        graph = self.store.get_object("graph", key)
-        if graph is not None and graph.eps >= eps:
-            return graph
-        with self._artifact_lock("graph", key):
-            graph = self.store.get_object("graph", key)
-            if graph is not None and graph.eps >= eps:
-                return graph
-            loaded = self.store.load_arrays("graph", key)
-            if loaded is not None:
-                arrays, meta = loaded
-                disk_eps = float(meta["eps"])
-                if disk_eps >= eps:
-                    graph = NeighborGraph(
-                        disk_eps, self._distance, arrays["indptr"],
-                        arrays["indices"], arrays["data"],
-                    )
-                    self.store.put_object("graph", key, graph)
-                    return graph
-            started = time.perf_counter()
-            with self._measure_build("graph"):
-                graph = NeighborGraph.build(
-                    self.segments(), float(eps), self._distance
-                )
-            self.store.save_arrays(
-                "graph", key,
-                {"indptr": graph.indptr, "indices": graph.indices,
-                 "data": graph.data},
-                {"kind": "graph", "corpus": self.corpus_key, "eps": graph.eps,
-                 "n_segments": graph.n_segments, "n_edges": graph.n_edges,
-                 "build_seconds": time.perf_counter() - started},
-            )
-            self.store.put_object("graph", key, graph)
+        eps = float(eps)
+
+        def build(segments: SegmentSet) -> NeighborGraph:
+            graph = NeighborGraph.build(segments, eps, self._distance)
             # Engines hold views of the superseded graph; rebuild from
             # the new one on next use.
             self._engines.clear()
             return graph
+
+        return self._materialize(
+            "graph", self._graph_key(), build,
+            lambda graph: {"indptr": graph.indptr,
+                           "indices": graph.indices, "data": graph.data},
+            lambda arrays, meta: NeighborGraph(
+                float(meta["eps"]), self._distance, arrays["indptr"],
+                arrays["indices"], arrays["data"],
+            ),
+            lambda graph: {"eps": graph.eps, "n_segments": graph.n_segments,
+                           "n_edges": graph.n_edges},
+            inputs=lambda: (self.segments(),),
+            fresh=lambda graph: graph.eps >= eps,
+        )
 
     def eps_graph(self, eps: float) -> NeighborGraph:
         """The ε-neighborhood CSR graph at exactly *eps* (a filtered
@@ -597,40 +622,23 @@ class Workspace:
         :func:`repro.cluster.neighbor_graph.neighborhood_size_counts`,
         served from the shared graph's stored distances."""
         eps_array = np.asarray(list(eps_values), dtype=np.float64)
-        key = self._counts_key(eps_array)
-        counts = self.store.get_object("counts", key)
-        if counts is not None:
-            return counts
-        with self._artifact_lock("counts", key):
-            counts = self.store.get_object("counts", key)
-            if counts is not None:
-                return counts
-            loaded = self.store.load_arrays("counts", key)
-            if loaded is not None:
-                counts = loaded[0]["counts"]
-            else:
-                engine = self._engine(eps_array)
-                started = time.perf_counter()
-                with self._measure_build("counts"):
-                    counts = engine.neighborhood_counts()
-                counts.setflags(write=False)
-                self.store.save_arrays(
-                    "counts", key, {"counts": counts, "eps_values": eps_array},
-                    {"kind": "counts", "corpus": self.corpus_key,
-                     "n_eps": int(eps_array.size),
-                     "eps_max": float(eps_array.max()),
-                     "build_seconds": time.perf_counter() - started},
-                )
-            counts.setflags(write=False)
-            self.store.put_object("counts", key, counts)
-            return counts
+        return self._materialize(
+            "counts", self._counts_key(eps_array),
+            lambda engine: _readonly(engine.neighborhood_counts()),
+            lambda counts: {"counts": counts, "eps_values": eps_array},
+            lambda arrays, meta: _readonly(arrays["counts"]),
+            lambda counts: {"n_eps": int(eps_array.size),
+                            "eps_max": float(eps_array.max())},
+            inputs=lambda: (self._engine(eps_array),),
+        )
 
     def entropy_curve(
         self, eps_values: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(entropies, avg_sizes)`` over *eps_values* — the Figure
         16/19 curves, bitwise equal to
-        :func:`repro.params.entropy.entropy_curve` on the same grid."""
+        :func:`repro.params.entropy.entropy_from_counts` over the brute
+        :func:`~repro.params.entropy.neighborhood_size_curve` counts."""
         return entropy_from_counts(self.entropy_counts(eps_values))
 
     def recommend_parameters(
@@ -677,49 +685,36 @@ class Workspace:
             else float(cardinality_threshold)
         )
         key = self._labels_key(eps_array, min_lns_array, threshold)
-        labels = self.store.get_object("labels", key)
-        if labels is not None:
-            return labels
-        with self._artifact_lock("labels", key):
-            labels = self.store.get_object("labels", key)
-            if labels is not None:
-                return labels
-            loaded = self.store.load_arrays("labels", key)
-            if loaded is not None:
-                labels = loaded[0]["labels"]
-            else:
-                config = self.config
-                engine = self._engine(eps_array)
-                started = time.perf_counter()
-                with self._measure_build("labels"):
-                    labels = engine.labels_grid(
-                        min_lns_array.tolist(),
-                        cardinality_threshold=threshold,
-                        use_weights=config.use_weights,
-                        executor=executor,
-                        n_workers=n_workers,
-                    )
-                self.store.save_arrays(
-                    "labels", key,
-                    {"labels": labels, "eps_values": eps_array,
-                     "min_lns_values": min_lns_array},
-                    {"kind": "labels", "corpus": self.corpus_key,
-                     "use_weights": config.use_weights,
-                     "grid": [int(eps_array.size), int(min_lns_array.size)],
-                     "n_segments": int(labels.shape[2]),
-                     "cardinality_threshold": threshold,
-                     "cells": _grid_cells(eps_array, min_lns_array, labels),
-                     "build_seconds": time.perf_counter() - started},
-                )
-            labels.setflags(write=False)
-            self.store.put_object("labels", key, labels)
-            entry = (
-                tuple(eps_array.tolist()), tuple(min_lns_array.tolist()),
-                threshold, key,
-            )
+        use_weights = self.config.use_weights
+        labels = self._materialize(
+            "labels", key,
+            lambda engine: _readonly(engine.labels_grid(
+                min_lns_array.tolist(),
+                cardinality_threshold=threshold,
+                use_weights=use_weights,
+                executor=executor,
+                n_workers=n_workers,
+            )),
+            lambda labels: {"labels": labels, "eps_values": eps_array,
+                            "min_lns_values": min_lns_array},
+            lambda arrays, meta: _readonly(arrays["labels"]),
+            lambda labels: {
+                "use_weights": use_weights,
+                "grid": [int(eps_array.size), int(min_lns_array.size)],
+                "n_segments": int(labels.shape[2]),
+                "cardinality_threshold": threshold,
+                "cells": _grid_cells(eps_array, min_lns_array, labels),
+            },
+            inputs=lambda: (self._engine(eps_array),),
+        )
+        entry = (
+            tuple(eps_array.tolist()), tuple(min_lns_array.tolist()),
+            threshold, key,
+        )
+        with self._build_locks_meta:
             if entry not in self._grid_registry:
                 self._grid_registry.append(entry)
-            return labels
+        return labels
 
     def labels(self, eps: float, min_lns: float) -> np.ndarray:
         """Labels at one (ε, MinLns) point (read-only; ``.copy()`` to
@@ -760,40 +755,24 @@ class Workspace:
             [self._labels_key(eps_array, min_lns_array,
               self.config.cardinality_threshold), "quality"]
         )
-        cached = self.store.get_object("quality", key)
-        if cached is not None:
-            return cached
-        with self._artifact_lock("quality", key):
-            cached = self.store.get_object("quality", key)
-            if cached is not None:
-                return cached
-            loaded = self.store.load_arrays("quality", key)
-            if loaded is not None:
-                arrays = loaded[0]
-                breakdown = QualityBreakdown(
-                    total_sse=float(arrays["total_sse"]),
-                    noise_penalty=float(arrays["noise_penalty"]),
-                )
-            else:
-                segments = self.segments()
-                labels = self.labels(eps, min_lns)
-                started = time.perf_counter()
-                with self._measure_build("quality"):
-                    breakdown = quality_measure(
-                        clusters_from_labels(labels, segments), segments,
-                        labels, self._distance,
-                    )
-                self.store.save_arrays(
-                    "quality", key,
-                    {"total_sse": np.float64(breakdown.total_sse),
-                     "noise_penalty": np.float64(breakdown.noise_penalty)},
-                    {"kind": "quality", "corpus": self.corpus_key,
-                     "eps": float(eps), "min_lns": float(min_lns),
-                     "qmeasure": breakdown.qmeasure,
-                     "build_seconds": time.perf_counter() - started},
-                )
-            self.store.put_object("quality", key, breakdown)
-            return breakdown
+        return self._materialize(
+            "quality", key,
+            lambda segments, labels: quality_measure(
+                clusters_from_labels(labels, segments), segments, labels,
+                self._distance,
+            ),
+            lambda breakdown: {
+                "total_sse": np.float64(breakdown.total_sse),
+                "noise_penalty": np.float64(breakdown.noise_penalty),
+            },
+            lambda arrays, meta: QualityBreakdown(
+                total_sse=float(arrays["total_sse"]),
+                noise_penalty=float(arrays["noise_penalty"]),
+            ),
+            lambda breakdown: {"eps": float(eps), "min_lns": float(min_lns),
+                               "qmeasure": breakdown.qmeasure},
+            inputs=lambda: (self.segments(), self.labels(eps, min_lns)),
+        )
 
     # -- representative artifact ---------------------------------------------
     def representatives(
@@ -809,61 +788,40 @@ class Workspace:
               self.config.cardinality_threshold),
              "representatives", gamma]
         )
+        segments = self.segments()
+        labels = self.labels(eps, min_lns)
+
+        def build(clusters: List[Cluster]) -> Tuple[np.ndarray, np.ndarray]:
+            reps = generate_all_representatives(
+                clusters,
+                RepresentativeConfig(min_lns=float(min_lns), gamma=gamma),
+            )
+            row_counts = np.array(
+                [rep.shape[0] for rep in reps], dtype=np.int64
+            )
+            offsets = np.zeros(len(reps) + 1, dtype=np.int64)
+            np.cumsum(row_counts, out=offsets[1:])
+            flat = (
+                np.concatenate([rep for rep in reps if rep.shape[0]])
+                if offsets[-1]
+                else np.empty((0, segments.dim), dtype=np.float64)
+            )
+            return _readonly(flat), _readonly(offsets)
+
         # The cache holds only the immutable polyline arrays; Cluster
         # objects are materialised fresh per call, so a caller mutating
         # one result cannot poison later reads.
-        cached = self.store.get_object("representatives", key)
-        if cached is None:
-            with self._artifact_lock("representatives", key):
-                cached = self.store.get_object("representatives", key)
-                if cached is None:
-                    loaded = self.store.load_arrays("representatives", key)
-                    if loaded is not None:
-                        cached = (
-                            loaded[0]["rep_flat"], loaded[0]["rep_offsets"]
-                        )
-                    else:
-                        clusters = clusters_from_labels(
-                            self.labels(eps, min_lns), self.segments()
-                        )
-                        started = time.perf_counter()
-                        with self._measure_build("representatives"):
-                            reps = generate_all_representatives(
-                                clusters,
-                                RepresentativeConfig(
-                                    min_lns=float(min_lns), gamma=gamma
-                                ),
-                            )
-                        row_counts = np.array(
-                            [rep.shape[0] for rep in reps], dtype=np.int64
-                        )
-                        offsets = np.zeros(len(reps) + 1, dtype=np.int64)
-                        np.cumsum(row_counts, out=offsets[1:])
-                        dim = self.segments().dim
-                        flat = (
-                            np.concatenate(
-                                [rep for rep in reps if rep.shape[0]]
-                            )
-                            if offsets[-1]
-                            else np.empty((0, dim), dtype=np.float64)
-                        )
-                        self.store.save_arrays(
-                            "representatives", key,
-                            {"rep_flat": flat, "rep_offsets": offsets},
-                            {"kind": "representatives",
-                             "corpus": self.corpus_key,
-                             "eps": float(eps), "min_lns": float(min_lns),
-                             "gamma": gamma, "n_clusters": len(reps),
-                             "build_seconds": time.perf_counter() - started},
-                        )
-                        cached = (flat, offsets)
-                    for array in cached:
-                        array.setflags(write=False)
-                    self.store.put_object("representatives", key, cached)
-        flat, offsets = cached
-        clusters = clusters_from_labels(
-            self.labels(eps, min_lns), self.segments()
+        flat, offsets = self._materialize(
+            "representatives", key, build,
+            lambda cached: {"rep_flat": cached[0], "rep_offsets": cached[1]},
+            lambda arrays, meta: (_readonly(arrays["rep_flat"]),
+                                  _readonly(arrays["rep_offsets"])),
+            lambda cached: {"eps": float(eps), "min_lns": float(min_lns),
+                            "gamma": gamma,
+                            "n_clusters": int(cached[1].size - 1)},
+            inputs=lambda: (clusters_from_labels(labels, segments),),
         )
+        clusters = clusters_from_labels(labels, segments)
         for index, cluster in enumerate(clusters):
             cluster.representative = flat[offsets[index]:offsets[index + 1]]
         return clusters

@@ -46,7 +46,7 @@ Examples
         --workspace ws/ --json result.json --svg result.svg
     python -m repro sweep tracks.csv --eps 20:40:2 --min-lns 5,6,7 \
         --workspace ws/ --csv sweep.csv
-    python -m repro workspace ws/
+    python -m repro workspace inspect ws/
     python -m repro render tracks.csv -o tracks.svg
     python -m repro stream tracks.csv --eps 6 --min-lns 8 --window 5000
     python -m repro serve elk.csv deer.csv hurricane.csv \
@@ -58,7 +58,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -383,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(request id, status, latency, build deltas, "
                             "span tree)")
     serve.add_argument("--no-telemetry", action="store_true",
-                       help="disable metrics and tracing (/metrics returns "
-                            "404; /stats loses latency quantiles)")
+                       help="disable metrics and tracing (/v1/metrics returns "
+                            "404; /v1/stats loses latency quantiles)")
     serve.add_argument("--kernel-backend", default="auto",
                        choices=KERNEL_BACKENDS,
                        help="hot-kernel dispatch in every worker "
                             "(bitwise-neutral; surfaces as the "
-                            "repro_kernel_backend gauge on /metrics)")
+                            "repro_kernel_backend gauge on /v1/metrics)")
 
     doctor = sub.add_parser(
         "doctor",
@@ -600,7 +599,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_workspace_stats(args: argparse.Namespace) -> int:
     """``repro workspace stats``: aggregate view of an artifact
     directory (per-kind count/bytes/share) or — with ``--url`` — of a
-    running ``repro serve`` instance's /stats and /metrics."""
+    running ``repro serve`` instance's /v1/stats and /v1/metrics."""
     import os
 
     from repro.api.cache import ARTIFACT_KINDS, ArtifactStore
@@ -1284,30 +1283,6 @@ _COMMANDS = {
 }
 
 
-#: ``repro workspace`` subcommands (the pre-subcommand spelling
-#: ``repro workspace DIR`` is normalised to ``inspect`` below).
-_WORKSPACE_SUBCOMMANDS = ("inspect", "stats", "query")
-
-
-def _normalize_argv(argv: Sequence[str]) -> List[str]:
-    """Back-compat shim for the pre-subcommand workspace spelling:
-    ``repro workspace DIR`` becomes ``repro workspace inspect DIR``
-    (with a DeprecationWarning).  ``repro workspace stats DIR`` already
-    parses as the real subcommand."""
-    argv = list(argv)
-    if len(argv) >= 2 and argv[0] == "workspace":
-        head = argv[1]
-        if head not in _WORKSPACE_SUBCOMMANDS and not head.startswith("-"):
-            warnings.warn(
-                f"'repro workspace {head}' is deprecated; use "
-                f"'repro workspace inspect {head}'",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            argv.insert(1, "inspect")
-    return argv
-
-
 #: Exit status of a run ended by a library error (:class:`ReproError`):
 #: not 1, which an uncaught traceback also returns, and not argparse's 2.
 EXIT_REPRO_ERROR = 3
@@ -1315,8 +1290,7 @@ EXIT_REPRO_ERROR = 3
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_normalize_argv(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

@@ -5,7 +5,7 @@ Three pieces, each usable alone:
 * :mod:`repro.obs.metrics` — a thread-safe
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms with mergeable JSON snapshots (pool workers
-  ship deltas home) and Prometheus text rendering (``GET /metrics``);
+  ship deltas home) and Prometheus text rendering (``GET /v1/metrics``);
 * :mod:`repro.obs.trace` — ambient per-request span trees
   (``with span("graph_build"): ...``) activated by the serving layer,
   free when inactive;

@@ -19,7 +19,7 @@ A :class:`MetricsRegistry` is the single sink every instrumented layer
   own in-flight share).
 * **Prometheus text exposition.**  :func:`render_prometheus` turns a
   snapshot into the ``text/plain; version=0.0.4`` format every scrape
-  stack ingests — ``GET /metrics`` on the serving layer is exactly
+  stack ingests — ``GET /v1/metrics`` on the serving layer is exactly
   this over the aggregated snapshot.
 
 Histograms use fixed buckets chosen at creation

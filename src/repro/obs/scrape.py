@@ -7,10 +7,9 @@ hang that route on.  :func:`start_scrape_server` gives them the same
 exposition for the cost of one daemon thread: a provider callable
 returns the current metrics snapshot (for a sharded session, the
 coordinator registry aggregated with every worker's shipped
-snapshot), and the thread answers ``GET /v1/metrics`` (and the
-deprecated unversioned ``/metrics``, with the same ``Deprecation``
-header contract as the serving layer) with
-:func:`~repro.obs.metrics.render_prometheus` over it.
+snapshot), and the thread answers ``GET /v1/metrics`` with
+:func:`~repro.obs.metrics.render_prometheus` over it; any other path
+is a 404, as on the serving layer.
 
 Standard library only (:mod:`http.server` on a daemon thread); the
 provider is called on the scrape thread, which is safe because
@@ -62,8 +61,7 @@ def start_scrape_server(
 
     class _Handler(BaseHTTPRequestHandler):
         def do_GET(self):  # noqa: N802 (http.server API)
-            path = self.path.split("?", 1)[0]
-            if path not in ("/v1/metrics", "/metrics"):
+            if self.path.split("?", 1)[0] != "/v1/metrics":
                 self.send_response(404)
                 self.end_headers()
                 return
@@ -71,11 +69,6 @@ def start_scrape_server(
             self.send_response(200)
             self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
             self.send_header("Content-Length", str(len(body)))
-            if path == "/metrics":
-                self.send_header("Deprecation", "true")
-                self.send_header(
-                    "Link", '</v1/metrics>; rel="successor-version"'
-                )
             self.end_headers()
             self.wfile.write(body)
 

@@ -11,7 +11,7 @@ the paper's simulated annealing.  MinLns is then the average
 from repro.params.entropy import (
     neighborhood_entropy,
     neighborhood_size_curve,
-    entropy_curve,
+    entropy_from_counts,
 )
 from repro.params.annealing import SimulatedAnnealer, anneal_epsilon
 from repro.params.heuristic import ParameterEstimate, recommend_parameters
@@ -19,7 +19,7 @@ from repro.params.heuristic import ParameterEstimate, recommend_parameters
 __all__ = [
     "neighborhood_entropy",
     "neighborhood_size_curve",
-    "entropy_curve",
+    "entropy_from_counts",
     "SimulatedAnnealer",
     "anneal_epsilon",
     "ParameterEstimate",

@@ -14,13 +14,15 @@ makes the figure-16/19 sweeps affordable.  By default (``"auto"``) that
 pass is the blocked candidate-pair stream of
 :mod:`repro.cluster.neighbor_graph` — each surviving pair is evaluated
 once and binned against all thresholds at ~O(log k) cost; ``"brute"``
-keeps the legacy per-segment row loop.  Both produce identical counts
-(shared distance kernel).
+keeps the per-segment row loop as the oracle.  Both produce identical
+counts (shared distance kernel).  :func:`entropy_from_counts` turns
+either into the Figure 16/19 curve; a :class:`~repro.api.Workspace`
+serves the same counts from its cached ε-graph
+(:meth:`~repro.api.Workspace.entropy_curve`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -97,7 +99,11 @@ def entropy_from_counts(
     counts: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """``(entropies, avg_sizes)`` from a precomputed ``(n_eps, n)``
-    neighborhood-count matrix (Formula 10 applied row-wise).
+    neighborhood-count matrix (Formula 10 applied row-wise) — the data
+    behind Figures 16 and 19.  ``avg_sizes[k]`` is ``avg|N_eps(L)|`` at
+    the k-th ε, the quantity MinLns is derived from (Section 4.4: "This
+    operation induces no additional cost since it can be done while
+    computing H(X)").
 
     The counts are integers, so *any* exact counting route — the
     blocked pair stream, per-segment brute rows, or the sweep engine's
@@ -116,85 +122,3 @@ def entropy_from_counts(
     )
     avg_sizes = counts.mean(axis=1)
     return entropies, avg_sizes
-
-
-def entropy_curve(
-    segments: SegmentSet,
-    eps_values: Union[Sequence[float], np.ndarray],
-    distance: Optional[SegmentDistance] = None,
-    method: str = "auto",
-    counts: Optional[np.ndarray] = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Entropy and mean neighborhood size for each candidate ε.
-
-    Returns ``(entropies, avg_sizes)``, both shaped ``(n_eps,)`` — the
-    data behind Figures 16 and 19.  ``avg_sizes[k]`` is
-    ``avg|N_eps(L)|`` at ``eps_values[k]``, the quantity MinLns is
-    derived from (Section 4.4: "This operation induces no additional
-    cost since it can be done while computing H(X)").  ``method`` is
-    forwarded to :func:`neighborhood_size_curve`; a precomputed
-    ``counts`` matrix (aligned with *eps_values*, e.g. from a
-    :class:`~repro.api.Workspace` or
-    :class:`~repro.sweep.engine.SweepEngine` whose graph already holds
-    every distance) skips the counting pass entirely.
-
-    .. deprecated:: 1.2
-        Calling without ``counts=`` emits a :class:`DeprecationWarning`
-        naming the replacement call.  The compatibility path no longer
-        recomputes on its own: it routes through a memory-only
-        :class:`~repro.api.Workspace`, so the counting pass shares the
-        workspace engine (and its kernel backends) — the curve stays
-        identical, float for float.  Only a custom
-        :class:`~repro.distance.weighted.SegmentDistance` subclass or
-        an explicit ``method="brute"`` still takes the direct pass.
-    """
-    if counts is None:
-        warnings.warn(
-            "entropy_curve(segments, eps_values) without counts= is "
-            "deprecated; call Workspace.from_segments(segments, "
-            "config).entropy_curve(eps_values) (repro.api.Workspace) "
-            "instead — it is the exact replacement for this call and "
-            "builds the shared ε-graph once — or pass counts= from "
-            "Workspace.entropy_counts(eps_values)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        eps_array = np.asarray(eps_values, dtype=np.float64)
-        if eps_array.ndim != 1 or eps_array.size == 0:
-            raise ParameterSearchError(
-                "eps_values must be a non-empty 1-D sequence"
-            )
-        if np.any(eps_array < 0):
-            raise ParameterSearchError("eps values must be non-negative")
-        if method not in NEIGHBORHOOD_METHODS:
-            raise ParameterSearchError(
-                f"unknown neighborhood method {method!r}; "
-                f"expected one of {NEIGHBORHOOD_METHODS}"
-            )
-        plain_distance = distance is None or type(distance) is SegmentDistance
-        if method != "brute" and plain_distance and len(segments) > 0:
-            # Late imports: repro.api.workspace imports this module.
-            from repro.api.workspace import Workspace
-            from repro.core.config import TraclusConfig
-
-            d = distance if distance is not None else SegmentDistance()
-            workspace = Workspace.from_segments(
-                segments,
-                TraclusConfig(
-                    w_perp=d.w_perp, w_par=d.w_par, w_theta=d.w_theta,
-                    directed=d.directed,
-                ),
-            )
-            counts = workspace.entropy_counts(eps_array)
-        else:
-            # Custom distance subclass, explicit brute force, or an
-            # empty segment set: the direct pass (same integer counts).
-            counts = neighborhood_size_curve(
-                segments, eps_values, distance, method
-            )
-    elif counts.shape[0] != len(eps_values):
-        raise ParameterSearchError(
-            f"counts has {counts.shape[0]} rows but eps_values has "
-            f"{len(eps_values)} entries"
-        )
-    return entropy_from_counts(counts)

@@ -23,7 +23,7 @@ from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ParameterSearchError
 from repro.model.segmentset import SegmentSet
 from repro.params.annealing import anneal_epsilon
-from repro.params.entropy import entropy_curve, neighborhood_size_curve
+from repro.params.entropy import entropy_from_counts, neighborhood_size_curve
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ def default_eps_grid(segments: SegmentSet) -> np.ndarray:
     mean_length = segments.mean_length()
     hi = max(int(np.ceil(2.0 * mean_length)), 10)
     return np.arange(1.0, hi + 1.0)
-
-
-#: Backwards-compatible private alias (pre-Workspace name).
-_default_eps_grid = default_eps_grid
 
 
 def recommend_parameters(
@@ -91,6 +87,7 @@ def recommend_parameters(
         with *eps_values* (grid method only) — a
         :class:`~repro.sweep.engine.SweepEngine` serves these from its
         shared ε_max graph, so a parameter sweep never counts twice.
+        One row per ε: any other row count raises.
     """
     if len(segments) == 0:
         raise ParameterSearchError("cannot recommend parameters for zero segments")
@@ -110,17 +107,15 @@ def recommend_parameters(
 
     if method == "grid":
         if counts is None:
-            # Count here (the raw streaming engine) rather than let
-            # entropy_curve's deprecated no-counts path re-derive them:
-            # identical ints, no DeprecationWarning for callers that
-            # legitimately bypass the Workspace.
             counts = neighborhood_size_curve(
                 segments, grid, distance, method=neighborhood_method
             )
-        entropies, avg_sizes = entropy_curve(
-            segments, grid, distance, method=neighborhood_method,
-            counts=counts,
-        )
+        elif counts.shape[0] != grid.size:
+            raise ParameterSearchError(
+                f"counts has {counts.shape[0]} rows but eps_values has "
+                f"{grid.size} entries"
+            )
+        entropies, avg_sizes = entropy_from_counts(counts)
         best = int(np.argmin(entropies))
         eps = float(grid[best])
         entropy = float(entropies[best])

@@ -30,16 +30,13 @@ Observability (:mod:`repro.obs`) threads through the whole path:
   ship the spans home to be grafted into one merged tree, and every
   layer records into a :class:`~repro.obs.metrics.MetricsRegistry` —
   pool workers ship cumulative snapshots with each response, keyed by
-  pid, and ``GET /metrics`` renders the fleet-wide aggregate as
+  pid, and ``GET /v1/metrics`` renders the fleet-wide aggregate as
   Prometheus text;
 * ``--max-pending N`` adds admission control: requests beyond N
   pending are shed with ``503`` + ``Retry-After`` instead of growing
   the executor queue without bound.
 
-Endpoints (versioned under ``/v1``; the unversioned spellings keep
-working but answer with a ``Deprecation`` header and are counted in
-``ServeStats.legacy_requests`` so operators can see when it is safe to
-drop them)::
+Endpoints (all under ``/v1``; any other path is a 404)::
 
     GET  /v1/healthz              liveness: ping round-trip through the
                                   worker pool (503 when it times out)
@@ -50,8 +47,7 @@ drop them)::
                                          quality}; JSON params body
     GET  /v1/query                cross-corpus analytics off the sqlite
                                   artifact catalog (?query=cells&
-                                  min_clusters=3&...); /v1-only — no
-                                  legacy spelling ever existed
+                                  min_clusters=3&...)
 """
 
 from __future__ import annotations
@@ -105,10 +101,6 @@ class ServeStats:
     errors: int = 0
     #: Requests refused by ``--max-pending`` admission control.
     sheds: int = 0
-    #: Requests that arrived on a deprecated unversioned path (the
-    #: pre-``/v1`` spellings); drop the legacy routes once this stays
-    #: at zero across a deployment window.
-    legacy_requests: int = 0
     #: Stage -> total rebuild count across every worker process.
     builds: Dict[str, int] = field(default_factory=dict)
 
@@ -126,7 +118,6 @@ class ServeStats:
             "coalesced": self.coalesced,
             "errors": self.errors,
             "sheds": self.sheds,
-            "legacy_requests": self.legacy_requests,
             "builds": dict(self.builds),
         }
 
@@ -710,77 +701,43 @@ async def route_request(
 ) -> Tuple[int, object, Dict[str, str]]:
     """Dispatch one parsed request; returns
     ``(status, payload, headers)``.  The payload is a JSON-safe dict,
-    except ``/metrics`` which returns the Prometheus text body.
-
-    Routes live under :data:`API_PREFIX`; an unversioned spelling of a
-    pre-``/v1`` route still answers, with a ``Deprecation`` header and
-    a ``Link`` to its successor, and bumps
-    ``ServeStats.legacy_requests``.  Unmatched paths 404 either way."""
-    versioned = path == API_PREFIX or path.startswith(API_PREFIX + "/")
-    route_path = path[len(API_PREFIX):] or "/" if versioned else path
-    status, payload, headers, matched = await _dispatch(
-        app, method, route_path, params,
-        request_id=request_id, info=info, versioned=versioned,
-    )
-    if matched and not versioned:
-        app.stats.legacy_requests += 1
-        headers.setdefault("Deprecation", "true")
-        headers.setdefault(
-            "Link", f'<{API_PREFIX}{route_path}>; rel="successor-version"'
-        )
-    return status, payload, headers
-
-
-async def _dispatch(
-    app: ServeApp,
-    method: str,
-    path: str,
-    params: dict,
-    request_id: Optional[str],
-    info: Optional[dict],
-    versioned: bool,
-) -> Tuple[int, object, Dict[str, str], bool]:
-    """The version-independent router: *path* has the ``/v1`` prefix
-    already stripped.  The fourth element says whether the path matched
-    a known route (deprecation headers only decorate real routes)."""
-    segments = [part for part in path.split("/") if part]
+    except ``/v1/metrics`` which returns the Prometheus text body.
+    Every route lives under :data:`API_PREFIX`; any other path is a
+    404."""
     headers: Dict[str, str] = {}
+    if not path.startswith(API_PREFIX + "/"):
+        return 404, {
+            "error": f"no route for {path!r}; routes live under "
+                     f"{API_PREFIX}/"
+        }, headers
+    route = path[len(API_PREFIX):]
+    segments = [part for part in route.split("/") if part]
     try:
-        if path == "/healthz":
+        if route == "/healthz":
             ok, body = await app.health()
-            return (200 if ok else 503), body, headers, True
-        if path == "/stats":
-            return 200, app.stats_payload(), headers, True
-        if path == "/metrics":
+            return (200 if ok else 503), body, headers
+        if route == "/stats":
+            return 200, app.stats_payload(), headers
+        if route == "/metrics":
             if not app.telemetry:
                 return 404, {
                     "error": "telemetry is disabled on this server "
                              "(started with --no-telemetry)"
-                }, headers, True
-            return 200, render_prometheus(app.metrics_snapshot()), headers, True
-        if path == "/query":
-            # Born versioned: there is no legacy spelling to honour.
-            if not versioned:
-                return 404, {
-                    "error": f"no route for {path!r}; the catalog "
-                             f"query surface is {API_PREFIX}/query"
-                }, headers, False
+                }, headers
+            return 200, render_prometheus(app.metrics_snapshot()), headers
+        if route == "/query":
             if method != "GET":
-                return 405, {
-                    "error": f"method {method} not allowed"
-                }, headers, True
+                return 405, {"error": f"method {method} not allowed"}, headers
             loop = asyncio.get_running_loop()
             body = await loop.run_in_executor(
                 None, app.catalog_query, params
             )
-            return 200, body, headers, True
-        if path == "/corpora" and method == "GET":
-            return 200, {"corpora": app.corpora()}, headers, True
+            return 200, body, headers
+        if route == "/corpora" and method == "GET":
+            return 200, {"corpora": app.corpora()}, headers
         if len(segments) == 3 and segments[0] == "corpora":
             if method not in ("GET", "POST"):
-                return 405, {
-                    "error": f"method {method} not allowed"
-                }, headers, True
+                return 405, {"error": f"method {method} not allowed"}, headers
             _, name, op = segments
             started = time.perf_counter()
             status = 500
@@ -791,18 +748,18 @@ async def _dispatch(
                 status = 200
                 return status, {
                     "corpus": name, "op": op, "result": result
-                }, headers, True
+                }, headers
             except OverloadedError as error:
                 # Sheds are counted by admission control, not as
                 # errors — the client did nothing wrong.
                 status = 503
                 headers["Retry-After"] = "1"
-                return status, {"error": str(error)}, headers, True
+                return status, {"error": str(error)}, headers
             except ServeError as error:
                 app.stats.errors += 1
                 message = str(error)
                 status = 404 if "unknown corpus" in message else 400
-                return status, {"error": message}, headers, True
+                return status, {"error": message}, headers
             except Exception as error:  # noqa: BLE001 - fault barrier
                 app.stats.errors += 1
                 status = 500
@@ -812,22 +769,22 @@ async def _dispatch(
                 )
                 return status, {
                     "error": f"{type(error).__name__}: {error}"
-                }, headers, True
+                }, headers
             finally:
                 app.observe_request(
                     op, status, time.perf_counter() - started
                 )
-        return 404, {"error": f"no route for {path!r}"}, headers, False
+        return 404, {"error": f"no route for {path!r}"}, headers
     except ServeError as error:
         app.stats.errors += 1
         message = str(error)
         status = 404 if "unknown corpus" in message else 400
-        return status, {"error": message}, headers, True
+        return status, {"error": message}, headers
     except Exception as error:  # noqa: BLE001 - fault barrier
         app.stats.errors += 1
         return 500, {
             "error": f"{type(error).__name__}: {error}"
-        }, headers, True
+        }, headers
 
 
 async def start_http_server(

@@ -62,7 +62,7 @@ def initialize(
     *kernel_backend* installs the hot-kernel dispatch default for this
     process (:mod:`repro.kernels`) and attaches the metrics registry so
     ``repro_kernel_backend`` / ``repro_kernel_seconds`` appear on
-    ``/metrics``.  An explicitly requested backend that this host
+    ``/v1/metrics``.  An explicitly requested backend that this host
     cannot provide degrades to numpy (visible on the gauge) rather than
     killing the pool."""
     from repro import kernels

@@ -417,7 +417,8 @@ class SweepEngine:
     def entropy_curve(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(entropies, avg_sizes)`` over ``eps_values`` (user order) —
         the Figures 16/19 curves, bitwise equal to
-        :func:`repro.params.entropy.entropy_curve` on the same grid."""
+        :func:`repro.params.entropy.entropy_from_counts` over the brute
+        :func:`~repro.params.entropy.neighborhood_size_curve` counts."""
         from repro.params.entropy import entropy_from_counts
 
         return entropy_from_counts(self.neighborhood_counts())

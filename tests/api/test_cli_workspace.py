@@ -41,12 +41,18 @@ class TestParser:
         assert args.workspace_command == "query"
         assert args.min_clusters == 3
 
-    def test_bare_directory_spelling_is_deprecated(self, tmp_path, capsys):
-        """``repro workspace DIR`` still works (inspect) but warns."""
+    def test_bare_directory_spelling_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        """``repro workspace DIR`` is no longer an alias of ``inspect``:
+        argparse rejects the unknown subcommand with exit status 2."""
         empty = tmp_path / "empty"
         empty.mkdir()
-        with pytest.deprecated_call(match="workspace inspect"):
-            assert main(["workspace", str(empty)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workspace", str(empty)])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["workspace", "inspect", str(empty)]) == 0
         assert "no artifacts" in capsys.readouterr().out
 
 

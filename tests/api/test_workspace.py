@@ -4,6 +4,7 @@ engine short-circuits, and the single-graph-build invariant."""
 import numpy as np
 import pytest
 
+from repro.api.cache import ARTIFACT_KINDS
 from repro.api.workspace import PartitionArtifact, Workspace
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.cluster.neighbor_graph import (
@@ -227,6 +228,23 @@ class TestPersistence:
         # New distance weights: the graph and labels must be rebuilt.
         assert other.stats.build_count("graph") == 1
         assert other.stats.build_count("labels") == 1
+
+
+    def test_build_seconds_share_one_clock(self, trajectories, tmp_path):
+        """One cold build per kind: each saved artifact's
+        ``build_seconds`` meta is the very float the session counters
+        recorded for that build."""
+        ws = Workspace(trajectories, TraclusConfig(), cache_dir=str(tmp_path))
+        ws.entropy_counts([3.0, 6.0])
+        ws.quality(6.0, 3.0)
+        ws.representatives(6.0, 3.0)
+        metas = {row["kind"]: row["meta"] for row in ws.artifact_entries()}
+        assert sorted(metas) == sorted(ARTIFACT_KINDS)
+        for kind in ARTIFACT_KINDS:
+            assert ws.stats.builds[kind] == 1, kind
+            assert metas[kind]["build_seconds"] == (
+                ws.stats.build_seconds[kind]
+            ), kind
 
 
 class TestSingleGraphBuild:

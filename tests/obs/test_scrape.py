@@ -34,14 +34,15 @@ class TestScrapeServer:
         assert "repro_shard_appends_total 7" in body
         assert "repro_shard_lag 3" in body
 
-    def test_unversioned_route_is_deprecated(self, registry):
+    def test_unversioned_route_404s(self, registry):
         with start_scrape_server(registry.snapshot) as server:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/metrics"
-            ) as response:
-                assert response.headers["Deprecation"] == "true"
-                assert "successor-version" in response.headers["Link"]
-                assert b"repro_shard_appends_total" in response.read()
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{server.port}/metrics"
+                )
+            err.value.close()
+            assert err.value.code == 404
+            assert "Deprecation" not in err.value.headers
 
     def test_other_paths_404(self, registry):
         with start_scrape_server(registry.snapshot) as server:

@@ -7,10 +7,17 @@ import pytest
 
 from repro.exceptions import ParameterSearchError
 from repro.params.entropy import (
-    entropy_curve,
+    entropy_from_counts,
     neighborhood_entropy,
     neighborhood_size_curve,
 )
+
+
+def _brute_curve(segments, eps_values):
+    """The Figure 16/19 curve from brute per-segment counts."""
+    return entropy_from_counts(
+        neighborhood_size_curve(segments, eps_values, method="brute")
+    )
 
 
 class TestNeighborhoodEntropy:
@@ -76,17 +83,13 @@ class TestEntropyCurve:
         entropy; a mid-range eps must dip below (the Figure 16/19
         shape)."""
         n = len(parallel_band_segments)
-        with pytest.warns(DeprecationWarning):
-            entropies, _ = entropy_curve(
-                parallel_band_segments, [0.0, 1.5, 1e9]
-            )
+        entropies, _ = _brute_curve(parallel_band_segments, [0.0, 1.5, 1e9])
         maximal = math.log2(n)
         assert entropies[0] == pytest.approx(maximal)
         assert entropies[2] == pytest.approx(maximal)
         assert entropies[1] < maximal - 0.01
 
     def test_avg_sizes_reported(self, parallel_band_segments):
-        with pytest.warns(DeprecationWarning):
-            _, avg_sizes = entropy_curve(parallel_band_segments, [0.0, 1e9])
+        _, avg_sizes = _brute_curve(parallel_band_segments, [0.0, 1e9])
         assert avg_sizes[0] == 1.0
         assert avg_sizes[1] == len(parallel_band_segments)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ParameterSearchError
 from repro.model.segmentset import SegmentSet
+from repro.params.entropy import neighborhood_size_curve
 from repro.params.heuristic import ParameterEstimate, recommend_parameters
 
 
@@ -59,3 +60,18 @@ class TestRecommendParameters:
     def test_empty_grid_raises(self, parallel_band_segments):
         with pytest.raises(ParameterSearchError):
             recommend_parameters(parallel_band_segments, eps_values=[])
+
+    def test_counts_rows_must_match_grid(self, parallel_band_segments):
+        grid = [1.0, 2.0, 3.0]
+        short = neighborhood_size_curve(parallel_band_segments, grid[:2])
+        with pytest.raises(
+            ParameterSearchError,
+            match="counts has 2 rows but eps_values has 3 entries",
+        ):
+            recommend_parameters(
+                parallel_band_segments, eps_values=grid, counts=short
+            )
+        full = neighborhood_size_curve(parallel_band_segments, grid)
+        assert recommend_parameters(
+            parallel_band_segments, eps_values=grid, counts=full
+        ) == recommend_parameters(parallel_band_segments, eps_values=grid)

@@ -134,40 +134,40 @@ class TestHttp:
             server = await start_http_server(app)
             host, port = server.sockets[0].getsockname()[:2]
             try:
-                status, health = await _http(host, port, "GET", "/healthz")
+                status, health = await _http(host, port, "GET", "/v1/healthz")
                 assert status == 200 and health["ok"]
-                status, listing = await _http(host, port, "GET", "/corpora")
+                status, listing = await _http(host, port, "GET", "/v1/corpora")
                 assert {c["name"] for c in listing["corpora"]} == {
                     "corpus0", "corpus1", "corpus2",
                 }
                 status, cold = await _http(
-                    host, port, "POST", "/corpora/corpus0/labels",
+                    host, port, "POST", "/v1/corpora/corpus0/labels",
                     {"eps": 2.0, "min_lns": 3.0},
                 )
                 assert status == 200
                 # Query-string flavor hits the same artifact.
                 status, warm = await _http(
                     host, port, "GET",
-                    "/corpora/corpus0/labels?eps=2.0&min_lns=3.0",
+                    "/v1/corpora/corpus0/labels?eps=2.0&min_lns=3.0",
                 )
                 assert status == 200
                 assert warm["result"]["checksum"] == (
                     cold["result"]["checksum"]
                 )
-                status, stats = await _http(host, port, "GET", "/stats")
+                status, stats = await _http(host, port, "GET", "/v1/stats")
                 assert stats["requests"] == 2
                 assert stats["artifact_hits"] == 1
                 status, _ = await _http(
-                    host, port, "POST", "/corpora/absent/labels",
+                    host, port, "POST", "/v1/corpora/absent/labels",
                     {"eps": 1.0, "min_lns": 2.0},
                 )
                 assert status == 404
                 status, error = await _http(
-                    host, port, "POST", "/corpora/corpus0/labels",
+                    host, port, "POST", "/v1/corpora/corpus0/labels",
                     {"eps": 2.0},
                 )
                 assert status == 400 and "min_lns" in error["error"]
-                status, _ = await _http(host, port, "GET", "/nope")
+                status, _ = await _http(host, port, "GET", "/v1/nope")
                 assert status == 404
             finally:
                 server.close()
@@ -182,7 +182,7 @@ class TestHttp:
                 reader, writer = await asyncio.open_connection(host, port)
                 for _ in range(3):
                     writer.write(
-                        b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+                        b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
                     )
                     await writer.drain()
                     head = await reader.readuntil(b"\r\n\r\n")
@@ -203,15 +203,15 @@ class TestHttp:
 class TestRouting:
     def test_route_table(self, app):
         async def scenario():
-            status, body, _ = await route_request(app, "GET", "/healthz", {})
+            status, body, _ = await route_request(app, "GET", "/v1/healthz", {})
             assert status == 200
             assert body["ok"] and body["corpora"] == 3
             status, _, _ = await route_request(
-                app, "PUT", "/corpora/x/labels", {}
+                app, "PUT", "/v1/corpora/x/labels", {}
             )
             assert status == 405
             status, _, _ = await route_request(
-                app, "GET", "/corpora/x/y/z", {}
+                app, "GET", "/v1/corpora/x/y/z", {}
             )
             assert status == 404
         asyncio.run(scenario())
@@ -232,33 +232,27 @@ class TestVersionedRoutes:
             )
             assert status == 200 and "Deprecation" not in headers
             assert body["result"]["n_segments"] > 0
-            assert app.stats.legacy_requests == 0
+            assert "legacy_requests" not in app.stats_payload()
         asyncio.run(scenario())
 
-    def test_legacy_routes_deprecated_but_working(self, app):
+    def test_unversioned_routes_404(self, app):
+        """The pre-``/v1`` spellings are gone: they 404 like any unknown
+        path, reach no corpus and carry no deprecation headers."""
         async def scenario():
-            status, body, headers = await route_request(
-                app, "GET", "/stats", {}
-            )
-            assert status == 200
-            assert headers["Deprecation"] == "true"
-            assert headers["Link"] == '</v1/stats>; rel="successor-version"'
-            status, _, headers = await route_request(
-                app, "POST", "/corpora/corpus0/labels",
-                {"eps": 2.0, "min_lns": 3.0},
-            )
-            assert status == 200
-            assert headers["Link"] == (
-                '</v1/corpora/corpus0/labels>; rel="successor-version"'
-            )
-            assert app.stats.legacy_requests == 2
-            assert app.stats_payload()["legacy_requests"] == 2
-            # Unmatched paths are plain 404s, not "deprecated routes".
-            status, _, headers = await route_request(app, "GET", "/nope", {})
-            assert status == 404 and "Deprecation" not in headers
+            for method, path in (
+                ("GET", "/healthz"), ("GET", "/stats"), ("GET", "/metrics"),
+                ("GET", "/corpora"), ("POST", "/corpora/corpus0/labels"),
+                ("GET", "/v1"), ("GET", "/v1healthz"),
+            ):
+                status, body, headers = await route_request(
+                    app, method, path, {"eps": 2.0, "min_lns": 3.0}
+                )
+                assert status == 404, path
+                assert "/v1/" in body["error"], path
+                assert headers == {}, path
             status, _, _ = await route_request(app, "GET", "/v1/nope", {})
             assert status == 404
-            assert app.stats.legacy_requests == 2
+            assert app.stats_payload()["requests"] == 0
         asyncio.run(scenario())
 
     def test_query_endpoint_is_versioned_only(self, app):

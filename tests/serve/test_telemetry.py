@@ -107,11 +107,11 @@ class TestExactStats:
             async def scenario():
                 for _ in range(3):
                     status, _, _ = await route_request(
-                        app, "POST", "/corpora/corpus/labels", dict(PARAMS)
+                        app, "POST", "/v1/corpora/corpus/labels", dict(PARAMS)
                     )
                     assert status == 200
                 status, _, _ = await route_request(
-                    app, "POST", "/corpora/corpus/labels", {"eps": 2.0}
+                    app, "POST", "/v1/corpora/corpus/labels", {"eps": 2.0}
                 )
                 assert status == 400
             asyncio.run(scenario())
@@ -152,12 +152,12 @@ class TestMetricsScrape:
                 host, port = server.sockets[0].getsockname()[:2]
                 try:
                     status, _, _ = await _http(
-                        host, port, "POST", "/corpora/corpus/labels",
+                        host, port, "POST", "/v1/corpora/corpus/labels",
                         dict(PARAMS),
                     )
                     assert status == 200
                     status, text, _ = await _http(
-                        host, port, "GET", "/metrics", raw=True
+                        host, port, "GET", "/v1/metrics", raw=True
                     )
                     assert status == 200
                     return text
@@ -202,7 +202,7 @@ class TestMetricsScrape:
         try:
             async def scenario():
                 status, body, _ = await route_request(
-                    app, "GET", "/metrics", {}
+                    app, "GET", "/v1/metrics", {}
                 )
                 assert status == 404
                 assert "telemetry is disabled" in body["error"]
@@ -219,7 +219,7 @@ class TestMetricsScrape:
         try:
             async def scenario():
                 await route_request(
-                    app, "POST", "/corpora/corpus/labels", dict(PARAMS)
+                    app, "POST", "/v1/corpora/corpus/labels", dict(PARAMS)
                 )
             asyncio.run(scenario())
             payload = app.stats_payload()
@@ -265,11 +265,11 @@ class TestAdmissionControl:
             async def scenario():
                 results = await asyncio.gather(
                     route_request(
-                        app, "POST", "/corpora/corpus/labels",
+                        app, "POST", "/v1/corpora/corpus/labels",
                         {"eps": 2.0, "min_lns": 3.0},
                     ),
                     route_request(
-                        app, "POST", "/corpora/corpus/labels",
+                        app, "POST", "/v1/corpora/corpus/labels",
                         {"eps": 2.5, "min_lns": 3.0},
                     ),
                 )
@@ -353,7 +353,7 @@ class TestHttpTelemetry:
                     body = json.dumps(PARAMS).encode()
                     writer.write(
                         (
-                            "POST /corpora/corpus/labels HTTP/1.1\r\n"
+                            "POST /v1/corpora/corpus/labels HTTP/1.1\r\n"
                             "Host: t\r\nX-Request-Id: client-id-1\r\n"
                             f"Content-Length: {len(body)}\r\n"
                             "Connection: close\r\n\r\n"
@@ -367,7 +367,7 @@ class TestHttpTelemetry:
                     # Server-generated ids on the rest.
                     _, _, headers = await _http(
                         host, port, "GET",
-                        "/corpora/corpus/labels?eps=2.0&min_lns=3.0",
+                        "/v1/corpora/corpus/labels?eps=2.0&min_lns=3.0",
                     )
                     assert headers["x-request-id"]
                     assert headers["x-request-id"] != "client-id-1"
@@ -415,7 +415,7 @@ class TestPoolWorkers:
             async def scenario():
                 for _ in range(2):
                     status, _, _ = await route_request(
-                        app, "POST", "/corpora/corpus/labels", dict(PARAMS)
+                        app, "POST", "/v1/corpora/corpus/labels", dict(PARAMS)
                     )
                     assert status == 200
             asyncio.run(scenario())

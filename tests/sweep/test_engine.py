@@ -19,7 +19,7 @@ from repro.exceptions import ClusteringError, TrajectoryError
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
-from repro.params.entropy import entropy_curve
+from repro.params.entropy import entropy_from_counts, neighborhood_size_curve
 from repro.params.heuristic import recommend_parameters
 from repro.partition.approximate import partition_all
 from repro.sweep import SweepEngine
@@ -267,12 +267,12 @@ class TestEntropyAndHeuristic:
         eps_values = np.arange(1.0, 12.0)
         engine = SweepEngine(corridor_segments, eps_values)
         entropies, avg_sizes = engine.entropy_curve()
-        # The no-counts path is deprecated (Workspace serves the curve
-        # from its graph artifact) but must stay bitwise identical.
-        with pytest.warns(DeprecationWarning):
-            expected_entropy, expected_avg = entropy_curve(
-                corridor_segments, eps_values
+        # Oracle: per-segment brute distance rows, no SweepEngine.
+        expected_entropy, expected_avg = entropy_from_counts(
+            neighborhood_size_curve(
+                corridor_segments, eps_values, method="brute"
             )
+        )
         assert np.array_equal(entropies, expected_entropy)
         assert np.array_equal(avg_sizes, expected_avg)
 
