@@ -56,6 +56,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import List, Optional, Sequence
@@ -989,6 +990,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8", newline="") as handle:
             header = read_csv_header(handle)
+            # One line counter across the bulk read and the tail read,
+            # so a bad row's line number counts from the top of the file.
+            lines = itertools.count(2)
             if args.bulk_load:
                 # One batched phase-1 pass over everything already in
                 # the file.  When also following, only complete lines
@@ -999,7 +1003,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 n_rows = 0
                 for row in iter_point_rows(
                     handle, follow=args.follow, poll=0.0, max_polls=0,
-                    header=header,
+                    header=header, line_numbers=lines,
                 ):
                     groups.setdefault(row.traj_id, []).append(row)
                     n_rows += 1
@@ -1022,7 +1026,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if not args.bulk_load or args.follow:
                 for row in iter_point_rows(
                     handle, follow=args.follow, poll=args.poll,
-                    header=header,
+                    header=header, line_numbers=lines,
                 ):
                     pending.setdefault(row.traj_id, []).append(row)
                     if len(pending[row.traj_id]) >= args.batch_points:
@@ -1116,6 +1120,7 @@ def _cmd_stream_sharded(args: argparse.Namespace, config) -> int:
         try:
             with open(args.input, "r", encoding="utf-8", newline="") as handle:
                 header = read_csv_header(handle)
+                lines = itertools.count(2)  # shared by both reads
                 if args.bulk_load:
                     # Sharded sessions have no batched bulk path; the
                     # equivalent seed is one whole-trajectory append
@@ -1125,7 +1130,7 @@ def _cmd_stream_sharded(args: argparse.Namespace, config) -> int:
                     n_rows = 0
                     for row in iter_point_rows(
                         handle, follow=args.follow, poll=0.0, max_polls=0,
-                        header=header,
+                        header=header, line_numbers=lines,
                     ):
                         groups.setdefault(row.traj_id, []).append(row)
                         n_rows += 1
@@ -1138,7 +1143,7 @@ def _cmd_stream_sharded(args: argparse.Namespace, config) -> int:
                 if not args.bulk_load or args.follow:
                     for row in iter_point_rows(
                         handle, follow=args.follow, poll=args.poll,
-                        header=header,
+                        header=header, line_numbers=lines,
                     ):
                         pending.setdefault(row.traj_id, []).append(row)
                         if len(pending[row.traj_id]) >= args.batch_points:

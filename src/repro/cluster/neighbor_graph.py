@@ -14,13 +14,15 @@ materializes the *entire* ε-neighborhood relation in one pass:
    bitwise symmetric (see below), so each pair is evaluated once.
    When either distance weight is zero the geometric prefilter is
    unsound, and the builder falls back to enumerating all ``i < j``
-   pairs — still exact, still blocked.
+   pairs (:func:`repro.model.ragged.upper_triangle_blocks`) — still
+   exact, still blocked.
 2. **Blocked join** — candidate pairs accumulate into fixed-size blocks
    (``pair_block`` pairs) that are evaluated by the many-pairs kernel
-   :func:`repro.distance.vectorized.component_distances_pairs` and
-   filtered against ε immediately.  **Memory bound:** peak usage is
-   ``O(pair_block)`` scratch for the kernel (a handful of float64
-   arrays per block, ~20 MB at the default block of 2**18 pairs) plus
+   :func:`repro.distance.vectorized.component_distances_pairs` (over
+   :func:`repro.kernels.map_pair_blocks`' thread pool when the backend
+   releases the GIL) and filtered against ε immediately.  **Memory
+   bound:** peak usage is ``O(pair_block)`` scratch for the kernel per
+   in-flight block (see :data:`repro.kernels.DEFAULT_PAIR_BLOCK`) plus
    ``O(E)`` for the surviving edges — never ``O(candidates)``, however
    many candidate pairs the grid emits.
 3. **Symmetrization** — surviving pairs are mirrored into both rows,
@@ -39,74 +41,20 @@ any engine while serving queries as O(1) slices.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.index.grid import SegmentGrid
-from repro.model.ragged import concatenate_ranges, sorted_unique
+from repro.kernels import DEFAULT_PAIR_BLOCK, map_pair_blocks
+from repro.model.ragged import (
+    concatenate_ranges,
+    sorted_unique,
+    upper_triangle_blocks,
+)
 from repro.model.segmentset import SegmentSet
-
-#: Default number of candidate pairs per kernel block (bounds peak
-#: scratch memory of the blocked join at roughly 20 MB).
-DEFAULT_PAIR_BLOCK = 1 << 18
-
-
-def _join_threads() -> int:
-    """Worker-thread count for the blocked join when the active kernel
-    backend releases the GIL (``REPRO_KERNEL_THREADS`` overrides; 0/1
-    disables threading)."""
-    env = os.environ.get("REPRO_KERNEL_THREADS")
-    if env is not None:
-        try:
-            return max(int(env), 0)
-        except ValueError:
-            return 1
-    return min(os.cpu_count() or 1, 8)
-
-
-def _map_pair_blocks(
-    stream: Iterator[Tuple[np.ndarray, np.ndarray]],
-    evaluate: Callable[[np.ndarray, np.ndarray], object],
-) -> Iterator[object]:
-    """Apply *evaluate* to every candidate block, threading across
-    blocks when the active compiled backend drops the GIL.
-
-    Results are yielded in **submission order**, so consumers see the
-    exact sequence the sequential loop would produce, and the number of
-    in-flight blocks is bounded (workers + 2) to preserve the blocked
-    join's O(pair_block) scratch-memory guarantee.  The resolved
-    backend is pinned into each worker thread (``use_backend`` is
-    thread-local) so workers cannot re-resolve differently.
-    """
-    from repro import kernels
-
-    backend = kernels.active_backend()
-    workers = _join_threads() if backend is not None and backend.nogil else 0
-    if workers <= 1:
-        for left, right in stream:
-            yield evaluate(left, right)
-        return
-
-    name = backend.name
-
-    def pinned(left: np.ndarray, right: np.ndarray) -> object:
-        with kernels.use_backend(name):
-            return evaluate(left, right)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight: deque = deque()
-        for left, right in stream:
-            in_flight.append(pool.submit(pinned, left, right))
-            if len(in_flight) > workers + 2:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
 
 #: Geometric gaps below ~sqrt(5e-324) square to exactly 0.0 inside the
 #: distance kernel, so a pair with a *positive* gap can still compute
@@ -375,29 +323,26 @@ def _candidate_pair_stream(
     ``False`` forces the grid walk (the pre-vectorization reference,
     kept for benchmarking and as the fallback).
     """
-    n = len(segments)
-    prefilter = distance.w_perp > 0 and distance.w_par > 0
-    if prefilter and vectorized is not False:
+    if not (distance.w_perp > 0 and distance.w_par > 0):
+        yield from upper_triangle_blocks(len(segments), pair_block)
+        return
+    if vectorized is not False:
         stream = _vector_candidate_stream(
             segments, eps, distance, cell_size, pair_block
         )
         if stream is not None:
             yield from stream
             return
-    if prefilter:
-        radius = candidate_radius(eps, distance)
-        grid = SegmentGrid(
-            segments, cell_size=cell_size if cell_size else max(radius, 1e-9)
-        )
+    radius = candidate_radius(eps, distance)
+    grid = SegmentGrid(
+        segments, cell_size=cell_size if cell_size else max(radius, 1e-9)
+    )
     pending_left: List[np.ndarray] = []
     pending_right: List[np.ndarray] = []
     pending = 0
-    for i in range(n):
-        if prefilter:
-            mates = grid.candidates_near(i, radius)
-            mates = mates[mates > i]
-        else:
-            mates = np.arange(i + 1, n, dtype=np.int64)
+    for i in range(len(segments)):
+        mates = grid.candidates_near(i, radius)
+        mates = mates[mates > i]
         if mates.size == 0:
             continue
         pending_left.append(np.full(mates.size, i, dtype=np.int64))
@@ -485,7 +430,7 @@ class NeighborGraph:
             segments, eps, distance, cell_size, pair_block,
             vectorized=vectorized_candidates,
         )
-        for kept in _map_pair_blocks(stream, evaluate):
+        for kept in map_pair_blocks(stream, evaluate):
             if kept is not None:
                 kept_left.append(kept[0])
                 kept_right.append(kept[1])
@@ -651,7 +596,7 @@ def neighborhood_size_counts(
     # binned[t, i]: neighbors of i first admitted at sorted threshold t.
     binned = np.zeros((k, n), dtype=np.int64)
     stream = _candidate_pair_stream(segments, eps_max, distance, None, pair_block)
-    for kept in _map_pair_blocks(stream, evaluate):
+    for kept in map_pair_blocks(stream, evaluate):
         if kept is None:
             continue
         left, right, dists = kept

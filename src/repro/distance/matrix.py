@@ -1,9 +1,15 @@
 """Full pairwise distance matrices.
 
-Used by the quality measure (Formula 11 sums squared pairwise distances
-within each cluster and within the noise set), by OPTICS, and by the
-constant-shift embedding.  The matrix is built one vectorized row at a
-time, which keeps memory at O(n) per step and runs at NumPy speed.
+A dense ``(m, m)`` view of the TRACLUS distance over a segment subset,
+for callers that need every entry at once — for example the
+dissimilarity input of
+:class:`~repro.extensions.embedding.ConstantShiftEmbedding`.  The
+matrix itself takes ``O(m²)`` memory, but filling it allocates no
+second one: each unordered pair is evaluated once by the pair kernel,
+in blocks of :data:`~repro.kernels.DEFAULT_PAIR_BLOCK` pairs threaded
+over :func:`~repro.kernels.map_pair_blocks`, and mirrored across the
+diagonal.  QMeasure, which only needs a sum of squared entries, never
+builds the matrix (:mod:`repro.quality.qmeasure`).
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.distance.weighted import SegmentDistance
+from repro.model.ragged import upper_triangle_blocks
 from repro.model.segmentset import SegmentSet
 
 
@@ -30,20 +38,29 @@ def pairwise_distance_matrix(
     distance:
         Distance configuration; defaults to unit weights, directed.
     indices:
-        Optional subset of segment indices; the matrix is then computed
-        over ``segments.subset(indices)``.
+        Optional subset of stored segment indices.  Entry ``[a, b]`` is
+        then ``dist(indices[a], indices[b])`` on the *stored* segments,
+        so Lemma 2's equal-length tie-break follows stored ids and does
+        not depend on the order of *indices*.
 
-    The diagonal is exactly 0 and the matrix is symmetrised by
-    averaging, which removes sub-1e-12 floating asymmetries between the
-    two evaluation orders.
+    The diagonal is exactly 0, and the matrix is bitwise symmetric: the
+    pair kernel evaluates each unordered pair once.
     """
     if distance is None:
         distance = SegmentDistance()
-    subset = segments if indices is None else segments.subset(indices)
-    m = len(subset)
+    stored = np.arange(len(segments), dtype=np.int64)
+    if indices is not None:
+        # Range-checked (IndexError) before the compiled kernel
+        # dereferences them.
+        stored = stored[np.asarray(indices, dtype=np.int64)]
+    m = stored.size
     matrix = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        matrix[i, :] = distance.member_to_all(i, subset)
-    matrix = (matrix + matrix.T) / 2.0
-    np.fill_diagonal(matrix, 0.0)
+
+    def evaluate(a: np.ndarray, b: np.ndarray):
+        return a, b, distance.pairs(segments, stored[a], stored[b])
+
+    blocks = upper_triangle_blocks(m, kernels.DEFAULT_PAIR_BLOCK)
+    for a, b, dists in kernels.map_pair_blocks(blocks, evaluate):
+        matrix[a, b] = dists
+        matrix[b, a] = dists
     return matrix

@@ -3,7 +3,9 @@
 The grouping phase needs ``|N_eps(L)|`` for every segment (Figure 12),
 i.e. one-vs-all distance evaluations; the batched neighbor-graph engine
 (:mod:`repro.cluster.neighbor_graph`) needs distances for an arbitrary
-list of candidate *pairs*.  Both are served by one shared core,
+list of candidate *pairs*, and QMeasure (:mod:`repro.quality.qmeasure`)
+and :func:`repro.distance.matrix.pairwise_distance_matrix` for every
+unordered pair of a segment group.  All are served by one shared core,
 :func:`_pair_components`, which evaluates the three TRACLUS components
 for row-aligned pairs of segments in a handful of NumPy operations,
 honouring the paper's ordering rule (the longer segment of each pair
@@ -12,9 +14,10 @@ acts as ``Li``; equal lengths break the tie by internal id).
 Because the core assigns the ``Li``/``Lj`` roles per row and then runs a
 single arithmetic path, the computed distance for a pair is *bitwise
 identical* no matter which side is presented as the query.  That
-exact symmetry is what lets the neighbor graph evaluate each unordered
-pair once and mirror the result into both CSR rows while remaining
-indistinguishable from the per-query engines.
+exact symmetry is what lets the neighbor graph, QMeasure and the
+distance matrix evaluate each unordered pair once (the graph mirrors
+it into both CSR rows) while remaining indistinguishable from the
+per-query engines.
 
 The math is identical to :mod:`repro.distance.components`; property
 tests assert agreement to 1e-9.

@@ -23,6 +23,7 @@ pipeline (``repro stream``).
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, TextIO, Tuple, Union
@@ -216,6 +217,7 @@ def iter_point_rows(
     poll: float = 0.5,
     max_polls: Optional[int] = None,
     header: Optional[Sequence[str]] = None,
+    line_numbers: Optional[Iterator[int]] = None,
 ) -> Iterator[PointRow]:
     """Yield the points of a long-format trajectory CSV one at a time.
 
@@ -234,18 +236,24 @@ def iter_point_rows(
     keeps tailing the same handle).
 
     A malformed row raises :class:`~repro.exceptions.DatasetError`
-    naming its line number, counted with the header as line 1; a read
-    resumed with ``header`` numbers its first row as line 2.
+    naming its line number, counted with the header as line 1.
+    ``line_numbers`` is the source of those numbers (default
+    ``itertools.count(2)``): hand the same iterator to a first read and
+    to the read that resumes its handle, and the resumed read goes on
+    numbering where the first one stopped.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            yield from iter_point_rows(handle, follow, poll, max_polls, header)
+            yield from iter_point_rows(
+                handle, follow, poll, max_polls, header, line_numbers
+            )
             return
     if header is None:
         header = read_csv_header(source)
     columns = _Columns(header, with_label=False)
+    if line_numbers is None:
+        line_numbers = itertools.count(2)  # the header is line 1
 
-    line_number = 1  # the header line
     idle_polls = 0
     # Text-mode tell() costs more than the readline itself, so track
     # rewind positions only when tailing can actually rewind.
@@ -266,7 +274,7 @@ def iter_point_rows(
         if follow:
             position = source.tell()
         idle_polls = 0
-        line_number += 1
+        line_number = next(line_numbers)
         if not line.strip():
             continue
         traj_id, point, weight, time_ = columns.parse(

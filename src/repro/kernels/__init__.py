@@ -4,7 +4,9 @@ Every engine in this repo — batch fit, streaming, the amortized sweep,
 the Workspace artifact graph, ``repro serve`` — bottoms out in two
 pure-numpy kernels: the role-assigned pair-component distance kernel
 (:func:`repro.distance.vectorized.component_distances_pairs`, driving
-the blocked neighbor-graph join) and the multi-window MDL cost kernel
+the blocked neighbor-graph join, QMeasure's pairwise sums and
+:func:`repro.distance.matrix.pairwise_distance_matrix`) and the
+multi-window MDL cost kernel
 (:func:`repro.partition.mdl.window_mdl_costs`, driving the lock-step
 Figure-8 scanner).  This package provides an optional *compiled*
 backend for both, auto-detected at first use, with the numpy path as
@@ -14,8 +16,8 @@ the always-available reference and fallback:
     A small C library compiled on demand with the system C compiler
     (``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes` — no
     new Python dependency, no build step at install time.  Calls
-    release the GIL, so the neighbor-graph join can thread over
-    candidate-pair blocks.
+    release the GIL, so :func:`map_pair_blocks` can thread the pair
+    kernel's consumers over blocks of pairs.
 
 Bitwise contract
 ----------------
@@ -50,9 +52,12 @@ reports what is importable and what ``auto`` resolves to.
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +65,11 @@ from repro.exceptions import ClusteringError
 
 #: Accepted values of the ``kernel_backend`` knob.
 KERNEL_BACKENDS = ("auto", "numpy", "cext")
+
+#: Default number of pairs per pair-kernel block.  One block's scratch
+#: is ~15 MB on ``cext`` and ~145 MB on the numpy path (its per-pair
+#: gathers and temporaries).
+DEFAULT_PAIR_BLOCK = 1 << 18
 
 #: Compiled backends replicate numpy's two-accumulator einsum order,
 #: verified for inner (spatial) dims up to this; larger dims always
@@ -94,7 +104,7 @@ class KernelBackend:
 
     name: str = "?"
     #: True when kernel calls release the GIL (enables the thread pool
-    #: over candidate-pair blocks in the neighbor-graph join).
+    #: of :func:`map_pair_blocks`).
     nogil: bool = False
 
     def pair_components(
@@ -260,6 +270,62 @@ def active_backend() -> Optional[KernelBackend]:
 
 
 # ----------------------------------------------------------------------
+# Threading the pair kernel over blocks
+# ----------------------------------------------------------------------
+
+def kernel_threads() -> int:
+    """Worker-thread count for :func:`map_pair_blocks` when the active
+    backend releases the GIL (``REPRO_KERNEL_THREADS`` overrides; 0/1
+    disables threading)."""
+    env = os.environ.get("REPRO_KERNEL_THREADS")
+    if env is not None:
+        try:
+            return max(int(env), 0)
+        except ValueError:
+            return 1
+    return min(os.cpu_count() or 1, 8)
+
+
+def map_pair_blocks(
+    stream: Iterator[Tuple[np.ndarray, np.ndarray]],
+    evaluate: Callable[[np.ndarray, np.ndarray], object],
+) -> Iterator[object]:
+    """Apply *evaluate* to every ``(left, right)`` block of pairs,
+    threading across blocks when the active compiled backend drops the
+    GIL.
+
+    Results are yielded in **submission order**, so consumers see the
+    exact sequence the sequential loop would produce (and a float sum
+    over them is the same on every thread count), and the number of
+    in-flight blocks is bounded (workers + 2) to keep scratch memory at
+    ``O(pair_block)`` per worker.  The resolved backend is pinned into
+    each worker thread (``use_backend`` is thread-local) so workers
+    cannot re-resolve differently.
+    """
+    backend = active_backend()
+    workers = kernel_threads() if backend is not None and backend.nogil else 0
+    if workers <= 1:
+        for left, right in stream:
+            yield evaluate(left, right)
+        return
+
+    name = backend.name
+
+    def pinned(left: np.ndarray, right: np.ndarray) -> object:
+        with use_backend(name):
+            return evaluate(left, right)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight: deque = deque()
+        for left, right in stream:
+            in_flight.append(pool.submit(pinned, left, right))
+            if len(in_flight) > workers + 2:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+
+
+# ----------------------------------------------------------------------
 # Telemetry: kernel_backend gauge + kernel_seconds histograms
 # ----------------------------------------------------------------------
 
@@ -340,8 +406,6 @@ def capability_report() -> Dict[str, object]:
     current default and ``auto`` resolve to, and the numpy/BLAS thread
     environment serve operators should check before trusting a fleet
     to run compiled."""
-    import os
-
     _init_registry()
     report: Dict[str, object] = {
         "backends": available_backends(),

@@ -18,11 +18,14 @@ without a Python loop, which is how the lock-step scanner materialises
 every active trajectory's enclosed segments in a single fancy-index.
 :func:`sorted_unique` deduplicates the flat integer keys such
 expansions produce (candidate pairs, cell hits).
+:func:`upper_triangle_blocks` enumerates every unordered pair of ``m``
+positions in bounded blocks, for the all-pairs consumers (QMeasure,
+the full distance matrix, the unfiltered neighbor-graph join).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +53,38 @@ def concatenate_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     starts = np.cumsum(counts) - counts  # output offset of each range
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return np.repeat(first, counts) + within
+
+
+def upper_triangle_blocks(
+    m: int, pair_block: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every unordered pair ``a < b`` of positions ``0 .. m-1``, once.
+
+    Yields ``(a, b)`` int64 arrays in row-major order (``a`` ascending,
+    then ``b``), cut into blocks of exactly *pair_block* pairs except
+    the last, so peak scratch is ``O(pair_block)`` however large the
+    ``m (m - 1) / 2`` triangle is.  A block may start and end mid-row;
+    each is one :func:`concatenate_ranges` expansion of its row spans.
+    """
+    if pair_block < 1:
+        raise TrajectoryError(f"pair_block must be >= 1, got {pair_block}")
+    rows = np.arange(m, dtype=np.int64)
+    widths = m - 1 - rows  # pairs (a, a+1 .. m-1) in row a
+    row_end = np.cumsum(widths)  # linear index one past row a's pairs
+    total = int(row_end[-1]) if m else 0
+    for lo in range(0, total, pair_block):
+        hi = min(lo + pair_block, total)
+        # The rows holding linear pairs lo and hi-1 (empty rows never
+        # match: searchsorted "right" skips repeated row_end values).
+        first_row, last_row = np.searchsorted(row_end, [lo, hi - 1], "right")
+        span = rows[first_row:last_row + 1]
+        row_start = row_end[span] - widths[span]
+        begin = np.maximum(row_start, lo)
+        counts = np.minimum(row_end[span], hi) - begin
+        yield (
+            np.repeat(span, counts),
+            concatenate_ranges(span + 1 + (begin - row_start), counts),
+        )
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

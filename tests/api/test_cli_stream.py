@@ -1,15 +1,18 @@
-"""``repro stream`` CLI: sharded mode agrees with single-stream, and
-a broken stdout pipe exits quietly (checkpoint still written)."""
+"""``repro stream`` CLI: sharded mode agrees with single-stream, a
+broken stdout pipe exits quietly (checkpoint still written), and a bad
+row tailed after ``--bulk-load`` is named by its line in the file."""
 
 import json
 import os
 import re
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
 from repro.datasets.synthetic import generate_corridor_set
+from repro.io import csvio
 from repro.io.csvio import write_trajectories_csv
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -137,3 +140,35 @@ class TestBrokenPipe:
         assert result.returncode == 0, result.stderr.decode()
         assert b"BrokenPipeError" not in result.stderr
         assert os.path.exists(os.path.join(ckpt, "manifest.json"))
+
+
+class TestBulkLoadFollow:
+    @pytest.mark.parametrize(
+        "extra", [[], ["--shards", "2", "--inline-shards"]],
+        ids=["single", "sharded"],
+    )
+    def test_tail_error_names_the_file_line(
+        self, tmp_path, monkeypatch, capsys, extra
+    ):
+        """The tail read after ``--bulk-load`` resumes mid-file; a bad
+        row appended then is named by its line in the file."""
+        path = tmp_path / "feed.csv"
+        path.write_text("traj_id,c0,c1\n0,0.0,0.0\n0,1.0,1.0\n0,2.0,2.0\n")
+        polls = []
+
+        def sleep(seconds):
+            # The tail loop reached the end of the file: the feed then
+            # writes one malformed row (and stops the run if polled again).
+            polls.append(seconds)
+            if len(polls) > 1:
+                raise KeyboardInterrupt
+            with open(path, "a", encoding="utf-8") as feed:
+                feed.write("0,north,3.0\n")
+
+        monkeypatch.setattr(csvio, "time", SimpleNamespace(sleep=sleep))
+        status = main([
+            "stream", str(path), "--eps", "5", "--min-lns", "3",
+            "--bulk-load", "--follow", "--poll", "0", *extra,
+        ])
+        assert status == 3
+        assert "error: line 5: 'c0' cell" in capsys.readouterr().err

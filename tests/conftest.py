@@ -67,3 +67,15 @@ def parallel_band_segments():
 def corridor_trajectories():
     """Ten Figure-1 style trajectories sharing one corridor."""
     return generate_corridor_set(n_trajectories=10, seed=5)
+
+
+@pytest.fixture(scope="session", params=["numpy", "cext"])
+def pair_backend(request):
+    """Each kernel backend name in turn; ``cext`` skips, naming why,
+    on a host where it is unavailable."""
+    from repro import kernels
+
+    status = kernels.available_backends()[request.param]
+    if not status.startswith("ok"):
+        pytest.skip(f"{request.param}: {status}")
+    return request.param

@@ -1,6 +1,7 @@
 """Unit tests for CSV trajectory I/O."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.exceptions import DatasetError
 from repro.io.csvio import (
     iter_point_rows,
+    read_csv_header,
     read_trajectories_csv,
     write_trajectories_csv,
 )
@@ -112,3 +114,28 @@ class TestMalformedRows:
     def test_non_numeric_cell_names_line_and_column(self, reader, row, column):
         with pytest.raises(DatasetError, match=f"^line 5: '{column}' cell"):
             reader(io.StringIO(_GOOD_ROWS + row + "\n"))
+
+
+class TestResumedRead:
+    """``repro stream --bulk-load --follow`` reads a file's current rows,
+    then resumes the same handle: the second read must go on counting
+    lines from the top of the file."""
+
+    def test_resumed_read_names_the_file_line(self, tmp_path):
+        path = tmp_path / "feed.csv"
+        path.write_text("traj_id,c0,c1\n0,0.0,0.0\n0,1.0,1.0\n0,2.0,2.0\n")
+        lines = itertools.count(2)
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header = read_csv_header(handle)
+            bulk = list(iter_point_rows(
+                handle, follow=True, poll=0.0, max_polls=0,
+                header=header, line_numbers=lines,
+            ))
+            assert len(bulk) == 3
+            with open(path, "a", encoding="utf-8") as feed:
+                feed.write("0,north,3.0\n")
+            with pytest.raises(DatasetError, match=r"^line 5: 'c0' cell"):
+                list(iter_point_rows(
+                    handle, follow=True, poll=0.0, max_polls=0,
+                    header=header, line_numbers=lines,
+                ))

@@ -6,6 +6,8 @@ equivalence of the backends themselves lives in
 ``test_backend_equivalence.py``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,53 @@ def test_maybe_time_without_registry_is_noop():
     kernels.set_metrics_registry(None)
     with kernels.maybe_time("mdl_geometry", "numpy"):
         pass  # must not raise
+
+
+class TestMapPairBlocks:
+    """The order-preserving mapper behind the graph join, QMeasure and
+    the distance matrix."""
+
+    @staticmethod
+    def blocks(n):
+        return (
+            (np.array([k], dtype=np.int64), np.array([k + 1], dtype=np.int64))
+            for k in range(n)
+        )
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 9])
+    @pytest.mark.parametrize("threads", ["0", "2"])
+    def test_results_in_submission_order(
+        self, pair_backend, n_blocks, threads, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", threads)
+        with kernels.use_backend(pair_backend):
+            results = list(kernels.map_pair_blocks(
+                self.blocks(n_blocks), lambda a, b: (int(a[0]), int(b[0]))
+            ))
+        assert results == [(k, k + 1) for k in range(n_blocks)]
+
+    def test_threads_when_the_backend_releases_the_gil(
+        self, pair_backend, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+        caller = threading.get_ident()
+        with kernels.use_backend(pair_backend):
+            where = list(kernels.map_pair_blocks(
+                self.blocks(6), lambda a, b: threading.get_ident()
+            ))
+        if pair_backend == "numpy":
+            assert where == [caller] * 6
+        else:
+            assert caller not in where
+
+    def test_worker_errors_reach_the_caller(self, pair_backend, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+
+        def fail_on_third(a, b):
+            if a[0] == 2:
+                raise ValueError("block 2")
+            return int(a[0])
+
+        with kernels.use_backend(pair_backend):
+            with pytest.raises(ValueError, match="block 2"):
+                list(kernels.map_pair_blocks(self.blocks(5), fail_on_third))

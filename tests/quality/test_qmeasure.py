@@ -1,5 +1,8 @@
 """Unit tests for QMeasure (Formula 11)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,34 @@ class TestClusterSSE:
         assert make(0.5) < make(2.0)
 
 
+class TestMemberOrder:
+    """Lemma 2 breaks equal-length ties by segment id: the SSE must use
+    the stored ids, not positions in ``member_indices``."""
+
+    @pytest.fixture
+    def equal_lengths(self):
+        r = 2 * math.sqrt(2)
+        return SegmentSet(
+            np.array([[0.0, 0.0], [1.0, 3.0], [5.0, -2.0]]),
+            np.array([[4.0, 0.0], [1.0, 7.0], [5.0 + r, -2.0 + r]]),
+        )
+
+    def test_every_member_order_gives_the_stored_id_value(self, equal_lengths):
+        store = equal_lengths
+        assert np.unique(store.lengths).size == 1  # all three tie
+        distance = SegmentDistance()
+        scalar = sum(
+            distance(store.segment(i), store.segment(j)) ** 2
+            for i in range(3) for j in range(3)
+        ) / 6.0
+        values = {
+            cluster_sse(Cluster(0, list(order), store))
+            for order in itertools.permutations(range(3))
+        }
+        assert len(values) == 1
+        assert values.pop() == pytest.approx(scalar, rel=1e-12)
+
+
 class TestNoisePenalty:
     def test_no_noise_is_zero(self, pair_store):
         labels = np.array([0, 0])
@@ -61,6 +92,11 @@ class TestNoisePenalty:
     def test_single_noise_segment_is_zero(self, pair_store):
         labels = np.array([0, NOISE])
         assert noise_penalty(pair_store, labels) == 0.0
+
+    def test_noise_index_beyond_the_store_raises(self, pair_store):
+        # Checked before any index reaches the compiled pair kernel.
+        with pytest.raises(IndexError):
+            noise_penalty(pair_store, np.array([NOISE, NOISE, NOISE]))
 
 
 class TestQualityMeasure:
