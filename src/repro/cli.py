@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands, composable through CSV/JSON files:
+Nine subcommands, composable through CSV/JSON files:
 
 * ``cluster``   — run TRACLUS on a trajectory CSV, write JSON/SVG results;
 * ``params``    — run the Section 4.4 heuristic and print the estimates;
@@ -22,19 +22,26 @@ Eight subcommands, composable through CSV/JSON files:
 hot-kernel dispatch of :mod:`repro.kernels` — bitwise-neutral, so
 results and caches are unaffected.
 
-``cluster``, ``params``, and ``sweep`` all accept ``--workspace DIR``:
-expensive artifacts (the phase-1 partition, the ε-neighborhood graph,
-labels, entropy counts) are then persisted as fingerprint-keyed npz
-files, so repeated invocations — estimate parameters first, cluster
-second, sweep a grid third — reuse each other's work instead of
-recomputing it.  Results are bitwise independent of the cache.
+The same four accept ``--workspace DIR``: expensive artifacts (the
+phase-1 partition, the ε-neighborhood graph, labels, entropy counts)
+are then persisted as fingerprint-keyed npz files, so repeated
+invocations — estimate parameters first, cluster second, sweep a grid
+third — reuse each other's work instead of recomputing it.  Results
+are bitwise independent of the cache.
 
-Error contract: a library error that escapes a subcommand (any
-:class:`~repro.exceptions.ReproError`, e.g. a malformed CSV row or a
-non-finite coordinate) ends the run with one
-``repro <command>: error: <message>`` line on stderr and exit status
-:data:`EXIT_REPRO_ERROR` — distinct from argparse's usage errors (2)
-and from the status 1 of an unexpected traceback.
+Every option shared by several subcommands is defined once, on an
+argparse parent parser; an option whose ``dest`` names a config field
+sets it through :func:`config_from_args`.  ``--json -`` is stdout.
+
+Exit status: 0 on success; 2 for a usage error, including an option
+value argparse rejects (a malformed grid spec, or ``--n``,
+``--points``, ``--eps-max``, ``--shards`` or ``--batch-points`` below
+1); 3 (:data:`EXIT_REPRO_ERROR`) when a
+:class:`~repro.exceptions.ReproError` escapes a subcommand — a
+malformed CSV row, a missing workspace directory, an unreachable
+``--url``, an unavailable ``--kernel-backend`` — reported as one
+``repro <command>: error: <message>`` line on stderr; 1 only for an
+unexpected traceback.
 
 Examples
 --------
@@ -56,13 +63,18 @@ Examples
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import itertools
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
+from repro.api.cache import ARTIFACT_KINDS, ArtifactStore
 from repro.api.workspace import Workspace
 from repro.core.config import (
     SWEEP_EXECUTORS,
@@ -70,8 +82,7 @@ from repro.core.config import (
     SweepConfig,
     TraclusConfig,
 )
-from repro.exceptions import ReproError
-from repro.kernels import KERNEL_BACKENDS
+from repro.exceptions import CatalogError, ReproError, ServeError, WorkspaceError
 from repro.core.traclus import TRACLUS
 from repro.datasets.hurricane import generate_hurricane_tracks
 from repro.datasets.starkey import generate_deer1995, generate_elk1993
@@ -86,9 +97,54 @@ from repro.io.csvio import (
     write_trajectories_csv,
 )
 from repro.io.jsonio import result_to_dict
+from repro.obs import MetricsRegistry, configure_logging, start_scrape_server
 from repro.params.heuristic import recommend_parameters
 from repro.stream.pipeline import StreamingTRACLUS
 from repro.viz.svg import render_result_svg, render_trajectories_svg
+
+
+def _at_least_one(kind):
+    """An argparse ``type=`` parsing *kind* (``int`` or ``float``) that
+    rejects values below 1 as a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _parse_grid(spec: str) -> List[float]:
+    """argparse ``type=`` for a parameter grid: ``'a,b,c'`` or inclusive
+    ``'lo:hi:step'`` (step defaults to 1)."""
+    try:
+        if ":" in spec:
+            parts = [float(p) for p in spec.split(":")]
+            if len(parts) == 2:
+                lo, hi, step = parts[0], parts[1], 1.0
+            elif len(parts) == 3:
+                lo, hi, step = parts
+            else:
+                raise ValueError("expected lo:hi[:step]")
+            if step <= 0:
+                raise ValueError("step must be positive")
+            if hi < lo:
+                raise ValueError("hi must be >= lo")
+            # Half-step slack keeps hi inside despite float accumulation.
+            return [float(v) for v in np.arange(lo, hi + step / 2.0, step)]
+        values = [float(p) for p in spec.split(",") if p.strip() != ""]
+        if not values:
+            raise ValueError("empty grid")
+        return values
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(
+            f"invalid grid spec {spec!r} ({error}); expected "
+            f"'a,b,c' or 'lo:hi:step'"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,67 +154,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cluster = sub.add_parser("cluster", help="run TRACLUS on a trajectory CSV")
-    cluster.add_argument("input", help="trajectory CSV (see repro.io.csvio)")
+    # Parent parsers: each option shared by several subcommands, once.
+    csv_input = argparse.ArgumentParser(add_help=False)
+    csv_input.add_argument("input", help="trajectory CSV (long format, "
+                                         "see repro.io.csvio)")
+    suppression = argparse.ArgumentParser(add_help=False)
+    suppression.add_argument("--suppression", type=float, default=0.0,
+                             help="partitioning suppression constant "
+                                  "(Sec 4.1.3)")
+    distance = argparse.ArgumentParser(add_help=False, parents=[suppression])
+    distance.add_argument("--undirected", dest="directed",
+                          action="store_false",
+                          help="use the undirected angle distance")
+    distance.add_argument("--use-weights", action="store_true",
+                          help="weighted eps-neighborhood cardinality")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--kernel-backend", default="auto",
+                        choices=kernels.KERNEL_BACKENDS,
+                        help="hot-kernel dispatch (bitwise-neutral; "
+                             "auto = first available compiled backend)")
+    engine.add_argument("--workspace", default=None, metavar="DIR",
+                        help="persistent artifact cache: reuse/store the "
+                             "partition, eps-graph, counts, and labels as "
+                             "npz files under DIR (default: memory only)")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", dest="json_out", default=None,
+                          metavar="FILE",
+                          help="write the JSON output here ('-' for stdout)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", required=True)
+    ws_dir = argparse.ArgumentParser(add_help=False)
+    ws_dir.add_argument("directory", help="the workspace DIR to read")
+
+    cluster = sub.add_parser(
+        "cluster", parents=[csv_input, distance, engine, json_out],
+        help="run TRACLUS on a trajectory CSV",
+    )
+    cluster.set_defaults(handler=_cmd_cluster)
     cluster.add_argument("--eps", type=float, default=None,
                          help="neighborhood radius (default: estimate)")
     cluster.add_argument("--min-lns", type=float, default=None,
                          help="density threshold (default: estimate)")
-    cluster.add_argument("--suppression", type=float, default=0.0,
-                         help="partitioning suppression constant (Sec 4.1.3)")
-    cluster.add_argument("--undirected", action="store_true",
-                         help="use the undirected angle distance")
-    cluster.add_argument("--use-weights", action="store_true",
-                         help="weighted eps-neighborhood cardinality")
     cluster.add_argument("--gamma", type=float, default=0.0,
                          help="representative smoothing gamma (Fig 15)")
-    cluster.add_argument("--kernel-backend", default="auto",
-                         choices=KERNEL_BACKENDS,
-                         help="hot-kernel dispatch (bitwise-neutral; "
-                              "auto = first available compiled backend)")
-    cluster.add_argument("--workspace", default=None, metavar="DIR",
-                         help="persistent artifact cache: reuse/store the "
-                              "partition, eps-graph, and labels as npz "
-                              "files under DIR")
-    cluster.add_argument("--json", dest="json_out", default=None,
-                         help="write the full result JSON here")
     cluster.add_argument("--svg", dest="svg_out", default=None,
                          help="write the visual-inspection SVG here")
 
     params = sub.add_parser(
-        "params", help="estimate (eps, MinLns) with the entropy heuristic"
+        "params", parents=[csv_input, suppression, engine],
+        help="estimate (eps, MinLns) with the entropy heuristic",
     )
-    params.add_argument("input", help="trajectory CSV")
+    params.set_defaults(handler=_cmd_params)
     params.add_argument("--method", choices=("grid", "anneal"), default="grid")
-    params.add_argument("--eps-max", type=float, default=None,
-                        help="upper end of the eps search grid")
-    params.add_argument("--suppression", type=float, default=0.0)
-    params.add_argument("--kernel-backend", default="auto",
-                        choices=KERNEL_BACKENDS,
-                        help="hot-kernel dispatch (bitwise-neutral)")
-    params.add_argument("--workspace", default=None, metavar="DIR",
-                        help="persistent artifact cache: the partition "
-                             "(and, for the grid method, the neighborhood "
-                             "counts) are stored for later cluster/sweep "
-                             "runs")
+    params.add_argument("--eps-max", type=_at_least_one(float), default=None,
+                        help="upper end of the eps search grid (>= 1)")
 
     sweep = sub.add_parser(
-        "sweep",
+        "sweep", parents=[csv_input, distance, engine, json_out],
         help="amortised (eps, MinLns) grid sweep: one phase-1 pass, one "
              "eps-graph, every grid point derived incrementally",
     )
-    sweep.add_argument("input", help="trajectory CSV")
-    sweep.add_argument("--eps", required=True, metavar="GRID",
+    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.add_argument("--eps", dest="eps_values", type=_parse_grid,
+                       required=True, metavar="GRID",
                        help="eps grid: comma list ('25,27,30') or "
                             "inclusive range 'lo:hi:step' ('20:40:2')")
-    sweep.add_argument("--min-lns", required=True, metavar="GRID",
+    sweep.add_argument("--min-lns", dest="min_lns_values", type=_parse_grid,
+                       required=True, metavar="GRID",
                        help="MinLns grid, same syntax as --eps")
-    sweep.add_argument("--suppression", type=float, default=0.0,
-                       help="partitioning suppression constant (Sec 4.1.3)")
-    sweep.add_argument("--undirected", action="store_true",
-                       help="use the undirected angle distance")
-    sweep.add_argument("--use-weights", action="store_true",
-                       help="weighted eps-neighborhood cardinality")
     sweep.add_argument("--cardinality-threshold", type=float, default=None,
                        help="fixed Step-3 trajectory-cardinality threshold "
                             "(default: each grid point's MinLns)")
@@ -166,22 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=SWEEP_EXECUTORS,
                        help="'process' shards MinLns columns over a "
                             "process pool")
-    sweep.add_argument("--workers", type=int, default=None,
+    sweep.add_argument("--workers", dest="n_workers", type=int, default=None,
                        help="process-pool size (default: CPU count)")
     sweep.add_argument("--csv", dest="csv_out", default=None,
                        help="write per-grid-cell metrics CSV here")
-    sweep.add_argument("--json", dest="json_out", default=None,
-                       help="write the sweep summary JSON here")
     sweep.add_argument("--labels", action="store_true",
                        help="include per-segment label arrays in the JSON "
                             "output (one row per grid cell)")
-    sweep.add_argument("--kernel-backend", default="auto",
-                       choices=KERNEL_BACKENDS,
-                       help="hot-kernel dispatch (bitwise-neutral)")
-    sweep.add_argument("--workspace", default=None, metavar="DIR",
-                       help="persistent artifact cache: the phase-1 "
-                            "partition, the eps_max graph, and the label "
-                            "grid are stored/reused as npz files")
 
     workspace = sub.add_parser(
         "workspace",
@@ -193,19 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ws_inspect = ws_sub.add_parser(
-        "inspect", help="list every artifact with its metadata"
+        "inspect", parents=[ws_dir, json_out],
+        help="list every artifact with its metadata",
     )
-    ws_inspect.add_argument(
-        "directory", help="the --workspace DIR to inspect"
-    )
-    ws_inspect.add_argument("--json", dest="json_out", default=None,
-                            help="write the artifact index JSON here")
+    ws_inspect.set_defaults(handler=_cmd_workspace_inspect)
 
     ws_stats = ws_sub.add_parser(
-        "stats",
+        "stats", parents=[json_out],
         help="per-kind aggregate of a DIR, or — with --url — of a "
              "running 'repro serve' instance",
     )
+    ws_stats.set_defaults(handler=_cmd_workspace_stats)
     ws_stats.add_argument(
         "directory", nargs="?", default=None,
         help="the workspace DIR to aggregate",
@@ -216,17 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(GET /v1/stats and /v1/metrics) instead of reading a "
              "directory",
     )
-    ws_stats.add_argument("--json", dest="json_out", default=None,
-                          help="write the aggregate JSON here")
 
     ws_query = ws_sub.add_parser(
-        "query",
+        "query", parents=[ws_dir, json_out],
         help="cross-corpus analytics straight off the sqlite catalog "
              "(never opens an npz payload)",
     )
-    ws_query.add_argument(
-        "directory", help="the workspace DIR whose catalog to query"
-    )
+    ws_query.set_defaults(handler=_cmd_workspace_query)
     ws_query.add_argument(
         "--query", dest="query_name", default=None,
         choices=("artifacts", "cells", "corpora", "kinds"),
@@ -257,55 +305,52 @@ def build_parser() -> argparse.ArgumentParser:
     ws_query.add_argument("--sql", default=None, metavar="SELECT",
                           help="run one raw read-only SELECT/WITH "
                                "statement instead of a canned query")
-    ws_query.add_argument("--json", dest="json_out", default=None,
-                          metavar="FILE",
-                          help="write rows as JSON ('-' for stdout)")
     ws_query.add_argument("--csv", dest="csv_out", default=None,
                           metavar="FILE",
                           help="write rows as CSV ('-' for stdout)")
 
-    generate = sub.add_parser("generate", help="write a synthetic dataset CSV")
+    generate = sub.add_parser(
+        "generate", parents=[output], help="write a synthetic dataset CSV"
+    )
+    generate.set_defaults(handler=_cmd_generate)
     generate.add_argument(
         "dataset", choices=("hurricane", "elk", "deer", "corridor"),
     )
-    generate.add_argument("--n", type=int, default=None,
+    generate.add_argument("--n", type=_at_least_one(int), default=None,
                           help="number of trajectories (dataset default)")
-    generate.add_argument("--points", type=int, default=None,
+    generate.add_argument("--points", type=_at_least_one(int), default=None,
                           help="points per trajectory where applicable")
     generate.add_argument("--noise", type=float, default=0.0,
                           help="noise trajectory fraction to mix in")
     generate.add_argument("--seed", type=int, default=7)
-    generate.add_argument("-o", "--output", required=True)
 
-    render = sub.add_parser("render", help="render trajectories to SVG")
-    render.add_argument("input", help="trajectory CSV")
-    render.add_argument("-o", "--output", required=True)
+    render = sub.add_parser(
+        "render", parents=[csv_input, output],
+        help="render trajectories to SVG",
+    )
+    render.set_defaults(handler=_cmd_render)
     render.add_argument("--width", type=int, default=900)
     render.add_argument("--height", type=int, default=650)
 
     stream = sub.add_parser(
-        "stream",
+        "stream", parents=[csv_input, distance],
         help="tail a trajectory CSV through the online pipeline and "
              "print label deltas",
     )
-    stream.add_argument("input", help="trajectory CSV (long format)")
+    stream.set_defaults(handler=_cmd_stream)
     stream.add_argument("--eps", type=float, required=True,
                         help="neighborhood radius (required: the entropy "
                              "heuristic needs the whole dataset)")
     stream.add_argument("--min-lns", type=float, required=True,
                         help="density threshold MinLns")
-    stream.add_argument("--window", type=int, default=None,
+    stream.add_argument("--window", dest="max_segments", type=int,
+                        default=None,
                         help="sliding-window cap on live segments")
     stream.add_argument("--horizon", type=float, default=None,
                         help="evict segments more than this far behind the "
                              "newest timestamp")
-    stream.add_argument("--suppression", type=float, default=0.0,
-                        help="partitioning suppression constant (Sec 4.1.3)")
-    stream.add_argument("--undirected", action="store_true",
-                        help="use the undirected angle distance")
-    stream.add_argument("--use-weights", action="store_true",
-                        help="weighted eps-neighborhood cardinality")
-    stream.add_argument("--batch-points", type=int, default=25,
+    stream.add_argument("--batch-points", type=_at_least_one(int),
+                        default=25,
                         help="points buffered per trajectory before a "
                              "clustering update (1 = update per point)")
     stream.add_argument("--bulk-load", action="store_true",
@@ -327,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--checkpoint", default=None,
                         help="write a stream checkpoint here on exit "
                              "(a directory with --shards > 1)")
-    stream.add_argument("--shards", type=int, default=1, metavar="K",
+    stream.add_argument("--shards", type=_at_least_one(int), default=1,
+                        metavar="K",
                         help="shard ingestion across K worker processes "
                              "(trajectory-hash routed, one merged label "
                              "view); labels stay bitwise identical to "
@@ -344,19 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "http://127.0.0.1:PORT/v1/metrics")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[distance, engine],
         help="serve many corpora over HTTP from one shared artifact "
              "store (async front-end, process-pool workers)",
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("inputs", nargs="+", metavar="CSV",
                        help="trajectory CSVs; each becomes a corpus "
                             "named by its file stem")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765,
                        help="listen port (0 = ephemeral)")
-    serve.add_argument("--workspace", default=None, metavar="DIR",
-                       help="shared persistent artifact cache; omit for "
-                            "per-process memory-only caches")
     serve.add_argument("--workers", type=int, default=0,
                        help="process-pool size for CPU-bound work "
                             "(0 = run inline on a thread)")
@@ -368,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="byte budget for the npz tier: coldest "
                             "artifacts are evicted once the workspace "
                             "directory exceeds this (default: grow-only)")
-    serve.add_argument("--suppression", type=float, default=0.0,
-                       help="partitioning suppression constant (Sec 4.1.3)")
-    serve.add_argument("--undirected", action="store_true",
-                       help="use the undirected angle distance")
-    serve.add_argument("--use-weights", action="store_true",
-                       help="weighted eps-neighborhood cardinality")
     serve.add_argument("--max-pending", type=int, default=None, metavar="N",
                        help="admission control: shed requests with 503 + "
                             "Retry-After once N are pending (default: "
@@ -385,50 +423,40 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-telemetry", action="store_true",
                        help="disable metrics and tracing (/v1/metrics returns "
                             "404; /v1/stats loses latency quantiles)")
-    serve.add_argument("--kernel-backend", default="auto",
-                       choices=KERNEL_BACKENDS,
-                       help="hot-kernel dispatch in every worker "
-                            "(bitwise-neutral; surfaces as the "
-                            "repro_kernel_backend gauge on /v1/metrics)")
 
     doctor = sub.add_parser(
-        "doctor",
+        "doctor", parents=[json_out],
         help="capability report: importable kernel backends, what "
              "'auto' resolves to, numpy/BLAS thread settings",
     )
-    doctor.add_argument("--json", dest="json_out", default=None,
-                        help="write the capability report JSON here "
-                             "('-' for stdout)")
+    doctor.set_defaults(handler=_cmd_doctor)
 
     return parser
 
 
-def _apply_kernel_backend(name: str) -> None:
-    """Validate and install the ``--kernel-backend`` choice: an
-    explicitly requested compiled backend fails loudly here (at the
-    front door) when the host cannot provide it, instead of silently
-    degrading mid-run."""
-    from repro import kernels
+def config_from_args(cls, args: argparse.Namespace, **fixed):
+    """Build the config dataclass *cls* from every parsed option whose
+    ``dest`` is one of its fields; *fixed* sets fields no option sets."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    options = {name: value for name, value in vars(args).items()
+               if name in names}
+    return cls(**options, **fixed)
 
-    try:
-        kernels.resolve_backend(name)
-    except Exception as error:
-        raise SystemExit(f"--kernel-backend {name}: {error}") from None
-    kernels.set_default_backend(name)
+
+def _write_json(path: str, payload) -> None:
+    """Write *payload* as indented JSON to *path*; ``-`` is stdout."""
+    if path == "-":
+        json.dump(payload, sys.stdout, indent=2)
+        print()
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+    print(f"wrote {path}")
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args.kernel_backend)
     trajectories = read_trajectories_csv(args.input)
-    config = TraclusConfig(
-        eps=args.eps,
-        min_lns=args.min_lns,
-        directed=not args.undirected,
-        suppression=args.suppression,
-        use_weights=args.use_weights,
-        gamma=args.gamma,
-        kernel_backend=args.kernel_backend,
-    )
+    config = config_from_args(TraclusConfig, args)
     result = TRACLUS(config, workspace_dir=args.workspace).fit(trajectories)
     summary = result.summary()
     print(
@@ -444,9 +472,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"{cluster.trajectory_cardinality()} trajectories"
         )
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(result_to_dict(result), handle, indent=2)
-        print(f"wrote {args.json_out}")
+        _write_json(args.json_out, result_to_dict(result))
     if args.svg_out:
         render_result_svg(result, args.svg_out)
         print(f"wrote {args.svg_out}")
@@ -454,21 +480,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args.kernel_backend)
     trajectories = read_trajectories_csv(args.input)
     eps_values = (
-        np.arange(1.0, args.eps_max + 1.0) if args.eps_max else None
+        None if args.eps_max is None
+        else np.arange(1.0, args.eps_max + 1.0)
     )
     # The partition (and, for the grid method, the neighborhood
     # counts) are computed once and, with --workspace, persisted for
     # later cluster/sweep runs.
     workspace = Workspace(
         trajectories,
-        TraclusConfig(
-            suppression=args.suppression,
-            compute_representatives=False,
-            kernel_backend=args.kernel_backend,
-        ),
+        config_from_args(TraclusConfig, args, compute_representatives=False),
         cache_dir=args.workspace,
     )
     segments = workspace.segments()
@@ -490,35 +512,6 @@ def _cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(spec: str, option: str) -> List[float]:
-    """Parse a parameter-grid spec: ``'a,b,c'`` or inclusive
-    ``'lo:hi:step'`` (step defaults to 1)."""
-    try:
-        if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
-            if len(parts) == 2:
-                lo, hi, step = parts[0], parts[1], 1.0
-            elif len(parts) == 3:
-                lo, hi, step = parts
-            else:
-                raise ValueError("expected lo:hi[:step]")
-            if step <= 0:
-                raise ValueError("step must be positive")
-            if hi < lo:
-                raise ValueError("hi must be >= lo")
-            # Half-step slack keeps hi inside despite float accumulation.
-            return [float(v) for v in np.arange(lo, hi + step / 2.0, step)]
-        values = [float(p) for p in spec.split(",") if p.strip() != ""]
-        if not values:
-            raise ValueError("empty grid")
-        return values
-    except ValueError as error:
-        raise SystemExit(
-            f"{option}: invalid grid spec {spec!r} ({error}); expected "
-            f"'a,b,c' or 'lo:hi:step'"
-        ) from None
-
-
 _SWEEP_CSV_COLUMNS = (
     "eps", "min_lns", "n_clusters", "n_clustered", "n_noise",
     "noise_ratio", "mean_cluster_size", "entropy", "avg_neighborhood_size",
@@ -526,22 +519,11 @@ _SWEEP_CSV_COLUMNS = (
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args.kernel_backend)
     trajectories = read_trajectories_csv(args.input)
-    config = TraclusConfig(
-        directed=not args.undirected,
-        suppression=args.suppression,
-        use_weights=args.use_weights,
-        cardinality_threshold=args.cardinality_threshold,
-        compute_representatives=False,
-        kernel_backend=args.kernel_backend,
+    config = config_from_args(
+        TraclusConfig, args, compute_representatives=False
     )
-    sweep_config = SweepConfig(
-        eps_values=_parse_grid(args.eps, "--eps"),
-        min_lns_values=_parse_grid(args.min_lns, "--min-lns"),
-        executor=args.executor,
-        n_workers=args.workers,
-    )
+    sweep_config = config_from_args(SweepConfig, args)
     result = TRACLUS(config, workspace_dir=args.workspace).sweep(
         trajectories, sweep_config
     )
@@ -563,8 +545,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{row['mean_cluster_size']:>9.1f}"
         )
     if args.csv_out:
-        import csv
-
         with open(args.csv_out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=_SWEEP_CSV_COLUMNS)
             writer.writeheader()
@@ -582,35 +562,41 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "cells": rows,
         }
         if args.labels:
-            for row, (i, j) in zip(
-                payload["cells"],
-                (
-                    (i, j)
-                    for i in range(n_eps)
-                    for j in range(n_min_lns)
-                ),
+            # Cells run ε-major, as the (n_eps, n_min_lns) label planes do.
+            for row, labels in zip(
+                rows, itertools.chain.from_iterable(result.labels)
             ):
-                row["labels"] = result.labels[i, j].tolist()
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json_out}")
+                row["labels"] = labels.tolist()
+        _write_json(args.json_out, payload)
     return 0
+
+
+def _open_store(directory: str) -> ArtifactStore:
+    """The artifact store of an existing workspace *directory*."""
+    if not os.path.isdir(directory):
+        raise WorkspaceError(f"{directory}: not a directory")
+    return ArtifactStore(directory)
+
+
+def _fetch(url: str) -> str:
+    """GET *url* from a running ``repro serve``; an unreachable server
+    is a :class:`WorkspaceError`, not a traceback."""
+    from urllib.request import urlopen
+
+    try:
+        with urlopen(url, timeout=10) as response:
+            return response.read().decode("utf-8")
+    except OSError as error:
+        raise WorkspaceError(f"{url}: {error}") from None
 
 
 def _cmd_workspace_stats(args: argparse.Namespace) -> int:
     """``repro workspace stats``: aggregate view of an artifact
     directory (per-kind count/bytes/share) or — with ``--url`` — of a
     running ``repro serve`` instance's /v1/stats and /v1/metrics."""
-    import os
-
-    from repro.api.cache import ARTIFACT_KINDS, ArtifactStore
-
     if args.url is not None:
-        from urllib.request import urlopen
-
         base = args.url.rstrip("/")
-        with urlopen(base + "/v1/stats", timeout=10) as response:
-            stats = json.loads(response.read().decode("utf-8"))
+        stats = json.loads(_fetch(base + "/v1/stats"))
         print(f"{base}: {stats['requests']} requests, "
               f"hit rate {stats['hit_rate']:.1%}, "
               f"{stats['coalesced']} coalesced, "
@@ -629,8 +615,7 @@ def _cmd_workspace_stats(args: argparse.Namespace) -> int:
                       f"p90={q['p90'] * 1000:.2f}ms "
                       f"p99={q['p99'] * 1000:.2f}ms "
                       f"(n={q['count']})")
-        with urlopen(base + "/v1/metrics", timeout=10) as response:
-            text = response.read().decode("utf-8")
+        text = _fetch(base + "/v1/metrics")
         samples = [
             line for line in text.splitlines()
             if line and not line.startswith("#")
@@ -646,20 +631,14 @@ def _cmd_workspace_stats(args: argparse.Namespace) -> int:
         for line in kernel_counts:
             print(f"kernel calls:   {line}")
         if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump({"stats": stats, "metrics_samples": len(samples)},
-                          handle, indent=2)
-            print(f"wrote {args.json_out}")
+            _write_json(args.json_out,
+                        {"stats": stats, "metrics_samples": len(samples)})
         return 0
 
     directory = args.directory
     if directory is None:
-        raise SystemExit(
-            "repro workspace stats: pass a workspace DIR or --url"
-        )
-    if not os.path.isdir(directory):
-        raise SystemExit(f"{directory}: not a directory")
-    store = ArtifactStore(directory)
+        raise WorkspaceError("stats needs a workspace DIR or --url")
+    store = _open_store(directory)
     by_kind: "dict[str, dict]" = {}
     if store.catalog is not None:
         # One aggregate query off the sqlite catalog — no stat calls,
@@ -691,15 +670,12 @@ def _cmd_workspace_stats(args: argparse.Namespace) -> int:
         print(f"{kind:<16}{bucket['count']:>7}{bucket['bytes']:>12}"
               f"{share:>8.1%}")
     if args.json_out:
-        payload = {
+        _write_json(args.json_out, {
             "directory": directory,
             "total_bytes": total,
             "n_artifacts": n_artifacts,
             "by_kind": by_kind,
-        }
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json_out}")
+        })
     return 0
 
 
@@ -715,15 +691,9 @@ def run_workspace_query(
     :class:`~repro.api.cache.CacheStats` — every counter stays zero,
     because analytics answer from the sqlite index without touching an
     npz payload (a test pins this)."""
-    import os
-
-    from repro.api.cache import ArtifactStore
-
-    if not os.path.isdir(directory):
-        raise SystemExit(f"{directory}: not a directory")
-    store = ArtifactStore(directory)
+    store = _open_store(directory)
     if store.catalog is None:
-        raise SystemExit(
+        raise CatalogError(
             f"{directory}: catalog unavailable (sqlite could not open "
             f"{directory}/catalog.sqlite)"
         )
@@ -735,42 +705,24 @@ def run_workspace_query(
 
 
 def _cmd_workspace_query(args: argparse.Namespace) -> int:
-    import csv
-
-    from repro.exceptions import CatalogError
-
-    filters = {}
-    name = args.query_name
-    if args.kind is not None:
-        filters["kind"] = args.kind
-        if name is None:
-            name = "artifacts"
-    if name is None:
-        name = "cells"
-    for option in ("corpus", "min_clusters", "max_noise", "eps",
-                   "min_lns", "limit"):
-        value = getattr(args, option)
-        if value is not None:
-            filters[option] = value
+    filters = {
+        option: getattr(args, option)
+        for option in ("kind", "corpus", "min_clusters", "max_noise",
+                       "eps", "min_lns", "limit")
+        if getattr(args, option) is not None
+    }
+    name = args.query_name or (
+        "artifacts" if args.kind is not None else "cells"
+    )
     if args.sql is not None and filters:
-        raise SystemExit(
-            "repro workspace query: --sql takes the full statement; "
-            "drop the canned-query filters"
+        raise WorkspaceError(
+            "--sql takes the full statement; drop the canned-query filters"
         )
-    try:
-        rows, _ = run_workspace_query(
-            args.directory, name=name, filters=filters, sql=args.sql
-        )
-    except CatalogError as exc:
-        raise SystemExit(f"repro workspace query: {exc}")
+    rows, _ = run_workspace_query(
+        args.directory, name=name, filters=filters, sql=args.sql
+    )
     if args.json_out:
-        if args.json_out == "-":
-            json.dump(rows, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(rows, handle, indent=2)
-            print(f"wrote {args.json_out}")
+        _write_json(args.json_out, rows)
         return 0
     if args.csv_out:
         handle = (
@@ -814,23 +766,8 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-def _cmd_workspace(args: argparse.Namespace) -> int:
-    handlers = {
-        "inspect": _cmd_workspace_inspect,
-        "stats": _cmd_workspace_stats,
-        "query": _cmd_workspace_query,
-    }
-    return handlers[args.workspace_command](args)
-
-
 def _cmd_workspace_inspect(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.api.cache import ArtifactStore
-
-    if not os.path.isdir(args.directory):
-        raise SystemExit(f"{args.directory}: not a directory")
-    entries = ArtifactStore(args.directory).entries()
+    entries = _open_store(args.directory).entries()
     if not entries:
         print(f"{args.directory}: no artifacts")
         return 0
@@ -854,32 +791,30 @@ def _cmd_workspace_inspect(args: argparse.Namespace) -> int:
             f"{entry['key'][:12]:<12}  {details}"
         )
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(entries, handle, indent=2)
-        print(f"wrote {args.json_out}")
+        _write_json(args.json_out, entries)
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dataset == "hurricane":
         trajectories = generate_hurricane_tracks(
-            n_storms=args.n or 570, seed=args.seed
+            n_storms=570 if args.n is None else args.n, seed=args.seed
         )
     elif args.dataset == "elk":
         trajectories = generate_elk1993(
-            n_animals=args.n or 33,
-            points_per_animal=args.points or 1430,
+            n_animals=33 if args.n is None else args.n,
+            points_per_animal=1430 if args.points is None else args.points,
             seed=args.seed,
         )
     elif args.dataset == "deer":
         trajectories = generate_deer1995(
-            n_animals=args.n or 32,
-            points_per_animal=args.points or 627,
+            n_animals=32 if args.n is None else args.n,
+            points_per_animal=627 if args.points is None else args.points,
             seed=args.seed,
         )
     else:  # corridor
         trajectories = generate_corridor_set(
-            n_trajectories=args.n or 12, seed=args.seed
+            n_trajectories=12 if args.n is None else args.n, seed=args.seed
         )
     if args.noise > 0:
         trajectories = add_noise_trajectories(
@@ -908,26 +843,9 @@ def _print_deltas(changed, max_deltas: int) -> None:
         print(f"        ... {len(changed) - max_deltas} more")
 
 
-def _print_update(update, event: int, max_deltas: int) -> None:
-    # n_alive, not len(update.labels): the dense map is lazy and
-    # materializing it would put an O(live) cost back on every append.
-    print(
-        f"[{event:>5}] live={update.n_alive:>5} "
-        f"clusters={update.n_clusters:>3} "
-        f"+{len(update.inserted)} -{len(update.evicted)} segs, "
-        f"{len(update.changed)} label changes"
-    )
-    if update.remapped is not None:
-        print(f"        compacted: {len(update.remapped)} live slots "
-              f"renumbered")
-    _print_deltas(update.changed, max_deltas)
-
-
 def _silence_stdout() -> None:
     """Point stdout at devnull after a broken pipe so later prints and
     the interpreter's shutdown flush stay quiet."""
-    import os
-
     try:
         sys.stdout.flush()
     except (BrokenPipeError, OSError):
@@ -935,57 +853,140 @@ def _silence_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    if args.batch_points < 1:
-        raise SystemExit("--batch-points must be >= 1")
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    config = StreamConfig(
-        eps=args.eps,
-        min_lns=args.min_lns,
-        directed=not args.undirected,
-        suppression=args.suppression,
-        use_weights=args.use_weights,
-        max_segments=args.window,
-        horizon=args.horizon,
-        compact_dead_fraction=args.compact_dead_fraction,
+def _batch(rows):
+    """``(points, times)`` of buffered CSV rows; ``times`` is ``None``
+    on an untimed feed."""
+    times = [row.time for row in rows]
+    return np.array([row.point for row in rows]), (
+        None if times[0] is None else times
     )
-    if args.shards > 1:
-        return _cmd_stream_sharded(args, config)
-    metrics = None
-    scrape = None
-    if args.metrics_port is not None:
-        from repro.obs import MetricsRegistry, start_scrape_server
 
-        metrics = MetricsRegistry(enabled=True)
-        scrape = start_scrape_server(
-            metrics.snapshot, port=args.metrics_port
+
+class _SingleFeed:
+    """``repro stream`` into one :class:`StreamingTRACLUS` session."""
+
+    final_suffix = ""
+
+    def __init__(self, args: argparse.Namespace, config, metrics):
+        self.pipeline = StreamingTRACLUS(config, metrics=metrics)
+        self.metrics_snapshot = None if metrics is None else metrics.snapshot
+        self.max_deltas = args.max_deltas
+        self.event = 0
+
+    def append(self, traj_id, points, times, weight) -> None:
+        update = self.pipeline.append(
+            traj_id, points, times=times, weight=weight
         )
-        print(f"metrics on http://127.0.0.1:{scrape.port}/v1/metrics")
-    pipeline = StreamingTRACLUS(config, metrics=metrics)
+        self.event += 1
+        if update.changed or update.inserted or update.evicted:
+            self._report(update)
+
+    def bulk(self, groups, n_rows: int) -> None:
+        # One batched phase-1 pass over everything already in the file.
+        update = self.pipeline.bulk_load([
+            (traj_id, *_batch(rows), rows[0].weight)
+            for traj_id, rows in groups.items()  # file order
+        ])
+        self.event += 1
+        print(f"bulk-loaded {n_rows} points / {len(groups)} trajectories")
+        self._report(update)
+
+    def _report(self, update) -> None:
+        # n_alive, not len(update.labels): the dense map is lazy and
+        # materializing it would put an O(live) cost back on every append.
+        print(
+            f"[{self.event:>5}] live={update.n_alive:>5} "
+            f"clusters={update.n_clusters:>3} "
+            f"+{len(update.inserted)} -{len(update.evicted)} segs, "
+            f"{len(update.changed)} label changes"
+        )
+        if update.remapped is not None:
+            print(f"        compacted: {len(update.remapped)} live slots "
+                  f"renumbered")
+        _print_deltas(update.changed, self.max_deltas)
+
+    def labels(self):
+        return self.pipeline.labels()
+
+    def checkpoint(self, path: str) -> str:
+        from repro.stream.checkpoint import save_checkpoint
+
+        save_checkpoint(self.pipeline, path)
+        return path
+
+    def close(self) -> None:
+        pass
+
+
+class _ShardedFeed:
+    """``repro stream --shards K``: parallel shard ingest with the
+    merged label view (bitwise identical to ``--shards 1``)."""
+
+    def __init__(self, args: argparse.Namespace, config, metrics):
+        from repro.shard import ShardedStream
+
+        self.stream = ShardedStream(
+            config, args.shards, processes=not args.inline_shards,
+            metrics=metrics,
+        )
+        self.metrics_snapshot = self.stream.metrics_snapshot
+        self.final_suffix = f" merged from {args.shards} shards"
+        self.max_deltas = args.max_deltas
+        self.event = 0
+
+    def append(self, traj_id, points, times, weight) -> None:
+        merged = self.stream.append(
+            traj_id, points, times=times, weight=weight
+        )
+        for diff in [merged] if merged is not None else self.stream.drain():
+            self.event += 1
+            if not diff.changed:
+                continue
+            print(
+                f"[{self.event:>5}] live={self.stream.view.n_live:>5} "
+                f"clusters={self.stream.view.n_clusters:>3} "
+                f"{len(diff.changed)} label changes, lag={self.stream.lag}"
+            )
+            _print_deltas(diff.changed, self.max_deltas)
+
+    def bulk(self, groups, n_rows: int) -> None:
+        # Sharded sessions have no batched bulk path; the equivalent
+        # seed is one whole-trajectory append each, routed and merged
+        # like any other (labels are append-order independent per
+        # trajectory).
+        for traj_id, rows in groups.items():  # file order
+            self.append(traj_id, *_batch(rows), rows[0].weight)
+        print(f"seeded {n_rows} points / {len(groups)} trajectories "
+              f"across {self.stream.n_shards} shards")
+
+    def labels(self):
+        self.stream.sync()
+        return self.stream.labels()
+
+    def checkpoint(self, path: str) -> str:
+        self.stream.checkpoint(path)
+        return f"{path}/ (sharded checkpoint)"
+
+    def close(self) -> None:
+        self.stream.close()
+
+
+def _feed_csv(args: argparse.Namespace, feed) -> None:
+    """Read ``args.input`` into *feed*: with ``--bulk-load`` the file's
+    current contents in one seed, then batched appends of the rest
+    (tailing it with ``--follow``), then every partial batch.  An
+    interrupt or a closed stdout ends the read early."""
     pending: "dict[int, list]" = {}
     opened: "set[int]" = set()
-    event = 0
 
     def flush(traj_id: int) -> None:
-        nonlocal event
         rows = pending.pop(traj_id)
-        points = np.array([r.point for r in rows])
-        times = [r.time for r in rows]
         # First row wins on weight (matching read_trajectories_csv);
         # later batches keep the opening weight even if the column
         # drifts mid-trajectory.
         weight = None if traj_id in opened else rows[0].weight
         opened.add(traj_id)
-        update = pipeline.append(
-            traj_id,
-            points,
-            times=None if times[0] is None else times,
-            weight=weight,
-        )
-        event += 1
-        if update.changed or update.inserted or update.evicted:
-            _print_update(update, event, args.max_deltas)
+        feed.append(traj_id, *_batch(rows), weight)
 
     try:
         with open(args.input, "r", encoding="utf-8", newline="") as handle:
@@ -994,11 +995,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             # so a bad row's line number counts from the top of the file.
             lines = itertools.count(2)
             if args.bulk_load:
-                # One batched phase-1 pass over everything already in
-                # the file.  When also following, only complete lines
-                # are consumed (max_polls=0 leaves a partial trailing
-                # line in place), so the tail loop below resumes the
-                # same handle mid-file with no re-read.
+                # When also following, only complete lines are consumed
+                # (max_polls=0 leaves a partial trailing line in place),
+                # so the tail loop below resumes the same handle
+                # mid-file with no re-read.
                 groups: "dict[int, list]" = {}
                 n_rows = 0
                 for row in iter_point_rows(
@@ -1008,21 +1008,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     groups.setdefault(row.traj_id, []).append(row)
                     n_rows += 1
                 if groups:
-                    items = []
-                    for traj_id, rows in groups.items():  # file order
-                        times = [r.time for r in rows]
-                        items.append((
-                            traj_id,
-                            np.array([r.point for r in rows]),
-                            None if times[0] is None else times,
-                            rows[0].weight,
-                        ))
-                    update = pipeline.bulk_load(items)
+                    feed.bulk(groups, n_rows)
                     opened.update(groups)
-                    event += 1
-                    print(f"bulk-loaded {n_rows} points / {len(groups)} "
-                          f"trajectories")
-                    _print_update(update, event, args.max_deltas)
             if not args.bulk_load or args.follow:
                 for row in iter_point_rows(
                     handle, follow=args.follow, poll=args.poll,
@@ -1037,176 +1024,67 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print("\ninterrupted — final state below")
     except BrokenPipeError:
         # Downstream pager/head went away: stop streaming quietly but
-        # still honour --checkpoint below.
+        # still report the final state and honour --checkpoint.
         _silence_stdout()
-    finally:
-        if scrape is not None:
-            scrape.close()
-    slots, labels = pipeline.labels()
-    n_clusters = int(labels.max()) + 1 if labels.size else 0
-    noise = int(np.sum(labels < 0))
-    print(
-        f"final: {max(n_clusters, 0)} clusters over {slots.size} live "
-        f"segments ({noise} noise)"
+
+
+def _cmd_stream(args: argparse.Namespace) -> int:
+    config = config_from_args(StreamConfig, args)
+    metrics = (
+        None if args.metrics_port is None else MetricsRegistry(enabled=True)
     )
-    if args.checkpoint:
-        from repro.stream.checkpoint import save_checkpoint
-
-        save_checkpoint(pipeline, args.checkpoint)
-        print(f"wrote {args.checkpoint}")
-    return 0
-
-
-def _cmd_stream_sharded(args: argparse.Namespace, config) -> int:
-    """``repro stream --shards K``: parallel shard ingest with the
-    merged label view (bitwise identical to ``--shards 1``)."""
-    from repro.exceptions import ClusteringError
-    from repro.shard import ShardedStream
-
-    metrics = None
+    feed = (_ShardedFeed if args.shards > 1 else _SingleFeed)(
+        args, config, metrics
+    )
     scrape = None
-    if args.metrics_port is not None:
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry(enabled=True)
     try:
-        stream = ShardedStream(
-            config,
-            args.shards,
-            processes=not args.inline_shards,
-            metrics=metrics,
-        )
-    except ClusteringError as error:
-        raise SystemExit(str(error))
-    if metrics is not None:
-        from repro.obs import start_scrape_server
-
-        scrape = start_scrape_server(
-            stream.metrics_snapshot, port=args.metrics_port
-        )
-        print(f"metrics on http://127.0.0.1:{scrape.port}/v1/metrics")
-    pending: "dict[int, list]" = {}
-    opened: "set[int]" = set()
-    event = 0
-
-    def report(merged) -> None:
-        nonlocal event
-        for diff in merged:
-            event += 1
-            if not diff.changed:
-                continue
-            print(
-                f"[{event:>5}] live={stream.view.n_live:>5} "
-                f"clusters={stream.view.n_clusters:>3} "
-                f"{len(diff.changed)} label changes, lag={stream.lag}"
+        if metrics is not None:
+            scrape = start_scrape_server(
+                feed.metrics_snapshot, port=args.metrics_port
             )
-            _print_deltas(diff.changed, args.max_deltas)
-
-    def flush(traj_id: int) -> None:
-        rows = pending.pop(traj_id)
-        points = np.array([r.point for r in rows])
-        times = [r.time for r in rows]
-        weight = None if traj_id in opened else rows[0].weight
-        opened.add(traj_id)
-        merged = stream.append(
-            traj_id,
-            points,
-            times=None if times[0] is None else times,
-            weight=weight,
-        )
-        report([merged] if merged is not None else stream.drain())
-
-    try:
-        try:
-            with open(args.input, "r", encoding="utf-8", newline="") as handle:
-                header = read_csv_header(handle)
-                lines = itertools.count(2)  # shared by both reads
-                if args.bulk_load:
-                    # Sharded sessions have no batched bulk path; the
-                    # equivalent seed is one whole-trajectory append
-                    # each, routed and merged like any other (labels
-                    # are append-order independent per trajectory).
-                    groups: "dict[int, list]" = {}
-                    n_rows = 0
-                    for row in iter_point_rows(
-                        handle, follow=args.follow, poll=0.0, max_polls=0,
-                        header=header, line_numbers=lines,
-                    ):
-                        groups.setdefault(row.traj_id, []).append(row)
-                        n_rows += 1
-                    for traj_id, rows in groups.items():  # file order
-                        pending[traj_id] = rows
-                        flush(traj_id)
-                    if groups:
-                        print(f"seeded {n_rows} points / {len(groups)} "
-                              f"trajectories across {args.shards} shards")
-                if not args.bulk_load or args.follow:
-                    for row in iter_point_rows(
-                        handle, follow=args.follow, poll=args.poll,
-                        header=header, line_numbers=lines,
-                    ):
-                        pending.setdefault(row.traj_id, []).append(row)
-                        if len(pending[row.traj_id]) >= args.batch_points:
-                            flush(row.traj_id)
-                for traj_id in sorted(pending):
-                    flush(traj_id)
-        except KeyboardInterrupt:
-            print("\ninterrupted — final state below")
-        except BrokenPipeError:
-            _silence_stdout()
-        stream.sync()
-        slots, labels = stream.labels()
+            print(f"metrics on http://127.0.0.1:{scrape.port}/v1/metrics")
+        _feed_csv(args, feed)
+        slots, labels = feed.labels()
         n_clusters = int(labels.max()) + 1 if labels.size else 0
         noise = int(np.sum(labels < 0))
         print(
             f"final: {max(n_clusters, 0)} clusters over {slots.size} live "
-            f"segments ({noise} noise) merged from {args.shards} shards"
+            f"segments ({noise} noise){feed.final_suffix}"
         )
         if args.checkpoint:
-            stream.checkpoint(args.checkpoint)
-            print(f"wrote {args.checkpoint}/ (sharded checkpoint)")
+            print(f"wrote {feed.checkpoint(args.checkpoint)}")
     finally:
         if scrape is not None:
             scrape.close()
-        stream.close()
+        feed.close()
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
     from repro.serve.registry import CorpusSpec
     from repro.serve.server import ServeApp, serve_forever
 
-    _apply_kernel_backend(args.kernel_backend)
-    config = TraclusConfig(
-        directed=not args.undirected,
-        suppression=args.suppression,
-        use_weights=args.use_weights,
-        compute_representatives=False,
-        kernel_backend=args.kernel_backend,
+    config = config_from_args(
+        TraclusConfig, args, compute_representatives=False
     )
     specs = []
-    seen = set()
     for path in args.inputs:
         name = os.path.splitext(os.path.basename(path))[0]
-        if name in seen:
-            raise SystemExit(
+        if any(spec.name == name for spec in specs):
+            raise ServeError(
                 f"duplicate corpus name {name!r} (from {path}); rename "
                 f"the file or serve it from a distinct stem"
             )
-        seen.add(name)
         if not os.path.exists(path):
-            raise SystemExit(f"{path}: no such file")
+            raise ServeError(f"{path}: no such file")
         specs.append(CorpusSpec(name=name, csv_path=path, config=config))
     max_disk_bytes = (
         int(args.max_disk_mb * 1024 * 1024)
         if args.max_disk_mb is not None
         else None
     )
-    from repro.obs import configure_logging
-
     configure_logging()
     app = ServeApp(
         specs,
@@ -1231,8 +1109,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """``repro doctor``: the :func:`repro.kernels.capability_report`
     rendered for operators — is this host actually running compiled?"""
-    from repro import kernels
-
     report = kernels.capability_report()
     print("kernel backends:")
     for name in kernels.KERNEL_BACKENDS:
@@ -1256,13 +1132,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         print("note: no compiled backend available — hot kernels run "
               "on the numpy fallback (install a C compiler for cext)")
     if args.json_out:
-        if args.json_out == "-":
-            json.dump(report, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-            print(f"wrote {args.json_out}")
+        _write_json(args.json_out, report)
     return 0
 
 
@@ -1275,19 +1145,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "cluster": _cmd_cluster,
-    "params": _cmd_params,
-    "sweep": _cmd_sweep,
-    "workspace": _cmd_workspace,
-    "generate": _cmd_generate,
-    "render": _cmd_render,
-    "stream": _cmd_stream,
-    "serve": _cmd_serve,
-    "doctor": _cmd_doctor,
-}
-
-
 #: Exit status of a run ended by a library error (:class:`ReproError`):
 #: not 1, which an uncaught traceback also returns, and not argparse's 2.
 EXIT_REPRO_ERROR = 3
@@ -1297,18 +1154,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
+        if hasattr(args, "kernel_backend"):
+            # An explicitly requested compiled backend the host cannot
+            # provide fails here, at the front door, instead of silently
+            # degrading mid-run.
+            kernels.resolve_backend(args.kernel_backend)
+            kernels.set_default_backend(args.kernel_backend)
+        return args.handler(args)
     except ReproError as error:
         message = " ".join(str(error).splitlines())
         print(f"repro {args.command}: error: {message}", file=sys.stderr)
         return EXIT_REPRO_ERROR
     except BrokenPipeError:
         # stdout piped into a pager/head that exited early: not an
-        # error worth a traceback.  Point the fd at devnull so the
-        # interpreter's shutdown flush does not raise again.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # error worth a traceback.
+        _silence_stdout()
         return 0
 
 

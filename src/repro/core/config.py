@@ -42,8 +42,39 @@ PARTITION_AUTO_BATCH_TRAJECTORIES = 2
 SWEEP_EXECUTORS = ("serial", "process")
 
 
+class _SegmentKnobs:
+    """The fields :class:`TraclusConfig` and :class:`StreamConfig`
+    share: their validation and the distance they configure."""
+
+    def _validate_shared(self) -> None:
+        if self.eps is not None and self.eps < 0:
+            raise ClusteringError(f"eps must be non-negative, got {self.eps}")
+        if self.min_lns is not None and self.min_lns <= 0:
+            raise ClusteringError(f"min_lns must be positive, got {self.min_lns}")
+        if self.suppression < 0:
+            raise ClusteringError(
+                f"suppression must be non-negative, got {self.suppression}"
+            )
+        if self.gamma < 0:
+            raise ClusteringError(f"gamma must be non-negative, got {self.gamma}")
+        if self.cardinality_threshold is not None and self.cardinality_threshold < 0:
+            raise ClusteringError(
+                "cardinality_threshold must be non-negative, got "
+                f"{self.cardinality_threshold}"
+            )
+
+    def distance(self) -> SegmentDistance:
+        """The configured :class:`SegmentDistance`."""
+        return SegmentDistance(
+            w_perp=self.w_perp,
+            w_par=self.w_par,
+            w_theta=self.w_theta,
+            directed=self.directed,
+        )
+
+
 @dataclass(frozen=True)
-class TraclusConfig:
+class TraclusConfig(_SegmentKnobs):
     """Parameters of one TRACLUS run.
 
     Attributes
@@ -105,21 +136,7 @@ class TraclusConfig:
     kernel_backend: str = "auto"
 
     def __post_init__(self):
-        if self.eps is not None and self.eps < 0:
-            raise ClusteringError(f"eps must be non-negative, got {self.eps}")
-        if self.min_lns is not None and self.min_lns <= 0:
-            raise ClusteringError(f"min_lns must be positive, got {self.min_lns}")
-        if self.suppression < 0:
-            raise ClusteringError(
-                f"suppression must be non-negative, got {self.suppression}"
-            )
-        if self.gamma < 0:
-            raise ClusteringError(f"gamma must be non-negative, got {self.gamma}")
-        if self.cardinality_threshold is not None and self.cardinality_threshold < 0:
-            raise ClusteringError(
-                "cardinality_threshold must be non-negative, got "
-                f"{self.cardinality_threshold}"
-            )
+        self._validate_shared()
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ClusteringError(
                 f"unknown kernel backend {self.kernel_backend!r}; "
@@ -127,15 +144,6 @@ class TraclusConfig:
             )
         # Delegate weight validation to SegmentDistance.
         self.distance()
-
-    def distance(self) -> SegmentDistance:
-        """The configured :class:`SegmentDistance`."""
-        return SegmentDistance(
-            w_perp=self.w_perp,
-            w_par=self.w_par,
-            w_theta=self.w_theta,
-            directed=self.directed,
-        )
 
 
 @dataclass(frozen=True)
@@ -207,7 +215,7 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(_SegmentKnobs):
     """Parameters of a streaming TRACLUS session.
 
     Unlike :class:`TraclusConfig`, ``eps`` and ``min_lns`` are required
@@ -257,21 +265,7 @@ class StreamConfig:
     dim: int = 2
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ClusteringError(f"eps must be non-negative, got {self.eps}")
-        if self.min_lns <= 0:
-            raise ClusteringError(f"min_lns must be positive, got {self.min_lns}")
-        if self.suppression < 0:
-            raise ClusteringError(
-                f"suppression must be non-negative, got {self.suppression}"
-            )
-        if self.gamma < 0:
-            raise ClusteringError(f"gamma must be non-negative, got {self.gamma}")
-        if self.cardinality_threshold is not None and self.cardinality_threshold < 0:
-            raise ClusteringError(
-                "cardinality_threshold must be non-negative, got "
-                f"{self.cardinality_threshold}"
-            )
+        self._validate_shared()
         if self.max_segments is not None and self.max_segments < 1:
             raise ClusteringError(
                 f"max_segments must be positive, got {self.max_segments}"
@@ -291,12 +285,3 @@ class StreamConfig:
             raise ClusteringError(f"dim must be positive, got {self.dim}")
         # Delegate weight validation to SegmentDistance.
         self.distance()
-
-    def distance(self) -> SegmentDistance:
-        """The configured :class:`SegmentDistance`."""
-        return SegmentDistance(
-            w_perp=self.w_perp,
-            w_par=self.w_par,
-            w_theta=self.w_theta,
-            directed=self.directed,
-        )

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_REPRO_ERROR, main
 from repro.datasets.synthetic import generate_corridor_set
 from repro.io import csvio
 from repro.io.csvio import write_trajectories_csv
@@ -70,12 +70,15 @@ class TestShardedCli:
             assert json.load(handle)["n_shards"] == 2
         capsys.readouterr()
 
-    def test_rejects_windowed_sharded_config(self, tracks_csv):
-        with pytest.raises(SystemExit):
-            main([
-                "stream", tracks_csv, "--eps", "5", "--min-lns", "3",
-                "--shards", "2", "--inline-shards", "--window", "50",
-            ])
+    def test_rejects_windowed_sharded_config(self, tracks_csv, capsys):
+        assert main([
+            "stream", tracks_csv, "--eps", "5", "--min-lns", "3",
+            "--shards", "2", "--inline-shards", "--window", "50",
+        ]) == EXIT_REPRO_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("repro stream: error: ")
+        assert "does not support max_segments" in err
 
     def test_rejects_bad_shard_count(self, tracks_csv):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_REPRO_ERROR, build_parser, main
 from repro.io.csvio import write_trajectories_csv
 
 
@@ -108,9 +108,14 @@ class TestWorkspaceFlow:
         kinds = {entry["kind"] for entry in entries}
         assert {"partition", "graph", "labels"} <= kinds
 
-    def test_inspector_rejects_missing_directory(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["workspace", "inspect", str(tmp_path / "absent")])
+    def test_inspector_rejects_missing_directory(self, tmp_path, capsys):
+        assert main([
+            "workspace", "inspect", str(tmp_path / "absent"),
+        ]) == EXIT_REPRO_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("repro workspace: error: ")
+        assert "absent: not a directory" in err
 
     def test_inspector_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -2,12 +2,16 @@
 
 import json
 import os
+import socket
 
 import numpy as np
 import pytest
 
+import repro.serve.server
+from repro import cli, kernels
 from repro.api.cache import ArtifactStore
 from repro.cli import EXIT_REPRO_ERROR, build_parser, main
+from repro.core.config import StreamConfig, SweepConfig, TraclusConfig
 from repro.io.csvio import read_trajectories_csv, write_trajectories_csv
 from repro.model.trajectory import Trajectory
 
@@ -65,6 +69,18 @@ class TestClusterCommand:
             "cluster", tracks_csv, "--eps", "10", "--min-lns", "4",
             "--undirected",
         ]) == 0
+
+    def test_json_dash_prints_the_file_document(
+        self, tracks_csv, tmp_path, capsys
+    ):
+        json_out = str(tmp_path / "result.json")
+        argv = ["cluster", tracks_csv, "--eps", "10", "--min-lns", "4"]
+        assert main(argv + ["--json", json_out]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--json", "-"]) == 0
+        with open(json_out, encoding="utf-8") as handle:
+            document = handle.read()
+        assert capsys.readouterr().out.endswith(document + "\n")
 
 
 class TestParamsCommand:
@@ -140,6 +156,282 @@ class TestErrorContract:
         code = main(["stream", nan_csv, "--eps", "10", "--min-lns", "4"])
         assert code == EXIT_REPRO_ERROR
         self._assert_one_line_error(capsys, "stream")
+
+
+def _exit_status(argv):
+    """What the installed script would exit with: main()'s return value,
+    or the status of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exit_info:
+        return exit_info.code
+
+
+@pytest.fixture
+def closed_url():
+    """A local URL nothing listens on: a port that was bound, then
+    closed."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestExitStatusTable:
+    """Every rejected invocation ends in one diagnosis: an option value
+    argparse can check exits 2 with its one ``error:`` line after the
+    usage; anything else exits 3 with exactly one
+    ``repro <command>: error:`` line."""
+
+    @pytest.mark.parametrize("argv,status,command,fragment", [
+        pytest.param(
+            ["sweep", "{csv}", "--eps", "5:1", "--min-lns", "3"],
+            2, "sweep", "argument --eps: invalid grid spec '5:1'",
+            id="sweep-eps-grid"),
+        pytest.param(
+            ["sweep", "{csv}", "--eps", "5", "--min-lns", "a,b"],
+            2, "sweep", "argument --min-lns: invalid grid spec",
+            id="sweep-min-lns-grid"),
+        pytest.param(
+            ["stream", "{csv}", "--eps", "5", "--min-lns", "3",
+             "--shards", "0"],
+            2, "stream", "argument --shards: must be >= 1",
+            id="stream-shards-0"),
+        pytest.param(
+            ["stream", "{csv}", "--eps", "5", "--min-lns", "3",
+             "--batch-points", "0"],
+            2, "stream", "argument --batch-points: must be >= 1",
+            id="stream-batch-points-0"),
+        pytest.param(
+            ["generate", "corridor", "--n", "0", "-o", "{tmp}/x.csv"],
+            2, "generate", "argument --n: must be >= 1",
+            id="generate-n-0"),
+        pytest.param(
+            ["generate", "elk", "--points", "0", "-o", "{tmp}/x.csv"],
+            2, "generate", "argument --points: must be >= 1",
+            id="generate-points-0"),
+        pytest.param(
+            ["generate", "corridor", "--n", "x", "-o", "{tmp}/x.csv"],
+            2, "generate", "argument --n: invalid int value: 'x'",
+            id="generate-n-not-a-number"),
+        pytest.param(
+            ["params", "{csv}", "--eps-max", "0"],
+            2, "params", "argument --eps-max: must be >= 1",
+            id="params-eps-max-0"),
+        pytest.param(
+            ["params", "{csv}", "--eps-max", "0.5"],
+            2, "params", "argument --eps-max: must be >= 1",
+            id="params-eps-max-half"),
+        pytest.param(
+            ["workspace", "inspect", "{tmp}/absent"],
+            3, "workspace", "absent: not a directory",
+            id="inspect-missing-dir"),
+        pytest.param(
+            ["workspace", "query", "{tmp}/absent"],
+            3, "workspace", "absent: not a directory",
+            id="query-missing-dir"),
+        pytest.param(
+            ["workspace", "stats", "{tmp}/absent"],
+            3, "workspace", "absent: not a directory",
+            id="stats-missing-dir"),
+        pytest.param(
+            ["workspace", "stats"], 3, "workspace", "DIR or --url",
+            id="stats-no-source"),
+        pytest.param(
+            ["workspace", "stats", "--url", "{url}"],
+            3, "workspace", "{url}/v1/stats: ",
+            id="stats-unreachable-url"),
+        pytest.param(
+            ["workspace", "query", "{ws}", "--sql", "SELECT 1",
+             "--limit", "3"],
+            3, "workspace", "--sql takes the full statement",
+            id="query-sql-with-filters"),
+        pytest.param(
+            ["workspace", "query", "{ws}", "--sql", "DELETE FROM artifacts"],
+            3, "workspace", "read-only",
+            id="query-rejected-sql"),
+        pytest.param(
+            ["workspace", "query", "{broken}"],
+            3, "workspace", "catalog unavailable",
+            id="query-no-catalog"),
+        pytest.param(
+            ["stream", "{csv}", "--eps", "5", "--min-lns", "3",
+             "--shards", "2", "--inline-shards", "--window", "50"],
+            3, "stream", "does not support max_segments",
+            id="stream-windowed-shards"),
+        pytest.param(
+            ["serve", "{csv}", "{csv}"],
+            3, "serve", "duplicate corpus name 'tracks'",
+            id="serve-duplicate-name"),
+        pytest.param(
+            ["serve", "{tmp}/missing.csv"],
+            3, "serve", "missing.csv: no such file",
+            id="serve-missing-file"),
+        pytest.param(
+            ["cluster", "{csv}", "--kernel-backend", "cext"],
+            3, "cluster", "kernel backend 'cext' is not available",
+            id="unavailable-kernel-backend"),
+    ])
+    def test_status_and_one_line(
+        self, tracks_csv, tmp_path, closed_url, monkeypatch, capsys,
+        argv, status, command, fragment,
+    ):
+        # A host without the compiled backend.
+        monkeypatch.setattr(kernels, "_registry", {"numpy": None})
+        monkeypatch.setattr(kernels, "_status", {
+            "numpy": "ok (always available)", "cext": "unavailable (test)",
+        })
+        (tmp_path / "ws").mkdir()
+        (tmp_path / "broken" / "catalog.sqlite").mkdir(parents=True)
+        names = {
+            "csv": tracks_csv, "tmp": str(tmp_path), "url": closed_url,
+            "ws": str(tmp_path / "ws"), "broken": str(tmp_path / "broken"),
+        }
+        argv = [arg.format(**names) for arg in argv]
+        assert _exit_status(argv) == status
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1, err
+        assert errors[0].startswith(f"repro {command}: error: ")
+        assert fragment.format(**names) in errors[0]
+        if status == EXIT_REPRO_ERROR:
+            assert err == errors[0] + "\n"
+
+
+class _Stop(Exception):
+    """Ends a handler once a stand-in has seen what it was built with."""
+
+
+def _stand_in(monkeypatch, module, name):
+    """Replace ``module.name`` by a class that records its constructor
+    call and every method call, and stops the handler at the first
+    method call."""
+    calls = []
+
+    class StandIn:
+        def __init__(self, *args, **kwargs):
+            calls.append((args, kwargs))
+
+        def __getattr__(self, method):
+            def record(*args, **kwargs):
+                calls.append((args, kwargs))
+                raise _Stop
+
+            return record
+
+    monkeypatch.setattr(module, name, StandIn)
+    return calls
+
+
+SHARED = ["--suppression", "2.5", "--undirected", "--use-weights"]
+ENGINE = ["--kernel-backend", "numpy", "--workspace", "ws"]
+
+
+class TestConfigMapping:
+    """Each option reaches the config field its ``dest`` names: with no
+    flags and with every flag, a handler builds exactly the config the
+    hand-written constructor calls built."""
+
+    @pytest.fixture(autouse=True)
+    def restore_default_backend(self):
+        previous = kernels.default_backend_name()
+        yield
+        kernels.set_default_backend(previous)
+
+    @pytest.mark.parametrize("flags,config,workspace", [
+        ([], TraclusConfig(), None),
+        (["--eps", "7", "--min-lns", "8", "--gamma", "2", *SHARED, *ENGINE],
+         TraclusConfig(eps=7.0, min_lns=8.0, directed=False,
+                       suppression=2.5, use_weights=True, gamma=2.0,
+                       kernel_backend="numpy"),
+         "ws"),
+    ], ids=["defaults", "every-flag"])
+    def test_cluster(
+        self, tracks_csv, monkeypatch, flags, config, workspace
+    ):
+        calls = _stand_in(monkeypatch, cli, "TRACLUS")
+        with pytest.raises(_Stop):
+            main(["cluster", tracks_csv, *flags])
+        assert calls[0] == ((config,), {"workspace_dir": workspace})
+
+    @pytest.mark.parametrize("flags,config,workspace", [
+        ([], TraclusConfig(compute_representatives=False), None),
+        (["--suppression", "2.5", *ENGINE],
+         TraclusConfig(suppression=2.5, compute_representatives=False,
+                       kernel_backend="numpy"),
+         "ws"),
+    ], ids=["defaults", "every-flag"])
+    def test_params(
+        self, tracks_csv, monkeypatch, flags, config, workspace
+    ):
+        calls = _stand_in(monkeypatch, cli, "Workspace")
+        with pytest.raises(_Stop):
+            main(["params", tracks_csv, *flags])
+        (_, built), kwargs = calls[0]
+        assert built == config and kwargs == {"cache_dir": workspace}
+
+    @pytest.mark.parametrize("flags,config,sweep_config", [
+        (["--eps", "5", "--min-lns", "3"],
+         TraclusConfig(compute_representatives=False),
+         SweepConfig(eps_values=[5.0], min_lns_values=[3.0])),
+        (["--eps", "5:7", "--min-lns", "3,4", "--cardinality-threshold",
+          "3", "--executor", "process", "--workers", "2", *SHARED,
+          *ENGINE],
+         TraclusConfig(directed=False, suppression=2.5, use_weights=True,
+                       cardinality_threshold=3.0,
+                       compute_representatives=False,
+                       kernel_backend="numpy"),
+         SweepConfig(eps_values=[5.0, 6.0, 7.0], min_lns_values=[3.0, 4.0],
+                     executor="process", n_workers=2)),
+    ], ids=["defaults", "every-flag"])
+    def test_sweep(
+        self, tracks_csv, monkeypatch, flags, config, sweep_config
+    ):
+        calls = _stand_in(monkeypatch, cli, "TRACLUS")
+        with pytest.raises(_Stop):
+            main(["sweep", tracks_csv, *flags])
+        assert calls[0][0] == (config,)
+        assert calls[1][0][1] == sweep_config
+
+    @pytest.mark.parametrize("flags,config", [
+        ([], StreamConfig(eps=7.0, min_lns=8.0)),
+        ([*SHARED, "--window", "50", "--horizon", "4",
+          "--compact-dead-fraction", "0.5"],
+         StreamConfig(eps=7.0, min_lns=8.0, directed=False,
+                      suppression=2.5, use_weights=True, max_segments=50,
+                      horizon=4.0, compact_dead_fraction=0.5)),
+    ], ids=["defaults", "every-flag"])
+    def test_stream(self, tracks_csv, monkeypatch, flags, config):
+        calls = _stand_in(monkeypatch, cli, "StreamingTRACLUS")
+        with pytest.raises(_Stop):
+            main(["stream", tracks_csv, "--eps", "7", "--min-lns", "8",
+                  *flags])
+        assert calls[0] == ((config,), {"metrics": None})
+
+    @pytest.mark.parametrize("flags,config,workspace,backend", [
+        ([], TraclusConfig(compute_representatives=False), None, "auto"),
+        ([*SHARED, *ENGINE, "--workers", "2"],
+         TraclusConfig(directed=False, suppression=2.5, use_weights=True,
+                       compute_representatives=False,
+                       kernel_backend="numpy"),
+         "ws", "numpy"),
+    ], ids=["defaults", "every-flag"])
+    def test_serve(
+        self, tracks_csv, monkeypatch, flags, config, workspace, backend
+    ):
+        seen = {}
+
+        def serve_app(specs, **kwargs):
+            seen.update(kwargs, configs=[spec.config for spec in specs])
+            raise _Stop
+
+        monkeypatch.setattr(repro.serve.server, "ServeApp", serve_app)
+        monkeypatch.setattr(cli, "configure_logging", lambda: None)
+        with pytest.raises(_Stop):
+            main(["serve", tracks_csv, *flags])
+        assert seen["configs"] == [config]
+        assert seen["cache_dir"] == workspace
+        assert seen["kernel_backend"] == backend
 
 
 class TestGenerateCommand:

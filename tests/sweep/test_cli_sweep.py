@@ -1,5 +1,6 @@
 """CLI tests for the ``repro sweep`` subcommand."""
 
+import argparse
 import csv
 import json
 
@@ -21,16 +22,16 @@ def tracks_csv(tmp_path, corridor_trajectories):
 
 class TestGridSpecParser:
     def test_comma_list(self):
-        assert _parse_grid("25,27,30", "--eps") == [25.0, 27.0, 30.0]
+        assert _parse_grid("25,27,30") == [25.0, 27.0, 30.0]
 
     def test_range_with_step(self):
-        assert _parse_grid("20:26:2", "--eps") == [20.0, 22.0, 24.0, 26.0]
+        assert _parse_grid("20:26:2") == [20.0, 22.0, 24.0, 26.0]
 
     def test_range_defaults_to_unit_step(self):
-        assert _parse_grid("3:6", "--eps") == [3.0, 4.0, 5.0, 6.0]
+        assert _parse_grid("3:6") == [3.0, 4.0, 5.0, 6.0]
 
     def test_fractional_step_keeps_inclusive_hi(self):
-        values = _parse_grid("1:2:0.25", "--eps")
+        values = _parse_grid("1:2:0.25")
         assert values[0] == 1.0 and values[-1] == 2.0
         assert len(values) == 5
 
@@ -38,8 +39,8 @@ class TestGridSpecParser:
         "spec", ["", "a,b", "5:1", "1:5:-1", "1:2:3:4", "1:2:0"]
     )
     def test_invalid_specs_exit(self, spec):
-        with pytest.raises(SystemExit):
-            _parse_grid(spec, "--eps")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_grid(spec)
 
 
 class TestParser:
@@ -55,7 +56,7 @@ class TestParser:
             ["sweep", "in.csv", "--eps", "4,8", "--min-lns", "3"]
         )
         assert args.executor == "serial"
-        assert args.workers is None
+        assert args.n_workers is None
         assert args.csv_out is None and args.json_out is None
 
     def test_executor_choices(self):
