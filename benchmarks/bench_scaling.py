@@ -102,30 +102,6 @@ def run_lemma3():
     return rows
 
 
-def run_candidate_generation_comparison(min_segments=5000, eps=8.0):
-    """Batch-build candidate generation: the per-query grid walk (the
-    pre-PR-2 Python loop the ROADMAP called the dominant cost) vs the
-    vectorized cell-key join, on identical data and ε."""
-    n_traj = 20
-    segments = constant_density_segments(n_traj, seed=23)
-    while len(segments) < min_segments:
-        n_traj *= 2
-        segments = constant_density_segments(n_traj, seed=23)
-
-    start = time.perf_counter()
-    walk = NeighborGraph.build(segments, eps, vectorized_candidates=False)
-    walk_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    vector = NeighborGraph.build(segments, eps)
-    vector_time = time.perf_counter() - start
-
-    assert np.array_equal(walk.indptr, vector.indptr)
-    assert np.array_equal(walk.indices, vector.indices)
-    assert np.array_equal(walk.data, vector.data)
-    return len(segments), walk_time, vector_time
-
-
 def run_engine_comparison(min_segments=5000):
     """Full neighbor-graph construction: per-query brute vs the batched
     CSR builder, on one constant-density set of at least
@@ -291,28 +267,6 @@ def test_engine_comparison_batch_speedup(benchmark):
     assert np.array_equal(labels_brute, labels_batch)
 
 
-def test_vectorized_candidate_generation_wins(benchmark):
-    """The PR-2 satellite: the vectorized cell join builds the same
-    bitwise-identical graph faster than the per-query grid walk at
-    >= 5000 segments (the walk dominated the batch build before)."""
-    n, walk_time, vector_time = benchmark.pedantic(
-        run_candidate_generation_comparison, rounds=1, iterations=1
-    )
-    print_table(
-        "Batch-build candidate generation (grid walk vs vectorized join)",
-        [
-            ("per-query grid walk", n, f"{walk_time * 1000:.0f} ms"),
-            ("vectorized cell join", n, f"{vector_time * 1000:.0f} ms"),
-        ],
-        ("candidates via", "n segments", "full build time"),
-    )
-    assert n >= 5000
-    assert walk_time > vector_time, (
-        f"vectorized candidates ({vector_time:.3f}s) slower than the "
-        f"python walk ({walk_time:.3f}s)"
-    )
-
-
 def test_lemma1_partitioning_linear(benchmark):
     rows = benchmark.pedantic(run_lemma1, rounds=1, iterations=1)
     table = [(n, f"{t * 1000:.1f} ms") for n, t in rows]
@@ -389,18 +343,6 @@ def main(argv=None):
         "Engine comparison: full neighbor-graph build",
         [(m, n, f"{t * 1000:.0f} ms") for m, n, t in engine_rows],
         ("engine", "n segments", "build+sizes time"),
-    )
-    n, walk_time, vector_time = run_candidate_generation_comparison(
-        min_segments=min_segments
-    )
-    print_table(
-        "Batch-build candidate generation (grid walk vs vectorized join)",
-        [
-            ("per-query grid walk", n, f"{walk_time * 1000:.0f} ms"),
-            ("vectorized cell join", n, f"{vector_time * 1000:.0f} ms"),
-            ("speedup", n, f"{walk_time / vector_time:.1f}x"),
-        ],
-        ("candidates via", "n segments", "full build time"),
     )
 
     # --- Kernel-backend dimension: the pair-distance kernel ----------

@@ -911,8 +911,7 @@ class _SingleFeed:
     def checkpoint(self, path: str) -> str:
         from repro.stream.checkpoint import save_checkpoint
 
-        save_checkpoint(self.pipeline, path)
-        return path
+        return save_checkpoint(self.pipeline, path)
 
     def close(self) -> None:
         pass

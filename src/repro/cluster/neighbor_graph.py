@@ -6,16 +6,18 @@ The brute-force engine in :mod:`repro.cluster.neighborhood` answers
 pays n sequential O(n) passes through Python.  This module instead
 materializes the *entire* ε-neighborhood relation in one pass:
 
-1. **Candidate generation** — a :class:`~repro.index.grid.SegmentGrid`
-   buckets segment bounding boxes; each segment's window (expanded by
-   the candidate radius of the module docstring of
-   :mod:`repro.cluster.neighborhood`) yields a superset of its true
-   neighbors.  Only unordered pairs ``i < j`` are kept: the distance is
-   bitwise symmetric (see below), so each pair is evaluated once.
-   When either distance weight is zero the geometric prefilter is
-   unsound, and the builder falls back to enumerating all ``i < j``
-   pairs (:func:`repro.model.ragged.upper_triangle_blocks`) — still
-   exact, still blocked.
+1. **Candidate generation** — a uniform cell join: every segment's
+   bounding box registers in the cells it overlaps, and each segment's
+   window (its box expanded by :func:`candidate_radius`, whose
+   soundness argument is the module docstring of
+   :mod:`repro.cluster.neighborhood`) is matched against the sorted
+   cell keys, which yields a superset of its true neighbors.  Only
+   unordered pairs ``i < j`` are kept: the distance is bitwise
+   symmetric (see below), so each pair is evaluated once.  When
+   :func:`candidate_radius` has no finite radius (a zero distance
+   weight, or an ε too large to bound) the builder enumerates all
+   ``i < j`` pairs (:func:`repro.model.ragged.upper_triangle_blocks`)
+   — still exact, still blocked.
 2. **Blocked join** — candidate pairs accumulate into fixed-size blocks
    (``pair_block`` pairs) that are evaluated by the many-pairs kernel
    :func:`repro.distance.vectorized.component_distances_pairs` (over
@@ -47,7 +49,6 @@ import numpy as np
 
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
-from repro.index.grid import SegmentGrid
 from repro.kernels import DEFAULT_PAIR_BLOCK, map_pair_blocks
 from repro.model.ragged import (
     concatenate_ranges,
@@ -66,17 +67,20 @@ from repro.model.segmentset import SegmentSet
 SUBNORMAL_RADIUS_GUARD = 1e-150
 
 
-def candidate_radius(eps: float, distance: SegmentDistance) -> float:
+def candidate_radius(eps: float, distance: SegmentDistance) -> Optional[float]:
     """Euclidean bbox-expansion radius that cannot miss an ε-neighbor
     (soundness argument: module docstring of
-    :mod:`repro.cluster.neighborhood`).  Requires positive ``w_perp``
-    and ``w_par``."""
-    return max(
-        math.sqrt(
-            (2.0 * eps / distance.w_perp) ** 2 + (eps / distance.w_par) ** 2
-        ),
-        SUBNORMAL_RADIUS_GUARD,
-    )
+    :mod:`repro.cluster.neighborhood`), or ``None`` when no finite
+    radius is sound — a zero ``w_perp``/``w_par`` voids the bound, and
+    an infinite or overflowing ε leaves nothing to prune.  ``None``
+    makes every pair a candidate, in the batch join and the dynamic
+    graph alike."""
+    if not (distance.w_perp > 0 and distance.w_par > 0):
+        return None
+    radius = math.hypot(2.0 * eps / distance.w_perp, eps / distance.w_par)
+    if not math.isfinite(radius):
+        return None
+    return max(radius, SUBNORMAL_RADIUS_GUARD)
 
 
 #: Mirrors ``SegmentGrid(max_cells_per_segment=...)``: segments whose
@@ -114,248 +118,187 @@ def _enumerate_cells(
     return owners, coords
 
 
-def _vector_candidate_stream(
-    segments: SegmentSet,
-    eps: float,
-    distance: SegmentDistance,
-    cell_size: Optional[float],
-    pair_block: int,
-) -> Optional[Iterator[Tuple[np.ndarray, np.ndarray]]]:
-    """Vectorized per-cell candidate generation.
-
-    Emits the same candidate pairs as the per-query grid walk (same
-    cell layout, same oversize and big-window rules) without a Python
-    loop over segments: registration cells and query windows are
-    enumerated with mixed-radix array arithmetic, candidates come from
-    one ``searchsorted`` join against the sorted cell keys, and each
-    unordered pair is *owned by its smaller id* (only ``candidate >
-    query`` survives), so a pair can never be emitted from two chunks.
-    Peak scratch is bounded by chunking both the cell enumeration
-    (:data:`_CELL_CHUNK_BUDGET` cells) and the member expansion
-    (``pair_block`` candidates, split at query boundaries).
-
-    Returns ``None`` when the cell coordinates cannot be packed into
-    int64 keys (gigantic extent/cell-size ratios); the caller then
-    falls back to the per-query grid walk.
-    """
-    n = len(segments)
-    if n < 2:
-        return iter(())
-    radius = candidate_radius(eps, distance)
-    cs = float(cell_size) if cell_size else max(radius, 1e-9)
-    box_lo = np.minimum(segments.starts, segments.ends)
-    box_hi = np.maximum(segments.starts, segments.ends)
-    origin = box_lo.min(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reg_lo_f = np.floor((box_lo - origin) / cs)
-        reg_hi_f = np.floor((box_hi - origin) / cs)
-        qry_lo_f = np.floor((box_lo - radius - origin) / cs)
-        qry_hi_f = np.floor((box_hi + radius - origin) / cs)
-    bound = 2.0**62
-    if not (
-        np.all(np.isfinite(qry_lo_f))
-        and np.all(np.isfinite(qry_hi_f))
-        and float(np.abs(qry_lo_f).max()) < bound
-        and float(np.abs(qry_hi_f).max()) < bound
-    ):
-        return None
-    glo = qry_lo_f.min(axis=0).astype(np.int64)
-    ghi = qry_hi_f.max(axis=0).astype(np.int64)
-    extents = ghi - glo + 1
-    if float(np.prod(extents.astype(np.float64))) >= bound:
-        return None
-    radix = np.ones(extents.shape[0], dtype=np.int64)
-    for k in range(extents.shape[0] - 2, -1, -1):
-        radix[k] = radix[k + 1] * extents[k + 1]
-
-    reg_lo = reg_lo_f.astype(np.int64)
-    reg_hi = reg_hi_f.astype(np.int64)
-    qry_lo = qry_lo_f.astype(np.int64)
-    qry_hi = qry_hi_f.astype(np.int64)
-
-    def encode(coords: np.ndarray) -> np.ndarray:
-        return (coords - glo) @ radix
-
-    def generate() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        # --- registration: sorted cell keys with member groups --------
-        reg_spans = reg_hi - reg_lo + 1
-        reg_cells = np.prod(reg_spans.astype(np.float64), axis=1)
-        oversize_mask = reg_cells > _MAX_CELLS_PER_SEGMENT
-        oversize = np.flatnonzero(oversize_mask)
-        registered = np.flatnonzero(~oversize_mask)
-        if registered.size:
-            counts = np.prod(reg_spans[registered], axis=1)
-            owners, coords = _enumerate_cells(
-                reg_lo[registered], reg_spans[registered], counts
-            )
-            keys = encode(coords)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            members = registered[owners[order]]
-            unique_keys, group_start = np.unique(
-                sorted_keys, return_index=True
-            )
-            group_count = np.diff(
-                np.append(group_start, sorted_keys.size)
-            )
-        else:
-            members = np.empty(0, dtype=np.int64)
-            unique_keys = np.empty(0, dtype=np.int64)
-            group_start = np.empty(0, dtype=np.int64)
-            group_count = np.empty(0, dtype=np.int64)
-
-        def emit(
-            left: np.ndarray, right: np.ndarray
-        ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-            for at in range(0, left.size, pair_block):
-                yield left[at:at + pair_block], right[at:at + pair_block]
-
-        # --- huge-window queries: scan registration ranges ------------
-        qry_spans = qry_hi - qry_lo + 1
-        window_cells = np.prod(qry_spans.astype(np.float64), axis=1)
-        for i in np.flatnonzero(window_cells > _HUGE_WINDOW_CELLS).tolist():
-            hit = np.all(
-                (reg_lo <= qry_hi[i]) & (reg_hi >= qry_lo[i]), axis=1
-            )
-            hit &= ~oversize_mask
-            mates = sorted_unique(
-                np.concatenate([np.flatnonzero(hit), oversize])
-            )
-            mates = mates[mates > i]
-            if mates.size:
-                yield from emit(
-                    np.full(mates.size, i, dtype=np.int64), mates
-                )
-
-        # --- normal queries: chunked cell-key join --------------------
-        queries = np.flatnonzero(window_cells <= _HUGE_WINDOW_CELLS)
-        if queries.size == 0:
-            return
-        query_cells = np.prod(qry_spans[queries], axis=1)
-        cell_cum = np.cumsum(query_cells)
-        start = 0
-        while start < queries.size:
-            base = cell_cum[start - 1] if start else 0
-            stop = int(
-                np.searchsorted(cell_cum, base + _CELL_CHUNK_BUDGET, "right")
-            )
-            stop = min(max(stop, start + 1), queries.size)
-            chunk = queries[start:stop]
-            counts = query_cells[start:stop]
-            rows, coords = _enumerate_cells(
-                qry_lo[chunk], qry_spans[chunk], counts
-            )
-            keys = encode(coords)
-            pos = np.searchsorted(unique_keys, keys)
-            np.clip(pos, 0, max(unique_keys.size - 1, 0), out=pos)
-            matched = (
-                unique_keys[pos] == keys
-                if unique_keys.size
-                else np.zeros(keys.size, dtype=bool)
-            )
-            match_row = rows[matched]
-            match_gid = pos[matched]
-            match_count = group_count[match_gid]
-            # Split the member expansion at query boundaries so no
-            # sub-chunk materializes (much) more than pair_block
-            # candidates — the same bound the per-query walk has.
-            per_query = np.bincount(
-                match_row, weights=match_count, minlength=chunk.size
-            ).astype(np.int64) + oversize.size
-            expansion_cum = np.cumsum(per_query)
-            row_bounds = np.searchsorted(
-                match_row, np.arange(chunk.size + 1)
-            )
-            sub = 0
-            while sub < chunk.size:
-                base2 = expansion_cum[sub - 1] if sub else 0
-                sub_stop = int(
-                    np.searchsorted(expansion_cum, base2 + pair_block, "right")
-                )
-                sub_stop = min(max(sub_stop, sub + 1), chunk.size)
-                lo_m, hi_m = row_bounds[sub], row_bounds[sub_stop]
-                sub_row = match_row[lo_m:hi_m]
-                sub_gid = match_gid[lo_m:hi_m]
-                sub_cnt = match_count[lo_m:hi_m]
-                query_ids = chunk[np.repeat(sub_row, sub_cnt)]
-                candidates = members[
-                    concatenate_ranges(group_start[sub_gid], sub_cnt)
-                ]
-                if oversize.size:
-                    span = chunk[sub:sub_stop]
-                    query_ids = np.concatenate(
-                        [query_ids, np.repeat(span, oversize.size)]
-                    )
-                    candidates = np.concatenate(
-                        [candidates, np.tile(oversize, span.size)]
-                    )
-                keep = candidates > query_ids
-                if np.any(keep):
-                    pair_keys = sorted_unique(
-                        query_ids[keep] * n + candidates[keep]
-                    )
-                    yield from emit(pair_keys // n, pair_keys % n)
-                sub = sub_stop
-            start = stop
-
-    return generate()
-
-
 def _candidate_pair_stream(
     segments: SegmentSet,
     eps: float,
     distance: SegmentDistance,
-    cell_size: Optional[float],
     pair_block: int,
-    vectorized: Optional[bool] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield ``(left, right)`` blocks of candidate pairs, ``left < right``
     row-wise, each block at most ``pair_block`` pairs.
 
-    Every pair within distance ε appears in exactly one block (the grid
-    prefilter is a superset; duplicates cannot occur because a pair is
-    only emitted from its smaller member's window).
+    Every pair within distance ε appears in exactly one block.  Without
+    a finite :func:`candidate_radius` every ``i < j`` pair is a
+    candidate.  Otherwise the pairs come from a cell join with no
+    Python loop over segments: registration cells and query windows
+    are enumerated with mixed-radix array arithmetic, candidates come
+    from one ``searchsorted`` join against the sorted cell keys, and
+    each unordered pair is *owned by its smaller id* (only ``candidate
+    > query`` survives), so a pair can never be emitted from two
+    chunks.  Peak scratch is bounded by chunking both the cell
+    enumeration (:data:`_CELL_CHUNK_BUDGET` cells) and the member
+    expansion (``pair_block`` candidates, split at query boundaries).
 
-    ``vectorized`` selects the candidate generator when the geometric
-    prefilter applies: ``None`` (default) uses the vectorized cell join
-    of :func:`_vector_candidate_stream` and falls back to the per-query
-    grid walk when the cell-key space cannot be packed into int64;
-    ``False`` forces the grid walk (the pre-vectorization reference,
-    kept for benchmarking and as the fallback).
+    Cells start at the candidate radius and are coarsened until every
+    window's cell coordinates pack into one int64 key: any cell size
+    is sound, a coarser one only admits more candidates.
     """
-    if not (distance.w_perp > 0 and distance.w_par > 0):
-        yield from upper_triangle_blocks(len(segments), pair_block)
-        return
-    if vectorized is not False:
-        stream = _vector_candidate_stream(
-            segments, eps, distance, cell_size, pair_block
-        )
-        if stream is not None:
-            yield from stream
-            return
+    n = len(segments)
     radius = candidate_radius(eps, distance)
-    grid = SegmentGrid(
-        segments, cell_size=cell_size if cell_size else max(radius, 1e-9)
-    )
-    pending_left: List[np.ndarray] = []
-    pending_right: List[np.ndarray] = []
-    pending = 0
-    for i in range(len(segments)):
-        mates = grid.candidates_near(i, radius)
+    if radius is None or n < 2:
+        yield from upper_triangle_blocks(n, pair_block)
+        return
+    box_lo = np.minimum(segments.starts, segments.ends)
+    box_hi = np.maximum(segments.starts, segments.ends)
+    origin = box_lo.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        window_lo = box_lo - radius - origin
+        window_hi = box_hi + radius - origin
+        finite = np.isfinite(window_lo).all() and np.isfinite(window_hi).all()
+        cs = max(radius, 1e-9)
+        lowest = window_lo.min(axis=0)
+        highest = window_hi.max(axis=0)
+        while finite and float(
+            np.prod(np.floor(highest / cs) - np.floor(lowest / cs) + 1.0)
+        ) >= 2.0**62:
+            cs *= 2.0
+    if not finite:
+        # Windows past the float range: no cell size can key them.
+        yield from upper_triangle_blocks(n, pair_block)
+        return
+    reg_lo = np.floor((box_lo - origin) / cs).astype(np.int64)
+    reg_hi = np.floor((box_hi - origin) / cs).astype(np.int64)
+    qry_lo = np.floor(window_lo / cs).astype(np.int64)
+    qry_hi = np.floor(window_hi / cs).astype(np.int64)
+    glo = qry_lo.min(axis=0)
+    extents = qry_hi.max(axis=0) - glo + 1
+    radix = np.ones(extents.shape[0], dtype=np.int64)
+    for k in range(extents.shape[0] - 2, -1, -1):
+        radix[k] = radix[k + 1] * extents[k + 1]
+
+    def encode(coords: np.ndarray) -> np.ndarray:
+        return (coords - glo) @ radix
+
+    # --- registration: sorted cell keys with member groups --------
+    reg_spans = reg_hi - reg_lo + 1
+    reg_cells = np.prod(reg_spans.astype(np.float64), axis=1)
+    oversize_mask = reg_cells > _MAX_CELLS_PER_SEGMENT
+    oversize = np.flatnonzero(oversize_mask)
+    registered = np.flatnonzero(~oversize_mask)
+    if registered.size:
+        counts = np.prod(reg_spans[registered], axis=1)
+        owners, coords = _enumerate_cells(
+            reg_lo[registered], reg_spans[registered], counts
+        )
+        keys = encode(coords)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        members = registered[owners[order]]
+        unique_keys, group_start = np.unique(
+            sorted_keys, return_index=True
+        )
+        group_count = np.diff(
+            np.append(group_start, sorted_keys.size)
+        )
+    else:
+        members = np.empty(0, dtype=np.int64)
+        unique_keys = np.empty(0, dtype=np.int64)
+        group_start = np.empty(0, dtype=np.int64)
+        group_count = np.empty(0, dtype=np.int64)
+
+    def emit(
+        left: np.ndarray, right: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for at in range(0, left.size, pair_block):
+            yield left[at:at + pair_block], right[at:at + pair_block]
+
+    # --- huge-window queries: scan registration ranges ------------
+    qry_spans = qry_hi - qry_lo + 1
+    window_cells = np.prod(qry_spans.astype(np.float64), axis=1)
+    for i in np.flatnonzero(window_cells > _HUGE_WINDOW_CELLS).tolist():
+        hit = np.all(
+            (reg_lo <= qry_hi[i]) & (reg_hi >= qry_lo[i]), axis=1
+        )
+        hit &= ~oversize_mask
+        mates = sorted_unique(
+            np.concatenate([np.flatnonzero(hit), oversize])
+        )
         mates = mates[mates > i]
-        if mates.size == 0:
-            continue
-        pending_left.append(np.full(mates.size, i, dtype=np.int64))
-        pending_right.append(mates)
-        pending += mates.size
-        if pending >= pair_block:
-            left = np.concatenate(pending_left)
-            right = np.concatenate(pending_right)
-            for lo in range(0, left.size, pair_block):
-                yield left[lo:lo + pair_block], right[lo:lo + pair_block]
-            pending_left, pending_right, pending = [], [], 0
-    if pending:
-        yield np.concatenate(pending_left), np.concatenate(pending_right)
+        if mates.size:
+            yield from emit(
+                np.full(mates.size, i, dtype=np.int64), mates
+            )
+
+    # --- normal queries: chunked cell-key join --------------------
+    queries = np.flatnonzero(window_cells <= _HUGE_WINDOW_CELLS)
+    if queries.size == 0:
+        return
+    query_cells = np.prod(qry_spans[queries], axis=1)
+    cell_cum = np.cumsum(query_cells)
+    start = 0
+    while start < queries.size:
+        base = cell_cum[start - 1] if start else 0
+        stop = int(
+            np.searchsorted(cell_cum, base + _CELL_CHUNK_BUDGET, "right")
+        )
+        stop = min(max(stop, start + 1), queries.size)
+        chunk = queries[start:stop]
+        counts = query_cells[start:stop]
+        rows, coords = _enumerate_cells(
+            qry_lo[chunk], qry_spans[chunk], counts
+        )
+        keys = encode(coords)
+        pos = np.searchsorted(unique_keys, keys)
+        np.clip(pos, 0, max(unique_keys.size - 1, 0), out=pos)
+        matched = (
+            unique_keys[pos] == keys
+            if unique_keys.size
+            else np.zeros(keys.size, dtype=bool)
+        )
+        match_row = rows[matched]
+        match_gid = pos[matched]
+        match_count = group_count[match_gid]
+        # Split the member expansion at query boundaries so no
+        # sub-chunk materializes (much) more than pair_block
+        # candidates.
+        per_query = np.bincount(
+            match_row, weights=match_count, minlength=chunk.size
+        ).astype(np.int64) + oversize.size
+        expansion_cum = np.cumsum(per_query)
+        row_bounds = np.searchsorted(
+            match_row, np.arange(chunk.size + 1)
+        )
+        sub = 0
+        while sub < chunk.size:
+            base2 = expansion_cum[sub - 1] if sub else 0
+            sub_stop = int(
+                np.searchsorted(expansion_cum, base2 + pair_block, "right")
+            )
+            sub_stop = min(max(sub_stop, sub + 1), chunk.size)
+            lo_m, hi_m = row_bounds[sub], row_bounds[sub_stop]
+            sub_row = match_row[lo_m:hi_m]
+            sub_gid = match_gid[lo_m:hi_m]
+            sub_cnt = match_count[lo_m:hi_m]
+            query_ids = chunk[np.repeat(sub_row, sub_cnt)]
+            candidates = members[
+                concatenate_ranges(group_start[sub_gid], sub_cnt)
+            ]
+            if oversize.size:
+                span = chunk[sub:sub_stop]
+                query_ids = np.concatenate(
+                    [query_ids, np.repeat(span, oversize.size)]
+                )
+                candidates = np.concatenate(
+                    [candidates, np.tile(oversize, span.size)]
+                )
+            keep = candidates > query_ids
+            if np.any(keep):
+                pair_keys = sorted_unique(
+                    query_ids[keep] * n + candidates[keep]
+                )
+                yield from emit(pair_keys // n, pair_keys % n)
+            sub = sub_stop
+        start = stop
 
 
 class NeighborGraph:
@@ -398,16 +341,9 @@ class NeighborGraph:
         segments: SegmentSet,
         eps: float,
         distance: Optional[SegmentDistance] = None,
-        cell_size: Optional[float] = None,
         pair_block: int = DEFAULT_PAIR_BLOCK,
-        vectorized_candidates: Optional[bool] = None,
     ) -> "NeighborGraph":
-        """Compute the whole ε-neighborhood relation in one blocked pass.
-
-        ``vectorized_candidates`` forwards to
-        :func:`_candidate_pair_stream` (``False`` forces the per-query
-        grid walk; the default auto-selects the vectorized cell join).
-        """
+        """Compute the whole ε-neighborhood relation in one blocked pass."""
         if eps < 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if pair_block < 1:
@@ -426,10 +362,7 @@ class NeighborGraph:
         kept_left: List[np.ndarray] = []
         kept_right: List[np.ndarray] = []
         kept_dist: List[np.ndarray] = []
-        stream = _candidate_pair_stream(
-            segments, eps, distance, cell_size, pair_block,
-            vectorized=vectorized_candidates,
-        )
+        stream = _candidate_pair_stream(segments, eps, distance, pair_block)
         for kept in map_pair_blocks(stream, evaluate):
             if kept is not None:
                 kept_left.append(kept[0])
@@ -595,7 +528,7 @@ def neighborhood_size_counts(
 
     # binned[t, i]: neighbors of i first admitted at sorted threshold t.
     binned = np.zeros((k, n), dtype=np.int64)
-    stream = _candidate_pair_stream(segments, eps_max, distance, None, pair_block)
+    stream = _candidate_pair_stream(segments, eps_max, distance, pair_block)
     for kept in map_pair_blocks(stream, evaluate):
         if kept is None:
             continue

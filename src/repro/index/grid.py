@@ -4,6 +4,10 @@ Each segment is registered in every grid cell its bounding box
 overlaps; a candidate query gathers the segments registered in the
 cells overlapped by the query window.  Cells are stored sparsely in a
 dict keyed by integer cell coordinates, so empty space costs nothing.
+Segments come and go (:meth:`SegmentGrid.insert` /
+:meth:`SegmentGrid.remove`), which is what the streaming ε-graph needs;
+every query, one window or many, goes through
+:meth:`SegmentGrid.candidates_near_many`.
 
 Segments whose boxes would cover an excessive number of cells (a few
 trans-continental outliers exist in any trajectory dataset) are kept in
@@ -14,7 +18,7 @@ than rasterising thousands of cells and still exact.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,21 +68,30 @@ class SegmentGrid:
     def _cell_range(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        lo_cell = np.floor((lo - self._origin) / self.cell_size).astype(np.int64)
-        hi_cell = np.floor((hi - self._origin) / self.cell_size).astype(np.int64)
+        # Float cell coordinates: Python ints made from them never
+        # overflow, however fine the cells are against the extent.
+        lo_cell = np.floor((lo - self._origin) / self.cell_size)
+        hi_cell = np.floor((hi - self._origin) / self.cell_size)
         return lo_cell, hi_cell
 
-    def _insert(self, index: int) -> None:
+    def _registration(self, index: int) -> Optional[Iterator[Tuple[int, ...]]]:
+        """The cells stored segment *index* registers in, or ``None``
+        when its box is oversize."""
         lo = np.minimum(self.segments.starts[index], self.segments.ends[index])
         hi = np.maximum(self.segments.starts[index], self.segments.ends[index])
         lo_cell, hi_cell = self._cell_range(lo, hi)
-        spans = hi_cell - lo_cell + 1
-        # Product in float: tiny cells give spans that overflow int64.
-        if float(np.prod(spans, dtype=np.float64)) > self.max_cells_per_segment:
+        if float((hi_cell - lo_cell + 1).prod()) > self.max_cells_per_segment:
+            return None
+        return product(
+            *(range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell))
+        )
+
+    def _insert(self, index: int) -> None:
+        cells = self._registration(index)
+        if cells is None:
             self._oversize.append(index)
             return
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)]
-        for cell in product(*ranges):
+        for cell in cells:
             self._cells.setdefault(cell, []).append(index)
 
     # -- dynamic maintenance -------------------------------------------------
@@ -95,135 +108,76 @@ class SegmentGrid:
         """Unregister stored segment *index*.  The segment's coordinates
         must be unchanged since insertion (cells are recomputed from
         them)."""
-        lo = np.minimum(self.segments.starts[index], self.segments.ends[index])
-        hi = np.maximum(self.segments.starts[index], self.segments.ends[index])
-        lo_cell, hi_cell = self._cell_range(lo, hi)
-        spans = hi_cell - lo_cell + 1
-        if float(np.prod(spans, dtype=np.float64)) > self.max_cells_per_segment:
+        cells = self._registration(index)
+        if cells is None:
             self._oversize.remove(index)
             return
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)]
-        for cell in product(*ranges):
+        for cell in cells:
             members = self._cells[cell]
             members.remove(index)
             if not members:
                 del self._cells[cell]
 
     # -- queries -----------------------------------------------------------
-    def candidates_in_window(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Indices of all segments whose boxes *may* overlap the window
-        ``[lo, hi]`` (superset of the true overlaps; never misses one
-        that was inserted)."""
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        lo_cell, hi_cell = self._cell_range(lo, hi)
-        spans = hi_cell - lo_cell + 1
-        found: List[int] = list(self._oversize)
-        if float(np.prod(spans, dtype=np.float64)) > 16 * self.max_cells_per_segment:
-            # The window covers most of the domain; scanning every cell
-            # key is cheaper than rasterising the window.
-            for cell, members in self._cells.items():
-                if all(a <= c <= b for c, a, b in zip(cell, lo_cell, hi_cell)):
-                    found.extend(members)
-        else:
-            ranges = [range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)]
-            for cell in product(*ranges):
-                members = self._cells.get(cell)
-                if members:
-                    found.extend(members)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.asarray(found, dtype=np.int64))
-
     def candidates_near(self, index: int, radius: float) -> np.ndarray:
         """Candidate neighbors of stored segment *index* within Euclidean
-        window *radius* (bbox-to-bbox)."""
-        if not 0 <= index < len(self.segments):
-            raise IndexError_(
-                f"segment index {index} out of range 0..{len(self.segments) - 1}"
-            )
-        lo = np.minimum(self.segments.starts[index], self.segments.ends[index])
-        hi = np.maximum(self.segments.starts[index], self.segments.ends[index])
-        return self.candidates_in_window(lo - radius, hi + radius)
+        window *radius* (bbox-to-bbox), ascending."""
+        return self.candidates_near_many(np.array([index]), radius)[1]
 
     def candidates_near_many(
         self, indices: np.ndarray, radius: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`candidates_near`: ``(query_pos, candidate)``
-        pair arrays, query-major with candidates ascending and deduped
-        per query — for each position ``q`` in *indices*, the rows with
-        ``query_pos == q`` hold exactly ``candidates_near(indices[q],
-        radius)``.
+        """``(query_pos, candidate)`` pair arrays for the stored
+        segments *indices*: query-major, candidates ascending and
+        deduped per query.  The rows with ``query_pos == q`` hold every
+        segment whose box *may* overlap ``indices[q]``'s box expanded by
+        *radius* (a superset of the true overlaps; never misses one
+        that was inserted).
 
-        The point is the join order: the batch's cell windows are
-        rasterised into one cell -> queries table first, so each
-        distinct cell key is looked up in the grid *once* for the whole
-        batch instead of once per overlapping query.
+        Each window is rasterised into its cells, except that a window
+        covering more than ``16 * max_cells_per_segment`` cells (most of
+        the domain) scans the occupied cell keys instead.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        query_parts: List[np.ndarray] = []
-        candidate_parts: List[np.ndarray] = []
-        cell_to_queries: Dict[Tuple[int, ...], List[int]] = {}
-        rastered: List[int] = []
-        for qpos, index in enumerate(indices.tolist()):
-            if not 0 <= index < len(self.segments):
-                raise IndexError_(
-                    f"segment index {index} out of range "
-                    f"0..{len(self.segments) - 1}"
-                )
-            lo = np.minimum(
-                self.segments.starts[index], self.segments.ends[index]
-            )
-            hi = np.maximum(
-                self.segments.starts[index], self.segments.ends[index]
-            )
-            lo_cell, hi_cell = self._cell_range(lo - radius, hi + radius)
-            spans = hi_cell - lo_cell + 1
-            if (
-                float(np.prod(spans, dtype=np.float64))
-                > 16 * self.max_cells_per_segment
-            ):
-                # Same huge-window escape as candidates_in_window:
-                # cheaper to answer this query alone than rasterise it.
-                found = self.candidates_in_window(lo - radius, hi + radius)
-                query_parts.append(
-                    np.full(found.size, qpos, dtype=np.int64)
-                )
-                candidate_parts.append(found)
-                continue
-            rastered.append(qpos)
-            ranges = [
-                range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)
-            ]
-            for cell in product(*ranges):
-                cell_to_queries.setdefault(cell, []).append(qpos)
-        hits_q: List[int] = []
-        hits_c: List[int] = []
-        for cell, queries in cell_to_queries.items():
-            members = self._cells.get(cell)
-            if not members:
-                continue
-            for qpos in queries:
-                hits_q.extend([qpos] * len(members))
-                hits_c.extend(members)
-        if self._oversize and rastered:
-            for qpos in rastered:
-                hits_q.extend([qpos] * len(self._oversize))
-                hits_c.extend(self._oversize)
-        if hits_q:
-            query_parts.append(np.asarray(hits_q, dtype=np.int64))
-            candidate_parts.append(np.asarray(hits_c, dtype=np.int64))
-        if not query_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        query_pos = np.concatenate(query_parts)
-        candidates = np.concatenate(candidate_parts)
-        # Dedup (query, candidate) pairs; the combined key sorts
-        # query-major with candidates ascending, matching the per-query
-        # dedup of candidates_in_window.
-        span = max(len(self.segments), 1)
-        keys = sorted_unique(query_pos * span + candidates)
-        return keys // span, keys % span
+        n = len(self.segments)
+        ids = indices.tolist()
+        if ids and not (0 <= min(ids) and max(ids) < n):
+            raise IndexError_(f"segment index out of range 0..{n - 1}: {ids}")
+        starts = self.segments.starts[indices]
+        ends = self.segments.ends[indices]
+        lo_cells, hi_cells = self._cell_range(
+            np.minimum(starts, ends) - radius, np.maximum(starts, ends) + radius
+        )
+        huge = (hi_cells - lo_cells + 1).prod(axis=1) > (
+            16 * self.max_cells_per_segment
+        )
+        found: List[int] = []
+        counts: List[int] = []
+        for lo_cell, hi_cell, scan in zip(
+            lo_cells.tolist(), hi_cells.tolist(), huge.tolist()
+        ):
+            before = len(found)
+            if scan:
+                for cell, members in self._cells.items():
+                    if all(a <= c <= b for c, a, b in zip(cell, lo_cell, hi_cell)):
+                        found.extend(members)
+            else:
+                for cell in product(*(
+                    range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)
+                )):
+                    members = self._cells.get(cell)
+                    if members:
+                        found.extend(members)
+            found.extend(self._oversize)
+            counts.append(len(found) - before)
+        # One dedup over (query, candidate) keys, which sort query-major
+        # with candidates ascending.
+        span = max(n, 1)
+        keys = sorted_unique(
+            np.repeat(np.arange(len(ids), dtype=np.int64) * span, counts)
+            + np.asarray(found, dtype=np.int64)
+        )
+        return np.divmod(keys, span)
 
     # -- introspection -------------------------------------------------------
     @property

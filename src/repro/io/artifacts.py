@@ -7,9 +7,10 @@ int64 labels and counts, float64 distances and coordinates — is
 restored **bitwise**; the round-trip tests in
 ``tests/api/test_cache.py`` pin exactly that.
 
-Writes go through a temp file + :func:`os.replace` so a crashed or
-interrupted run can never leave a half-written artifact behind: readers
-see either the previous version or the new one.
+Writes go through :func:`write_npz` — a temp file + :func:`os.replace`
+— so a crashed or interrupted run can never leave a half-written
+artifact behind: readers see either the previous version or the new
+one.  Stream and shard-merger checkpoints are written the same way.
 
 Ragged lists (per-trajectory characteristic points, per-cluster
 representative polylines) are packed as ``(flat, offsets)`` pairs by
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,27 +53,25 @@ def unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
     ]
 
 
-def save_artifact(
-    path: str, arrays: Dict[str, np.ndarray], meta: Optional[dict] = None
-) -> None:
-    """Write one artifact atomically (temp file + rename)."""
-    if META_KEY in arrays:
-        raise ReproError(f"array name {META_KEY!r} is reserved for metadata")
-    payload = dict(arrays)
-    payload[META_KEY] = np.frombuffer(
-        json.dumps(meta or {}, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
+def write_npz(path: str, arrays: Dict[str, np.ndarray], compressed: bool = False) -> str:
+    """Write *arrays* as one ``.npz`` file, atomically (temp file +
+    rename): an interrupted write leaves the previous file intact and
+    no temp file behind.  Like ``np.savez`` on a path, ``.npz`` is
+    appended when *path* lacks it; returns the path written."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     # The temp name must be unique per *call*, not per process: two
     # threads of one serving process writing the same artifact would
     # otherwise share a temp path (one clobbers the other's bytes, and
     # an unconditional cleanup can unlink a peer's in-flight temp).
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=f"{os.path.basename(path)}.tmp.", dir=directory
-    )
+    # Created like any new file (not mkstemp's 0600), so the result has
+    # the permissions ``np.savez`` on the path would give it.
+    tmp = f"{os.path.abspath(path)}.tmp.{uuid.uuid4().hex}"
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
+        with handle:
+            (np.savez_compressed if compressed else np.savez)(handle, **arrays)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -80,6 +79,20 @@ def save_artifact(
         except OSError:  # pragma: no cover - already gone
             pass
         raise
+    return path
+
+
+def save_artifact(
+    path: str, arrays: Dict[str, np.ndarray], meta: Optional[dict] = None
+) -> None:
+    """Write one artifact atomically (:func:`write_npz`)."""
+    if META_KEY in arrays:
+        raise ReproError(f"array name {META_KEY!r} is reserved for metadata")
+    payload = dict(arrays)
+    payload[META_KEY] = np.frombuffer(
+        json.dumps(meta or {}, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    )
+    write_npz(path, payload)
 
 
 def load_artifact(path: str) -> Tuple[Dict[str, np.ndarray], dict]:

@@ -3,9 +3,12 @@
 :class:`MergedNeighborGraph` is a
 :class:`~repro.stream.dynamic_graph.DynamicNeighborGraph` whose
 same-shard edges arrive over the wire: every slot carries its shard of
-origin, candidate queries are filtered to **cross-shard** mates only,
-and the shipped intra-shard edges are spliced in verbatim.  The union
-is exactly the ε-graph a single-stream session builds, bitwise:
+origin.  Segments enter through the one
+:meth:`~repro.stream.dynamic_graph.DynamicNeighborGraph.insert_batch`
+path; the merged graph only narrows its candidate pairs to
+**cross-shard** mates, and the merger hands the shipped intra-shard
+edges to that same call to be spliced in verbatim.  The union is
+exactly the ε-graph a single-stream session builds, bitwise:
 
 * *slot ids* — the merger allocates global slots by walking diffs in
   sequence order, which is the order a single-stream session would
@@ -28,22 +31,33 @@ later inserts is safe because labels are a pure function of the final
 removed with no trace — while batching keeps the merger's per-segment
 cost flat.  One :class:`~repro.stream.view.LabelDiff` is flushed per
 drain; the merger's own :class:`~repro.stream.view.LabelView` folds
-them into the consistent merged assignment.
+them into the consistent merged assignment.  Its checkpoint shares the
+stream checkpoint's codec and atomic writer
+(:mod:`repro.stream.checkpoint`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import StreamConfig
 from repro.exceptions import ClusteringError
 from repro.obs import NULL_REGISTRY
+from repro.stream.checkpoint import (
+    decode_clusterer,
+    encode_clusterer,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.stream.dynamic_graph import DynamicNeighborGraph
 from repro.stream.online_dbscan import OnlineDBSCAN
 from repro.stream.view import LabelDiff, LabelView
 from repro.shard.wire import ShardDiff
+
+#: Format marker of :meth:`ShardMerger.save_to` files.
+MERGER_CHECKPOINT_FORMAT = "repro-shard-merger-v1"
 
 
 def validate_sharded_config(config: StreamConfig) -> None:
@@ -63,14 +77,8 @@ def validate_sharded_config(config: StreamConfig) -> None:
 class MergedNeighborGraph(DynamicNeighborGraph):
     """ε-graph whose same-shard edges are spliced in from the wire."""
 
-    def __init__(
-        self,
-        eps: float,
-        distance=None,
-        dim: int = 2,
-        cell_size: Optional[float] = None,
-    ):
-        super().__init__(eps, distance, dim=dim, cell_size=cell_size)
+    def __init__(self, eps: float, distance=None, dim: int = 2):
+        super().__init__(eps, distance, dim=dim)
         self._shard_of = np.full(64, -1, dtype=np.int64)
 
     def shard_of_slot(self, slot: int) -> int:
@@ -85,89 +93,12 @@ class MergedNeighborGraph(DynamicNeighborGraph):
             self._shard_of = grown
         self._shard_of[slot] = shard
 
-    def insert_merged_batch(
-        self,
-        shards: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        traj_ids: np.ndarray,
-        weights: np.ndarray,
-        stamps: np.ndarray,
-        shipped: Sequence[Sequence[Tuple[int, float]]],
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Insert many segments, computing only cross-shard candidates;
-        *shipped* carries each record's intra-shard edges as
-        ``(global mate, distance)`` with every mate already allocated.
-        Returns ``(slot, insertion_time_neighbors)`` per record in
-        order, neighbors ascending — the same rows
-        :meth:`DynamicNeighborGraph.insert_batch` would have produced
-        had it recomputed everything."""
-        n = int(starts.shape[0])
-        slots: List[int] = []
-        for i in range(n):
-            slot = self.store.append(
-                starts[i], ends[i], int(traj_ids[i]),
-                float(weights[i]), float(stamps[i]),
-            )
-            self._note_shard(slot, int(shards[i]))
-            slots.append(slot)
-        if not slots:
-            return []
-        slot_arr = np.asarray(slots, dtype=np.int64)
-        shard_arr = np.asarray(shards, dtype=np.int64)
-        if self._grid is not None:
-            for slot in slots:
-                self._grid.insert(slot)
-            query_pos, candidates = self._grid.candidates_near_many(
-                slot_arr, self._radius
-            )
-            query_slots = slot_arr[query_pos]
-            keep = (
-                self.store.alive_mask[candidates]
-                & (candidates < query_slots)
-                & (self._shard_of[candidates] != shard_arr[query_pos])
-            )
-            query_slots = query_slots[keep]
-            candidates = candidates[keep]
-        else:
-            alive = self.store.alive_slots()
-            query_chunks: List[np.ndarray] = []
-            candidate_chunks: List[np.ndarray] = []
-            for i, slot in enumerate(slots):
-                mates = alive[alive < slot]
-                mates = mates[self._shard_of[mates] != int(shard_arr[i])]
-                query_chunks.append(
-                    np.full(mates.size, slot, dtype=np.int64)
-                )
-                candidate_chunks.append(mates)
-            query_slots = np.concatenate(query_chunks)
-            candidates = np.concatenate(candidate_chunks)
-        for slot in slots:
-            self._adjacency[slot] = {}
-        mates_of: Dict[int, List[int]] = {slot: [] for slot in slots}
-        for i, slot in enumerate(slots):
-            row = self._adjacency[slot]
-            for mate, dist in shipped[i]:
-                mate = int(mate)
-                dist = float(dist)
-                row[mate] = dist
-                self._adjacency[mate][slot] = dist
-                mates_of[slot].append(mate)
-        if query_slots.size:
-            dists = self.distance.pairs(self.store, query_slots, candidates)
-            mask = dists <= self.eps
-            for slot, mate, dist in zip(
-                query_slots[mask].tolist(),
-                candidates[mask].tolist(),
-                dists[mask].tolist(),
-            ):
-                self._adjacency[slot][mate] = dist
-                self._adjacency[mate][slot] = dist
-                mates_of[slot].append(mate)
-        return [
-            (slot, np.sort(np.asarray(mates_of[slot], dtype=np.int64)))
-            for slot in slots
-        ]
+    def _keep(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Cross-shard pairs only: the workers evaluated every
+        same-shard pair, and their edges arrive spliced."""
+        return super()._keep(queries, candidates) & (
+            self._shard_of[candidates] != self._shard_of[queries]
+        )
 
 
 class ShardMerger:
@@ -289,14 +220,15 @@ class ShardMerger:
                 n_shipped_edges += 1
             self.applied_seq = diff.seq
         if shards:
-            inserted = self.graph.insert_merged_batch(
-                np.asarray(shards, dtype=np.int64),
+            for offset, shard in enumerate(shards):
+                self.graph._note_shard(base + offset, shard)
+            inserted = self.graph.insert_batch(
                 np.asarray(starts, dtype=np.float64),
                 np.asarray(ends, dtype=np.float64),
                 np.asarray(traj_ids, dtype=np.int64),
                 np.asarray(weights, dtype=np.float64),
                 np.asarray(stamps, dtype=np.float64),
-                shipped,
+                spliced=shipped,
             )
             if inserted[0][0] != base:
                 raise ClusteringError(
@@ -318,76 +250,37 @@ class ShardMerger:
         return merged
 
     # -- checkpointing -----------------------------------------------------
-    def save_to(self, path: str) -> None:
-        """Write the merged state (store, edges, shard origins, stable
-        tokens, local -> global slot maps) to one ``.npz`` file."""
-        import json
-
-        store = self.graph.store
-        edges_u, edges_v, edges_d = self.graph.edge_arrays()
-        token_pairs, next_token = self.clusterer.export_tokens()
-        arrays = {
-            "store_starts": store.starts.copy(),
-            "store_ends": store.ends.copy(),
-            "store_traj_ids": store.traj_ids.copy(),
-            "store_weights": store.weights.copy(),
-            "store_stamps": store.stamps.copy(),
-            "store_alive": store.alive_mask.copy(),
-            "edges_u": edges_u,
-            "edges_v": edges_v,
-            "edges_d": edges_d,
-            "shard_of": self.graph._shard_of[: len(store)].copy(),
-            "comp_tokens": token_pairs,
-        }
+    def save_to(self, path: str) -> str:
+        """Write the merged state (store, edges, stable tokens, shard
+        origins, local -> global slot maps) to one ``.npz`` file;
+        returns the path written."""
+        arrays, next_token = encode_clusterer(self.clusterer)
+        arrays["shard_of"] = self.graph._shard_of[: len(self.graph.store)].copy()
         for shard, mapping in enumerate(self._local_to_global):
             arrays[f"l2g_{shard}"] = np.array(
                 sorted(mapping.items()), dtype=np.int64
             ).reshape(-1, 2)
         meta = {
-            "format": "repro-shard-merger-v1",
+            "format": MERGER_CHECKPOINT_FORMAT,
             "applied_seq": self.applied_seq,
-            "next_token": int(next_token),
+            "next_token": next_token,
         }
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez_compressed(path, **arrays)
+        return write_checkpoint(path, arrays, meta)
 
     def restore_from(self, path: str) -> None:
         """Refill an *empty* merger from :meth:`save_to` output; labels,
         stable tokens, and future diffs continue identically."""
-        import json
-
-        from repro.exceptions import ReproError
-
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("format") != "repro-shard-merger-v1":
-                raise ReproError(
-                    f"not a shard merger checkpoint "
-                    f"(format={meta.get('format')!r})"
-                )
-            self.graph.restore_slots(
-                archive["store_starts"],
-                archive["store_ends"],
-                archive["store_traj_ids"],
-                archive["store_weights"],
-                archive["store_stamps"],
-                archive["store_alive"],
-                archive["edges_u"],
-                archive["edges_v"],
-                archive["edges_d"],
-            )
-            shard_of = archive["shard_of"]
-            for slot in range(shard_of.size):
-                self.graph._note_shard(slot, int(shard_of[slot]))
-            self.clusterer.rebuild_from_graph()
-            self.clusterer.adopt_tokens(
-                archive["comp_tokens"], int(meta["next_token"])
-            )
-            for shard in range(self.n_shards):
-                self._local_to_global[shard] = {
-                    int(local): int(global_slot)
-                    for local, global_slot in archive[f"l2g_{shard}"]
-                }
+        arrays, meta = read_checkpoint(
+            path, (MERGER_CHECKPOINT_FORMAT,), "shard merger"
+        )
+        decode_clusterer(self.clusterer, arrays, meta["next_token"])
+        for slot, shard in enumerate(arrays["shard_of"].tolist()):
+            self.graph._note_shard(slot, shard)
+        for shard in range(self.n_shards):
+            self._local_to_global[shard] = {
+                int(local): int(global_slot)
+                for local, global_slot in arrays[f"l2g_{shard}"]
+            }
         self.view = self.clusterer.snapshot_view()
         self.applied_seq = int(meta["applied_seq"])
 

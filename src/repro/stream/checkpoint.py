@@ -17,6 +17,17 @@ the *label diffs* a restored session emits — not just its labels — are
 identical to the original session's.  v1 checkpoints still load; their
 sessions get fresh (but internally consistent) tokens.
 
+The clusterer half of that layout — slot store, ε-edges and stable
+tokens — is one codec, :func:`encode_clusterer` /
+:func:`decode_clusterer`, which the shard merger's checkpoint
+(:meth:`ShardMerger.save_to <repro.shard.merge.ShardMerger.save_to>`)
+shares, as it shares :func:`write_checkpoint` /
+:func:`read_checkpoint` for the file itself.  Writes are atomic
+(:func:`repro.io.artifacts.write_npz`): an interrupted write leaves the
+previous checkpoint loadable.  Any file that is not a readable
+checkpoint of the expected kind raises one
+:class:`~repro.exceptions.ReproError` naming it.
+
 Only NumPy and the standard library are used (``np.savez_compressed``
 plus one JSON metadata string) — no pickle, so checkpoints are
 portable and inspectable.
@@ -25,15 +36,18 @@ portable and inspectable.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
-from typing import Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import StreamConfig
 from repro.exceptions import ReproError
+from repro.io.artifacts import write_npz
 from repro.partition.incremental import IncrementalPartitioner
 from repro.stream.ingest import _TrajectoryState
+from repro.stream.online_dbscan import OnlineDBSCAN
 from repro.stream.pipeline import StreamingTRACLUS
 
 #: Format marker written into every checkpoint.
@@ -42,27 +56,83 @@ CHECKPOINT_FORMAT = "repro-stream-checkpoint-v2"
 #: Formats :func:`load_checkpoint` accepts (v1 lacks stable tokens).
 _ACCEPTED_FORMATS = ("repro-stream-checkpoint-v1", CHECKPOINT_FORMAT)
 
+#: The slot store and ε-edge arrays, in the argument order of
+#: :meth:`DynamicNeighborGraph.restore_slots
+#: <repro.stream.dynamic_graph.DynamicNeighborGraph.restore_slots>`.
+_GRAPH_ARRAYS = (
+    "store_starts", "store_ends", "store_traj_ids", "store_weights",
+    "store_stamps", "store_alive", "edges_u", "edges_v", "edges_d",
+)
 
-def save_checkpoint(pipeline: StreamingTRACLUS, path: Union[str, "object"]) -> None:
-    """Write the full streaming state to *path* (an ``.npz`` file)."""
-    store = pipeline.clusterer.store
-    edges_u, edges_v, edges_d = pipeline.clusterer.graph.edge_arrays()
-    arrays = {
-        "store_starts": store.starts.copy(),
-        "store_ends": store.ends.copy(),
-        "store_traj_ids": store.traj_ids.copy(),
-        "store_weights": store.weights.copy(),
-        "store_stamps": store.stamps.copy(),
-        "store_alive": store.alive_mask.copy(),
-        "edges_u": edges_u,
-        "edges_v": edges_v,
-        "edges_d": edges_d,
-        "key_map": np.array(
-            sorted(pipeline._key_to_slot.items()), dtype=np.int64
-        ).reshape(-1, 2),
-    }
-    token_pairs, next_token = pipeline.clusterer.export_tokens()
+
+def encode_clusterer(clusterer: OnlineDBSCAN) -> Tuple[Dict[str, np.ndarray], int]:
+    """The checkpoint arrays of *clusterer* — its slot store, ε-edges
+    and stable tokens (``comp_tokens``) — plus the token mint counter
+    the caller records in its meta."""
+    store = clusterer.store
+    columns = (
+        store.starts, store.ends, store.traj_ids, store.weights,
+        store.stamps, store.alive_mask,
+    )
+    arrays = {name: column.copy() for name, column in zip(_GRAPH_ARRAYS, columns)}
+    arrays.update(zip(_GRAPH_ARRAYS[len(columns):], clusterer.graph.edge_arrays()))
+    token_pairs, next_token = clusterer.export_tokens()
     arrays["comp_tokens"] = token_pairs
+    return arrays, int(next_token)
+
+
+def decode_clusterer(
+    clusterer: OnlineDBSCAN,
+    arrays: Dict[str, np.ndarray],
+    next_token: Optional[int],
+) -> None:
+    """Refill an empty *clusterer* from :func:`encode_clusterer` arrays
+    without re-evaluating any distance: the graph is restored, label
+    state rebuilt from it, and components renamed to their checkpointed
+    tokens (when the arrays carry them)."""
+    clusterer.graph.restore_slots(*(arrays[name] for name in _GRAPH_ARRAYS))
+    clusterer.rebuild_from_graph()
+    if "comp_tokens" in arrays:
+        clusterer.adopt_tokens(arrays["comp_tokens"], int(next_token))
+
+
+def write_checkpoint(path: str, arrays: Dict[str, np.ndarray], meta: dict) -> str:
+    """Write *arrays* plus the JSON *meta* record (member ``meta``) as
+    one compressed ``.npz``, atomically; returns the path written
+    (``.npz`` is appended when *path* lacks it)."""
+    arrays["meta"] = np.array(json.dumps(meta))
+    return write_npz(path, arrays, compressed=True)
+
+
+def read_checkpoint(
+    path: str, formats: Sequence[str], kind: str
+) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Every array of checkpoint *path* and its meta record.  A missing,
+    truncated, foreign or non-npz file, or one whose format is not in
+    *formats*, raises one :class:`ReproError` naming *path*."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays.pop("meta")))
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as error:
+        raise ReproError(
+            f"cannot read {kind} checkpoint {path}: {error}"
+        ) from None
+    if meta.get("format") not in formats:
+        raise ReproError(
+            f"{path} is not a {kind} checkpoint "
+            f"(format={meta.get('format')!r})"
+        )
+    return arrays, meta
+
+
+def save_checkpoint(pipeline: StreamingTRACLUS, path: str) -> str:
+    """Write the full streaming state to *path* (an ``.npz`` file);
+    returns the path written."""
+    arrays, next_token = encode_clusterer(pipeline.clusterer)
+    arrays["key_map"] = np.array(
+        sorted(pipeline._key_to_slot.items()), dtype=np.int64
+    ).reshape(-1, 2)
     trajectories = []
     for traj_id, state in pipeline.stream._trajectories.items():
         partitioner = state.partitioner
@@ -88,7 +158,7 @@ def save_checkpoint(pipeline: StreamingTRACLUS, path: Union[str, "object"]) -> N
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(pipeline.config),
-        "next_token": int(next_token),
+        "next_token": next_token,
         "next_key": pipeline.stream._next_key,
         "evict_cursor": pipeline._evict_cursor,
         "max_stamp": (
@@ -97,8 +167,7 @@ def save_checkpoint(pipeline: StreamingTRACLUS, path: Union[str, "object"]) -> N
         ),
         "trajectories": trajectories,
     }
-    arrays["meta"] = np.array(json.dumps(meta))
-    np.savez_compressed(path, **arrays)
+    return write_checkpoint(path, arrays, meta)
 
 
 def load_checkpoint(
@@ -109,53 +178,30 @@ def load_checkpoint(
     *metrics* optionally hands the restored pipeline a
     :class:`~repro.obs.MetricsRegistry` (restored shard workers keep
     reporting)."""
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        if meta.get("format") not in _ACCEPTED_FORMATS:
-            raise ReproError(
-                f"not a stream checkpoint (format={meta.get('format')!r})"
-            )
-        pipeline = StreamingTRACLUS(
-            StreamConfig(**meta["config"]), metrics=metrics
+    arrays, meta = read_checkpoint(path, _ACCEPTED_FORMATS, "stream")
+    pipeline = StreamingTRACLUS(StreamConfig(**meta["config"]), metrics=metrics)
+    decode_clusterer(pipeline.clusterer, arrays, meta.get("next_token"))
+    for entry in meta["trajectories"]:
+        traj_id = int(entry["traj_id"])
+        partitioner = IncrementalPartitioner.restore(
+            pipeline.config.suppression,
+            arrays[f"traj_{traj_id}_points"],
+            entry["committed"],
+            entry["start_index"],
+            entry["length"],
         )
-        pipeline.clusterer.graph.restore_slots(
-            archive["store_starts"],
-            archive["store_ends"],
-            archive["store_traj_ids"],
-            archive["store_weights"],
-            archive["store_stamps"],
-            archive["store_alive"],
-            archive["edges_u"],
-            archive["edges_v"],
-            archive["edges_d"],
-        )
-        pipeline.clusterer.rebuild_from_graph()
-        if "comp_tokens" in archive.files:
-            pipeline.clusterer.adopt_tokens(
-                archive["comp_tokens"], int(meta["next_token"])
-            )
-        for entry in meta["trajectories"]:
-            traj_id = int(entry["traj_id"])
-            partitioner = IncrementalPartitioner.restore(
-                pipeline.config.suppression,
-                archive[f"traj_{traj_id}_points"],
-                entry["committed"],
-                entry["start_index"],
-                entry["length"],
-            )
-            state = _TrajectoryState(partitioner, float(entry["weight"]))
-            if entry["timed"]:
-                state.times = archive[f"traj_{traj_id}_times"].tolist()
-            if entry["trailing_key"] >= 0:
-                state.trailing_key = int(entry["trailing_key"])
-            pipeline.stream._trajectories[traj_id] = state
-        key_map = archive["key_map"]
+        state = _TrajectoryState(partitioner, float(entry["weight"]))
+        if entry["timed"]:
+            state.times = arrays[f"traj_{traj_id}_times"].tolist()
+        if entry["trailing_key"] >= 0:
+            state.trailing_key = int(entry["trailing_key"])
+        pipeline.stream._trajectories[traj_id] = state
     pipeline.stream._next_key = int(meta["next_key"])
     pipeline._evict_cursor = int(meta["evict_cursor"])
     pipeline._max_stamp = (
         -np.inf if meta["max_stamp"] is None else float(meta["max_stamp"])
     )
-    pipeline._key_to_slot = {int(k): int(s) for k, s in key_map}
+    pipeline._key_to_slot = {int(k): int(s) for k, s in arrays["key_map"]}
     pipeline._slot_to_key = {s: k for k, s in pipeline._key_to_slot.items()}
     pipeline.view = pipeline.clusterer.snapshot_view()
     return pipeline

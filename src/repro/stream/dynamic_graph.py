@@ -13,16 +13,19 @@ online graph and a batch rebuild on the surviving segments.
 :class:`DynamicNeighborGraph` maintains the ε-neighborhood relation
 under segment insert and evict:
 
-* **insert** — the new segment is registered in a
-  :class:`~repro.index.grid.SegmentGrid` over the store; its candidate
-  mates come from the same expanded-bbox window (same
+* **insert** — one path, :meth:`DynamicNeighborGraph.insert_batch`,
+  for one segment or many: the new segments are registered in a
+  :class:`~repro.index.grid.SegmentGrid` over the store; their
+  candidate mates come from one windowed grid query at the same
+  expanded-bbox radius (same
   :func:`~repro.cluster.neighbor_graph.candidate_radius`, same
   subnormal floor) the batch builder uses, and the surviving edges are
   filtered by the same symmetric pair kernel
   (:meth:`SegmentDistance.pairs <repro.distance.weighted.SegmentDistance.pairs>`).
-  A zero ``w_perp``/``w_par`` voids the geometric prefilter exactly as
-  documented for the batch builder, and the candidate set degrades to
-  all live slots.
+  When :func:`~repro.cluster.neighbor_graph.candidate_radius` has no
+  finite radius (a zero ``w_perp``/``w_par``, or an unboundedly large
+  ε) there is no grid, exactly as in the batch builder, and the
+  candidate set is all live slots.
 * **evict** — the segment leaves the grid and its adjacency rows are
   unlinked; neighbors are reported so label maintenance can react.
 
@@ -34,7 +37,7 @@ the compacted survivors — the property tests assert exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from repro.cluster.neighbor_graph import candidate_radius
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.index.grid import SegmentGrid
+from repro.model.ragged import concatenate_ranges
 from repro.model.segmentset import SegmentSet
 
 #: Initial slot capacity of a :class:`StreamSegmentStore`.
@@ -246,23 +250,17 @@ class DynamicNeighborGraph:
         eps: float,
         distance: Optional[SegmentDistance] = None,
         dim: int = 2,
-        cell_size: Optional[float] = None,
     ):
         if eps < 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
         self.distance = distance if distance is not None else SegmentDistance()
         self.store = StreamSegmentStore(dim=dim)
-        self._prefilter = self.distance.w_perp > 0 and self.distance.w_par > 0
-        if self._prefilter:
-            self._radius = candidate_radius(self.eps, self.distance)
-            self._grid = SegmentGrid(
-                self.store,
-                cell_size=cell_size if cell_size else max(self._radius, 1e-9),
-            )
-        else:
-            self._radius = None
-            self._grid = None
+        self._radius = candidate_radius(self.eps, self.distance)
+        self._grid = (
+            None if self._radius is None
+            else SegmentGrid(self.store, cell_size=max(self._radius, 1e-9))
+        )
         #: proper neighbors only (no self loop), distance per edge.
         self._adjacency: Dict[int, Dict[int, float]] = {}
 
@@ -307,35 +305,9 @@ class DynamicNeighborGraph:
         weight: float = 1.0,
         stamp: float = 0.0,
     ) -> Tuple[int, np.ndarray]:
-        """Add a segment; returns ``(slot, proper_neighbors)`` with the
-        neighbor slots ascending."""
-        slot = self.store.append(start, end, traj_id, weight, stamp)
-        if self._grid is not None:
-            self._grid.insert(slot)
-            candidates = self._grid.candidates_near(slot, self._radius)
-            candidates = candidates[
-                self.store.alive_mask[candidates] & (candidates != slot)
-            ]
-        else:
-            candidates = self.store.alive_slots()
-            candidates = candidates[candidates != slot]
-        row: Dict[int, float] = {}
-        if candidates.size:
-            dists = self.distance.pairs(
-                self.store,
-                np.full(candidates.size, slot, dtype=np.int64),
-                candidates,
-            )
-            mask = dists <= self.eps
-            for mate, dist in zip(candidates[mask], dists[mask]):
-                mate = int(mate)
-                dist = float(dist)
-                row[mate] = dist
-                self._adjacency[mate][slot] = dist
-        self._adjacency[slot] = row
-        return slot, np.sort(
-            np.fromiter(row, dtype=np.int64, count=len(row))
-        )
+        """Add one segment; returns ``(slot, proper_neighbors)`` with the
+        neighbor slots ascending (a one-row :meth:`insert_batch`)."""
+        return self.insert_batch([start], [end], [traj_id], [weight], [stamp])[0]
 
     def insert_batch(
         self,
@@ -344,22 +316,30 @@ class DynamicNeighborGraph:
         traj_ids: np.ndarray,
         weights: Optional[np.ndarray] = None,
         stamps: Optional[np.ndarray] = None,
+        spliced: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
     ) -> List[Tuple[int, np.ndarray]]:
-        """Add many segments through one grid join and one kernel call;
-        returns ``(slot, insertion_time_neighbors)`` per segment in
-        input order, neighbors ascending.
+        """Add segments through one grid query and one kernel call — the
+        only way a segment enters the graph; returns ``(slot,
+        insertion_time_neighbors)`` per segment in input order,
+        neighbors ascending.
 
-        The result is *identical* to sequential :meth:`insert` calls in
-        array order.  All segments enter the store and grid first, then
+        The result is *identical* to inserting the rows one at a time in
+        array order.  All rows enter the store and grid first, then
         candidates come from one
-        :meth:`~repro.index.grid.SegmentGrid.candidates_near_many` join;
-        filtering them to ``candidate < slot`` recovers exactly the
-        alive-at-insertion-time set sequential insertion would have
-        queried (slot ids are allocation-ordered and nothing is evicted
-        mid-batch).  The pair kernel is elementwise, so one call over
-        the concatenated pairs produces the same distances, and edges
-        are folded query-major with candidates ascending — the same
-        adjacency-row insertion order as sequential inserts.
+        :meth:`~repro.index.grid.SegmentGrid.candidates_near_many` query
+        (all live slots when :func:`candidate_radius` has no finite
+        radius), and :meth:`_keep` narrows them to the live ``candidate
+        < slot`` pairs — exactly the set one-at-a-time insertion would
+        have evaluated (slot ids are allocation-ordered and nothing is
+        evicted mid-batch).  The pair kernel is elementwise, so one call
+        over the concatenated pairs produces the same distances, and
+        edges are linked query-major with candidates ascending — the
+        same adjacency-row order as one-at-a-time inserts.
+
+        *spliced* gives each row's edges evaluated elsewhere, as
+        ``(earlier slot, distance)`` pairs linked before the computed
+        ones (the shard merger's shipped same-shard edges; its
+        :meth:`_keep` drops the pairs they cover).
         """
         starts = np.asarray(starts, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.float64)
@@ -384,43 +364,45 @@ class DynamicNeighborGraph:
             query_pos, candidates = self._grid.candidates_near_many(
                 slot_arr, self._radius
             )
-            query_slots = slot_arr[query_pos]
-            keep = (
-                self.store.alive_mask[candidates]
-                & (candidates < query_slots)
-            )
-            query_slots = query_slots[keep]
-            candidates = candidates[keep]
         else:
             alive = self.store.alive_slots()
-            query_chunks: List[np.ndarray] = []
-            candidate_chunks: List[np.ndarray] = []
-            for slot in slots:
-                mates = alive[alive < slot]
-                query_chunks.append(
-                    np.full(mates.size, slot, dtype=np.int64)
-                )
-                candidate_chunks.append(mates)
-            query_slots = np.concatenate(query_chunks)
-            candidates = np.concatenate(candidate_chunks)
+            counts = np.searchsorted(alive, slot_arr)
+            query_pos = np.repeat(np.arange(n, dtype=np.int64), counts)
+            candidates = alive[concatenate_ranges(np.zeros_like(counts), counts)]
+        queries = slot_arr[query_pos]
+        keep = self._keep(queries, candidates)
+        queries = queries[keep]
+        candidates = candidates[keep]
+        adjacency = self._adjacency
+        mates_of: Dict[int, List[int]] = {}
         for slot in slots:
-            self._adjacency[slot] = {}
-        mates_of: Dict[int, List[int]] = {slot: [] for slot in slots}
-        if query_slots.size:
-            dists = self.distance.pairs(self.store, query_slots, candidates)
+            adjacency[slot] = {}
+            mates_of[slot] = []
+        for slot, edges in zip(slots, spliced or ()):
+            for mate, dist in edges:
+                adjacency[slot][mate] = dist
+                adjacency[mate][slot] = dist
+                mates_of[slot].append(mate)
+        if queries.size:
+            dists = self.distance.pairs(self.store, queries, candidates)
             mask = dists <= self.eps
             for slot, mate, dist in zip(
-                query_slots[mask].tolist(),
+                queries[mask].tolist(),
                 candidates[mask].tolist(),
                 dists[mask].tolist(),
             ):
-                self._adjacency[slot][mate] = dist
-                self._adjacency[mate][slot] = dist
+                adjacency[slot][mate] = dist
+                adjacency[mate][slot] = dist
                 mates_of[slot].append(mate)
         return [
-            (slot, np.asarray(mates_of[slot], dtype=np.int64))
+            (slot, np.sort(np.asarray(mates_of[slot], dtype=np.int64)))
             for slot in slots
         ]
+
+    def _keep(self, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Which ``(query, candidate)`` pairs :meth:`insert_batch`
+        evaluates: live candidates allocated before their query."""
+        return self.store.alive_mask[candidates] & (candidates < queries)
 
     def evict(self, slot: int) -> np.ndarray:
         """Remove a live segment; returns its former proper neighbors

@@ -188,11 +188,9 @@ class OnlineDBSCAN:
         weight: float = 1.0,
         stamp: float = 0.0,
     ) -> int:
-        """Add one segment; returns its slot id."""
-        slot, neighbors = self.graph.insert(start, end, traj_id, weight, stamp)
-        self._labeler.track(slot, (int(v) for v in neighbors))
-        self._register(slot, neighbors)
-        return slot
+        """Add one segment; returns its slot id (a one-row
+        :meth:`insert_batch`)."""
+        return self.insert_batch([start], [end], [traj_id], [weight], [stamp])[0]
 
     def insert_batch(
         self,
@@ -202,17 +200,18 @@ class OnlineDBSCAN:
         weights: Optional[np.ndarray] = None,
         stamps: Optional[np.ndarray] = None,
     ) -> List[int]:
-        """Insert many segments through one vectorized candidate join.
+        """Insert segments through one vectorized candidate join; returns
+        their slot ids in input order.
 
-        Label state afterwards is *identical* to sequential
-        :meth:`insert` calls in array order: each slot's insertion-time
-        neighbor set (mates with a smaller slot id) is what sequential
+        Label state afterwards is *identical* to inserting the rows one
+        at a time in array order: each slot's insertion-time neighbor
+        set (mates with a smaller slot id) is what one-at-a-time
         insertion would have seen, slots are registered in ascending
         order, and :meth:`_register` masks weighted sums to that same
         prefix.  Tracking all slots up front is safe because a
         promotion during an earlier slot's registration pushes itself
         into later slots' core-neighbor sets via the adjacency
-        callback — the same end state sequential ``track`` reaches.
+        callback — the same end state one-at-a-time ``track`` reaches.
         """
         inserted = self.graph.insert_batch(
             starts, ends, traj_ids, weights, stamps
@@ -228,9 +227,9 @@ class OnlineDBSCAN:
         over the wire.  *inserted* is ``(slot, mates)`` in ascending
         slot order with each slot's insertion-time proper neighbors
         ascending, exactly what
-        :meth:`DynamicNeighborGraph.insert_batch` (or the merged
-        graph's batched insert) returns; the resulting state matches
-        :meth:`insert_batch` over the same segments."""
+        :meth:`DynamicNeighborGraph.insert_batch` returns; the
+        resulting state matches :meth:`insert_batch` over the same
+        segments."""
         labeler = self._labeler
         for slot, mates in inserted:
             labeler.track(slot, (int(v) for v in mates))

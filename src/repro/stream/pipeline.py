@@ -48,10 +48,6 @@ from repro.stream.view import LabelDiff, LabelView
 #: store would cost more churn than the dead slots it reclaims.
 _COMPACT_MIN_SLOTS = 128
 
-#: Batched insertion (one candidate join for the whole delta) kicks in
-#: from this many inserted segments per update.
-_BATCH_INSERT_MIN = 2
-
 
 class StreamUpdate:
     """What one append (or bulk load) did to the clustering.
@@ -178,13 +174,6 @@ class StreamingTRACLUS:
 
         ``weight`` fixes the trajectory weight at its first append
         (``None`` = default 1.0, or keep the opening weight later)."""
-        if not self._metrics.enabled:
-            delta = self.stream.append(
-                traj_id, points, times=times, weight=weight
-            )
-            inserted, evicted = self._apply_delta(delta)
-            evicted.extend(self._apply_window())
-            return self._build_update(inserted, evicted)
         started = time.perf_counter()
         delta = self.stream.append(traj_id, points, times=times, weight=weight)
         inserted, evicted = self._apply_delta(delta)
@@ -252,9 +241,9 @@ class StreamingTRACLUS:
         """Retract-then-insert one :class:`StreamDelta` into the
         clusterer; returns the touched ``(inserted, evicted)`` slots.
 
-        Multi-segment deltas go through the clusterer's batched insert
-        (one grid candidate join for the whole delta) — the resulting
-        state is identical to sequential insertion in record order.
+        Every non-empty delta, one segment or many, enters through the
+        clusterer's batched insert (one grid query for the whole delta)
+        in record order.
         """
         evicted: List[int] = []
         for key in delta.retracted:
@@ -265,34 +254,20 @@ class StreamingTRACLUS:
             self.clusterer.evict(slot)
             evicted.append(slot)
         records = delta.inserted
-        inserted: List[int] = []
-        if len(records) >= _BATCH_INSERT_MIN:
-            inserted = self.clusterer.insert_batch(
-                np.stack([record.start for record in records]),
-                np.stack([record.end for record in records]),
-                np.array([record.traj_id for record in records], dtype=np.int64),
-                np.array([record.weight for record in records], dtype=np.float64),
-                np.array([record.stamp for record in records], dtype=np.float64),
-            )
-            for record, slot in zip(records, inserted):
-                self._key_to_slot[record.key] = slot
-                self._slot_to_key[slot] = record.key
-                if record.stamp > self._max_stamp:
-                    self._max_stamp = record.stamp
-            return inserted, evicted
-        for record in records:
-            slot = self.clusterer.insert(
-                record.start,
-                record.end,
-                record.traj_id,
-                record.weight,
-                record.stamp,
-            )
+        if not records:
+            return [], evicted
+        inserted = self.clusterer.insert_batch(
+            [record.start for record in records],
+            [record.end for record in records],
+            [record.traj_id for record in records],
+            [record.weight for record in records],
+            [record.stamp for record in records],
+        )
+        for record, slot in zip(records, inserted):
             self._key_to_slot[record.key] = slot
             self._slot_to_key[slot] = record.key
             if record.stamp > self._max_stamp:
                 self._max_stamp = record.stamp
-            inserted.append(slot)
         return inserted, evicted
 
     def _evict_slot(self, slot: int) -> None:

@@ -10,6 +10,7 @@ from repro.cluster.neighbor_graph import (
     _candidate_pair_stream,
     neighborhood_size_counts,
 )
+from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.cluster.neighborhood import (
     AUTO_BATCH_THRESHOLD,
     BruteForceNeighborhood,
@@ -20,6 +21,7 @@ from repro.exceptions import ClusteringError
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.params.entropy import neighborhood_size_curve
+from repro.stream.online_dbscan import OnlineDBSCAN
 
 
 class TestNeighborGraphStructure:
@@ -100,11 +102,10 @@ class TestCandidatePairStream:
         )
         return SegmentSet.from_segments(segments)
 
-    def pairs(self, segments, pair_block, vectorized):
+    def pairs(self, segments, pair_block):
         blocks = list(
             _candidate_pair_stream(
-                segments, self.EPS, SegmentDistance(), None, pair_block,
-                vectorized=vectorized,
+                segments, self.EPS, SegmentDistance(), pair_block
             )
         )
         assert all(0 < left.size <= pair_block for left, _ in blocks)
@@ -112,14 +113,11 @@ class TestCandidatePairStream:
         right = np.concatenate([right for _, right in blocks])
         return left, right
 
-    @pytest.mark.parametrize("vectorized", [None, False])
     @pytest.mark.parametrize("pair_block", [3, DEFAULT_PAIR_BLOCK])
-    def test_each_pair_once_and_every_edge_covered(
-        self, vectorized, pair_block
-    ):
+    def test_each_pair_once_and_every_edge_covered(self, pair_block):
         segments = self.segments()
         n = len(segments)
-        left, right = self.pairs(segments, pair_block, vectorized)
+        left, right = self.pairs(segments, pair_block)
         assert np.all(left < right)
         keys = left * n + right
         assert np.unique(keys).size == keys.size
@@ -133,13 +131,55 @@ class TestCandidatePairStream:
             assert np.count_nonzero((left == big) | (right == big)) == n - 1
         assert len(edges) > n
 
-    def test_cell_join_and_grid_walk_emit_the_same_pairs(self):
-        segments = self.segments()
-        joined = self.pairs(segments, 7, None)
-        walked = self.pairs(segments, 7, False)
-        assert set(zip(*(a.tolist() for a in joined))) == set(
-            zip(*(a.tolist() for a in walked))
-        )
+
+class TestExtremeScales:
+    """An ε with no finite candidate radius, and cells coarsened until
+    their keys fit int64: the brute oracle, the batch graph and the
+    streaming graph still give equal labels."""
+
+    @staticmethod
+    def labels_of_every_engine(segments, eps, min_lns):
+        labels = [
+            LineSegmentDBSCAN(
+                eps=eps, min_lns=min_lns, neighborhood_method=method
+            ).fit(segments)[1]
+            for method in ("brute", "batch")
+        ]
+        online = OnlineDBSCAN(eps=eps, min_lns=min_lns)
+        for at in range(0, len(segments), 7):
+            online.insert_batch(
+                segments.starts[at:at + 7],
+                segments.ends[at:at + 7],
+                segments.traj_ids[at:at + 7],
+            )
+        labels.append(online.labels()[1])
+        return labels
+
+    @pytest.mark.parametrize("eps", [np.inf, 1e154, 1e200, 1e308])
+    def test_huge_eps_joins_everything(self, eps):
+        rng = np.random.default_rng(7)
+        starts = rng.uniform(0, 100, (300, 2))
+        ends = starts + rng.normal(0, 5, (300, 2))
+        segments = SegmentSet(starts, ends, rng.integers(0, 30, 300))
+        brute, batch, online = self.labels_of_every_engine(segments, eps, 4)
+        assert np.all(brute == 0)
+        assert np.array_equal(batch, brute)
+        assert np.array_equal(online, brute)
+
+    def test_tiny_eps_over_a_huge_extent(self):
+        # 1e12 / (candidate radius ~1e-2) cells per axis overflow an
+        # int64 key in two dimensions, so the batch join coarsens.
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(0.0, 1e12, (40, 2))
+        offsets = np.arange(5)[:, None] * np.array([1e-3, 2e-3])
+        starts = (centers[:, None, :] + offsets[None]).reshape(-1, 2)
+        ends = starts + np.array([1e-2, 0.0])
+        traj_ids = np.tile(np.arange(5), 40)
+        segments = SegmentSet(starts, ends, traj_ids)
+        brute, batch, online = self.labels_of_every_engine(segments, 5e-3, 3)
+        assert brute.max() >= 30
+        assert np.array_equal(batch, brute)
+        assert np.array_equal(online, brute)
 
 
 class TestRestrict:

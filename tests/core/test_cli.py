@@ -492,6 +492,20 @@ class TestStreamCommand:
         pipeline = load_checkpoint(checkpoint)
         assert pipeline.n_alive <= 40
 
+    def test_stream_checkpoint_reports_the_file_written(
+        self, tracks_csv, tmp_path, capsys
+    ):
+        # Like np.savez, a suffix-less path gets ".npz"; the report
+        # names the file actually written.
+        checkpoint = str(tmp_path / "state")
+        assert main([
+            "stream", tracks_csv, "--eps", "8", "--min-lns", "4",
+            "--max-deltas", "0", "--checkpoint", checkpoint,
+        ]) == 0
+        assert f"wrote {checkpoint}.npz" in capsys.readouterr().out
+        assert "state.npz" in os.listdir(tmp_path)
+        assert "state" not in os.listdir(tmp_path)
+
     def test_stream_tolerates_weight_drift_within_trajectory(
         self, tmp_path, capsys
     ):

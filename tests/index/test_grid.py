@@ -70,16 +70,44 @@ class TestCandidates:
         with pytest.raises(IndexError_):
             grid.candidates_near(len(random_segments), 1.0)
 
+    @staticmethod
+    def assert_every_query_sees_everything(grid, segments, radius):
+        n = len(segments)
+        queries = np.arange(n)
+        query_pos, found = grid.candidates_near_many(queries, radius)
+        assert np.array_equal(query_pos, np.repeat(queries, n))
+        assert np.array_equal(found, np.tile(queries, n))
+
+    @staticmethod
+    def with_long_segment(segments):
+        """*segments* (inside [0, 100]^2) plus one diagonal across
+        [-50, 150]^2, whose box is oversize at any cell size used here."""
+        return SegmentSet(
+            np.vstack([segments.starts, [[-50.0, -50.0]]]),
+            np.vstack([segments.ends, [[150.0, 150.0]]]),
+        )
+
     def test_window_query_over_whole_domain(self, random_segments):
-        grid = SegmentGrid(random_segments, cell_size=1.0)
-        box = random_segments.bounding_box()
-        found = grid.candidates_in_window(box.lo, box.hi)
-        assert found.size == len(random_segments)
+        # Radius 100 stretches every window over the whole domain.  The
+        # random segments' windows (<= 31^2 cells) are rasterised; the
+        # long segment's (41^2 > 16 * 64 cells) scans the cell keys.
+        segments = self.with_long_segment(random_segments)
+        grid = SegmentGrid(segments, cell_size=10.0, max_cells_per_segment=64)
+        assert grid.n_oversize == 1
+        self.assert_every_query_sees_everything(grid, segments, 100.0)
 
     def test_window_larger_than_domain_uses_key_scan(self, random_segments):
-        # A gigantic window exercises the key-scan fallback path.
-        grid = SegmentGrid(random_segments, cell_size=0.5)
-        found = grid.candidates_in_window(
-            np.array([-1e7, -1e7]), np.array([1e7, 1e7])
-        )
-        assert found.size == len(random_segments)
+        # Gigantic windows send every query down the key scan.
+        segments = self.with_long_segment(random_segments)
+        grid = SegmentGrid(segments, cell_size=0.5)
+        assert grid.n_oversize >= 1
+        self.assert_every_query_sees_everything(grid, segments, 1e7)
+
+    def test_many_equals_one_query_at_a_time(self, random_segments):
+        grid = SegmentGrid(random_segments, cell_size=2.0)
+        queries = np.array([5, 0, 5, 39, 17])
+        query_pos, found = grid.candidates_near_many(queries, 4.0)
+        for qpos, index in enumerate(queries):
+            assert np.array_equal(
+                found[query_pos == qpos], grid.candidates_near(index, 4.0)
+            )

@@ -16,6 +16,8 @@ Two claims are pinned:
    docstring for the argument).
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -175,6 +177,71 @@ class TestStreamEquivalence:
         clusterer = OnlineDBSCAN(eps=3.0, min_lns=2, distance=distance)
         replay(operations, clusterer)
         assert_online_matches_batch(clusterer)
+
+
+def replay_in_chunks(operations, chunk_sizes, clusterer):
+    """Apply an operation sequence with its inserts fed through
+    :meth:`OnlineDBSCAN.insert_batch` in chunks of *chunk_sizes*
+    (cycled; an evict or the end cuts a chunk short), checking the batch
+    refit after every chunk and every evict."""
+    live = []
+    pending = []
+    sizes = itertools.cycle(chunk_sizes)
+    size = next(sizes)
+
+    def flush():
+        live.extend(
+            clusterer.insert_batch(
+                np.array([row[0] for row in pending], dtype=np.float64),
+                np.array([row[1] for row in pending], dtype=np.float64),
+                np.array([row[2] for row in pending], dtype=np.int64),
+                np.array([row[3] for row in pending], dtype=np.float64),
+            )
+        )
+        pending.clear()
+        assert_online_matches_batch(clusterer)
+
+    for kind, payload in operations:
+        if kind == "insert":
+            pending.append(payload)
+            if len(pending) == size:
+                flush()
+                size = next(sizes)
+        else:
+            if pending:
+                flush()
+            clusterer.evict(live.pop(payload % len(live)))
+            assert_online_matches_batch(clusterer)
+    if pending:
+        flush()
+
+
+#: Clusterer settings the chunked property runs under: count and
+#: weighted cardinality, a zero w_perp (no grid) and undirected.
+BATCH_VARIANTS = {
+    "count": {},
+    "weighted": {"use_weights": True},
+    "w_perp=0": {"distance": SegmentDistance(w_perp=0.0)},
+    "undirected": {"distance": SegmentDistance(directed=False)},
+}
+
+
+class TestBatchedInsertEquivalence:
+    @given(
+        operation_sequences(),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+        eps_values,
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(sorted(BATCH_VARIANTS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_inserts_match_batch_refit_after_every_step(
+        self, operations, chunk_sizes, eps, min_lns, variant
+    ):
+        clusterer = OnlineDBSCAN(
+            eps=eps, min_lns=min_lns, **BATCH_VARIANTS[variant]
+        )
+        replay_in_chunks(operations, chunk_sizes, clusterer)
 
 
 class TestIncrementalPartitionEquivalence:
