@@ -318,20 +318,16 @@ class ArtifactStore:
         with span("artifact_save", kind=kind):
             save_artifact(path, arrays, meta)
         self._m_save_seconds.observe(time.perf_counter() - started)
-        try:
-            stat = os.stat(path)
-        except OSError:  # pragma: no cover - concurrently evicted
-            stat = None
-        if stat is not None:
-            if self.metrics.enabled:
-                self._m_save_bytes.observe(stat.st_size)
-            # File first, row second: a crash between the two leaves an
-            # unindexed file (recovered by rebuild()), never a row
-            # pointing at nothing.
-            self._catalog_call(
-                "index_artifact", os.path.basename(path), kind, key,
-                stat.st_size, stat.st_mtime, meta,
-            )
+        if self.metrics.enabled:
+            try:
+                self._m_save_bytes.observe(os.path.getsize(path))
+            except OSError:  # pragma: no cover - concurrently evicted
+                pass
+        # File first, row second: a crash between the two leaves an
+        # unindexed file (recovered by rebuild()), never a row pointing
+        # at nothing.  The row is read back from the file, so a
+        # concurrent writer of the same key cannot leave it stale.
+        self._catalog_call("index_artifact", os.path.basename(path))
         self.enforce_disk_budget()
 
     @staticmethod

@@ -123,7 +123,7 @@ _KNOB_COLUMNS = (
 )
 
 _OPS_NAME = "repro_catalog_ops_total"
-_OPS_HELP = "Catalog operations by op (index/evict/touch/rebuild/query)."
+_OPS_HELP = "Catalog operations by op (index/touch/rebuild/query)."
 _SECONDS_NAME = "repro_catalog_op_seconds"
 _SECONDS_HELP = "Wall seconds per catalog operation by op."
 
@@ -229,20 +229,46 @@ class Catalog:
                 pass
 
     # -- write paths (driven by ArtifactStore) -------------------------------
-    def index_artifact(
-        self,
-        file: str,
-        kind: str,
-        key: str,
-        size: int,
-        mtime: float,
-        meta: Optional[dict],
-    ) -> None:
-        """Upsert one artifact row (and its grid cells, for labels
-        artifacts) after the npz file hit the disk."""
-        meta = meta if isinstance(meta, dict) else {}
+    def index_artifact(self, file: str) -> None:
+        """Make one npz file's rows say what the file says now, after a
+        save or an unlink.
+
+        Decided inside the write transaction: a present file is read
+        back (``os.stat`` and its ``__meta__`` member) and its artifact
+        row and grid cells upserted; a missing file loses its rows.
+        Each writer calls this after its own replace or unlink, so the
+        last commit sees the last change — two writers of one key
+        cannot leave a row describing the file that lost the race."""
         with self._timed("index"), self._write() as conn:
-            self._index_one(conn, file, kind, key, size, mtime, meta)
+            row = self._read_file(file)
+            if row is None:
+                conn.execute("DELETE FROM artifacts WHERE file=?", (file,))
+                conn.execute("DELETE FROM cells WHERE file=?", (file,))
+            else:
+                self._index_one(conn, *row)
+
+    #: An unlinked file takes the same disk-decided write.
+    record_eviction = index_artifact
+
+    def _read_file(
+        self, file: str
+    ) -> Optional[Tuple[str, str, str, int, float, dict]]:
+        """``(file, kind, key, bytes, mtime, meta)`` of one npz file as
+        it is on disk, or ``None`` when it is gone.  Kind and key come
+        from the name ``<kind>-<key>.npz``; only ``__meta__`` is read."""
+        path = os.path.join(self.cache_dir, file)
+        try:
+            stat = os.stat(path)
+            meta = load_artifact_meta(path)
+        except OSError:
+            return None  # vanished under a concurrent eviction
+        except ValueError:  # pragma: no cover - corrupt file
+            meta = {"error": "unreadable"}
+        kind, _, rest = file.partition("-")
+        return (
+            file, kind, rest[: -len(".npz")], stat.st_size, stat.st_mtime,
+            meta if isinstance(meta, dict) else {},
+        )
 
     def _index_one(
         self, conn, file: str, kind: str, key: str,
@@ -317,12 +343,6 @@ class Catalog:
             (file,),
         )
 
-    def record_eviction(self, file: str) -> None:
-        """Drop an artifact's rows after its npz file was unlinked."""
-        with self._timed("evict"), self._write() as conn:
-            conn.execute("DELETE FROM artifacts WHERE file=?", (file,))
-            conn.execute("DELETE FROM cells WHERE file=?", (file,))
-
     def touch(self, file: str, mtime: float) -> None:
         """Mirror a read-refreshed file mtime (the recency signal the
         byte-budget eviction orders by)."""
@@ -383,29 +403,16 @@ class Catalog:
         disk).  Reads only each file's ``__meta__`` member, never a
         payload.  Returns the number of artifacts indexed."""
         with self._timed("rebuild"):
-            rows: List[Tuple[str, str, str, int, float, dict]] = []
-            for name in sorted(self._npz_names()):
-                path = os.path.join(self.cache_dir, name)
-                kind, _, rest = name.partition("-")
-                key = rest[: -len(".npz")]
-                try:
-                    stat = os.stat(path)
-                    meta = load_artifact_meta(path)
-                except (OSError, FileNotFoundError):
-                    continue  # vanished under a concurrent eviction
-                except ValueError:  # pragma: no cover - corrupt file
-                    meta = {"error": "unreadable"}
-                    stat = os.stat(path)
-                if not isinstance(meta, dict):
-                    meta = {}
-                rows.append(
-                    (name, kind, key, stat.st_size, stat.st_mtime, meta)
-                )
+            rows = [
+                row
+                for row in map(self._read_file, sorted(self._npz_names()))
+                if row is not None
+            ]
             with self._write() as conn:
                 conn.execute("DELETE FROM artifacts")
                 conn.execute("DELETE FROM cells")
-                for name, kind, key, size, mtime, meta in rows:
-                    self._index_one(conn, name, kind, key, size, mtime, meta)
+                for row in rows:
+                    self._index_one(conn, *row)
             return len(rows)
 
     # -- store-facing reads --------------------------------------------------

@@ -589,9 +589,9 @@ class Workspace:
 
     # -- sweep state ---------------------------------------------------------
 
-    #: Engines kept per distinct ε grid (each holds O(E) sorted-edge and
-    #: incidence arrays — the graph itself is shared, so this only caps
-    #: the derived views).
+    #: Engines kept per distinct ε grid (each holds O(E) sorted-edge
+    #: arrays and its cardinality tables — the graph itself is shared,
+    #: so this only caps the derived views).
     _MAX_ENGINES = 4
 
     def _engine(self, eps_values: Sequence[float]) -> SweepEngine:

@@ -19,19 +19,16 @@ the :mod:`repro.stream.online_dbscan` docstring):
 :class:`CoreGraphLabeler` maintains exactly that state — the core set,
 per-id core-neighbor sets, and the core components (union-by-size
 merges, bounded-BFS splits) — under promotion, demotion, and removal,
-and derives the label array.  It is shared by two consumers that update
-the state along different axes:
-
-* :class:`~repro.stream.online_dbscan.OnlineDBSCAN` — segments arrive
-  and leave over *time* (inserts, evictions, compaction remaps);
-* :class:`~repro.sweep.engine.SweepEngine`'s weighted column walker —
-  the segment set is fixed and ε *grows* along a parameter grid; it
-  rebuilds the state at each ε (the count-cardinality walker keeps its
-  own array forest instead).
+and derives the label array.  Its consumer is
+:class:`~repro.stream.online_dbscan.OnlineDBSCAN`, where segments arrive
+and leave over *time* (inserts, evictions, compaction remaps).  The
+sweep engine of :mod:`repro.sweep.engine`, where ε grows over a fixed
+segment set, keeps an array forest instead and shares only
+:func:`apply_cardinality_filter`.
 
 Ids are opaque non-negative integers; the only requirement is that
 their numeric order equals the batch scan's positional order (slot
-order for the stream, segment position for the sweep).
+order in the stream).
 """
 
 from __future__ import annotations
@@ -76,8 +73,8 @@ class CoreGraphLabeler:
         self._comp_members: Dict[int, Set[int]] = {}
         self._comp_min: Dict[int, int] = {}
         self._next_comp = 0
-        #: Optional event sink.  When a consumer assigns a list here,
-        #: every component-level state change appends one tuple:
+        #: Event sink: every component-level state change appends one
+        #: tuple, and the consumer drains and clears the list:
         #:
         #: * ``("new", token, min_member)`` — component minted;
         #: * ``("union", absorbed, survivor, moved, min_changed)`` —
@@ -87,10 +84,7 @@ class CoreGraphLabeler:
         #: * ``("split", token, new_tokens)`` — component reclustered
         #:   into two or more parts (each part also emitted "new");
         #: * ``("drop", token)`` — component vanished (last core left).
-        #:
-        #: ``None`` (the default, and what the sweep engine keeps)
-        #: records nothing and costs nothing.
-        self.journal: Optional[List[tuple]] = None
+        self.journal: List[tuple] = []
 
     # -- introspection -------------------------------------------------------
     @property
@@ -107,10 +101,6 @@ class CoreGraphLabeler:
     def component_of(self, uid: int) -> int:
         """Component token of core *uid*."""
         return self._comp_of[uid]
-
-    def component_min(self, token: int) -> int:
-        """Smallest core member — the component's formation key."""
-        return self._comp_min[token]
 
     def component_members(self, token: int) -> Set[int]:
         """Core members of component *token* (live view, do not mutate)."""
@@ -134,8 +124,7 @@ class CoreGraphLabeler:
             self._comp_of[member] = token
         self._comp_members[token] = members
         self._comp_min[token] = min(members)
-        if self.journal is not None:
-            self.journal.append(("new", token, self._comp_min[token]))
+        self.journal.append(("new", token, self._comp_min[token]))
         return token
 
     def union(self, a: int, b: int) -> None:
@@ -153,8 +142,7 @@ class CoreGraphLabeler:
         min_changed = small_min < self._comp_min[ra]
         if min_changed:
             self._comp_min[ra] = small_min
-        if self.journal is not None:
-            self.journal.append(("union", rb, ra, tuple(small), min_changed))
+        self.journal.append(("union", rb, ra, tuple(small), min_changed))
 
     def promote(
         self, ids: Sequence[int], adjacent: Callable[[int], Iterable[int]]
@@ -208,15 +196,13 @@ class CoreGraphLabeler:
             if not members:
                 del self._comp_members[root]
                 del self._comp_min[root]
-                if self.journal is not None:
-                    self.journal.append(("drop", root))
+                self.journal.append(("drop", root))
                 continue
             if len(removals) == 1 and removals[0][1] <= 1:
                 min_changed = removals[0][0] == self._comp_min[root]
                 if min_changed:
                     self._comp_min[root] = min(members)
-                if self.journal is not None:
-                    self.journal.append(("keep", root, min_changed))
+                self.journal.append(("keep", root, min_changed))
                 continue
             # Recluster bounded to the component.  Seeds are taken in
             # ascending id order so that, when the component does
@@ -243,18 +229,16 @@ class CoreGraphLabeler:
                 # cluster's stable identity survives the demotion.
                 old_min = self._comp_min[root]
                 self._comp_min[root] = min(members)
-                if self.journal is not None:
-                    self.journal.append(
-                        ("keep", root, self._comp_min[root] != old_min)
-                    )
+                self.journal.append(
+                    ("keep", root, self._comp_min[root] != old_min)
+                )
                 continue
             del self._comp_members[root]
             del self._comp_min[root]
             minted = tuple(
                 self.new_component(component) for component in components
             )
-            if self.journal is not None:
-                self.journal.append(("split", root, minted))
+            self.journal.append(("split", root, minted))
 
     # -- wholesale state changes ---------------------------------------------
     def reset(self) -> None:

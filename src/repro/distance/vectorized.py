@@ -330,17 +330,3 @@ def distances_to_all(
         query, segments, directed=directed, query_seg_id=query_seg_id
     )
     return comps.weighted_sum(w_perp, w_par, w_theta)
-
-
-def distances_pairs(
-    segments: SegmentSet,
-    left: Union[np.ndarray, "list[int]"],
-    right: Union[np.ndarray, "list[int]"],
-    w_perp: float = 1.0,
-    w_par: float = 1.0,
-    w_theta: float = 1.0,
-    directed: bool = True,
-) -> np.ndarray:
-    """Weighted TRACLUS distance for aligned pairs of stored segments."""
-    comps = component_distances_pairs(segments, left, right, directed=directed)
-    return comps.weighted_sum(w_perp, w_par, w_theta)

@@ -73,9 +73,6 @@ class Cluster:
         """Materialise the members as their own :class:`SegmentSet`."""
         return self.segments.subset(self.member_indices)
 
-    def mean_weight(self) -> float:
-        return float(np.mean(self.segments.weights[self.member_indices]))
-
 
 def clusters_from_labels(
     labels: np.ndarray, segments: SegmentSet

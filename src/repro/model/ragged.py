@@ -25,7 +25,7 @@ the full distance matrix, the unfiltered neighbor-graph join).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -206,7 +206,3 @@ class RaggedPoints:
         if not 0 <= t < len(self):
             raise TrajectoryError(f"row {t} out of range 0..{len(self) - 1}")
         return self.flat[self.offsets[t] : self.offsets[t + 1]]
-
-    def to_arrays(self) -> List[np.ndarray]:
-        """The rows as a list of views (inverse of :meth:`from_arrays`)."""
-        return [self.row(t) for t in range(len(self))]

@@ -66,8 +66,8 @@ class SegmentSet:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (n,):
                 raise GeometryError(f"weights must be ({n},), got {weights.shape}")
-            if np.any(weights <= 0):
-                raise GeometryError("segment weights must be positive")
+            if not np.all((weights > 0) & np.isfinite(weights)):
+                raise GeometryError("segment weights must be positive and finite")
         self.starts = starts
         self.ends = ends
         self.traj_ids = traj_ids

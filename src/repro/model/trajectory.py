@@ -51,8 +51,10 @@ class Trajectory:
             raise TrajectoryError(
                 f"a trajectory needs at least 2 points, got {points.shape[0]}"
             )
-        if weight <= 0:
-            raise TrajectoryError(f"trajectory weight must be positive, got {weight}")
+        if not (np.isfinite(weight) and weight > 0):
+            raise TrajectoryError(
+                f"trajectory weight must be positive and finite, got {weight}"
+            )
         if times is not None:
             times = np.asarray(times, dtype=np.float64)
             if times.shape != (points.shape[0],):
@@ -60,8 +62,10 @@ class Trajectory:
                     f"times must have one entry per point: "
                     f"{times.shape} vs {points.shape[0]} points"
                 )
-            if np.any(np.diff(times) < 0):
-                raise TrajectoryError("timestamps must be non-decreasing")
+            if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+                raise TrajectoryError(
+                    "timestamps must be finite and non-decreasing"
+                )
         self.points = points
         self.points.setflags(write=False)
         self.traj_id = int(traj_id)

@@ -81,9 +81,6 @@ class MergedNeighborGraph(DynamicNeighborGraph):
         super().__init__(eps, distance, dim=dim)
         self._shard_of = np.full(64, -1, dtype=np.int64)
 
-    def shard_of_slot(self, slot: int) -> int:
-        return int(self._shard_of[slot])
-
     def _note_shard(self, slot: int, shard: int) -> None:
         if slot >= self._shard_of.size:
             grown = np.full(

@@ -52,24 +52,25 @@ def _as_point_batch(points) -> np.ndarray:
 def _opening_weight(weight: Optional[float]) -> float:
     """Validate a trajectory's opening weight (``None`` = default 1.0)."""
     opening = 1.0 if weight is None else float(weight)
-    if opening <= 0:
+    if not (np.isfinite(opening) and opening > 0):
         raise TrajectoryError(
-            f"trajectory weight must be positive, got {weight}"
+            f"trajectory weight must be positive and finite, got {weight}"
         )
     return opening
 
 
 def _validated_times(times, n_points: int) -> np.ndarray:
-    """Validate one batch's timestamps (shape and monotonicity within
-    the batch; cross-batch monotonicity is the caller's to check)."""
+    """Validate one batch's timestamps (shape, finiteness and
+    monotonicity within the batch; cross-batch monotonicity is the
+    caller's to check)."""
     times = np.asarray(times, dtype=np.float64)
     if times.shape != (n_points,):
         raise TrajectoryError(
             f"times must have one entry per appended point: "
             f"{times.shape} vs {n_points}"
         )
-    if np.any(np.diff(times) < 0):
-        raise TrajectoryError("timestamps must be non-decreasing")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise TrajectoryError("timestamps must be finite and non-decreasing")
     return times
 
 

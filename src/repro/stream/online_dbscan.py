@@ -24,9 +24,9 @@ The batch algorithm's output is a *deterministic function of the
 
 The state those rules need — core flags, core-neighbor sets, core
 components with formation order, and the border/Step-3 derivation — is
-the shared :class:`~repro.cluster.labeling.CoreGraphLabeler` (the sweep
-engine of :mod:`repro.sweep.engine` advances the same machinery along
-the ε axis instead of the time axis).  :class:`OnlineDBSCAN` maintains,
+:class:`~repro.cluster.labeling.CoreGraphLabeler` (the sweep engine of
+:mod:`repro.sweep.engine` walks the ε axis with an array forest of its
+own and shares only the Step-3 filter).  :class:`OnlineDBSCAN` maintains,
 per update: exact cardinalities, core promotion/demotion, merges via
 union-by-size and splits by reclustering bounded to the affected
 component.  :meth:`labels` evaluates the rules above — and because slot
@@ -119,7 +119,6 @@ class OnlineDBSCAN:
         # weighted sum (recomputed on touch; see _cardinality).
         self._card: Dict[int, float] = {}
         self._labeler = CoreGraphLabeler()
-        self._labeler.journal = []
         self._rep_cache: Dict[bytes, np.ndarray] = {}
         # -- stable-label view (module docstring, "Incremental diffs") --
         # Last flushed assignment: slot -> component token or NOISE.
@@ -771,8 +770,7 @@ class OnlineDBSCAN:
         self._merges.clear()
         self._splits.clear()
         self._redirect.clear()
-        if self._labeler.journal is not None:
-            self._labeler.journal.clear()
+        self._labeler.journal.clear()
         for slot in self.store.alive_slots().tolist():
             token = self._derive(slot)
             if token >= 0:

@@ -131,10 +131,6 @@ class LabelView:
         """Visible clusters (the dense label space size)."""
         return len(self._counts)
 
-    def stable_label(self, slot: int) -> Optional[int]:
-        """Stable visible label of *slot* (None = not in the window)."""
-        return self._labels.get(slot)
-
     def dense_rank(self) -> Dict[int, int]:
         """Stable token -> dense formation-order rank for the visible
         clusters."""

@@ -14,9 +14,9 @@ point:
 What *does* vary per grid point is cheap.  The builder sorts the
 ε_max-graph's edges by distance; walking a MinLns column with ε
 ascending, each step admits the next run of edges — cardinalities tick
-up, cores are promoted (never demoted: ε only grows), and core
-components merge (never split) by hooking roots onto smaller roots, so
-every component's root stays its smallest core id, the Figure-12 seed.
+up, cores are promoted, and core components merge by hooking roots
+onto smaller roots, so every component's root stays its smallest core
+id, the Figure-12 seed.
 Labels then follow from the Figure-12 rules of
 :mod:`repro.cluster.labeling` (border rule + Step-3 filter), so every
 grid point is **bitwise identical** to an independent ``TRACLUS.fit``
@@ -24,17 +24,22 @@ at those parameters — the property tests in
 ``tests/property/test_sweep_equivalence.py`` assert exactly that,
 edge-distance ties and MinLns boundaries included.
 
-Weighted cardinalities (Section 4.2) cannot be maintained
-incrementally without float drift — the batch computes ``np.sum`` over
-each ascending neighbor row, and bitwise equality demands the same
-summation tree — so the weighted path recomputes the core set from the
-stored CSR rows per ε and rebuilds components with the labeler's
-O(V + E) pass.  Still no distance kernel work.
+Weighted cardinalities (Section 4.2) change only which segments are
+core, so one walker serves both: it reads a per-engine ``(n_eps, n)``
+cardinality table that every MinLns column shares.  For counts that is
+the table :meth:`SweepEngine.neighborhood_counts` serves.  For weights
+it is ``np.sum`` over each ascending admitted CSR row — the batch's
+own summation tree, so the sums are bitwise the batch's — re-summed
+only at the ε steps that admit one of the row's edges.  ``np.sum``
+sums pairwise, so a row's weighted sum can round down when the row
+grows, and a weighted core can drop out as ε grows; the walker then
+restarts its forest (a count core never drops out).  Still no distance
+kernel work.
 
 MinLns columns are independent of each other, which is what the
 optional process-pool executor shards (``SweepConfig.executor =
-"process"``): each worker receives the sorted edge arrays once and
-walks its own columns.
+"process"``): each worker receives the sorted edge arrays and the
+cardinality table once and walks its own columns.
 
 When is a per-point refit still preferable?  When ε_max is so large
 that the ε_max-graph's ``O(E)`` edge list approaches n² and blows
@@ -46,11 +51,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.labeling import CoreGraphLabeler, apply_cardinality_filter
+from repro.cluster.labeling import apply_cardinality_filter
 from repro.cluster.neighbor_graph import DEFAULT_PAIR_BLOCK, NeighborGraph
 from repro.core.config import SWEEP_EXECUTORS
 from repro.distance.weighted import SegmentDistance
@@ -62,38 +68,8 @@ from repro.params.heuristic import ParameterEstimate, recommend_parameters
 
 
 # ---------------------------------------------------------------------------
-# Column walkers (module-level so the process-pool executor can ship them)
+# Column walker (module-level so the process-pool executor can ship it)
 # ---------------------------------------------------------------------------
-
-def _edge_incidence(
-    n: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Directed views of a distance-sorted unordered edge list.
-
-    Returns ``(dnode, dmate, inc_indptr, inc_mate)``:
-
-    * ``dnode``/``dmate`` interleave both directions of each edge in
-      admission order — entries ``2k`` and ``2k + 1`` belong to edge
-      ``k``, so the first ``2 * cut`` entries are exactly the directed
-      edges admitted at cut ``cut``;
-    * ``inc_indptr``/``inc_mate`` are an incidence CSR over nodes whose
-      rows keep admission order, so the mates node *u* has at any cut
-      are the first ``degree(u)`` entries of its row.
-
-    Built once per engine and shared by every MinLns column.
-    """
-    n_edges = int(edge_u.size)
-    dnode = np.empty(2 * n_edges, dtype=np.int64)
-    dmate = np.empty(2 * n_edges, dtype=np.int64)
-    dnode[0::2] = edge_u
-    dnode[1::2] = edge_v
-    dmate[0::2] = edge_v
-    dmate[1::2] = edge_u
-    order = np.argsort(dnode, kind="stable")  # keeps admission order
-    inc_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dnode, minlength=n), out=inc_indptr[1:])
-    return dnode, dmate, inc_indptr, dmate[order]
-
 
 def _hook_components(
     parent: np.ndarray, node_a: np.ndarray, node_b: np.ndarray
@@ -125,46 +101,48 @@ def _hook_components(
             parent[:] = hop
 
 
-def _column_labels_counts(
-    n: int,
+def _column_labels(
     edge_u: np.ndarray,
     edge_v: np.ndarray,
     cuts: np.ndarray,
+    cardinality: np.ndarray,
     min_lns: float,
     traj_ids: np.ndarray,
     threshold: Optional[float],
-    incidence: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> np.ndarray:
-    """Labels at every sorted-unique ε for one MinLns, count
-    cardinalities.
+    """Labels at every sorted-unique ε for one MinLns.
 
     ``cuts[k]`` is the number of sorted edges admitted at the k-th ε
     (``searchsorted(..., side="right")``, so a distance exactly equal to
     ε is admitted — the same ``dist <= eps`` predicate every engine
-    uses).  Each ε step admits its whole tie-block of edges at once:
-    a ``bincount`` degree update, a vectorized core test and one
-    :func:`_hook_components` call over the admitted core-core edges.
-    Python loops over ε steps only, never over nodes or edges.  A
-    core's root is the smallest core id of its component — the
-    Figure-12 seed — so clusters rank in root order.
+    uses), and ``cardinality[k]`` is every segment's ``|N_eps|`` there:
+    a count, or the Section 4.2 weighted sum.  Each ε step admits its
+    whole tie-block of edges at once: a vectorized core test
+    ``cardinality[k] >= min_lns`` and one :func:`_hook_components` call
+    over the admitted core-core edges.  Python loops over ε steps only,
+    never over nodes or edges.  A core's root is the smallest core id of
+    its component — the Figure-12 seed — so clusters rank in root order.
+
+    Counts only grow with ε, so a count core stays core.  A weighted
+    ``np.sum`` can round down when its row grows, so a weighted core can
+    drop out; the forest then restarts from the identity and the
+    admitted core-core edges are hooked again.
 
     The labels are a pure function of (core set, admitted adjacency,
-    core components), so this walker is bitwise identical to the
-    per-edge :class:`~repro.cluster.labeling.CoreGraphLabeler` walk (the
-    hypothesis suite in ``tests/property/test_sweep_equivalence.py``
-    pins both against independent ``TRACLUS.fit`` calls).
+    core components), so every cell equals an independent
+    ``LineSegmentDBSCAN`` fit — the hypothesis suite in
+    ``tests/property/test_sweep_equivalence.py`` pins both cardinalities
+    against it.
     """
-    if incidence is None:
-        incidence = _edge_incidence(n, edge_u, edge_v)
-    dnode, dmate = incidence[:2]
+    n = traj_ids.size
     step3 = min_lns if threshold is None else threshold
     out = np.empty((cuts.size, n), dtype=np.int64)
 
     ids = np.arange(n, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
     parent = ids.copy()  # non-cores point at themselves
+    core = np.zeros(n, dtype=bool)
 
-    def derive(cut: int) -> np.ndarray:
+    def derive(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         labels = np.full(n, NOISE, dtype=np.int64)
         is_root = core & (parent == ids)
         n_components = int(np.count_nonzero(is_root))
@@ -172,32 +150,26 @@ def _column_labels_counts(
             return labels
         rank_of = np.cumsum(is_root) - 1  # indexed by root id
         labels[core] = rank_of[parent[core]]
-        # Borders, over the admitted directed-edge prefix: the earliest
-        # adjacent component claims the segment unless a later-formed
-        # cluster's seed has it in its neighborhood (Figure 12 line 07
-        # overwrites unconditionally — the last adjacent seed wins).
-        node = dnode[:2 * cut]
-        mate = dmate[:2 * cut]
-        border_mask = core[mate] & ~core[node]
-        if np.any(border_mask):
-            b_node = node[border_mask]
-            b_mate = mate[border_mask]
+        # Borders, over both directions of the admitted edges: the
+        # earliest adjacent component claims the segment unless a
+        # later-formed cluster's seed has it in its neighborhood
+        # (Figure 12 line 07 overwrites unconditionally — the last
+        # adjacent seed wins).
+        first_claim = np.full(n, n_components, dtype=np.int64)
+        last_seed = np.full(n, -1, dtype=np.int64)
+        for node, mate in ((u, v), (v, u)):
+            border = core[mate] & ~core[node]
+            b_node = node[border]
+            b_mate = mate[border]
             b_root = parent[b_mate]
             b_rank = rank_of[b_root]
-            first_claim = np.full(n, n_components, dtype=np.int64)
             np.minimum.at(first_claim, b_node, b_rank)
-            last_seed = np.full(n, -1, dtype=np.int64)
-            seed_mask = b_mate == b_root
-            if np.any(seed_mask):
-                np.maximum.at(
-                    last_seed, b_node[seed_mask], b_rank[seed_mask]
-                )
-            borders = np.flatnonzero(first_claim < n_components)
-            labels[borders] = np.where(
-                last_seed[borders] >= 0,
-                last_seed[borders],
-                first_claim[borders],
-            )
+            seed = b_mate == b_root
+            np.maximum.at(last_seed, b_node[seed], b_rank[seed])
+        borders = np.flatnonzero(first_claim < n_components)
+        labels[borders] = np.where(
+            last_seed[borders] >= 0, last_seed[borders], first_claim[borders]
+        )
         return apply_cardinality_filter(labels, traj_ids, n_components, step3)
 
     at = 0
@@ -205,74 +177,17 @@ def _column_labels_counts(
         if cut == at and k > 0:
             out[k] = out[k - 1]  # no edge crossed this ε step
             continue
-        deg += np.bincount(dnode[2 * at:2 * cut], minlength=n)
-        # |N_eps(L)| is the admitted degree plus L itself; ε only grows,
-        # so cores are only ever promoted.
-        core = (deg + 1).astype(np.float64) >= min_lns
+        was_core = core
+        core = cardinality[k] >= min_lns
+        if np.any(was_core & ~core):
+            parent = ids.copy()  # a weighted core dropped out
         # Every admitted core-core edge joins its endpoints' components;
         # one already inside a component costs a gather.
         u, v = edge_u[:cut], edge_v[:cut]
         both = core[u] & core[v]
         _hook_components(parent, u[both], v[both])
         at = cut
-        out[k] = derive(at)
-    return out
-
-
-def _column_labels_weighted(
-    n: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    cuts: np.ndarray,
-    unique_eps: np.ndarray,
-    min_lns: float,
-    traj_ids: np.ndarray,
-    weights: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    threshold: Optional[float],
-    incidence: Optional[Tuple[np.ndarray, ...]] = None,
-) -> np.ndarray:
-    """Labels at every sorted-unique ε for one MinLns, weighted
-    cardinalities (Section 4.2).
-
-    The admitted adjacency is served by prefix slices of the shared
-    edge-incidence CSR (no per-edge Python appends), but the core set is
-    recomputed per ε from the stored CSR rows: the batch's weighted
-    cardinality is ``np.sum`` over the ascending neighbor row, and only
-    the identical summation tree is bitwise-faithful to it.
-    """
-    if incidence is None:
-        incidence = _edge_incidence(n, edge_u, edge_v)
-    dnode, _, inc_indptr, inc_mate = incidence
-    labeler = CoreGraphLabeler()
-    ids = list(range(n))
-    step3 = min_lns if threshold is None else threshold
-    out = np.empty((cuts.size, n), dtype=np.int64)
-    at = 0
-    deg = np.zeros(n, dtype=np.int64)
-
-    def adjacent(uid: int) -> np.ndarray:
-        lo = int(inc_indptr[uid])
-        return inc_mate[lo:lo + int(deg[uid])]
-
-    for k, cut in enumerate(cuts.tolist()):
-        if cut == at and k > 0:
-            out[k] = out[k - 1]
-            continue
-        at = cut
-        deg = np.bincount(dnode[:2 * at], minlength=n)
-        eps = unique_eps[k]
-        cores = []
-        for i in range(n):
-            row = slice(indptr[i], indptr[i + 1])
-            neighbors = indices[row][data[row] <= eps]
-            if float(np.sum(weights[neighbors])) >= min_lns:
-                cores.append(i)
-        labeler.rebuild(ids, adjacent, cores)
-        labels, n_clusters = labeler.labels_for(ids)
-        out[k] = apply_cardinality_filter(labels, traj_ids, n_clusters, step3)
+        out[k] = derive(u, v)
     return out
 
 
@@ -292,18 +207,10 @@ def _sweep_worker_column(j: int) -> Tuple[int, np.ndarray]:
 
 
 def _run_column(payload: dict, min_lns: float) -> np.ndarray:
-    if payload["use_weights"]:
-        return _column_labels_weighted(
-            payload["n"], payload["edge_u"], payload["edge_v"],
-            payload["cuts"], payload["unique_eps"], min_lns,
-            payload["traj_ids"], payload["weights"], payload["indptr"],
-            payload["indices"], payload["data"], payload["threshold"],
-            incidence=payload.get("incidence"),
-        )
-    return _column_labels_counts(
-        payload["n"], payload["edge_u"], payload["edge_v"],
-        payload["cuts"], min_lns, payload["traj_ids"],
-        payload["threshold"], incidence=payload.get("incidence"),
+    return _column_labels(
+        payload["edge_u"], payload["edge_v"], payload["cuts"],
+        payload["cardinality"], min_lns, payload["traj_ids"],
+        payload["threshold"],
     )
 
 
@@ -381,9 +288,6 @@ class SweepEngine:
         self._cuts = np.searchsorted(
             self._edge_dist, self._unique_eps, side="right"
         )
-        self._rows_all = rows
-        self._counts_cache: Optional[np.ndarray] = None
-        self._incidence_cache: Optional[Tuple[np.ndarray, ...]] = None
 
     # -- basic shape ---------------------------------------------------------
     @property
@@ -402,17 +306,40 @@ class SweepEngine:
         :func:`repro.cluster.neighbor_graph.neighborhood_size_counts`,
         read off the stored distances instead of a fresh kernel pass.
         """
-        if self._counts_cache is None:
-            k = self._unique_eps.size
-            n = self.n_segments
-            bins = np.searchsorted(
-                self._unique_eps, self.graph.data, side="left"
-            )
-            binned = np.bincount(
-                bins * n + self._rows_all, minlength=k * n
-            ).reshape(k, n)
-            self._counts_cache = np.cumsum(binned, axis=0)
-        return self._counts_cache[self._unravel]
+        return self._counts[self._unravel]
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """``(n_unique_eps, n)`` counts on the sorted-unique ε axis: one
+        bincount over (ε bin, row) of every stored entry, diagonal
+        included, then a running sum along ε."""
+        k, n = self._unique_eps.size, self.n_segments
+        rows = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.graph.indptr)
+        )
+        bins = np.searchsorted(self._unique_eps, self.graph.data, side="left")
+        binned = np.bincount(bins * n + rows, minlength=k * n).reshape(k, n)
+        return np.cumsum(binned, axis=0)
+
+    @cached_property
+    def _weighted_sums(self) -> np.ndarray:
+        """``(n_unique_eps, n)`` Section 4.2 cardinalities: ``np.sum``
+        over each ascending admitted CSR row, the summation tree of
+        ``LineSegmentDBSCAN(use_weights=True)``, so every float is
+        bitwise the batch's.  A row is re-summed only at the ε steps that
+        admit one of its entries and carried over unchanged otherwise."""
+        ptr = self.graph.indptr.tolist()
+        indices, data = self.graph.indices, self.graph.data
+        weights = self.segments.weights
+        grows = np.diff(self._counts, axis=0, prepend=0) > 0
+        table = np.empty(self._counts.shape, dtype=np.float64)
+        sums = np.zeros(self.n_segments, dtype=np.float64)
+        for k, eps in enumerate(self._unique_eps.tolist()):
+            for i in np.flatnonzero(grows[k]).tolist():
+                lo, hi = ptr[i], ptr[i + 1]
+                sums[i] = np.sum(weights[indices[lo:hi][data[lo:hi] <= eps]])
+            table[k] = sums
+        return table
 
     def entropy_curve(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(entropies, avg_sizes)`` over ``eps_values`` (user order) —
@@ -518,29 +445,14 @@ class SweepEngine:
     def _payload(
         self, cardinality_threshold: Optional[float], use_weights: bool
     ) -> dict:
-        if self._incidence_cache is None:
-            self._incidence_cache = _edge_incidence(
-                self.n_segments, self._edge_u, self._edge_v
-            )
-        payload = {
-            "n": self.n_segments,
+        return {
             "edge_u": self._edge_u,
             "edge_v": self._edge_v,
             "cuts": self._cuts,
-            "unique_eps": self._unique_eps,
+            "cardinality": self._weighted_sums if use_weights else self._counts,
             "traj_ids": self.segments.traj_ids,
             "threshold": cardinality_threshold,
-            "use_weights": bool(use_weights),
-            "incidence": self._incidence_cache,
         }
-        if use_weights:
-            payload.update(
-                weights=self.segments.weights,
-                indptr=self.graph.indptr,
-                indices=self.graph.indices,
-                data=self.graph.data,
-            )
-        return payload
 
     def __repr__(self) -> str:
         return (

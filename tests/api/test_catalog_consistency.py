@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.api.cache import ArtifactStore
 from repro.api.catalog import CATALOG_FILENAME
+from repro.io.artifacts import load_artifact_meta
 
 N_THREADS = 8
 ROUNDS = 10
@@ -116,6 +117,52 @@ class TestThreadStress:
             thread.join()
         assert errors == [], f"stress raised: {errors[:3]}"
         assert store.catalog is not None, "catalog degraded under threads"
+        _assert_settled(directory)
+
+
+class TestWriteRace:
+    def test_row_describes_the_file_that_won(self, tmp_path):
+        """Writer A replaces the file, then stalls before its catalog
+        write until writer B has saved the same key.  A's late write
+        must not index its own meta: the row describes B's file, the
+        one on disk."""
+        directory = str(tmp_path)
+        store = ArtifactStore(directory)
+        replaced, b_saved = threading.Event(), threading.Event()
+        errors = []
+        catalog_call = store._catalog_call
+
+        def held_catalog_call(method, *args):
+            if threading.current_thread() is writer_a:
+                replaced.set()
+                if not b_saved.wait(10.0):
+                    errors.append("writer B never saved")
+            return catalog_call(method, *args)
+
+        store._catalog_call = held_catalog_call
+
+        def save(corpus):
+            try:
+                store.save_arrays(
+                    "graph", "contended", {"x": np.zeros(8)},
+                    {"kind": "graph", "corpus": corpus},
+                )
+            except Exception as error:  # collected, asserted below
+                errors.append(error)
+
+        writer_a = threading.Thread(target=save, args=("fpA",))
+        writer_a.start()
+        assert replaced.wait(10.0)
+        save("fpB")
+        b_saved.set()
+        writer_a.join(10.0)
+        assert not writer_a.is_alive()
+        assert errors == []
+        path = os.path.join(directory, "graph-contended.npz")
+        assert load_artifact_meta(path)["corpus"] == "fpB"
+        assert store.catalog.sql(
+            "SELECT corpus FROM artifacts WHERE file='graph-contended.npz'"
+        ) == [{"corpus": "fpB"}]
         _assert_settled(directory)
 
 

@@ -106,12 +106,12 @@ class TestParamsCommand:
         assert "partition" in kinds
 
 
-def _corrupt_row(path, tmp_path, name, edit):
-    """Copy the CSV at *path* with its 5th data row (line 6) edited by
-    ``edit(cells) -> cells``."""
+def _corrupt_row(path, tmp_path, name, edit, line=6):
+    """Copy the CSV at *path* with its *line* (default 6, the 5th data
+    row) edited by ``edit(cells) -> cells``."""
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    lines[5] = ",".join(edit(lines[5].split(",")))
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
     out = str(tmp_path / name)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -154,6 +154,41 @@ class TestErrorContract:
 
     def test_stream_non_finite_coordinate(self, nan_csv, capsys):
         code = main(["stream", nan_csv, "--eps", "10", "--min-lns", "4"])
+        assert code == EXIT_REPRO_ERROR
+        self._assert_one_line_error(capsys, "stream")
+
+    @pytest.fixture
+    def nan_weight_csv(self, tracks_csv, tmp_path):
+        """The first trajectory's weight is read from its first row."""
+        return _corrupt_row(
+            tracks_csv, tmp_path, "nan-weight.csv",
+            lambda cells: [*cells[:3], "nan", *cells[4:]], line=2,
+        )
+
+    @pytest.fixture
+    def nan_time_csv(self, corridor_trajectories, tmp_path):
+        timed = [
+            Trajectory(t.points, traj_id=t.traj_id,
+                       times=np.arange(len(t), dtype=np.float64))
+            for t in corridor_trajectories
+        ]
+        path = str(tmp_path / "timed.csv")
+        write_trajectories_csv(timed, path, include_times=True)
+        return _corrupt_row(
+            path, tmp_path, "nan-time.csv",
+            lambda cells: [*cells[:-1], "nan"],
+        )
+
+    @pytest.mark.parametrize("command", ["cluster", "stream"])
+    def test_non_finite_weight(self, command, nan_weight_csv, capsys):
+        code = main([command, nan_weight_csv, "--eps", "10", "--min-lns",
+                     "4", "--use-weights"])
+        assert code == EXIT_REPRO_ERROR
+        self._assert_one_line_error(capsys, command)
+
+    def test_stream_non_finite_time(self, nan_time_csv, capsys):
+        code = main(["stream", nan_time_csv, "--eps", "10", "--min-lns",
+                     "4", "--horizon", "1"])
         assert code == EXIT_REPRO_ERROR
         self._assert_one_line_error(capsys, "stream")
 

@@ -37,6 +37,14 @@ class TestConstruction:
                 np.zeros((1, 2)), np.ones((1, 2)), weights=np.array([0.0])
             )
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weights_raise(self, weight):
+        with pytest.raises(GeometryError):
+            SegmentSet(
+                np.zeros((2, 2)), np.ones((2, 2)),
+                weights=np.array([1.0, weight]),
+            )
+
     def test_from_segments_roundtrip(self):
         segments = [
             Segment([0.0, 0.0], [1.0, 0.0], traj_id=0, weight=2.0),

@@ -28,6 +28,16 @@ class TestConstruction:
         with pytest.raises(TrajectoryError):
             simple_trajectory(weight=0.0)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_raises(self, weight):
+        with pytest.raises(TrajectoryError):
+            simple_trajectory(weight=weight)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_non_finite_times_raise(self, times):
+        with pytest.raises(TrajectoryError):
+            simple_trajectory(times=np.array(times))
+
     def test_times_wrong_length_raises(self):
         with pytest.raises(TrajectoryError):
             simple_trajectory(times=np.array([0.0, 1.0]))

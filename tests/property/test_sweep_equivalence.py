@@ -14,7 +14,12 @@ The strategies deliberately live on the decision boundaries:
 * one MinLns is drawn from the realised ε-cardinalities, so promotion
   at ``|N_eps| == MinLns`` (``>=`` in Figure 12 line 06) is exercised;
 * duplicated segments, zero-length segments, ε = 0, and MinLns <= 1
-  (isolated segments become core) all fall out of the generators.
+  (isolated segments become core) all fall out of the generators;
+* weighted corpora draw weights from {0.25, 0.5, 1, 2} and MinLns from
+  multiples of 0.25 and from realised weighted sums, so sums land
+  exactly on MinLns, and most of them hold a crowd that gives some row
+  8 or more neighbours — the length from which ``np.sum`` stops adding
+  left to right.
 """
 
 import numpy as np
@@ -117,31 +122,88 @@ def test_sweep_labels_equal_fresh_fit_at_every_grid_point(
             )
 
 
-@settings(max_examples=25, deadline=None)
+weight_values = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+quarter_min_lns_grids = st.lists(
+    st.integers(min_value=1, max_value=48).map(lambda v: v / 4.0),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def weighted_segment_sets(draw):
+    """:func:`segment_sets` plus, in most examples, a crowd of 8-12
+    segments within half a lattice step of one anchor, shuffled into
+    the id order, with lattice weights."""
+    base = draw(segment_sets())
+    starts, ends = base.starts.tolist(), base.ends.tolist()
+    traj_ids = base.traj_ids.tolist()
+    if draw(st.integers(min_value=0, max_value=3)):
+        anchor = [draw(coarse_coordinate) for _ in range(4)]
+        for _ in range(draw(st.integers(min_value=8, max_value=12))):
+            moved = [
+                v + draw(st.integers(min_value=-1, max_value=1)) / 2.0
+                for v in anchor
+            ]
+            starts.append(moved[0:2])
+            ends.append(moved[2:4])
+            traj_ids.append(draw(st.integers(min_value=0, max_value=4)))
+    order = draw(st.permutations(range(len(starts))))
+    weights = draw(
+        st.lists(weight_values, min_size=len(order), max_size=len(order))
+    )
+    return SegmentSet(
+        np.asarray(starts, dtype=np.float64)[order],
+        np.asarray(ends, dtype=np.float64)[order],
+        np.asarray(traj_ids, dtype=np.int64)[order],
+        np.asarray(weights, dtype=np.float64),
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    segments=segment_sets(),
+    segments=weighted_segment_sets(),
     eps_values=eps_grids,
-    min_lns_values=min_lns_grids,
+    crowd_eps=st.integers(min_value=4, max_value=20).map(lambda v: v / 2.0),
+    min_lns_values=quarter_min_lns_grids,
+    edge_pick=st.integers(min_value=0, max_value=10**6),
+    card_pick=st.integers(min_value=0, max_value=10**6),
+    threshold=st.one_of(st.none(), st.integers(0, 4).map(float)),
 )
 def test_weighted_sweep_labels_equal_fresh_fit(
-    segments, eps_values, min_lns_values
+    segments, eps_values, crowd_eps, min_lns_values, edge_pick, card_pick,
+    threshold,
 ):
-    # Re-weight deterministically from segment ids: weighted
-    # cardinalities are float sums, the regime where only an identical
-    # summation tree stays on the right side of MinLns.
-    weighted = SegmentSet(
-        segments.starts,
-        segments.ends,
-        segments.traj_ids,
-        np.where(np.arange(len(segments)) % 3 == 0, 0.5, 1.5)
-        if len(segments)
-        else segments.weights,
+    # Weighted cardinalities are float sums, the regime where only an
+    # identical summation tree stays on the right side of MinLns.  An ε
+    # of 2 or more admits a whole crowd.
+    eps_values = eps_values + [crowd_eps]
+    probe = SweepEngine(segments, [max(eps_values)])
+    if probe.n_edges:
+        eps_values = eps_values + [
+            float(probe._edge_dist[edge_pick % probe.n_edges])
+        ]
+    # MinLns exactly at one row's realised weighted sum at one grid ε.
+    graph = probe.graph
+    row = card_pick % len(segments)
+    lo, hi = graph.indptr[row], graph.indptr[row + 1]
+    admitted = graph.data[lo:hi] <= eps_values[card_pick % len(eps_values)]
+    min_lns_values = min_lns_values + [
+        float(np.sum(segments.weights[graph.indices[lo:hi][admitted]]))
+    ]
+
+    engine = SweepEngine(segments, eps_values)
+    grid = engine.labels_grid(
+        min_lns_values, cardinality_threshold=threshold, use_weights=True
     )
-    engine = SweepEngine(weighted, eps_values)
-    grid = engine.labels_grid(min_lns_values, use_weights=True)
     for i, eps in enumerate(eps_values):
         for j, min_lns in enumerate(min_lns_values):
             _, expected = LineSegmentDBSCAN(
-                eps=eps, min_lns=min_lns, use_weights=True
-            ).fit(weighted)
-            assert np.array_equal(grid[i, j], expected)
+                eps=eps, min_lns=min_lns, cardinality_threshold=threshold,
+                use_weights=True, neighborhood_method="brute",
+            ).fit(segments)
+            assert np.array_equal(grid[i, j], expected), (
+                f"labels diverge at eps={eps!r}, min_lns={min_lns!r}, "
+                f"threshold={threshold!r}"
+            )

@@ -135,6 +135,18 @@ class TestTrajectoryStream:
         with pytest.raises(TrajectoryError):
             stream.append(1, [[1.0, 0.0]], times=[4.0])  # goes backwards
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(TrajectoryError):
+            TrajectoryStream().append(1, [[0.0, 0.0]], weight=weight)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan, 1.0]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(TrajectoryError):
+            TrajectoryStream().append(
+                1, [[0.0, 0.0], [1.0, 0.0]], times=times
+            )
+
     def test_rejects_weight_change(self):
         stream = TrajectoryStream()
         stream.append(1, [[0.0, 0.0]], weight=2.0)

@@ -138,6 +138,44 @@ class TestLabelsBitwiseIdentity:
                 ).fit(segments)
                 assert np.array_equal(grid[i, j], expected)
 
+    def test_weighted_core_dropping_out_as_eps_grows(self):
+        """``np.sum`` sums 8 or more terms pairwise, so a row's weighted
+        sum can round down when a tiny weight joins it.  Segment 0 sits
+        at y = 0 with a crowd of unit segments at y in [-0.5, -0.1];
+        at ε = 1.6 it also reaches a 1e-17-weight segment at y = 1.55,
+        which no crowd member reaches.  MinLns is segment 0's sum at
+        ε = 1, so at ε = 1.6 segment 0 stops being core while the crowd
+        stays one cluster, with segment 0 as its border."""
+        rng = np.random.default_rng(8)  # a seed whose row-0 sum drops
+        n = 10
+        tiny = int(rng.integers(1, n))
+        ys = np.zeros(n)
+        crowd = [i for i in range(1, n) if i != tiny]
+        ys[crowd] = rng.uniform(-0.5, -0.1, size=len(crowd))
+        ys[tiny] = 1.55
+        weights = rng.uniform(0.5, 2.0, size=n)
+        weights[tiny] = 1e-17
+        segments = SegmentSet(
+            np.stack([np.zeros(n), ys], axis=1),
+            np.stack([np.ones(n), ys], axis=1),
+            np.arange(n),
+            weights,
+        )
+        min_lns = float(np.sum(weights[[0, *crowd]]))
+        assert float(np.sum(weights)) < min_lns  # the core drops out
+
+        eps_values = [1.0, 1.6]
+        grid = SweepEngine(segments, eps_values).labels_grid(
+            [min_lns], cardinality_threshold=1.0, use_weights=True
+        )
+        for i, eps in enumerate(eps_values):
+            _, expected = LineSegmentDBSCAN(
+                eps=eps, min_lns=min_lns, cardinality_threshold=1.0,
+                use_weights=True, neighborhood_method="brute",
+            ).fit(segments)
+            assert np.array_equal(grid[i, 0], expected)
+            assert np.all(expected[[0, *crowd]] == 0)
+
     def test_single_column_facade(self, corridor_segments):
         engine = SweepEngine(corridor_segments, EPS_VALUES)
         column = engine.labels_for_min_lns(3.0)
@@ -247,6 +285,25 @@ class TestExecutors:
             [2.0, 3.0, 4.0], executor="process", n_workers=2
         )
         assert np.array_equal(serial, forked)
+
+    def test_process_executor_weighted_grid(self):
+        base = generate_corridor_set(n_trajectories=10, seed=21)
+        trajectories = [
+            Trajectory(t.points, traj_id=t.traj_id, weight=0.25 * (1 + i % 4))
+            for i, t in enumerate(base)
+        ]
+        segments, _ = partition_all(trajectories)
+        eps_values, min_lns_values = [3.0, 5.0, 8.0], [1.5, 2.75, 4.0]
+        forked = SweepEngine(segments, eps_values).labels_grid(
+            min_lns_values, use_weights=True, executor="process", n_workers=2
+        )
+        for i, eps in enumerate(eps_values):
+            for j, min_lns in enumerate(min_lns_values):
+                _, expected = LineSegmentDBSCAN(
+                    eps=eps, min_lns=min_lns, use_weights=True,
+                    neighborhood_method="brute",
+                ).fit(segments)
+                assert np.array_equal(forked[i, j], expected)
 
     def test_unknown_executor_rejected(self, corridor_segments):
         engine = SweepEngine(corridor_segments, [4.0])
