@@ -31,6 +31,7 @@ from repro.datasets.synthetic import generate_corridor_set
 from repro.distance.weighted import SegmentDistance
 from repro.index.grid import SegmentGrid
 from repro.partition.approximate import approximate_partition
+from repro.representative.sweep import crossing_sums
 
 
 def random_walk_points(n, seed):
@@ -206,6 +207,75 @@ def run_pair_kernel_grid(backends, sizes):
     return rows, bars
 
 
+#: Compiled crossing-sum bar (``--kernel-json``, same floors as the pair
+#: kernel): Figure 15's per-position sums of interpolated points, compiled
+#: vs numpy.  Smoke runs a cluster shaped like fit-dense's (3.5k members,
+#: ~0.6M crossing pairs), full runs one shaped like the whole elk1993
+#: cluster (29.5k members, ~25M pairs).
+CROSSING_SHAPES = {"smoke": (3_500, 170), "full": (29_500, 860)}
+
+
+def crossing_workload(n_members, mean_crossed, seed=7):
+    """A Figure-15 sweep input: *n_members* segments along X' whose
+    extents hold about *mean_crossed* of the 2n endpoint positions each,
+    plus those positions and each segment's range of crossed ones."""
+    rng = np.random.default_rng(seed)
+    extent = 1000.0
+    starts = rng.uniform(0.0, extent, (n_members, 2))
+    ends = starts + np.column_stack([
+        rng.exponential(extent * mean_crossed / (2 * n_members), n_members),
+        rng.normal(0.0, 5.0, n_members),
+    ])
+    xs = np.unique(np.concatenate([starts[:, 0], ends[:, 0]]))
+    first = np.searchsorted(xs, starts[:, 0], "left")
+    last = np.searchsorted(xs, ends[:, 0], "right")
+    return starts, ends, xs, first, last
+
+
+def compare_crossing_sums(n_members, mean_crossed, backend, reps=3):
+    """Time ``crossing_sums`` on numpy vs *backend*; asserts bitwise
+    equality.  Returns ``(numpy_seconds, backend_seconds, n_pairs)``."""
+    workload = crossing_workload(n_members, mean_crossed)
+    timings = {}
+    results = {}
+    for name in ("numpy", backend):
+        with kernels.use_backend(name):
+            best = float("inf")
+            for _ in range(reps):
+                start = time.perf_counter()
+                results[name] = crossing_sums(*workload)
+                best = min(best, time.perf_counter() - start)
+            timings[name] = best
+    assert np.array_equal(
+        results["numpy"].view(np.uint64), results[backend].view(np.uint64)
+    ), f"{backend} disagrees bitwise with numpy"
+    _, _, _, first, last = workload
+    return timings["numpy"], timings[backend], int((last - first).sum())
+
+
+def test_crossing_sums_compiled_speedup(benchmark):
+    """A compiled backend sums Figure 15's crossing points >= 5x faster
+    than numpy on a cluster shaped like the whole elk1993 one,
+    bitwise-identically."""
+    backends = compiled_backends()
+    if not backends:
+        pytest.skip("no compiled kernel backend available on this host")
+    numpy_time, compiled_time, n_pairs = benchmark.pedantic(
+        compare_crossing_sums, args=(*CROSSING_SHAPES["full"], backends[0]),
+        rounds=1, iterations=1,
+    )
+    print_table(
+        f"crossing_sums over {n_pairs} pairs ({backends[0]})",
+        [
+            ("numpy", f"{numpy_time * 1000:.1f} ms"),
+            (backends[0], f"{compiled_time * 1000:.1f} ms"),
+            ("speedup", f"{numpy_time / compiled_time:.1f}x"),
+        ],
+        ("backend", "time"),
+    )
+    assert numpy_time >= PAIR_KERNEL_FLOOR_FULL * compiled_time
+
+
 def test_pair_kernel_compiled_speedup(benchmark):
     """Acceptance (compiled-kernels PR): a compiled backend evaluates
     the pair-component distance kernel >= 5x faster than numpy on a
@@ -348,6 +418,10 @@ def main(argv=None):
     # --- Kernel-backend dimension: the pair-distance kernel ----------
     sizes = [5_000, 20_000] if args.smoke else [10_000, 100_000]
     bar_size = sizes[-1]
+    mode = "smoke" if args.smoke else "full"
+    floor = PAIR_KERNEL_FLOOR_SMOKE if args.smoke else PAIR_KERNEL_FLOOR_FULL
+    crossing_members, mean_crossed = CROSSING_SHAPES[mode]
+    crossing_bars = {}
     if backends:
         rows, bars = run_pair_kernel_grid(backends, sizes)
         print_table(
@@ -357,16 +431,34 @@ def main(argv=None):
             ("n segments", "n pairs", "backend", "numpy", "compiled",
              "speedup"),
         )
+        rows = []
+        for backend in backends:
+            numpy_time, compiled_time, n_pairs = compare_crossing_sums(
+                crossing_members, mean_crossed, backend
+            )
+            crossing_bars[backend] = numpy_time / compiled_time
+            rows.append((
+                crossing_members, n_pairs, backend,
+                f"{numpy_time * 1000:.1f} ms",
+                f"{compiled_time * 1000:.1f} ms",
+                f"{crossing_bars[backend]:.1f}x",
+            ))
+        print_table(
+            "crossing_sums (Figure 15) by kernel backend (vs numpy)",
+            rows,
+            ("n members", "n pairs", "backend", "numpy", "compiled",
+             "speedup"),
+        )
     else:
         bars = {}
         print(
             "no compiled kernel backend available on this host; "
-            "pair-kernel bars skipped (see `repro doctor`)"
+            "pair-kernel and crossing-sum bars skipped (see `repro doctor`)"
         )
     if args.kernel_json:
         payload = {
             "benchmark": "pair_kernels",
-            "mode": "smoke" if args.smoke else "full",
+            "mode": mode,
             "bars": [
                 {
                     "name": (
@@ -374,10 +466,16 @@ def main(argv=None):
                         f"{bar_size}"
                     ),
                     "speedup": bars[(backend, bar_size)],
-                    "floor": (
-                        PAIR_KERNEL_FLOOR_SMOKE if args.smoke
-                        else PAIR_KERNEL_FLOOR_FULL
+                    "floor": floor,
+                }
+                for backend in backends
+            ] + [
+                {
+                    "name": (
+                        f"crossing_sums_{backend}_vs_numpy_{crossing_members}"
                     ),
+                    "speedup": crossing_bars[backend],
+                    "floor": floor,
                 }
                 for backend in backends
             ],

@@ -44,6 +44,7 @@ import numpy as np
 from repro.api.catalog import Catalog
 from repro.exceptions import CatalogError
 from repro.io.artifacts import (
+    DAMAGED_NPZ_ERRORS,
     load_artifact,
     load_artifact_meta,
     save_artifact,
@@ -278,9 +279,10 @@ class ArtifactStore:
         try:
             with span("artifact_load", kind=kind):
                 arrays, meta = load_artifact(path)
-        except FileNotFoundError:
+        except (FileNotFoundError, *DAMAGED_NPZ_ERRORS):
             # Lost the exists-then-open race against a concurrent
-            # eviction (another process's budget sweep) — a plain miss.
+            # eviction (another process's budget sweep), or a damaged
+            # file that the rebuild replaces — a plain miss.
             self.stats.count_miss()
             self._m_misses.inc()
             return None
@@ -440,7 +442,7 @@ class ArtifactStore:
                 meta = load_artifact_meta(path)
             except FileNotFoundError:
                 continue  # evicted between stat and open
-            except (OSError, ValueError):  # pragma: no cover - corrupt file
+            except (OSError, *DAMAGED_NPZ_ERRORS):  # pragma: no cover - corrupt file
                 meta = {"error": "unreadable"}
             rows.append(
                 {

@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CatalogError
-from repro.io.artifacts import load_artifact_meta
+from repro.io.artifacts import DAMAGED_NPZ_ERRORS, load_artifact_meta
 from repro.obs import NULL_REGISTRY
 
 #: File name of the catalog database inside a workspace directory.
@@ -262,7 +262,7 @@ class Catalog:
             meta = load_artifact_meta(path)
         except OSError:
             return None  # vanished under a concurrent eviction
-        except ValueError:  # pragma: no cover - corrupt file
+        except DAMAGED_NPZ_ERRORS:
             meta = {"error": "unreadable"}
         kind, _, rest = file.partition("-")
         return (

@@ -47,17 +47,20 @@ class _SegmentKnobs:
     share: their validation and the distance they configure."""
 
     def _validate_shared(self) -> None:
-        if self.eps is not None and self.eps < 0:
+        # Written so that NaN fails too.
+        if self.eps is not None and not self.eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {self.eps}")
-        if self.min_lns is not None and self.min_lns <= 0:
+        if self.min_lns is not None and not self.min_lns > 0:
             raise ClusteringError(f"min_lns must be positive, got {self.min_lns}")
-        if self.suppression < 0:
+        if not self.suppression >= 0:
             raise ClusteringError(
                 f"suppression must be non-negative, got {self.suppression}"
             )
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ClusteringError(f"gamma must be non-negative, got {self.gamma}")
-        if self.cardinality_threshold is not None and self.cardinality_threshold < 0:
+        if self.cardinality_threshold is not None and not (
+            self.cardinality_threshold >= 0
+        ):
             raise ClusteringError(
                 "cardinality_threshold must be non-negative, got "
                 f"{self.cardinality_threshold}"

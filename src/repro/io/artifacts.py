@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import zipfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,11 @@ from repro.exceptions import ReproError
 
 #: Metadata key inside the npz payload (reserved; artifacts cannot use it).
 META_KEY = "__meta__"
+
+#: What reading a damaged artifact raises: ``EOFError`` for an empty
+#: file, ``zipfile.BadZipFile`` for a truncated one, ``ValueError`` for
+#: a damaged member or meta record.
+DAMAGED_NPZ_ERRORS = (EOFError, ValueError, zipfile.BadZipFile)
 
 
 def pack_ragged(

@@ -1,16 +1,19 @@
-"""Optional compiled kernel backends for the two hot paths.
+"""Optional compiled kernel backends for the three hot paths.
 
 Every engine in this repo — batch fit, streaming, the amortized sweep,
-the Workspace artifact graph, ``repro serve`` — bottoms out in two
+the Workspace artifact graph, ``repro serve`` — bottoms out in three
 pure-numpy kernels: the role-assigned pair-component distance kernel
 (:func:`repro.distance.vectorized.component_distances_pairs`, driving
 the blocked neighbor-graph join, QMeasure's pairwise sums and
-:func:`repro.distance.matrix.pairwise_distance_matrix`) and the
+:func:`repro.distance.matrix.pairwise_distance_matrix`), the
 multi-window MDL cost kernel
 (:func:`repro.partition.mdl.window_mdl_costs`, driving the lock-step
-Figure-8 scanner).  This package provides an optional *compiled*
-backend for both, auto-detected at first use, with the numpy path as
-the always-available reference and fallback:
+Figure-8 scanner) and the crossing-sum kernel
+(:func:`repro.representative.sweep.crossing_sums`, averaging the
+segments that cross each Figure-15 sweep position).  This package
+provides an optional *compiled* backend for all three, auto-detected at
+first use, with the numpy path as the always-available reference and
+fallback:
 
 ``cext``
     A small C library compiled on demand with the system C compiler
@@ -26,16 +29,19 @@ reproduce the numpy kernels bit for bit, which is the same contract
 that keeps ``auto`` engines cache-compatible.  Three rules make that
 possible:
 
-1. Compiled kernels evaluate **geometry only** — every ``log2``
-   encoding and every per-window ``np.add.reduceat`` reduction stays in
-   numpy on every backend (numpy's SIMD ``log2`` is not bitwise equal
-   to libm's, and ``reduceat`` uses pairwise summation no C loop
-   should try to imitate).
-2. Row reductions replicate numpy's accumulation orders exactly:
+1. Compiled kernels evaluate **geometry and sequential sums only** —
+   every ``log2`` encoding and every per-window ``np.add.reduceat``
+   reduction stays in numpy on every backend (numpy's SIMD ``log2`` is
+   not bitwise equal to libm's, and ``reduceat`` uses pairwise
+   summation no C loop should try to imitate).
+2. Reductions replicate numpy's accumulation orders exactly:
    ``np.einsum("ij,ij->i")`` is a zero-initialised two-accumulator
    (even/odd) sum, ``np.sum(..., axis=1)`` a zero-initialised
    sequential sum; both verified for inner dims ≤
    :data:`MAX_COMPILED_DIM`, above which dispatch falls back to numpy.
+   ``np.bincount(rows, weights=...)``, and ``mean(axis=0)`` of an
+   array with two or more columns, add in input order into zeroed
+   outputs.
 3. A backend registers only after passing a bitwise **parity
    self-test** against the numpy kernels on a probe corpus (degenerate
    segments, equal-length ties, huge/tiny coordinates included), so a
@@ -96,10 +102,11 @@ _metrics = None  # optional MetricsRegistry for kernel_seconds/gauge
 class KernelBackend:
     """Interface of a compiled backend.
 
-    All three entry points return **per-element geometry** as float64
-    arrays bitwise identical to the corresponding numpy expressions;
-    the callers finish the ``log2``/``reduceat`` work in numpy.  Any
-    method may be ``None`` (unsupported); dispatch then falls back.
+    All four entry points return float64 arrays bitwise identical to
+    the corresponding numpy expressions: per-element geometry, whose
+    ``log2``/``reduceat`` work the callers finish in numpy, and
+    Figure 15's per-position crossing sums.  Any method may be
+    ``None`` (unsupported); dispatch then falls back.
     """
 
     name: str = "?"
@@ -144,6 +151,19 @@ class KernelBackend:
         persistent-layout lock-step scan — windows are contiguous flat
         ranges ``first[w] .. first[w]+counts[w]-1``, so no gather/
         repeat index arrays are materialised at all."""
+        raise NotImplementedError
+
+    def crossing_sums(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        xs: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+    ) -> np.ndarray:
+        """``(k, d)`` sums of the segments' points interpolated at the
+        sweep positions they cross — bitwise equal to
+        :func:`repro.representative.sweep.crossing_sums` on numpy."""
         raise NotImplementedError
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.kernels import KernelBackend, MAX_COMPILED_DIM
 
-#: C sources of the three geometry kernels.  Index arrays are int64,
+#: C sources of the four geometry kernels.  Index arrays are int64,
 #: coordinates float64, all C-contiguous.  ``double buf[8]`` scratch is
 #: safe because dispatch is gated at MAX_COMPILED_DIM (= 5) dims.
 SOURCE = r"""
@@ -316,6 +316,40 @@ void repro_lockstep_geometry(
         }
     }
 }
+
+/* Figure-15 crossing sums: bitwise equal to
+ * repro.representative.sweep._crossing_sums_numpy.  Segment i crosses
+ * rows first[i] .. last[i]-1 of the sweep positions xs and adds its
+ * point interpolated at X' = xs[r] to row r.  Rows must arrive zeroed
+ * and are summed in ascending segment order, as np.bincount and
+ * points.mean(axis=0) sum: seeding a row from its first term instead
+ * would turn an all -0.0 row into -0.0 where numpy gives +0.0. */
+void repro_crossing_sums(
+    const double *starts, const double *ends, int64_t n, int64_t d,
+    const double *xs, const int64_t *first, const int64_t *last,
+    double *out_sums)
+{
+    int64_t i, r, dd;
+    for (i = 0; i < n; i++) {
+        const double *s = starts + i * d;
+        const double *e = ends + i * d;
+        double span = e[0] - s[0];
+        for (r = first[i]; r < last[i]; r++) {
+            double t = 0.5;  /* zero X' extent: the midpoint */
+            if (span != 0.0) {
+                t = (xs[r] - s[0]) / span;
+                /* np.clip: keeps -0.0 and NaN */
+                if (t < 0.0)
+                    t = 0.0;
+                if (t > 1.0)
+                    t = 1.0;
+            }
+            double *row = out_sums + r * d;
+            for (dd = 0; dd < d; dd++)
+                row[dd] += s[dd] + t * (e[dd] - s[dd]);
+        }
+    }
+}
 """
 
 #: Compiler flags.  ``-ffp-contract=off`` is the load-bearing one (no
@@ -405,8 +439,12 @@ class CExtBackend(KernelBackend):
             lib.repro_pair_components,
             lib.repro_mdl_geometry,
             lib.repro_lockstep_geometry,
+            lib.repro_crossing_sums,
         ):
             fn.restype = None
+        lib.repro_crossing_sums.argtypes = (
+            [ctypes.c_void_p] * 2 + [_I64] * 2 + [ctypes.c_void_p] * 4
+        )
 
     def pair_components(self, starts, ends, left, right, directed):
         m = left.shape[0]
@@ -458,6 +496,15 @@ class CExtBackend(KernelBackend):
             _as_c(enc_gath),
         )
         return hyp_len, perp_in, theta_in, enc_gath
+
+    def crossing_sums(self, starts, ends, xs, first, last):
+        n, d = starts.shape
+        sums = np.zeros((xs.shape[0], d), dtype=np.float64)
+        self._lib.repro_crossing_sums(
+            _as_c(starts), _as_c(ends), _I64(n), _I64(d),
+            _as_c(xs), _as_c(first), _as_c(last), _as_c(sums),
+        )
+        return sums
 
 
 def load_backend() -> Tuple[Optional[CExtBackend], str]:

@@ -1,16 +1,18 @@
 """Bitwise parity gate for compiled kernel backends.
 
 A backend registers only if :func:`parity_check` passes: every output
-of its three geometry entry points must be **bit-for-bit identical**
+of its four geometry entry points must be **bit-for-bit identical**
 to the pure-numpy kernels on a deterministic probe corpus that covers
 the branchy cases — degenerate (zero-length) segments, equal-length
 ties in both id orders, huge and tiny coordinates, anti-parallel pairs
-(negative dots), single-segment windows, degenerate hypotheses, and
-both 2-D and 3-D data.
+(negative dots), single-segment windows, degenerate hypotheses, both
+2-D and 3-D data, and for the Figure-15 crossing sums zero X' extents,
+signed zeros and every compiled dimension.
 
 The references are the *undispatched* numpy implementations
-(``_pair_components`` / ``_window_mdl_costs_numpy``), so the check can
-run from inside backend registration without re-entering dispatch.
+(``_pair_components`` / ``_window_mdl_costs_numpy`` /
+``_crossing_sums_numpy``), so the check can run from inside backend
+registration without re-entering dispatch.
 """
 
 from __future__ import annotations
@@ -171,15 +173,57 @@ def _finish(hyp_len, perp_in, theta_in, enc_lens_gathered, offsets, counts):
     return lh, ldh, nopar
 
 
+def _probe_crossings(rng: np.random.Generator, d: int):
+    """A Figure-15 sweep input: segments in the sweep frame, the sorted
+    endpoint positions (so every segment starts and ends on one, and a
+    reversed segment starts at ``t = -0.0``) and each segment's range of
+    crossed positions."""
+    n = 96
+    starts = rng.standard_normal((n, d)) * np.exp(
+        rng.uniform(-3.0, 3.0, (n, 1))
+    )
+    ends = starts + rng.standard_normal((n, d))
+    ends[:6, 0] = starts[:6, 0]  # zero X' extent: the midpoint branch
+    starts[6:12, 1:] = -0.0  # signed zeros
+    ends[9:12, 1:] = 0.0
+    # Lone segments, forward and reversed, whose first position's row
+    # holds only -0.0 terms: it must sum to +0.0 from a zeroed row.
+    starts[12], ends[12] = -0.0, -1.0
+    starts[12, 0], ends[12, 0] = 1e3, 1e3 + 1.0
+    starts[13], ends[13] = -0.0, 1.0
+    starts[13, 0], ends[13, 0] = 2e3, 2e3 - 1.0
+    xs = np.unique(np.concatenate([starts[:, 0], ends[:, 0], [500.0]]))
+    first = np.searchsorted(xs, np.minimum(starts[:, 0], ends[:, 0]), "left")
+    last = np.searchsorted(xs, np.maximum(starts[:, 0], ends[:, 0]), "right")
+    return starts, ends, xs, first, last
+
+
+def _check_crossings(backend, rng: np.random.Generator, d: int) -> Optional[str]:
+    from repro.representative.sweep import _crossing_sums_numpy
+
+    probe = _probe_crossings(rng, d)
+    return _mismatch(
+        f"crossing/d={d}",
+        backend.crossing_sums(*probe),
+        _crossing_sums_numpy(*probe),
+    )
+
+
 def parity_check(backend) -> Optional[str]:
     """Run the full bitwise gate; ``None`` on success, else a message
     describing the first divergence (surfaced by ``repro doctor``)."""
+    from repro.kernels import MAX_COMPILED_DIM
+
     rng = np.random.default_rng(20070612)  # SIGMOD'07 vintage
     for d in (2, 3):
         failure = _check_pairs(backend, rng, d)
         if failure:
             return failure
         failure = _check_mdl(backend, rng, d)
+        if failure:
+            return failure
+    for d in range(2, MAX_COMPILED_DIM + 1):
+        failure = _check_crossings(backend, rng, d)
         if failure:
             return failure
     return None

@@ -160,8 +160,10 @@ class StreamSegmentStore:
                 f"endpoints must be ({self._dim},) vectors, got "
                 f"{start.shape} and {end.shape}"
             )
-        if weight <= 0:
-            raise ClusteringError(f"segment weight must be positive, got {weight}")
+        if not 0 < weight < np.inf:
+            raise ClusteringError(
+                f"segment weight must be positive and finite, got {weight}"
+            )
         if self._n == self._capacity:
             self._grow()
         slot = self._n

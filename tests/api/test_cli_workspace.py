@@ -4,9 +4,11 @@ the ``workspace`` inspector subcommand."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_REPRO_ERROR, build_parser, main
+from repro.io.artifacts import load_artifact
 from repro.io.csvio import write_trajectories_csv
 
 
@@ -122,6 +124,47 @@ class TestWorkspaceFlow:
         empty.mkdir()
         assert main(["workspace", "inspect", str(empty)]) == 0
         assert "no artifacts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated"])
+    def test_damaged_artifact(self, damage, tracks_csv, tmp_path, capsys):
+        """An empty or truncated npz: the catalog indexes one found in
+        the directory as unreadable, and ``cluster`` counts a damaged
+        stored artifact a miss and rebuilds it in place, with unchanged
+        output."""
+        ws_dir = str(tmp_path / "ws")
+        argv = [
+            "cluster", tracks_csv, "--eps", "5", "--min-lns", "3",
+            "--workspace", ws_dir, "--json", str(tmp_path / "first.json"),
+        ]
+        assert main(argv) == 0
+        [labels] = [n for n in os.listdir(ws_dir) if n.startswith("labels-")]
+        path = os.path.join(ws_dir, labels)
+        arrays, _ = load_artifact(path)
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        damaged = b"" if damage == "empty" else payload[: len(payload) // 2]
+
+        with open(os.path.join(ws_dir, "labels-x.npz"), "wb") as handle:
+            handle.write(damaged)
+        index_path = str(tmp_path / "index.json")
+        assert main(["workspace", "inspect", ws_dir, "--json", index_path]) == 0
+        with open(index_path, "r", encoding="utf-8") as handle:
+            entries = {entry["file"]: entry for entry in json.load(handle)}
+        assert entries["labels-x.npz"]["meta"] == {"error": "unreadable"}
+
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        argv[-1] = str(tmp_path / "second.json")
+        capsys.readouterr()
+        assert main(argv) == 0
+        rebuilt, _ = load_artifact(path)
+        assert rebuilt.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert np.array_equal(rebuilt[name], array)
+        with open(tmp_path / "first.json", "rb") as first, open(
+            tmp_path / "second.json", "rb"
+        ) as second:
+            assert first.read() == second.read()
 
     def test_warm_cluster_reuses_partition(self, tracks_csv, tmp_path):
         """Second cluster run over the same workspace leaves every

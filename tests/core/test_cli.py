@@ -192,6 +192,19 @@ class TestErrorContract:
         assert code == EXIT_REPRO_ERROR
         self._assert_one_line_error(capsys, "stream")
 
+    @pytest.mark.parametrize("option,name", [
+        ("--min-lns", "min_lns"),
+        ("--suppression", "suppression"),
+        ("--gamma", "gamma"),
+    ])
+    def test_nan_parameter(self, option, name, tracks_csv, capsys):
+        argv = ["cluster", tracks_csv, "--eps", "10", "--min-lns", "4"]
+        argv += [option, "nan"]
+        code = main(argv)
+        assert code == EXIT_REPRO_ERROR
+        err = self._assert_one_line_error(capsys, "cluster")
+        assert f"{name} must be" in err
+
 
 def _exit_status(argv):
     """What the installed script would exit with: main()'s return value,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import TraclusConfig
+from repro.core.config import StreamConfig, TraclusConfig
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 
@@ -32,6 +32,21 @@ class TestValidation:
     def test_negative_cardinality_threshold_rejected(self):
         with pytest.raises(ClusteringError):
             TraclusConfig(cardinality_threshold=-1.0)
+
+    @pytest.mark.parametrize("field", [
+        "eps", "min_lns", "suppression", "gamma", "cardinality_threshold",
+    ])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ClusteringError, match=f"{field} must be"):
+            TraclusConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", [
+        "eps", "min_lns", "suppression", "gamma", "cardinality_threshold",
+    ])
+    def test_stream_config_nan_rejected(self, field):
+        knobs = {"eps": 5.0, "min_lns": 3.0, field: float("nan")}
+        with pytest.raises(ClusteringError, match=f"{field} must be"):
+            StreamConfig(**knobs)
 
     def test_bad_weights_rejected_at_construction(self):
         with pytest.raises(ClusteringError):

@@ -19,6 +19,7 @@ from repro.distance.vectorized import component_distances_pairs
 from repro.model.ragged import RaggedPoints
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
+from repro.kernels.selftest import parity_check
 from repro.partition.batched import lockstep_scan
 from repro.partition.mdl import window_mdl_costs
 
@@ -192,6 +193,35 @@ class TestMdlKernelEquivalence:
         assert cps_n == cps_c
         _assert_bitwise("starts", starts_n, starts_c)
         _assert_bitwise("ends", ends_n, ends_c)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parity_gate_rejects_rows_seeded_from_their_first_term(backend):
+    """A crossing-sum kernel that starts each row from its first term,
+    not from zero, turns an all -0.0 row into -0.0 where numpy gives
+    +0.0: the registration gate must refuse it."""
+    real = kernels.resolve_backend(backend)
+
+    class SeededRows(type(real)):
+        def crossing_sums(self, starts, ends, xs, first, last):
+            sums = np.zeros((xs.shape[0], starts.shape[1]))
+            seeded = np.zeros(xs.shape[0], dtype=bool)
+            for i in range(starts.shape[0]):
+                s, e = starts[i], ends[i]
+                span = e[0] - s[0]
+                for r in range(first[i], last[i]):
+                    t = 0.5
+                    if span != 0.0:
+                        t = min(max((xs[r] - s[0]) / span, 0.0), 1.0)
+                    point = s + t * (e - s)
+                    if seeded[r]:
+                        sums[r] += point
+                    else:
+                        sums[r], seeded[r] = point, True
+            return sums
+
+    failure = parity_check(SeededRows(real._lib, real.lib_path))
+    assert failure is not None and failure.startswith("crossing/"), failure
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

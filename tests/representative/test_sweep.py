@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(ClusteringError):
             RepresentativeConfig(gamma=-1.0)
 
+    @pytest.mark.parametrize("field", ["min_lns", "gamma"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ClusteringError, match=f"{field} must be"):
+            RepresentativeConfig(**{field: float("nan")})
+
 
 class TestHorizontalBand:
     def test_representative_runs_through_the_middle(self):

@@ -7,8 +7,10 @@ caching — are each exercised on hand-built geometry.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
+from repro.exceptions import ClusteringError
 from repro.stream.online_dbscan import OnlineDBSCAN
 
 
@@ -187,6 +189,16 @@ class TestFigure12Details:
         assert_matches_batch(clusterer)
         _, labels = clusterer.labels()
         assert labels.max() == 0  # 2 segments x weight 2 reach MinLns 4
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        clusterer = OnlineDBSCAN(eps=5.0, min_lns=2, use_weights=True)
+        starts = np.array([[0.0, 0.0], [0.0, 1.0]])
+        ends = np.array([[10.0, 0.0], [10.0, 1.0]])
+        with pytest.raises(ClusteringError, match="weight"):
+            clusterer.insert_batch(
+                starts, ends, np.array([0, 1]), weights=np.array([weight, 1.0])
+            )
 
     def test_eps_zero_duplicates(self):
         clusterer = OnlineDBSCAN(eps=0.0, min_lns=2)
