@@ -24,7 +24,9 @@ from repro.model.segmentset import SegmentSet
 from repro.cluster.neighbor_graph import (
     NeighborGraph,
     PrecomputedNeighborhood,
+    _endpoint_join,
     candidate_radius,
+    endpoint_pairs,
 )
 from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.datasets.synthetic import generate_corridor_set
@@ -253,6 +255,69 @@ def compare_crossing_sums(n_members, mean_crossed, backend, reps=3):
     return timings["numpy"], timings[backend], int((last - first).sum())
 
 
+def endpoint_join_corpus(mode):
+    """The ε-graph join's input: a fit-dense-sized elk corpus (200
+    points per animal, smoke) or the whole elk1993 corpus (full),
+    partitioned at suppression 2, with ε = 27."""
+    from repro.datasets.starkey import generate_elk1993
+    from repro.partition.approximate import partition_all
+
+    if mode == "smoke":
+        trajectories = generate_elk1993(points_per_animal=200, seed=7)
+    else:
+        trajectories = generate_elk1993()
+    segments, _ = partition_all(trajectories, suppression=2.0)
+    return segments, 27.0
+
+
+def compare_endpoint_pairs(mode, backend, reps=3):
+    """Time the join's :func:`endpoint_pairs` calls on numpy vs
+    *backend*; asserts equal keys.  Returns ``(numpy_seconds,
+    backend_seconds, n_segments, n_candidates)``."""
+    segments, eps = endpoint_join_corpus(mode)
+    radius = candidate_radius(eps, SegmentDistance())
+    calls = list(_endpoint_join(segments, radius, kernels.DEFAULT_PAIR_BLOCK))
+    timings = {}
+    results = {}
+    for name in ("numpy", backend):
+        with kernels.use_backend(name):
+            best = float("inf")
+            for _ in range(reps):
+                start = time.perf_counter()
+                results[name] = [endpoint_pairs(*args) for args in calls]
+                best = min(best, time.perf_counter() - start)
+            timings[name] = best
+    for expected, got in zip(results["numpy"], results[backend]):
+        assert np.array_equal(expected, got), (
+            f"{backend} disagrees with numpy"
+        )
+    n_candidates = sum(keys.size for keys in results["numpy"])
+    return timings["numpy"], timings[backend], len(segments), n_candidates
+
+
+def test_endpoint_pairs_compiled_speedup(benchmark):
+    """A compiled backend runs the ε-graph join's endpoint test >= 5x
+    faster than numpy on the whole elk1993 corpus, with equal keys."""
+    backends = compiled_backends()
+    if not backends:
+        pytest.skip("no compiled kernel backend available on this host")
+    numpy_time, compiled_time, n, n_candidates = benchmark.pedantic(
+        compare_endpoint_pairs, args=("full", backends[0]),
+        rounds=1, iterations=1,
+    )
+    print_table(
+        f"endpoint_pairs over {n} segments, {n_candidates} candidates "
+        f"({backends[0]})",
+        [
+            ("numpy", f"{numpy_time * 1000:.1f} ms"),
+            (backends[0], f"{compiled_time * 1000:.1f} ms"),
+            ("speedup", f"{numpy_time / compiled_time:.1f}x"),
+        ],
+        ("backend", "time"),
+    )
+    assert numpy_time >= PAIR_KERNEL_FLOOR_FULL * compiled_time
+
+
 def test_crossing_sums_compiled_speedup(benchmark):
     """A compiled backend sums Figure 15's crossing points >= 5x faster
     than numpy on a cluster shaped like the whole elk1993 one,
@@ -422,6 +487,7 @@ def main(argv=None):
     floor = PAIR_KERNEL_FLOOR_SMOKE if args.smoke else PAIR_KERNEL_FLOOR_FULL
     crossing_members, mean_crossed = CROSSING_SHAPES[mode]
     crossing_bars = {}
+    endpoint_bars = {}
     if backends:
         rows, bars = run_pair_kernel_grid(backends, sizes)
         print_table(
@@ -449,11 +515,30 @@ def main(argv=None):
             ("n members", "n pairs", "backend", "numpy", "compiled",
              "speedup"),
         )
+        rows = []
+        for backend in backends:
+            numpy_time, compiled_time, n_endpoint, n_candidates = (
+                compare_endpoint_pairs(mode, backend)
+            )
+            endpoint_bars[backend] = numpy_time / compiled_time
+            rows.append((
+                n_endpoint, n_candidates, backend,
+                f"{numpy_time * 1000:.1f} ms",
+                f"{compiled_time * 1000:.1f} ms",
+                f"{endpoint_bars[backend]:.1f}x",
+            ))
+        print_table(
+            "endpoint_pairs (ε-graph join) by kernel backend (vs numpy)",
+            rows,
+            ("n segments", "candidates", "backend", "numpy", "compiled",
+             "speedup"),
+        )
     else:
         bars = {}
         print(
             "no compiled kernel backend available on this host; "
-            "pair-kernel and crossing-sum bars skipped (see `repro doctor`)"
+            "pair-kernel, crossing-sum and endpoint-pair bars skipped "
+            "(see `repro doctor`)"
         )
     if args.kernel_json:
         payload = {
@@ -475,6 +560,15 @@ def main(argv=None):
                         f"crossing_sums_{backend}_vs_numpy_{crossing_members}"
                     ),
                     "speedup": crossing_bars[backend],
+                    "floor": floor,
+                }
+                for backend in backends
+            ] + [
+                {
+                    "name": (
+                        f"endpoint_pairs_{backend}_vs_numpy_{n_endpoint}"
+                    ),
+                    "speedup": endpoint_bars[backend],
                     "floor": floor,
                 }
                 for backend in backends

@@ -417,12 +417,22 @@ class ArtifactStore:
             if name.endswith(".npz")
         }
         if self.catalog is not None:
-            indexed = self._catalog_call("files")
-            if indexed is not None and indexed != listing:
+            indexed = self._catalog_call("file_stats")
+            if indexed is not None and indexed.keys() != listing:
                 # Files written around the store (raw save_artifact,
                 # another torn process) or rows whose file vanished:
                 # re-derive the index, then serve from it.
                 self._catalog_call("rebuild")
+            elif indexed is not None:
+                # A file changed in place (damaged, or rewritten around
+                # the store): re-index it from what is on disk now.
+                for name in sorted(listing):
+                    try:
+                        stat = os.stat(os.path.join(self.cache_dir, name))
+                    except OSError:
+                        continue  # evicted since the listing
+                    if (stat.st_size, stat.st_mtime) != indexed[name]:
+                        self._catalog_call("index_artifact", name)
             rows = self._catalog_call("entries", ARTIFACT_KINDS)
             if rows is not None:
                 return rows

@@ -425,7 +425,16 @@ class Catalog:
 
     def files(self) -> Set[str]:
         """Every indexed npz file name."""
-        return {row[0] for row in self._read("SELECT file FROM artifacts")}
+        return set(self.file_stats())
+
+    def file_stats(self) -> Dict[str, Tuple[int, float]]:
+        """``file -> (bytes, mtime)`` as indexed, to compare with disk."""
+        return {
+            file: (int(size), float(mtime))
+            for file, size, mtime in self._read(
+                "SELECT file, bytes, mtime FROM artifacts"
+            )
+        }
 
     def total_bytes(self) -> int:
         row = self._read("SELECT COALESCE(SUM(bytes), 0) FROM artifacts")

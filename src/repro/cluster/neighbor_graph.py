@@ -6,18 +6,20 @@ The brute-force engine in :mod:`repro.cluster.neighborhood` answers
 pays n sequential O(n) passes through Python.  This module instead
 materializes the *entire* ε-neighborhood relation in one pass:
 
-1. **Candidate generation** — a uniform cell join: every segment's
-   bounding box registers in the cells it overlaps, and each segment's
-   window (its box expanded by :func:`candidate_radius`, whose
-   soundness argument is the module docstring of
-   :mod:`repro.cluster.neighborhood`) is matched against the sorted
-   cell keys, which yields a superset of its true neighbors.  Only
-   unordered pairs ``i < j`` are kept: the distance is bitwise
-   symmetric (see below), so each pair is evaluated once.  When
-   :func:`candidate_radius` has no finite radius (a zero distance
-   weight, or an ε too large to bound) the builder enumerates all
-   ``i < j`` pairs (:func:`repro.model.ragged.upper_triangle_blocks`)
-   — still exact, still blocked.
+1. **Candidate generation** — an endpoint join: every segment's two
+   endpoints register in a uniform grid, and a pair is a candidate
+   when one of its four endpoint pairs lies within
+   :func:`candidate_radius`, which no ε-neighbor pair can fail (the
+   proof is the module docstring of
+   :mod:`repro.cluster.neighborhood`).  The endpoint test runs in
+   :func:`endpoint_pairs`, compiled when a kernel backend is active.
+   Only unordered pairs ``i < j`` are kept, in ``(i, j)`` order: the
+   distance is bitwise symmetric (see below), so each pair is
+   evaluated once.  When :func:`candidate_radius` has no finite radius
+   (a zero distance weight, or an ε too large to bound) the builder
+   enumerates all ``i < j`` pairs
+   (:func:`repro.model.ragged.upper_triangle_blocks`) — still exact,
+   still blocked.
 2. **Blocked join** — candidate pairs accumulate into fixed-size blocks
    (``pair_block`` pairs) that are evaluated by the many-pairs kernel
    :func:`repro.distance.vectorized.component_distances_pairs` (over
@@ -42,11 +44,13 @@ any engine while serving queries as O(1) slices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.kernels import DEFAULT_PAIR_BLOCK, map_pair_blocks
@@ -60,62 +64,191 @@ from repro.model.segmentset import SegmentSet
 #: Geometric gaps below ~sqrt(5e-324) square to exactly 0.0 inside the
 #: distance kernel, so a pair with a *positive* gap can still compute
 #: ``dist == 0 <= eps``.  At ``eps = 0`` the nominal candidate radius is
-#: 0 and an exact bbox prefilter would prune such a pair; flooring the
+#: 0 and an exact prefilter would prune such a pair; flooring the
 #: radius just above the underflow scale keeps every prefilter engine
 #: sound (and is far below any representable coordinate difference that
 #: survives squaring).
 SUBNORMAL_RADIUS_GUARD = 1e-150
 
 
+#: ``c = 2√2 − 2``, the sharp constant of ``L2(a, b) >= c · max(a, b)``
+#: for the order-2 Lehmer mean ``L2(a, b) = (a² + b²) / (a + b)``.
+LEHMER_CONSTANT = 2.0 * math.sqrt(2.0) - 2.0
+
+#: Relative slack on the candidate radius for the rounding of computed
+#: norms, Lehmer means and weighted sums.
+RADIUS_MARGIN = 1e-6
+
+
 def candidate_radius(eps: float, distance: SegmentDistance) -> Optional[float]:
-    """Euclidean bbox-expansion radius that cannot miss an ε-neighbor
-    (soundness argument: module docstring of
-    :mod:`repro.cluster.neighborhood`), or ``None`` when no finite
+    """Endpoint radius that cannot miss an ε-neighbor: any pair within
+    distance ε has an endpoint pair within it (proof: module docstring
+    of :mod:`repro.cluster.neighborhood`).  ``None`` when no finite
     radius is sound — a zero ``w_perp``/``w_par`` voids the bound, and
     an infinite or overflowing ε leaves nothing to prune.  ``None``
     makes every pair a candidate, in the batch join and the dynamic
     graph alike."""
     if not (distance.w_perp > 0 and distance.w_par > 0):
         return None
-    radius = math.hypot(2.0 * eps / distance.w_perp, eps / distance.w_par)
+    radius = max(
+        eps / (LEHMER_CONSTANT * distance.w_perp), eps / distance.w_par
+    ) * (1.0 + RADIUS_MARGIN)
     if not math.isfinite(radius):
         return None
     return max(radius, SUBNORMAL_RADIUS_GUARD)
 
 
-#: Mirrors ``SegmentGrid(max_cells_per_segment=...)``: segments whose
-#: bbox covers more cells go to the always-candidate oversize list.
-_MAX_CELLS_PER_SEGMENT = 1024
+def endpoint_pairs(
+    points: np.ndarray,
+    owners: np.ndarray,
+    at: np.ndarray,
+    first: np.ndarray,
+    count: np.ndarray,
+    n: int,
+    r2: float,
+) -> np.ndarray:
+    """The endpoint test of the candidate join, as sorted unique keys.
 
-#: Mirrors ``SegmentGrid``'s big-window escape hatch: query windows
-#: covering more cells than this scan the registration ranges directly.
-_HUGE_WINDOW_CELLS = 16 * _MAX_CELLS_PER_SEGMENT
+    ``points`` are ``(m, d)`` endpoints and ``owners`` the segment each
+    belongs to.  Run ``j`` probes rows ``first[j] .. first[j] +
+    count[j] - 1`` from row ``at[j]``, and the result holds
+    ``owners[at[j]] * n + owners[k]`` for every probed row ``k`` whose
+    squared distance to row ``at[j]`` (summed in ``np.einsum`` order)
+    is at most ``r2``, each key once, ascending.  Runs must arrive
+    grouped by probing owner.
 
-#: Window cells enumerated per vectorized chunk (bounds the scratch of
-#: the cell-key join).
-_CELL_CHUNK_BUDGET = 1 << 16
+    When a compiled kernel backend is active (``repro.kernels``), the
+    whole loop runs compiled — bitwise identical by the backends'
+    parity contract.
+    """
+    backend = kernels.active_backend()
+    if backend is not None and points.shape[1] <= kernels.MAX_COMPILED_DIM:
+        with kernels.maybe_time("endpoint_pairs", backend.name):
+            return backend.endpoint_pairs(
+                np.ascontiguousarray(points, dtype=np.float64),
+                np.ascontiguousarray(owners, dtype=np.int64),
+                np.ascontiguousarray(at, dtype=np.int64),
+                np.ascontiguousarray(first, dtype=np.int64),
+                np.ascontiguousarray(count, dtype=np.int64),
+                n, r2,
+            )
+    return _endpoint_pairs_numpy(points, owners, at, first, count, n, r2)
 
 
-def _suffix_products(spans: np.ndarray) -> np.ndarray:
-    """Row-wise mixed-radix strides: ``strides[:, k] = prod(spans[:, k+1:])``."""
-    strides = np.ones_like(spans)
-    for k in range(spans.shape[1] - 2, -1, -1):
-        strides[:, k] = strides[:, k + 1] * spans[:, k + 1]
-    return strides
+def _endpoint_pairs_numpy(
+    points: np.ndarray,
+    owners: np.ndarray,
+    at: np.ndarray,
+    first: np.ndarray,
+    count: np.ndarray,
+    n: int,
+    r2: float,
+) -> np.ndarray:
+    """The pure-numpy :func:`endpoint_pairs` — always available, and the
+    bitwise reference the compiled backends are parity-gated against
+    (:mod:`repro.kernels.selftest`).  Rows are gathered with
+    ``np.take(..., axis=0)``, several times faster than fancy indexing
+    on 2-D rows."""
+    rows = concatenate_ranges(first, count)
+    probe = np.repeat(at, count)
+    diff = np.take(points, probe, axis=0) - np.take(points, rows, axis=0)
+    near = np.einsum("ij,ij->i", diff, diff) <= r2
+    return sorted_unique(owners[probe[near]] * n + owners[rows[near]])
 
 
-def _enumerate_cells(
-    lo_cells: np.ndarray, spans: np.ndarray, counts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand row-wise integer cell ranges into ``(owner_row, coords)``
-    arrays: every cell of row ``r``'s box appears once, owner-major."""
-    owners = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    offsets = concatenate_ranges(np.zeros_like(counts), counts)
-    strides = _suffix_products(spans)
-    coords = lo_cells[owners] + (
-        offsets[:, None] // strides[owners]
-    ) % spans[owners]
-    return owners, coords
+def _endpoint_join(
+    segments: SegmentSet, radius: float, pair_block: int
+) -> Optional[Iterator[tuple]]:
+    """The :func:`endpoint_pairs` calls of the candidate join, as
+    argument tuples in ascending query order, or ``None`` when a
+    coordinate is non-finite (no cell can key it).
+
+    Each segment registers its two endpoints, one cell each, on a grid
+    of cell size at least *radius*, coarsened until every cell key fits
+    an int64.  Endpoints are sorted by ``(cell, owner)``, so the
+    endpoints of one cell owned by segments above a query id are a
+    suffix of that cell, found by one ``searchsorted``.  Each query
+    endpoint probes the ``3^d`` cells around its own (one cell holds
+    every endpoint when ``3^d`` exceeds the segment count, where
+    probing would cost more than scanning).  Queries are processed in
+    chunks of at most ``pair_block`` probes, each split between
+    queries into calls of about ``pair_block`` endpoint tests, so peak
+    scratch stays ``O(pair_block)``.
+    """
+    n = len(segments)
+    dim = segments.dim
+    # Row 2i is segment i's start, row 2i + 1 its end.
+    points = np.stack([segments.starts, segments.ends], axis=1).reshape(
+        2 * n, dim
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = points - points.min(axis=0)
+    if not np.isfinite(offsets).all():
+        return None
+    if 3 ** dim <= n:
+        highest = offsets.max(axis=0)
+        cs = max(radius, 1e-9)
+        with np.errstate(over="ignore"):
+            while float(np.prod(np.floor(highest / cs) + 3.0)) >= 2.0**62:
+                cs *= 2.0
+        cells = np.floor(offsets / cs).astype(np.int64)
+        # Mixed radix over coordinates shifted by one, so a neighbour
+        # at coordinate -1 or extent + 1 keeps a distinct key.
+        radix = np.ones(dim, dtype=np.int64)
+        for k in range(dim - 2, -1, -1):
+            radix[k] = radix[k + 1] * (cells[:, k + 1].max() + 3)
+        keys = (cells + 1) @ radix
+        shifts = np.array(
+            list(itertools.product((-1, 0, 1), repeat=dim)), dtype=np.int64
+        ) @ radix
+    else:
+        keys = np.zeros(2 * n, dtype=np.int64)
+        shifts = np.zeros(1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")  # by (cell, owner)
+    sorted_keys = keys[order]
+    fresh = np.empty(2 * n, dtype=bool)
+    fresh[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=fresh[1:])
+    cell_start = np.flatnonzero(fresh)
+    cell_keys = sorted_keys[cell_start]
+    cell_end = np.append(cell_start[1:], 2 * n)
+    owners = order >> 1
+    ranked = (np.cumsum(fresh) - 1) * n + owners  # ascending
+    sorted_points = np.take(points, order, axis=0)
+    position = np.empty(2 * n, dtype=np.int64)
+    position[order] = np.arange(2 * n)
+    r2 = radius * radius
+    step = max(1, pair_block // (2 * shifts.size))
+
+    def calls() -> Iterator[tuple]:
+        for q0 in range(0, n, step):
+            q1 = min(q0 + step, n)
+            endpoint = np.repeat(np.arange(2 * q0, 2 * q1), shifts.size)
+            probe = keys[endpoint] + np.tile(shifts, 2 * (q1 - q0))
+            cell = np.searchsorted(cell_keys, probe)
+            np.minimum(cell, cell_keys.size - 1, out=cell)
+            hit = cell_keys[cell] == probe
+            endpoint, cell = endpoint[hit], cell[hit]
+            query = endpoint >> 1
+            first = np.searchsorted(ranked, cell * n + query, "right")
+            count = cell_end[cell] - first
+            live = count > 0
+            at, first, count = position[endpoint[live]], first[live], count[live]
+            # Cut between queries, so one query's runs share one call.
+            bounds = np.searchsorted(query[live], np.arange(q0, q1 + 1))
+            tests = np.concatenate([[0], np.cumsum(count)])[bounds]
+            lo = 0
+            while lo < q1 - q0:
+                hi = np.searchsorted(tests, tests[lo] + pair_block, "right")
+                hi = min(max(int(hi) - 1, lo + 1), q1 - q0)
+                runs = slice(bounds[lo], bounds[hi])
+                yield (
+                    sorted_points, owners, at[runs], first[runs],
+                    count[runs], n, r2,
+                )
+                lo = hi
+
+    return calls()
 
 
 def _candidate_pair_stream(
@@ -125,180 +258,28 @@ def _candidate_pair_stream(
     pair_block: int,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield ``(left, right)`` blocks of candidate pairs, ``left < right``
-    row-wise, each block at most ``pair_block`` pairs.
+    row-wise, each block at most ``pair_block`` pairs, ordered by
+    ``(left, right)`` across the whole stream.
 
-    Every pair within distance ε appears in exactly one block.  Without
-    a finite :func:`candidate_radius` every ``i < j`` pair is a
-    candidate.  Otherwise the pairs come from a cell join with no
-    Python loop over segments: registration cells and query windows
-    are enumerated with mixed-radix array arithmetic, candidates come
-    from one ``searchsorted`` join against the sorted cell keys, and
-    each unordered pair is *owned by its smaller id* (only ``candidate
-    > query`` survives), so a pair can never be emitted from two
-    chunks.  Peak scratch is bounded by chunking both the cell
-    enumeration (:data:`_CELL_CHUNK_BUDGET` cells) and the member
-    expansion (``pair_block`` candidates, split at query boundaries).
-
-    Cells start at the candidate radius and are coarsened until every
-    window's cell coordinates pack into one int64 key: any cell size
-    is sound, a coarser one only admits more candidates.
+    Every pair within distance ε appears in exactly one block: the
+    pairs with an endpoint pair within :func:`candidate_radius`, which
+    every ε-neighbor pair has (module docstring of
+    :mod:`repro.cluster.neighborhood`), found by the endpoint grid of
+    :func:`_endpoint_join`.  Without a finite radius, or with a
+    non-finite coordinate, every ``i < j`` pair is a candidate.
     """
     n = len(segments)
     radius = candidate_radius(eps, distance)
-    if radius is None or n < 2:
+    calls = None
+    if radius is not None and n >= 2:
+        calls = _endpoint_join(segments, radius, pair_block)
+    if calls is None:
         yield from upper_triangle_blocks(n, pair_block)
         return
-    box_lo = np.minimum(segments.starts, segments.ends)
-    box_hi = np.maximum(segments.starts, segments.ends)
-    origin = box_lo.min(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        window_lo = box_lo - radius - origin
-        window_hi = box_hi + radius - origin
-        finite = np.isfinite(window_lo).all() and np.isfinite(window_hi).all()
-        cs = max(radius, 1e-9)
-        lowest = window_lo.min(axis=0)
-        highest = window_hi.max(axis=0)
-        while finite and float(
-            np.prod(np.floor(highest / cs) - np.floor(lowest / cs) + 1.0)
-        ) >= 2.0**62:
-            cs *= 2.0
-    if not finite:
-        # Windows past the float range: no cell size can key them.
-        yield from upper_triangle_blocks(n, pair_block)
-        return
-    reg_lo = np.floor((box_lo - origin) / cs).astype(np.int64)
-    reg_hi = np.floor((box_hi - origin) / cs).astype(np.int64)
-    qry_lo = np.floor(window_lo / cs).astype(np.int64)
-    qry_hi = np.floor(window_hi / cs).astype(np.int64)
-    glo = qry_lo.min(axis=0)
-    extents = qry_hi.max(axis=0) - glo + 1
-    radix = np.ones(extents.shape[0], dtype=np.int64)
-    for k in range(extents.shape[0] - 2, -1, -1):
-        radix[k] = radix[k + 1] * extents[k + 1]
-
-    def encode(coords: np.ndarray) -> np.ndarray:
-        return (coords - glo) @ radix
-
-    # --- registration: sorted cell keys with member groups --------
-    reg_spans = reg_hi - reg_lo + 1
-    reg_cells = np.prod(reg_spans.astype(np.float64), axis=1)
-    oversize_mask = reg_cells > _MAX_CELLS_PER_SEGMENT
-    oversize = np.flatnonzero(oversize_mask)
-    registered = np.flatnonzero(~oversize_mask)
-    if registered.size:
-        counts = np.prod(reg_spans[registered], axis=1)
-        owners, coords = _enumerate_cells(
-            reg_lo[registered], reg_spans[registered], counts
-        )
-        keys = encode(coords)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        members = registered[owners[order]]
-        unique_keys, group_start = np.unique(
-            sorted_keys, return_index=True
-        )
-        group_count = np.diff(
-            np.append(group_start, sorted_keys.size)
-        )
-    else:
-        members = np.empty(0, dtype=np.int64)
-        unique_keys = np.empty(0, dtype=np.int64)
-        group_start = np.empty(0, dtype=np.int64)
-        group_count = np.empty(0, dtype=np.int64)
-
-    def emit(
-        left: np.ndarray, right: np.ndarray
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        for at in range(0, left.size, pair_block):
-            yield left[at:at + pair_block], right[at:at + pair_block]
-
-    # --- huge-window queries: scan registration ranges ------------
-    qry_spans = qry_hi - qry_lo + 1
-    window_cells = np.prod(qry_spans.astype(np.float64), axis=1)
-    for i in np.flatnonzero(window_cells > _HUGE_WINDOW_CELLS).tolist():
-        hit = np.all(
-            (reg_lo <= qry_hi[i]) & (reg_hi >= qry_lo[i]), axis=1
-        )
-        hit &= ~oversize_mask
-        mates = sorted_unique(
-            np.concatenate([np.flatnonzero(hit), oversize])
-        )
-        mates = mates[mates > i]
-        if mates.size:
-            yield from emit(
-                np.full(mates.size, i, dtype=np.int64), mates
-            )
-
-    # --- normal queries: chunked cell-key join --------------------
-    queries = np.flatnonzero(window_cells <= _HUGE_WINDOW_CELLS)
-    if queries.size == 0:
-        return
-    query_cells = np.prod(qry_spans[queries], axis=1)
-    cell_cum = np.cumsum(query_cells)
-    start = 0
-    while start < queries.size:
-        base = cell_cum[start - 1] if start else 0
-        stop = int(
-            np.searchsorted(cell_cum, base + _CELL_CHUNK_BUDGET, "right")
-        )
-        stop = min(max(stop, start + 1), queries.size)
-        chunk = queries[start:stop]
-        counts = query_cells[start:stop]
-        rows, coords = _enumerate_cells(
-            qry_lo[chunk], qry_spans[chunk], counts
-        )
-        keys = encode(coords)
-        pos = np.searchsorted(unique_keys, keys)
-        np.clip(pos, 0, max(unique_keys.size - 1, 0), out=pos)
-        matched = (
-            unique_keys[pos] == keys
-            if unique_keys.size
-            else np.zeros(keys.size, dtype=bool)
-        )
-        match_row = rows[matched]
-        match_gid = pos[matched]
-        match_count = group_count[match_gid]
-        # Split the member expansion at query boundaries so no
-        # sub-chunk materializes (much) more than pair_block
-        # candidates.
-        per_query = np.bincount(
-            match_row, weights=match_count, minlength=chunk.size
-        ).astype(np.int64) + oversize.size
-        expansion_cum = np.cumsum(per_query)
-        row_bounds = np.searchsorted(
-            match_row, np.arange(chunk.size + 1)
-        )
-        sub = 0
-        while sub < chunk.size:
-            base2 = expansion_cum[sub - 1] if sub else 0
-            sub_stop = int(
-                np.searchsorted(expansion_cum, base2 + pair_block, "right")
-            )
-            sub_stop = min(max(sub_stop, sub + 1), chunk.size)
-            lo_m, hi_m = row_bounds[sub], row_bounds[sub_stop]
-            sub_row = match_row[lo_m:hi_m]
-            sub_gid = match_gid[lo_m:hi_m]
-            sub_cnt = match_count[lo_m:hi_m]
-            query_ids = chunk[np.repeat(sub_row, sub_cnt)]
-            candidates = members[
-                concatenate_ranges(group_start[sub_gid], sub_cnt)
-            ]
-            if oversize.size:
-                span = chunk[sub:sub_stop]
-                query_ids = np.concatenate(
-                    [query_ids, np.repeat(span, oversize.size)]
-                )
-                candidates = np.concatenate(
-                    [candidates, np.tile(oversize, span.size)]
-                )
-            keep = candidates > query_ids
-            if np.any(keep):
-                pair_keys = sorted_unique(
-                    query_ids[keep] * n + candidates[keep]
-                )
-                yield from emit(pair_keys // n, pair_keys % n)
-            sub = sub_stop
-        start = stop
+    for args in calls:
+        pair_keys = endpoint_pairs(*args)
+        for at in range(0, pair_keys.size, pair_block):
+            yield np.divmod(pair_keys[at:at + pair_block], n)
 
 
 class NeighborGraph:

@@ -9,9 +9,9 @@ Two engines answer it, with identical neighborhoods:
   an index).  It is the oracle every other path is pinned against.
 * :class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood` (in
   :mod:`repro.cluster.neighbor_graph`) — Lemma 3 with an index: a
-  uniform-grid cell join yields candidate pairs, each pair's exact
-  distance is evaluated once, and the whole relation is kept as a CSR
-  graph, so every query is an O(1) slice.
+  uniform-grid join over segment endpoints yields candidate pairs,
+  each pair's exact distance is evaluated once, and the whole relation
+  is kept as a CSR graph, so every query is an O(1) slice.
 
 :func:`make_neighborhood_engine` picks between them.  Callers that must
 not materialise the relation (an ε so large the edge list approaches
@@ -19,31 +19,43 @@ n², or a memory cap) use the brute engine or the streaming
 :func:`~repro.cluster.neighbor_graph.neighborhood_size_counts`.
 
 **Why a geometric prefilter is sound even though the TRACLUS distance
-is not a metric.**  With weights ``w_perp, w_par > 0`` and
-``dist(Li, Lj) <= eps``:
+is not a metric.**  With weights ``w_perp, w_par > 0``, the constant
+``c = 2√2 − 2 ≈ 0.8284`` and ``dist(Li, Lj) <= eps``, some endpoint of
+Lj lies within ``r* = eps · max(1 / (c · w_perp), 1 / w_par)`` of an
+endpoint of Li:
 
-* ``d_perp <= eps / w_perp``.  The Lehmer mean of order 2 satisfies
-  ``L2(a, b) >= max(a, b) / 2``, so both perpendicular offsets are at
-  most ``2 eps / w_perp``.
-* ``d_par <= eps / w_par``, so at least one projected endpoint of the
-  shorter segment lies within ``eps / w_par`` (along Li) of an endpoint
-  of Li.
+* The order-2 Lehmer mean satisfies ``(a² + b²) / (a + b) >= c ·
+  max(a, b)``, because ``(1 + t²) / (1 + t)`` on ``[0, 1]`` is smallest
+  at ``t = √2 − 1``, where it equals ``c``.  So both perpendicular
+  offsets of Lj's endpoints from Li's line are at most ``d_perp / c``.
+* Take the endpoint ``sj`` of Lj whose projection ``ps`` onto Li's line
+  realises ``d_par``, and the endpoint ``X`` of Li nearest ``ps``.  Then
+  ``|sj − X| <= |sj − ps| + |ps − X| <= d_perp / c + d_par``.
+* ``d_perp / c + d_par <= max(1 / (c · w_perp), 1 / w_par) · (w_perp ·
+  d_perp + w_par · d_par) <= r*``, since ``w_theta · d_theta >= 0``.
+* When both segments are points, their distance is ``d_perp``, at most
+  ``eps / w_perp < r*``.
 
-That endpoint of the shorter segment is therefore within Euclidean
-distance ``r = sqrt((2 eps / w_perp)^2 + (eps / w_par)^2)`` of an
-endpoint of the longer segment, hence the two segments' bounding boxes,
-after expanding the query's by ``r``, must intersect.  Every true
-neighbor survives the prefilter; the exact distance pass removes false
-positives.  If either weight is zero the bound is vacuous and the
-batched engine evaluates every pair.
+``ps`` is the float point the distance kernel computes, so the chain
+holds for the *computed* distance up to relative rounding in norms,
+the Lehmer mean and the weighted sum; no term grows with the
+coordinates' magnitude, because the triangle inequality holds exactly
+between float points and each float difference is correctly rounded.
+:func:`repro.cluster.neighbor_graph.candidate_radius` therefore
+returns ``r*`` with a relative margin of ``1e-6``.  A pair with no
+endpoint pair within that radius is no ε-neighbor; the exact distance
+pass removes the false positives.  If either weight is zero the bound
+is vacuous and the batched engine evaluates every pair.
 
 One float subtlety: the *computed* distance of a pair whose geometric
 gap is below ~sqrt(5e-324) underflows to exactly 0, which at ``eps = 0``
-(nominal radius 0) would let an exact bbox prefilter prune a pair the
-distance pass accepts.  Every grid prefilter (the batched join, the
-streaming graph's :class:`~repro.index.grid.SegmentGrid` queries)
-therefore shares :func:`repro.cluster.neighbor_graph.candidate_radius`,
-which floors the radius just above that underflow scale.
+(nominal radius 0) would let an exact prefilter prune a pair the
+distance pass accepts.  Every grid prefilter (the batched endpoint
+join, the streaming graph's :class:`~repro.index.grid.SegmentGrid`
+queries, whose bounding boxes expanded by ``r*`` contain such an
+endpoint) therefore shares
+:func:`repro.cluster.neighbor_graph.candidate_radius`, which floors the
+radius just above that underflow scale.
 """
 
 from __future__ import annotations

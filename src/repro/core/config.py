@@ -273,7 +273,7 @@ class StreamConfig(_SegmentKnobs):
             raise ClusteringError(
                 f"max_segments must be positive, got {self.max_segments}"
             )
-        if self.horizon is not None and self.horizon < 0:
+        if self.horizon is not None and not self.horizon >= 0:
             raise ClusteringError(
                 f"horizon must be non-negative, got {self.horizon}"
             )

@@ -9,6 +9,7 @@ is supported by construction parameters.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -52,8 +53,10 @@ class SegmentDistance:
         for name, value in (
             ("w_perp", w_perp), ("w_par", w_par), ("w_theta", w_theta)
         ):
-            if value < 0:
-                raise ClusteringError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ClusteringError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
         if w_perp == 0 and w_par == 0 and w_theta == 0:
             raise ClusteringError("at least one distance weight must be positive")
         self.w_perp = float(w_perp)

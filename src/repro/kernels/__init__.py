@@ -1,17 +1,18 @@
-"""Optional compiled kernel backends for the three hot paths.
+"""Optional compiled kernel backends for the four hot paths.
 
 Every engine in this repo — batch fit, streaming, the amortized sweep,
-the Workspace artifact graph, ``repro serve`` — bottoms out in three
+the Workspace artifact graph, ``repro serve`` — bottoms out in four
 pure-numpy kernels: the role-assigned pair-component distance kernel
 (:func:`repro.distance.vectorized.component_distances_pairs`, driving
 the blocked neighbor-graph join, QMeasure's pairwise sums and
 :func:`repro.distance.matrix.pairwise_distance_matrix`), the
-multi-window MDL cost kernel
-(:func:`repro.partition.mdl.window_mdl_costs`, driving the lock-step
-Figure-8 scanner) and the crossing-sum kernel
+endpoint-pair kernel (:func:`repro.cluster.neighbor_graph.endpoint_pairs`,
+the neighbor-graph join's candidate test), the multi-window MDL cost
+kernel (:func:`repro.partition.mdl.window_mdl_costs`, driving the
+lock-step Figure-8 scanner) and the crossing-sum kernel
 (:func:`repro.representative.sweep.crossing_sums`, averaging the
 segments that cross each Figure-15 sweep position).  This package
-provides an optional *compiled* backend for all three, auto-detected at
+provides an optional *compiled* backend for all four, auto-detected at
 first use, with the numpy path as the always-available reference and
 fallback:
 
@@ -102,11 +103,12 @@ _metrics = None  # optional MetricsRegistry for kernel_seconds/gauge
 class KernelBackend:
     """Interface of a compiled backend.
 
-    All four entry points return float64 arrays bitwise identical to
-    the corresponding numpy expressions: per-element geometry, whose
-    ``log2``/``reduceat`` work the callers finish in numpy, and
-    Figure 15's per-position crossing sums.  Any method may be
-    ``None`` (unsupported); dispatch then falls back.
+    Every entry point returns arrays bitwise identical to the
+    corresponding numpy expressions: float64 per-element geometry,
+    whose ``log2``/``reduceat`` work the callers finish in numpy,
+    Figure 15's float64 per-position crossing sums, and the int64
+    candidate keys of the neighbor-graph join's endpoint test.  Any
+    method may be ``None`` (unsupported); dispatch then falls back.
     """
 
     name: str = "?"
@@ -164,6 +166,21 @@ class KernelBackend:
         """``(k, d)`` sums of the segments' points interpolated at the
         sweep positions they cross — bitwise equal to
         :func:`repro.representative.sweep.crossing_sums` on numpy."""
+        raise NotImplementedError
+
+    def endpoint_pairs(
+        self,
+        points: np.ndarray,
+        owners: np.ndarray,
+        at: np.ndarray,
+        first: np.ndarray,
+        count: np.ndarray,
+        n: int,
+        r2: float,
+    ) -> np.ndarray:
+        """Sorted unique int64 ``probing owner * n + owner`` keys of
+        the endpoint pairs within ``r2`` — equal to
+        :func:`repro.cluster.neighbor_graph.endpoint_pairs` on numpy."""
         raise NotImplementedError
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.kernels import KernelBackend, MAX_COMPILED_DIM
 
-#: C sources of the four geometry kernels.  Index arrays are int64,
+#: C sources of the five kernels.  Index arrays are int64,
 #: coordinates float64, all C-contiguous.  ``double buf[8]`` scratch is
 #: safe because dispatch is gated at MAX_COMPILED_DIM (= 5) dims.
 SOURCE = r"""
@@ -350,6 +350,57 @@ void repro_crossing_sums(
         }
     }
 }
+
+/* Endpoint join of the ε-graph: the keys of
+ * repro.cluster.neighbor_graph._endpoint_pairs_numpy, unsorted.  Run j
+ * probes points first[j] .. first[j]+count[j]-1 from point at[j]; an
+ * owner within r2 (squared distance in einsum order) is written once
+ * per probing owner.  stamp (n entries, arriving at -1) records the
+ * last probing owner that wrote each owner, which dedups because runs
+ * arrive grouped by probing owner.  Branch-free: every test writes a
+ * key slot (one past the last kept key; there is one slot per test)
+ * and only a kept key advances m. */
+static inline int64_t endpoint_runs(
+    const double *points, const int64_t *owners, int64_t d,
+    const int64_t *at, const int64_t *first, const int64_t *count,
+    int64_t runs, int64_t n, double r2, int64_t *stamp,
+    int64_t *out_keys)
+{
+    double diff[MAXD];
+    int64_t j, k, dd, m = 0;
+    for (j = 0; j < runs; j++) {
+        const double *a = points + at[j] * d;
+        int64_t q = owners[at[j]];
+        int64_t stop = first[j] + count[j];
+        for (k = first[j]; k < stop; k++) {
+            int64_t o = owners[k];
+            const double *b = points + k * d;
+            for (dd = 0; dd < d; dd++)
+                diff[dd] = a[dd] - b[dd];
+            int64_t keep = (dot_einsum(diff, diff, d) <= r2)
+                & (stamp[o] != q);
+            out_keys[m] = q * n + o;
+            stamp[o] = keep ? q : stamp[o];
+            m += keep;
+        }
+    }
+    return m;
+}
+
+/* Returns the number of keys written.  The d == 2 call lets the
+ * compiler unroll the coordinate loops for planar trajectories. */
+int64_t repro_endpoint_pairs(
+    const double *points, const int64_t *owners, int64_t d,
+    const int64_t *at, const int64_t *first, const int64_t *count,
+    int64_t runs, int64_t n, double r2, int64_t *stamp,
+    int64_t *out_keys)
+{
+    if (d == 2)
+        return endpoint_runs(points, owners, 2, at, first, count, runs,
+                             n, r2, stamp, out_keys);
+    return endpoint_runs(points, owners, d, at, first, count, runs, n,
+                         r2, stamp, out_keys);
+}
 """
 
 #: Compiler flags.  ``-ffp-contract=off`` is the load-bearing one (no
@@ -445,6 +496,11 @@ class CExtBackend(KernelBackend):
         lib.repro_crossing_sums.argtypes = (
             [ctypes.c_void_p] * 2 + [_I64] * 2 + [ctypes.c_void_p] * 4
         )
+        lib.repro_endpoint_pairs.restype = _I64
+        lib.repro_endpoint_pairs.argtypes = (
+            [ctypes.c_void_p] * 2 + [_I64] + [ctypes.c_void_p] * 3
+            + [_I64] * 2 + [ctypes.c_double] + [ctypes.c_void_p] * 2
+        )
 
     def pair_components(self, starts, ends, left, right, directed):
         m = left.shape[0]
@@ -505,6 +561,16 @@ class CExtBackend(KernelBackend):
             _as_c(xs), _as_c(first), _as_c(last), _as_c(sums),
         )
         return sums
+
+    def endpoint_pairs(self, points, owners, at, first, count, n, r2):
+        keys = np.empty(int(count.sum()), dtype=np.int64)
+        stamp = np.full(n, -1, dtype=np.int64)
+        m = self._lib.repro_endpoint_pairs(
+            _as_c(points), _as_c(owners), points.shape[1],
+            _as_c(at), _as_c(first), _as_c(count), at.shape[0],
+            n, r2, _as_c(stamp), _as_c(keys),
+        )
+        return np.sort(keys[:m])
 
 
 def load_backend() -> Tuple[Optional[CExtBackend], str]:

@@ -1,18 +1,20 @@
 """Bitwise parity gate for compiled kernel backends.
 
 A backend registers only if :func:`parity_check` passes: every output
-of its four geometry entry points must be **bit-for-bit identical**
-to the pure-numpy kernels on a deterministic probe corpus that covers
-the branchy cases — degenerate (zero-length) segments, equal-length
-ties in both id orders, huge and tiny coordinates, anti-parallel pairs
+of its five entry points must be **bit-for-bit identical** to the
+pure-numpy kernels on a deterministic probe corpus that covers the
+branchy cases — degenerate (zero-length) segments, equal-length ties
+in both id orders, huge and tiny coordinates, anti-parallel pairs
 (negative dots), single-segment windows, degenerate hypotheses, both
-2-D and 3-D data, and for the Figure-15 crossing sums zero X' extents,
-signed zeros and every compiled dimension.
+2-D and 3-D data; for the Figure-15 crossing sums zero X' extents,
+signed zeros and every compiled dimension; and for the endpoint-pair
+kernel squared distances exactly at ``r2``, signed zeros, zero-length
+segments, dense cells and every compiled dimension.
 
 The references are the *undispatched* numpy implementations
 (``_pair_components`` / ``_window_mdl_costs_numpy`` /
-``_crossing_sums_numpy``), so the check can run from inside backend
-registration without re-entering dispatch.
+``_crossing_sums_numpy`` / ``_endpoint_pairs_numpy``), so the check
+can run from inside backend registration without re-entering dispatch.
 """
 
 from __future__ import annotations
@@ -209,6 +211,49 @@ def _check_crossings(backend, rng: np.random.Generator, d: int) -> Optional[str]
     )
 
 
+def _probe_endpoints(rng: np.random.Generator, d: int):
+    """Two endpoint joins over one dense cell, the layout the ε-graph
+    join uses when every endpoint shares a cell: rows sorted by owner,
+    each endpoint probing the rows of the higher owners, split into two
+    overlapping runs so a pair is met twice.  The first has half-unit
+    lattice coordinates, so many squared distances equal ``r2 = 1.0``
+    exactly, with ``-0.0`` coordinates and zero-length segments (an
+    owner twice in the cell); the second has free floats and ``r2``
+    set to one pair's computed squared distance."""
+    n = 48
+    lattice = rng.integers(-2, 3, (2 * n, d)) / 2.0
+    lattice[(lattice == 0.0) & (rng.random((2 * n, d)) < 0.5)] = -0.0
+    lattice[1:12:2] = lattice[0:12:2]  # segments 0-5 have zero length
+    floats = rng.standard_normal((2 * n, d)) * np.exp(rng.uniform(-3.0, 3.0))
+    gap = floats[:1] - floats[9:10]
+    owners = np.repeat(np.arange(n, dtype=np.int64), 2)
+    at = np.repeat(np.arange(2 * n, dtype=np.int64), 2)
+    tail = 2 * (owners[at] + 1)  # the first row of a higher owner
+    size = 2 * n - tail
+    first = np.where(np.arange(at.size) % 2 == 0, tail, tail + size // 3)
+    last = np.where(np.arange(at.size) % 2 == 0, tail + 2 * size // 3, 2 * n)
+    runs = (owners, at, first, last - first, n)
+    return [
+        (lattice, *runs, 1.0),
+        (floats, *runs, float(np.einsum("ij,ij->i", gap, gap)[0])),
+    ]
+
+
+def _check_endpoints(backend, rng: np.random.Generator, d: int) -> Optional[str]:
+    from repro.cluster.neighbor_graph import _endpoint_pairs_numpy
+
+    for k, probe in enumerate(_probe_endpoints(rng, d)):
+        got = backend.endpoint_pairs(*probe)
+        want = _endpoint_pairs_numpy(*probe)
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            return (
+                f"endpoint/{k}/d={d}: {got.size} keys != {want.size} keys "
+                f"(first difference at "
+                f"{np.setxor1d(got, want)[:1].tolist()})"
+            )
+    return None
+
+
 def parity_check(backend) -> Optional[str]:
     """Run the full bitwise gate; ``None`` on success, else a message
     describing the first divergence (surfaced by ``repro doctor``)."""
@@ -223,7 +268,9 @@ def parity_check(backend) -> Optional[str]:
         if failure:
             return failure
     for d in range(2, MAX_COMPILED_DIM + 1):
-        failure = _check_crossings(backend, rng, d)
+        failure = _check_crossings(backend, rng, d) or _check_endpoints(
+            backend, rng, d
+        )
         if failure:
             return failure
     return None

@@ -36,7 +36,6 @@ portable and inspectable.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import asdict
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from repro.core.config import StreamConfig
 from repro.exceptions import ReproError
-from repro.io.artifacts import write_npz
+from repro.io.artifacts import DAMAGED_NPZ_ERRORS, write_npz
 from repro.partition.incremental import IncrementalPartitioner
 from repro.stream.ingest import _TrajectoryState
 from repro.stream.online_dbscan import OnlineDBSCAN
@@ -114,7 +113,7 @@ def read_checkpoint(
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
         meta = json.loads(str(arrays.pop("meta")))
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as error:
+    except (OSError, KeyError, *DAMAGED_NPZ_ERRORS) as error:
         raise ReproError(
             f"cannot read {kind} checkpoint {path}: {error}"
         ) from None

@@ -16,10 +16,10 @@ under segment insert and evict:
 * **insert** — one path, :meth:`DynamicNeighborGraph.insert_batch`,
   for one segment or many: the new segments are registered in a
   :class:`~repro.index.grid.SegmentGrid` over the store; their
-  candidate mates come from one windowed grid query at the same
-  expanded-bbox radius (same
+  candidate mates come from one windowed grid query, bounding boxes
+  expanded by the radius the batch builder's endpoint join uses (same
   :func:`~repro.cluster.neighbor_graph.candidate_radius`, same
-  subnormal floor) the batch builder uses, and the surviving edges are
+  subnormal floor), and the surviving edges are
   filtered by the same symmetric pair kernel
   (:meth:`SegmentDistance.pairs <repro.distance.weighted.SegmentDistance.pairs>`).
   When :func:`~repro.cluster.neighbor_graph.candidate_radius` has no

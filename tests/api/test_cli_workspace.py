@@ -128,8 +128,9 @@ class TestWorkspaceFlow:
     @pytest.mark.parametrize("damage", ["empty", "truncated"])
     def test_damaged_artifact(self, damage, tracks_csv, tmp_path, capsys):
         """An empty or truncated npz: the catalog indexes one found in
-        the directory as unreadable, and ``cluster`` counts a damaged
-        stored artifact a miss and rebuilds it in place, with unchanged
+        the directory, or a stored one damaged in place, as unreadable
+        at its real size, and ``cluster`` counts a damaged stored
+        artifact a miss and rebuilds it in place, with unchanged
         output."""
         ws_dir = str(tmp_path / "ws")
         argv = [
@@ -154,6 +155,11 @@ class TestWorkspaceFlow:
 
         with open(path, "wb") as handle:
             handle.write(damaged)
+        assert main(["workspace", "inspect", ws_dir, "--json", index_path]) == 0
+        with open(index_path, "r", encoding="utf-8") as handle:
+            entries = {entry["file"]: entry for entry in json.load(handle)}
+        assert entries[labels]["meta"] == {"error": "unreadable"}
+        assert entries[labels]["bytes"] == len(damaged)
         argv[-1] = str(tmp_path / "second.json")
         capsys.readouterr()
         assert main(argv) == 0

@@ -8,6 +8,7 @@ from repro.cluster.neighbor_graph import (
     NeighborGraph,
     PrecomputedNeighborhood,
     _candidate_pair_stream,
+    candidate_radius,
     neighborhood_size_counts,
 )
 from repro.cluster.dbscan import LineSegmentDBSCAN
@@ -76,8 +77,9 @@ class TestNeighborGraphStructure:
 
 
 class TestCandidatePairStream:
-    """The join behind every graph build: each unordered pair at most
-    once, ``left < right``, and a superset of the ε-edges."""
+    """The join behind every graph build: each unordered pair once,
+    ``left < right``, ordered by ``(left, right)``, and exactly the
+    pairs with an endpoint pair within the candidate radius."""
 
     EPS = 3.0
 
@@ -92,10 +94,8 @@ class TestCandidatePairStream:
             Segment(s, e, traj_id=i % 7)
             for i, (s, e) in enumerate(zip(starts, ends))
         ]
-        # At eps=3 a grid cell is ~6.7 wide: the first box covers ~2000
-        # cells (oversize list), the second's query window ~38000 (the
-        # huge-window scan).  Both sit mid-order, so each has partners
-        # on both sides of its id.
+        # Two segments far longer than the radius cross the whole set
+        # mid-order: the join meets them only at their endpoints.
         segments.insert(10, Segment([0.0, 0.0], [300.0, 300.0], traj_id=8))
         segments.insert(
             30, Segment([-600.0, 700.0], [700.0, -600.0], traj_id=9)
@@ -120,15 +120,20 @@ class TestCandidatePairStream:
         left, right = self.pairs(segments, pair_block)
         assert np.all(left < right)
         keys = left * n + right
-        assert np.unique(keys).size == keys.size
+        assert np.all(np.diff(keys) > 0)  # once each, in (left, right) order
+        # Brute force over all four endpoint pairs of every pair.
+        radius = candidate_radius(self.EPS, SegmentDistance())
+        ends = np.stack([segments.starts, segments.ends], axis=1)
+        gaps = (ends[:, None, :, None] - ends[None, :, None, :]).reshape(-1, 2)
+        near = (np.einsum("ij,ij->i", gaps, gaps) <= radius * radius)
+        near = near.reshape(n, n, 4).any(axis=2)
+        i, j = np.nonzero(np.triu(near, 1))
+        assert np.array_equal(keys, i * n + j)
         brute = BruteForceNeighborhood(segments, self.EPS)
         edges = {
             (i, int(j)) for i in range(n) for j in brute.neighbors_of(i) if j > i
         }
         assert edges <= set(zip(left.tolist(), right.tolist()))
-        # Both outsized segments are joined against the whole set.
-        for big in (10, 30):
-            assert np.count_nonzero((left == big) | (right == big)) == n - 1
         assert len(edges) > n
 
 

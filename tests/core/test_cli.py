@@ -192,6 +192,13 @@ class TestErrorContract:
         assert code == EXIT_REPRO_ERROR
         self._assert_one_line_error(capsys, "stream")
 
+    def test_stream_nan_horizon(self, tracks_csv, capsys):
+        code = main(["stream", tracks_csv, "--eps", "10", "--min-lns", "4",
+                     "--horizon", "nan"])
+        assert code == EXIT_REPRO_ERROR
+        err = self._assert_one_line_error(capsys, "stream")
+        assert "horizon must be" in err
+
     @pytest.mark.parametrize("option,name", [
         ("--min-lns", "min_lns"),
         ("--suppression", "suppression"),

@@ -52,6 +52,25 @@ class TestValidation:
         with pytest.raises(ClusteringError):
             TraclusConfig(w_perp=0.0, w_par=0.0, w_theta=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("w_perp", float("inf")),
+        ("w_par", float("nan")),
+        ("w_theta", float("nan")),
+    ])
+    def test_non_finite_weight_rejected(self, field, value):
+        with pytest.raises(ClusteringError, match=f"{field} must be"):
+            TraclusConfig(**{field: value})
+        with pytest.raises(ClusteringError, match=f"{field} must be"):
+            StreamConfig(eps=5.0, min_lns=3.0, **{field: value})
+
+    def test_stream_config_horizon(self):
+        with pytest.raises(ClusteringError, match="horizon must be"):
+            StreamConfig(eps=5.0, min_lns=3.0, horizon=float("nan"))
+        with pytest.raises(ClusteringError, match="horizon must be"):
+            StreamConfig(eps=5.0, min_lns=3.0, horizon=-1.0)
+        # An infinite horizon is legal: it never evicts.
+        assert StreamConfig(eps=5.0, min_lns=3.0, horizon=float("inf"))
+
     def test_frozen(self):
         config = TraclusConfig()
         with pytest.raises(AttributeError):

@@ -18,6 +18,16 @@ class TestConstruction:
         with pytest.raises(ClusteringError):
             SegmentDistance(w_perp=-1.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("w_perp", float("inf")),
+        ("w_par", float("nan")),
+        ("w_theta", float("nan")),
+        ("w_theta", float("inf")),
+    ])
+    def test_non_finite_weight_raises(self, name, value):
+        with pytest.raises(ClusteringError, match=f"{name} must be"):
+            SegmentDistance(**{name: value})
+
     def test_all_zero_weights_raise(self):
         with pytest.raises(ClusteringError):
             SegmentDistance(w_perp=0.0, w_par=0.0, w_theta=0.0)

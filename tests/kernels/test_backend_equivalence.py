@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TRACLUS, TraclusConfig, kernels
 from repro.api.workspace import Workspace
+from repro.cluster.neighbor_graph import NeighborGraph
 from repro.distance.vectorized import component_distances_pairs
 from repro.model.ragged import RaggedPoints
 from repro.model.segment import Segment
@@ -132,6 +133,26 @@ class TestPairKernelEquivalence:
         _assert_bitwise("parallel", expected.parallel, actual.parallel)
         _assert_bitwise("angle", expected.angle, actual.angle)
 
+    @given(
+        store=segment_store(),
+        eps=st.floats(min_value=0.0, max_value=30.0),
+        pair_block=st.sampled_from([1, 5, kernels.DEFAULT_PAIR_BLOCK]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_neighbor_graph_bitwise(self, backend, store, eps, pair_block):
+        """The endpoint join and the pair kernel together: the CSR of
+        the ε-graph is identical on both backends."""
+        graphs = []
+        for name in ("numpy", backend):
+            with kernels.use_backend(name):
+                graphs.append(
+                    NeighborGraph.build(store, eps, pair_block=pair_block)
+                )
+        expected, actual = graphs
+        assert np.array_equal(expected.indptr, actual.indptr)
+        assert np.array_equal(expected.indices, actual.indices)
+        _assert_bitwise("data", expected.data, actual.data)
+
 
 def _windows_of(ragged):
     """Every (i, j) window with j - i in {1, 2, 3} over every row of
@@ -222,6 +243,36 @@ def test_parity_gate_rejects_rows_seeded_from_their_first_term(backend):
 
     failure = parity_check(SeededRows(real._lib, real.lib_path))
     assert failure is not None and failure.startswith("crossing/"), failure
+
+
+def endpoint_twin(real, strict):
+    """A Python endpoint-pair kernel over *real*'s backend class that
+    keeps a pair at ``d2 <= r2``, or only at ``d2 < r2`` when
+    *strict*."""
+
+    class Twin(type(real)):
+        def endpoint_pairs(self, points, owners, at, first, count, n, r2):
+            keys = set()
+            for j in range(at.size):
+                rows = np.arange(first[j], first[j] + count[j])
+                gaps = points[at[j]] - points[rows]
+                d2 = np.einsum("ij,ij->i", gaps, gaps)
+                near = d2 < r2 if strict else d2 <= r2
+                keys.update(owners[at[j]] * n + owners[rows[near]])
+            return np.array(sorted(keys), dtype=np.int64)
+
+    return Twin(real._lib, real.lib_path)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parity_gate_rejects_an_endpoint_test_that_drops_the_boundary(backend):
+    """Squared endpoint distances exactly at ``r2`` must be kept: the
+    registration gate passes a twin that keeps them and refuses one
+    that tests ``< r2``."""
+    real = kernels.resolve_backend(backend)
+    assert parity_check(endpoint_twin(real, strict=False)) is None
+    failure = parity_check(endpoint_twin(real, strict=True))
+    assert failure is not None and failure.startswith("endpoint/"), failure
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -8,17 +8,24 @@ brute-force oracle — on coarse coordinates (which land pair distances
 *exactly on* the ε boundary), with duplicated and zero-length segments,
 at ``eps = 0``, and under degenerate weightings where the geometric
 prefilter is unsound and batch must fall back to exact all-pairs
-evaluation.
+evaluation.  :class:`TestCandidateRadiusBound` places pairs exactly
+on the bound the candidate radius is proved from and sets ε to their
+computed distance: the batch graph, the streaming counts and the
+dynamic graph must all keep the edge, as the brute oracle does.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.neighbor_graph import PrecomputedNeighborhood
+from repro.cluster.neighbor_graph import (
+    PrecomputedNeighborhood,
+    neighborhood_size_counts,
+)
 from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.distance.weighted import SegmentDistance
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
+from repro.stream.dynamic_graph import DynamicNeighborGraph
 
 # Half-unit lattice coordinates make exact eps-boundary collisions
 # common — the regime where an engine computing a distance differently
@@ -122,3 +129,82 @@ class TestEngineEquivalence:
             w_theta=1.0,
         )
         assert_engines_agree(store, eps, distance)
+
+
+#: ``t = √2 − 1`` minimises ``(1 + t²) / (1 + t)`` on ``[0, 1]``: two
+#: perpendicular offsets ``h`` and ``t·h`` give ``d_perp = c·h``, the
+#: least perpendicular distance an endpoint at offset ``h`` allows.
+LEHMER_RATIO = np.sqrt(2.0) - 1.0
+
+
+@st.composite
+def pair_on_the_bound(draw):
+    """``(store, eps, distance)``: segment 0 (Li) and segment 1 (Lj)
+    placed so that Lj's nearest endpoint is as far from Li's endpoints
+    as the candidate radius allows, ε set to their computed distance,
+    plus distractor segments so the endpoint grid has cells to probe.
+    The layout is rotated, scaled by 1e-3 .. 1e3 and translated by up
+    to 1e9."""
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(
+        ["perpendicular", "parallel", "points", "point-segment"]
+    ))
+    distance = SegmentDistance(
+        w_perp=draw(st.floats(min_value=0.05, max_value=20.0)),
+        w_par=draw(st.floats(min_value=0.05, max_value=20.0)),
+        w_theta=draw(st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=20.0)
+        )),
+        directed=draw(st.booleans()),
+    )
+    h = draw(st.floats(min_value=0.1, max_value=2.0))
+    along = draw(st.floats(min_value=0.1, max_value=4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    li = np.zeros((2, dim))
+    li[1, 0] = 10.0
+    lj = np.zeros((2, dim))
+    if kind == "perpendicular":
+        # Lj's near end sits at offset h right above Li's start.
+        lj[0, 1] = h
+        lj[1, 0], lj[1, 1] = along, LEHMER_RATIO * h
+    elif kind == "parallel":
+        # Collinear, ending ``along`` short of Li's start.
+        lj[0, 0], lj[1, 0] = -along - h, -along
+    elif kind == "points":
+        li[1] = li[0]
+        lj[0, 1] = lj[1, 1] = h
+    else:
+        lj[0, 1] = lj[1, 1] = h
+    if draw(st.booleans()):
+        lj = lj[::-1]
+    fillers = rng.uniform(-3.0, 13.0, (draw(st.integers(0, 30)), 2, dim))
+    local = np.concatenate([li[None], lj[None], fillers])
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    scale = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    shift = np.array([
+        draw(st.floats(min_value=-1e9, max_value=1e9)) for _ in range(dim)
+    ])
+    placed = local @ rotation.T * scale + shift
+    store = SegmentSet(placed[:, 0].copy(), placed[:, 1].copy())
+    eps = float(distance.member_to_all(0, store)[1])
+    return store, eps, distance
+
+
+class TestCandidateRadiusBound:
+    @given(pair_on_the_bound())
+    @settings(max_examples=300, deadline=None)
+    def test_every_engine_keeps_the_pair_on_the_bound(self, case):
+        store, eps, distance = case
+        reference = BruteForceNeighborhood(store, eps, distance)
+        assert 1 in reference.neighbors_of(0)
+        assert_engines_agree(store, eps, distance)
+        assert np.array_equal(
+            neighborhood_size_counts(store, [eps], distance)[0],
+            reference.neighborhood_sizes(),
+        )
+        online = DynamicNeighborGraph(eps, distance, dim=store.dim)
+        online.insert_batch(store.starts, store.ends, store.traj_ids)
+        for i in range(len(store)):
+            assert np.array_equal(
+                online.neighbors_of(i), reference.neighbors_of(i)
+            )

@@ -126,8 +126,8 @@ class TestAtomicWrite:
 
 
 def bad_files(tmp_path):
-    """A missing file, a truncated checkpoint, an npz that is not a
-    checkpoint, and a file that is not an npz."""
+    """A missing file, an empty file, a truncated checkpoint, an npz
+    that is not a checkpoint, and a file that is not an npz."""
     truncated = tmp_path / "truncated.npz"
     with open(os.path.join(FIXTURES, "stream.npz"), "rb") as handle:
         payload = handle.read()
@@ -136,7 +136,12 @@ def bad_files(tmp_path):
     np.savez(foreign, x=np.zeros(3))
     text = tmp_path / "text.npz"
     text.write_text("traj_id,x,y\n0,1.0,2.0\n")
-    return [str(tmp_path / "missing.npz"), str(truncated), str(foreign), str(text)]
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    return [
+        str(tmp_path / "missing.npz"), str(empty), str(truncated),
+        str(foreign), str(text),
+    ]
 
 
 def restore_merger(path):
