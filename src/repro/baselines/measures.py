@@ -48,7 +48,7 @@ def lcss_similarity(
     their index offset is at most *delta*.
     """
     pa, pb = _as_points(a), _as_points(b)
-    if matching_eps < 0:
+    if not matching_eps >= 0:
         raise DatasetError(f"matching_eps must be non-negative, got {matching_eps}")
     n, m = pa.shape[0], pb.shape[0]
     band = delta if delta is not None else max(n, m)
@@ -80,7 +80,7 @@ def edr_distance(a, b, matching_eps: float) -> float:
     cost 1.
     """
     pa, pb = _as_points(a), _as_points(b)
-    if matching_eps < 0:
+    if not matching_eps >= 0:
         raise DatasetError(f"matching_eps must be non-negative, got {matching_eps}")
     n, m = pa.shape[0], pb.shape[0]
     previous = np.arange(m + 1, dtype=np.float64)

@@ -69,7 +69,7 @@ class WholeTrajectoryDBSCAN:
         measure: str = "dtw",
         matching_eps: float = 5.0,
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if min_pts < 1:
             raise ClusteringError(f"min_pts must be >= 1, got {min_pts}")

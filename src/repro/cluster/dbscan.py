@@ -66,7 +66,7 @@ class LineSegmentDBSCAN:
         use_weights: bool = False,
         neighborhood_method: str = "auto",
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if min_lns <= 0:
             raise ClusteringError(f"min_lns must be positive, got {min_lns}")

@@ -107,7 +107,8 @@ def endpoint_pairs(
     n: int,
     r2: float,
 ) -> np.ndarray:
-    """The endpoint test of the candidate join, as sorted unique keys.
+    """The endpoint test of the candidate join, batch and streaming
+    (:class:`~repro.index.grid.SegmentGrid`), as sorted unique keys.
 
     ``points`` are ``(m, d)`` endpoints and ``owners`` the segment each
     belongs to.  Run ``j`` probes rows ``first[j] .. first[j] +
@@ -325,7 +326,7 @@ class NeighborGraph:
         pair_block: int = DEFAULT_PAIR_BLOCK,
     ) -> "NeighborGraph":
         """Compute the whole ε-neighborhood relation in one blocked pass."""
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if pair_block < 1:
             raise ClusteringError(f"pair_block must be >= 1, got {pair_block}")
@@ -371,7 +372,7 @@ class NeighborGraph:
     def restrict(self, eps: float) -> "NeighborGraph":
         """The neighbor graph at a smaller radius ``eps <= self.eps``,
         extracted by filtering the stored distances (no re-evaluation)."""
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if eps > self.eps:
             raise ClusteringError(
@@ -442,7 +443,7 @@ class PrecomputedNeighborhood:
         graph: Optional[NeighborGraph] = None,
         pair_block: int = DEFAULT_PAIR_BLOCK,
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         self.segments = segments
         self.eps = float(eps)
@@ -492,7 +493,7 @@ def neighborhood_size_counts(
     eps_array = np.asarray(eps_values, dtype=np.float64)
     if eps_array.ndim != 1 or eps_array.size == 0:
         raise ClusteringError("eps_values must be a non-empty 1-D sequence")
-    if np.any(eps_array < 0):
+    if not np.all(eps_array >= 0):
         raise ClusteringError("eps values must be non-negative")
     n = len(segments)
     k = eps_array.size

@@ -45,17 +45,26 @@ between float points and each float difference is correctly rounded.
 returns ``r*`` with a relative margin of ``1e-6``.  A pair with no
 endpoint pair within that radius is no ε-neighbor; the exact distance
 pass removes the false positives.  If either weight is zero the bound
-is vacuous and the batched engine evaluates every pair.
+is vacuous and every pair is evaluated.
+
+One prefilter rule follows, and both indexed paths use it: a pair is a
+candidate when one of its four endpoint pairs lies within the radius,
+decided by :func:`repro.cluster.neighbor_graph.endpoint_pairs`.  The
+batched join registers a fixed set's endpoints in one sorted pass; the
+streaming graph's :class:`~repro.index.grid.SegmentGrid` registers
+them one segment at a time as segments come and go.  An index may
+gather endpoints from any cells, provided every endpoint the test can
+accept is among them.  The streaming grid's window, the cells
+``floor((x − r) / c) … floor((x + r) / c)`` on each axis around a query
+endpoint x, meets that at any coordinate magnitude because rounding is
+monotone (its module docstring has the argument).
 
 One float subtlety: the *computed* distance of a pair whose geometric
 gap is below ~sqrt(5e-324) underflows to exactly 0, which at ``eps = 0``
 (nominal radius 0) would let an exact prefilter prune a pair the
-distance pass accepts.  Every grid prefilter (the batched endpoint
-join, the streaming graph's :class:`~repro.index.grid.SegmentGrid`
-queries, whose bounding boxes expanded by ``r*`` contain such an
-endpoint) therefore shares
-:func:`repro.cluster.neighbor_graph.candidate_radius`, which floors the
-radius just above that underflow scale.
+distance pass accepts.
+:func:`repro.cluster.neighbor_graph.candidate_radius` therefore floors
+the radius just above that underflow scale, for both paths.
 """
 
 from __future__ import annotations
@@ -94,7 +103,7 @@ class BruteForceNeighborhood:
         eps: float,
         distance: Optional[SegmentDistance] = None,
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         self.segments = segments
         self.eps = float(eps)

@@ -105,7 +105,7 @@ class LineSegmentOPTICS:
         distance: Optional[SegmentDistance] = None,
         neighborhood_method: str = "auto",
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if min_lns < 1:
             raise ClusteringError(f"min_lns must be >= 1, got {min_lns}")

@@ -4,7 +4,7 @@ The minimum bounding box of a segment or a segment set
 (:meth:`repro.model.segment.Segment.bounding_box`,
 :meth:`repro.model.segmentset.SegmentSet.bounding_box`).  Boxes are
 d-dimensional to match the rest of the library; the spatial index
-(:mod:`repro.index.grid`) works on the raw coordinate arrays instead.
+(:mod:`repro.index.grid`) registers segment endpoints, not boxes.
 """
 
 from __future__ import annotations

@@ -1,196 +1,177 @@
-"""Uniform hash-grid over segment bounding boxes.
+"""Dynamic endpoint grid: the streaming half of the ε-graph's endpoint join.
 
-Each segment is registered in every grid cell its bounding box
-overlaps; a candidate query gathers the segments registered in the
-cells overlapped by the query window.  Cells are stored sparsely in a
-dict keyed by integer cell coordinates, so empty space costs nothing.
-Segments come and go (:meth:`SegmentGrid.insert` /
-:meth:`SegmentGrid.remove`), which is what the streaming ε-graph needs;
-every query, one window or many, goes through
-:meth:`SegmentGrid.candidates_near_many`.
+Each stored segment registers its two endpoints, one cell each, in a
+sparse uniform grid whose cells are the candidate radius r wide (at
+least ``1e-9``), so :meth:`SegmentGrid.insert` and
+:meth:`SegmentGrid.remove` touch two dict entries however long the
+segment is — what the streaming ε-graph needs as its store grows and
+shrinks.  A query gathers the segments registered in the cells
+``floor((x − r) / c) … floor((x + r) / c)`` on each axis around each
+query endpoint x, and hands their endpoints to
+:func:`~repro.cluster.neighbor_graph.endpoint_pairs`, the batch join's
+test.  A pair is therefore a candidate exactly when one of its four
+endpoint pairs lies within r, the rule of
+:func:`~repro.cluster.neighbor_graph._endpoint_join`.
 
-Segments whose boxes would cover an excessive number of cells (a few
-trans-continental outliers exist in any trajectory dataset) are kept in
-an *oversize* list that is appended to every candidate set — cheaper
-than rasterising thousands of cells and still exact.
+The window is sound at any coordinate magnitude because rounding is
+monotone: a float y no lower than the real ``x − r`` is no lower than
+``fl(x − r)``, so its cell is no lower than the window's first.  The
+float test ``|x − y|² <= fl(r²)`` admits real gaps up to ``r(1 + 3u)``
+(``u = 2⁻⁵³``), so the window reaches ``r(1 + 2⁻⁵⁰)``.  Where cell
+coordinates pass 2⁵³, ``x ± r`` rounds to x unless r is near an ulp of
+x, so a window spans at most about a dozen cells per axis.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from math import floor
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.cluster.neighbor_graph import endpoint_pairs
 from repro.exceptions import IndexError_
+from repro.kernels import DEFAULT_PAIR_BLOCK
 from repro.model.ragged import sorted_unique
-from repro.model.segmentset import SegmentSet
 
 
 class SegmentGrid:
-    """Sparse uniform grid over the bounding boxes of a segment set.
+    """Sparse uniform grid over the endpoints of a segment store.
 
-    Parameters
-    ----------
-    segments:
-        The (immutable) segment store to index.
-    cell_size:
-        Edge length of the cubic cells.  Good values are comparable to
-        the query radius the caller will use.
-    max_cells_per_segment:
-        Segments overlapping more cells than this go to the oversize
-        list instead of the grid.
+    *segments* is a :class:`~repro.model.segmentset.SegmentSet` or the
+    streaming store; every segment it holds is registered.  *radius* is
+    the endpoint radius of the candidate test, normally
+    :func:`~repro.cluster.neighbor_graph.candidate_radius`.
     """
 
-    def __init__(
-        self,
-        segments: SegmentSet,
-        cell_size: float,
-        max_cells_per_segment: int = 1024,
-    ):
-        if cell_size <= 0:
-            raise IndexError_(f"cell_size must be positive, got {cell_size}")
+    def __init__(self, segments, radius: float):
+        if not 0 < radius < np.inf:
+            raise IndexError_(f"radius must be positive and finite, got {radius}")
         self.segments = segments
-        self.cell_size = float(cell_size)
-        self.max_cells_per_segment = int(max_cells_per_segment)
+        self.radius = float(radius)
+        self.cell_size = max(self.radius, 1e-9)
+        self._reach = self.radius * (1.0 + 2.0**-50)
+        self._r2 = self.radius * self.radius
+        #: cell -> the segments with an endpoint in it.
         self._cells: Dict[Tuple[int, ...], List[int]] = {}
-        self._oversize: List[int] = []
-        if len(segments) > 0:
-            self._origin = np.minimum(
-                segments.starts.min(axis=0), segments.ends.min(axis=0)
-            )
-        else:
-            self._origin = np.zeros(segments.dim)
         for i in range(len(segments)):
-            self._insert(i)
+            self.insert(i)
 
-    # -- construction ------------------------------------------------------
-    def _cell_range(
-        self, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # Float cell coordinates: Python ints made from them never
-        # overflow, however fine the cells are against the extent.
-        lo_cell = np.floor((lo - self._origin) / self.cell_size)
-        hi_cell = np.floor((hi - self._origin) / self.cell_size)
-        return lo_cell, hi_cell
+    def _endpoint_cells(self, index: int) -> Set[Tuple[int, ...]]:
+        """The cells of stored segment *index*'s start and end."""
+        n = len(self.segments)
+        if not 0 <= index < n:
+            raise IndexError_(f"segment index {index} out of range 0..{n - 1}")
+        size = self.cell_size
+        points = (self.segments.starts[index], self.segments.ends[index])
+        try:
+            return {tuple([floor(x / size) for x in p.tolist()]) for p in points}
+        except (OverflowError, ValueError):  # an infinite or NaN coordinate
+            raise IndexError_(f"segment {index} has a non-finite endpoint") from None
 
-    def _registration(self, index: int) -> Optional[Iterator[Tuple[int, ...]]]:
-        """The cells stored segment *index* registers in, or ``None``
-        when its box is oversize."""
-        lo = np.minimum(self.segments.starts[index], self.segments.ends[index])
-        hi = np.maximum(self.segments.starts[index], self.segments.ends[index])
-        lo_cell, hi_cell = self._cell_range(lo, hi)
-        if float((hi_cell - lo_cell + 1).prod()) > self.max_cells_per_segment:
-            return None
-        return product(
-            *(range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell))
-        )
-
-    def _insert(self, index: int) -> None:
-        cells = self._registration(index)
-        if cells is None:
-            self._oversize.append(index)
-            return
-        for cell in cells:
+    def insert(self, index: int) -> None:
+        """Register stored segment *index* in its endpoints' cells."""
+        for cell in self._endpoint_cells(index):
             self._cells.setdefault(cell, []).append(index)
 
-    # -- dynamic maintenance -------------------------------------------------
-    def insert(self, index: int) -> None:
-        """Register stored segment *index* (for dynamic callers whose
-        segment store grows after construction)."""
-        if not 0 <= index < len(self.segments):
-            raise IndexError_(
-                f"segment index {index} out of range 0..{len(self.segments) - 1}"
-            )
-        self._insert(index)
-
     def remove(self, index: int) -> None:
-        """Unregister stored segment *index*.  The segment's coordinates
-        must be unchanged since insertion (cells are recomputed from
-        them)."""
-        cells = self._registration(index)
-        if cells is None:
-            self._oversize.remove(index)
-            return
-        for cell in cells:
+        """Unregister stored segment *index*.  Its coordinates must be
+        unchanged since insertion (cells are recomputed from them)."""
+        for cell in self._endpoint_cells(index):
             members = self._cells[cell]
             members.remove(index)
             if not members:
                 del self._cells[cell]
 
-    # -- queries -----------------------------------------------------------
-    def candidates_near(self, index: int, radius: float) -> np.ndarray:
-        """Candidate neighbors of stored segment *index* within Euclidean
-        window *radius* (bbox-to-bbox), ascending."""
-        return self.candidates_near_many(np.array([index]), radius)[1]
-
     def candidates_near_many(
-        self, indices: np.ndarray, radius: float
+        self, indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(query_pos, candidate)`` pair arrays for the stored
-        segments *indices*: query-major, candidates ascending and
-        deduped per query.  The rows with ``query_pos == q`` hold every
-        segment whose box *may* overlap ``indices[q]``'s box expanded by
-        *radius* (a superset of the true overlaps; never misses one
-        that was inserted).
+        segments *indices*: query-major, candidates ascending, each
+        once.  The rows with ``query_pos == q`` hold every registered
+        segment with an endpoint within the radius of an endpoint of
+        ``indices[q]`` (the query itself too, once registered).
 
-        Each window is rasterised into its cells, except that a window
-        covering more than ``16 * max_cells_per_segment`` cells (most of
-        the domain) scans the occupied cell keys instead.
+        Each query gathers the segments registered in the union of its
+        two endpoints' windows, and both its endpoints are tested
+        against both of theirs.  Queries are cut into :meth:`_test`
+        calls of about ``DEFAULT_PAIR_BLOCK`` endpoint tests, so a bulk
+        insert's scratch stays bounded.
         """
         indices = np.asarray(indices, dtype=np.int64)
         n = len(self.segments)
         ids = indices.tolist()
-        if ids and not (0 <= min(ids) and max(ids) < n):
+        if not ids:
+            return indices, indices
+        if not (0 <= min(ids) and max(ids) < n):
             raise IndexError_(f"segment index out of range 0..{n - 1}: {ids}")
-        starts = self.segments.starts[indices]
-        ends = self.segments.ends[indices]
-        lo_cells, hi_cells = self._cell_range(
-            np.minimum(starts, ends) - radius, np.maximum(starts, ends) + radius
-        )
-        huge = (hi_cells - lo_cells + 1).prod(axis=1) > (
-            16 * self.max_cells_per_segment
-        )
+        # Row 2q is query q's start, row 2q + 1 its end.
+        points = np.concatenate((
+            self.segments.starts[indices], self.segments.ends[indices],
+        ), axis=1).reshape(-1, self.segments.dim)
+        rows = points.tolist()
+        reach, size = self._reach, self.cell_size
+        keys: List[np.ndarray] = []
         found: List[int] = []
-        counts: List[int] = []
-        for lo_cell, hi_cell, scan in zip(
-            lo_cells.tolist(), hi_cells.tolist(), huge.tolist()
-        ):
+        runs: List[Tuple[int, int]] = []
+        first = 0
+        for q in range(len(ids)):
+            window: Set[Tuple[int, ...]] = set()
+            for point in rows[2 * q:2 * q + 2]:
+                window.update(product(*[
+                    range(floor((x - reach) / size),
+                          floor((x + reach) / size) + 1)
+                    for x in point
+                ]))
             before = len(found)
-            if scan:
-                for cell, members in self._cells.items():
-                    if all(a <= c <= b for c, a, b in zip(cell, lo_cell, hi_cell)):
-                        found.extend(members)
-            else:
-                for cell in product(*(
-                    range(int(a), int(b) + 1) for a, b in zip(lo_cell, hi_cell)
-                )):
-                    members = self._cells.get(cell)
-                    if members:
-                        found.extend(members)
-            found.extend(self._oversize)
-            counts.append(len(found) - before)
-        # One dedup over (query, candidate) keys, which sort query-major
-        # with candidates ascending.
-        span = max(n, 1)
-        keys = sorted_unique(
-            np.repeat(np.arange(len(ids), dtype=np.int64) * span, counts)
-            + np.asarray(found, dtype=np.int64)
-        )
-        return np.divmod(keys, span)
+            for cell in window:
+                members = self._cells.get(cell)
+                if members:
+                    found += members
+            runs.append((2 * before, 2 * (len(found) - before)))
+            if q == len(ids) - 1 or 4 * len(found) >= DEFAULT_PAIR_BLOCK:
+                keys.append(self._test(
+                    points[2 * first:2 * q + 2], found, runs, n
+                ) + first * n)
+                found, runs, first = [], [], q + 1
+        return np.divmod(np.concatenate(keys), n)
 
-    # -- introspection -------------------------------------------------------
+    def _test(self, points, found, runs, n) -> np.ndarray:
+        """One :func:`endpoint_pairs` call for queries ``0 .. k - 1``:
+        query ``q``'s endpoints, rows ``2q`` and ``2q + 1`` of
+        *points*, against the endpoint rows ``runs[q] = (first,
+        count)`` of the segments it gathered into *found*.  Returns the
+        sorted unique keys ``q * n + segment`` of the pairs within the
+        radius.  Gathered segments are numbered by position, so the
+        kernel's scratch is sized by the gathered set, not by the
+        store."""
+        size = len(found)
+        if not size:
+            return np.empty(0, dtype=np.int64)
+        slots = np.array(found, dtype=np.int64)
+        # Row 2i is gathered segment i's start, row 2i + 1 its end; the
+        # query rows follow, query q owned by size + q.
+        gathered = np.concatenate((
+            np.take(self.segments.starts, slots, axis=0),
+            np.take(self.segments.ends, slots, axis=0),
+        ), axis=1).reshape(-1, points.shape[1])
+        m = points.shape[0]
+        first, count = np.array(runs, dtype=np.int64).repeat(2, axis=0).T
+        hits = endpoint_pairs(
+            np.concatenate((gathered, points)),
+            np.arange(2 * size + m, dtype=np.int64) >> 1,
+            np.arange(2 * size, 2 * size + m, dtype=np.int64),
+            first, count, size, self._r2,
+        )
+        query, position = np.divmod(hits, size)
+        # A segment with its endpoints in two gathered cells is
+        # gathered twice.
+        return sorted_unique((query - size) * n + slots[position])
+
     @property
     def n_cells(self) -> int:
         return len(self._cells)
 
-    @property
-    def n_oversize(self) -> int:
-        return len(self._oversize)
-
     def __repr__(self) -> str:
-        return (
-            f"SegmentGrid(n_segments={len(self.segments)}, "
-            f"cell_size={self.cell_size}, n_cells={self.n_cells}, "
-            f"n_oversize={self.n_oversize})"
-        )
+        return f"SegmentGrid(radius={self.radius}, n_cells={self.n_cells})"

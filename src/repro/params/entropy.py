@@ -74,7 +74,7 @@ def neighborhood_size_curve(
     eps_array = np.asarray(eps_values, dtype=np.float64)
     if eps_array.ndim != 1 or eps_array.size == 0:
         raise ParameterSearchError("eps_values must be a non-empty 1-D sequence")
-    if np.any(eps_array < 0):
+    if not np.all(eps_array >= 0):
         raise ParameterSearchError("eps values must be non-negative")
     if method not in NEIGHBORHOOD_METHODS:
         raise ParameterSearchError(

@@ -18,7 +18,7 @@ exactly the ε-graph a single-stream session builds, bitwise:
   equal-length tie-break depends only on relative id order, so worker
   distances are bit-identical to what the merger would recompute;
 * *cross-shard distances* — evaluated here, by the same kernel over
-  the same grid candidate superset the single-stream graph queries,
+  the same endpoint-grid candidates the single-stream graph queries,
   minus the same-shard pairs already covered.
 
 :class:`ShardMerger` drives an

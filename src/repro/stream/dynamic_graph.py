@@ -14,13 +14,14 @@ online graph and a batch rebuild on the surviving segments.
 under segment insert and evict:
 
 * **insert** — one path, :meth:`DynamicNeighborGraph.insert_batch`,
-  for one segment or many: the new segments are registered in a
+  for one segment or many: the batch is validated whole, then the new
+  segments' endpoints are registered in a
   :class:`~repro.index.grid.SegmentGrid` over the store; their
-  candidate mates come from one windowed grid query, bounding boxes
-  expanded by the radius the batch builder's endpoint join uses (same
-  :func:`~repro.cluster.neighbor_graph.candidate_radius`, same
-  subnormal floor), and the surviving edges are
-  filtered by the same symmetric pair kernel
+  candidate mates are the segments with an endpoint pair within
+  :func:`~repro.cluster.neighbor_graph.candidate_radius` — the batch
+  builder's endpoint join: same rule, same radius, same
+  :func:`~repro.cluster.neighbor_graph.endpoint_pairs` test — and the
+  surviving edges are filtered by the same symmetric pair kernel
   (:meth:`SegmentDistance.pairs <repro.distance.weighted.SegmentDistance.pairs>`).
   When :func:`~repro.cluster.neighbor_graph.candidate_radius` has no
   finite radius (a zero ``w_perp``/``w_par``, or an unboundedly large
@@ -29,10 +30,11 @@ under segment insert and evict:
 * **evict** — the segment leaves the grid and its adjacency rows are
   unlinked; neighbors are reported so label maintenance can react.
 
-Because candidate generation is a superset in both regimes and the
-kernel is shared, ``neighbors_of`` answers are bitwise identical to a
-fresh :class:`~repro.cluster.neighbor_graph.NeighborGraph` built over
-the compacted survivors — the property tests assert exactly that.
+Inserting a set in any chunks evaluates exactly the pairs the batch
+join evaluates, and the kernel is shared, so ``neighbors_of`` answers
+are bitwise identical to a fresh
+:class:`~repro.cluster.neighbor_graph.NeighborGraph` built over the
+compacted survivors — the property tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -153,29 +155,57 @@ class StreamSegmentStore:
         stamp: float = 0.0,
     ) -> int:
         """Allocate a live slot; returns its (stable) id."""
-        start = np.asarray(start, dtype=np.float64)
-        end = np.asarray(end, dtype=np.float64)
-        if start.shape != (self._dim,) or end.shape != (self._dim,):
+        slots = self.extend([start], [end], [traj_id], [weight], [stamp])
+        return int(slots[0])
+
+    def extend(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        traj_ids: np.ndarray,
+        weights: np.ndarray,
+        stamps: np.ndarray,
+    ) -> np.ndarray:
+        """Allocate one live slot per row; returns their (stable) ids.
+
+        The whole batch is checked before any row is stored (endpoint
+        shapes, finite endpoints, positive finite weights), so a
+        rejected batch leaves the store as it was."""
+        starts = np.asarray(starts, dtype=np.float64)
+        ends = np.asarray(ends, dtype=np.float64)
+        traj_ids = np.asarray(traj_ids, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        stamps = np.asarray(stamps, dtype=np.float64)
+        n = len(starts)
+        if starts.shape != (n, self._dim) or ends.shape != (n, self._dim):
             raise ClusteringError(
-                f"endpoints must be ({self._dim},) vectors, got "
-                f"{start.shape} and {end.shape}"
+                f"endpoints must be ({self._dim},) vectors, got rows of "
+                f"{starts.shape[1:]} and {ends.shape[1:]}"
             )
-        if not 0 < weight < np.inf:
+        if not traj_ids.shape == weights.shape == stamps.shape == (n,):
             raise ClusteringError(
-                f"segment weight must be positive and finite, got {weight}"
+                f"traj_ids, weights and stamps must hold {n} values each"
             )
-        if self._n == self._capacity:
+        if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+            raise ClusteringError("segment endpoints must be finite")
+        bad = ~((weights > 0) & (weights < np.inf))
+        if bad.any():
+            raise ClusteringError(
+                f"segment weight must be positive and finite, got "
+                f"{weights[bad][0]}"
+            )
+        while self._n + n > self._capacity:
             self._grow()
-        slot = self._n
-        self._starts[slot] = start
-        self._ends[slot] = end
-        self._traj_ids[slot] = int(traj_id)
-        self._weights[slot] = float(weight)
-        self._stamps[slot] = float(stamp)
-        self._alive[slot] = True
-        self._n += 1
-        self._n_alive += 1
-        return slot
+        rows = slice(self._n, self._n + n)
+        self._starts[rows] = starts
+        self._ends[rows] = ends
+        self._traj_ids[rows] = traj_ids
+        self._weights[rows] = weights
+        self._stamps[rows] = stamps
+        self._alive[rows] = True
+        self._n += n
+        self._n_alive += n
+        return np.arange(rows.start, rows.stop, dtype=np.int64)
 
     def kill(self, slot: int) -> None:
         if not self.is_alive(slot):
@@ -253,7 +283,7 @@ class DynamicNeighborGraph:
         distance: Optional[SegmentDistance] = None,
         dim: int = 2,
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
         self.distance = distance if distance is not None else SegmentDistance()
@@ -261,7 +291,7 @@ class DynamicNeighborGraph:
         self._radius = candidate_radius(self.eps, self.distance)
         self._grid = (
             None if self._radius is None
-            else SegmentGrid(self.store, cell_size=max(self._radius, 1e-9))
+            else SegmentGrid(self.store, self._radius)
         )
         #: proper neighbors only (no self loop), distance per edge.
         self._adjacency: Dict[int, Dict[int, float]] = {}
@@ -343,29 +373,19 @@ class DynamicNeighborGraph:
         ones (the shard merger's shipped same-shard edges; its
         :meth:`_keep` drops the pairs they cover).
         """
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        n = starts.shape[0]
-        if weights is None:
-            weights = np.ones(n, dtype=np.float64)
-        if stamps is None:
-            stamps = np.zeros(n, dtype=np.float64)
-        slots = [
-            self.store.append(
-                starts[i], ends[i], int(traj_ids[i]),
-                float(weights[i]), float(stamps[i]),
-            )
-            for i in range(n)
-        ]
-        if not slots:
+        n = len(starts)
+        if not n:
             return []
-        slot_arr = np.asarray(slots, dtype=np.int64)
+        slot_arr = self.store.extend(
+            starts, ends, traj_ids,
+            np.ones(n) if weights is None else weights,
+            np.zeros(n) if stamps is None else stamps,
+        )
+        slots = slot_arr.tolist()
         if self._grid is not None:
             for slot in slots:
                 self._grid.insert(slot)
-            query_pos, candidates = self._grid.candidates_near_many(
-                slot_arr, self._radius
-            )
+            query_pos, candidates = self._grid.candidates_near_many(slot_arr)
         else:
             alive = self.store.alive_slots()
             counts = np.searchsorted(alive, slot_arr)
@@ -434,14 +454,9 @@ class DynamicNeighborGraph:
             for slot, row in self._adjacency.items()
         }
         if self._grid is not None:
-            # Rebuild over the compacted store: every slot is now live,
-            # so the constructor's full-range insert is exactly the
-            # live set.
-            self._grid = SegmentGrid(
-                self.store,
-                cell_size=self._grid.cell_size,
-                max_cells_per_segment=self._grid.max_cells_per_segment,
-            )
+            # Every slot of the compacted store is live, so a grid that
+            # registers the whole store holds exactly the live set.
+            self._grid = SegmentGrid(self.store, self._radius)
         return remap
 
     # -- checkpointing -----------------------------------------------------
@@ -478,17 +493,14 @@ class DynamicNeighborGraph:
         arrays without re-evaluating any distance."""
         if len(self.store) or self._adjacency:
             raise ClusteringError("can only restore into an empty graph")
-        for slot in range(starts.shape[0]):
-            self.store.append(
-                starts[slot], ends[slot], int(traj_ids[slot]),
-                float(weights[slot]), float(stamps[slot]),
-            )
-            if alive[slot]:
-                self._adjacency[slot] = {}
-                if self._grid is not None:
-                    self._grid.insert(slot)
-            else:
-                self.store.kill(slot)
+        slots = self.store.extend(starts, ends, traj_ids, weights, stamps)
+        alive = np.asarray(alive, dtype=bool)
+        for slot in slots[~alive].tolist():
+            self.store.kill(slot)
+        for slot in slots[alive].tolist():
+            self._adjacency[slot] = {}
+            if self._grid is not None:
+                self._grid.insert(slot)
         for u, v, dist in zip(
             edges_u.tolist(), edges_v.tolist(), edges_d.tolist()
         ):

@@ -94,7 +94,7 @@ class OnlineDBSCAN:
         dim: int = 2,
         graph: Optional[DynamicNeighborGraph] = None,
     ):
-        if eps < 0:
+        if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if min_lns <= 0:
             raise ClusteringError(f"min_lns must be positive, got {min_lns}")

@@ -20,15 +20,24 @@ from repro.model.segmentset import SegmentSet
 def grid_neighbors(segments, eps, distance=None):
     """``N_eps`` of every segment through the grid index: candidates
     within :func:`candidate_radius`, kept when their exact distance is
-    at most ε.  Also checks soundness: the candidates contain every
-    brute-force neighbor."""
+    at most ε.  Also checks the candidates: exactly the segments with
+    an endpoint pair within the radius, and every brute-force neighbor
+    among them."""
     distance = distance if distance is not None else SegmentDistance()
     radius = candidate_radius(eps, distance)
-    grid = SegmentGrid(segments, cell_size=radius)
+    n = len(segments)
+    query_pos, found = SegmentGrid(segments, radius).candidates_near_many(
+        np.arange(n)
+    )
+    ends = np.stack([segments.starts, segments.ends], axis=1)
+    gaps = (ends[:, None, :, None] - ends[None, :, None, :]).reshape(-1, 2)
+    near = np.einsum("ij,ij->i", gaps, gaps) <= radius * radius
+    near = near.reshape(n, n, 4).any(axis=2)
     brute = BruteForceNeighborhood(segments, eps, distance)
     rows = []
-    for i in range(len(segments)):
-        candidates = grid.candidates_near(i, radius)
+    for i in range(n):
+        candidates = found[query_pos == i]
+        assert np.array_equal(candidates, np.flatnonzero(near[i]))
         assert np.isin(brute.neighbors_of(i), candidates).all()
         dists = distance.member_to_all(i, segments)[candidates]
         rows.append(candidates[dists <= eps].tolist())
@@ -88,7 +97,7 @@ class TestGridEquivalence:
         segments = [
             Segment([0.0, 0.0], [1.0, 0.0], seg_id=0),
             Segment([0.0, 1.0], [1.0, 1.0], seg_id=1),
-            Segment([-1e5, -1e5], [1e5, 1e5], seg_id=2),  # oversize
+            Segment([-1e5, -1e5], [1e5, 1e5], seg_id=2),  # far-apart ends
         ]
         store = SegmentSet.from_segments(segments)
         grid = grid_neighbors(store, eps=2.0)

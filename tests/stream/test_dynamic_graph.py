@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cluster.neighbor_graph import NeighborGraph
+from repro import kernels
+from repro.cluster.neighbor_graph import (
+    DEFAULT_PAIR_BLOCK,
+    NeighborGraph,
+    _candidate_pair_stream,
+)
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
+from repro.model.segmentset import SegmentSet
 from repro.stream.dynamic_graph import DynamicNeighborGraph, StreamSegmentStore
+from repro.stream.online_dbscan import OnlineDBSCAN
 
 
 def random_segments(n, seed=0, scale=40.0):
@@ -125,3 +132,101 @@ class TestDynamicNeighborGraph:
         assert neighbors.tolist() == [a]
         c, neighbors = graph.insert([5.0, 5.0], [6.0, 6.0], traj_id=2)
         assert neighbors.size == 0
+
+
+class TestRejectedBatch:
+    """A batch with one bad row is rejected whole: no slot, adjacency
+    row or grid entry of its good rows stays behind."""
+
+    BAD_ROWS = {
+        "zero weight": ([2.0, 2.0], [3.0, 2.0], 0.0),
+        "nan weight": ([2.0, 2.0], [3.0, 2.0], float("nan")),
+        "inf weight": ([2.0, 2.0], [3.0, 2.0], float("inf")),
+        "nan endpoint": ([2.0, float("nan")], [3.0, 2.0], 1.0),
+        "+inf endpoint": ([2.0, 2.0], [float("inf"), 2.0], 1.0),
+        "-inf endpoint": ([-float("inf"), 2.0], [3.0, 2.0], 1.0),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_store_and_labels_unchanged(self, bad):
+        clusterer = OnlineDBSCAN(eps=2.0, min_lns=2)
+        starts, ends = random_segments(12, seed=7, scale=6.0)
+        clusterer.insert_batch(starts, ends, np.arange(12) % 4)
+        before = clusterer.labels()
+        n_slots, n_alive = len(clusterer.store), clusterer.graph.n_alive
+        start, end, weight = self.BAD_ROWS[bad]
+        with pytest.raises(ClusteringError):
+            clusterer.insert_batch(
+                [[0.0, 0.0], [1.0, 0.0], start],
+                [[1.0, 0.0], [2.0, 0.0], end],
+                [1, 2, 3],
+                [1.0, 1.0, weight],
+            )
+        assert len(clusterer.store) == n_slots
+        assert clusterer.graph.n_alive == n_alive
+        after = clusterer.labels()
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+        slots = clusterer.insert_batch([[0.0, 0.0]], [[1.0, 0.0]], [1])
+        assert slots == [n_slots]
+        assert clusterer.graph.neighbors_of(0)[0] == 0
+        assert clusterer.labels()[0].size == n_alive + 1
+
+
+def float_or_lattice_corpus(kind, dim, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        starts = rng.integers(-8, 8, (n, dim)) / 2.0
+        ends = starts + rng.integers(-4, 5, (n, dim)) / 2.0
+    else:
+        starts = rng.uniform(0.0, 16.0, (n, dim))
+        ends = starts + rng.normal(0.0, 2.0, (n, dim))
+    points = rng.random(n) < 0.2
+    ends[points] = starts[points]
+    return starts, ends
+
+
+class TestCandidatesEqualBatchJoin:
+    """One rule for batch and stream: inserting a corpus in chunks
+    hands :meth:`SegmentDistance.pairs` exactly the pairs the batch
+    join's :func:`_candidate_pair_stream` yields, each once."""
+
+    @staticmethod
+    def keys(pairs, n):
+        return np.concatenate(
+            [np.minimum(a, b) * n + np.maximum(a, b) for a, b in pairs]
+            or [np.empty(0, dtype=np.int64)]
+        )
+
+    @pytest.mark.parametrize("kind", ["float", "lattice"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.5, 4.0])
+    def test_same_pairs(self, pair_backend, monkeypatch, kind, dim, eps):
+        evaluated = []
+        pairs = SegmentDistance.pairs
+
+        def spy(self, segments, left, right, *args, **kwargs):
+            evaluated.append((left, right))
+            return pairs(self, segments, left, right, *args, **kwargs)
+
+        for seed in range(3):
+            starts, ends = float_or_lattice_corpus(kind, dim, 90, seed)
+            n = len(starts)
+            cuts = np.random.default_rng(seed).integers(1, n, 12)
+            bounds = np.unique(np.concatenate([[0, n], cuts]))
+            evaluated.clear()
+            with kernels.use_backend(pair_backend):
+                graph = DynamicNeighborGraph(eps, dim=dim)
+                monkeypatch.setattr(SegmentDistance, "pairs", spy)
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    graph.insert_batch(
+                        starts[lo:hi], ends[lo:hi], np.arange(lo, hi)
+                    )
+                monkeypatch.undo()
+                batch = list(_candidate_pair_stream(
+                    SegmentSet(starts, ends), eps, SegmentDistance(),
+                    DEFAULT_PAIR_BLOCK,
+                ))
+            stream_keys = np.sort(self.keys(evaluated, n))
+            assert np.all(np.diff(stream_keys) > 0)  # each pair once
+            assert np.array_equal(stream_keys, self.keys(batch, n))
