@@ -3,8 +3,9 @@
 The acceptance bar of the batched-partitioning PR: on a corpus of at
 least 1,000 trajectories of ~100 points, the lock-step engine
 (``partition/batched.py``) must partition at least 5x faster than the
-per-trajectory Python scan — while producing *exactly* (bitwise) the
-same characteristic points.
+per-trajectory scalar Figure-8 loop (``approximate_partition`` once per
+trajectory) — while producing *exactly* (bitwise) the same
+characteristic points.
 
 Run under pytest (``pytest benchmarks/bench_partition.py``) for the
 asserted comparison, or standalone for the full trajectory-count /
@@ -24,7 +25,7 @@ from repro import kernels
 from repro.model.ragged import RaggedPoints
 from repro.partition.approximate import approximate_partition
 from repro.partition.batched import batched_partition_arrays, lockstep_scan
-from repro.partition.mdl import window_mdl_costs
+from repro.partition.layout import LockstepLayout
 
 
 def random_walk_corpus(n_trajectories, n_points, seed):
@@ -90,10 +91,11 @@ def test_batched_partition_speedup(benchmark):
 SPEEDUP_FLOOR_FULL = 5.0
 SPEEDUP_FLOOR_SMOKE = 3.0
 
-#: Compiled MDL-kernel bar (``--kernel-json``): ``window_mdl_costs``
-#: with a compiled backend vs numpy at 10^5 enclosed segments (measured
-#: ~5-6x with the C extension).  Smoke runs a reduced batch on a noisy
-#: shared runner, hence the looser floor.
+#: Compiled MDL-kernel bar (``--kernel-json``): the contiguous window
+#: kernel (``LockstepLayout.window_costs``) with a compiled backend vs
+#: numpy at 10^5 enclosed segments (measured ~7.5-8x with the C
+#: extension).  Smoke runs a reduced batch on a noisy shared runner,
+#: hence the looser floor.
 KERNEL_SPEEDUP_FLOOR_FULL = 5.0
 KERNEL_SPEEDUP_FLOOR_SMOKE = 3.0
 
@@ -114,38 +116,37 @@ def compiled_backends():
 
 
 def random_window_batch(total_segments, seed):
-    """One large ``window_mdl_costs`` input batch: windows spanning 1-8
-    random-walk segments until *total_segments* are enclosed — the
-    kernel-level workload the compiled backends exist for."""
+    """One large MDL window-kernel input: a random walk and windows
+    spanning 1-8 of its consecutive segments until *total_segments*
+    are enclosed — the kernel-level workload the compiled backends
+    exist for.  Returns ``(layout, first, counts)``."""
     rng = np.random.default_rng(seed)
     n_windows = max(1, total_segments // 5)
-    spans = rng.integers(1, 9, n_windows)
-    total = int(spans.sum())
-    offsets = np.zeros(n_windows, dtype=np.int64)
-    np.cumsum(spans[:-1], out=offsets[1:])
-    window_of = np.repeat(np.arange(n_windows), spans)
-    sub_starts = rng.uniform(0, 100, (total, 2))
-    sub_ends = sub_starts + rng.uniform(-5, 5, (total, 2))
-    last = np.concatenate([offsets[1:], [total]]) - 1
-    return (
-        sub_starts[offsets], sub_ends[last], sub_starts, sub_ends,
-        window_of, offsets,
+    counts = rng.integers(1, 9, n_windows)
+    first = np.zeros(n_windows, dtype=np.int64)
+    np.cumsum(counts[:-1], out=first[1:])
+    total = int(counts.sum())
+    points = rng.uniform(0, 100, (1, 2)) + np.cumsum(
+        np.vstack([np.zeros((1, 2)), rng.uniform(-5, 5, (total, 2))]),
+        axis=0,
     )
+    return LockstepLayout(points), first, counts
 
 
 def compare_mdl_kernel(total_segments, backend, seed=3, reps=3):
-    """Time ``window_mdl_costs`` on numpy vs *backend*; asserts bitwise
-    equality.  Returns ``(numpy_seconds, backend_seconds)``."""
-    batch = random_window_batch(total_segments, seed)
+    """Time the contiguous window kernel on numpy vs *backend*; asserts
+    bitwise equality.  Returns ``(numpy_seconds, backend_seconds)``."""
+    layout, first, counts = random_window_batch(total_segments, seed)
     timings = {}
     results = {}
     for name in ("numpy", backend):
         with kernels.use_backend(name):
-            window_mdl_costs(*batch)  # warm (first cext call maps the .so)
+            # warm (the first cext call maps the .so)
+            layout.window_costs(first, counts)
             best = float("inf")
             for _ in range(reps):
                 start = time.perf_counter()
-                results[name] = window_mdl_costs(*batch)
+                results[name] = layout.window_costs(first, counts)
                 best = min(best, time.perf_counter() - start)
             timings[name] = best
     for expected, got in zip(results["numpy"], results[backend]):
@@ -242,8 +243,8 @@ def test_lockstep_layout_speedup(benchmark):
 
 def test_mdl_kernel_compiled_speedup(benchmark):
     """Acceptance (compiled-kernels PR): a compiled backend evaluates
-    ``window_mdl_costs`` >= 5x faster than numpy at 10^5 enclosed
-    segments, bitwise-identically."""
+    the contiguous MDL window kernel >= 5x faster than numpy at 10^5
+    enclosed segments, bitwise-identically."""
     backends = compiled_backends()
     if not backends:
         pytest.skip("no compiled kernel backend available on this host")
@@ -252,7 +253,7 @@ def test_mdl_kernel_compiled_speedup(benchmark):
         rounds=1, iterations=1,
     )
     print_table(
-        f"window_mdl_costs at 10^5 enclosed segments ({backends[0]})",
+        f"MDL window kernel at 10^5 enclosed segments ({backends[0]})",
         [
             ("numpy", f"{numpy_time * 1000:.1f} ms"),
             (backends[0], f"{compiled_time * 1000:.1f} ms"),
@@ -289,7 +290,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--kernel-json", dest="kernel_json", default=None, metavar="PATH",
-        help="write the compiled window_mdl_costs speedup bars (one per "
+        help="write the compiled MDL window-kernel speedup bars (one per "
              "backend; empty on hosts with no compiled backend) as JSON "
              "for benchmarks/check_speedup_bars.py",
     )
@@ -361,7 +362,7 @@ def main(argv=None):
         numpy_time, compiled_time = compare_mdl_kernel(mdl_total, backend)
         speedup = numpy_time / compiled_time
         print_table(
-            f"window_mdl_costs at {mdl_total} enclosed segments",
+            f"MDL window kernel at {mdl_total} enclosed segments",
             [
                 ("numpy", f"{numpy_time * 1000:.1f} ms"),
                 (backend, f"{compiled_time * 1000:.1f} ms"),

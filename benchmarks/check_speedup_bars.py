@@ -41,13 +41,15 @@ REGISTERED_FLOORS = {
     # bench_serve.py --telemetry-json: warm p50 with telemetry off over
     # warm p50 with telemetry on — instrumentation may cost at most ~5%.
     "serve_telemetry": 0.95,
-    # bench_partition.py --kernel-json: compiled window_mdl_costs vs
-    # numpy (full-scale floor 5.0 at 10^5 segments; bars are empty on
-    # hosts with no compiled backend, which passes vacuously — the
-    # compiled CI leg is what holds the bar).
+    # bench_partition.py --kernel-json: the compiled contiguous MDL
+    # window kernel (LockstepLayout.window_costs) vs its numpy path
+    # (full-scale floor 5.0 at 10^5 segments; bars are empty on hosts
+    # with no compiled backend, which passes vacuously — the compiled
+    # CI leg is what holds the bar).
     "mdl_kernels": 3.0,
-    # bench_partition.py --layout-json: persistent LockstepLayout vs the
-    # per-step rebuild, both pure numpy (full-scale floor 1.3).
+    # bench_partition.py --layout-json: the lock-step scan over one
+    # LockstepLayout vs the per-step rebuild on the numpy reference,
+    # both pure numpy (full-scale floor 1.3).
     "lockstep_layout": 1.15,
     # bench_scaling.py --kernel-json: compiled component_distances_pairs
     # vs numpy on pre-materialized candidate pairs (full floor 5.0).

@@ -40,12 +40,7 @@ from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
 from repro.params.heuristic import ParameterEstimate, recommend_parameters
-from repro.partition.approximate import (
-    PARTITION_METHODS,
-    partition_all,
-    partition_trajectory,
-)
-from repro.partition.batched import batched_partition_all
+from repro.partition.approximate import partition_all, partition_trajectory
 from repro.partition.exact import exact_partition
 from repro.quality.qmeasure import quality_measure
 from repro.representative.sweep import (
@@ -83,10 +78,8 @@ __all__ = [
     "Trajectory",
     "ParameterEstimate",
     "recommend_parameters",
-    "PARTITION_METHODS",
     "partition_all",
     "partition_trajectory",
-    "batched_partition_all",
     "exact_partition",
     "quality_measure",
     "RepresentativeConfig",

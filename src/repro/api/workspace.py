@@ -460,20 +460,14 @@ class Workspace:
 
     def _build_partition(self) -> PartitionArtifact:
         from repro.model.ragged import RaggedPoints
-        from repro.partition.batched import lockstep_scan
+        from repro.partition.batched import lockstep_scan, with_endpoints
 
         trajectories = self.trajectories
         ragged = RaggedPoints.from_arrays([t.points for t in trajectories])
         committed, starts, lengths = lockstep_scan(
             ragged, self.config.suppression
         )
-        characteristic_points: List[List[int]] = []
-        for row, trajectory in enumerate(trajectories):
-            cps = list(committed[row])
-            last = len(trajectory) - 1
-            if cps[-1] != last:
-                cps.append(last)  # line 12: the ending point
-            characteristic_points.append(cps)
+        characteristic_points = with_endpoints(committed, ragged.lengths)
         segments = SegmentSet.from_partitions(
             trajectories, characteristic_points
         )

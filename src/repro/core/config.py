@@ -7,11 +7,11 @@ Section 4.1.3, the cardinality threshold of Figure 12 Step 3, and the
 smoothing γ of Figure 15 — into one validated, immutable object.
 
 This module is also the single home of the **engine auto-selection
-thresholds** (below).  The engine factories
-(:func:`repro.cluster.neighborhood.make_neighborhood_engine`,
-:func:`repro.partition.approximate.resolve_partition_method`) import
-them from here, so the numbers the docstrings and ROADMAP quote cannot
-drift from the numbers the dispatchers compare against.
+threshold** (below).  The ε-engine factory
+(:func:`repro.cluster.neighborhood.make_neighborhood_engine`) imports
+it from here, so the number the docstrings and ROADMAP quote cannot
+drift from the number the dispatcher compares against.  Phase 1 has no
+engine to select: it always runs the lock-step Figure-8 scan.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from repro.kernels import KERNEL_BACKENDS
 #: (when both ``w_perp`` and ``w_par`` are positive); below it, the
 #: zero-setup brute engine wins — tiny sets don't amortise a build.
 NEIGHBORHOOD_AUTO_BATCH_SEGMENTS = 200
-
-#: ``partition_all(method="auto")`` picks the lock-step batched Figure-8
-#: scanner (:mod:`repro.partition.batched`) from this many trajectories
-#: up.  Driving a *single* trajectory through the batched path
-#: degenerates to the python scan plus ragged-gather overhead (~1.5x
-#: slower), so solo trajectories stay on the python engine.
-PARTITION_AUTO_BATCH_TRAJECTORIES = 2
 
 #: Executor names accepted by :class:`SweepConfig`: ``"serial"`` runs
 #: every grid column in-process; ``"process"`` shards MinLns columns

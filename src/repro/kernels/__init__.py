@@ -7,9 +7,10 @@ pure-numpy kernels: the role-assigned pair-component distance kernel
 the blocked neighbor-graph join, QMeasure's pairwise sums and
 :func:`repro.distance.matrix.pairwise_distance_matrix`), the
 endpoint-pair kernel (:func:`repro.cluster.neighbor_graph.endpoint_pairs`,
-the neighbor-graph join's candidate test), the multi-window MDL cost
-kernel (:func:`repro.partition.mdl.window_mdl_costs`, driving the
-lock-step Figure-8 scanner) and the crossing-sum kernel
+the neighbor-graph join's candidate test), the MDL window kernel
+(:meth:`repro.partition.layout.LockstepLayout.window_costs`, behind
+every Figure-8 step of the per-trajectory scan, the incremental
+partitioner and the lock-step corpus scan) and the crossing-sum kernel
 (:func:`repro.representative.sweep.crossing_sums`, averaging the
 segments that cross each Figure-15 sweep position).  This package
 provides an optional *compiled* backend for all four, auto-detected at
@@ -101,14 +102,15 @@ _metrics = None  # optional MetricsRegistry for kernel_seconds/gauge
 
 
 class KernelBackend:
-    """Interface of a compiled backend.
+    """Interface of a compiled backend: four entry points, one per hot
+    path — :meth:`pair_components`, :meth:`lockstep_geometry`,
+    :meth:`crossing_sums` and :meth:`endpoint_pairs`.
 
     Every entry point returns arrays bitwise identical to the
     corresponding numpy expressions: float64 per-element geometry,
     whose ``log2``/``reduceat`` work the callers finish in numpy,
     Figure 15's float64 per-position crossing sums, and the int64
-    candidate keys of the neighbor-graph join's endpoint test.  Any
-    method may be ``None`` (unsupported); dispatch then falls back.
+    candidate keys of the neighbor-graph join's endpoint test.
     """
 
     name: str = "?"
@@ -128,18 +130,6 @@ class KernelBackend:
         bitwise equal to ``_pair_components`` on the gathered rows."""
         raise NotImplementedError
 
-    def mdl_geometry(
-        self,
-        hyp_starts: np.ndarray,
-        hyp_ends: np.ndarray,
-        sub_starts: np.ndarray,
-        sub_ends: np.ndarray,
-        window_of: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(hyp_len, perp_input, theta_input, sub_lens) of
-        :func:`~repro.partition.mdl.window_mdl_costs`'s geometry."""
-        raise NotImplementedError
-
     def lockstep_geometry(
         self,
         flat: np.ndarray,
@@ -147,12 +137,13 @@ class KernelBackend:
         enc_lens: np.ndarray,
         first: np.ndarray,
         counts: np.ndarray,
-        hyp_end_idx: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(hyp_len, perp_input, theta_input, enc_gathered) for the
-        persistent-layout lock-step scan — windows are contiguous flat
-        ranges ``first[w] .. first[w]+counts[w]-1``, so no gather/
-        repeat index arrays are materialised at all."""
+        """(hyp_len, perp_input, theta_input, enc_gathered) of the MDL
+        windows ``flat[first[w]] .. flat[first[w] + counts[w]]`` — each
+        a contiguous point range walked in place, so no gather/repeat
+        index arrays are materialised; the numpy tail
+        ``repro.partition.mdl._finish_window_costs`` turns them into
+        ``(lh, ldh, nopar)``."""
         raise NotImplementedError
 
     def crossing_sums(

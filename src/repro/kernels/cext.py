@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.kernels import KernelBackend, MAX_COMPILED_DIM
 
-#: C sources of the five kernels.  Index arrays are int64,
+#: C sources of the four kernels.  Index arrays are int64,
 #: coordinates float64, all C-contiguous.  ``double buf[8]`` scratch is
 #: safe because dispatch is gated at MAX_COMPILED_DIM (= 5) dims.
 SOURCE = r"""
@@ -189,10 +189,10 @@ void repro_pair_components(
     }
 }
 
-/* Shared per-element MDL geometry given one window's hypothesis.
- * Mirrors repro.partition.mdl.window_mdl_costs' elementwise section
+/* Per-element MDL geometry given one window's hypothesis.  Mirrors
+ * repro.partition.mdl._window_mdl_costs_numpy's elementwise section
  * (np.sum accumulation order). */
-static void mdl_element(
+static inline void mdl_element(
     const double *ss, const double *se, const double *hs,
     const double *hv, double inv, int deg, double sub_len, int64_t d,
     double *perp_in, double *theta_in)
@@ -233,64 +233,16 @@ static void mdl_element(
     *theta_in = deg ? 1.0 : d_theta;
 }
 
-/* Generic multi-window MDL geometry over gathered arrays (the
- * window_mdl_costs dispatch).  window_of need not be monotone; the
- * per-window hypothesis quantities are cached on change. */
-void repro_mdl_geometry(
-    const double *hyp_starts, const double *hyp_ends, int64_t n_windows,
-    const double *sub_starts, const double *sub_ends,
-    const int64_t *window_of, int64_t n_flat, int64_t d,
-    double *out_hyp_len, double *out_perp_in, double *out_theta_in,
-    double *out_sub_lens)
-{
-    double hv[MAXD];
-    double hyp_sq = 0.0, inv = 0.0;
-    int deg = 0;
-    int64_t w, k, dd;
-    int64_t last_w = -1;
-    for (w = 0; w < n_windows; w++) {
-        const double *hs = hyp_starts + w * d;
-        const double *he = hyp_ends + w * d;
-        double tmp[MAXD];
-        for (dd = 0; dd < d; dd++)
-            tmp[dd] = he[dd] - hs[dd];
-        out_hyp_len[w] = sqrt(dot_seq(tmp, tmp, d));
-    }
-    for (k = 0; k < n_flat; k++) {
-        w = window_of[k];
-        if (w != last_w) {
-            const double *hs = hyp_starts + w * d;
-            const double *he = hyp_ends + w * d;
-            for (dd = 0; dd < d; dd++)
-                hv[dd] = he[dd] - hs[dd];
-            hyp_sq = dot_seq(hv, hv, d);
-            deg = hyp_sq < TINY;
-            inv = 1.0 / (deg ? 1.0 : hyp_sq);
-            last_w = w;
-        }
-        const double *ss = sub_starts + k * d;
-        const double *se = sub_ends + k * d;
-        double sub_vec[MAXD];
-        for (dd = 0; dd < d; dd++)
-            sub_vec[dd] = se[dd] - ss[dd];
-        double sub_len = sqrt(dot_seq(sub_vec, sub_vec, d));
-        out_sub_lens[k] = sub_len;
-        mdl_element(ss, se, hyp_starts + w * d, hv, inv, deg, sub_len,
-                    d, out_perp_in + k, out_theta_in + k);
-    }
-}
-
-/* Lock-step layout MDL geometry: window w's enclosed segments are the
- * contiguous flat point range first[w] .. first[w]+counts[w]-1, its
- * hypothesis runs flat[first[w]] -> flat[hyp_end_idx[w]].  seg_lens /
- * enc_lens are the per-original-segment invariants precomputed (in
- * numpy) by the persistent layout; enc values are copied out in
- * window-major order so numpy can reduceat them for MDL_nopar. */
-void repro_lockstep_geometry(
+/* The MDL window kernel: window w's enclosed segments are the
+ * contiguous point range first[w] .. first[w]+counts[w]-1, its
+ * hypothesis runs flat[first[w]] -> flat[first[w]+counts[w]].
+ * seg_lens / enc_lens are the per-segment invariants the layout
+ * precomputes (in numpy); enc values are copied out in window-major
+ * order so numpy can reduceat them for MDL_nopar. */
+static inline void mdl_windows(
     const double *flat, int64_t d,
     const double *seg_lens, const double *enc_lens,
-    const int64_t *first, const int64_t *counts,
-    const int64_t *hyp_end_idx, int64_t n_windows,
+    const int64_t *first, const int64_t *counts, int64_t n_windows,
     double *out_hyp_len, double *out_perp_in, double *out_theta_in,
     double *out_enc_gath)
 {
@@ -298,15 +250,15 @@ void repro_lockstep_geometry(
     int64_t w, k, dd;
     int64_t j = 0;
     for (w = 0; w < n_windows; w++) {
+        int64_t stop = first[w] + counts[w];
         const double *hs = flat + first[w] * d;
-        const double *he = flat + hyp_end_idx[w] * d;
+        const double *he = flat + stop * d;
         for (dd = 0; dd < d; dd++)
             hv[dd] = he[dd] - hs[dd];
         double hyp_sq = dot_seq(hv, hv, d);
         out_hyp_len[w] = sqrt(hyp_sq);
         int deg = hyp_sq < TINY;
         double inv = 1.0 / (deg ? 1.0 : hyp_sq);
-        int64_t stop = first[w] + counts[w];
         for (k = first[w]; k < stop; k++, j++) {
             const double *ss = flat + k * d;
             const double *se = flat + (k + 1) * d;
@@ -315,6 +267,23 @@ void repro_lockstep_geometry(
             out_enc_gath[j] = enc_lens[k];
         }
     }
+}
+
+/* The d == 2 call lets the compiler unroll the coordinate loops for
+ * planar trajectories. */
+void repro_lockstep_geometry(
+    const double *flat, int64_t d,
+    const double *seg_lens, const double *enc_lens,
+    const int64_t *first, const int64_t *counts, int64_t n_windows,
+    double *out_hyp_len, double *out_perp_in, double *out_theta_in,
+    double *out_enc_gath)
+{
+    if (d == 2)
+        mdl_windows(flat, 2, seg_lens, enc_lens, first, counts, n_windows,
+                    out_hyp_len, out_perp_in, out_theta_in, out_enc_gath);
+    else
+        mdl_windows(flat, d, seg_lens, enc_lens, first, counts, n_windows,
+                    out_hyp_len, out_perp_in, out_theta_in, out_enc_gath);
 }
 
 /* Figure-15 crossing sums: bitwise equal to
@@ -488,7 +457,6 @@ class CExtBackend(KernelBackend):
         self.lib_path = lib_path
         for fn in (
             lib.repro_pair_components,
-            lib.repro_mdl_geometry,
             lib.repro_lockstep_geometry,
             lib.repro_crossing_sums,
         ):
@@ -516,26 +484,7 @@ class CExtBackend(KernelBackend):
         )
         return perp, par, ang
 
-    def mdl_geometry(self, hyp_starts, hyp_ends, sub_starts, sub_ends,
-                     window_of):
-        n_windows = hyp_starts.shape[0]
-        n_flat = sub_starts.shape[0]
-        d = hyp_starts.shape[1]
-        hyp_len = np.empty(n_windows, dtype=np.float64)
-        perp_in = np.empty(n_flat, dtype=np.float64)
-        theta_in = np.empty(n_flat, dtype=np.float64)
-        sub_lens = np.empty(n_flat, dtype=np.float64)
-        self._lib.repro_mdl_geometry(
-            _as_c(hyp_starts), _as_c(hyp_ends), _I64(n_windows),
-            _as_c(sub_starts), _as_c(sub_ends),
-            _as_c(window_of), _I64(n_flat), _I64(d),
-            _as_c(hyp_len), _as_c(perp_in), _as_c(theta_in),
-            _as_c(sub_lens),
-        )
-        return hyp_len, perp_in, theta_in, sub_lens
-
-    def lockstep_geometry(self, flat, seg_lens, enc_lens, first, counts,
-                          hyp_end_idx):
+    def lockstep_geometry(self, flat, seg_lens, enc_lens, first, counts):
         n_windows = first.shape[0]
         n_flat = int(counts.sum())
         d = flat.shape[1]
@@ -546,8 +495,7 @@ class CExtBackend(KernelBackend):
         self._lib.repro_lockstep_geometry(
             _as_c(flat), _I64(d),
             _as_c(seg_lens), _as_c(enc_lens),
-            _as_c(first), _as_c(counts),
-            _as_c(hyp_end_idx), _I64(n_windows),
+            _as_c(first), _as_c(counts), _I64(n_windows),
             _as_c(hyp_len), _as_c(perp_in), _as_c(theta_in),
             _as_c(enc_gath),
         )

@@ -1,7 +1,7 @@
 """Bitwise parity gate for compiled kernel backends.
 
 A backend registers only if :func:`parity_check` passes: every output
-of its five entry points must be **bit-for-bit identical** to the
+of its four entry points must be **bit-for-bit identical** to the
 pure-numpy kernels on a deterministic probe corpus that covers the
 branchy cases — degenerate (zero-length) segments, equal-length ties
 in both id orders, huge and tiny coordinates, anti-parallel pairs
@@ -12,9 +12,12 @@ kernel squared distances exactly at ``r2``, signed zeros, zero-length
 segments, dense cells and every compiled dimension.
 
 The references are the *undispatched* numpy implementations
-(``_pair_components`` / ``_window_mdl_costs_numpy`` /
-``_crossing_sums_numpy`` / ``_endpoint_pairs_numpy``), so the check
-can run from inside backend registration without re-entering dispatch.
+(``_pair_components`` / ``_window_mdl_costs_numpy``, on rows gathered
+by ``_rebuild_step_costs`` / ``_crossing_sums_numpy`` /
+``_endpoint_pairs_numpy``), so the check can run from inside backend
+registration without re-entering dispatch.
+The MDL windows' geometry goes through the same numpy tail the
+dispatcher uses (``repro.partition.mdl._finish_window_costs``).
 """
 
 from __future__ import annotations
@@ -112,67 +115,31 @@ def _probe_windows(rng: np.random.Generator, d: int):
     )
     first[7] = 100  # hypothesis inside the stalled stretch: degenerate
     counts[7] = 8
-    hyp_end_idx = first + counts
-    return np.ascontiguousarray(flat), first, counts, hyp_end_idx
+    return np.ascontiguousarray(flat), first, counts
 
 
 def _check_mdl(backend, rng: np.random.Generator, d: int) -> Optional[str]:
-    from repro.partition.mdl import _window_mdl_costs_numpy, clamped_log2
-    from repro.model.ragged import concatenate_ranges
+    """The contiguous window kernel against the reference on the
+    gathered rows of the same windows."""
+    from repro.partition.batched import _rebuild_step_costs
+    from repro.partition.layout import LockstepLayout
+    from repro.partition.mdl import _finish_window_costs
 
-    flat, first, counts, hyp_end_idx = _probe_windows(rng, d)
-    offsets = np.cumsum(counts) - counts
-    gather = concatenate_ranges(first, counts)
-    window_of = np.repeat(
-        np.arange(first.size, dtype=np.int64), counts
+    flat, first, counts = _probe_windows(rng, d)
+    want = _rebuild_step_costs(flat, first, counts)
+    layout = LockstepLayout(flat)
+    got = _finish_window_costs(
+        *backend.lockstep_geometry(
+            layout.flat, layout.seg_lens, layout.enc_lens, first, counts
+        ),
+        np.cumsum(counts) - counts,
+        counts,
     )
-    hyp_starts = np.ascontiguousarray(flat[first])
-    hyp_ends = np.ascontiguousarray(flat[hyp_end_idx])
-    sub_starts = np.ascontiguousarray(flat[gather])
-    sub_ends = np.ascontiguousarray(flat[gather + 1])
-    want = _window_mdl_costs_numpy(
-        hyp_starts, hyp_ends, sub_starts, sub_ends, window_of, offsets
-    )
-
-    # Generic geometry entry point.
-    hyp_len, perp_in, theta_in, sub_lens = backend.mdl_geometry(
-        hyp_starts, hyp_ends, sub_starts, sub_ends,
-        np.ascontiguousarray(window_of),
-    )
-    got = _finish(hyp_len, perp_in, theta_in, clamped_log2(sub_lens),
-                  offsets, counts)
     for name, g, w in zip(("lh", "ldh", "nopar"), got, want):
         bad = _mismatch(f"mdl/{name}/d={d}", g, w)
         if bad:
             return bad
-
-    # Lock-step (persistent layout) entry point: same windows through
-    # the index-based form with precomputed segment invariants.
-    seg_vecs = flat[1:] - flat[:-1]
-    seg_lens = np.sqrt(np.sum(seg_vecs * seg_vecs, axis=1))
-    enc_lens = clamped_log2(seg_lens)
-    hyp_len, perp_in, theta_in, enc_gath = backend.lockstep_geometry(
-        flat, seg_lens, enc_lens, first, counts, hyp_end_idx
-    )
-    got = _finish(hyp_len, perp_in, theta_in, enc_gath, offsets, counts)
-    for name, g, w in zip(("lh", "ldh", "nopar"), got, want):
-        bad = _mismatch(f"lockstep/{name}/d={d}", g, w)
-        if bad:
-            return bad
     return None
-
-
-def _finish(hyp_len, perp_in, theta_in, enc_lens_gathered, offsets, counts):
-    """The numpy tail every backend shares (mirrors window_mdl_costs)."""
-    from repro.partition.mdl import clamped_log2
-
-    lh = clamped_log2(hyp_len)
-    ldh = np.add.reduceat(clamped_log2(perp_in), offsets) + np.add.reduceat(
-        clamped_log2(theta_in), offsets
-    )
-    nopar = np.add.reduceat(enc_lens_gathered, offsets)
-    ldh[counts == 1] = 0.0
-    return lh, ldh, nopar
 
 
 def _probe_crossings(rng: np.random.Generator, d: int):

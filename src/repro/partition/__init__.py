@@ -3,16 +3,21 @@ approximate algorithm of Figure 8, the exact dynamic-programming
 optimum, the precision measurement comparing the two, and the
 resumable incremental scanner behind the streaming subsystem.
 
-Phase-1 engines are selectable (``PARTITION_METHODS``): the
-paper-literal per-trajectory **python** scan
-(:mod:`repro.partition.approximate`), and the lock-step **batched**
-corpus scanner (:mod:`repro.partition.batched`) that advances every
-trajectory simultaneously through the shared multi-window MDL kernel
-(:func:`~repro.partition.mdl.window_mdl_costs`) — bitwise-identical
-characteristic points, interpreter work per global step instead of per
-point.  ``partition_all(method="auto")`` picks between them; the
-streaming subsystem's bulk-load seed path rides the batched engine and
-hands its resumable scan states to the incremental scanner.
+Phase 1 has one scalar loop and one corpus engine, over one MDL window
+kernel.  The scalar loop is
+:class:`~repro.partition.incremental.IncrementalPartitioner`, which
+:func:`~repro.partition.approximate.approximate_partition` drives over
+a whole trajectory; the corpus engine is the lock-step scan
+(:func:`~repro.partition.batched.lockstep_scan`), which advances every
+trajectory simultaneously and is what
+:func:`~repro.partition.approximate.partition_all` runs.  Both evaluate
+their windows — runs of consecutive points — through
+:meth:`LockstepLayout.window_costs
+<repro.partition.layout.LockstepLayout.window_costs>`, so their
+characteristic points are bitwise identical, with interpreter work per
+global step instead of per point on the corpus engine.  The streaming
+subsystem's bulk-load seed path rides the lock-step scan and hands its
+resumable scan states to the incremental scanner.
 """
 
 from repro.partition.mdl import (
@@ -23,18 +28,13 @@ from repro.partition.mdl import (
     mdl_costs,
     mdl_par,
     mdl_nopar,
-    window_mdl_costs,
 )
 from repro.partition.approximate import (
-    AUTO_BATCH_MIN_TRAJECTORIES,
-    PARTITION_METHODS,
     approximate_partition,
     partition_trajectory,
     partition_all,
-    resolve_partition_method,
 )
 from repro.partition.batched import (
-    batched_partition_all,
     batched_partition_arrays,
     lockstep_scan,
 )
@@ -50,14 +50,9 @@ __all__ = [
     "mdl_costs",
     "mdl_par",
     "mdl_nopar",
-    "window_mdl_costs",
-    "AUTO_BATCH_MIN_TRAJECTORIES",
-    "PARTITION_METHODS",
     "approximate_partition",
     "partition_trajectory",
     "partition_all",
-    "resolve_partition_method",
-    "batched_partition_all",
     "batched_partition_arrays",
     "lockstep_scan",
     "exact_partition",

@@ -13,12 +13,12 @@ actual angle), so partitioning can be *suppressed* by adding a small
 constant to ``cost_nopar``, lengthening partitions by 20-30 %.  That
 constant is the ``suppression`` parameter below.
 
-This module holds the paper-literal **python engine** (one trajectory
-at a time) and the engine-selection front door :func:`partition_all`;
-the lock-step **batched engine** — same characteristic points, bitwise,
-from one vectorized scan over the whole corpus — lives in
-:mod:`repro.partition.batched` and is what ``method="auto"`` picks for
-multi-trajectory corpora.
+Phase 1 has one scalar loop and one corpus engine:
+:func:`approximate_partition` runs the scalar loop of
+:class:`~repro.partition.incremental.IncrementalPartitioner` over one
+whole trajectory, and :func:`partition_all` runs the lock-step corpus
+scan of :mod:`repro.partition.batched` — the same characteristic
+points, bitwise, from one vectorized scan over every trajectory.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.config import PARTITION_AUTO_BATCH_TRAJECTORIES
 from repro.exceptions import PartitionError
 from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
-from repro.partition.batched import batched_partition_all
-from repro.partition.mdl import mdl_costs
+from repro.partition.batched import batched_partition_arrays
+from repro.partition.incremental import IncrementalPartitioner
 
 
 def approximate_partition(
@@ -43,11 +42,11 @@ def approximate_partition(
     Parameters
     ----------
     points:
-        ``(n, d)`` array of trajectory points, ``n >= 2``.
+        ``(n, d)`` array of finite trajectory points, ``n >= 2``.
     suppression:
         Non-negative constant added to ``cost_nopar`` (Section 4.1.3);
-        larger values yield fewer, longer partitions.  0 reproduces
-        Figure 8 verbatim.
+        larger values yield fewer, longer partitions, and ``inf`` never
+        partitions.  0 reproduces Figure 8 verbatim.
 
     Returns
     -------
@@ -60,28 +59,9 @@ def approximate_partition(
         raise PartitionError(
             f"need an (n >= 2, d) point array, got shape {points.shape}"
         )
-    if suppression < 0:
-        raise PartitionError(f"suppression must be non-negative, got {suppression}")
-
-    n = points.shape[0]
-    characteristic = [0]  # line 01: the starting point
-    start_index, length = 0, 1  # line 02
-    while start_index + length <= n - 1:  # line 03 (0-based bound)
-        curr_index = start_index + length  # line 04
-        cost_par, base_nopar = mdl_costs(points, start_index, curr_index)
-        cost_nopar = base_nopar + suppression  # lines 05-06
-        if cost_par > cost_nopar and curr_index - 1 > start_index:  # line 07
-            # The guard `curr_index - 1 > start_index` cannot fire on the
-            # very first step (cost_par == cost_nopar exactly when the
-            # candidate is a single original segment) but protects
-            # against a non-terminating rescan under extreme float noise.
-            characteristic.append(curr_index - 1)  # line 08
-            start_index, length = curr_index - 1, 1  # line 09
-        else:
-            length += 1  # line 11
-    if characteristic[-1] != n - 1:
-        characteristic.append(n - 1)  # line 12: the ending point
-    return characteristic
+    partitioner = IncrementalPartitioner(suppression)
+    partitioner.append(points)
+    return partitioner.characteristic_points()
 
 
 def partition_trajectory(
@@ -91,67 +71,20 @@ def partition_trajectory(
     return approximate_partition(trajectory.points, suppression=suppression)
 
 
-#: Selectable phase-1 engines (mirrors ``NEIGHBORHOOD_METHODS`` for the
-#: ε-queries of phase 2): ``"python"`` is the per-trajectory Figure-8
-#: scan above, ``"batched"`` the lock-step corpus scanner of
-#: :mod:`repro.partition.batched`, and ``"auto"`` picks between them.
-PARTITION_METHODS = ("auto", "python", "batched")
-
-#: ``"auto"`` picks the batched engine from this many trajectories up.
-#: The lock-step scan wins as soon as there is more than one trajectory
-#: to advance per global step; driving a *single* trajectory through it
-#: degenerates to the python scan plus ragged-gather overhead (~1.5x
-#: slower), so solo trajectories stay on the python engine.  The number
-#: itself lives in :mod:`repro.core.config` next to every other
-#: auto-selection threshold; this is a re-export for engine-level
-#: consumers.
-AUTO_BATCH_MIN_TRAJECTORIES = PARTITION_AUTO_BATCH_TRAJECTORIES
-
-
-def resolve_partition_method(
-    method: str, n_trajectories: int
-) -> str:
-    """Resolve ``"auto"`` to a concrete engine for a corpus size."""
-    if method not in PARTITION_METHODS:
-        raise PartitionError(
-            f"unknown partition method {method!r}; expected one of "
-            f"{PARTITION_METHODS}"
-        )
-    if method != "auto":
-        return method
-    return (
-        "batched"
-        if n_trajectories >= AUTO_BATCH_MIN_TRAJECTORIES
-        else "python"
-    )
-
-
 def partition_all(
-    trajectories: Sequence[Trajectory],
-    suppression: float = 0.0,
-    method: str = "auto",
+    trajectories: Sequence[Trajectory], suppression: float = 0.0
 ) -> "tuple[SegmentSet, List[List[int]]]":
     """The whole partitioning phase of TRACLUS (Figure 4, lines 01-03).
 
-    Runs Figure 8 on every trajectory and accumulates the resulting
+    Runs Figure 8 on every trajectory through the lock-step corpus scan
+    (:mod:`repro.partition.batched`) and accumulates the resulting
     trajectory partitions into one :class:`SegmentSet` ``D``.
-
-    ``method`` selects the phase-1 engine: ``"python"`` scans one
-    trajectory at a time, ``"batched"`` advances all trajectories in
-    lock-step through the shared cost kernel
-    (:mod:`repro.partition.batched` — bitwise-identical characteristic
-    points, one interpreter step per global scan step), and ``"auto"``
-    (default) picks the batched engine whenever the corpus has at least
-    :data:`AUTO_BATCH_MIN_TRAJECTORIES` trajectories.
 
     Returns ``(segments, characteristic_points)``.
     """
-    resolved = resolve_partition_method(method, len(trajectories))
-    if resolved == "batched":
-        return batched_partition_all(trajectories, suppression=suppression)
-    all_cps: List[List[int]] = [
-        partition_trajectory(trajectory, suppression=suppression)
-        for trajectory in trajectories
-    ]
+    all_cps = batched_partition_arrays(
+        [trajectory.points for trajectory in trajectories],
+        suppression=suppression,
+    )
     segments = SegmentSet.from_partitions(trajectories, all_cps)
     return segments, all_cps

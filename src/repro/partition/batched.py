@@ -1,27 +1,30 @@
-"""Batched trajectory partitioning: lock-step Figure 8 over a corpus.
+"""Lock-step Figure 8 over a corpus: the phase-1 corpus engine.
 
-The per-trajectory scan (:mod:`repro.partition.approximate`) evaluates
-one MDL comparison per loop iteration — a handful of tiny NumPy calls
-per *point*, which makes phase 1 the interpreter-bound bottleneck of
+Calling the per-trajectory scan once per trajectory evaluates one MDL
+comparison per loop iteration — a handful of tiny NumPy calls per
+*point*, which would make phase 1 the interpreter-bound bottleneck of
 ``TRACLUS.fit`` on large corpora.  This module runs the **same scan on
 every trajectory simultaneously**: the corpus becomes one ragged
 ``(offsets, flat points)`` container (:class:`~repro.model.ragged.RaggedPoints`)
 and each *global* step advances all still-scanning trajectories by one
 Figure-8 iteration, evaluating every active candidate window in a
-single call to the shared multi-window cost kernel
-(:func:`~repro.partition.mdl.window_mdl_costs`).
+single call to the MDL window kernel
+(:meth:`LockstepLayout.window_costs
+<repro.partition.layout.LockstepLayout.window_costs>`) over the
+corpus's flat points.
 
 Exactness, not approximation
 ----------------------------
 This is a *mechanical* re-scheduling of Figure 8, not a numerical
 shortcut.  Trajectories are independent, so interleaving their loop
-iterations cannot change any decision; and because both engines share
-one kernel whose per-window arithmetic is elementwise-IEEE and whose
-per-window sums are ``np.add.reduceat`` slices, every ``MDL_par`` /
-``MDL_nopar`` value — including the Section 4.1.3 suppression constant
-and the strict ``>`` tie behavior of line 07 — is bitwise identical to
-the per-trajectory scan.  The characteristic points are therefore
-*exactly* equal, which the property suite asserts point for point.
+iterations cannot change any decision; and because the per-trajectory
+scan evaluates its windows through the same kernel, whose per-window
+arithmetic is elementwise-IEEE and whose per-window sums are
+``np.add.reduceat`` slices, every ``MDL_par`` / ``MDL_nopar`` value —
+including the Section 4.1.3 suppression constant and the strict ``>``
+tie behavior of line 07 — is bitwise identical to the per-trajectory
+scan.  The characteristic points are therefore *exactly* equal, which
+the property suites assert point for point.
 
 The scheduling also yields the resumable scan state ``(start_index,
 length)`` per trajectory, so a streaming session can bulk-load a whole
@@ -32,37 +35,29 @@ corpus through this engine and then continue incrementally
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import PartitionError
 from repro.model.ragged import RaggedPoints, concatenate_ranges
-from repro.model.segmentset import SegmentSet
-from repro.model.trajectory import Trajectory
 from repro.partition.layout import LockstepLayout
-from repro.partition.mdl import window_mdl_costs
+from repro.partition.mdl import _window_mdl_costs_numpy
 
 
 def _rebuild_step_costs(
-    flat: np.ndarray,
-    base: np.ndarray,
-    active: np.ndarray,
-    starts: np.ndarray,
-    currs: np.ndarray,
+    flat: np.ndarray, first: np.ndarray, counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The historical per-step evaluation: rebuild the full ragged
-    gather/window_of layout from scratch and call the generic kernel.
-    Kept as the baseline the persistent layout is benchmarked (and
-    bitwise-regression-tested) against."""
-    counts = currs - starts
+    gather/window_of layout from scratch and call the numpy reference
+    on the copied rows.  Kept as the baseline the persistent layout is
+    benchmarked (and bitwise-regression-tested) against."""
     offsets = np.cumsum(counts) - counts
-    first = base[active] + starts
     gather = concatenate_ranges(first, counts)
-    window_of = np.repeat(np.arange(active.size, dtype=np.int64), counts)
-    return window_mdl_costs(
+    window_of = np.repeat(np.arange(first.size, dtype=np.int64), counts)
+    return _window_mdl_costs_numpy(
         flat[first],
-        flat[base[active] + currs],
+        flat[first + counts],
         flat[gather],
         flat[gather + 1],
         window_of,
@@ -74,20 +69,19 @@ def lockstep_scan(
     ragged: RaggedPoints,
     suppression: float = 0.0,
     *,
-    layout: Optional[LockstepLayout] = None,
     reuse_layout: bool = True,
 ) -> Tuple[List[List[int]], np.ndarray, np.ndarray]:
     """Run Figure 8 on every row of *ragged* in lock-step.
 
     Rows may have any length >= 1 (a single-point row simply never
-    enters the scan loop — the streaming bulk-load path needs that).
+    enters the scan loop — the streaming bulk-load path needs that);
+    every coordinate must be finite.
 
-    By default each step is evaluated through a persistent
-    :class:`~repro.partition.layout.LockstepLayout` (precomputed
-    per-segment invariants, incremental window bookkeeping) — pass an
-    existing *layout* to share it across scans of the same corpus, or
-    ``reuse_layout=False`` to force the historical rebuild-per-step
-    path.  All paths are bitwise identical.
+    By default each step is evaluated through one
+    :class:`~repro.partition.layout.LockstepLayout` over the corpus's
+    flat points (per-segment invariants computed once);
+    ``reuse_layout=False`` forces the historical rebuild-per-step path
+    on the numpy reference.  Both paths are bitwise identical.
 
     Returns
     -------
@@ -100,29 +94,30 @@ def lockstep_scan(
         <repro.partition.incremental.IncrementalPartitioner.scan_state>`
         would report after appending the same points.
     """
-    if suppression < 0:
+    if not suppression >= 0:  # written so that NaN fails too
         raise PartitionError(
             f"suppression must be non-negative, got {suppression}"
         )
-    n_rows = len(ragged)
     flat = ragged.flat
+    if not np.all(np.isfinite(flat)):
+        raise PartitionError("trajectory points must be finite")
+    n_rows = len(ragged)
     base = ragged.offsets[:-1]
     n = ragged.lengths
-    if layout is None and reuse_layout:
-        layout = LockstepLayout(ragged)
+    layout = LockstepLayout(flat) if reuse_layout else None
     committed: List[List[int]] = [[0] for _ in range(n_rows)]  # line 01
     start = np.zeros(n_rows, dtype=np.int64)  # line 02
     length = np.ones(n_rows, dtype=np.int64)
     active = np.flatnonzero(start + length <= n - 1)  # line 03
     while active.size:
         starts = start[active]
-        currs = starts + length[active]  # line 04
+        counts = length[active]
+        currs = starts + counts  # line 04
+        first = base[active] + starts
         if layout is not None:
-            lh, ldh, nopar = layout.step_costs(active, start, length)
+            lh, ldh, nopar = layout.window_costs(first, counts)
         else:
-            lh, ldh, nopar = _rebuild_step_costs(
-                flat, base, active, starts, currs
-            )
+            lh, ldh, nopar = _rebuild_step_costs(flat, first, counts)
         cost_par = lh + ldh  # line 05
         cost_nopar = nopar + suppression  # line 06
         commit = (cost_par > cost_nopar) & (currs - 1 > starts)  # line 07
@@ -138,15 +133,32 @@ def lockstep_scan(
     return committed, start, length
 
 
+def with_endpoints(
+    committed: Sequence[Sequence[int]], lengths: Sequence[int]
+) -> List[List[int]]:
+    """Each row's characteristic points: its committed points plus the
+    row's last point (Figure 8 line 12: the ending point), as new
+    lists."""
+    characteristic_points: List[List[int]] = []
+    for cps, n in zip(committed, lengths):
+        last = int(n) - 1
+        cps = list(cps)
+        if cps[-1] != last:
+            cps.append(last)  # line 12: the ending point
+        characteristic_points.append(cps)
+    return characteristic_points
+
+
 def batched_partition_arrays(
     point_arrays: Sequence[Union[Sequence[Sequence[float]], np.ndarray]],
     suppression: float = 0.0,
 ) -> List[List[int]]:
     """Characteristic-point indices for many trajectories at once.
 
-    The batched counterpart of calling
+    The corpus counterpart of calling
     :func:`~repro.partition.approximate.approximate_partition` on each
-    ``(n >= 2, d)`` array — same validation, bitwise-identical output.
+    ``(n >= 2, d)`` array of finite points — same validation,
+    bitwise-identical output.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in point_arrays]
     for a in arrays:
@@ -158,29 +170,4 @@ def batched_partition_arrays(
         return []
     ragged = RaggedPoints.from_arrays(arrays)
     committed, _, _ = lockstep_scan(ragged, suppression)
-    lengths = ragged.lengths
-    for row, cps in enumerate(committed):
-        last = int(lengths[row]) - 1
-        if cps[-1] != last:
-            cps.append(last)  # line 12: the ending point
-    return committed
-
-
-def batched_partition_all(
-    trajectories: Sequence[Trajectory], suppression: float = 0.0
-) -> Tuple[SegmentSet, List[List[int]]]:
-    """The whole partitioning phase (Figure 4, lines 01-03) through the
-    lock-step engine: Figure 8 on every trajectory, all partitions
-    accumulated into one :class:`SegmentSet` ``D``.
-
-    Drop-in for :func:`~repro.partition.approximate.partition_all` with
-    ``method="python"`` — identical segments, identical characteristic
-    points, one interpreter loop per *global scan step* instead of per
-    point.
-    """
-    all_cps = batched_partition_arrays(
-        [trajectory.points for trajectory in trajectories],
-        suppression=suppression,
-    )
-    segments = SegmentSet.from_partitions(trajectories, all_cps)
-    return segments, all_cps
+    return with_endpoints(committed, ragged.lengths)

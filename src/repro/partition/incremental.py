@@ -10,11 +10,15 @@ point — it merely resumes the scan where it stopped.
 
 :class:`IncrementalPartitioner` exploits that: it persists the scan
 state ``(start_index, length)`` between appends and replays the exact
-Figure 8 loop over the grown buffer, so after any sequence of appends
-its characteristic points are *identical* (not merely similar) to
-:func:`repro.partition.approximate.approximate_partition` on the full
-point array — the property tests in
-``tests/property/test_stream_equivalence.py`` pin this.
+Figure 8 loop over the grown buffer.  It is phase 1's one scalar loop:
+:func:`repro.partition.approximate.approximate_partition` appends a
+whole trajectory at once, and every step evaluates its window through
+:func:`repro.partition.mdl.mdl_costs` — the same contiguous kernel the
+lock-step corpus scan uses.  So after any sequence of appends its
+characteristic points are *identical* (not merely similar) to a
+one-shot partition of the full point array and to the lock-step scan —
+the property tests in ``tests/property/test_stream_equivalence.py`` and
+``tests/property/test_partition_engine_equivalence.py`` pin this.
 
 Terminology used by the streaming layer on top:
 
@@ -43,14 +47,15 @@ class IncrementalPartitioner:
     Parameters
     ----------
     suppression:
-        The Section 4.1.3 constant added to ``cost_nopar``; must match
-        the value a batch comparison run would use.
+        The Section 4.1.3 constant added to ``cost_nopar`` (``inf``
+        never partitions); must match the value a batch comparison run
+        would use.
     """
 
     __slots__ = ("suppression", "_buffer", "_n", "_committed", "_start", "_length")
 
     def __init__(self, suppression: float = 0.0):
-        if suppression < 0:
+        if not suppression >= 0:  # written so that NaN fails too
             raise PartitionError(
                 f"suppression must be non-negative, got {suppression}"
             )
@@ -147,6 +152,10 @@ class IncrementalPartitioner:
             curr = self._start + self._length  # line 04
             cost_par, base_nopar = mdl_costs(points, self._start, curr)
             cost_nopar = base_nopar + self.suppression  # lines 05-06
+            # The guard `curr - 1 > start` cannot fire on the very first
+            # step (cost_par == cost_nopar exactly when the candidate is
+            # a single original segment) but protects against a
+            # non-terminating rescan under extreme float noise.
             if cost_par > cost_nopar and curr - 1 > self._start:  # line 07
                 self._committed.append(curr - 1)  # line 08
                 newly.append(curr - 1)

@@ -1,38 +1,34 @@
-"""Persistent active-window layout for the lock-step Figure-8 scan.
+"""The contiguous MDL window kernel behind every Figure-8 scan.
 
-:func:`repro.partition.batched.lockstep_scan` historically rebuilt its
-ragged window layout on **every global step**: re-deriving each
-enclosed segment's vector, length, and encoded length from the flat
-points, and re-materialising the full ``gather``/``window_of`` index
-arrays with ``np.repeat``/``cumsum`` — ~40% of scan time spent
-recreating state that barely changes between steps (each active window
-either grows by one segment or resets to one).
+Every window Figure 8 evaluates is a run of consecutive points: the
+candidate partition ``p_startIndex .. p_currIndex`` and the original
+segments it encloses.  :class:`LockstepLayout` is built once over a
+plain ``(N, d)`` point array — a corpus's flat points for
+:func:`repro.partition.batched.lockstep_scan`, or ``points[i:j + 1]``
+for the one window of the scalar :mod:`repro.partition.mdl` wrappers —
+and :meth:`LockstepLayout.window_costs` evaluates windows ``first[w]
+.. first[w] + counts[w]`` of it in place:
 
-:class:`LockstepLayout` keeps that state across steps, in the spirit of
-the incremental-view-maintenance discipline the streaming layer already
-follows (keep derived state, never rebuild):
-
-* Per-original-segment invariants — ``seg_vecs``, ``seg_lens``,
-  ``enc_lens`` (the ``clamped_log2`` encodings) — are computed **once**
-  per corpus and gathered per step, instead of being recomputed from
-  coordinates on every step.  Elementwise ufuncs on identical operands
-  are bitwise-stable, so the gathered values are bit-for-bit the values
-  the rebuild path recomputes.
-* The per-step index arrays are built in one fused ``np.repeat`` over a
-  packed ``(active, 2)`` int64 table (window ids and range bases
-  together) plus a sliced persistent ``arange`` buffer — one ragged
-  expansion per step instead of two.
+* Per-segment invariants — ``seg_vecs``, ``seg_lens``, ``enc_lens``
+  (the ``clamped_log2`` encodings) — are computed **once** per array
+  and gathered per evaluation, instead of being recomputed from
+  coordinates for every window.  Elementwise ufuncs on identical
+  operands are bitwise-stable, so the gathered values are bit-for-bit
+  the values the reference recomputes.
 * With a compiled kernel backend active (:mod:`repro.kernels`), the
-  index arrays vanish entirely: windows are *contiguous* ranges
-  ``first[w] .. first[w]+counts[w]-1`` of the flat points, so the
-  backend's ``lockstep_geometry`` walks them in place and only the
-  per-window ``first``/``counts`` vectors (O(active), not O(enclosed
-  segments)) are constructed per step.
+  backend's ``lockstep_geometry`` walks each window's range in place,
+  so only the per-window ``first``/``counts`` vectors (O(windows), not
+  O(enclosed segments)) are constructed per evaluation.
+* On numpy, the per-element index arrays are built in one fused
+  ``np.repeat`` over a packed ``(windows, 2)`` int64 table (window ids
+  and range bases together) plus one ``arange``.  Planar data runs a
+  column-wise specialisation; other dimensions gather the window rows
+  and call the reference.
 
 Bitwise contract: every path produces ``(lh, ldh, nopar)`` bit-for-bit
-equal to :func:`repro.partition.mdl.window_mdl_costs` on the rebuilt
-arrays — asserted by the layout regression suite and, for compiled
-backends, by the registration parity gate
+equal to :func:`repro.partition.mdl._window_mdl_costs_numpy` on the
+gathered rows — asserted by the layout and Figure-8 reference suites
+and, for compiled backends, by the registration parity gate
 (:mod:`repro.kernels.selftest`).
 """
 
@@ -42,59 +38,47 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.model.ragged import RaggedPoints
-from repro.partition.mdl import clamped_log2
+from repro.partition.mdl import (
+    _finish_window_costs,
+    _window_mdl_costs_numpy,
+    clamped_log2,
+)
 
 _TINY = np.finfo(np.float64).tiny
 
 
 class LockstepLayout:
-    """Per-corpus persistent state for the lock-step scan.
+    """Per-array invariants for evaluating MDL windows in place.
 
-    Build once per :class:`~repro.model.ragged.RaggedPoints` corpus and
-    pass to :func:`~repro.partition.batched.lockstep_scan`; reuse across
-    scans of the same corpus is safe (the layout is read-only after
-    construction).
+    Build once per point array; the layout is read-only after
+    construction, so any number of evaluations may share it.
     """
 
-    __slots__ = (
-        "flat", "base", "lengths", "seg_vecs", "seg_lens", "enc_lens",
-        "_arange",
-    )
+    __slots__ = ("flat", "seg_vecs", "seg_lens", "enc_lens")
 
-    def __init__(self, ragged: RaggedPoints):
-        flat = ragged.flat
+    def __init__(self, points: np.ndarray):
+        flat = np.ascontiguousarray(points, dtype=np.float64)
         self.flat = flat
-        self.base = ragged.offsets[:-1]
-        self.lengths = ragged.lengths
-        # Per-segment invariants over the flat points.  Row boundaries
-        # produce junk entries (flat[b]-flat[b-1] crosses rows) that no
-        # window ever gathers: window w of row t only touches segment
-        # indices base[t]+start .. base[t]+start+len-1 <= base[t+1]-2.
-        if flat.shape[0] > 1:
-            seg_vecs = flat[1:] - flat[:-1]
-        else:
-            seg_vecs = np.empty((0, flat.shape[1]), dtype=np.float64)
+        # Per-segment invariants over the flat points.  In a corpus's
+        # flat array, row boundaries produce junk entries
+        # (flat[b]-flat[b-1] crosses rows) that no window ever gathers:
+        # window w of row t only touches segment indices
+        # base[t]+start .. base[t]+start+len-1 <= base[t+1]-2.
+        seg_vecs = flat[1:] - flat[:-1]
         self.seg_vecs = seg_vecs
-        self.seg_lens = np.sqrt(np.sum(seg_vecs * seg_vecs, axis=1))
+        # np.add.reduce is np.sum without its Python wrapper (the
+        # scalar scan builds one layout per Figure-8 step).
+        self.seg_lens = np.sqrt(np.add.reduce(seg_vecs * seg_vecs, axis=1))
         self.enc_lens = clamped_log2(self.seg_lens)
-        self._arange = np.arange(max(self.seg_lens.shape[0], 1),
-                                 dtype=np.int64)
 
-    def step_costs(
-        self,
-        active: np.ndarray,
-        start: np.ndarray,
-        length: np.ndarray,
+    def window_costs(
+        self, first: np.ndarray, counts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lh, ldh, nopar)`` of every active window at the current
-        scan position — bitwise equal to the rebuild path's
-        :func:`~repro.partition.mdl.window_mdl_costs` call."""
-        starts = start[active]
-        counts = length[active]
-        first = self.base[active] + starts
-        hyp_end_idx = first + counts
-        offsets = np.cumsum(counts) - counts
+        """``(lh, ldh, nopar)`` of the windows whose hypotheses run
+        ``flat[first[w]] -> flat[first[w] + counts[w]]`` over the
+        ``counts[w] >= 1`` enclosed segments between them (int64
+        arrays)."""
+        offsets = np.add.accumulate(counts) - counts
 
         from repro import kernels
 
@@ -104,103 +88,41 @@ class LockstepLayout:
             and self.flat.shape[1] <= kernels.MAX_COMPILED_DIM
         ):
             with kernels.maybe_time("lockstep_geometry", backend.name):
-                hyp_len, perp_in, theta_in, enc_gath = (
-                    backend.lockstep_geometry(
-                        self.flat, self.seg_lens, self.enc_lens,
-                        np.ascontiguousarray(first),
-                        np.ascontiguousarray(counts),
-                        np.ascontiguousarray(hyp_end_idx),
-                    )
+                geometry = backend.lockstep_geometry(
+                    self.flat, self.seg_lens, self.enc_lens,
+                    np.ascontiguousarray(first),
+                    np.ascontiguousarray(counts),
                 )
-            lh = clamped_log2(hyp_len)
-            nopar = np.add.reduceat(enc_gath, offsets)
-            ldh = np.add.reduceat(
-                clamped_log2(perp_in), offsets
-            ) + np.add.reduceat(clamped_log2(theta_in), offsets)
-            ldh[counts == 1] = 0.0
-            return lh, ldh, nopar
-        return self._step_costs_numpy(first, counts, hyp_end_idx, offsets)
+            return _finish_window_costs(*geometry, offsets, counts)
+        return self._costs_numpy(first, counts, offsets)
 
-    def _step_costs_numpy(self, first, counts, hyp_end_idx, offsets):
-        """The numpy path: one fused ragged expansion, gathered
-        invariants, and the exact elementwise body of
-        ``_window_mdl_costs_numpy``."""
+    def _costs_numpy(self, first, counts, offsets):
+        """The numpy path: one fused ragged expansion, then the planar
+        body or, in other dimensions, the reference on gathered rows."""
         total = int(offsets[-1]) + int(counts[-1]) if counts.size else 0
         n_windows = first.shape[0]
 
         # Fused index-array construction: one np.repeat expands window
-        # ids and range bases together; adding the persistent arange
-        # turns bases into per-element flat segment indices.
+        # ids and range bases together; adding an arange turns bases
+        # into per-element flat segment indices.
         pack = np.empty((n_windows, 2), dtype=np.int64)
         pack[:, 0] = np.arange(n_windows, dtype=np.int64)
         pack[:, 1] = first - offsets
         rep = np.repeat(pack, counts, axis=0)
         window_of = rep[:, 0]
-        gather = rep[:, 1] + self._arange[:total]
+        gather = rep[:, 1] + np.arange(total, dtype=np.int64)
 
         if self.flat.shape[1] == 2:
             return self._step_costs_numpy_2d(
-                first, counts, hyp_end_idx, offsets, window_of, gather
+                first, counts, offsets, window_of, gather
             )
-
         flat = self.flat
-        hyp_starts = flat[first]
-        hyp_vecs = flat[hyp_end_idx] - hyp_starts
-        hyp_sq = np.sum(hyp_vecs * hyp_vecs, axis=1)
-        lh = clamped_log2(np.sqrt(hyp_sq))
-
-        degenerate = hyp_sq < _TINY
-        inv_sq = 1.0 / np.where(degenerate, 1.0, hyp_sq)
-
-        hv = hyp_vecs[window_of]
-        hs = hyp_starts[window_of]
-        inv = inv_sq[window_of]
-        deg = degenerate[window_of]
-
-        sub_starts = flat[gather]
-        sub_ends = flat[gather + 1]
-        # Gathered invariants replace the rebuild path's per-step
-        # recompute (identical elementwise ops on identical operands).
-        sub_vecs = self.seg_vecs[gather]
-        sub_lens = self.seg_lens[gather]
-        nopar = np.add.reduceat(self.enc_lens[gather], offsets)
-
-        rel1 = sub_starts - hs
-        rel2 = sub_ends - hs
-        u1 = np.sum(rel1 * hv, axis=1) * inv
-        u2 = np.sum(rel2 * hv, axis=1) * inv
-        off1 = sub_starts - (hs + u1[:, None] * hv)
-        off2 = sub_ends - (hs + u2[:, None] * hv)
-        l_perp1 = np.sqrt(np.sum(off1 * off1, axis=1))
-        l_perp2 = np.sqrt(np.sum(off2 * off2, axis=1))
-        sums = l_perp1 + l_perp2
-        d_perp = np.where(
-            sums > 0.0,
-            (l_perp1 * l_perp1 + l_perp2 * l_perp2)
-            / np.where(sums > 0.0, sums, 1.0),
-            0.0,
+        return _window_mdl_costs_numpy(
+            flat[first], flat[first + counts], flat[gather],
+            flat[gather + 1], window_of, offsets,
         )
 
-        dots = np.sum(sub_vecs * hv, axis=1)
-        rejection = sub_vecs - (dots * inv)[:, None] * hv
-        sin_term = np.sqrt(np.sum(rejection * rejection, axis=1))
-        d_theta = np.where(dots > 0.0, sin_term, sub_lens)
-        d_theta = np.where(sub_lens > 0.0, d_theta, 0.0)
-
-        point_dist = np.sqrt(np.sum(rel1 * rel1, axis=1))
-        enc_perp = np.where(
-            deg, clamped_log2(point_dist), clamped_log2(d_perp)
-        )
-        enc_theta = np.where(deg, 0.0, clamped_log2(d_theta))
-        ldh = np.add.reduceat(enc_perp, offsets) + np.add.reduceat(
-            enc_theta, offsets
-        )
-        ldh[counts == 1] = 0.0
-        return lh, ldh, nopar
-
-    def _step_costs_numpy_2d(
-        self, first, counts, hyp_end_idx, offsets, window_of, gather
-    ):
+    def _step_costs_numpy_2d(self, first, counts, offsets, window_of, gather):
         """Planar specialisation of the numpy body: every
         ``np.sum(a * b, axis=1)`` dot over two columns is one add of two
         products — numpy's pairwise reduction degenerates to exactly
@@ -214,14 +136,15 @@ class LockstepLayout:
 
         hsx = fx[first]
         hsy = fy[first]
-        hvx = fx[hyp_end_idx] - hsx
-        hvy = fy[hyp_end_idx] - hsy
+        last = first + counts
+        hvx = fx[last] - hsx
+        hvy = fy[last] - hsy
         hyp_sq = hvx * hvx + hvy * hvy
-        lh = clamped_log2(np.sqrt(hyp_sq))
 
         degenerate = hyp_sq < _TINY
         inv_sq = 1.0 / np.where(degenerate, 1.0, hyp_sq)
 
+        hyp_len = np.sqrt(hyp_sq)
         hvx = hvx[window_of]
         hvy = hvy[window_of]
         hsx = hsx[window_of]
@@ -238,7 +161,6 @@ class LockstepLayout:
         svx = sub_vecs[:, 0]
         svy = sub_vecs[:, 1]
         sub_lens = self.seg_lens[gather]
-        nopar = np.add.reduceat(self.enc_lens[gather], offsets)
 
         r1x = ssx - hsx
         r1y = ssy - hsy
@@ -269,12 +191,11 @@ class LockstepLayout:
         d_theta = np.where(sub_lens > 0.0, d_theta, 0.0)
 
         point_dist = np.sqrt(r1x * r1x + r1y * r1y)
-        enc_perp = np.where(
-            deg, clamped_log2(point_dist), clamped_log2(d_perp)
+        return _finish_window_costs(
+            hyp_len,
+            np.where(deg, point_dist, d_perp),
+            np.where(deg, 1.0, d_theta),
+            self.enc_lens[gather],
+            offsets,
+            counts,
         )
-        enc_theta = np.where(deg, 0.0, clamped_log2(d_theta))
-        ldh = np.add.reduceat(enc_perp, offsets) + np.add.reduceat(
-            enc_theta, offsets
-        )
-        ldh[counts == 1] = 0.0
-        return lh, ldh, nopar

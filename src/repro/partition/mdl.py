@@ -23,35 +23,49 @@ the hypothesis segment first), and use the directed angle distance.
 
 Engine-sharing contract
 -----------------------
-Both phase-1 engines — the per-trajectory Python scan
-(:mod:`repro.partition.approximate`, :mod:`repro.partition.incremental`)
-and the lock-step batched scanner (:mod:`repro.partition.batched`) —
-evaluate their costs through the *same* multi-window kernel,
-:func:`window_mdl_costs`.  Every elementwise operation is an IEEE-exact
-ufunc (no BLAS mat-vec, whose FMA use would differ from an explicit
+Every window Figure 8 evaluates is a run of consecutive points, so
+every caller — the per-trajectory scan
+(:class:`~repro.partition.incremental.IncrementalPartitioner`, which
+:func:`~repro.partition.approximate.approximate_partition` drives), the
+lock-step corpus scan (:func:`~repro.partition.batched.lockstep_scan`)
+and :func:`~repro.partition.exact.exact_partition` through
+:func:`mdl_par` — evaluates its costs through the *same* contiguous
+kernel, :meth:`LockstepLayout.window_costs
+<repro.partition.layout.LockstepLayout.window_costs>`: windows
+``first[w] .. first[w] + counts[w]`` of one point array.  The scalar
+wrappers below build that layout over ``points[i:j + 1]`` and evaluate
+its one window.  Every elementwise operation is an IEEE-exact ufunc
+(no BLAS mat-vec, whose FMA use would differ from an explicit
 multiply-add) and every per-window sum is a ``np.add.reduceat`` over a
-contiguous slice, so a window's costs are bitwise identical whether it
-is evaluated alone (the scalar :func:`mdl_par`/:func:`mdl_nopar`
-wrappers) or flattened next to a thousand other windows.  Identical
-cost bits mean identical Figure-8 comparisons, which is what lets the
-batched engine promise *exactly* equal characteristic points.
+contiguous slice (:func:`_finish_window_costs`), so a window's costs
+are bitwise identical whether it is evaluated alone or next to a
+thousand other windows.  Identical cost bits mean identical Figure-8
+comparisons, which is what lets the lock-step scan promise *exactly*
+the characteristic points of the per-trajectory scan.
+
+:func:`_window_mdl_costs_numpy` is the one numpy reference: it
+recomputes every quantity from gathered coordinates, and the compiled
+backend's parity gate (:mod:`repro.kernels.selftest`) and the
+Figure-8 reference tests compare against it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import PartitionError
 
 
-def clamped_log2(values: np.ndarray) -> np.ndarray:
+def clamped_log2(
+    values: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``L(x)`` in bits at precision delta = 1: ``log2(x)``, clamped to
     0 for ``x < 1`` (such values round to an integer representable in
     zero bits).  Elementwise over any shape; the single clamped-log2
-    used by every engine."""
-    return np.log2(np.maximum(values, 1.0))
+    used by every engine.  ``out=values`` encodes in place."""
+    return np.log2(np.maximum(values, 1.0, out=out), out=out)
 
 
 def encoded_cost(x: float) -> float:
@@ -69,7 +83,7 @@ def _check_indices(points: np.ndarray, i: int, j: int) -> None:
         )
 
 
-def window_mdl_costs(
+def _window_mdl_costs_numpy(
     hyp_starts: np.ndarray,
     hyp_ends: np.ndarray,
     sub_starts: np.ndarray,
@@ -77,7 +91,8 @@ def window_mdl_costs(
     window_of: np.ndarray,
     offsets: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MDL cost components of many candidate partitions at once.
+    """MDL cost components of many candidate partitions, recomputed
+    from gathered coordinates: the bitwise reference of every engine.
 
     Window ``w`` hypothesises one partition ``hyp_starts[w] ->
     hyp_ends[w]`` over the enclosed original segments
@@ -93,58 +108,8 @@ def window_mdl_costs(
     A window whose hypothesis has (numerically) zero length falls back
     to encoded point distances with zero angle contribution, and a
     window enclosing exactly one segment — which in Figure-8 use *is*
-    the hypothesis — has ``ldh == 0.0`` exactly, both mirroring the
-    historical scalar behavior.
-
-    When a compiled kernel backend is active (``repro.kernels``), the
-    per-element geometry runs compiled and only the ``log2`` encodings
-    and ``reduceat`` reductions below run in numpy — bitwise identical
-    by the backends' parity contract.
+    the hypothesis — has ``ldh == 0.0`` exactly.
     """
-    n_windows = hyp_starts.shape[0]
-    if n_windows == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty.copy(), empty.copy()
-
-    from repro import kernels
-
-    backend = kernels.active_backend()
-    if backend is not None and hyp_starts.shape[1] <= kernels.MAX_COMPILED_DIM:
-        with kernels.maybe_time("mdl_geometry", backend.name):
-            hyp_len, perp_in, theta_in, sub_lens = backend.mdl_geometry(
-                np.ascontiguousarray(hyp_starts, dtype=np.float64),
-                np.ascontiguousarray(hyp_ends, dtype=np.float64),
-                np.ascontiguousarray(sub_starts, dtype=np.float64),
-                np.ascontiguousarray(sub_ends, dtype=np.float64),
-                np.ascontiguousarray(window_of, dtype=np.int64),
-            )
-        lh = clamped_log2(hyp_len)
-        nopar = np.add.reduceat(clamped_log2(sub_lens), offsets)
-        # theta_input is 1.0 on degenerate-hypothesis windows, so the
-        # clamp encodes their zero angle contribution exactly.
-        ldh = np.add.reduceat(clamped_log2(perp_in), offsets) + np.add.reduceat(
-            clamped_log2(theta_in), offsets
-        )
-        counts = np.diff(offsets, append=sub_starts.shape[0])
-        ldh[counts == 1] = 0.0
-        return lh, ldh, nopar
-
-    return _window_mdl_costs_numpy(
-        hyp_starts, hyp_ends, sub_starts, sub_ends, window_of, offsets
-    )
-
-
-def _window_mdl_costs_numpy(
-    hyp_starts: np.ndarray,
-    hyp_ends: np.ndarray,
-    sub_starts: np.ndarray,
-    sub_ends: np.ndarray,
-    window_of: np.ndarray,
-    offsets: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pure-numpy kernel — always available, and the bitwise
-    reference the compiled backends are parity-gated against
-    (:mod:`repro.kernels.selftest`)."""
     hyp_vecs = hyp_ends - hyp_starts
     hyp_sq = np.sum(hyp_vecs * hyp_vecs, axis=1)
     lh = clamped_log2(np.sqrt(hyp_sq))
@@ -205,22 +170,49 @@ def _window_mdl_costs_numpy(
     return lh, ldh, nopar
 
 
-_ZERO_OFFSET = np.zeros(1, dtype=np.int64)
+def _finish_window_costs(
+    hyp_len: np.ndarray,
+    perp_in: np.ndarray,
+    theta_in: np.ndarray,
+    enc_lens: np.ndarray,
+    offsets: np.ndarray,
+    counts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lh, ldh, nopar)`` from a window evaluation's geometry: the
+    ``log2`` encodings, the per-window ``reduceat`` sums and the
+    one-segment ``ldh = 0`` fix, which stay in numpy on every backend.
+
+    ``perp_in``/``theta_in`` hold, per enclosed segment, the value whose
+    encoding is its perpendicular/angle bits — on a degenerate
+    hypothesis the point distance and ``1.0`` (which encodes in 0
+    bits); ``enc_lens`` are the segments' encoded lengths.  The first
+    three arrays are encoded in place (every caller passes arrays it
+    has just computed), which spares a large evaluation its biggest
+    temporaries.
+    """
+    lh = clamped_log2(hyp_len, out=hyp_len)
+    ldh = np.add.reduceat(
+        clamped_log2(perp_in, out=perp_in), offsets
+    ) + np.add.reduceat(clamped_log2(theta_in, out=theta_in), offsets)
+    nopar = np.add.reduceat(enc_lens, offsets)
+    ldh[counts == 1] = 0.0
+    return lh, ldh, nopar
+
+
+_ZERO_FIRST = np.zeros(1, dtype=np.int64)
 
 
 def _single_window(
     points: np.ndarray, i: int, j: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`window_mdl_costs` of the one window ``p_i .. p_j``."""
+    """The costs of the one window ``p_i .. p_j``, evaluated through a
+    :class:`~repro.partition.layout.LockstepLayout` of exactly its
+    points."""
+    from repro.partition.layout import LockstepLayout
+
     _check_indices(points, i, j)
-    window_of = np.zeros(j - i, dtype=np.int64)
-    return window_mdl_costs(
-        points[i][None, :],
-        points[j][None, :],
-        points[i:j],
-        points[i + 1 : j + 1],
-        window_of,
-        _ZERO_OFFSET,
+    return LockstepLayout(points[i : j + 1]).window_costs(
+        _ZERO_FIRST, np.array([j - i], dtype=np.int64)
     )
 
 
@@ -233,9 +225,7 @@ def lh_cost(points: np.ndarray, i: int, j: int) -> float:
 
 def ldh_cost(points: np.ndarray, i: int, j: int) -> float:
     """``L(D|H)`` of the partition ``p_i p_j`` against the enclosed
-    original segments ``p_k p_k+1`` for ``i <= k <= j-1`` — Formula (7).
-
-    Fully vectorized over the enclosed segments."""
+    original segments ``p_k p_k+1`` for ``i <= k <= j-1`` — Formula (7)."""
     _, ldh, _ = _single_window(points, i, j)
     return float(ldh[0])
 

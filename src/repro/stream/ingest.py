@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import TrajectoryError
+from repro.exceptions import PartitionError, TrajectoryError
 from repro.model.ragged import RaggedPoints
 from repro.model.trajectory import Trajectory
 from repro.partition.batched import lockstep_scan
@@ -115,10 +115,23 @@ class _TrajectoryState:
 
 
 class TrajectoryStream:
-    """Multi-trajectory append-only ingestion front end."""
+    """Multi-trajectory append-only ingestion front end.
 
-    def __init__(self, suppression: float = 0.0):
+    ``dim`` is the spatial dimension every appended point must have,
+    as for the stream's ε-graph (a pipeline passes its
+    ``StreamConfig.dim``, so points the graph would refuse never reach
+    a partitioner).  Every append is validated whole before a
+    trajectory opens or its partitioner changes, so a rejected append
+    leaves the stream as it was.
+    """
+
+    def __init__(self, suppression: float = 0.0, dim: int = 2):
+        if not suppression >= 0:  # written so that NaN fails too
+            raise PartitionError(
+                f"suppression must be non-negative, got {suppression}"
+            )
         self.suppression = float(suppression)
+        self.dim = int(dim)
         self._trajectories: Dict[int, _TrajectoryState] = {}
         self._next_key = 0
 
@@ -138,6 +151,26 @@ class TrajectoryStream:
         return state.partitioner.characteristic_points()
 
     # -- ingestion ---------------------------------------------------------
+    def _checked_points(self, traj_id: int, points) -> np.ndarray:
+        """One append's points as a validated float64 ``(k, d)`` batch:
+        non-empty, of the stream's dimension and finite."""
+        points = _as_point_batch(points)
+        if points.ndim != 2 or points.shape[0] == 0:
+            raise TrajectoryError(
+                f"trajectory {traj_id}: need a non-empty (n, d) point "
+                f"array, got shape {points.shape}"
+            )
+        if points.shape[1] != self.dim:
+            raise TrajectoryError(
+                f"trajectory {traj_id}: points have dim {points.shape[1]}, "
+                f"the stream has dim {self.dim}"
+            )
+        if not np.all(np.isfinite(points)):
+            raise TrajectoryError(
+                f"trajectory {traj_id}: points must be finite"
+            )
+        return points
+
     def _take_key(self) -> int:
         key = self._next_key
         self._next_key += 1
@@ -180,31 +213,35 @@ class TrajectoryStream:
         ``None`` means "keep the opening weight".
         """
         traj_id = int(traj_id)
-        points = _as_point_batch(points)
+        points = self._checked_points(traj_id, points)
         state = self._trajectories.get(traj_id)
         if state is None:
-            state = _TrajectoryState(
-                IncrementalPartitioner(self.suppression),
-                _opening_weight(weight),
-            )
-            self._trajectories[traj_id] = state
-            if times is not None:
-                state.times = []
-        elif weight is not None and state.weight != float(weight):
-            raise TrajectoryError(
-                f"trajectory {traj_id} was opened with weight "
-                f"{state.weight}; cannot change it to {weight}"
-            )
-        if (times is not None) != (state.times is not None):
-            raise TrajectoryError(
-                f"trajectory {traj_id} must be consistently timed: "
-                f"times {'given' if times is not None else 'missing'} now, "
-                f"{'missing' if times is not None else 'given'} before"
-            )
+            opening = _opening_weight(weight)
+        else:
+            if weight is not None and state.weight != float(weight):
+                raise TrajectoryError(
+                    f"trajectory {traj_id} was opened with weight "
+                    f"{state.weight}; cannot change it to {weight}"
+                )
+            if (times is not None) != (state.times is not None):
+                raise TrajectoryError(
+                    f"trajectory {traj_id} must be consistently timed: "
+                    f"times {'given' if times is not None else 'missing'} "
+                    f"now, {'missing' if times is not None else 'given'} "
+                    f"before"
+                )
         if times is not None:
             times = _validated_times(times, points.shape[0])
-            if state.times and times[0] < state.times[-1]:
+            if state is not None and state.times and times[0] < state.times[-1]:
                 raise TrajectoryError("timestamps must be non-decreasing")
+        if state is None:
+            # Validated whole: only now may the trajectory open.
+            state = _TrajectoryState(
+                IncrementalPartitioner(self.suppression), opening
+            )
+            if times is not None:
+                state.times = []
+            self._trajectories[traj_id] = state
 
         part = state.partitioner
         previous_last = part.committed[-1] if part.n_points else None
@@ -282,18 +319,7 @@ class TrajectoryStream:
                 traj_id, points = int(item[0]), item[1]
                 times = item[2] if len(item) > 2 else None
                 weight = item[3] if len(item) > 3 else None
-            points = _as_point_batch(points)
-            if points.ndim != 2 or points.shape[0] == 0:
-                raise TrajectoryError(
-                    f"trajectory {traj_id}: need a non-empty (n, d) point "
-                    f"array, got shape {points.shape}"
-                )
-            if not np.all(np.isfinite(points)):
-                # append() inherits this check from the incremental
-                # partitioner; the bulk path restores past it.
-                raise TrajectoryError(
-                    f"trajectory {traj_id}: points must be finite"
-                )
+            points = self._checked_points(traj_id, points)
             if traj_id in self._trajectories or traj_id in seen:
                 raise TrajectoryError(
                     f"trajectory {traj_id} is already open; bulk_append "

@@ -145,7 +145,9 @@ class StreamingTRACLUS:
             "repro_stream_flush_touched",
             help="Slots re-derived per update (the O(delta) label cost).",
         )
-        self.stream = TrajectoryStream(suppression=config.suppression)
+        self.stream = TrajectoryStream(
+            suppression=config.suppression, dim=config.dim
+        )
         self.clusterer = OnlineDBSCAN(
             eps=config.eps,
             min_lns=config.min_lns,

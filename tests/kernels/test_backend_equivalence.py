@@ -21,8 +21,8 @@ from repro.model.ragged import RaggedPoints
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.kernels.selftest import parity_check
-from repro.partition.batched import lockstep_scan
-from repro.partition.mdl import window_mdl_costs
+from repro.partition.batched import _rebuild_step_costs, lockstep_scan
+from repro.partition.layout import LockstepLayout
 
 
 def backend_params():
@@ -155,33 +155,22 @@ class TestPairKernelEquivalence:
 
 
 def _windows_of(ragged):
-    """Every (i, j) window with j - i in {1, 2, 3} over every row of
-    *ragged*, in the flat layout ``window_mdl_costs`` consumes."""
-    hyp_s, hyp_e, sub_s, sub_e, window_of, offsets = [], [], [], [], [], []
-    flat = ragged.flat
-    w = 0
+    """Every window of span 1-3 over every row of *ragged*, as the
+    ``(first, counts)`` of its contiguous flat range."""
+    first, counts = [], []
     for t in range(len(ragged.offsets) - 1):
         lo, hi = int(ragged.offsets[t]), int(ragged.offsets[t + 1])
         for i in range(lo, hi - 1):
             for span in (1, 2, 3):
-                j = i + span
-                if j >= hi:
+                if i + span >= hi:
                     break
-                offsets.append(len(sub_s))
-                hyp_s.append(flat[i])
-                hyp_e.append(flat[j])
-                for k in range(i, j):
-                    sub_s.append(flat[k])
-                    sub_e.append(flat[k + 1])
-                    window_of.append(w)
-                w += 1
-    if not hyp_s:
+                first.append(i)
+                counts.append(span)
+    if not first:
         return None
     return (
-        np.asarray(hyp_s), np.asarray(hyp_e),
-        np.asarray(sub_s), np.asarray(sub_e),
-        np.asarray(window_of, dtype=np.int64),
-        np.asarray(offsets, dtype=np.int64),
+        np.asarray(first, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
     )
 
 
@@ -190,16 +179,20 @@ class TestMdlKernelEquivalence:
     @given(ragged=ragged_walks())
     @settings(max_examples=50, deadline=None)
     def test_window_mdl_costs_bitwise(self, backend, ragged):
+        """The contiguous window kernel, on numpy and on *backend*,
+        equals the reference on the gathered rows."""
         windows = _windows_of(ragged)
         if windows is None:
             return  # all rows single-point: nothing to evaluate
-        with kernels.use_backend("numpy"):
-            expected = window_mdl_costs(*windows)
-        with kernels.use_backend(backend):
-            assert kernels.active_backend() is not None
-            actual = window_mdl_costs(*windows)
-        for label, e, a in zip(("lh", "ldh", "nopar"), expected, actual):
-            _assert_bitwise(label, e, a)
+        expected = _rebuild_step_costs(ragged.flat, *windows)
+        layout = LockstepLayout(ragged.flat)
+        for name in ("numpy", backend):
+            with kernels.use_backend(name):
+                if name != "numpy":
+                    assert kernels.active_backend() is not None
+                actual = layout.window_costs(*windows)
+            for label, e, a in zip(("lh", "ldh", "nopar"), expected, actual):
+                _assert_bitwise(f"{name}/{label}", e, a)
 
     @given(ragged=ragged_walks(), data=st.data())
     @settings(max_examples=50, deadline=None)

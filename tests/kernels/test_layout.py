@@ -4,9 +4,8 @@ path, on every available backend.
 The :class:`~repro.partition.layout.LockstepLayout` fast path must be
 invisible: characteristic points and partition segments bit-for-bit
 equal to ``lockstep_scan(..., reuse_layout=False)`` (the historical
-rebuild-every-step path), whether the geometry runs on numpy or a
-compiled backend, and whether the layout is auto-created or shared
-across scans.
+rebuild-every-step path on the numpy reference), whether the geometry
+runs on numpy or a compiled backend.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro import kernels
 from repro.model.ragged import RaggedPoints
 from repro.partition.batched import lockstep_scan
-from repro.partition.layout import LockstepLayout
 
 
 def _backend_params():
@@ -105,20 +103,6 @@ class TestLayoutBitwise:
         _assert_scans_equal(
             rebuilt, layered, f"backend={backend} s={suppression}"
         )
-
-    def test_layout_reuse_across_scans(self, backend):
-        ragged = _deterministic_corpus()
-        layout = LockstepLayout(ragged)
-        with kernels.use_backend(backend):
-            for suppression in (0.0, 0.7, 2.5):
-                fresh = lockstep_scan(
-                    ragged, suppression, reuse_layout=False
-                )
-                shared = lockstep_scan(ragged, suppression, layout=layout)
-                _assert_scans_equal(
-                    fresh, shared,
-                    f"backend={backend} shared-layout s={suppression}",
-                )
 
 
 def test_backends_agree_on_deterministic_corpus():

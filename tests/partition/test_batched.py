@@ -5,13 +5,7 @@ import pytest
 
 from repro.exceptions import PartitionError, TrajectoryError
 from repro.model.ragged import RaggedPoints, concatenate_ranges
-from repro.partition.approximate import (
-    AUTO_BATCH_MIN_TRAJECTORIES,
-    PARTITION_METHODS,
-    approximate_partition,
-    partition_all,
-    resolve_partition_method,
-)
+from repro.partition.approximate import approximate_partition, partition_all
 from repro.partition.batched import (
     batched_partition_arrays,
     lockstep_scan,
@@ -102,36 +96,13 @@ class TestLockstepScan:
 
 
 class TestEngineSelection:
-    def test_methods_tuple(self):
-        assert PARTITION_METHODS == ("auto", "python", "batched")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(PartitionError):
-            resolve_partition_method("vectorised", 10)
-        with pytest.raises(PartitionError):
-            partition_all(
-                [Trajectory(np.zeros((2, 2)), 0)], method="nope"
-            )
-
-    def test_auto_rule(self):
-        assert resolve_partition_method("auto", 0) == "python"
-        assert resolve_partition_method("auto", 1) == "python"
-        assert (
-            resolve_partition_method("auto", AUTO_BATCH_MIN_TRAJECTORIES)
-            == "batched"
-        )
-        assert resolve_partition_method("auto", 5000) == "batched"
-
-    def test_explicit_methods_pass_through(self):
-        assert resolve_partition_method("python", 5000) == "python"
-        assert resolve_partition_method("batched", 1) == "batched"
-
     def test_auto_equals_python_on_multi_trajectory_corpus(self):
+        """``partition_all`` (the lock-step scan) equals the scalar
+        Figure-8 loop run one trajectory at a time."""
         rng = np.random.default_rng(9)
         trajectories = [
             Trajectory(np.cumsum(rng.normal(0, 2, (25, 2)), axis=0), i)
             for i in range(4)
         ]
-        _, cps_auto = partition_all(trajectories)  # auto -> batched
-        _, cps_python = partition_all(trajectories, method="python")
-        assert cps_auto == cps_python
+        _, cps = partition_all(trajectories)
+        assert cps == [approximate_partition(t.points) for t in trajectories]

@@ -1,9 +1,9 @@
-"""Property tests: the batched phase-1 engine equals the python scan.
+"""Property tests: the lock-step corpus scan equals the scalar loop.
 
-The batched engine promises characteristic points *exactly* equal —
+The lock-step scan promises characteristic points *exactly* equal —
 bitwise, including suppression and line-07 tie behavior — to running
-Figure 8 one trajectory at a time.  These tests drive both engines
-over adversarial corpora (duplicate points, collinear runs, quantised
+Figure 8 one trajectory at a time.  These tests drive both over
+adversarial corpora (duplicate points, collinear runs, quantised
 coordinates that manufacture cost ties, positive suppression) and
 assert list equality point for point, plus scan-state equality against
 the incremental partitioner the streaming bulk-load path restores
@@ -15,17 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import kernels
 from repro.partition.approximate import (
     approximate_partition,
     partition_all,
 )
-from repro.partition.batched import (
-    batched_partition_all,
-    batched_partition_arrays,
-    lockstep_scan,
-)
+from repro.partition.batched import batched_partition_arrays, lockstep_scan
 from repro.partition.incremental import IncrementalPartitioner
+from repro.partition.mdl import _window_mdl_costs_numpy
 from repro.model.ragged import RaggedPoints
+from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
 
 
@@ -113,12 +112,9 @@ class TestEngineEquivalence:
             Trajectory(points, traj_id=i)
             for i, points in enumerate(point_arrays)
         ]
-        seg_python, cps_python = partition_all(
-            trajectories, method="python"
-        )
-        seg_batched, cps_batched = partition_all(
-            trajectories, method="batched"
-        )
+        cps_python = [approximate_partition(p) for p in point_arrays]
+        seg_python = SegmentSet.from_partitions(trajectories, cps_python)
+        seg_batched, cps_batched = partition_all(trajectories)
         assert cps_batched == cps_python
         assert np.array_equal(seg_batched.starts, seg_python.starts)
         assert np.array_equal(seg_batched.ends, seg_python.ends)
@@ -179,9 +175,123 @@ class TestHandPickedAdversaries:
             )
             for i in range(5)
         ]
-        segments, cps = batched_partition_all(trajectories)
-        expected_segments, expected_cps = partition_all(
-            trajectories, method="python"
+        segments, cps = partition_all(trajectories)
+        expected_cps = [approximate_partition(t.points) for t in trajectories]
+        expected_segments = SegmentSet.from_partitions(
+            trajectories, expected_cps
         )
         assert cps == expected_cps
         assert np.array_equal(segments.weights, expected_segments.weights)
+
+
+def _reference_costs(points, i, j):
+    """``(MDL_par, MDL_nopar)`` of the window ``p_i .. p_j``: the numpy
+    reference on the window's gathered rows."""
+    lh, ldh, nopar = _window_mdl_costs_numpy(
+        points[i][None, :],
+        points[j][None, :],
+        points[i:j],
+        points[i + 1 : j + 1],
+        np.zeros(j - i, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+    )
+    return lh[0] + ldh[0], nopar[0]
+
+
+def figure8(points, suppression):
+    """Figure 8 of the paper, line for line, over the reference costs.
+
+    Returns ``(characteristic points, committed, scan state)``."""
+    n = len(points)
+    cps = [0]  # 01
+    start_index, length = 0, 1  # 02
+    while start_index + length <= n - 1:  # 03
+        curr_index = start_index + length  # 04
+        cost_par, cost_nopar = _reference_costs(
+            points, start_index, curr_index
+        )  # 05
+        cost_nopar = cost_nopar + suppression  # 06
+        if cost_par > cost_nopar:  # 07
+            cps.append(curr_index - 1)  # 08
+            start_index, length = curr_index - 1, 1  # 09
+        else:
+            length += 1  # 11
+    committed = list(cps)
+    if cps[-1] != n - 1:
+        cps.append(n - 1)  # 12
+    return cps, committed, (start_index, length)
+
+
+def _backend_params():
+    params = [pytest.param("numpy")]
+    status = kernels.available_backends()["cext"]
+    marks = [] if status.startswith("ok") else [
+        pytest.mark.skip(reason=f"cext: {status}")
+    ]
+    params.append(pytest.param("cext", marks=marks))
+    return params
+
+
+@st.composite
+def stalled_walk(draw, dim):
+    """A walk of lattice and free-float steps with stalled points."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    step = st.one_of(
+        st.integers(min_value=-8, max_value=8).map(lambda v: v / 2.0),
+        st.floats(
+            min_value=-40.0, max_value=40.0,
+            allow_nan=False, allow_infinity=False,
+        ),
+    )
+    points = [[draw(step) for _ in range(dim)]]
+    for _ in range(n - 1):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            points.append(list(points[-1]))  # stalled point
+        else:
+            points.append([p + draw(step) for p in points[-1]])
+    return np.asarray(points, dtype=np.float64)
+
+
+@st.composite
+def reference_case(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    walks = draw(st.lists(stalled_walk(dim), min_size=1, max_size=4))
+    suppression = draw(st.sampled_from([0.0, 0.7, 2.5, float("inf")]))
+    chunks = [
+        draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                      max_size=len(walk)))
+        for walk in walks
+    ]
+    return walks, suppression, chunks
+
+
+@pytest.mark.parametrize("backend", _backend_params())
+class TestFigure8Reference:
+    """Every phase-1 engine against the paper's loop over the numpy
+    reference: same characteristic points, same scan states."""
+
+    @given(case=reference_case())
+    @settings(max_examples=80, deadline=None)
+    def test_engines_equal_figure8(self, backend, case):
+        walks, suppression, chunks = case
+        expected = [figure8(walk, suppression) for walk in walks]
+        with kernels.use_backend(backend):
+            scan = lockstep_scan(RaggedPoints.from_arrays(walks), suppression)
+            for row, (walk, sizes) in enumerate(zip(walks, chunks)):
+                cps, committed, state = expected[row]
+                assert approximate_partition(walk, suppression) == cps
+
+                incremental = IncrementalPartitioner(suppression)
+                at = 0
+                for size in sizes:
+                    if at < len(walk):
+                        incremental.append(walk[at : at + size])
+                        at += size
+                if at < len(walk):
+                    incremental.append(walk[at:])
+                assert incremental.characteristic_points() == cps
+                assert incremental.committed == committed
+                assert incremental.scan_state() == state
+
+                assert scan[0][row] == committed
+                assert (int(scan[1][row]), int(scan[2][row])) == state

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.core.config import StreamConfig
-from repro.exceptions import ClusteringError
+from repro.exceptions import ClusteringError, ReproError, TrajectoryError
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.pipeline import StreamingTRACLUS
 
@@ -143,3 +143,68 @@ class TestCheckpoint:
         update_a = pipeline.append(0, more, times=20.0 + np.arange(3.0))
         update_b = restored.append(0, more, times=20.0 + np.arange(3.0))
         assert update_a.labels == update_b.labels
+
+
+def checkpoint_arrays(pipeline, path):
+    """Every member of a saved checkpoint (the meta JSON included)."""
+    with np.load(save_checkpoint(pipeline, str(path))) as saved:
+        return {name: saved[name].copy() for name in saved.files}
+
+
+#: Appends the stream must refuse whole, each opening trajectory 99 on a
+#: dim-2 pipeline.
+REJECTED = {
+    "nan_point": lambda p: p.append(99, [[0.0, 0.0], [np.nan, 1.0]]),
+    "nan_time": lambda p: p.append(
+        99, [[0.0, 0.0], [1.0, 1.0]], times=[0.0, np.nan]
+    ),
+    "wrong_dim": lambda p: p.append(
+        99, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]]
+    ),
+    "bulk_wrong_dim": lambda p: p.bulk_load(
+        [(99, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+         (98, [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]])]
+    ),
+}
+
+
+class TestRejectedAppend:
+    """A rejected append leaves no phantom trajectory behind: the
+    stream, the graph and the next checkpoint are as they were."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_leaves_no_trace(self, case, tmp_path):
+        pipeline = StreamingTRACLUS(StreamConfig(eps=2.0, min_lns=2))
+        feed_corridors(pipeline, n_trajectories=3)
+        traj_ids = pipeline.stream.traj_ids
+        slots, labels = pipeline.labels()
+        n_slots = len(pipeline.clusterer.store)
+        before = checkpoint_arrays(pipeline, tmp_path / "before.npz")
+
+        with pytest.raises(ReproError):
+            REJECTED[case](pipeline)
+
+        assert pipeline.stream.traj_ids == traj_ids
+        assert pipeline.stream.n_points(99) == 0
+        with pytest.raises(TrajectoryError):
+            pipeline.stream.characteristic_points(99)
+        assert len(pipeline.clusterer.store) == n_slots
+        after_slots, after_labels = pipeline.labels()
+        assert np.array_equal(after_slots, slots)
+        assert np.array_equal(after_labels, labels)
+        after = checkpoint_arrays(pipeline, tmp_path / "after.npz")
+        assert sorted(after) == sorted(before)
+        for name, array in before.items():
+            assert after[name].tobytes() == array.tobytes(), name
+        restored_slots, restored_labels = load_checkpoint(
+            str(tmp_path / "after.npz")
+        ).labels()
+        assert np.array_equal(restored_slots, slots)
+        assert np.array_equal(restored_labels, labels)
+
+        # The id is still free: a valid first append opens it afresh,
+        # with its own weight.
+        update = pipeline.append(99, [[0.0, 0.0], [5.0, 0.0]], weight=2.0)
+        assert pipeline.stream.n_points(99) == 2
+        assert len(update.inserted) == 1
+        assert pipeline.clusterer.store.weights[update.inserted[0]] == 2.0

@@ -1,11 +1,10 @@
 """Validation tests for :class:`repro.core.config.SweepConfig` and the
-centralized engine auto-selection thresholds."""
+centralized engine auto-selection threshold."""
 
 import pytest
 
 from repro.core.config import (
     NEIGHBORHOOD_AUTO_BATCH_SEGMENTS,
-    PARTITION_AUTO_BATCH_TRAJECTORIES,
     SweepConfig,
 )
 from repro.exceptions import ClusteringError
@@ -53,26 +52,14 @@ class TestSweepConfigValidation:
 
 
 class TestCentralizedThresholds:
-    """The auto-selection numbers live in core/config.py; the engine
-    modules re-export them and must *dispatch* on the centralized
-    values, so changing the config constant moves the actual cutover."""
+    """The auto-selection number lives in core/config.py; the ε-engine
+    module re-exports it and must *dispatch* on the centralized value,
+    so changing the config constant moves the actual cutover."""
 
     def test_neighborhood_reexport_matches_config(self):
         from repro.cluster.neighborhood import AUTO_BATCH_THRESHOLD
 
         assert AUTO_BATCH_THRESHOLD == NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
-
-    def test_partition_reexport_matches_config(self):
-        from repro.partition.approximate import AUTO_BATCH_MIN_TRAJECTORIES
-
-        assert AUTO_BATCH_MIN_TRAJECTORIES == PARTITION_AUTO_BATCH_TRAJECTORIES
-
-    def test_partition_auto_cutover_sits_at_config_constant(self):
-        from repro.partition.approximate import resolve_partition_method
-
-        at = PARTITION_AUTO_BATCH_TRAJECTORIES
-        assert resolve_partition_method("auto", at) == "batched"
-        assert resolve_partition_method("auto", at - 1) == "python"
 
     def test_neighborhood_auto_cutover_sits_at_config_constant(self, rng):
         from repro.cluster.neighbor_graph import PrecomputedNeighborhood
