@@ -399,9 +399,9 @@ def test_engine_comparison_batch_speedup(benchmark):
     _, labels_batch = dbscan.fit(
         segments, engine=PrecomputedNeighborhood(segments, eps, graph=graph)
     )
-    _, labels_brute = LineSegmentDBSCAN(
-        eps=eps, min_lns=4, neighborhood_method="brute"
-    ).fit(segments)
+    _, labels_brute = dbscan.fit(
+        segments, engine=BruteForceNeighborhood(segments, eps)
+    )
     assert np.array_equal(labels_brute, labels_batch)
 
 

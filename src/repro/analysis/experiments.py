@@ -99,8 +99,8 @@ def entropy_curve_experiment(
 ) -> EntropyCurveResult:
     """Compute the full entropy-vs-ε curve (Formula 10) in one pass
     (served from a shared Workspace graph — bitwise equal to
-    :func:`repro.params.entropy.entropy_from_counts` over the brute
-    :func:`~repro.params.entropy.neighborhood_size_curve` counts)."""
+    :func:`repro.params.entropy.entropy_from_counts` over the
+    brute-force oracle's counts)."""
     segments = _as_segments(data, suppression)
     if len(segments) == 0:
         raise ParameterSearchError("no segments to analyse")

@@ -35,6 +35,7 @@ the incremental path wrote.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sqlite3
@@ -49,6 +50,9 @@ from repro.obs import NULL_REGISTRY
 
 #: File name of the catalog database inside a workspace directory.
 CATALOG_FILENAME = "catalog.sqlite"
+
+#: Sidecar file whose exclusive ``flock`` serialises catalog opens.
+OPEN_LOCK_FILENAME = CATALOG_FILENAME + ".lock"
 
 #: Bumped on any schema change; an on-disk catalog with a different
 #: ``user_version`` is dropped and rebuilt from the npz files.
@@ -150,8 +154,15 @@ class Catalog:
                 isolation_level=None,  # explicit BEGIN IMMEDIATE below
                 check_same_thread=False,
             )
-            self._configure()
-        except sqlite3.Error as exc:
+            # Switching a fresh database to WAL needs an exclusive lock
+            # that sqlite does not wait for, so concurrent first opens
+            # fail with "database is locked" unless they queue here.
+            with open(
+                os.path.join(cache_dir, OPEN_LOCK_FILENAME), "a"
+            ) as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                self._configure()
+        except (OSError, sqlite3.Error) as exc:
             raise CatalogError(
                 f"cannot open catalog at {self.path!r}: {exc}"
             ) from exc

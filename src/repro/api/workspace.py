@@ -42,7 +42,8 @@ the facade only removes redundant work, never changes results.
 When to bypass to the raw engines (see also the README API guide):
 
 * an ε_max so large the edge list approaches n², or a memory cap —
-  ``cluster_segments(..., neighborhood_method="brute")`` and the
+  ``LineSegmentDBSCAN(eps, min_lns).fit(segments,
+  engine=BruteForceNeighborhood(segments, eps, distance))`` and the
   streaming ``neighborhood_size_counts`` never materialise edges;
 * annealed parameter search (``eps_search_method="anneal"``) — probe
   points are data-dependent, so there is nothing to key a cache on.
@@ -631,8 +632,8 @@ class Workspace:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(entropies, avg_sizes)`` over *eps_values* — the Figure
         16/19 curves, bitwise equal to
-        :func:`repro.params.entropy.entropy_from_counts` over the brute
-        :func:`~repro.params.entropy.neighborhood_size_curve` counts."""
+        :func:`repro.params.entropy.entropy_from_counts` over the
+        brute-force oracle's counts."""
         return entropy_from_counts(self.entropy_counts(eps_values))
 
     def recommend_parameters(

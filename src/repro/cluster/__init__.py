@@ -3,12 +3,7 @@ segments, the trajectory-cardinality filter, and the OPTICS extension
 discussed in Appendix D.
 """
 
-from repro.cluster.neighborhood import (
-    NEIGHBORHOOD_METHODS,
-    BruteForceNeighborhood,
-    NeighborhoodEngine,
-    make_neighborhood_engine,
-)
+from repro.cluster.neighborhood import BruteForceNeighborhood, NeighborhoodEngine
 from repro.cluster.neighbor_graph import (
     NeighborGraph,
     PrecomputedNeighborhood,
@@ -19,13 +14,11 @@ from repro.cluster.cardinality import filter_by_trajectory_cardinality
 from repro.cluster.optics import LineSegmentOPTICS, OpticsResult
 
 __all__ = [
-    "NEIGHBORHOOD_METHODS",
     "BruteForceNeighborhood",
     "NeighborhoodEngine",
     "NeighborGraph",
     "PrecomputedNeighborhood",
     "neighborhood_size_counts",
-    "make_neighborhood_engine",
     "LineSegmentDBSCAN",
     "cluster_segments",
     "filter_by_trajectory_cardinality",

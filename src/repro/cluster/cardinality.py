@@ -22,7 +22,7 @@ def filter_by_trajectory_cardinality(
     A cluster is kept iff ``|PTR(C)| >= threshold`` (Figure 12 line 15
     removes those strictly below the threshold).
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ClusteringError(f"threshold must be non-negative, got {threshold}")
     kept: List[Cluster] = []
     removed: List[Cluster] = []

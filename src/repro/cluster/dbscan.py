@@ -26,7 +26,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cardinality import filter_by_trajectory_cardinality
-from repro.cluster.neighborhood import NeighborhoodEngine, make_neighborhood_engine
+from repro.cluster.neighbor_graph import PrecomputedNeighborhood
+from repro.cluster.neighborhood import NeighborhoodEngine
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.model.cluster import NOISE, UNCLASSIFIED, Cluster, clusters_from_labels
@@ -52,9 +53,6 @@ class LineSegmentDBSCAN:
     use_weights:
         When True, ``|N_eps(L)|`` is the *sum of segment weights* in the
         neighborhood instead of the count.
-    neighborhood_method:
-        ``"auto"`` (default), ``"brute"`` (the per-query oracle), or
-        ``"batch"`` (see :func:`~repro.cluster.neighborhood.make_neighborhood_engine`).
     """
 
     def __init__(
@@ -64,11 +62,11 @@ class LineSegmentDBSCAN:
         distance: Optional[SegmentDistance] = None,
         cardinality_threshold: Optional[float] = None,
         use_weights: bool = False,
-        neighborhood_method: str = "auto",
     ):
+        # Written so that NaN fails too.
         if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
-        if min_lns <= 0:
+        if not min_lns > 0:
             raise ClusteringError(f"min_lns must be positive, got {min_lns}")
         self.eps = float(eps)
         self.min_lns = float(min_lns)
@@ -79,7 +77,6 @@ class LineSegmentDBSCAN:
             else float(min_lns)
         )
         self.use_weights = bool(use_weights)
-        self.neighborhood_method = neighborhood_method
 
     # ------------------------------------------------------------------
     def _cardinality(self, neighbors: np.ndarray, segments: SegmentSet) -> float:
@@ -101,10 +98,12 @@ class LineSegmentDBSCAN:
         cluster id, -1 noise).  Labels of members of removed clusters
         are reset to noise so the two outputs stay consistent.
 
-        A prebuilt *engine* (e.g. a shared
-        :class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood`)
-        may be passed to reuse neighborhoods across consumers; it must
-        cover *segments* at this ``eps``.
+        Neighborhoods come from the ε-graph
+        (:class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood`)
+        unless an *engine* is passed: a shared prebuilt graph reused
+        across consumers, or the memory-capped
+        :class:`~repro.cluster.neighborhood.BruteForceNeighborhood`
+        oracle.  It must cover *segments* at this ``eps``.
         """
         n = len(segments)
         labels = np.full(n, UNCLASSIFIED, dtype=np.int64)
@@ -112,10 +111,7 @@ class LineSegmentDBSCAN:
             return [], labels
 
         if engine is None:
-            engine = make_neighborhood_engine(
-                segments, self.eps, self.distance,
-                method=self.neighborhood_method,
-            )
+            engine = PrecomputedNeighborhood(segments, self.eps, self.distance)
         else:
             engine_eps = getattr(engine, "eps", None)
             if engine_eps is not None and engine_eps != self.eps:
@@ -197,7 +193,6 @@ def cluster_segments(
     distance: Optional[SegmentDistance] = None,
     cardinality_threshold: Optional[float] = None,
     use_weights: bool = False,
-    neighborhood_method: str = "auto",
 ) -> Tuple[List[Cluster], np.ndarray]:
     """Functional facade over :class:`LineSegmentDBSCAN`."""
     algorithm = LineSegmentDBSCAN(
@@ -206,6 +201,5 @@ def cluster_segments(
         distance=distance,
         cardinality_threshold=cardinality_threshold,
         use_weights=use_weights,
-        neighborhood_method=neighborhood_method,
     )
     return algorithm.fit(segments)

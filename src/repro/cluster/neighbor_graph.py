@@ -1,10 +1,11 @@
 """Batched ε-neighborhood graph (the whole of Definition 4 at once).
 
-The brute-force engine in :mod:`repro.cluster.neighborhood` answers
-``N_eps(L_i)`` one segment at a time, so a consumer on it — DBSCAN
-(Figure 12), OPTICS (Appendix D), the entropy heuristic (Formula 10) —
-pays n sequential O(n) passes through Python.  This module instead
-materializes the *entire* ε-neighborhood relation in one pass:
+The brute-force oracle in :mod:`repro.cluster.neighborhood` answers
+``N_eps(L_i)`` one segment at a time, so a consumer on it pays n
+sequential O(n) passes through Python.  This module instead
+materializes the *entire* ε-neighborhood relation in one pass, and
+every consumer — DBSCAN (Figure 12), OPTICS (Appendix D), the entropy
+heuristic (Formula 10) — reads it:
 
 1. **Candidate generation** — an endpoint join: every segment's two
    endpoints register in a uniform grid, and a pair is a candidate

@@ -4,19 +4,22 @@
 
 Two engines answer it, with identical neighborhoods:
 
-* :class:`BruteForceNeighborhood` — one vectorized one-vs-all distance
-  evaluation per query; O(n) per query, O(n^2) total (Lemma 3 without
-  an index).  It is the oracle every other path is pinned against.
 * :class:`~repro.cluster.neighbor_graph.PrecomputedNeighborhood` (in
   :mod:`repro.cluster.neighbor_graph`) — Lemma 3 with an index: a
   uniform-grid join over segment endpoints yields candidate pairs,
   each pair's exact distance is evaluated once, and the whole relation
-  is kept as a CSR graph, so every query is an O(1) slice.
-
-:func:`make_neighborhood_engine` picks between them.  Callers that must
-not materialise the relation (an ε so large the edge list approaches
-n², or a memory cap) use the brute engine or the streaming
-:func:`~repro.cluster.neighbor_graph.neighborhood_size_counts`.
+  is kept as a CSR graph, so every query is an O(1) slice.  It is the
+  one engine :class:`~repro.cluster.dbscan.LineSegmentDBSCAN`,
+  OPTICS and the entropy heuristic run on.
+* :class:`BruteForceNeighborhood` — one distance row per query; O(n)
+  per query, O(n^2) total (Lemma 3 without an index).  It is the
+  oracle every other path is pinned against.  It holds nothing but
+  the segment set, so a caller that must not materialise the relation
+  (an ε so large the edge list approaches n², or a memory cap) passes
+  it in: ``LineSegmentDBSCAN(eps, min_lns).fit(segments,
+  engine=BruteForceNeighborhood(segments, eps, distance))``.  Multi-ε
+  counts without an edge list come from
+  :func:`~repro.cluster.neighbor_graph.neighborhood_size_counts`.
 
 **Why a geometric prefilter is sound even though the TRACLUS distance
 is not a metric.**  With weights ``w_perp, w_par > 0``, the constant
@@ -73,8 +76,6 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.cluster.neighbor_graph import PrecomputedNeighborhood
-from repro.core.config import NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.model.segmentset import SegmentSet
@@ -89,13 +90,12 @@ class NeighborhoodEngine(Protocol):
         ...  # pragma: no cover - protocol
 
     def neighborhood_sizes(self) -> np.ndarray:
-        """``|N_eps(L)|`` for every stored segment (used by the entropy
-        heuristic, Formula 10)."""
+        """``|N_eps(L)|`` for every stored segment."""
         ...  # pragma: no cover - protocol
 
 
 class BruteForceNeighborhood:
-    """Exact ε-neighborhoods via one vectorized pass per query."""
+    """Exact ε-neighborhoods via one distance row per query."""
 
     def __init__(
         self,
@@ -120,52 +120,3 @@ class BruteForceNeighborhood:
             sizes[i] = self.neighbors_of(i).size
         return sizes
 
-
-#: Below this set size ``"auto"`` keeps the zero-setup brute engine;
-#: above it the batched graph build amortises immediately (every
-#: consumer queries all n rows at least once).  The number itself lives
-#: in :mod:`repro.core.config` next to every other auto-selection
-#: threshold; this is a re-export for engine-level consumers.
-AUTO_BATCH_THRESHOLD = NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
-
-#: Engine names accepted by :func:`make_neighborhood_engine` (and by
-#: every ``neighborhood_method`` knob that forwards to it).
-NEIGHBORHOOD_METHODS = ("auto", "brute", "batch")
-
-
-def make_neighborhood_engine(
-    segments: SegmentSet,
-    eps: float,
-    distance: Optional[SegmentDistance] = None,
-    method: str = "auto",
-) -> "NeighborhoodEngine":
-    """Engine factory.
-
-    ``method`` is ``"brute"``, ``"batch"`` (the precomputed CSR graph
-    of :mod:`repro.cluster.neighbor_graph`), or ``"auto"``.
-
-    The ``"auto"`` policy: brute below
-    :data:`AUTO_BATCH_THRESHOLD` segments (nothing to amortise) and
-    whenever a zero ``w_perp``/``w_par`` weight voids the geometric
-    prefilter *and* bounded memory matters (the batch fallback would
-    evaluate — exactly but eagerly — all O(n^2) pairs); batch otherwise.
-    Brute stays available explicitly for few-query or memory-capped
-    workloads: it holds no state beyond the segment set.
-    """
-    distance = distance if distance is not None else SegmentDistance()
-    if method == "brute":
-        return BruteForceNeighborhood(segments, eps, distance)
-    if method == "batch":
-        return PrecomputedNeighborhood(segments, eps, distance)
-    if method != "auto":
-        raise ClusteringError(
-            f"unknown neighborhood method {method!r}; "
-            f"expected one of {NEIGHBORHOOD_METHODS}"
-        )
-    if (
-        len(segments) >= AUTO_BATCH_THRESHOLD
-        and distance.w_perp > 0
-        and distance.w_par > 0
-    ):
-        return PrecomputedNeighborhood(segments, eps, distance)
-    return BruteForceNeighborhood(segments, eps, distance)

@@ -24,7 +24,6 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.cluster.neighbor_graph import NeighborGraph
-from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.model.cluster import NOISE
@@ -89,13 +88,8 @@ class LineSegmentOPTICS:
     Parameters mirror :class:`~repro.cluster.dbscan.LineSegmentDBSCAN`;
     ``eps`` is the *generating* radius bounding the neighborhoods.
 
-    ``neighborhood_method`` selects how the per-segment neighborhoods
-    (and their distances) are obtained: ``"auto"``/``"batch"`` build one
-    :class:`~repro.cluster.neighbor_graph.NeighborGraph` and read CSR
-    rows; ``"brute"`` runs the one-vectorized-pass-per-segment loop,
-    which never materializes the O(E) edge list (the memory-capped
-    route).  Both routes share one distance kernel, so the
-    reachability plot is identical either way.
+    The per-segment neighborhoods and their distances are the CSR rows
+    of one :class:`~repro.cluster.neighbor_graph.NeighborGraph`.
     """
 
     def __init__(
@@ -103,21 +97,15 @@ class LineSegmentOPTICS:
         eps: float,
         min_lns: int,
         distance: Optional[SegmentDistance] = None,
-        neighborhood_method: str = "auto",
     ):
+        # Written so that NaN fails too.
         if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
-        if min_lns < 1:
+        if not min_lns >= 1:
             raise ClusteringError(f"min_lns must be >= 1, got {min_lns}")
-        if neighborhood_method not in NEIGHBORHOOD_METHODS:
-            raise ClusteringError(
-                f"unknown neighborhood method {neighborhood_method!r}; "
-                f"expected one of {NEIGHBORHOOD_METHODS}"
-            )
         self.eps = float(eps)
         self.min_lns = int(min_lns)
         self.distance = distance if distance is not None else SegmentDistance()
-        self.neighborhood_method = neighborhood_method
 
     def fit(
         self,
@@ -125,43 +113,28 @@ class LineSegmentOPTICS:
         graph: Optional["NeighborGraph"] = None,
     ) -> OpticsResult:
         """Compute the cluster ordering.  A prebuilt *graph* (at this
-        ``eps`` or wider) short-circuits the neighborhood pass."""
+        ``eps`` or wider) replaces the graph build."""
         n = len(segments)
         reachability = np.full(n, UNDEFINED)
         core_distance = np.full(n, UNDEFINED)
         processed = np.zeros(n, dtype=bool)
         ordering: List[int] = []
 
-        # Precompute neighborhoods, their distances, and core distances —
-        # from the shared batched graph, or one vectorized pass per
-        # segment under the legacy brute route.
-        neighbor_lists: List[np.ndarray] = []
-        neighbor_dists: List[np.ndarray] = []
-        if (
-            graph is None
-            and self.neighborhood_method in ("auto", "batch")
-            and n > 0
-        ):
+        # Neighborhoods, their distances, and core distances, read from
+        # the ε-graph's CSR rows.
+        if graph is None:
             graph = NeighborGraph.build(segments, self.eps, self.distance)
-        elif graph is not None and graph.eps != self.eps:
+        elif graph.eps != self.eps:
             # restrict() raises if the graph is narrower than self.eps —
             # a too-small graph would silently truncate neighborhoods.
             graph = graph.restrict(self.eps)
-        if graph is not None:
-            if graph.n_segments != n:
-                raise ClusteringError(
-                    f"graph covers {graph.n_segments} segments but the set "
-                    f"has {n}"
-                )
-            for i in range(n):
-                neighbor_lists.append(graph.row(i))
-                neighbor_dists.append(graph.row_distances(i))
-        else:
-            for i in range(n):
-                dists = self.distance.member_to_all(i, segments)
-                mask = dists <= self.eps
-                neighbor_lists.append(np.nonzero(mask)[0])
-                neighbor_dists.append(dists[mask])
+        if graph.n_segments != n:
+            raise ClusteringError(
+                f"graph covers {graph.n_segments} segments but the set "
+                f"has {n}"
+            )
+        neighbor_lists = [graph.row(i) for i in range(n)]
+        neighbor_dists = [graph.row_distances(i) for i in range(n)]
         for i in range(n):
             if neighbor_lists[i].size >= self.min_lns:
                 core_distance[i] = float(

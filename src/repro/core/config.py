@@ -5,13 +5,6 @@ Collects every knob the paper exposes — the two clustering parameters
 distance weights of Appendix B, the partitioning suppression of
 Section 4.1.3, the cardinality threshold of Figure 12 Step 3, and the
 smoothing γ of Figure 15 — into one validated, immutable object.
-
-This module is also the single home of the **engine auto-selection
-threshold** (below).  The ε-engine factory
-(:func:`repro.cluster.neighborhood.make_neighborhood_engine`) imports
-it from here, so the number the docstrings and ROADMAP quote cannot
-drift from the number the dispatcher compares against.  Phase 1 has no
-engine to select: it always runs the lock-step Figure-8 scan.
 """
 
 from __future__ import annotations
@@ -22,12 +15,6 @@ from typing import Optional, Sequence, Tuple
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.kernels import KERNEL_BACKENDS
-
-#: ``neighborhood_method="auto"`` picks the batched CSR neighbor graph
-#: (:mod:`repro.cluster.neighbor_graph`) from this many segments up
-#: (when both ``w_perp`` and ``w_par`` are positive); below it, the
-#: zero-setup brute engine wins — tiny sets don't amortise a build.
-NEIGHBORHOOD_AUTO_BATCH_SEGMENTS = 200
 
 #: Executor names accepted by :class:`SweepConfig`: ``"serial"`` runs
 #: every grid column in-process; ``"process"`` shards MinLns columns

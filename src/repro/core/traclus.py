@@ -18,8 +18,9 @@ partition, the ε-graph, and every derived artifact, so a fit followed
 by a sweep (or a parameter search followed by a fit) never recomputes a
 stage.  Labels are bitwise identical to running the engines by hand —
 :func:`~repro.partition.approximate.partition_all` followed by
-:class:`~repro.cluster.dbscan.LineSegmentDBSCAN` with the brute-force
-ε-engine — which the property suites pin.  Passing ``workspace_dir``
+:class:`~repro.cluster.dbscan.LineSegmentDBSCAN` over the brute-force
+oracle :class:`~repro.cluster.neighborhood.BruteForceNeighborhood` —
+which the property suites pin.  Passing ``workspace_dir``
 (or reusing an explicit :class:`~repro.api.Workspace`) persists the
 artifacts across processes.
 """

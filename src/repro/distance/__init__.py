@@ -20,8 +20,9 @@ the index substrate offers constant-shift embedding
 Two implementations are provided and property-tested against each other:
 
 * :mod:`repro.distance.components` — scalar, paper-literal;
-* :mod:`repro.distance.vectorized` — one-vs-many NumPy kernels used by
-  the clustering phase.
+* :mod:`repro.distance.vectorized` — the many-pairs kernel behind the
+  ε-graph, QMeasure and :meth:`SegmentDistance.pairs` (compiled when a
+  kernel backend is active).
 """
 
 from repro.distance.components import (
@@ -33,7 +34,6 @@ from repro.distance.components import (
     perpendicular_distance,
 )
 from repro.distance.weighted import SegmentDistance
-from repro.distance.vectorized import distances_to_all, component_distances_to_all
 from repro.distance.matrix import pairwise_distance_matrix
 
 __all__ = [
@@ -44,7 +44,5 @@ __all__ = [
     "parallel_distance",
     "perpendicular_distance",
     "SegmentDistance",
-    "distances_to_all",
-    "component_distances_to_all",
     "pairwise_distance_matrix",
 ]

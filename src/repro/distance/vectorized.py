@@ -1,11 +1,12 @@
-"""Vectorized distance kernels: one-vs-many and many-pairs.
+"""The vectorized distance kernel: component distances for many pairs.
 
-The grouping phase needs ``|N_eps(L)|`` for every segment (Figure 12),
-i.e. one-vs-all distance evaluations; the batched neighbor-graph engine
-(:mod:`repro.cluster.neighbor_graph`) needs distances for an arbitrary
-list of candidate *pairs*, and QMeasure (:mod:`repro.quality.qmeasure`)
-and :func:`repro.distance.matrix.pairwise_distance_matrix` for every
-unordered pair of a segment group.  All are served by one shared core,
+The batched neighbor-graph engine (:mod:`repro.cluster.neighbor_graph`)
+needs distances for an arbitrary list of candidate *pairs*, QMeasure
+(:mod:`repro.quality.qmeasure`) and
+:func:`repro.distance.matrix.pairwise_distance_matrix` for every
+unordered pair of a segment group, and the brute-force oracle one row
+of pairs per query.  All are served by
+:func:`component_distances_pairs` over one shared core,
 :func:`_pair_components`, which evaluates the three TRACLUS components
 for row-aligned pairs of segments in a handful of NumPy operations,
 honouring the paper's ordering rule (the longer segment of each pair
@@ -17,7 +18,7 @@ identical* no matter which side is presented as the query.  That
 exact symmetry is what lets the neighbor graph, QMeasure and the
 distance matrix evaluate each unordered pair once (the graph mirrors
 it into both CSR rows) while remaining indistinguishable from the
-per-query engines.
+oracle's per-query rows.
 
 The math is identical to :mod:`repro.distance.components`; property
 tests assert agreement to 1e-9.
@@ -25,11 +26,10 @@ tests assert agreement to 1e-9.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 
 
@@ -75,9 +75,6 @@ def _pair_components(
     b_ends: np.ndarray,
     b_ids: np.ndarray,
     directed: bool = True,
-    b_vecs: Optional[np.ndarray] = None,
-    b_sq: Optional[np.ndarray] = None,
-    b_len: Optional[np.ndarray] = None,
 ) -> ComponentArrays:
     """Component distances for row-aligned segment pairs ``(a_k, b_k)``.
 
@@ -86,14 +83,6 @@ def _pair_components(
     becoming ``Li``.  Swapping the ``a`` and ``b`` sides therefore
     selects the same roles and runs the same arithmetic, so the result
     is bitwise symmetric.
-
-    The one-vs-many caller repeats one query on the ``b`` side and may
-    pass its precomputed ``b_vecs``/``b_sq``/``b_len`` (broadcast
-    views) to skip the per-row recompute; they MUST equal what the
-    expressions below would produce for those rows — derive them with
-    the same einsum/sqrt on a one-row array, never a different norm
-    routine, or the equal-length tie break stops matching the pairs
-    route bit for bit.
 
     Rows where the designated ``Li`` is numerically degenerate (squared
     length below the smallest normal float, mirroring
@@ -108,16 +97,13 @@ def _pair_components(
         return ComponentArrays(perp, par, ang)
 
     a_vecs = a_ends - a_starts
-    if b_vecs is None:
-        b_vecs = b_ends - b_starts
+    b_vecs = b_ends - b_starts
     # Squared lengths must be *normal* floats for 1/sq to be finite —
     # subnormal squared lengths mark numerically degenerate segments.
     a_sq = np.einsum("ij,ij->i", a_vecs, a_vecs)
-    if b_sq is None:
-        b_sq = np.einsum("ij,ij->i", b_vecs, b_vecs)
+    b_sq = np.einsum("ij,ij->i", b_vecs, b_vecs)
     a_len = np.sqrt(a_sq)
-    if b_len is None:
-        b_len = np.sqrt(b_sq)
+    b_len = np.sqrt(b_sq)
     tiny = np.finfo(np.float64).tiny
     a_usable = a_sq >= tiny
     b_usable = b_sq >= tiny
@@ -180,51 +166,6 @@ def _pair_components(
     return ComponentArrays(perp, par, ang)
 
 
-def component_distances_to_all(
-    query: Segment,
-    segments: SegmentSet,
-    directed: bool = True,
-    query_seg_id: Optional[int] = None,
-) -> ComponentArrays:
-    """Distances from *query* to every segment in *segments*.
-
-    Parameters
-    ----------
-    query:
-        The query segment.  If it is a member of *segments*, pass its
-        index as *query_seg_id* so equal-length ties order exactly as
-        the scalar reference does.
-    directed:
-        When False, use the undirected angle distance
-        ``||Lj|| * sin(theta)`` for every angle.
-    """
-    n = len(segments)
-    if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return ComponentArrays(empty.copy(), empty.copy(), empty.copy())
-
-    q_id = query.seg_id if query_seg_id is None else query_seg_id
-    shape = segments.starts.shape
-    q_start = np.asarray(query.start, dtype=np.float64)
-    q_end = np.asarray(query.end, dtype=np.float64)
-    # Query-side quantities computed once and broadcast — through the
-    # exact expressions the core would run per row (see its docstring).
-    q_vec_row = (q_end - q_start)[None, :]
-    q_sq = np.einsum("ij,ij->i", q_vec_row, q_vec_row)
-    return _pair_components(
-        segments.starts,
-        segments.ends,
-        np.arange(n),
-        np.broadcast_to(q_start, shape),
-        np.broadcast_to(q_end, shape),
-        np.full(n, int(q_id), dtype=np.int64),
-        directed=directed,
-        b_vecs=np.broadcast_to(q_vec_row[0], shape),
-        b_sq=np.broadcast_to(q_sq, (n,)),
-        b_len=np.broadcast_to(np.sqrt(q_sq), (n,)),
-    )
-
-
 def component_distances_pairs(
     segments: SegmentSet,
     left: Union[np.ndarray, "list[int]"],
@@ -236,10 +177,9 @@ def component_distances_pairs(
 
     One call evaluates an arbitrary batch of pairs — this is the kernel
     behind the blocked all-candidate-pairs join of
-    :mod:`repro.cluster.neighbor_graph`.  Results are bitwise identical
-    to querying :func:`component_distances_to_all` row by row (both
-    routes share :func:`_pair_components`), and bitwise symmetric in
-    ``left``/``right``.
+    :mod:`repro.cluster.neighbor_graph` and the brute-force oracle's
+    rows.  Results are bitwise symmetric in ``left``/``right``, so a
+    pair's distance does not depend on the batch that evaluates it.
 
     When a compiled kernel backend is active (``repro.kernels``), the
     gathers and per-pair geometry run compiled — bitwise identical to
@@ -288,45 +228,24 @@ def _angle_component(
     li_vectors: np.ndarray,
     li_sq_lengths: np.ndarray,
     lj_vectors: np.ndarray,
-    lj_len,
+    lj_len: np.ndarray,
     directed: bool,
 ) -> np.ndarray:
     """Angle distance for rows of (Li, Lj) pairs.
 
     ``||Lj|| * sin(theta)`` is evaluated as the norm of the rejection of
     Lj's vector from Li's direction (numerically stable near parallel;
-    identical formula to the scalar reference).  ``lj_len`` is scalar or
-    per-row.  Rows with ``li_sq_lengths == 0`` must not occur (the
-    caller's masks route those to the degenerate branch).
+    identical formula to the scalar reference).  Rows with
+    ``li_sq_lengths == 0`` must not occur (the caller's masks route
+    those to the degenerate branch).
     """
-    if lj_vectors.ndim == 1:
-        dots = li_vectors @ lj_vectors
-        lj_rows = np.broadcast_to(lj_vectors, li_vectors.shape)
-    else:
-        dots = np.einsum("ij,ij->i", li_vectors, lj_vectors)
-        lj_rows = lj_vectors
+    dots = np.einsum("ij,ij->i", li_vectors, lj_vectors)
     coeff = dots / li_sq_lengths
-    rejection = lj_rows - coeff[:, None] * li_vectors
+    rejection = lj_vectors - coeff[:, None] * li_vectors
     sin_term = _row_norms(rejection)  # == ||Lj|| * sin(theta)
-    lj_len = np.asarray(lj_len, dtype=np.float64)
     if directed:
         result = np.where(dots > 0.0, sin_term, lj_len)
     else:
         result = sin_term
     return np.where(lj_len > 0, result, 0.0)
 
-
-def distances_to_all(
-    query: Segment,
-    segments: SegmentSet,
-    w_perp: float = 1.0,
-    w_par: float = 1.0,
-    w_theta: float = 1.0,
-    directed: bool = True,
-    query_seg_id: Optional[int] = None,
-) -> np.ndarray:
-    """Weighted TRACLUS distance from *query* to every stored segment."""
-    comps = component_distances_to_all(
-        query, segments, directed=directed, query_seg_id=query_seg_id
-    )
-    return comps.weighted_sum(w_perp, w_par, w_theta)

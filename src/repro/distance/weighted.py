@@ -10,16 +10,11 @@ is supported by construction parameters.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from repro.distance.components import ComponentDistances, component_distances
-from repro.distance.vectorized import (
-    ComponentArrays,
-    component_distances_pairs,
-    component_distances_to_all,
-)
+from repro.distance.vectorized import ComponentArrays, component_distances_pairs
 from repro.exceptions import ClusteringError
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
@@ -76,27 +71,6 @@ class SegmentDistance:
         )
 
     # -- vectorized ----------------------------------------------------------
-    def components_to_all(
-        self,
-        query: Segment,
-        segments: SegmentSet,
-        query_seg_id: Optional[int] = None,
-    ) -> ComponentArrays:
-        return component_distances_to_all(
-            query, segments, directed=self.directed, query_seg_id=query_seg_id
-        )
-
-    def to_all(
-        self,
-        query: Segment,
-        segments: SegmentSet,
-        query_seg_id: Optional[int] = None,
-    ) -> np.ndarray:
-        """Distances from *query* to every segment of *segments*."""
-        return self.components_to_all(query, segments, query_seg_id).weighted_sum(
-            self.w_perp, self.w_par, self.w_theta
-        )
-
     def pairs_components(
         self,
         segments: SegmentSet,
@@ -117,11 +91,12 @@ class SegmentDistance:
         """Distances for each aligned pair ``(left[k], right[k])`` of
         stored segments, evaluated in one vectorized batch.
 
-        Bitwise identical to per-query :meth:`member_to_all` lookups
-        (both share one kernel) and symmetric in ``left``/``right`` —
-        the property the batched neighbor graph relies on to evaluate
-        each unordered pair once.  Self-pairs (``left[k] == right[k]``)
-        are pinned to exactly 0, mirroring :meth:`member_to_all`.
+        Bitwise symmetric in ``left``/``right`` — the property the
+        batched neighbor graph relies on to evaluate each unordered
+        pair once.  Self-pairs (``left[k] == right[k]``) are pinned to
+        exactly 0 (``dist(L, L) = 0`` by definition; the float pipeline
+        would otherwise leave ~1e-15 residue from the projection
+        arithmetic).
         """
         result = self.pairs_components(segments, left, right).weighted_sum(
             self.w_perp, self.w_par, self.w_theta
@@ -130,15 +105,15 @@ class SegmentDistance:
         return result
 
     def member_to_all(self, index: int, segments: SegmentSet) -> np.ndarray:
-        """Distances from stored segment *index* to the whole set.
-
-        ``result[index]`` is pinned to exactly 0 (``dist(L, L) = 0`` by
-        definition; the float pipeline would otherwise leave ~1e-15
-        residue from the projection arithmetic).
-        """
-        result = self.to_all(segments.segment(index), segments, query_seg_id=index)
-        result[index] = 0.0
-        return result
+        """Distances from stored segment *index* to the whole set: the
+        :meth:`pairs` row ``(index, j)`` for every ``j``, so
+        ``result[index]`` is exactly 0."""
+        n = len(segments)
+        if not 0 <= index < n:
+            raise IndexError(f"segment index {index} out of range 0..{n - 1}")
+        return self.pairs(
+            segments, np.full(n, index, dtype=np.int64), np.arange(n)
+        )
 
     def __repr__(self) -> str:
         return (

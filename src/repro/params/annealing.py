@@ -4,8 +4,8 @@ The paper: "This optimal ε can be efficiently obtained by a simulated
 annealing technique."  The annealer below is a small generic SA engine
 (geometric cooling, Gaussian proposals, Metropolis acceptance) applied
 to the entropy objective.  Objective evaluations are memoised on a
-quantised ε grid because each one costs a full O(n^2) neighborhood
-pass.
+quantised ε grid because each one costs a full neighborhood-count pass
+over the candidate pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.cluster.neighbor_graph import neighborhood_size_counts
-from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ParameterSearchError
 from repro.model.segmentset import SegmentSet
@@ -96,16 +95,13 @@ def anneal_epsilon(
     quantum: float = 1.0,
     steps: int = 120,
     rng: Optional[np.random.Generator] = None,
-    neighborhood_method: str = "auto",
 ) -> Tuple[float, float, float]:
     """Find the entropy-minimising ε by simulated annealing.
 
     ε proposals are quantised to *quantum* (the paper sweeps integer ε)
-    and each quantised value's entropy is computed at most once.  Under
-    ``neighborhood_method="auto"``/``"batch"`` each evaluation is one
+    and each quantised value's entropy is computed at most once, by one
     blocked candidate-pair pass
-    (:func:`repro.cluster.neighbor_graph.neighborhood_size_counts`);
-    ``"brute"`` keeps the per-segment row loop.
+    (:func:`repro.cluster.neighbor_graph.neighborhood_size_counts`).
 
     Returns ``(eps, entropy, avg_neighborhood_size)`` at the optimum.
     """
@@ -115,24 +111,13 @@ def anneal_epsilon(
         raise ParameterSearchError("cannot select parameters for zero segments")
     if quantum <= 0:
         raise ParameterSearchError(f"quantum must be positive, got {quantum}")
-    if neighborhood_method not in NEIGHBORHOOD_METHODS:
-        raise ParameterSearchError(
-            f"unknown neighborhood method {neighborhood_method!r}; "
-            f"expected one of {NEIGHBORHOOD_METHODS}"
-        )
 
     cache: Dict[float, Tuple[float, float]] = {}
 
     def evaluate(eps: float) -> float:
         q = round(eps / quantum) * quantum
         if q not in cache:
-            if neighborhood_method != "brute":
-                sizes = neighborhood_size_counts(segments, [q], distance)[0]
-            else:
-                sizes = np.zeros(len(segments), dtype=np.int64)
-                for i in range(len(segments)):
-                    row = distance.member_to_all(i, segments)
-                    sizes[i] = int(np.sum(row <= q))
+            sizes = neighborhood_size_counts(segments, [q], distance)[0]
             cache[q] = (neighborhood_entropy(sizes), float(sizes.mean()))
         return cache[q][0]
 

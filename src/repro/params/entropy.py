@@ -10,14 +10,12 @@ entropy; Figures 16 and 19 of the paper plot exactly this curve.
 
 :func:`neighborhood_size_curve` computes ``|N_eps|`` for *many* ε
 values in a single pass over the pairwise distances, which is what
-makes the figure-16/19 sweeps affordable.  By default (``"auto"``) that
-pass is the blocked candidate-pair stream of
-:mod:`repro.cluster.neighbor_graph` — each surviving pair is evaluated
-once and binned against all thresholds at ~O(log k) cost; ``"brute"``
-keeps the per-segment row loop as the oracle.  Both produce identical
-counts (shared distance kernel).  :func:`entropy_from_counts` turns
-either into the Figure 16/19 curve; a :class:`~repro.api.Workspace`
-serves the same counts from its cached ε-graph
+makes the figure-16/19 sweeps affordable.  That pass is the blocked
+candidate-pair stream of :mod:`repro.cluster.neighbor_graph` — each
+surviving pair is evaluated once and binned against all thresholds at
+~O(log k) cost.  :func:`entropy_from_counts` turns the counts into the
+Figure 16/19 curve; a :class:`~repro.api.Workspace` serves the same
+counts from its cached ε-graph
 (:meth:`~repro.api.Workspace.entropy_curve`).
 """
 
@@ -28,7 +26,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.neighbor_graph import neighborhood_size_counts
-from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ParameterSearchError
 from repro.model.segmentset import SegmentSet
@@ -56,43 +53,21 @@ def neighborhood_size_curve(
     segments: SegmentSet,
     eps_values: Union[Sequence[float], np.ndarray],
     distance: Optional[SegmentDistance] = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """``|N_eps(L_i)|`` for every ε in *eps_values* and every segment.
 
-    Returns an ``(n_eps, n_segments)`` int64 array.  ``method="auto"``
-    (or ``"batch"``) streams candidate pairs through the blocked join of
+    Returns an ``(n_eps, n_segments)`` int64 array, streamed through
+    the blocked join of
     :func:`repro.cluster.neighbor_graph.neighborhood_size_counts` —
     each unordered pair is evaluated once and binned against every
-    threshold; ``"brute"`` computes one distance row per segment and
-    compares it against all thresholds (one O(n^2) pass either way, but
-    the batched route halves the kernel work and drops the n Python
-    round-trips).
+    threshold.
     """
-    if distance is None:
-        distance = SegmentDistance()
     eps_array = np.asarray(eps_values, dtype=np.float64)
     if eps_array.ndim != 1 or eps_array.size == 0:
         raise ParameterSearchError("eps_values must be a non-empty 1-D sequence")
     if not np.all(eps_array >= 0):
         raise ParameterSearchError("eps values must be non-negative")
-    if method not in NEIGHBORHOOD_METHODS:
-        raise ParameterSearchError(
-            f"unknown neighborhood method {method!r}; "
-            f"expected one of {NEIGHBORHOOD_METHODS}"
-        )
-    n = len(segments)
-    # Multi-threshold counting has two routes: the blocked pair stream
-    # ("auto"/"batch") and the per-row brute loop.
-    if method != "brute" and n > 0:
-        return neighborhood_size_counts(segments, eps_array, distance)
-    counts = np.zeros((eps_array.size, n), dtype=np.int64)
-    for i in range(n):
-        row = distance.member_to_all(i, segments)
-        # (n_eps, n) broadcast: how many entries of this row fall under
-        # each threshold.
-        counts[:, i] = np.sum(row[None, :] <= eps_array[:, None], axis=1)
-    return counts
+    return neighborhood_size_counts(segments, eps_array, distance)
 
 
 def entropy_from_counts(
@@ -106,7 +81,7 @@ def entropy_from_counts(
     computing H(X)").
 
     The counts are integers, so *any* exact counting route — the
-    blocked pair stream, per-segment brute rows, or the sweep engine's
+    blocked pair stream, the brute oracle's rows, or the sweep engine's
     stored-distance binning (:meth:`repro.sweep.engine.SweepEngine
     .neighborhood_counts`) — feeds this identically, and the float
     arithmetic downstream is bitwise shared.

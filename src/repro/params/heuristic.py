@@ -60,7 +60,6 @@ def recommend_parameters(
     distance: Optional[SegmentDistance] = None,
     method: str = "grid",
     rng: Optional[np.random.Generator] = None,
-    neighborhood_method: str = "auto",
     counts: Optional[np.ndarray] = None,
 ) -> ParameterEstimate:
     """Run the Section 4.4 heuristic on a partitioned segment set.
@@ -76,12 +75,8 @@ def recommend_parameters(
         ``"grid"`` — exhaustive search over *eps_values* (deterministic;
         also returns the full entropy curve for plotting Figures 16/19);
         ``"anneal"`` — the paper's simulated annealing over the same
-        bracket.
-    neighborhood_method:
-        How ``|N_eps|`` is counted: ``"auto"``/``"batch"`` stream the
-        batched candidate-pair join of
-        :mod:`repro.cluster.neighbor_graph`; ``"brute"`` loops one
-        distance row per segment.  Identical counts either way.
+        bracket.  Either way ``|N_eps|`` is counted by the blocked
+        candidate-pair join of :mod:`repro.cluster.neighbor_graph`.
     counts:
         Precomputed ``(n_eps, n_segments)`` neighborhood counts aligned
         with *eps_values* (grid method only) — a
@@ -107,9 +102,7 @@ def recommend_parameters(
 
     if method == "grid":
         if counts is None:
-            counts = neighborhood_size_curve(
-                segments, grid, distance, method=neighborhood_method
-            )
+            counts = neighborhood_size_curve(segments, grid, distance)
         elif counts.shape[0] != grid.size:
             raise ParameterSearchError(
                 f"counts has {counts.shape[0]} rows but eps_values has "
@@ -130,7 +123,6 @@ def recommend_parameters(
             distance=distance,
             quantum=max(quantum, 1e-9),
             rng=rng,
-            neighborhood_method=neighborhood_method,
         )
         curve_eps, curve_entropy = (), ()
     else:

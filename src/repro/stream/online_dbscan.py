@@ -94,10 +94,15 @@ class OnlineDBSCAN:
         dim: int = 2,
         graph: Optional[DynamicNeighborGraph] = None,
     ):
+        # Written so that NaN fails too.
         if not eps >= 0:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
-        if min_lns <= 0:
+        if not min_lns > 0:
             raise ClusteringError(f"min_lns must be positive, got {min_lns}")
+        if cardinality_threshold is not None and not cardinality_threshold >= 0:
+            raise ClusteringError(
+                f"threshold must be non-negative, got {cardinality_threshold}"
+            )
         self.eps = float(eps)
         self.min_lns = float(min_lns)
         self.distance = distance if distance is not None else SegmentDistance()

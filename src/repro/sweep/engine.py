@@ -43,8 +43,9 @@ cardinality table once and walks its own columns.
 
 When is a per-point refit still preferable?  When ε_max is so large
 that the ε_max-graph's ``O(E)`` edge list approaches n² and blows
-memory: ``LineSegmentDBSCAN(..., neighborhood_method="brute")`` refits
-one point without ever holding an edge list.
+memory: ``LineSegmentDBSCAN(eps, min_lns).fit(segments,
+engine=BruteForceNeighborhood(segments, eps, distance))`` refits one
+point without ever holding an edge list.
 """
 
 from __future__ import annotations
@@ -344,8 +345,8 @@ class SweepEngine:
     def entropy_curve(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(entropies, avg_sizes)`` over ``eps_values`` (user order) —
         the Figures 16/19 curves, bitwise equal to
-        :func:`repro.params.entropy.entropy_from_counts` over the brute
-        :func:`~repro.params.entropy.neighborhood_size_curve` counts."""
+        :func:`repro.params.entropy.entropy_from_counts` over the
+        brute-force oracle's counts."""
         from repro.params.entropy import entropy_from_counts
 
         return entropy_from_counts(self.neighborhood_counts())
@@ -371,7 +372,7 @@ class SweepEngine:
         """One MinLns column: ``(n_eps, n_segments)`` labels in user ε
         order, each row bitwise identical to
         ``LineSegmentDBSCAN(eps, min_lns).fit(segments)``."""
-        if min_lns <= 0:
+        if not min_lns > 0:  # NaN fails too
             raise ClusteringError(f"min_lns must be positive, got {min_lns}")
         payload = self._payload(cardinality_threshold, use_weights)
         return _run_column(payload, float(min_lns))[self._unravel]
@@ -391,7 +392,7 @@ class SweepEngine:
         if not min_lns_list:
             raise ClusteringError("min_lns_values must be non-empty")
         for min_lns in min_lns_list:
-            if min_lns <= 0:
+            if not min_lns > 0:
                 raise ClusteringError(
                     f"min_lns values must be positive, got {min_lns}"
                 )
@@ -445,6 +446,10 @@ class SweepEngine:
     def _payload(
         self, cardinality_threshold: Optional[float], use_weights: bool
     ) -> dict:
+        if cardinality_threshold is not None and not cardinality_threshold >= 0:
+            raise ClusteringError(
+                f"threshold must be non-negative, got {cardinality_threshold}"
+            )
         return {
             "edge_u": self._edge_u,
             "edge_v": self._edge_v,

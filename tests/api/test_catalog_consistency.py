@@ -10,6 +10,7 @@ incremental save/evict path maintained, including after a torn catalog
 (simulating a crash between the file write and the row commit).
 """
 
+import multiprocessing
 import os
 import sqlite3
 import threading
@@ -18,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro.api.cache import ArtifactStore
-from repro.api.catalog import CATALOG_FILENAME
+from repro.api.catalog import CATALOG_FILENAME, Catalog
+from repro.exceptions import CatalogError
 from repro.io.artifacts import load_artifact_meta
 
 N_THREADS = 8
@@ -218,6 +220,48 @@ class TestProcessStress:
             "SELECT COUNT(*) AS n FROM cells WHERE qmeasure IS NOT NULL"
         )[0]["n"]
         assert joined > 0
+
+
+_OPEN_BARRIER = None
+
+
+def _share_barrier(barrier):
+    global _OPEN_BARRIER
+    _OPEN_BARRIER = barrier
+
+
+def _open_each(directories):
+    """One child process: open the catalog of each fresh directory in
+    turn, each open released together with the other children's."""
+    failures = []
+    for directory in directories:
+        _OPEN_BARRIER.wait(timeout=30)
+        try:
+            Catalog(directory).close()
+        except CatalogError as error:
+            failures.append(str(error))
+    return failures
+
+
+class TestFirstOpenRace:
+    def test_simultaneous_first_opens_all_succeed(self, tmp_path):
+        """4 processes open one fresh directory's catalog at the same
+        instant, 100 directories over.  Switching a new database to WAL
+        takes a lock sqlite does not wait for; unserialised, several
+        percent of these opens failed with "database is locked"."""
+        directories = []
+        for trial in range(100):
+            directory = tmp_path / f"trial{trial}"
+            directory.mkdir()
+            directories.append(str(directory))
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=4, mp_context=context, initializer=_share_barrier,
+            initargs=(context.Barrier(4),),
+        ) as pool:
+            futures = [pool.submit(_open_each, directories) for _ in range(4)]
+            failures = [error for f in futures for error in f.result()]
+        assert failures == []
 
 
 class TestKillRecovery:

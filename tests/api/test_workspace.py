@@ -7,6 +7,7 @@ import pytest
 from repro.api.cache import ARTIFACT_KINDS
 from repro.api.workspace import PartitionArtifact, Workspace
 from repro.cluster.dbscan import LineSegmentDBSCAN
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.cluster.neighbor_graph import (
     NeighborGraph,
     neighborhood_size_counts,
@@ -24,9 +25,9 @@ def brute_labels(trajectories, eps, min_lns, **kwargs):
     """Figure-12 labels from the engines run by hand: phase 1, then
     DBSCAN over the brute-force ε-engine (the oracle)."""
     segments, _ = partition_all(trajectories)
-    _, labels = LineSegmentDBSCAN(
-        eps, min_lns, neighborhood_method="brute", **kwargs
-    ).fit(segments)
+    _, labels = LineSegmentDBSCAN(eps, min_lns, **kwargs).fit(
+        segments, engine=BruteForceNeighborhood(segments, eps)
+    )
     return labels
 
 

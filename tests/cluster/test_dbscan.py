@@ -191,10 +191,11 @@ class TestConsistencyInvariants:
             assert core_found
 
     def test_batch_and_brute_give_same_clustering(self, random_segments):
-        _, labels_brute = cluster_segments(
-            random_segments, eps=12.0, min_lns=3, neighborhood_method="brute"
+        from repro.cluster.neighborhood import BruteForceNeighborhood
+
+        _, labels_brute = LineSegmentDBSCAN(eps=12.0, min_lns=3).fit(
+            random_segments,
+            engine=BruteForceNeighborhood(random_segments, 12.0),
         )
-        _, labels_batch = cluster_segments(
-            random_segments, eps=12.0, min_lns=3, neighborhood_method="batch"
-        )
+        _, labels_batch = cluster_segments(random_segments, eps=12.0, min_lns=3)
         assert np.array_equal(labels_brute, labels_batch)

@@ -1,9 +1,10 @@
-"""Regression: DBSCAN output is bit-identical under every
-``neighborhood_method`` on the synthetic benchmark datasets.
+"""Regression: DBSCAN output on its default ε-graph is bit-identical
+to a fit over the brute-force oracle on the synthetic benchmark
+datasets.
 
 The batched engine evaluates each segment pair once and mirrors it;
-the per-query engines evaluate both directions independently.  Because
-all of them share one distance kernel (whose pair arithmetic is exactly
+the oracle evaluates both directions independently.  Because both
+share one distance kernel (whose pair arithmetic is exactly
 symmetric), the Figure 12 algorithm must walk the identical
 neighborhoods in the identical order — same labels, same cluster
 count, same membership — not merely an equally-good clustering.
@@ -13,15 +14,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
-from repro.cluster.neighborhood import NEIGHBORHOOD_METHODS
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.datasets.synthetic import (
     add_noise_trajectories,
     generate_common_subtrajectory_set,
     generate_corridor_set,
 )
 from repro.partition.approximate import partition_all
-
-ALL_METHODS = list(NEIGHBORHOOD_METHODS)
 
 
 def _segments(trajectories):
@@ -49,36 +48,36 @@ def noisy_segments():
     )
 
 
-def _fit_all_methods(segments, **kwargs):
-    outcomes = {}
-    for method in ALL_METHODS:
-        dbscan = LineSegmentDBSCAN(neighborhood_method=method, **kwargs)
-        clusters, labels = dbscan.fit(segments)
-        outcomes[method] = (clusters, labels)
-    return outcomes
+def _fit_both_engines(segments, **kwargs):
+    dbscan = LineSegmentDBSCAN(**kwargs)
+    oracle = BruteForceNeighborhood(segments, dbscan.eps, dbscan.distance)
+    return {
+        "brute": dbscan.fit(segments, engine=oracle),
+        "batch": dbscan.fit(segments),
+    }
 
 
 def _assert_identical(outcomes):
     ref_clusters, ref_labels = outcomes["brute"]
-    for method, (clusters, labels) in outcomes.items():
-        assert np.array_equal(ref_labels, labels), (
-            f"labels diverge between 'brute' and {method!r}"
-        )
-        assert len(clusters) == len(ref_clusters), method
-        for ours, theirs in zip(clusters, ref_clusters):
-            assert ours.cluster_id == theirs.cluster_id
-            assert np.array_equal(ours.member_indices, theirs.member_indices)
+    clusters, labels = outcomes["batch"]
+    assert np.array_equal(ref_labels, labels), (
+        "labels diverge between the oracle and the ε-graph"
+    )
+    assert len(clusters) == len(ref_clusters)
+    for ours, theirs in zip(clusters, ref_clusters):
+        assert ours.cluster_id == theirs.cluster_id
+        assert np.array_equal(ours.member_indices, theirs.member_indices)
 
 
 class TestLabelRegression:
     @pytest.mark.parametrize("eps,min_lns", [(6.0, 4), (10.0, 6)])
     def test_corridor(self, corridor_segments, eps, min_lns):
         _assert_identical(
-            _fit_all_methods(corridor_segments, eps=eps, min_lns=min_lns)
+            _fit_both_engines(corridor_segments, eps=eps, min_lns=min_lns)
         )
 
     def test_two_corridors(self, two_corridor_segments):
-        outcomes = _fit_all_methods(
+        outcomes = _fit_both_engines(
             two_corridor_segments, eps=8.0, min_lns=5
         )
         _assert_identical(outcomes)
@@ -86,11 +85,11 @@ class TestLabelRegression:
         assert len(clusters) >= 2  # one cluster per corridor survives
 
     def test_noisy_corridor(self, noisy_segments):
-        _assert_identical(_fit_all_methods(noisy_segments, eps=7.0, min_lns=5))
+        _assert_identical(_fit_both_engines(noisy_segments, eps=7.0, min_lns=5))
 
     def test_weighted_cardinality(self, corridor_segments):
         _assert_identical(
-            _fit_all_methods(
+            _fit_both_engines(
                 corridor_segments, eps=8.0, min_lns=4, use_weights=True
             )
         )

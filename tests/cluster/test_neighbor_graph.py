@@ -12,16 +12,11 @@ from repro.cluster.neighbor_graph import (
     neighborhood_size_counts,
 )
 from repro.cluster.dbscan import LineSegmentDBSCAN
-from repro.cluster.neighborhood import (
-    AUTO_BATCH_THRESHOLD,
-    BruteForceNeighborhood,
-    make_neighborhood_engine,
-)
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
-from repro.params.entropy import neighborhood_size_curve
 from repro.stream.online_dbscan import OnlineDBSCAN
 
 
@@ -144,11 +139,12 @@ class TestExtremeScales:
 
     @staticmethod
     def labels_of_every_engine(segments, eps, min_lns):
+        dbscan = LineSegmentDBSCAN(eps=eps, min_lns=min_lns)
         labels = [
-            LineSegmentDBSCAN(
-                eps=eps, min_lns=min_lns, neighborhood_method=method
-            ).fit(segments)[1]
-            for method in ("brute", "batch")
+            dbscan.fit(
+                segments, engine=BruteForceNeighborhood(segments, eps)
+            )[1],
+            dbscan.fit(segments)[1],
         ]
         online = OnlineDBSCAN(eps=eps, min_lns=min_lns)
         for at in range(0, len(segments), 7):
@@ -256,67 +252,16 @@ class TestPrebuiltEngineGuards:
         with pytest.raises(ClusteringError):
             optics.fit(random_segments, graph=narrow)
 
-    def test_optics_per_query_methods_skip_graph_and_match(
-        self, random_segments, monkeypatch
-    ):
-        """'brute' is the memory-capped escape hatch: OPTICS must run
-        the per-query loop (no O(E) graph) yet produce the identical
-        reachability plot."""
-        from repro.cluster import optics as optics_module
-        from repro.cluster.optics import LineSegmentOPTICS
-
-        reference = LineSegmentOPTICS(
-            8.0, 3, neighborhood_method="batch"
-        ).fit(random_segments)
-
-        class ForbiddenGraph:
-            @staticmethod
-            def build(*args, **kwargs):
-                raise AssertionError("per-query method materialized the graph")
-
-        monkeypatch.setattr(optics_module, "NeighborGraph", ForbiddenGraph)
-        result = LineSegmentOPTICS(
-            8.0, 3, neighborhood_method="brute"
-        ).fit(random_segments)
-        assert np.array_equal(reference.ordering, result.ordering)
-        assert np.array_equal(reference.reachability, result.reachability)
-
-
-class TestFactoryBatch:
-    def test_explicit_batch(self, random_segments):
-        engine = make_neighborhood_engine(random_segments, 1.0, method="batch")
-        assert isinstance(engine, PrecomputedNeighborhood)
-
-    def test_auto_large_set_uses_batch(self):
-        rng = np.random.default_rng(9)
-        n = AUTO_BATCH_THRESHOLD
-        store = SegmentSet.from_segments(
-            Segment(rng.uniform(0, 50, 2), rng.uniform(0, 50, 2), seg_id=i)
-            for i in range(n)
-        )
-        engine = make_neighborhood_engine(store, 4.0, method="auto")
-        assert isinstance(engine, PrecomputedNeighborhood)
-
-    def test_auto_degenerate_weights_fall_back_to_brute(self):
-        rng = np.random.default_rng(10)
-        store = SegmentSet.from_segments(
-            Segment(rng.uniform(0, 50, 2), rng.uniform(0, 50, 2), seg_id=i)
-            for i in range(AUTO_BATCH_THRESHOLD)
-        )
-        engine = make_neighborhood_engine(
-            store, 4.0, SegmentDistance(w_par=0.0), method="auto"
-        )
-        assert isinstance(engine, BruteForceNeighborhood)
-
 
 class TestStreamingCounts:
     def test_matches_brute_curve(self, random_segments):
         eps_values = np.array([0.0, 2.0, 7.5, 7.5, 31.0, 4.0])
         batched = neighborhood_size_counts(random_segments, eps_values)
-        legacy = neighborhood_size_curve(
-            random_segments, eps_values, method="brute"
-        )
-        assert np.array_equal(batched, legacy)
+        oracle = [
+            BruteForceNeighborhood(random_segments, eps).neighborhood_sizes()
+            for eps in eps_values
+        ]
+        assert np.array_equal(batched, oracle)
 
     def test_small_blocks_identical(self, random_segments):
         eps_values = np.array([1.0, 6.0, 18.0])

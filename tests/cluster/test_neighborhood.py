@@ -5,11 +5,8 @@ equivalent."""
 import numpy as np
 import pytest
 
-from repro.cluster.neighbor_graph import PrecomputedNeighborhood, candidate_radius
-from repro.cluster.neighborhood import (
-    BruteForceNeighborhood,
-    make_neighborhood_engine,
-)
+from repro.cluster.neighbor_graph import candidate_radius
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.index.grid import SegmentGrid
@@ -105,22 +102,3 @@ class TestGridEquivalence:
         for i in range(3):
             assert grid[i] == brute.neighbors_of(i).tolist()
 
-
-class TestFactory:
-    def test_explicit_methods(self, random_segments):
-        assert isinstance(
-            make_neighborhood_engine(random_segments, 1.0, method="brute"),
-            BruteForceNeighborhood,
-        )
-        assert isinstance(
-            make_neighborhood_engine(random_segments, 1.0, method="batch"),
-            PrecomputedNeighborhood,
-        )
-
-    def test_auto_small_set_uses_brute(self, random_segments):
-        engine = make_neighborhood_engine(random_segments, 1.0, method="auto")
-        assert isinstance(engine, BruteForceNeighborhood)
-
-    def test_unknown_method_raises(self, random_segments):
-        with pytest.raises(ClusteringError):
-            make_neighborhood_engine(random_segments, 1.0, method="quantum")

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from repro.distance.components import component_distances
-from repro.distance.vectorized import (
-    component_distances_to_all,
-    distances_to_all,
-)
+from repro.distance.vectorized import component_distances_pairs
+from repro.distance.weighted import SegmentDistance
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 
 
 def assert_agreement(store, directed=True, atol=1e-9):
-    for qi in range(len(store)):
+    n = len(store)
+    for qi in range(n):
         query = store.segment(qi)
-        comps = component_distances_to_all(
-            query, store, directed=directed, query_seg_id=qi
+        comps = component_distances_pairs(
+            store, np.full(n, qi), np.arange(n), directed=directed
         )
-        for j in range(len(store)):
+        for j in range(n):
             expected = component_distances(query, store.segment(j), directed=directed)
             assert comps.perpendicular[j] == pytest.approx(
                 expected.perpendicular, abs=atol
@@ -74,43 +73,40 @@ class TestAgreementWithScalar:
 
 class TestProperties:
     def test_self_distance_is_zero(self, random_segments):
+        distance = SegmentDistance()
         for qi in [0, 13, 39]:
-            dists = distances_to_all(
-                random_segments.segment(qi), random_segments, query_seg_id=qi
-            )
-            assert dists[qi] == pytest.approx(0.0, abs=1e-12)
+            comps = component_distances_pairs(random_segments, [qi], [qi])
+            assert comps.weighted_sum()[0] == pytest.approx(0.0, abs=1e-12)
+            assert distance.member_to_all(qi, random_segments)[qi] == 0.0
 
     def test_all_distances_non_negative(self, random_segments):
+        distance = SegmentDistance()
         for qi in range(0, len(random_segments), 7):
-            dists = distances_to_all(
-                random_segments.segment(qi), random_segments, query_seg_id=qi
-            )
-            assert np.all(dists >= 0.0)
+            assert np.all(distance.member_to_all(qi, random_segments) >= 0.0)
 
     def test_empty_store(self):
         empty = SegmentSet.empty()
-        query = Segment([0.0, 0.0], [1.0, 0.0])
-        comps = component_distances_to_all(query, empty)
+        none = np.empty(0, dtype=np.int64)
+        comps = component_distances_pairs(empty, none, none)
         assert comps.perpendicular.shape == (0,)
-        assert distances_to_all(query, empty).shape == (0,)
+        assert SegmentDistance().pairs(empty, none, none).shape == (0,)
+        with pytest.raises(IndexError):
+            SegmentDistance().member_to_all(0, empty)
 
-    def test_external_query_not_in_store(self, random_segments):
-        # A query that is not a member still gets exact results.
-        query = Segment([50.0, 50.0], [55.0, 52.0], seg_id=-1)
-        dists = distances_to_all(query, random_segments)
-        for j in range(len(random_segments)):
-            expected = component_distances(
-                query, random_segments.segment(j)
-            ).weighted_sum()
-            assert dists[j] == pytest.approx(expected, abs=1e-9)
+    @pytest.mark.parametrize("index", [-1, 40])
+    def test_member_index_out_of_range_raises(self, random_segments, index):
+        # The compiled pair kernel does not bounds-check its indices.
+        with pytest.raises(IndexError):
+            SegmentDistance().member_to_all(index, random_segments)
 
     def test_weighted_sum_applies_weights(self, random_segments):
-        query = random_segments.segment(4)
-        comps = component_distances_to_all(query, random_segments, query_seg_id=4)
-        combined = distances_to_all(
-            query, random_segments, w_perp=2.0, w_par=0.5, w_theta=3.0,
-            query_seg_id=4,
+        n = len(random_segments)
+        comps = component_distances_pairs(
+            random_segments, np.full(n, 4), np.arange(n)
         )
+        combined = SegmentDistance(
+            w_perp=2.0, w_par=0.5, w_theta=3.0
+        ).member_to_all(4, random_segments)
         expected = (
             2.0 * comps.perpendicular + 0.5 * comps.parallel + 3.0 * comps.angle
         )

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.exceptions import ParameterSearchError
+from repro.model.segmentset import SegmentSet
 from repro.params.entropy import (
     entropy_from_counts,
     neighborhood_entropy,
@@ -15,9 +17,10 @@ from repro.params.entropy import (
 
 def _brute_curve(segments, eps_values):
     """The Figure 16/19 curve from brute per-segment counts."""
-    return entropy_from_counts(
-        neighborhood_size_curve(segments, eps_values, method="brute")
-    )
+    return entropy_from_counts(np.array([
+        BruteForceNeighborhood(segments, eps).neighborhood_sizes()
+        for eps in eps_values
+    ]))
 
 
 class TestNeighborhoodEntropy:
@@ -75,6 +78,10 @@ class TestSizeCurve:
     def test_empty_grid_raises(self, random_segments):
         with pytest.raises(ParameterSearchError):
             neighborhood_size_curve(random_segments, [])
+
+    def test_empty_set_gives_one_empty_row_per_eps(self):
+        counts = neighborhood_size_curve(SegmentSet.empty(), [1.0, 2.0])
+        assert counts.shape == (2, 0) and counts.dtype == np.int64
 
 
 class TestEntropyCurve:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.dbscan import cluster_segments
+from repro.cluster.dbscan import LineSegmentDBSCAN, cluster_segments
 from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.model.cluster import NOISE
 from repro.model.segment import Segment
@@ -111,10 +111,8 @@ class TestDBSCANInvariants:
     @settings(max_examples=25, deadline=None)
     def test_batch_engine_equivalent(self, store, params):
         eps, min_lns = params
-        _, labels_brute = cluster_segments(
-            store, eps=eps, min_lns=min_lns, neighborhood_method="brute"
+        _, labels_brute = LineSegmentDBSCAN(eps, min_lns).fit(
+            store, engine=BruteForceNeighborhood(store, eps)
         )
-        _, labels_batch = cluster_segments(
-            store, eps=eps, min_lns=min_lns, neighborhood_method="batch"
-        )
+        _, labels_batch = cluster_segments(store, eps=eps, min_lns=min_lns)
         assert np.array_equal(labels_brute, labels_batch)

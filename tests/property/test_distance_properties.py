@@ -8,7 +8,7 @@ from repro.distance.components import (
     component_distances,
     lehmer_mean_order2,
 )
-from repro.distance.vectorized import component_distances_to_all
+from repro.distance.vectorized import component_distances_pairs
 from repro.distance.weighted import SegmentDistance
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
@@ -129,10 +129,13 @@ class TestVectorizedAgreement:
     @given(segment_store())
     @settings(max_examples=60, deadline=None)
     def test_scalar_equals_vectorized(self, store):
-        for qi in range(len(store)):
+        n = len(store)
+        for qi in range(n):
             query = store.segment(qi)
-            comps = component_distances_to_all(query, store, query_seg_id=qi)
-            for j in range(len(store)):
+            comps = component_distances_pairs(
+                store, np.full(n, qi), np.arange(n)
+            )
+            for j in range(n):
                 expected = component_distances(query, store.segment(j))
                 scale = max(1.0, query.length, store.lengths[j],
                             float(np.abs(store.starts).max()))

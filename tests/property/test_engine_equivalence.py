@@ -17,6 +17,7 @@ dynamic graph must all keep the edge, as the brute oracle does.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.cluster.neighbor_graph import (
     PrecomputedNeighborhood,
     neighborhood_size_counts,
@@ -129,6 +130,35 @@ class TestEngineEquivalence:
             w_theta=1.0,
         )
         assert_engines_agree(store, eps, distance)
+
+
+class TestMemberRows:
+    """The oracle's rows are pair-kernel rows: ``member_to_all(i)`` is
+    bitwise the mirrored batch over every pair ``i < j`` (the order the
+    ε-graph evaluates them in), and bitwise the same on every backend."""
+
+    @given(segment_store(coordinate=st.one_of(
+        coarse_coordinate, fine_coordinate
+    )), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_member_rows_equal_pair_rows(self, pair_backend, store, directed):
+        distance = SegmentDistance(w_theta=0.5, directed=directed)
+        n = len(store)
+        left, right = np.triu_indices(n, 1)
+
+        def member_rows():
+            return np.vstack([distance.member_to_all(i, store) for i in range(n)])
+
+        with kernels.use_backend(pair_backend):
+            rows = member_rows()
+            upper = distance.pairs(store, left, right)
+        with kernels.use_backend("numpy"):
+            numpy_rows = member_rows()
+        mirrored = np.zeros((n, n))
+        mirrored[left, right] = upper
+        mirrored[right, left] = upper
+        assert np.array_equal(rows.view(np.uint64), mirrored.view(np.uint64))
+        assert np.array_equal(rows.view(np.uint64), numpy_rows.view(np.uint64))
 
 
 #: ``t = √2 − 1`` minimises ``(1 + t²) / (1 + t)`` on ``[0, 1]``: two

@@ -26,6 +26,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.sweep import SweepEngine
@@ -201,8 +202,8 @@ def test_weighted_sweep_labels_equal_fresh_fit(
         for j, min_lns in enumerate(min_lns_values):
             _, expected = LineSegmentDBSCAN(
                 eps=eps, min_lns=min_lns, cardinality_threshold=threshold,
-                use_weights=True, neighborhood_method="brute",
-            ).fit(segments)
+                use_weights=True,
+            ).fit(segments, engine=BruteForceNeighborhood(segments, eps))
             assert np.array_equal(grid[i, j], expected), (
                 f"labels diverge at eps={eps!r}, min_lns={min_lns!r}, "
                 f"threshold={threshold!r}"

@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.api.workspace import Workspace
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.cluster.neighbor_graph import neighborhood_size_counts
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.core.config import TraclusConfig
 from repro.model.trajectory import Trajectory
 from repro.partition.approximate import partition_all
@@ -115,6 +116,8 @@ def test_workspace_artifacts_equal_direct_engine_calls(
         min_lns=min_lns,
         distance=config.distance(),
         use_weights=use_weights,
-        neighborhood_method="brute",
-    ).fit(segments)
+    ).fit(
+        segments,
+        engine=BruteForceNeighborhood(segments, eps, config.distance()),
+    )
     assert np.array_equal(workspace.labels(eps, min_lns), expected_labels)

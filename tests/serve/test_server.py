@@ -174,6 +174,30 @@ class TestHttp:
                 await server.wait_closed()
         asyncio.run(scenario())
 
+    def test_nan_min_lns_is_a_400(self, app):
+        """A NaN MinLns used to walk to all-noise labels, and ``fit`` and
+        ``sweep`` answered with a bare ``NaN`` token, which is not JSON."""
+        async def scenario():
+            server = await start_http_server(app)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                for op in ("labels", "quality", "fit"):
+                    status, error = await _http(
+                        host, port, "GET",
+                        f"/v1/corpora/corpus0/{op}?eps=2.0&min_lns=nan",
+                    )
+                    assert status == 400 and "min_lns" in error["error"], op
+                status, error = await _http(
+                    host, port, "GET",
+                    "/v1/corpora/corpus0/sweep"
+                    "?eps_values=2.0&min_lns_values=3.0,nan",
+                )
+                assert status == 400 and "min_lns" in error["error"]
+            finally:
+                server.close()
+                await server.wait_closed()
+        asyncio.run(scenario())
+
     def test_keep_alive_connection_reuse(self, app):
         async def scenario():
             server = await start_http_server(app)

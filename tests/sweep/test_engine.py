@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.dbscan import LineSegmentDBSCAN, cluster_segments
+from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.core.config import SweepConfig, TraclusConfig
 from repro.core.traclus import TRACLUS
 from repro.datasets.synthetic import generate_corridor_set
@@ -19,7 +20,7 @@ from repro.exceptions import ClusteringError, TrajectoryError
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.model.trajectory import Trajectory
-from repro.params.entropy import entropy_from_counts, neighborhood_size_curve
+from repro.params.entropy import entropy_from_counts
 from repro.params.heuristic import recommend_parameters
 from repro.partition.approximate import partition_all
 from repro.sweep import SweepEngine
@@ -171,8 +172,8 @@ class TestLabelsBitwiseIdentity:
         for i, eps in enumerate(eps_values):
             _, expected = LineSegmentDBSCAN(
                 eps=eps, min_lns=min_lns, cardinality_threshold=1.0,
-                use_weights=True, neighborhood_method="brute",
-            ).fit(segments)
+                use_weights=True,
+            ).fit(segments, engine=BruteForceNeighborhood(segments, eps))
             assert np.array_equal(grid[i, 0], expected)
             assert np.all(expected[[0, *crowd]] == 0)
 
@@ -235,9 +236,10 @@ class TestAdversarialUnionFind:
         grid = engine.labels_grid(self.MIN_LNS)
         for i, eps in enumerate(self.EPS):
             for j, min_lns in enumerate(self.MIN_LNS):
-                _, expected = LineSegmentDBSCAN(
-                    eps, min_lns, neighborhood_method="brute"
-                ).fit(chain_and_stars)
+                _, expected = LineSegmentDBSCAN(eps, min_lns).fit(
+                    chain_and_stars,
+                    engine=BruteForceNeighborhood(chain_and_stars, eps),
+                )
                 assert np.array_equal(grid[i, j], expected), (eps, min_lns)
         # Not vacuous: at MinLns=3 the eight leaf bundles are separate
         # clusters until ε=1, where each star collapses into one, and
@@ -301,8 +303,7 @@ class TestExecutors:
             for j, min_lns in enumerate(min_lns_values):
                 _, expected = LineSegmentDBSCAN(
                     eps=eps, min_lns=min_lns, use_weights=True,
-                    neighborhood_method="brute",
-                ).fit(segments)
+                ).fit(segments, engine=BruteForceNeighborhood(segments, eps))
                 assert np.array_equal(forked[i, j], expected)
 
     def test_unknown_executor_rejected(self, corridor_segments):
@@ -325,11 +326,10 @@ class TestEntropyAndHeuristic:
         engine = SweepEngine(corridor_segments, eps_values)
         entropies, avg_sizes = engine.entropy_curve()
         # Oracle: per-segment brute distance rows, no SweepEngine.
-        expected_entropy, expected_avg = entropy_from_counts(
-            neighborhood_size_curve(
-                corridor_segments, eps_values, method="brute"
-            )
-        )
+        expected_entropy, expected_avg = entropy_from_counts(np.array([
+            BruteForceNeighborhood(corridor_segments, eps).neighborhood_sizes()
+            for eps in eps_values
+        ]))
         assert np.array_equal(entropies, expected_entropy)
         assert np.array_equal(avg_sizes, expected_avg)
 

@@ -1,12 +1,8 @@
-"""Validation tests for :class:`repro.core.config.SweepConfig` and the
-centralized engine auto-selection threshold."""
+"""Validation tests for :class:`repro.core.config.SweepConfig`."""
 
 import pytest
 
-from repro.core.config import (
-    NEIGHBORHOOD_AUTO_BATCH_SEGMENTS,
-    SweepConfig,
-)
+from repro.core.config import SweepConfig
 from repro.exceptions import ClusteringError
 
 
@@ -50,41 +46,3 @@ class TestSweepConfigValidation:
                 executor="process", n_workers=0,
             )
 
-
-class TestCentralizedThresholds:
-    """The auto-selection number lives in core/config.py; the ε-engine
-    module re-exports it and must *dispatch* on the centralized value,
-    so changing the config constant moves the actual cutover."""
-
-    def test_neighborhood_reexport_matches_config(self):
-        from repro.cluster.neighborhood import AUTO_BATCH_THRESHOLD
-
-        assert AUTO_BATCH_THRESHOLD == NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
-
-    def test_neighborhood_auto_cutover_sits_at_config_constant(self, rng):
-        from repro.cluster.neighbor_graph import PrecomputedNeighborhood
-        from repro.cluster.neighborhood import (
-            BruteForceNeighborhood,
-            make_neighborhood_engine,
-        )
-        from repro.model.segment import Segment
-        from repro.model.segmentset import SegmentSet
-
-        def segment_set(n):
-            return SegmentSet.from_segments(
-                Segment(
-                    rng.uniform(0, 100, 2), rng.uniform(0, 100, 2),
-                    traj_id=i, seg_id=i,
-                )
-                for i in range(n)
-            )
-
-        at = NEIGHBORHOOD_AUTO_BATCH_SEGMENTS
-        assert isinstance(
-            make_neighborhood_engine(segment_set(at), 1.0),
-            PrecomputedNeighborhood,
-        )
-        assert isinstance(
-            make_neighborhood_engine(segment_set(at - 1), 1.0),
-            BruteForceNeighborhood,
-        )
