@@ -284,11 +284,6 @@ def main(argv=None):
              "point) as JSON for benchmarks/check_speedup_bars.py",
     )
     parser.add_argument(
-        "--kernel-backend", default="auto", choices=kernels.KERNEL_BACKENDS,
-        help="which compiled backend the kernel grid compares against "
-             "numpy (auto = every backend available on this host)",
-    )
-    parser.add_argument(
         "--kernel-json", dest="kernel_json", default=None, metavar="PATH",
         help="write the compiled MDL window-kernel speedup bars (one per "
              "backend; empty on hosts with no compiled backend) as JSON "
@@ -300,19 +295,7 @@ def main(argv=None):
              "(numpy path) as JSON for benchmarks/check_speedup_bars.py",
     )
     args = parser.parse_args(argv)
-    if args.kernel_backend == "auto":
-        backends = compiled_backends()
-    elif args.kernel_backend == "numpy":
-        backends = []
-    else:
-        backends = [
-            b for b in compiled_backends() if b == args.kernel_backend
-        ]
-        if not backends:
-            parser.error(
-                f"kernel backend {args.kernel_backend!r} is not available "
-                f"on this host (see `repro doctor`)"
-            )
+    backends = compiled_backends()
     if args.smoke:
         grid = [(1, 100), (10, 50), (100, 50), (250, 100)]
     else:

@@ -444,11 +444,6 @@ def main(argv=None):
         help="reduced scale, prints every comparison without asserting",
     )
     parser.add_argument(
-        "--kernel-backend", default="auto", choices=kernels.KERNEL_BACKENDS,
-        help="which compiled backend the pair-kernel grid compares "
-             "against numpy (auto = every backend available on this host)",
-    )
-    parser.add_argument(
         "--kernel-json", dest="kernel_json", default=None, metavar="PATH",
         help="write the compiled pair-kernel speedup bars (one per "
              "backend; empty on hosts with no compiled backend) as JSON "
@@ -456,19 +451,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     min_segments = 1500 if args.smoke else 5000
-    if args.kernel_backend == "auto":
-        backends = compiled_backends()
-    elif args.kernel_backend == "numpy":
-        backends = []
-    else:
-        backends = [
-            b for b in compiled_backends() if b == args.kernel_backend
-        ]
-        if not backends:
-            parser.error(
-                f"kernel backend {args.kernel_backend!r} is not available "
-                f"on this host (see `repro doctor`)"
-            )
+    backends = compiled_backends()
 
     rows = run_lemma1()
     print_table(

@@ -8,9 +8,10 @@ consequences the cache tests pin:
 * changing any result-affecting knob (a distance weight, the
   suppression constant, ``use_weights``, a grid value) changes the key,
   so a stale artifact can never be served;
-* knobs that are *proven* result-neutral (the kernel backend, whose
-  compiled kernels are parity-gated bitwise against numpy) are
-  deliberately **excluded**, so switching them keeps the cache warm.
+* nothing result-neutral enters a key.  The hot-kernel backend is not
+  a configuration field at all: the host picks it, and its compiled
+  kernels are parity-gated bitwise against numpy, so a numpy host and
+  a compiled host share one cache directory.
 
 Digests are hex strings; arrays contribute dtype, shape, and raw bytes
 (so ``float64`` values with different spellings but equal bits share a

@@ -68,7 +68,6 @@ from repro.cluster.neighbor_graph import NeighborGraph
 from repro.core.config import SweepConfig, TraclusConfig
 from repro.exceptions import TrajectoryError, WorkspaceError
 from repro.io.artifacts import pack_ragged, unpack_ragged
-from repro.kernels import use_backend
 from repro.model.cluster import Cluster, clusters_from_labels
 from repro.model.result import ClusteringResult
 from repro.model.segmentset import SegmentSet
@@ -332,10 +331,8 @@ class Workspace:
         meta)`` rebuilds the object; and only then a build.  A build
         resolves ``inputs()`` — the upstream artifacts, which count as
         their own builds or hits — before its clock starts, then runs
-        ``compute(*inputs)`` inside a ``build:<kind>`` span under the
-        configured kernel backend (result-neutral and excluded from
-        fingerprints).  That one ``elapsed`` feeds
-        :attr:`CacheStats.builds`/``build_seconds``,
+        ``compute(*inputs)`` inside a ``build:<kind>`` span.  That one
+        ``elapsed`` feeds :attr:`CacheStats.builds`/``build_seconds``,
         ``repro_builds_total``/``repro_build_seconds{stage}`` and the
         saved artifact's ``build_seconds`` meta.  ``encode(value)``
         gives the npz arrays and ``meta(value)`` the kind-specific meta
@@ -358,9 +355,7 @@ class Workspace:
                 upstream = inputs()
                 started = time.perf_counter()
                 try:
-                    with span(f"build:{kind}"), use_backend(
-                        self.config.kernel_backend
-                    ):
+                    with span(f"build:{kind}"):
                         value = compute(*upstream)
                 finally:
                     elapsed = time.perf_counter() - started

@@ -15,19 +15,15 @@ Nine subcommands, composable through CSV/JSON files:
 * ``serve``     — run the asyncio HTTP front-end: many corpora, one
   shared artifact store, CPU work sharded over a process pool;
 * ``doctor``    — report kernel-backend availability (compiled vs
-  numpy) and the numpy/BLAS thread environment.
+  numpy), the backend this host dispatches to, and the numpy/BLAS
+  thread environment.
 
-``cluster``, ``params``, ``sweep``, and ``serve`` accept
-``--kernel-backend`` (``auto``/``numpy``/``cext``) selecting the
-hot-kernel dispatch of :mod:`repro.kernels` — bitwise-neutral, so
-results and caches are unaffected.
-
-The same four accept ``--workspace DIR``: expensive artifacts (the
-phase-1 partition, the ε-neighborhood graph, labels, entropy counts)
-are then persisted as fingerprint-keyed npz files, so repeated
-invocations — estimate parameters first, cluster second, sweep a grid
-third — reuse each other's work instead of recomputing it.  Results
-are bitwise independent of the cache.
+``cluster``, ``params``, ``sweep``, and ``serve`` accept ``--workspace
+DIR``: expensive artifacts (the phase-1 partition, the ε-neighborhood
+graph, labels, entropy counts) are then persisted as fingerprint-keyed
+npz files, so repeated invocations — estimate parameters first,
+cluster second, sweep a grid third — reuse each other's work instead
+of recomputing it.  Results are bitwise independent of the cache.
 
 Every option shared by several subcommands is defined once, on an
 argparse parent parser; an option whose ``dest`` names a config field
@@ -39,9 +35,8 @@ value argparse rejects (a malformed grid spec, or ``--n``,
 1); 3 (:data:`EXIT_REPRO_ERROR`) when a
 :class:`~repro.exceptions.ReproError` escapes a subcommand — a
 malformed CSV row, a missing workspace directory, an unreachable
-``--url``, an unavailable ``--kernel-backend`` — reported as one
-``repro <command>: error: <message>`` line on stderr; 1 only for an
-unexpected traceback.
+``--url`` — reported as one ``repro <command>: error: <message>`` line
+on stderr; 1 only for an unexpected traceback.
 
 Examples
 --------
@@ -168,15 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use the undirected angle distance")
     distance.add_argument("--use-weights", action="store_true",
                           help="weighted eps-neighborhood cardinality")
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--kernel-backend", default="auto",
-                        choices=kernels.KERNEL_BACKENDS,
-                        help="hot-kernel dispatch (bitwise-neutral; "
-                             "auto = first available compiled backend)")
-    engine.add_argument("--workspace", default=None, metavar="DIR",
-                        help="persistent artifact cache: reuse/store the "
-                             "partition, eps-graph, counts, and labels as "
-                             "npz files under DIR (default: memory only)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--workspace", default=None, metavar="DIR",
+                       help="persistent artifact cache: reuse/store the "
+                            "partition, eps-graph, counts, and labels as "
+                            "npz files under DIR (default: memory only)")
     json_out = argparse.ArgumentParser(add_help=False)
     json_out.add_argument("--json", dest="json_out", default=None,
                           metavar="FILE",
@@ -187,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     ws_dir.add_argument("directory", help="the workspace DIR to read")
 
     cluster = sub.add_parser(
-        "cluster", parents=[csv_input, distance, engine, json_out],
+        "cluster", parents=[csv_input, distance, cache, json_out],
         help="run TRACLUS on a trajectory CSV",
     )
     cluster.set_defaults(handler=_cmd_cluster)
@@ -201,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the visual-inspection SVG here")
 
     params = sub.add_parser(
-        "params", parents=[csv_input, suppression, engine],
+        "params", parents=[csv_input, suppression, cache],
         help="estimate (eps, MinLns) with the entropy heuristic",
     )
     params.set_defaults(handler=_cmd_params)
@@ -210,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="upper end of the eps search grid (>= 1)")
 
     sweep = sub.add_parser(
-        "sweep", parents=[csv_input, distance, engine, json_out],
+        "sweep", parents=[csv_input, distance, cache, json_out],
         help="amortised (eps, MinLns) grid sweep: one phase-1 pass, one "
              "eps-graph, every grid point derived incrementally",
     )
@@ -390,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "http://127.0.0.1:PORT/v1/metrics")
 
     serve = sub.add_parser(
-        "serve", parents=[distance, engine],
+        "serve", parents=[distance, cache],
         help="serve many corpora over HTTP from one shared artifact "
              "store (async front-end, process-pool workers)",
     )
@@ -426,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor", parents=[json_out],
-        help="capability report: importable kernel backends, what "
-             "'auto' resolves to, numpy/BLAS thread settings",
+        help="capability report: usable kernel backends, the one "
+             "this host dispatches to, numpy/BLAS thread settings",
     )
     doctor.set_defaults(handler=_cmd_doctor)
 
@@ -1094,7 +1085,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry=not args.no_telemetry,
         max_pending=args.max_pending,
         access_log=args.access_log,
-        kernel_backend=args.kernel_backend,
     )
     try:
         asyncio.run(serve_forever(app, args.host, args.port))
@@ -1110,15 +1100,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     rendered for operators — is this host actually running compiled?"""
     report = kernels.capability_report()
     print("kernel backends:")
-    for name in kernels.KERNEL_BACKENDS:
-        if name == "auto":
-            continue
-        status = report["backends"].get(name, "unknown")
+    for name, status in report["backends"].items():
         mark = "+" if status.startswith("ok") else "-"
         print(f"  [{mark}] {name:<6} {status}")
-    print(f"default knob:     {report['default']} -> "
-          f"{report['default_resolves_to']}")
-    print(f"auto resolves to: {report['auto_resolves_to']}")
+    print(f"dispatches to:    {report['auto_resolves_to']}")
     print(f"max compiled dim: {report['max_compiled_dim']}")
     print(f"numpy:            {report['numpy_version']}")
     thread_env = ", ".join(
@@ -1153,12 +1138,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if hasattr(args, "kernel_backend"):
-            # An explicitly requested compiled backend the host cannot
-            # provide fails here, at the front door, instead of silently
-            # degrading mid-run.
-            kernels.resolve_backend(args.kernel_backend)
-            kernels.set_default_backend(args.kernel_backend)
         return args.handler(args)
     except ReproError as error:
         message = " ".join(str(error).splitlines())

@@ -134,7 +134,8 @@ def endpoint_pairs(
                 np.ascontiguousarray(count, dtype=np.int64),
                 n, r2,
             )
-    return _endpoint_pairs_numpy(points, owners, at, first, count, n, r2)
+    with kernels.maybe_time("endpoint_pairs", "numpy"):
+        return _endpoint_pairs_numpy(points, owners, at, first, count, n, r2)
 
 
 def _endpoint_pairs_numpy(

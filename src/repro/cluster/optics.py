@@ -95,7 +95,7 @@ class LineSegmentOPTICS:
     def __init__(
         self,
         eps: float,
-        min_lns: int,
+        min_lns: float,
         distance: Optional[SegmentDistance] = None,
     ):
         # Written so that NaN fails too.
@@ -103,8 +103,13 @@ class LineSegmentOPTICS:
             raise ClusteringError(f"eps must be non-negative, got {eps}")
         if not min_lns >= 1:
             raise ClusteringError(f"min_lns must be >= 1, got {min_lns}")
+        # +inf stays: no segment gets a core distance (DBSCAN's all-noise).
+        if not math.isinf(min_lns) and min_lns != int(min_lns):
+            raise ClusteringError(
+                f"min_lns must be a whole number or +inf, got {min_lns}"
+            )
         self.eps = float(eps)
-        self.min_lns = int(min_lns)
+        self.min_lns = min_lns if math.isinf(min_lns) else int(min_lns)
         self.distance = distance if distance is not None else SegmentDistance()
 
     def fit(

@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
-from repro.kernels import KERNEL_BACKENDS
 
 #: Executor names accepted by :class:`SweepConfig`: ``"serial"`` runs
 #: every grid column in-process; ``"process"`` shards MinLns columns
@@ -95,12 +94,6 @@ class TraclusConfig(_SegmentKnobs):
     compute_representatives:
         Disable to stop after the grouping phase (saves time in
         parameter sweeps that only need labels).
-    kernel_backend:
-        Hot-kernel dispatch (:mod:`repro.kernels`): ``"auto"`` (first
-        available compiled backend, numpy fallback), ``"numpy"``, or
-        ``"cext"``.  Bitwise-neutral by the backends'
-        parity contract, and therefore **excluded** from Workspace
-        artifact fingerprints — flipping it keeps every cache warm.
     """
 
     eps: Optional[float] = None
@@ -116,15 +109,9 @@ class TraclusConfig(_SegmentKnobs):
     eps_search_values: Optional[Sequence[float]] = None
     eps_search_method: str = "grid"
     compute_representatives: bool = True
-    kernel_backend: str = "auto"
 
     def __post_init__(self):
         self._validate_shared()
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ClusteringError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
         # Delegate weight validation to SegmentDistance.
         self.distance()
 

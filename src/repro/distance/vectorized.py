@@ -213,15 +213,16 @@ def component_distances_pairs(
             )
         return ComponentArrays(perp, par, ang)
 
-    return _pair_components(
-        segments.starts[left],
-        segments.ends[left],
-        left,
-        segments.starts[right],
-        segments.ends[right],
-        right,
-        directed=directed,
-    )
+    with kernels.maybe_time("pair_distance", "numpy"):
+        return _pair_components(
+            segments.starts[left],
+            segments.ends[left],
+            left,
+            segments.starts[right],
+            segments.ends[right],
+            right,
+            directed=directed,
+        )
 
 
 def _angle_component(

@@ -14,7 +14,7 @@ C loops replicate numpy's accumulation orders exactly —
 zero-initialised two-accumulator (einsum) or sequential (``np.sum``)
 orders, ``sqrt`` is IEEE-correctly-rounded in both worlds, and no
 ``log2`` is ever computed in C.  :func:`load_backend` still gates
-registration on the bitwise self-test, so a host where any of this
+the backend on the bitwise self-test, so a host where any of this
 fails degrades to numpy instead of poisoning caches.
 
 ctypes calls release the GIL for the duration of the C loop, which is
@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import KernelBackend, MAX_COMPILED_DIM
+from repro.kernels import MAX_COMPILED_DIM
 
 #: C sources of the four kernels.  Index arrays are int64,
 #: coordinates float64, all C-contiguous.  ``double buf[8]`` scratch is
@@ -446,11 +446,15 @@ def _as_c(array: np.ndarray) -> ctypes.c_void_p:
 _I64 = ctypes.c_int64
 
 
-class CExtBackend(KernelBackend):
-    """ctypes facade over the compiled library."""
+class CExtBackend:
+    """ctypes facade over the compiled library: one method per hot
+    path, each returning arrays bitwise identical to its numpy
+    reference — float64 per-element geometry, whose ``log2``/``reduceat``
+    work the callers finish in numpy, Figure 15's float64 per-position
+    crossing sums, and the int64 candidate keys of the neighbor-graph
+    join's endpoint test.  Its calls release the GIL."""
 
     name = "cext"
-    nogil = True  # ctypes foreign calls drop the GIL
 
     def __init__(self, lib: ctypes.CDLL, lib_path: str):
         self._lib = lib
@@ -471,6 +475,8 @@ class CExtBackend(KernelBackend):
         )
 
     def pair_components(self, starts, ends, left, right, directed):
+        """(perp, par, angle) for aligned stored-segment pairs —
+        bitwise equal to ``_pair_components`` on the gathered rows."""
         m = left.shape[0]
         d = starts.shape[1]
         perp = np.empty(m, dtype=np.float64)
@@ -485,6 +491,11 @@ class CExtBackend(KernelBackend):
         return perp, par, ang
 
     def lockstep_geometry(self, flat, seg_lens, enc_lens, first, counts):
+        """(hyp_len, perp_input, theta_input, enc_gathered) of the MDL
+        windows ``flat[first[w]] .. flat[first[w] + counts[w]]``, each
+        walked in place; the numpy tail
+        ``repro.partition.mdl._finish_window_costs`` turns them into
+        ``(lh, ldh, nopar)``."""
         n_windows = first.shape[0]
         n_flat = int(counts.sum())
         d = flat.shape[1]
@@ -502,6 +513,9 @@ class CExtBackend(KernelBackend):
         return hyp_len, perp_in, theta_in, enc_gath
 
     def crossing_sums(self, starts, ends, xs, first, last):
+        """``(k, d)`` sums of the segments' points interpolated at the
+        sweep positions they cross — bitwise equal to
+        :func:`repro.representative.sweep.crossing_sums` on numpy."""
         n, d = starts.shape
         sums = np.zeros((xs.shape[0], d), dtype=np.float64)
         self._lib.repro_crossing_sums(
@@ -511,6 +525,9 @@ class CExtBackend(KernelBackend):
         return sums
 
     def endpoint_pairs(self, points, owners, at, first, count, n, r2):
+        """Sorted unique int64 ``probing owner * n + owner`` keys of
+        the endpoint pairs within ``r2`` — equal to
+        :func:`repro.cluster.neighbor_graph.endpoint_pairs` on numpy."""
         keys = np.empty(int(count.sum()), dtype=np.int64)
         stamp = np.full(n, -1, dtype=np.int64)
         m = self._lib.repro_endpoint_pairs(
@@ -525,7 +542,7 @@ def load_backend() -> Tuple[Optional[CExtBackend], str]:
     """Build/load the library and bitwise-verify it against numpy.
 
     Returns ``(backend, status)`` — ``(None, reason)`` on any failure,
-    so the registry degrades to numpy with a ``repro doctor``-visible
+    so dispatch degrades to numpy with a ``repro doctor``-visible
     explanation instead of an exception."""
     if os.environ.get("REPRO_KERNEL_DISABLE_CEXT"):
         return None, "disabled via REPRO_KERNEL_DISABLE_CEXT"

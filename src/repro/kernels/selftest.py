@@ -1,6 +1,6 @@
-"""Bitwise parity gate for compiled kernel backends.
+"""Bitwise parity gate for the compiled kernel backend.
 
-A backend registers only if :func:`parity_check` passes: every output
+``cext`` is used only if :func:`parity_check` passes: every output
 of its four entry points must be **bit-for-bit identical** to the
 pure-numpy kernels on a deterministic probe corpus that covers the
 branchy cases — degenerate (zero-length) segments, equal-length ties
@@ -15,7 +15,7 @@ The references are the *undispatched* numpy implementations
 (``_pair_components`` / ``_window_mdl_costs_numpy``, on rows gathered
 by ``_rebuild_step_costs`` / ``_crossing_sums_numpy`` /
 ``_endpoint_pairs_numpy``), so the check can run from inside backend
-registration without re-entering dispatch.
+detection without re-entering dispatch.
 The MDL windows' geometry goes through the same numpy tail the
 dispatcher uses (``repro.partition.mdl._finish_window_costs``).
 """

@@ -28,7 +28,7 @@ and :meth:`LockstepLayout.window_costs` evaluates windows ``first[w]
 Bitwise contract: every path produces ``(lh, ldh, nopar)`` bit-for-bit
 equal to :func:`repro.partition.mdl._window_mdl_costs_numpy` on the
 gathered rows — asserted by the layout and Figure-8 reference suites
-and, for compiled backends, by the registration parity gate
+and, for the compiled backend, by its parity gate
 (:mod:`repro.kernels.selftest`).
 """
 
@@ -94,7 +94,8 @@ class LockstepLayout:
                     np.ascontiguousarray(counts),
                 )
             return _finish_window_costs(*geometry, offsets, counts)
-        return self._costs_numpy(first, counts, offsets)
+        with kernels.maybe_time("lockstep_geometry", "numpy"):
+            return self._costs_numpy(first, counts, offsets)
 
     def _costs_numpy(self, first, counts, offsets):
         """The numpy path: one fused ragged expansion, then the planar

@@ -181,7 +181,8 @@ def crossing_sums(
                 np.ascontiguousarray(first, dtype=np.int64),
                 np.ascontiguousarray(last, dtype=np.int64),
             )
-    return _crossing_sums_numpy(starts, ends, xs, first, last)
+    with kernels.maybe_time("crossing_sums", "numpy"):
+        return _crossing_sums_numpy(starts, ends, xs, first, last)
 
 
 def _crossing_sums_numpy(

@@ -135,20 +135,11 @@ class ServeApp:
         telemetry: bool = True,
         max_pending: Optional[int] = None,
         access_log: Optional[str] = None,
-        kernel_backend: str = "auto",
     ):
         if workers < 0:
             raise ServeError("workers must be >= 0")
         if max_pending is not None and max_pending < 1:
             raise ServeError("max_pending must be >= 1")
-        from repro import kernels
-
-        if kernel_backend not in kernels.KERNEL_BACKENDS:
-            raise ServeError(
-                f"unknown kernel backend {kernel_backend!r}; expected one "
-                f"of {kernels.KERNEL_BACKENDS}"
-            )
-        self.kernel_backend = kernel_backend
         self.specs = list(specs)
         self.cache_dir = cache_dir
         self.workers = workers
@@ -191,7 +182,7 @@ class ServeApp:
                 initializer=worker.initialize,
                 initargs=(
                     self.specs, cache_dir, max_workspaces, max_disk_bytes,
-                    self.telemetry, True, kernel_backend,
+                    self.telemetry, True,
                 ),
             )
             # Force the pool to fork NOW, before any client connection
@@ -208,7 +199,6 @@ class ServeApp:
             worker.initialize(
                 self.specs, cache_dir, max_workspaces, max_disk_bytes,
                 telemetry=self.telemetry, ship_metrics=False,
-                kernel_backend=kernel_backend,
             )
             self.metrics = worker.metrics_registry()
         self._m_in_flight = self.metrics.gauge(

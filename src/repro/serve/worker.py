@@ -54,23 +54,18 @@ def initialize(
     max_disk_bytes: Optional[int],
     telemetry: bool = False,
     ship_metrics: bool = False,
-    kernel_backend: str = "auto",
 ) -> None:
     """Build this process's registry (the pool initializer; the inline
     path calls it once in the server process).
 
-    *kernel_backend* installs the hot-kernel dispatch default for this
-    process (:mod:`repro.kernels`) and attaches the metrics registry so
-    ``repro_kernel_backend`` / ``repro_kernel_seconds`` appear on
-    ``/v1/metrics``.  An explicitly requested backend that this host
-    cannot provide degrades to numpy (visible on the gauge) rather than
-    killing the pool."""
+    Also attaches the metrics registry to :mod:`repro.kernels`, so
+    ``repro_kernel_backend`` (the backend this host dispatches to) and
+    ``repro_kernel_seconds`` appear on ``/v1/metrics``."""
     from repro import kernels
 
     global _REGISTRY, _METRICS, _SHIP_METRICS
     _METRICS = MetricsRegistry(enabled=telemetry)
     _SHIP_METRICS = bool(ship_metrics and telemetry)
-    kernels.set_default_backend(kernel_backend)
     kernels.set_metrics_registry(_METRICS if telemetry else None)
     _REGISTRY = WorkspaceRegistry(
         specs,

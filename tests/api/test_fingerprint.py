@@ -125,14 +125,6 @@ class TestWorkspaceKeyInvalidation:
         assert base["labels"] != weighted["labels"]
         assert base["labels"] != pinned["labels"]
 
-    def test_engine_knobs_keep_cache_warm(self, trajectories):
-        """The kernel backend is bitwise result-neutral (parity-gated),
-        so it must NOT invalidate."""
-        base = self._keys(trajectories, TraclusConfig())
-        for backend in ("numpy", "cext"):
-            config = TraclusConfig(kernel_backend=backend)
-            assert self._keys(trajectories, config) == base
-
     def test_grids_key_counts_and_labels(self, trajectories):
         ws = Workspace(trajectories, TraclusConfig())
         assert ws._counts_key(np.array([5.0])) != ws._counts_key(

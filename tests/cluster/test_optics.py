@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.dbscan import cluster_segments
 from repro.cluster.optics import LineSegmentOPTICS
 from repro.exceptions import ClusteringError
+from repro.model.cluster import NOISE
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 
@@ -34,6 +35,26 @@ class TestValidation:
     def test_min_lns_below_one_raises(self):
         with pytest.raises(ClusteringError):
             LineSegmentOPTICS(eps=1.0, min_lns=0)
+
+    @pytest.mark.parametrize("min_lns,valid", [
+        (math.inf, True), (2.5, False),
+    ])
+    def test_infinite_or_fractional_min_lns(self, min_lns, valid):
+        """+inf is DBSCAN's all-noise (no core distance, no finite
+        reachability); a fractional MinLns is refused, not truncated."""
+        store = two_bands()
+        if not valid:
+            with pytest.raises(ClusteringError, match="2.5"):
+                LineSegmentOPTICS(eps=3.0, min_lns=min_lns)
+            return
+        result = LineSegmentOPTICS(eps=3.0, min_lns=min_lns).fit(store)
+        assert np.isinf(result.core_distance).all()
+        assert np.isinf(result.reachability).all()
+        _, dbscan_labels = cluster_segments(
+            store, eps=3.0, min_lns=min_lns, cardinality_threshold=0
+        )
+        assert (dbscan_labels == NOISE).all()
+        assert (result.extract_dbscan(3.0, min_lns) == NOISE).all()
 
 
 class TestOrderingAndReachability:

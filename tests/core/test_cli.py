@@ -322,20 +322,11 @@ class TestExitStatusTable:
             ["serve", "{tmp}/missing.csv"],
             3, "serve", "missing.csv: no such file",
             id="serve-missing-file"),
-        pytest.param(
-            ["cluster", "{csv}", "--kernel-backend", "cext"],
-            3, "cluster", "kernel backend 'cext' is not available",
-            id="unavailable-kernel-backend"),
     ])
     def test_status_and_one_line(
-        self, tracks_csv, tmp_path, closed_url, monkeypatch, capsys,
+        self, tracks_csv, tmp_path, closed_url, capsys,
         argv, status, command, fragment,
     ):
-        # A host without the compiled backend.
-        monkeypatch.setattr(kernels, "_registry", {"numpy": None})
-        monkeypatch.setattr(kernels, "_status", {
-            "numpy": "ok (always available)", "cext": "unavailable (test)",
-        })
         (tmp_path / "ws").mkdir()
         (tmp_path / "broken" / "catalog.sqlite").mkdir(parents=True)
         names = {
@@ -379,7 +370,7 @@ def _stand_in(monkeypatch, module, name):
 
 
 SHARED = ["--suppression", "2.5", "--undirected", "--use-weights"]
-ENGINE = ["--kernel-backend", "numpy", "--workspace", "ws"]
+ENGINE = ["--workspace", "ws"]
 
 
 class TestConfigMapping:
@@ -387,18 +378,11 @@ class TestConfigMapping:
     flags and with every flag, a handler builds exactly the config the
     hand-written constructor calls built."""
 
-    @pytest.fixture(autouse=True)
-    def restore_default_backend(self):
-        previous = kernels.default_backend_name()
-        yield
-        kernels.set_default_backend(previous)
-
     @pytest.mark.parametrize("flags,config,workspace", [
         ([], TraclusConfig(), None),
         (["--eps", "7", "--min-lns", "8", "--gamma", "2", *SHARED, *ENGINE],
          TraclusConfig(eps=7.0, min_lns=8.0, directed=False,
-                       suppression=2.5, use_weights=True, gamma=2.0,
-                       kernel_backend="numpy"),
+                       suppression=2.5, use_weights=True, gamma=2.0),
          "ws"),
     ], ids=["defaults", "every-flag"])
     def test_cluster(
@@ -412,8 +396,7 @@ class TestConfigMapping:
     @pytest.mark.parametrize("flags,config,workspace", [
         ([], TraclusConfig(compute_representatives=False), None),
         (["--suppression", "2.5", *ENGINE],
-         TraclusConfig(suppression=2.5, compute_representatives=False,
-                       kernel_backend="numpy"),
+         TraclusConfig(suppression=2.5, compute_representatives=False),
          "ws"),
     ], ids=["defaults", "every-flag"])
     def test_params(
@@ -434,8 +417,7 @@ class TestConfigMapping:
           *ENGINE],
          TraclusConfig(directed=False, suppression=2.5, use_weights=True,
                        cardinality_threshold=3.0,
-                       compute_representatives=False,
-                       kernel_backend="numpy"),
+                       compute_representatives=False),
          SweepConfig(eps_values=[5.0, 6.0, 7.0], min_lns_values=[3.0, 4.0],
                      executor="process", n_workers=2)),
     ], ids=["defaults", "every-flag"])
@@ -463,17 +445,14 @@ class TestConfigMapping:
                   *flags])
         assert calls[0] == ((config,), {"metrics": None})
 
-    @pytest.mark.parametrize("flags,config,workspace,backend", [
-        ([], TraclusConfig(compute_representatives=False), None, "auto"),
+    @pytest.mark.parametrize("flags,config,workspace", [
+        ([], TraclusConfig(compute_representatives=False), None),
         ([*SHARED, *ENGINE, "--workers", "2"],
          TraclusConfig(directed=False, suppression=2.5, use_weights=True,
-                       compute_representatives=False,
-                       kernel_backend="numpy"),
-         "ws", "numpy"),
+                       compute_representatives=False),
+         "ws"),
     ], ids=["defaults", "every-flag"])
-    def test_serve(
-        self, tracks_csv, monkeypatch, flags, config, workspace, backend
-    ):
+    def test_serve(self, tracks_csv, monkeypatch, flags, config, workspace):
         seen = {}
 
         def serve_app(specs, **kwargs):
@@ -486,7 +465,37 @@ class TestConfigMapping:
             main(["serve", tracks_csv, *flags])
         assert seen["configs"] == [config]
         assert seen["cache_dir"] == workspace
-        assert seen["kernel_backend"] == backend
+
+
+class TestDoctorCommand:
+    """``repro doctor`` names the backend this host dispatches to."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_detection(self):
+        kernels._reset_for_tests()
+        yield
+        kernels._reset_for_tests()
+
+    @staticmethod
+    def report(capsys):
+        assert main(["doctor", "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        return out, json.loads(out[out.index("\n{") + 1:])
+
+    def test_names_the_host_backend(self, capsys):
+        out, report = self.report(capsys)
+        host = kernels.resolved_name()
+        assert report["auto_resolves_to"] == host
+        assert f"dispatches to:    {host}\n" in out
+        assert set(report["backends"]) == {"numpy", "cext"}
+
+    def test_names_numpy_when_cext_is_disabled(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_KERNEL_DISABLE_CEXT", "1")
+        kernels._reset_for_tests()
+        out, report = self.report(capsys)
+        assert report["auto_resolves_to"] == "numpy"
+        assert report["backends"]["cext"].startswith("disabled")
+        assert "dispatches to:    numpy\n" in out
 
 
 class TestGenerateCommand:

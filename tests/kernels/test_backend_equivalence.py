@@ -1,12 +1,13 @@
-"""Bitwise equivalence of the compiled kernel backends vs numpy.
+"""Bitwise equivalence of the compiled kernel backend vs numpy.
 
-``kernel_backend`` is a pure performance knob: every distance, MDL
-cost, characteristic point, and cluster label must be *bitwise*
-identical no matter which backend computed it.  These hypothesis suites
-pin that claim per available backend (absent backends skip, visibly),
-and a cache pin asserts the knob stays outside the artifact
-fingerprint — a warm cache written on numpy is served verbatim to a
-compiled run.
+The host picks the kernel backend, so the choice must not show: every
+distance, MDL cost, characteristic point, and cluster label must be
+*bitwise* identical no matter which backend computed it.  These
+hypothesis suites pin that claim for the compiled backend under
+:func:`repro.kernels.use_backend` (skipping, visibly, where the host
+lacks it), and cache pins assert the backend stays outside the
+artifact fingerprint — a warm cache written on numpy is served
+verbatim to a compiled run.
 """
 
 import numpy as np
@@ -274,11 +275,10 @@ def test_full_pipeline_labels_bitwise(backend, corridor_trajectories):
     full fit are identical across backends."""
     def fit(backend_name):
         config = TraclusConfig(
-            eps=6.0, min_lns=3,
-            compute_representatives=False,
-            kernel_backend=backend_name,
+            eps=6.0, min_lns=3, compute_representatives=False
         )
-        return TRACLUS(config).fit(corridor_trajectories)
+        with kernels.use_backend(backend_name):
+            return TRACLUS(config).fit(corridor_trajectories)
 
     expected = fit("numpy")
     actual = fit(backend)
@@ -291,27 +291,22 @@ def test_full_pipeline_labels_bitwise(backend, corridor_trajectories):
 def test_fingerprint_excludes_kernel_backend(
     backend, corridor_trajectories, tmp_path
 ):
-    """The knob is bitwise-neutral, so artifacts written under one
-    backend must be served verbatim to another: flipping the backend on
-    a warm cache performs zero builds."""
-    cold = Workspace(
-        corridor_trajectories,
-        TraclusConfig(
-            compute_representatives=False, kernel_backend="numpy"
-        ),
-        cache_dir=str(tmp_path),
-    )
-    cold_labels = cold.labels(6.0, 3.0)
+    """The backend is bitwise-neutral, so artifacts written under one
+    backend must be served verbatim to another: a numpy host and a
+    compiled host share a warm cache with zero builds."""
+    config = TraclusConfig(compute_representatives=False)
+    with kernels.use_backend("numpy"):
+        cold = Workspace(
+            corridor_trajectories, config, cache_dir=str(tmp_path)
+        )
+        cold_labels = cold.labels(6.0, 3.0)
     assert cold.stats.builds  # the cold run did build artifacts
 
-    warm = Workspace(
-        corridor_trajectories,
-        TraclusConfig(
-            compute_representatives=False, kernel_backend=backend
-        ),
-        cache_dir=str(tmp_path),
-    )
-    warm_labels = warm.labels(6.0, 3.0)
+    with kernels.use_backend(backend):
+        warm = Workspace(
+            corridor_trajectories, config, cache_dir=str(tmp_path)
+        )
+        warm_labels = warm.labels(6.0, 3.0)
     assert np.array_equal(cold_labels, warm_labels)
     assert warm.stats.builds == {}  # nothing recomputed on the flip
 
@@ -319,20 +314,14 @@ def test_fingerprint_excludes_kernel_backend(
 def test_fingerprint_neutrality_holds_even_without_compiled_backends(
     corridor_trajectories, tmp_path
 ):
-    """Same pin for the auto knob on any host (no compiled backend
-    required): numpy-written cache, auto-read, zero builds."""
-    cold = Workspace(
-        corridor_trajectories,
-        TraclusConfig(
-            compute_representatives=False, kernel_backend="numpy"
-        ),
-        cache_dir=str(tmp_path),
-    )
-    cold_labels = cold.labels(6.0, 3.0)
-    warm = Workspace(
-        corridor_trajectories,
-        TraclusConfig(compute_representatives=False, kernel_backend="auto"),
-        cache_dir=str(tmp_path),
-    )
+    """Same pin on any host (no compiled backend required): a cache
+    written on numpy, read with the host's choice, zero builds."""
+    config = TraclusConfig(compute_representatives=False)
+    with kernels.use_backend("numpy"):
+        cold = Workspace(
+            corridor_trajectories, config, cache_dir=str(tmp_path)
+        )
+        cold_labels = cold.labels(6.0, 3.0)
+    warm = Workspace(corridor_trajectories, config, cache_dir=str(tmp_path))
     assert np.array_equal(cold_labels, warm.labels(6.0, 3.0))
     assert warm.stats.builds == {}

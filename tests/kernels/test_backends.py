@@ -1,4 +1,4 @@
-"""Registry, dispatch, and degradation behaviour of :mod:`repro.kernels`.
+"""Detection, dispatch, and degradation behaviour of :mod:`repro.kernels`.
 
 These tests never assume a compiled backend exists: everything here
 must pass on a machine with no C compiler.  Bitwise
@@ -18,8 +18,8 @@ from repro.obs import MetricsRegistry
 
 @pytest.fixture(autouse=True)
 def _isolated_registry():
-    """Each test sees a freshly initialised registry and leaves the
-    process default at ``auto`` for its successors."""
+    """Each test sees a freshly detected backend and no override, and
+    leaves the same for its successors."""
     kernels._reset_for_tests()
     yield
     kernels._reset_for_tests()
@@ -54,7 +54,9 @@ def test_unknown_backend_name_fails_loudly():
     with pytest.raises(ClusteringError, match="unknown kernel backend"):
         kernels.resolve_backend("fortran")
     with pytest.raises(ClusteringError, match="unknown kernel backend"):
-        kernels.set_default_backend("fortran")
+        with kernels.use_backend("fortran"):
+            pass
+    assert kernels.active_backend() is kernels.resolve_backend("auto")
 
 
 @pytest.fixture
@@ -68,45 +70,52 @@ def cext_missing(monkeypatch):
 def test_explicit_missing_backend_fails_loudly(cext_missing):
     with pytest.raises(ClusteringError, match="cext"):
         kernels.resolve_backend("cext")
+    with pytest.raises(ClusteringError, match="cext"):
+        with kernels.use_backend("cext"):
+            pass
+    assert kernels.active_backend() is None
 
 
-def test_active_backend_swallows_missing_explicit_default(cext_missing):
-    """A worker process whose configured backend is absent must keep
-    serving on numpy (visible via doctor), not crash per-call."""
-    kernels.set_default_backend("cext")
-    assert kernels.active_backend() is None  # degraded to numpy
+def _seen_from_another_thread():
+    seen = []
+    thread = threading.Thread(
+        target=lambda: seen.append(kernels.active_backend())
+    )
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return seen[0]
 
 
 def test_use_backend_nests_and_restores():
-    kernels.set_default_backend("numpy")
-    assert kernels.active_backend() is None
-    with kernels.use_backend("auto"):
-        auto_active = kernels.active_backend()
-        with kernels.use_backend("numpy"):
-            assert kernels.active_backend() is None
-        assert kernels.active_backend() is auto_active
-    assert kernels.active_backend() is None
-
-
-def test_use_backend_none_is_a_no_op():
-    kernels.set_default_backend("numpy")
-    with kernels.use_backend(None):
+    """Overrides are process-wide: they nest, every thread sees the
+    innermost one, and each block restores the choice it found, also
+    when it ends in an error."""
+    host = kernels.resolve_backend("auto")
+    assert kernels.active_backend() is host
+    with kernels.use_backend("numpy"):
         assert kernels.active_backend() is None
-
-
-def test_default_backend_roundtrip():
-    kernels.set_default_backend("numpy")
-    assert kernels.default_backend_name() == "numpy"
-    kernels.set_default_backend("auto")
-    assert kernels.default_backend_name() == "auto"
+        assert _seen_from_another_thread() is None
+        with kernels.use_backend("auto"):
+            assert kernels.active_backend() is host
+            assert _seen_from_another_thread() is host
+        assert kernels.active_backend() is None
+    assert kernels.active_backend() is host
+    assert _seen_from_another_thread() is host
+    with pytest.raises(ValueError):
+        with kernels.use_backend("numpy"):
+            raise ValueError("inside")
+    assert kernels.active_backend() is host
 
 
 def test_capability_report_shape():
     report = kernels.capability_report()
+    assert set(report) == {
+        "backends", "auto_resolves_to", "max_compiled_dim",
+        "numpy_version", "thread_env", "cpu_count",
+    }
     assert set(report["backends"]) == {"numpy", "cext"}
-    assert report["default"] in kernels.KERNEL_BACKENDS
-    assert report["default_resolves_to"] in ("numpy", "cext")
-    assert report["auto_resolves_to"] in ("numpy", "cext")
+    assert report["auto_resolves_to"] == kernels.resolved_name("auto")
     assert report["max_compiled_dim"] == kernels.MAX_COMPILED_DIM
     assert report["numpy_version"] == np.__version__
     assert "REPRO_KERNEL_THREADS" in report["thread_env"]
@@ -134,9 +143,9 @@ def test_metrics_gauge_and_timer():
     registry = MetricsRegistry(enabled=True)
     kernels.set_metrics_registry(registry)
     try:
-        kernels.set_default_backend("numpy")
+        host = kernels.resolved_name()
         text = render_prometheus(registry.snapshot())
-        assert 'repro_kernel_backend{backend="numpy"} 1' in text
+        assert f'repro_kernel_backend{{backend="{host}"}} 1' in text
         with kernels.maybe_time("pair_distance", "numpy"):
             pass
         text = render_prometheus(registry.snapshot())
@@ -144,6 +153,33 @@ def test_metrics_gauge_and_timer():
         assert 'kernel="pair_distance"' in text
     finally:
         kernels.set_metrics_registry(None)
+
+
+def test_numpy_kernel_calls_are_timed(corridor_trajectories):
+    """The histogram covers every backend: on numpy, a fit records all
+    four kernels under ``backend="numpy"``."""
+    from repro import TRACLUS, TraclusConfig
+    from repro.obs.metrics import render_prometheus
+
+    registry = MetricsRegistry(enabled=True)
+    kernels.set_metrics_registry(registry)
+    try:
+        with kernels.use_backend("numpy"):
+            TRACLUS(TraclusConfig(eps=6.0, min_lns=3)).fit(
+                corridor_trajectories
+            )
+        text = render_prometheus(registry.snapshot())
+    finally:
+        kernels.set_metrics_registry(None)
+    for kernel in (
+        "pair_distance", "endpoint_pairs", "lockstep_geometry",
+        "crossing_sums",
+    ):
+        assert (
+            f'repro_kernel_seconds_count{{backend="numpy",kernel="{kernel}"}}'
+            in text
+        ), kernel
+    assert 'repro_kernel_seconds_count{backend="cext"' not in text
 
 
 def test_maybe_time_without_registry_is_noop():
@@ -188,6 +224,18 @@ class TestMapPairBlocks:
             assert where == [caller] * 6
         else:
             assert caller not in where
+
+    def test_workers_see_the_override(self, pair_backend, monkeypatch):
+        """Every block, on whichever thread runs it, dispatches to the
+        backend the caller installed."""
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+        with kernels.use_backend(pair_backend):
+            seen = list(kernels.map_pair_blocks(
+                self.blocks(6), lambda a, b: kernels.active_backend()
+            ))
+        expected = kernels.resolve_backend(pair_backend)
+        assert all(backend is expected for backend in seen)
+        assert len(seen) == 6
 
     def test_worker_errors_reach_the_caller(self, pair_backend, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
