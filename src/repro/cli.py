@@ -1113,8 +1113,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"thread env:       {thread_env}")
     print(f"cpu count:        {report['cpu_count']}")
     if report["auto_resolves_to"] == "numpy":
-        print("note: no compiled backend available — hot kernels run "
-              "on the numpy fallback (install a C compiler for cext)")
+        print("note: hot kernels run on the numpy fallback — cext "
+              f"{report['backends']['cext']}")
     if args.json_out:
         _write_json(args.json_out, report)
     return 0

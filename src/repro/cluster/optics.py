@@ -49,24 +49,23 @@ class OpticsResult(NamedTuple):
         """The reachability plot: reachability along the ordering."""
         return self.reachability[self.ordering]
 
-    def extract_hierarchy(
-        self, eps_levels: "Sequence[float]", min_lns: int
-    ) -> np.ndarray:
+    def extract_hierarchy(self, eps_levels: "Sequence[float]") -> np.ndarray:
         """Flat labellings at several ``eps' <= eps`` thresholds at once.
 
         One OPTICS run replaces a whole family of DBSCAN runs — the
         "parameter insensitivity" motivation of Section 7.1 item 2.
         Returns an ``(n_levels, n_segments)`` int array (row k is
-        ``extract_dbscan(eps_levels[k], min_lns)``); coarser levels
-        merge or absorb the clusters of finer ones.
+        ``extract_dbscan(eps_levels[k])``); coarser levels merge or
+        absorb the clusters of finer ones.  The density threshold of
+        every level is the fit's MinLns (see :meth:`extract_dbscan`).
         """
-        return np.vstack(
-            [self.extract_dbscan(float(e), min_lns) for e in eps_levels]
-        )
+        return np.vstack([self.extract_dbscan(float(e)) for e in eps_levels])
 
-    def extract_dbscan(self, eps_prime: float, min_lns: int) -> np.ndarray:
+    def extract_dbscan(self, eps_prime: float) -> np.ndarray:
         """Extract a DBSCAN-like flat labelling at ``eps_prime <= eps``
         from the ordering (Ankerst et al., Section 4.2 ExtractDBSCAN).
+        The density threshold is the fit's MinLns, already in
+        ``core_distance``, so extraction takes no MinLns of its own.
         Returns int labels (>= 0 cluster id, -1 noise)."""
         labels = np.full(self.ordering.size, NOISE, dtype=np.int64)
         cluster_id = -1

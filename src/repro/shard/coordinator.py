@@ -65,7 +65,6 @@ class ShardedStream:
         n_shards: int,
         processes: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        telemetry_every: int = 64,
         _restore_dir: Optional[str] = None,
         _restore_manifest: Optional[dict] = None,
     ):
@@ -118,7 +117,6 @@ class ShardedStream:
                         _config_dict(config),
                         child_conn,
                         shard_paths[k],
-                        telemetry_every,
                     ),
                     daemon=True,
                 )
@@ -340,7 +338,6 @@ class ShardedStream:
         directory: str,
         processes: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        telemetry_every: int = 64,
     ) -> "ShardedStream":
         """Resume a sharded session from :meth:`checkpoint` output; the
         resumed session continues label-identically in either mode."""
@@ -358,7 +355,6 @@ class ShardedStream:
             int(manifest["n_shards"]),
             processes=processes,
             metrics=metrics,
-            telemetry_every=telemetry_every,
             _restore_dir=directory,
             _restore_manifest=manifest,
         )

@@ -11,10 +11,10 @@ smaller local slot), distances included, so the merger never
 re-evaluates a same-shard pair.
 
 :func:`shard_worker_main` is the process entry point: a loop over a
-duplex pipe carrying raw tagged byte frames (append / checkpoint /
-telemetry / stop in, diffs and acks out — no pickling on the hot
-path).  It is a module-level function so the multiprocessing spawn
-method can import it.
+duplex pipe carrying raw tagged byte frames (append / checkpoint / stop
+in, diffs and acks out — no pickling on the hot path).  It is a
+module-level function so the multiprocessing spawn method can import
+it.
 """
 
 from __future__ import annotations
@@ -109,12 +109,14 @@ class ShardWorker:
 #: ``send_bytes`` frames -- no pickling on the hot path).
 TAG_APPEND = b"A"
 TAG_CHECKPOINT = b"C"
-TAG_TELEMETRY = b"T"
 TAG_STOP = b"S"
 TAG_DIFF = b"D"
 TAG_CHECKPOINTED = b"K"
-TAG_SNAPSHOT = b"M"
 TAG_STOPPED = b"Z"
+
+#: A worker process attaches its metrics snapshot to every this-many-th
+#: diff, so the coordinator's fleet view stays fresh between stops.
+TELEMETRY_EVERY = 64
 
 
 def shard_worker_main(
@@ -122,7 +124,6 @@ def shard_worker_main(
     config_dict: dict,
     conn,
     checkpoint_path: Optional[str] = None,
-    telemetry_every: int = 64,
 ) -> None:
     """Worker process entry point.
 
@@ -131,7 +132,6 @@ def shard_worker_main(
 
         A + task_bytes       -> D + diff_bytes
         C + utf-8 path       -> K + utf-8 path (after checkpointing)
-        T                    -> M + JSON metrics snapshot
         S                    -> Z + JSON metrics snapshot; exit
 
     When *checkpoint_path* is given the session resumes from that
@@ -146,12 +146,12 @@ def shard_worker_main(
 
         worker = ShardWorker(
             shard, config, metrics=metrics,
-            telemetry_every=telemetry_every,
+            telemetry_every=TELEMETRY_EVERY,
             pipeline=load_checkpoint(checkpoint_path, metrics=metrics),
         )
     else:
         worker = ShardWorker(
-            shard, config, metrics=metrics, telemetry_every=telemetry_every
+            shard, config, metrics=metrics, telemetry_every=TELEMETRY_EVERY
         )
     while True:
         message = conn.recv_bytes()
@@ -164,11 +164,6 @@ def shard_worker_main(
             path = message[1:].decode("utf-8")
             save_checkpoint(worker.pipeline, path)
             conn.send_bytes(TAG_CHECKPOINTED + path.encode("utf-8"))
-        elif kind == TAG_TELEMETRY:
-            conn.send_bytes(
-                TAG_SNAPSHOT
-                + json.dumps(metrics.snapshot()).encode("utf-8")
-            )
         elif kind == TAG_STOP:
             conn.send_bytes(
                 TAG_STOPPED

@@ -5,9 +5,11 @@ trajectory's points and resumable Figure 8 scan state, the segment
 store (dead slots included — slot ids are identities), and the ε-graph
 *edges with their distances*, so a restore re-evaluates no distance at
 all.  Label state (cardinalities, cores, components) is derived, not
-stored: :meth:`OnlineDBSCAN.rebuild_from_graph` reconstructs it in one
-O(V + E) pass, guaranteeing a restored session answers :meth:`labels`
-identically and continues identically under further appends.
+stored: :meth:`OnlineDBSCAN.rebuild_from_graph` recomputes every
+cardinality and promotes the cores in ascending slot order through the
+same promotion an insert runs, guaranteeing a restored session answers
+:meth:`labels` identically and continues identically under further
+appends.
 
 The v2 format additionally records the stable cluster tokens (one
 ``(token, anchor core member)`` pair per component plus the mint

@@ -22,19 +22,20 @@ The batch algorithm's output is a *deterministic function of the
 * Step 3 removes clusters below the trajectory-cardinality threshold
   and the survivors are renumbered densely in formation order.
 
-The state those rules need — core flags, core-neighbor sets, core
-components with formation order, and the border/Step-3 derivation — is
-:class:`~repro.cluster.labeling.CoreGraphLabeler` (the sweep engine of
-:mod:`repro.sweep.engine` walks the ε axis with an array forest of its
-own and shares only the Step-3 filter).  :class:`OnlineDBSCAN` maintains,
-per update: exact cardinalities, core promotion/demotion, merges via
-union-by-size and splits by reclustering bounded to the affected
-component.  :meth:`labels` evaluates the rules above — and because slot
-order equals compacted positional order, the result is *identical* (not
-just equivalent up to relabeling) to ``LineSegmentDBSCAN.fit`` on the
-surviving segments.  Representative trajectories (Figure 15) are
-refreshed lazily: clusters whose membership is unchanged reuse the
-cached sweep result.
+:class:`OnlineDBSCAN` owns the state those rules need — exact
+cardinalities, core flags, the core ε-neighbors of every live slot, and
+the core components with their formation keys — and maintains it per
+update: one re-test of the core flag of every slot whose cardinality
+changed (demotions with their repair first, then promotions), merges
+via union-by-size and splits by reclustering bounded to the affected
+component.  :meth:`labels` evaluates the rules above through
+:func:`~repro.cluster.labeling.figure12_labels`, the full-array
+derivation the sweep engine of :mod:`repro.sweep.engine` also runs — and
+because slot order equals compacted positional order, the result is
+*identical* (not just equivalent up to relabeling) to
+``LineSegmentDBSCAN.fit`` on the surviving segments.  Representative
+trajectories (Figure 15) are refreshed lazily: clusters whose
+membership is unchanged reuse the cached sweep result.
 
 Incremental diffs
 -----------------
@@ -46,7 +47,8 @@ Each update records the slots whose assignment **could** have changed —
 the inserted/evicted slot, promotions and demotions with their graph
 neighborhoods, members moved by a union or split, and the *watchers*
 (borders adjacent to a component) of any component whose identity or
-formation key moved — by draining the labeler's event journal.
+formation key moved — where each component event (new, union, keep,
+split, drop) happens.
 :meth:`flush_diff` re-derives exactly those slots, updates per-cluster
 distinct-trajectory counts for the Step-3 visibility flips, and emits a
 :class:`~repro.stream.view.LabelDiff` whose cost is O(touched), not
@@ -60,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.cluster.labeling import CoreGraphLabeler, apply_cardinality_filter
+from repro.cluster.labeling import figure12_labels
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
 from repro.model.cluster import NOISE, Cluster
@@ -83,6 +85,18 @@ class OnlineDBSCAN:
     the shard merger feeds one whose edges partly arrive over the
     wire); it must carry the same eps and distance.
     """
+
+    # flush_diff and the repair loop read these on every touched slot;
+    # a slot read stays fast however many attributes the class holds.
+    __slots__ = (
+        "eps", "min_lns", "distance", "cardinality_threshold",
+        "use_weights", "graph", "_card", "_core", "_core_neighbors",
+        "_comp_of", "_comp_members", "_comp_min", "_next_comp",
+        "_rep_cache", "_assign", "_members", "_traj_counts", "_visible",
+        "_watchers", "_watching", "_touched", "_added", "_removed",
+        "_touched_tokens", "_fresh", "_retired", "_merges", "_splits",
+        "_redirect", "view_version", "last_flush_touched",
+    )
 
     def __init__(
         self,
@@ -123,7 +137,18 @@ class OnlineDBSCAN:
         # |N_eps| including self: int count, or the batch-identical
         # weighted sum (recomputed on touch; see _cardinality).
         self._card: Dict[int, float] = {}
-        self._labeler = CoreGraphLabeler()
+        self._core: Set[int] = set()
+        # Core ε-neighbors of every live slot (cores adjacent to a core
+        # are, by the component invariant, always in the same component).
+        self._core_neighbors: Dict[int, Set[int]] = {}
+        # Core components: opaque token per core.  Tokens come from a
+        # monotone counter, never from slots — a demoted slot can be
+        # promoted again later, and a token it minted earlier may still
+        # name a surviving component.  _comp_min is the formation key.
+        self._comp_of: Dict[int, int] = {}
+        self._comp_members: Dict[int, Set[int]] = {}
+        self._comp_min: Dict[int, int] = {}
+        self._next_comp = 0
         self._rep_cache: Dict[bytes, np.ndarray] = {}
         # -- stable-label view (module docstring, "Incremental diffs") --
         # Last flushed assignment: slot -> component token or NOISE.
@@ -181,7 +206,7 @@ class OnlineDBSCAN:
         return self._card[slot]
 
     def is_core(self, slot: int) -> bool:
-        return self._labeler.is_core(slot)
+        return slot in self._core
 
     # -- updates -----------------------------------------------------------
     def insert(
@@ -212,10 +237,11 @@ class OnlineDBSCAN:
         set (mates with a smaller slot id) is what one-at-a-time
         insertion would have seen, slots are registered in ascending
         order, and :meth:`_register` masks weighted sums to that same
-        prefix.  Tracking all slots up front is safe because a
-        promotion during an earlier slot's registration pushes itself
-        into later slots' core-neighbor sets via the adjacency
-        callback — the same end state one-at-a-time ``track`` reaches.
+        prefix.  Giving all slots their core-neighbor sets up front is
+        safe because a promotion (or demotion) during an earlier slot's
+        registration adds itself to (or drops itself from) later slots'
+        sets through the graph adjacency — the same end state
+        one-at-a-time insertion reaches.
         """
         inserted = self.graph.insert_batch(
             starts, ends, traj_ids, weights, stamps
@@ -234,14 +260,16 @@ class OnlineDBSCAN:
         :meth:`DynamicNeighborGraph.insert_batch` returns; the
         resulting state matches :meth:`insert_batch` over the same
         segments."""
-        labeler = self._labeler
+        core = self._core
         for slot, mates in inserted:
-            labeler.track(slot, (int(v) for v in mates))
+            self._core_neighbors[slot] = {
+                int(v) for v in mates if int(v) in core
+            }
         for slot, mates in inserted:
             self._register(slot, mates)
 
     def _register(self, slot: int, mates: np.ndarray) -> None:
-        """Cardinality, promotion, and diff bookkeeping for a newly
+        """Cardinality, core re-test, and diff bookkeeping for a newly
         inserted slot whose insertion-time neighbors are *mates*
         (ascending).  In batch mode later batch slots are already in
         the graph, so weighted sums mask neighbor rows to ids <= slot —
@@ -256,63 +284,209 @@ class OnlineDBSCAN:
             self._card[slot] = float(len(mates) + 1)
             for v in mates:
                 self._card[v] += 1.0
-        labeler = self._labeler
-        promoted = [
-            u
-            for u in (slot, *mates)
-            if not labeler.is_core(u) and self._card[u] >= self.min_lns
-        ]
         self._added.add(slot)
         self._touched.add(slot)
-        if promoted:
-            labeler.promote(promoted, self.graph.adjacent)
-            touched = self._touched
-            for u in promoted:
-                touched.add(u)
-                touched.update(int(w) for w in self.graph.adjacent(u))
-        self._drain_journal()
+        self._retest((slot, *mates), {})
 
     def evict(self, slot: int) -> None:
         """Remove one live segment (graph, cardinalities, labels)."""
-        labeler = self._labeler
         # The transition the consumer saw last: None if the slot was
         # never flushed (inserted and evicted within one update).
         if slot in self._added:
             old_visible: Optional[int] = None
         else:
             old_visible = self._visible_label(slot)
-        was_core = labeler.is_core(slot)
-        core_degree = len(labeler.core_neighbors.get(slot, ()))
-        neighbors = self.graph.evict(slot)
+        core_degree = len(self._core_neighbors.get(slot, ()))
+        neighbors = [int(v) for v in self.graph.evict(slot)]
+        # Settled first: the slot then sits in no watch set that the
+        # component events below release.
+        self._settle_retraction(slot, old_visible)
         del self._card[slot]
-        labeler.untrack(slot)
+        del self._core_neighbors[slot]
         if self.use_weights:
             for v in neighbors:
-                self._card[int(v)] = self._cardinality(int(v))
+                self._card[v] = self._cardinality(v)
         else:
             for v in neighbors:
-                self._card[int(v)] -= 1.0
+                self._card[v] -= 1.0
+        removals: Dict[int, List[Tuple[int, int]]] = {}
+        if slot in self._core:
+            self._demote(slot, neighbors, removals, core_degree)
+            self._touched.update(neighbors)
+        self._retest(neighbors, removals)
+
+    # -- core set and components -------------------------------------------
+    def _retest(
+        self,
+        slots: Sequence[int],
+        removals: Dict[int, List[Tuple[int, int]]],
+    ) -> None:
+        """Re-test the core flag of *slots*, whose cardinalities changed,
+        in both directions: demote the cores below MinLns and repair
+        their components together with the *removals* the caller already
+        recorded, then promote the non-cores that reach it.
+
+        A count only grows on insert and only shrinks on evict, but a
+        weighted ``np.sum`` sums 8 or more terms pairwise, so it can
+        round down when its row grows and up when it shrinks."""
+        core = self._core
+        card = self._card
+        min_lns = self.min_lns
         touched = self._touched
-        removals_by_root: Dict[int, List[Tuple[int, int]]] = {}
-        if was_core:
-            labeler.demote(
-                slot,
-                (int(v) for v in neighbors),
-                removals_by_root,
-                degree=core_degree,
-            )
-            touched.update(int(v) for v in neighbors)
-        for v in neighbors:
-            v = int(v)
-            if labeler.is_core(v) and self._card[v] < self.min_lns:
-                adjacent_v = [int(w) for w in self.graph.adjacent(v)]
-                labeler.demote(v, adjacent_v, removals_by_root)
+        adjacent = self.graph.adjacent
+        for v in slots:
+            if v in core and card[v] < min_lns:
+                adjacent_v = [int(w) for w in adjacent(v)]
+                self._demote(
+                    v, adjacent_v, removals, len(self._core_neighbors[v])
+                )
                 touched.add(v)
                 touched.update(adjacent_v)
-        if removals_by_root:
-            labeler.repair(removals_by_root)
-        self._settle_retraction(slot, old_visible)
-        self._drain_journal()
+        if removals:
+            self._repair(removals)
+        promoted = [v for v in slots if v not in core and card[v] >= min_lns]
+        if promoted:
+            self._promote(promoted)
+            for u in promoted:
+                touched.add(u)
+                touched.update(int(w) for w in adjacent(u))
+
+    def _promote(self, slots: Sequence[int]) -> None:
+        """Make *slots* core: flags and singleton components first, then
+        unions — order-independent even when two promotions are
+        adjacent.  Union order is canonical (ascending neighbor slot),
+        so which token survives a merge chain is a function of the state
+        alone, not of set iteration history — stable cluster ids stay
+        reproducible across checkpoint restores."""
+        core_neighbors = self._core_neighbors
+        for u in slots:
+            self._core.add(u)
+            self._new_component({u})
+            for w in self.graph.adjacent(u):
+                core_neighbors[int(w)].add(u)
+        for u in slots:
+            for w in sorted(core_neighbors[u]):
+                self._union(u, w)
+
+    def _demote(
+        self,
+        slot: int,
+        adjacent: Sequence[int],
+        removals: Dict[int, List[Tuple[int, int]]],
+        degree: int,
+    ) -> None:
+        """Remove *slot* from the core set and its component, recording
+        ``(slot, degree)`` under the component for :meth:`_repair`;
+        *degree* is its core degree at removal time."""
+        self._core.discard(slot)
+        for w in adjacent:
+            self._core_neighbors[w].discard(slot)
+        root = self._comp_of.pop(slot)
+        self._comp_members[root].discard(slot)
+        removals.setdefault(root, []).append((slot, degree))
+
+    def _repair(self, removals: Dict[int, List[Tuple[int, int]]]) -> None:
+        """Re-establish connectivity of each component that lost cores.
+        A lone removal of core degree <= 1 cannot disconnect the rest,
+        so the component keeps its token; any other removal reclusters
+        the component from its members in ascending seed order, which
+        keeps the token when nothing split and mints the parts' tokens
+        in canonical order when something did."""
+        for root, removed in removals.items():
+            members = self._comp_members[root]
+            if not members:
+                del self._comp_members[root]
+                del self._comp_min[root]
+                self._release_watchers(root)
+                self._retire(root)
+                continue
+            if len(removed) == 1 and removed[0][1] <= 1:
+                self._touched_tokens.add(root)
+                if removed[0][0] == self._comp_min[root]:
+                    self._set_min(root, min(members))
+                continue
+            remaining = set(members)
+            parts: List[Set[int]] = []
+            for seed in sorted(members):
+                if seed not in remaining:
+                    continue
+                remaining.discard(seed)
+                part = {seed}
+                stack = [seed]
+                while stack:
+                    u = stack.pop()
+                    for w in self._core_neighbors[u]:
+                        if w in remaining:
+                            remaining.discard(w)
+                            part.add(w)
+                            stack.append(w)
+                parts.append(part)
+            if len(parts) == 1:
+                # No split after all: the component keeps its token, so
+                # the cluster's stable identity survives the demotion.
+                self._touched_tokens.add(root)
+                minimum = min(members)
+                if minimum != self._comp_min[root]:
+                    self._set_min(root, minimum)
+                continue
+            del self._comp_members[root]
+            del self._comp_min[root]
+            minted = tuple(self._new_component(part) for part in parts)
+            for part in parts:
+                self._touched.update(part)
+            self._release_watchers(root)
+            if self._retire(root):
+                self._splits.append((root, minted))
+
+    def _new_component(self, members: Set[int]) -> int:
+        """Mint a token for the cores *members*; the consumer first
+        sees it at the next flush."""
+        token = self._next_comp
+        self._next_comp += 1
+        for member in members:
+            self._comp_of[member] = token
+        self._comp_members[token] = members
+        self._comp_min[token] = min(members)
+        self._fresh.add(token)
+        self._touched_tokens.add(token)
+        return token
+
+    def _union(self, a: int, b: int) -> None:
+        """Merge the components of cores *a* and *b* (union by size):
+        the absorbed token retires into the survivor, and the cores it
+        held and the borders watching it re-derive."""
+        survivor, absorbed = self._comp_of[a], self._comp_of[b]
+        if survivor == absorbed:
+            return
+        if len(self._comp_members[survivor]) < len(self._comp_members[absorbed]):
+            survivor, absorbed = absorbed, survivor
+        moved = self._comp_members.pop(absorbed)
+        for member in moved:
+            self._comp_of[member] = survivor
+        self._comp_members[survivor].update(moved)
+        self._touched.update(moved)
+        self._touched_tokens.add(survivor)
+        self._release_watchers(absorbed)
+        absorbed_min = self._comp_min.pop(absorbed)
+        if absorbed_min < self._comp_min[survivor]:
+            self._set_min(survivor, absorbed_min)
+        if self._retire(absorbed):
+            self._merges.append((absorbed, survivor))
+        self._redirect[absorbed] = survivor
+
+    def _set_min(self, token: int, minimum: int) -> None:
+        """Move the formation key of *token*: every border watching it
+        may change its claim."""
+        self._comp_min[token] = minimum
+        watchers = self._watchers.get(token)
+        if watchers:
+            self._touched.update(watchers)
+
+    def _release_watchers(self, token: int) -> None:
+        """*token* is gone: the borders watching it re-derive."""
+        watchers = self._watchers.pop(token, None)
+        if watchers:
+            self._touched.update(watchers)
 
     # -- stable-label view maintenance -------------------------------------
     def _visible_label(self, slot: int) -> int:
@@ -393,72 +567,21 @@ class OnlineDBSCAN:
         self._touched_tokens.add(token)
         return not internal
 
-    def _drain_journal(self) -> None:
-        """Translate the labeler's component events into the touched
-        sets the next :meth:`flush_diff` re-derives."""
-        journal = self._labeler.journal
-        if not journal:
-            return
-        touched = self._touched
-        watchers = self._watchers
-        for event in journal:
-            kind = event[0]
-            if kind == "new":
-                self._fresh.add(event[1])
-                self._touched_tokens.add(event[1])
-            elif kind == "union":
-                _, absorbed, survivor, moved, min_changed = event
-                touched.update(moved)
-                self._touched_tokens.add(survivor)
-                moved_watchers = watchers.pop(absorbed, None)
-                if moved_watchers:
-                    touched.update(moved_watchers)
-                if min_changed:
-                    current = watchers.get(survivor)
-                    if current:
-                        touched.update(current)
-                if self._retire(absorbed):
-                    self._merges.append((absorbed, survivor))
-                self._redirect[absorbed] = survivor
-            elif kind == "keep":
-                _, token, min_changed = event
-                self._touched_tokens.add(token)
-                if min_changed:
-                    current = watchers.get(token)
-                    if current:
-                        touched.update(current)
-            elif kind == "split":
-                _, root, parts = event
-                for part in parts:
-                    touched.update(self._labeler.component_members(part))
-                root_watchers = watchers.pop(root, None)
-                if root_watchers:
-                    touched.update(root_watchers)
-                if self._retire(root):
-                    self._splits.append((root, parts))
-            else:  # "drop"
-                token = event[1]
-                root_watchers = watchers.pop(token, None)
-                if root_watchers:
-                    touched.update(root_watchers)
-                self._retire(token)
-        journal.clear()
-
     def _derive(self, slot: int) -> int:
-        """Current stable assignment of one slot (the Figure 12 rules
-        of :meth:`CoreGraphLabeler.labels_for`, expressed in component
-        tokens: formation *rank* order equals formation *key* order),
-        refreshing the border watch index as a side effect."""
-        labeler = self._labeler
-        if labeler.is_core(slot):
+        """Current stable assignment of one slot: the Figure 12 rules of
+        :func:`~repro.cluster.labeling.figure12_labels` for this slot
+        alone, expressed in component tokens (formation *rank* order
+        equals formation *key* order), refreshing the border watch
+        index as a side effect."""
+        if slot in self._core:
             self._unwatch(slot)
-            return labeler.component_of(slot)
-        adjacent_cores = labeler.core_neighbors.get(slot)
+            return self._comp_of[slot]
+        adjacent_cores = self._core_neighbors.get(slot)
         if not adjacent_cores:
             self._unwatch(slot)
             return NOISE
-        comp_of = labeler._comp_of
-        comp_min = labeler._comp_min
+        comp_of = self._comp_of
+        comp_min = self._comp_min
         roots: Set[int] = set()
         first_claim = NOISE
         first_min: Optional[int] = None
@@ -482,7 +605,6 @@ class OnlineDBSCAN:
         flips, and return the stable-label diff since the last flush.
         Cost is O(touched + flipped-cluster members), independent of
         the number of live slots."""
-        labeler = self._labeler
         card = self._card
         visible = self._visible
         self.last_flush_touched = len(self._touched) + len(self._removed)
@@ -514,7 +636,7 @@ class OnlineDBSCAN:
         hidden: List[int] = []
         threshold = self.cardinality_threshold
         for token in sorted(self._touched_tokens):
-            if token not in labeler._comp_members:
+            if token not in self._comp_members:
                 # Retired: conveyed by merges/splits/retired, the
                 # members' own transitions, not a visibility flip.
                 visible.discard(token)
@@ -545,7 +667,7 @@ class OnlineDBSCAN:
             changed[slot] = (old, None)
         # 5) formation keys for the touched visible clusters.
         minima = {
-            token: labeler._comp_min[token]
+            token: self._comp_min[token]
             for token in self._touched_tokens
             if token in visible
         }
@@ -599,13 +721,33 @@ class OnlineDBSCAN:
         filter, -1 noise) — exactly what ``LineSegmentDBSCAN.fit`` on
         the compacted survivors returns."""
         slots = self.store.alive_slots()
-        if slots.size == 0:
+        n = slots.size
+        if n == 0:
             return slots, np.empty(0, dtype=np.int64)
-        labels, n_clusters = self._labeler.labels_for(slots.tolist())
-        return slots, apply_cardinality_filter(
-            labels,
+        comp_of, comp_min = self._comp_of, self._comp_min
+        cores = np.fromiter(comp_of, dtype=np.int64, count=len(comp_of))
+        seeds = np.fromiter(
+            (comp_min[token] for token in comp_of.values()),
+            dtype=np.int64, count=len(comp_of),
+        )
+        at = np.searchsorted(slots, cores)
+        core = np.zeros(n, dtype=bool)
+        core[at] = True
+        parent = np.arange(n)
+        parent[at] = np.searchsorted(slots, seeds)
+        # The core-neighbor sets of the non-cores: the only edges the
+        # derivation reads.
+        border, mate = [], []
+        for slot, mates in self._core_neighbors.items():
+            if mates and slot not in self._core:
+                border.extend([slot] * len(mates))
+                mate.extend(mates)
+        return slots, figure12_labels(
+            core,
+            parent,
+            np.searchsorted(slots, border),
+            np.searchsorted(slots, mate),
             self.store.traj_ids[slots],
-            n_clusters,
             self.cardinality_threshold,
         )
 
@@ -666,7 +808,21 @@ class OnlineDBSCAN:
         self._card = {
             int(remap[slot]): card for slot, card in self._card.items()
         }
-        self._labeler.remap_ids(remap)
+        self._core = {int(remap[slot]) for slot in self._core}
+        self._core_neighbors = {
+            int(remap[slot]): {int(remap[mate]) for mate in mates}
+            for slot, mates in self._core_neighbors.items()
+        }
+        self._comp_of = {
+            int(remap[slot]): token for slot, token in self._comp_of.items()
+        }
+        self._comp_members = {
+            token: {int(remap[slot]) for slot in members}
+            for token, members in self._comp_members.items()
+        }
+        self._comp_min = {
+            token: int(remap[slot]) for token, slot in self._comp_min.items()
+        }
         self._assign = {
             int(remap[slot]): token for slot, token in self._assign.items()
         }
@@ -686,19 +842,22 @@ class OnlineDBSCAN:
 
     # -- checkpointing -----------------------------------------------------
     def rebuild_from_graph(self) -> None:
-        """Recompute all derived label state (cardinalities, cores,
-        components, the stable-label view) from the restored graph —
-        one O(V + E) pass; the partition it produces is the one
-        incremental maintenance would have reached (root tokens are
-        arbitrary until :meth:`adopt_tokens`, labels are not)."""
-        self._card.clear()
+        """Recompute all derived label state from the restored graph —
+        one O(V + E) pass: every cardinality, an empty core-neighbor set
+        per live slot, then the cores promoted in ascending slot order
+        through :meth:`_promote`, so the component partition is the one
+        incremental maintenance reached (tokens are fresh until
+        :meth:`adopt_tokens`, labels are not), and the stable-label
+        view."""
         alive = self.store.alive_slots().tolist()
-        for slot in alive:
-            self._card[slot] = self._cardinality(slot)
-        self._labeler.rebuild(
-            alive,
-            self.graph.adjacent,
-            (slot for slot in alive if self._card[slot] >= self.min_lns),
+        self._card = {slot: self._cardinality(slot) for slot in alive}
+        self._core = set()
+        self._core_neighbors = {slot: set() for slot in alive}
+        self._comp_of = {}
+        self._comp_members = {}
+        self._comp_min = {}
+        self._promote(
+            [slot for slot in alive if self._card[slot] >= self.min_lns]
         )
         self._reset_view()
 
@@ -707,11 +866,10 @@ class OnlineDBSCAN:
         anchor)`` where the anchor is the component's smallest core
         member — enough for a rebuild to re-adopt the same stable
         cluster ids and continue minting where this session stopped."""
-        labeler = self._labeler
         pairs = np.array(
-            sorted(labeler._comp_min.items()), dtype=np.int64
+            sorted(self._comp_min.items()), dtype=np.int64
         ).reshape(-1, 2)
-        return pairs, labeler._next_comp
+        return pairs, self._next_comp
 
     def adopt_tokens(self, pairs: np.ndarray, next_token: int) -> None:
         """Rename the rebuilt components to checkpointed tokens (each
@@ -719,27 +877,32 @@ class OnlineDBSCAN:
         mint counter: token evolution after restore then continues the
         original session's exactly, because promotion unions and
         repair seeds are processed in canonical order."""
-        labeler = self._labeler
         mapping: Dict[int, int] = {}
         for token, anchor in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
-            mapping[labeler._comp_of[int(anchor)]] = int(token)
-        if len(mapping) != len(labeler._comp_members):
+            rebuilt = self._comp_of.get(int(anchor))
+            if rebuilt is None:
+                raise ClusteringError(
+                    f"checkpoint anchors token {int(token)} at slot "
+                    f"{int(anchor)}, which the rebuild did not make core"
+                )
+            mapping[rebuilt] = int(token)
+        if len(mapping) != len(self._comp_members):
             raise ClusteringError(
                 f"checkpoint names {len(mapping)} components, rebuild "
-                f"produced {len(labeler._comp_members)}"
+                f"produced {len(self._comp_members)}"
             )
-        labeler._comp_of = {
-            uid: mapping[token] for uid, token in labeler._comp_of.items()
+        self._comp_of = {
+            slot: mapping[token] for slot, token in self._comp_of.items()
         }
-        labeler._comp_members = {
+        self._comp_members = {
             mapping[token]: members
-            for token, members in labeler._comp_members.items()
+            for token, members in self._comp_members.items()
         }
-        labeler._comp_min = {
+        self._comp_min = {
             mapping[token]: minimum
-            for token, minimum in labeler._comp_min.items()
+            for token, minimum in self._comp_min.items()
         }
-        labeler._next_comp = int(next_token)
+        self._next_comp = int(next_token)
         self._reset_view()
 
     def snapshot_view(self) -> LabelView:
@@ -747,19 +910,18 @@ class OnlineDBSCAN:
         emitted so far would have produced (checkpoint restores start
         their consumers here instead of replaying history)."""
         view = LabelView()
-        labeler = self._labeler
         for slot, token in self._assign.items():
             label = token if token in self._visible else -1
             view._labels[slot] = label
             if label >= 0:
                 view._counts[label] = view._counts.get(label, 0) + 1
         for token in self._visible:
-            view._minima[token] = labeler._comp_min[token]
+            view._minima[token] = self._comp_min[token]
         return view
 
     def _reset_view(self) -> None:
-        """Recompute the stable-label view from the labeler — one
-        O(live) pass, used only after a wholesale rebuild."""
+        """Recompute the stable-label view from the core components —
+        one O(live) pass, used only after a wholesale rebuild."""
         self._assign.clear()
         self._members.clear()
         self._traj_counts.clear()
@@ -775,7 +937,6 @@ class OnlineDBSCAN:
         self._merges.clear()
         self._splits.clear()
         self._redirect.clear()
-        self._labeler.journal.clear()
         for slot in self.store.alive_slots().tolist():
             token = self._derive(slot)
             if token >= 0:
@@ -791,6 +952,6 @@ class OnlineDBSCAN:
         return (
             f"OnlineDBSCAN(eps={self.eps}, min_lns={self.min_lns}, "
             f"n_alive={self.store.n_alive}, "
-            f"n_cores={self._labeler.n_cores}, "
-            f"n_components={self._labeler.n_components})"
+            f"n_cores={len(self._core)}, "
+            f"n_components={len(self._comp_members)})"
         )

@@ -3,10 +3,10 @@
 ``StreamingTRACLUS`` used to rebuild the full O(live) label array on
 every append just to report what changed.  :class:`LabelDiff` is the
 replacement: an O(delta) description of one update in terms of *stable
-cluster ids* — the :class:`~repro.cluster.labeling.CoreGraphLabeler`
-component tokens, which survive appends, window evictions, and slot
-compaction (a merge keeps the survivor's token, a repair that does not
-split keeps the original token).
+cluster ids* — the core-component tokens of
+:class:`~repro.stream.online_dbscan.OnlineDBSCAN`, which survive appends,
+window evictions, and slot compaction (a merge keeps the survivor's
+token, a repair that does not split keeps the original token).
 
 Stable ids deliberately differ from the dense batch labels
 (``labels()``): dense ids are formation-order *ranks* after the Step-3
@@ -16,8 +16,8 @@ case.  A :class:`LabelView` folds diffs back into a full slot map and
 derives the dense batch-identical array on demand: visible tokens are
 ranked by their formation key (the component's smallest core slot) and
 renumbered densely, which is exactly the order
-``CoreGraphLabeler.labels_for`` + ``apply_cardinality_filter``
-produce.  The property suite pins the round trip bitwise.
+:func:`~repro.cluster.labeling.figure12_labels` produces.  The property
+suite pins the round trip bitwise.
 """
 
 from __future__ import annotations

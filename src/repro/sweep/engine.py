@@ -17,8 +17,10 @@ ascending, each step admits the next run of edges — cardinalities tick
 up, cores are promoted, and core components merge by hooking roots
 onto smaller roots, so every component's root stays its smallest core
 id, the Figure-12 seed.
-Labels then follow from the Figure-12 rules of
-:mod:`repro.cluster.labeling` (border rule + Step-3 filter), so every
+Labels then follow from :func:`repro.cluster.labeling.figure12_labels`
+(border rule + Step-3 filter), the one full-array Figure-12 derivation,
+which :meth:`OnlineDBSCAN.labels
+<repro.stream.online_dbscan.OnlineDBSCAN.labels>` shares, so every
 grid point is **bitwise identical** to an independent ``TRACLUS.fit``
 at those parameters — the property tests in
 ``tests/property/test_sweep_equivalence.py`` assert exactly that,
@@ -57,12 +59,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.labeling import apply_cardinality_filter
+from repro.cluster.labeling import figure12_labels
 from repro.cluster.neighbor_graph import DEFAULT_PAIR_BLOCK, NeighborGraph
 from repro.core.config import SWEEP_EXECUTORS
 from repro.distance.weighted import SegmentDistance
 from repro.exceptions import ClusteringError
-from repro.model.cluster import NOISE, Cluster, clusters_from_labels
+from repro.model.cluster import Cluster, clusters_from_labels
 from repro.model.segmentset import SegmentSet
 from repro.obs import NULL_REGISTRY, span
 from repro.params.heuristic import ParameterEstimate, recommend_parameters
@@ -120,9 +122,11 @@ def _column_labels(
     a count, or the Section 4.2 weighted sum.  Each ε step admits its
     whole tie-block of edges at once: a vectorized core test
     ``cardinality[k] >= min_lns`` and one :func:`_hook_components` call
-    over the admitted core-core edges.  Python loops over ε steps only,
-    never over nodes or edges.  A core's root is the smallest core id of
-    its component — the Figure-12 seed — so clusters rank in root order.
+    over the admitted core-core edges, then
+    :func:`~repro.cluster.labeling.figure12_labels` over the admitted
+    edges.  Python loops over ε steps only, never over nodes or edges.
+    A core's root is the smallest core id of its component — the
+    Figure-12 seed — so clusters rank in root order.
 
     Counts only grow with ε, so a count core stays core.  A weighted
     ``np.sum`` can round down when its row grows, so a weighted core can
@@ -143,36 +147,6 @@ def _column_labels(
     parent = ids.copy()  # non-cores point at themselves
     core = np.zeros(n, dtype=bool)
 
-    def derive(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        labels = np.full(n, NOISE, dtype=np.int64)
-        is_root = core & (parent == ids)
-        n_components = int(np.count_nonzero(is_root))
-        if n_components == 0:
-            return labels
-        rank_of = np.cumsum(is_root) - 1  # indexed by root id
-        labels[core] = rank_of[parent[core]]
-        # Borders, over both directions of the admitted edges: the
-        # earliest adjacent component claims the segment unless a
-        # later-formed cluster's seed has it in its neighborhood
-        # (Figure 12 line 07 overwrites unconditionally — the last
-        # adjacent seed wins).
-        first_claim = np.full(n, n_components, dtype=np.int64)
-        last_seed = np.full(n, -1, dtype=np.int64)
-        for node, mate in ((u, v), (v, u)):
-            border = core[mate] & ~core[node]
-            b_node = node[border]
-            b_mate = mate[border]
-            b_root = parent[b_mate]
-            b_rank = rank_of[b_root]
-            np.minimum.at(first_claim, b_node, b_rank)
-            seed = b_mate == b_root
-            np.maximum.at(last_seed, b_node[seed], b_rank[seed])
-        borders = np.flatnonzero(first_claim < n_components)
-        labels[borders] = np.where(
-            last_seed[borders] >= 0, last_seed[borders], first_claim[borders]
-        )
-        return apply_cardinality_filter(labels, traj_ids, n_components, step3)
-
     at = 0
     for k, cut in enumerate(cuts.tolist()):
         if cut == at and k > 0:
@@ -188,7 +162,7 @@ def _column_labels(
         both = core[u] & core[v]
         _hook_components(parent, u[both], v[both])
         at = cut
-        out[k] = derive(u, v)
+        out[k] = figure12_labels(core, parent, u, v, traj_ids, step3)
     return out
 
 

@@ -54,7 +54,7 @@ class TestValidation:
             store, eps=3.0, min_lns=min_lns, cardinality_threshold=0
         )
         assert (dbscan_labels == NOISE).all()
-        assert (result.extract_dbscan(3.0, min_lns) == NOISE).all()
+        assert (result.extract_dbscan(3.0) == NOISE).all()
 
 
 class TestOrderingAndReachability:
@@ -93,7 +93,7 @@ class TestExtractDBSCAN:
     def test_extraction_matches_dbscan_cluster_count(self):
         store = two_bands()
         optics = LineSegmentOPTICS(eps=5.0, min_lns=3).fit(store)
-        labels_optics = optics.extract_dbscan(eps_prime=3.0, min_lns=3)
+        labels_optics = optics.extract_dbscan(eps_prime=3.0)
         clusters, labels_dbscan = cluster_segments(
             store, eps=3.0, min_lns=3, cardinality_threshold=0
         )
@@ -102,5 +102,5 @@ class TestExtractDBSCAN:
 
     def test_extraction_labels_shape(self, random_segments):
         optics = LineSegmentOPTICS(eps=20.0, min_lns=3).fit(random_segments)
-        labels = optics.extract_dbscan(10.0, 3)
+        labels = optics.extract_dbscan(10.0)
         assert labels.shape == (len(random_segments),)

@@ -27,12 +27,12 @@ def nested_bands():
 class TestExtractHierarchy:
     def test_shape(self, nested_bands):
         result = LineSegmentOPTICS(eps=10.0, min_lns=3).fit(nested_bands)
-        levels = result.extract_hierarchy([1.0, 5.0], min_lns=3)
+        levels = result.extract_hierarchy([1.0, 5.0])
         assert levels.shape == (2, len(nested_bands))
 
     def test_fine_level_splits_coarse_level_merges(self, nested_bands):
         result = LineSegmentOPTICS(eps=10.0, min_lns=3).fit(nested_bands)
-        fine, coarse = result.extract_hierarchy([1.2, 6.0], min_lns=3)
+        fine, coarse = result.extract_hierarchy([1.2, 6.0])
         n_fine = len(set(fine[fine >= 0].tolist()))
         n_coarse = len(set(coarse[coarse >= 0].tolist()))
         # Tight threshold separates the two sub-bands; loose threshold
@@ -42,13 +42,13 @@ class TestExtractHierarchy:
 
     def test_rows_match_individual_extractions(self, nested_bands):
         result = LineSegmentOPTICS(eps=10.0, min_lns=3).fit(nested_bands)
-        levels = result.extract_hierarchy([2.0, 4.0], min_lns=3)
-        assert np.array_equal(levels[0], result.extract_dbscan(2.0, 3))
-        assert np.array_equal(levels[1], result.extract_dbscan(4.0, 3))
+        levels = result.extract_hierarchy([2.0, 4.0])
+        assert np.array_equal(levels[0], result.extract_dbscan(2.0))
+        assert np.array_equal(levels[1], result.extract_dbscan(4.0))
 
     def test_coarse_level_never_loses_clustered_mass(self, nested_bands):
         result = LineSegmentOPTICS(eps=10.0, min_lns=3).fit(nested_bands)
-        fine, coarse = result.extract_hierarchy([1.2, 6.0], min_lns=3)
+        fine, coarse = result.extract_hierarchy([1.2, 6.0])
         # Everything clustered at the fine level stays clustered at the
         # coarse level.
         assert np.all(coarse[fine >= 0] >= 0)

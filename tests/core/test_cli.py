@@ -496,6 +496,9 @@ class TestDoctorCommand:
         assert report["auto_resolves_to"] == "numpy"
         assert report["backends"]["cext"].startswith("disabled")
         assert "dispatches to:    numpy\n" in out
+        note = out[out.index("note:"):].splitlines()[0]
+        assert "REPRO_KERNEL_DISABLE_CEXT" in note
+        assert "install a C compiler" not in note
 
 
 class TestGenerateCommand:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.exceptions import ClusteringError
+from repro.stream.checkpoint import decode_clusterer, encode_clusterer
 from repro.stream.online_dbscan import OnlineDBSCAN
 
 
@@ -209,6 +210,75 @@ class TestFigure12Details:
         assert_matches_batch(clusterer)
         clusterer.evict(1)
         assert_matches_batch(clusterer)
+
+
+def rounding_band(seed, tiny, last_y=None):
+    """Eight unit segments ``[0, y] -> [1, y]``, all within ε = 1.6 of
+    each other, whose weights leave out one of about 1e-17: MinLns is
+    the ``np.sum`` of the other seven, and the ``np.sum`` of all eight
+    (8 lanes, pairwise) rounds below it."""
+    rng = np.random.default_rng(seed)
+    y = np.append(0.0, rng.uniform(-0.5, -0.1, 7))
+    weights = rng.uniform(0.5, 2.0, 8)
+    if last_y is not None:
+        y[7] = last_y
+    weights[tiny] = 1e-17
+    min_lns = float(np.sum(np.delete(weights, tiny)))
+    assert np.sum(weights) < min_lns
+    starts = np.stack([np.zeros(8), y], axis=1)
+    ends = np.stack([np.ones(8), y], axis=1)
+    return starts, ends, weights, min_lns
+
+
+class TestWeightedCoreRetest:
+    """A weighted row sum can round down when its row grows and up when
+    it shrinks, so the core flag is re-tested both ways on every
+    cardinality change — and the checkpoint restore, which re-tests
+    every slot, agrees with the session it saved."""
+
+    @staticmethod
+    def fed(starts, ends, weights, min_lns, mode):
+        clusterer = OnlineDBSCAN(
+            eps=1.6, min_lns=min_lns, cardinality_threshold=1,
+            use_weights=True,
+        )
+        if mode == "insert":
+            for k in range(8):
+                clusterer.insert(starts[k], ends[k], k, weight=weights[k])
+        else:
+            clusterer.insert_batch(starts, ends, np.arange(8), weights)
+        return clusterer
+
+    @staticmethod
+    def assert_stream_restore_and_batch_agree(clusterer):
+        arrays, next_token = encode_clusterer(clusterer)
+        restored = OnlineDBSCAN(
+            eps=clusterer.eps, min_lns=clusterer.min_lns,
+            cardinality_threshold=1, use_weights=True,
+        )
+        decode_clusterer(restored, arrays, next_token)
+        _, labels = clusterer.labels()
+        expected = batch_labels(clusterer)
+        assert labels.tolist() == expected.tolist()
+        assert restored.labels()[1].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("mode", ["insert", "insert_batch"])
+    def test_core_whose_sum_rounds_down_on_insert_is_demoted(self, mode):
+        # Segment 7 lies 1.55 above the band: only segment 0 reaches it.
+        starts, ends, weights, min_lns = rounding_band(9, 7, last_y=1.55)
+        clusterer = self.fed(starts, ends, weights, min_lns, mode)
+        assert not clusterer.is_core(0)
+        assert batch_labels(clusterer)[7] == -1
+        self.assert_stream_restore_and_batch_agree(clusterer)
+
+    @pytest.mark.parametrize("mode", ["insert", "insert_batch"])
+    def test_non_core_whose_sum_rounds_up_on_evict_is_promoted(self, mode):
+        starts, ends, weights, min_lns = rounding_band(0, 1)
+        clusterer = self.fed(starts, ends, weights, min_lns, mode)
+        clusterer.evict(1)
+        assert clusterer.is_core(0)
+        assert batch_labels(clusterer).max() == 0
+        self.assert_stream_restore_and_batch_agree(clusterer)
 
 
 class TestRepresentatives:
