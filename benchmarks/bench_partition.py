@@ -182,7 +182,7 @@ def compare_layout_vs_rebuild(
                 )
                 best = min(best, time.perf_counter() - start)
             timings[reuse] = best
-    assert results[False][0] == results[True][0], (
+    assert results[False] == results[True], (
         "layout path changed the characteristic points"
     )
     return timings[False], timings[True]
@@ -203,9 +203,9 @@ def kernel_backend_grid(grid, backends, seed=11):
                 got = lockstep_scan(ragged)
                 timing[name] = time.perf_counter() - start
             if expected is None:
-                expected = got[0]
+                expected = got
             else:
-                assert got[0] == expected, f"{name} diverged"
+                assert got == expected, f"{name} diverged"
         for name in backends:
             rows.append(
                 (

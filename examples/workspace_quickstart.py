@@ -1,10 +1,10 @@
 """Workspace artifact-graph walkthrough.
 
 One corpus, one configuration, many consumers: the parameter
-heuristic, a QMeasure grid, representatives, and a seeded streaming
-session all read from the same cached artifacts — the ε-graph is built
-exactly once, and a second "process" over the same cache directory
-starts warm (zero engine builds).
+heuristic, a labels grid and QMeasure all read from the same cached
+artifacts — the ε-graph is built exactly once, and a second "process"
+over the same cache directory starts warm (zero engine builds).  The
+same corpus then seeds a streaming session through its bulk load.
 
 Run with:  python examples/workspace_quickstart.py
 """
@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import StreamConfig, TraclusConfig, Workspace
+from repro import StreamConfig, StreamingTRACLUS, TraclusConfig, Workspace
 from repro.datasets.synthetic import generate_corridor_set
 
 
@@ -61,12 +61,13 @@ def main() -> None:
         warm, _, _ = analyse(trajectories, cache_dir)
         assert warm.graph_builds() == 0, "warm run must not rebuild the graph"
 
-        print("seeding a streaming session from the partition artifact:")
-        pipeline = timed(
-            "seed_streaming (skips the phase-1 scan)",
-            lambda: warm.seed_streaming(
-                StreamConfig(eps=eps, min_lns=float(min_lns))
-            ),
+        print("seeding a streaming session from the same corpus:")
+        pipeline = StreamingTRACLUS(
+            StreamConfig(eps=eps, min_lns=float(min_lns))
+        )
+        timed(
+            "bulk_load (one lock-step phase-1 scan)",
+            lambda: pipeline.bulk_load(trajectories),
         )
         slots, labels = pipeline.labels()
         n_clusters = int(labels.max()) + 1 if labels.size else 0

@@ -4,8 +4,10 @@ The paper's evaluation workflow — sweep ε for the entropy curve, scan a
 (ε, MinLns) grid with QMeasure, compare parameter settings — applies to
 any trajectory dataset, not just the paper's.  This subpackage packages
 those workflows behind one-call functions so downstream users can run
-the Section 4.4/5.x analysis on their own data; the `benchmarks/`
-harness prints the paper-vs-measured tables on top of the same logic.
+the Section 4.4/5.x analysis on their own data.  The `benchmarks/`
+harness does not import it: its figure scripts print the
+paper-vs-measured tables from the Workspace, ``traclus`` and the
+partition engines directly.
 """
 
 from repro.analysis.experiments import (

@@ -9,8 +9,7 @@ fingerprint-keyed artifact**:
 =================  =====================================================
 artifact           contents / downstream consumers
 =================  =====================================================
-``partition()``    characteristic points, the segment set ``D``, and the
-                   resumable Figure-8 scan states (streaming seed)
+``partition()``    characteristic points and the segment set ``D``
 ``eps_graph(eps)`` the ε-neighborhood CSR graph; any ε below the built
                    ε_max is served by filtering stored distances
 ``entropy_counts`` ``|N_eps|`` per (ε, segment) — entropy curves and the
@@ -79,6 +78,7 @@ from repro.params.heuristic import (
     default_eps_grid,
     recommend_parameters,
 )
+from repro.partition.approximate import partition_all
 from repro.quality.qmeasure import QualityBreakdown, quality_measure
 from repro.representative.sweep import (
     RepresentativeConfig,
@@ -116,67 +116,22 @@ def _grid_cells(
 
 
 class PartitionArtifact:
-    """Phase-1 output: the segment set ``D``, per-trajectory
-    characteristic points, and — when the workspace is bound to
-    trajectories — the resumable Figure-8 scan states that let
-    :meth:`~repro.stream.pipeline.StreamingTRACLUS.bulk_load` seed a
-    streaming session without re-scanning."""
+    """Phase-1 output: the segment set ``D`` and per-trajectory
+    characteristic points (``None`` for a segment-bound workspace,
+    which never ran phase 1)."""
 
-    __slots__ = (
-        "segments",
-        "characteristic_points",
-        "committed",
-        "scan_starts",
-        "scan_lengths",
-        "suppression",
-        "corpus_key",
-    )
+    __slots__ = ("segments", "characteristic_points")
 
     def __init__(
         self,
         segments: SegmentSet,
         characteristic_points: Optional[List[List[int]]],
-        committed: Optional[List[List[int]]] = None,
-        scan_starts: Optional[np.ndarray] = None,
-        scan_lengths: Optional[np.ndarray] = None,
-        suppression: Optional[float] = None,
-        corpus_key: Optional[str] = None,
     ):
         self.segments = segments
         self.characteristic_points = characteristic_points
-        self.committed = committed
-        self.scan_starts = scan_starts
-        self.scan_lengths = scan_lengths
-        #: Section 4.1.3 constant the scan ran with; ``None`` when the
-        #: artifact has no phase-1 provenance (segment-bound).  Stream
-        #: seeding validates against it — scan states are only valid at
-        #: the suppression that produced them.
-        self.suppression = suppression
-        #: Fingerprint of the corpus the scan ran over (see
-        #: :func:`repro.api.fingerprint.corpus_fingerprint`); stream
-        #: seeding compares it so an artifact can never seed a
-        #: different corpus's session.
-        self.corpus_key = corpus_key
-
-    @property
-    def has_scan_states(self) -> bool:
-        return self.scan_starts is not None
-
-    def scan_states(self) -> Tuple[List[List[int]], np.ndarray, np.ndarray]:
-        """``(committed, starts, lengths)`` exactly as
-        :func:`repro.partition.batched.lockstep_scan` returned them."""
-        if not self.has_scan_states:
-            raise WorkspaceError(
-                "this partition artifact has no scan states (segment-"
-                "bound workspaces never ran phase 1)"
-            )
-        return self.committed, self.scan_starts, self.scan_lengths
 
     def __repr__(self) -> str:
-        return (
-            f"PartitionArtifact(n_segments={len(self.segments)}, "
-            f"scan_states={self.has_scan_states})"
-        )
+        return f"PartitionArtifact(n_segments={len(self.segments)})"
 
 
 class Workspace:
@@ -285,7 +240,7 @@ class Workspace:
         metrics=None,
     ) -> "Workspace":
         """Bind to an already-partitioned segment set (phase 2+ only:
-        no characteristic points, no streaming seed, no :meth:`fit`)."""
+        no characteristic points, no :meth:`fit`)."""
         return cls(
             config=config, cache_dir=cache_dir,
             max_disk_bytes=max_disk_bytes, metrics=metrics,
@@ -328,7 +283,10 @@ class Workspace:
 
         The memory tier first; on a miss, the (kind, key) build lock
         and a second look; then the npz tier, where ``decode(arrays,
-        meta)`` rebuilds the object; and only then a build.  A build
+        meta)`` rebuilds the object (a file it cannot decode — a
+        member missing or malformed, as in one written by another
+        version — is a miss, rebuilt and saved over); and only then a
+        build.  A build
         resolves ``inputs()`` — the upstream artifacts, which count as
         their own builds or hits — before its clock starts, then runs
         ``compute(*inputs)`` inside a ``build:<kind>`` span.  That one
@@ -350,7 +308,10 @@ class Workspace:
             if usable(value):
                 return value
             loaded = self.store.load_arrays(kind, key)
-            value = None if loaded is None else decode(*loaded)
+            try:
+                value = None if loaded is None else decode(*loaded)
+            except (KeyError, ValueError):
+                value = None
             if not usable(value):
                 upstream = inputs()
                 started = time.perf_counter()
@@ -440,41 +401,19 @@ class Workspace:
 
     # -- partition artifact --------------------------------------------------
     def partition(self) -> PartitionArtifact:
-        """Phase 1 (Figure 8) over the whole corpus — computed once.
-
-        Runs the lock-step batched scanner so the artifact also carries
-        every trajectory's resumable scan state."""
+        """Phase 1 (Figure 8) over the whole corpus — computed once,
+        by :func:`~repro.partition.approximate.partition_all`."""
         return self._materialize(
-            "partition", self._partition_key(), self._build_partition,
+            "partition", self._partition_key(),
+            lambda: PartitionArtifact(*partition_all(
+                self.trajectories, self.config.suppression
+            )),
             self._partition_to_arrays, self._partition_from_arrays,
             lambda artifact: {
                 "suppression": self.config.suppression,
                 "n_segments": len(artifact.segments),
                 "n_trajectories": len(self.trajectories or ()),
             },
-        )
-
-    def _build_partition(self) -> PartitionArtifact:
-        from repro.model.ragged import RaggedPoints
-        from repro.partition.batched import lockstep_scan, with_endpoints
-
-        trajectories = self.trajectories
-        ragged = RaggedPoints.from_arrays([t.points for t in trajectories])
-        committed, starts, lengths = lockstep_scan(
-            ragged, self.config.suppression
-        )
-        characteristic_points = with_endpoints(committed, ragged.lengths)
-        segments = SegmentSet.from_partitions(
-            trajectories, characteristic_points
-        )
-        return PartitionArtifact(
-            segments,
-            characteristic_points,
-            committed=[list(c) for c in committed],
-            scan_starts=starts,
-            scan_lengths=lengths,
-            suppression=self.config.suppression,
-            corpus_key=self.corpus_key,
         )
 
     def _register_segment_count(self, artifact: PartitionArtifact) -> None:
@@ -490,7 +429,6 @@ class Workspace:
     ) -> Dict[str, np.ndarray]:
         self._register_segment_count(artifact)
         cps_flat, cps_offsets = pack_ragged(artifact.characteristic_points)
-        com_flat, com_offsets = pack_ragged(artifact.committed)
         return {
             "seg_starts": artifact.segments.starts,
             "seg_ends": artifact.segments.ends,
@@ -498,10 +436,6 @@ class Workspace:
             "seg_weights": artifact.segments.weights,
             "cps_flat": cps_flat,
             "cps_offsets": cps_offsets,
-            "committed_flat": com_flat,
-            "committed_offsets": com_offsets,
-            "scan_starts": artifact.scan_starts,
-            "scan_lengths": artifact.scan_lengths,
         }
 
     def _partition_from_arrays(
@@ -515,12 +449,6 @@ class Workspace:
             segments,
             [list(map(int, row)) for row in unpack_ragged(
                 arrays["cps_flat"], arrays["cps_offsets"])],
-            committed=[list(map(int, row)) for row in unpack_ragged(
-                arrays["committed_flat"], arrays["committed_offsets"])],
-            scan_starts=arrays["scan_starts"],
-            scan_lengths=arrays["scan_lengths"],
-            suppression=self.config.suppression,
-            corpus_key=self.corpus_key,
         )
         self._register_segment_count(artifact)
         return artifact
@@ -530,12 +458,14 @@ class Workspace:
         return self.partition().segments
 
     def characteristic_points(self) -> List[List[int]]:
+        """Each trajectory's characteristic points, as fresh lists (a
+        caller changing them cannot change the cached artifact)."""
         artifact = self.partition()
         if artifact.characteristic_points is None:
             raise WorkspaceError(
                 "segment-bound workspaces have no characteristic points"
             )
-        return artifact.characteristic_points
+        return [list(cps) for cps in artifact.characteristic_points]
 
     # -- ε-graph artifact ----------------------------------------------------
     def _ensure_graph(self, eps: float) -> NeighborGraph:
@@ -899,35 +829,15 @@ class Workspace:
             eps_values=tuple(float(e) for e in sweep.eps_values),
             min_lns_values=tuple(float(m) for m in sweep.min_lns_values),
             segments=artifact.segments,
-            characteristic_points=artifact.characteristic_points,
+            characteristic_points=[
+                list(cps) for cps in artifact.characteristic_points
+            ],
             labels=labels,
             neighborhood_counts=counts,
             entropies=entropies,
             avg_neighborhood_sizes=avg_sizes,
             n_graph_edges=n_edges,
         )
-
-    def seed_streaming(self, stream_config) -> "object":
-        """A :class:`~repro.stream.pipeline.StreamingTRACLUS` session
-        seeded from the partition artifact: identical end state to
-        feeding the corpus point by point, without re-running phase 1
-        (the artifact's scan states restore each trajectory's resumable
-        Figure-8 position)."""
-        from repro.stream.pipeline import StreamingTRACLUS
-
-        if self.trajectories is None:
-            raise WorkspaceError(
-                "seed_streaming() needs a trajectory-bound workspace"
-            )
-        if stream_config.suppression != self.config.suppression:
-            raise WorkspaceError(
-                f"stream suppression {stream_config.suppression} does not "
-                f"match the workspace's {self.config.suppression}; scan "
-                f"states would be invalid"
-            )
-        pipeline = StreamingTRACLUS(stream_config, metrics=self.metrics)
-        pipeline.bulk_load(self.trajectories, partition=self.partition())
-        return pipeline
 
     def __repr__(self) -> str:
         bound = (

@@ -16,8 +16,9 @@ their windows — runs of consecutive points — through
 <repro.partition.layout.LockstepLayout.window_costs>`, so their
 characteristic points are bitwise identical, with interpreter work per
 global step instead of per point on the corpus engine.  The streaming
-subsystem's bulk-load seed path rides the lock-step scan and hands its
-resumable scan states to the incremental scanner.
+subsystem's bulk-load seed path rides the lock-step scan and restores
+the incremental scanner from its committed points, from which Figure 8
+resumes.
 """
 
 from repro.partition.mdl import (

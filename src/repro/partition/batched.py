@@ -26,10 +26,10 @@ tie behavior of line 07 — is bitwise identical to the per-trajectory
 scan.  The characteristic points are therefore *exactly* equal, which
 the property suites assert point for point.
 
-The scheduling also yields the resumable scan state ``(start_index,
-length)`` per trajectory, so a streaming session can bulk-load a whole
-corpus through this engine and then continue incrementally
-(:meth:`TrajectoryStream.bulk_append
+The committed points are also the whole resumable state of each
+trajectory's scan (it stopped at ``(CP[-1], n - CP[-1])``), so a
+streaming session can bulk-load a whole corpus through this engine and
+then continue incrementally (:meth:`TrajectoryStream.bulk_append
 <repro.stream.ingest.TrajectoryStream.bulk_append>`).
 """
 
@@ -70,7 +70,7 @@ def lockstep_scan(
     suppression: float = 0.0,
     *,
     reuse_layout: bool = True,
-) -> Tuple[List[List[int]], np.ndarray, np.ndarray]:
+) -> List[List[int]]:
     """Run Figure 8 on every row of *ragged* in lock-step.
 
     Rows may have any length >= 1 (a single-point row simply never
@@ -85,14 +85,14 @@ def lockstep_scan(
 
     Returns
     -------
-    (committed, start_index, length)
+    committed
         ``committed[t]`` are row *t*'s line-08 characteristic points
         including the leading 0 and *excluding* the forced final
-        endpoint of line 12; ``(start_index[t], length[t])`` is the
-        resumable scan position, exactly as
-        :meth:`IncrementalPartitioner.scan_state
-        <repro.partition.incremental.IncrementalPartitioner.scan_state>`
-        would report after appending the same points.
+        endpoint of line 12 — exactly
+        :attr:`IncrementalPartitioner.committed
+        <repro.partition.incremental.IncrementalPartitioner.committed>`
+        after appending the same points, from which that partitioner
+        resumes.
     """
     if not suppression >= 0:  # written so that NaN fails too
         raise PartitionError(
@@ -130,7 +130,7 @@ def lockstep_scan(
             length[committing] = 1
         length[active[~commit]] += 1  # line 11
         active = active[start[active] + length[active] <= n[active] - 1]
-    return committed, start, length
+    return committed
 
 
 def with_endpoints(
@@ -169,5 +169,4 @@ def batched_partition_arrays(
     if not arrays:
         return []
     ragged = RaggedPoints.from_arrays(arrays)
-    committed, _, _ = lockstep_scan(ragged, suppression)
-    return with_endpoints(committed, ragged.lengths)
+    return with_endpoints(lockstep_scan(ragged, suppression), ragged.lengths)

@@ -8,9 +8,14 @@ curr_index]`` and the committed prefix, so appending points to the end
 of the trajectory cannot change any already-committed characteristic
 point — it merely resumes the scan where it stopped.
 
-:class:`IncrementalPartitioner` exploits that: it persists the scan
-state ``(start_index, length)`` between appends and replays the exact
-Figure 8 loop over the grown buffer.  It is phase 1's one scalar loop:
+Where it stopped needs no storing: line 09 moves ``startIndex`` to the
+point it has just committed, and the loop exits exactly when
+``startIndex + length`` reaches the number of points ``n``, so after
+any append the scan position is ``(CP[-1], n - CP[-1])``.
+:class:`IncrementalPartitioner` keeps only the points and the committed
+characteristic points, derives that position at the next append and
+replays the exact Figure 8 loop over the grown buffer.  It is phase 1's
+one scalar loop:
 :func:`repro.partition.approximate.approximate_partition` appends a
 whole trajectory at once, and every step evaluates its window through
 :func:`repro.partition.mdl.mdl_costs` — the same contiguous kernel the
@@ -42,7 +47,7 @@ from repro.partition.mdl import mdl_costs
 
 
 class IncrementalPartitioner:
-    """Figure 8 with a resumable scan state.
+    """Figure 8, resumed from its committed characteristic points.
 
     Parameters
     ----------
@@ -52,7 +57,7 @@ class IncrementalPartitioner:
         would use.
     """
 
-    __slots__ = ("suppression", "_buffer", "_n", "_committed", "_start", "_length")
+    __slots__ = ("suppression", "_buffer", "_n", "_committed")
 
     def __init__(self, suppression: float = 0.0):
         if not suppression >= 0:  # written so that NaN fails too
@@ -63,8 +68,6 @@ class IncrementalPartitioner:
         self._buffer: Optional[np.ndarray] = None
         self._n = 0
         self._committed: List[int] = []
-        self._start = 0
-        self._length = 1
 
     # -- state -------------------------------------------------------------
     @property
@@ -141,54 +144,66 @@ class IncrementalPartitioner:
         if not np.all(np.isfinite(new_points)):
             raise PartitionError("trajectory points must be finite")
         self._grow(new_points.shape[0], new_points.shape[1])
-        self._buffer[self._n : self._n + new_points.shape[0]] = new_points
+        n_before = self._n
+        self._buffer[n_before : n_before + new_points.shape[0]] = new_points
         self._n += new_points.shape[0]
         if not self._committed:
             self._committed.append(0)  # Figure 8 line 01
 
+        # Line 02 on the first append; afterwards the position the last
+        # append's loop exited at (start + length == n_before).
+        start = self._committed[-1]
+        length = max(n_before - start, 1)
         points = self._buffer[: self._n]
         newly: List[int] = []
-        while self._start + self._length <= self._n - 1:  # line 03
-            curr = self._start + self._length  # line 04
-            cost_par, base_nopar = mdl_costs(points, self._start, curr)
+        while start + length <= self._n - 1:  # line 03
+            curr = start + length  # line 04
+            cost_par, base_nopar = mdl_costs(points, start, curr)
             cost_nopar = base_nopar + self.suppression  # lines 05-06
             # The guard `curr - 1 > start` cannot fire on the very first
             # step (cost_par == cost_nopar exactly when the candidate is
             # a single original segment) but protects against a
             # non-terminating rescan under extreme float noise.
-            if cost_par > cost_nopar and curr - 1 > self._start:  # line 07
+            if cost_par > cost_nopar and curr - 1 > start:  # line 07
                 self._committed.append(curr - 1)  # line 08
                 newly.append(curr - 1)
-                self._start, self._length = curr - 1, 1  # line 09
+                start, length = curr - 1, 1  # line 09
             else:
-                self._length += 1  # line 11
+                length += 1  # line 11
         return newly
 
     # -- checkpointing -----------------------------------------------------
-    def scan_state(self) -> "tuple[int, int]":
-        """The resumable Figure 8 scan position ``(start_index, length)``."""
-        return self._start, self._length
-
     @classmethod
     def restore(
-        cls,
-        suppression: float,
-        points: np.ndarray,
-        committed: Sequence[int],
-        start_index: int,
-        length: int,
+        cls, suppression: float, points: np.ndarray, committed: Sequence[int]
     ) -> "IncrementalPartitioner":
-        """Rebuild a partitioner from checkpointed state (the inverse of
-        reading :attr:`points`, :attr:`committed`, :meth:`scan_state`)."""
+        """Rebuild a partitioner from saved state (the inverse of
+        reading :attr:`points` and :attr:`committed`).
+
+        *committed* must be what Figure 8 can have committed on
+        *points*: strictly increasing from 0 and below ``n - 1`` (``[0]``
+        for a one-point trajectory); anything else raises
+        :class:`PartitionError`."""
         partitioner = cls(suppression)
         points = np.asarray(points, dtype=np.float64)
-        if points.shape[0]:
-            partitioner._grow(points.shape[0], points.shape[1])
-            partitioner._buffer[: points.shape[0]] = points
-            partitioner._n = points.shape[0]
-        partitioner._committed = [int(c) for c in committed]
-        partitioner._start = int(start_index)
-        partitioner._length = int(length)
+        committed = [int(c) for c in committed]
+        n = points.shape[0] if points.ndim == 2 else 0
+        if (
+            n == 0
+            or not committed
+            or committed[0] != 0
+            or committed[-1] >= max(n - 1, 1)
+            or any(b <= a for a, b in zip(committed, committed[1:]))
+        ):
+            raise PartitionError(
+                f"committed points do not fit a {n}-point trajectory: "
+                f"they must rise strictly from 0 and stay below n - 1 "
+                f"([0] for one point)"
+            )
+        partitioner._grow(n, points.shape[1])
+        partitioner._buffer[:n] = points
+        partitioner._n = n
+        partitioner._committed = committed
         return partitioner
 
     def __repr__(self) -> str:

@@ -1,13 +1,17 @@
 """Snapshot/restore for a :class:`~repro.stream.pipeline.StreamingTRACLUS`.
 
 One ``.npz`` file holds the whole session: the configuration, every
-trajectory's points and resumable Figure 8 scan state, the segment
-store (dead slots included — slot ids are identities), and the ε-graph
-*edges with their distances*, so a restore re-evaluates no distance at
-all.  Label state (cardinalities, cores, components) is derived, not
-stored: :meth:`OnlineDBSCAN.rebuild_from_graph` recomputes every
-cardinality and promotes the cores in ascending slot order through the
-same promotion an insert runs, guaranteeing a restored session answers
+trajectory's points and committed characteristic points (the whole
+resumable Figure 8 state), the segment store (dead slots included —
+slot ids are identities), and the ε-graph *edges with their
+distances*, so a restore re-evaluates no distance at all.  Each
+trajectory's meta entry also carries ``start_index`` and ``length``,
+written for format compatibility as ``committed[-1]`` and ``n -
+committed[-1]`` (where Figure 8 stopped) and never read back.  Label
+state (cardinalities, cores, components) is derived, not stored:
+:meth:`OnlineDBSCAN.rebuild_from_graph` recomputes every cardinality
+and promotes the cores in ascending slot order through the same
+promotion an insert runs, guaranteeing a restored session answers
 :meth:`labels` identically and continues identically under further
 appends.
 
@@ -27,8 +31,9 @@ shares, as it shares :func:`write_checkpoint` /
 :func:`read_checkpoint` for the file itself.  Writes are atomic
 (:func:`repro.io.artifacts.write_npz`): an interrupted write leaves the
 previous checkpoint loadable.  Any file that is not a readable
-checkpoint of the expected kind raises one
-:class:`~repro.exceptions.ReproError` naming it.
+checkpoint of the expected kind, or whose trajectories a session
+cannot resume from, raises one :class:`~repro.exceptions.ReproError`
+naming it.
 
 Only NumPy and the standard library are used (``np.savez_compressed``
 plus one JSON metadata string) — no pickle, so checkpoints are
@@ -44,10 +49,14 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import StreamConfig
-from repro.exceptions import ReproError
+from repro.exceptions import PartitionError, ReproError, TrajectoryError
 from repro.io.artifacts import DAMAGED_NPZ_ERRORS, write_npz
 from repro.partition.incremental import IncrementalPartitioner
-from repro.stream.ingest import _TrajectoryState
+from repro.stream.ingest import (
+    _opening_weight,
+    _TrajectoryState,
+    _validated_times,
+)
 from repro.stream.online_dbscan import OnlineDBSCAN
 from repro.stream.pipeline import StreamingTRACLUS
 
@@ -137,15 +146,15 @@ def save_checkpoint(pipeline: StreamingTRACLUS, path: str) -> str:
     trajectories = []
     for traj_id, state in pipeline.stream._trajectories.items():
         partitioner = state.partitioner
-        start_index, length = partitioner.scan_state()
+        committed = partitioner.committed
         trajectories.append(
             {
                 "traj_id": traj_id,
                 "weight": state.weight,
                 "timed": state.times is not None,
-                "committed": partitioner.committed,
-                "start_index": start_index,
-                "length": length,
+                "committed": committed,
+                "start_index": committed[-1],
+                "length": partitioner.n_points - committed[-1],
                 "trailing_key": (
                     -1 if state.trailing_key is None else state.trailing_key
                 ),
@@ -176,6 +185,13 @@ def load_checkpoint(
 ) -> StreamingTRACLUS:
     """Rebuild a :class:`StreamingTRACLUS` from a checkpoint file.
 
+    Each trajectory resumes from its points and committed
+    characteristic points.  A trajectory whose points are not finite
+    or not ``config.dim`` wide, whose committed points Figure 8 cannot
+    have committed on them, whose weight is not positive and finite,
+    or whose timestamps are missing or unfit for its points raises one
+    :class:`ReproError` naming *path*.
+
     *metrics* optionally hands the restored pipeline a
     :class:`~repro.obs.MetricsRegistry` (restored shard workers keep
     reporting)."""
@@ -184,16 +200,25 @@ def load_checkpoint(
     decode_clusterer(pipeline.clusterer, arrays, meta.get("next_token"))
     for entry in meta["trajectories"]:
         traj_id = int(entry["traj_id"])
-        partitioner = IncrementalPartitioner.restore(
-            pipeline.config.suppression,
-            arrays[f"traj_{traj_id}_points"],
-            entry["committed"],
-            entry["start_index"],
-            entry["length"],
-        )
-        state = _TrajectoryState(partitioner, float(entry["weight"]))
-        if entry["timed"]:
-            state.times = arrays[f"traj_{traj_id}_times"].tolist()
+        try:
+            points = pipeline.stream._checked_points(
+                traj_id, arrays[f"traj_{traj_id}_points"]
+            )
+            partitioner = IncrementalPartitioner.restore(
+                pipeline.config.suppression, points, entry["committed"]
+            )
+            weight = _opening_weight(entry["weight"])
+            times = None
+            if entry["timed"]:
+                times = _validated_times(
+                    arrays[f"traj_{traj_id}_times"], len(points)
+                ).tolist()
+        except (KeyError, TrajectoryError, PartitionError) as error:
+            raise ReproError(
+                f"cannot restore stream checkpoint {path}: {error}"
+            ) from None
+        state = _TrajectoryState(partitioner, weight)
+        state.times = times
         if entry["trailing_key"] >= 0:
             state.trailing_key = int(entry["trailing_key"])
         pipeline.stream._trajectories[traj_id] = state

@@ -21,9 +21,10 @@ that is what makes online clustering comparable to a batch refit.
 Whole-corpus seeding goes through :meth:`TrajectoryStream.bulk_append`:
 the lock-step batched engine (:mod:`repro.partition.batched`) partitions
 every new trajectory in one vectorized scan and hands back each
-trajectory's resumable Figure 8 state, so the bulk path emits exactly
-the records per-trajectory appends would — just without the per-point
-interpreter loop — and later appends continue incrementally.
+trajectory's committed characteristic points — the whole resumable
+Figure 8 state — so the bulk path emits exactly the records
+per-trajectory appends would, just without the per-point interpreter
+loop, and later appends continue incrementally.
 """
 
 from __future__ import annotations
@@ -281,9 +282,6 @@ class TrajectoryStream:
                       Optional[Sequence[float]], Optional[float]],
             ]
         ],
-        scan: Optional[
-            Tuple[Sequence[Sequence[int]], np.ndarray, np.ndarray]
-        ] = None,
     ) -> StreamDelta:
         """Open many *new* trajectories at once through the batched
         phase-1 engine.
@@ -295,19 +293,10 @@ class TrajectoryStream:
 
         Equivalent, record for record and state for state, to calling
         :meth:`append` once per item in order: the lock-step scanner
-        commits bitwise-identical characteristic points and returns
-        each trajectory's resumable ``(start_index, length)`` scan
-        position, from which the per-trajectory incremental
-        partitioners are restored — so later appends to a bulk-loaded
-        trajectory continue exactly as if it had been fed point by
-        point.
-
-        *scan* hands over a precomputed ``(committed, starts,
-        lengths)`` triple — exactly :func:`lockstep_scan`'s output for
-        these items at this suppression, e.g. a Workspace partition
-        artifact's scan states — in which case phase 1 is **skipped**
-        entirely and the stream seeds from the cached result (same
-        states bitwise, no scan work).
+        commits bitwise-identical characteristic points, from which the
+        per-trajectory incremental partitioners are restored — so later
+        appends to a bulk-loaded trajectory continue exactly as if it
+        had been fed point by point.
         """
         parsed: List[Tuple[int, np.ndarray, Optional[np.ndarray], float]] = []
         seen: set = set()
@@ -332,60 +321,19 @@ class TrajectoryStream:
         if not parsed:
             return StreamDelta((), ())
 
-        if scan is not None:
-            committed, starts, lengths = scan
-            if (
-                len(committed) != len(parsed)
-                or len(starts) != len(parsed)
-                or len(lengths) != len(parsed)
-            ):
-                raise TrajectoryError(
-                    f"precomputed scan covers {len(committed)} trajectories "
-                    f"but {len(parsed)} items were given"
-                )
-            # Structural consistency per row: a scan handed over for the
-            # wrong corpus (shorter/longer trajectories) must fail here,
-            # not corrupt the session or crash deep in restore().
-            for row, (traj_id, points, _, _) in enumerate(parsed):
-                n = points.shape[0]
-                cps = committed[row]
-                start = int(starts[row])
-                length = int(lengths[row])
-                if (
-                    not cps
-                    or cps[0] != 0
-                    or any(b <= a for a, b in zip(cps, cps[1:]))
-                    or cps[-1] >= n
-                    or not 0 <= start < n
-                    or start != cps[-1]  # the scan resumes at the last cp
-                    or length < 1
-                    or start + length < n
-                ):
-                    raise TrajectoryError(
-                        f"trajectory {traj_id}: precomputed scan state is "
-                        f"inconsistent with the given points (was the "
-                        f"partition artifact built over this corpus?)"
-                    )
-        else:
-            ragged = RaggedPoints.from_arrays([p for _, p, _, _ in parsed])
-            committed, starts, lengths = lockstep_scan(
-                ragged, self.suppression
-            )
-
+        committed = lockstep_scan(
+            RaggedPoints.from_arrays([p for _, p, _, _ in parsed]),
+            self.suppression,
+        )
         inserted: List[SegmentRecord] = []
-        for row, (traj_id, points, times, weight) in enumerate(parsed):
+        for (traj_id, points, times, weight), cps in zip(parsed, committed):
             partitioner = IncrementalPartitioner.restore(
-                self.suppression,
-                points,
-                committed[row],
-                int(starts[row]),
-                int(lengths[row]),
+                self.suppression, points, cps
             )
             state = _TrajectoryState(partitioner, weight)
             if times is not None:
                 state.times = [float(t) for t in times]
             self._trajectories[traj_id] = state
-            cps = committed[row]
             for a, b in zip(cps, cps[1:]):
                 inserted.append(self._record(state, traj_id, a, b, False))
             end = points.shape[0] - 1

@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.config import StreamConfig
 from repro.exceptions import ClusteringError
 from repro.model.cluster import Cluster
-from repro.model.trajectory import Trajectory
 from repro.obs import NULL_REGISTRY
 from repro.representative.sweep import RepresentativeConfig
 from repro.stream.ingest import TrajectoryStream
@@ -184,7 +183,7 @@ class StreamingTRACLUS:
         self._m_append_seconds.observe(time.perf_counter() - started)
         return update
 
-    def bulk_load(self, items, partition=None) -> StreamUpdate:
+    def bulk_load(self, items) -> StreamUpdate:
         """Seed the session with many *new* trajectories at once.
 
         *items* are :class:`~repro.model.trajectory.Trajectory` objects
@@ -194,47 +193,13 @@ class StreamingTRACLUS:
         runs through the lock-step batched engine in one vectorized
         scan, then every emitted segment is inserted in the same order
         per-trajectory appends would have used, so the final labels,
-        slot assignments, and resumable per-trajectory scan states are
-        identical to sequential ingestion — at corpus speed.  The
-        eviction window is applied once at the end (the final alive set
-        it produces equals applying it after every append).
-
-        *partition* hands over a
-        :class:`~repro.api.workspace.PartitionArtifact` whose scan
-        states cover *items* in order (a Workspace over the same corpus
-        produces exactly that; ``Workspace.seed_streaming`` is the
-        one-call wrapper).  Phase 1 is then skipped — the artifact's
-        committed characteristic points and resumable scan positions
-        seed the stream bitwise identically to a fresh scan.
+        slot assignments and per-trajectory committed characteristic
+        points (the whole resumable scan state) are identical to
+        sequential ingestion — at corpus speed.  The eviction window is
+        applied once at the end (the final alive set it produces equals
+        applying it after every append).
         """
-        scan = None
-        if partition is not None:
-            items = list(items)
-            # scan_states() raises on artifacts without phase-1
-            # provenance (segment-bound workspaces).
-            scan = partition.scan_states()
-            if partition.suppression != self.config.suppression:
-                raise ClusteringError(
-                    f"partition artifact was scanned with suppression="
-                    f"{partition.suppression} but this stream runs "
-                    f"suppression={self.config.suppression}; the scan "
-                    f"states would seed an inconsistent session"
-                )
-            # When the items are Trajectory objects (the Workspace path
-            # always passes them), pin the artifact to this exact
-            # corpus; tuple items still get the per-row structural
-            # checks in bulk_append.
-            if partition.corpus_key is not None and all(
-                isinstance(item, Trajectory) for item in items
-            ):
-                from repro.api.fingerprint import corpus_fingerprint
-
-                if corpus_fingerprint(items) != partition.corpus_key:
-                    raise ClusteringError(
-                        "partition artifact was built over a different "
-                        "corpus than the items being bulk-loaded"
-                    )
-        delta = self.stream.bulk_append(items, scan=scan)
+        delta = self.stream.bulk_append(items)
         inserted, evicted = self._apply_delta(delta)
         evicted.extend(self._apply_window())
         return self._build_update(inserted, evicted)

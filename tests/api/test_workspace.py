@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from repro.api.cache import ARTIFACT_KINDS
-from repro.api.workspace import PartitionArtifact, Workspace
+from repro.api.workspace import Workspace
 from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.cluster.neighborhood import BruteForceNeighborhood
 from repro.cluster.neighbor_graph import (
     NeighborGraph,
     neighborhood_size_counts,
 )
-from repro.core.config import StreamConfig, SweepConfig, TraclusConfig
+from repro.core.config import SweepConfig, TraclusConfig
 from repro.core.traclus import TRACLUS
 from repro.exceptions import WorkspaceError
 from repro.partition.approximate import partition_all
-from repro.stream.pipeline import StreamingTRACLUS
 from repro.sweep.engine import SweepEngine
 import repro.partition.batched as batched_module
 
@@ -69,21 +68,26 @@ class TestPartitionArtifact:
         assert calls["n"] == 1
         assert ws.stats.build_count("partition") == 1
 
-    def test_scan_states_cover_corpus(self, workspace, trajectories):
-        artifact = workspace.partition()
-        assert artifact.has_scan_states
-        committed, starts, lengths = artifact.scan_states()
-        assert len(committed) == len(trajectories)
-        assert starts.shape == lengths.shape == (len(trajectories),)
-
-    def test_segment_bound_has_no_scan_states(self, random_segments):
+    def test_segment_bound_has_no_characteristic_points(
+        self, random_segments
+    ):
         ws = Workspace.from_segments(random_segments)
-        artifact = ws.partition()
-        assert not artifact.has_scan_states
-        with pytest.raises(WorkspaceError):
-            artifact.scan_states()
+        assert ws.partition().characteristic_points is None
         with pytest.raises(WorkspaceError):
             ws.characteristic_points()
+
+    def test_returned_characteristic_points_are_copies(self, trajectories):
+        """Changing the lists a call returns changes no later call."""
+        _, expected = partition_all(trajectories)
+        ws = Workspace(trajectories, TraclusConfig(
+            eps=6.0, min_lns=3.0, compute_representatives=False
+        ))
+        ws.characteristic_points()[0].append(1_000_000)
+        ws.sweep(
+            SweepConfig(eps_values=[6.0], min_lns_values=[3.0])
+        ).characteristic_points[2].clear()
+        assert ws.characteristic_points() == expected
+        assert ws.fit().characteristic_points == expected
 
 
 class TestGraphArtifact:
@@ -230,6 +234,33 @@ class TestPersistence:
         assert other.stats.build_count("graph") == 1
         assert other.stats.build_count("labels") == 1
 
+    def test_partition_missing_a_member_is_rebuilt(
+        self, trajectories, tmp_path
+    ):
+        """A partition npz that lacks a member its decoder reads (cut
+        short, or written by another version) is a miss: the artifact
+        is rebuilt and saved over the file."""
+        config = TraclusConfig(
+            eps=6.0, min_lns=3.0, compute_representatives=False
+        )
+        Workspace(trajectories, config, cache_dir=str(tmp_path)).partition()
+        [path] = tmp_path.glob("partition-*.npz")
+        with np.load(path) as archive:
+            kept = {
+                name: archive[name]
+                for name in archive.files if name != "cps_offsets"
+            }
+        np.savez(path, **kept)
+
+        damaged = Workspace(trajectories, config, cache_dir=str(tmp_path))
+        result = damaged.fit()
+        fresh = Workspace(trajectories, config).fit()
+        assert np.array_equal(result.labels, fresh.labels)
+        assert result.characteristic_points == fresh.characteristic_points
+        assert damaged.stats.build_count("partition") == 1
+        warm = Workspace(trajectories, config, cache_dir=str(tmp_path))
+        assert warm.characteristic_points() == fresh.characteristic_points
+        assert warm.stats.builds == {}
 
     def test_build_seconds_share_one_clock(self, trajectories, tmp_path):
         """One cold build per kind: each saved artifact's
@@ -309,50 +340,6 @@ class TestFacades:
         )
         assert wrapped.n_graph_edges == engine.n_edges
 
-    def test_seed_streaming_equals_fresh_bulk_load(self, trajectories):
-        stream_config = StreamConfig(eps=5.0, min_lns=3.0)
-        reference = StreamingTRACLUS(stream_config)
-        reference.bulk_load(trajectories)
-        seeded = Workspace(trajectories, TraclusConfig()).seed_streaming(
-            stream_config
-        )
-        ref_slots, ref_labels = reference.labels()
-        new_slots, new_labels = seeded.labels()
-        assert np.array_equal(ref_slots, new_slots)
-        assert np.array_equal(ref_labels, new_labels)
-
-    def test_seed_streaming_skips_phase1(self, trajectories, monkeypatch):
-        ws = Workspace(trajectories, TraclusConfig())
-        ws.partition()  # artifact materialised up front
-
-        def exploding(*args, **kwargs):
-            raise AssertionError("seeding must not re-run the scan")
-
-        monkeypatch.setattr(batched_module, "lockstep_scan", exploding)
-        seeded = ws.seed_streaming(StreamConfig(eps=5.0, min_lns=3.0))
-        assert seeded.n_alive > 0
-
-    def test_seed_streaming_suppression_mismatch(self, trajectories):
-        ws = Workspace(trajectories, TraclusConfig(suppression=1.0))
-        with pytest.raises(WorkspaceError):
-            ws.seed_streaming(StreamConfig(eps=5.0, min_lns=3.0))
-
-    def test_direct_bulk_load_rejects_suppression_mismatch(
-        self, trajectories
-    ):
-        """The artifact records the suppression it was scanned with, so
-        even the direct bulk_load(partition=) path cannot seed an
-        inconsistent session."""
-        from repro.exceptions import ClusteringError
-
-        artifact = Workspace(
-            trajectories, TraclusConfig(suppression=2.0)
-        ).partition()
-        assert artifact.suppression == 2.0
-        pipeline = StreamingTRACLUS(StreamConfig(eps=5.0, min_lns=3.0))
-        with pytest.raises(ClusteringError, match="suppression"):
-            pipeline.bulk_load(trajectories, partition=artifact)
-
     def test_traclus_memoizes_workspace_across_calls(self, trajectories):
         """fit then sweep on one TRACLUS instance shares the session
         workspace: the graph from the sweep serves the fit."""
@@ -368,14 +355,6 @@ class TestFacades:
         t.fit(trajectories)  # eps=5 <= 6: no new build, same workspace
         assert t._workspace(trajectories) is ws
         assert ws.graph_builds() == builds_after_sweep == 1
-
-    def test_bulk_load_rejects_segment_bound_artifact(
-        self, trajectories, random_segments
-    ):
-        artifact = PartitionArtifact(random_segments, None)
-        pipeline = StreamingTRACLUS(StreamConfig(eps=5.0, min_lns=3.0))
-        with pytest.raises(WorkspaceError):
-            pipeline.bulk_load(trajectories, partition=artifact)
 
 
 class TestBindingErrors:

@@ -9,6 +9,7 @@ from repro.partition.approximate import approximate_partition, partition_all
 from repro.partition.batched import (
     batched_partition_arrays,
     lockstep_scan,
+    with_endpoints,
 )
 from repro.model.trajectory import Trajectory
 
@@ -81,9 +82,9 @@ class TestLockstepScan:
     def test_single_point_rows_never_scan(self):
         """The streaming bulk-load path feeds rows of any length >= 1."""
         ragged = RaggedPoints.from_arrays([np.zeros((1, 2))])
-        committed, starts, lengths = lockstep_scan(ragged)
+        committed = lockstep_scan(ragged)
         assert committed == [[0]]
-        assert starts.tolist() == [0] and lengths.tolist() == [1]
+        assert with_endpoints(committed, ragged.lengths) == [[0]]
 
     def test_matches_paper_figure8_example(self):
         """Same zigzag the scalar unit tests partition."""

@@ -103,8 +103,7 @@ ENTRY_POINTS = {
         lambda points, s: partition_all([Trajectory(points, 0)], s)[1][0]
     ),
     "lockstep_scan": lambda points, s: with_endpoints(
-        lockstep_scan(RaggedPoints.from_arrays([points]), s)[0],
-        [len(points)],
+        lockstep_scan(RaggedPoints.from_arrays([points]), s), [len(points)]
     )[0],
     "IncrementalPartitioner": _incremental,
     "TrajectoryStream": _stream,

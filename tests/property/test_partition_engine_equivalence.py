@@ -5,9 +5,9 @@ bitwise, including suppression and line-07 tie behavior — to running
 Figure 8 one trajectory at a time.  These tests drive both over
 adversarial corpora (duplicate points, collinear runs, quantised
 coordinates that manufacture cost ties, positive suppression) and
-assert list equality point for point, plus scan-state equality against
-the incremental partitioner the streaming bulk-load path restores
-from.
+assert list equality point for point, plus committed-point equality
+against the incremental partitioner the streaming bulk-load path
+restores from.
 """
 
 import numpy as np
@@ -20,7 +20,11 @@ from repro.partition.approximate import (
     approximate_partition,
     partition_all,
 )
-from repro.partition.batched import batched_partition_arrays, lockstep_scan
+from repro.partition.batched import (
+    batched_partition_arrays,
+    lockstep_scan,
+    with_endpoints,
+)
 from repro.partition.incremental import IncrementalPartitioner
 from repro.partition.mdl import _window_mdl_costs_numpy
 from repro.model.ragged import RaggedPoints
@@ -92,18 +96,18 @@ class TestEngineEquivalence:
     @given(corpus(max_trajectories=4))
     @settings(max_examples=60, deadline=None)
     def test_scan_state_matches_incremental(self, point_arrays):
-        """The lock-step scanner's resumable state is exactly what the
-        incremental partitioner reaches after appending everything —
-        the invariant the streaming bulk-load path restores from."""
+        """The lock-step scanner's committed points — the whole
+        resumable state — are exactly what the incremental partitioner
+        reaches after appending everything: the invariant the streaming
+        bulk-load path restores from."""
         ragged = RaggedPoints.from_arrays(point_arrays)
-        committed, starts, lengths = lockstep_scan(ragged)
+        committed = lockstep_scan(ragged)
+        cps = with_endpoints(committed, ragged.lengths)
         for row, points in enumerate(point_arrays):
             incremental = IncrementalPartitioner()
             incremental.append(points)
             assert committed[row] == incremental.committed
-            assert (int(starts[row]), int(lengths[row])) == (
-                incremental.scan_state()
-            )
+            assert cps[row] == incremental.characteristic_points()
 
     @given(corpus(max_trajectories=4))
     @settings(max_examples=40, deadline=None)
@@ -201,7 +205,8 @@ def _reference_costs(points, i, j):
 def figure8(points, suppression):
     """Figure 8 of the paper, line for line, over the reference costs.
 
-    Returns ``(characteristic points, committed, scan state)``."""
+    Returns ``(characteristic points, committed, final (startIndex,
+    length))``."""
     n = len(points)
     cps = [0]  # 01
     start_index, length = 0, 1  # 02
@@ -268,7 +273,8 @@ def reference_case(draw):
 @pytest.mark.parametrize("backend", _backend_params())
 class TestFigure8Reference:
     """Every phase-1 engine against the paper's loop over the numpy
-    reference: same characteristic points, same scan states."""
+    reference: same characteristic points, and a final scan position
+    the committed points determine."""
 
     @given(case=reference_case())
     @settings(max_examples=80, deadline=None)
@@ -279,6 +285,9 @@ class TestFigure8Reference:
             scan = lockstep_scan(RaggedPoints.from_arrays(walks), suppression)
             for row, (walk, sizes) in enumerate(zip(walks, chunks)):
                 cps, committed, state = expected[row]
+                # Where the loop stopped follows from what it committed:
+                # the position every partitioner resumes from.
+                assert state == (committed[-1], len(walk) - committed[-1])
                 assert approximate_partition(walk, suppression) == cps
 
                 incremental = IncrementalPartitioner(suppression)
@@ -291,7 +300,5 @@ class TestFigure8Reference:
                     incremental.append(walk[at:])
                 assert incremental.characteristic_points() == cps
                 assert incremental.committed == committed
-                assert incremental.scan_state() == state
 
-                assert scan[0][row] == committed
-                assert (int(scan[1][row]), int(scan[2][row])) == state
+                assert scan[row] == committed

@@ -2,8 +2,9 @@
 
 The contract: ``bulk_load`` is *indistinguishable after the fact* from
 having appended every trajectory point by point — same labels, same
-slot assignments, same resumable per-trajectory scan state, and
-identical behavior under all subsequent appends.
+slot assignments, same committed characteristic points per trajectory
+(the whole resumable scan state), and identical behavior under all
+subsequent appends.
 """
 
 import numpy as np
@@ -63,7 +64,9 @@ class TestBulkEqualsSequential:
             ].partitioner
             bulk_part = bulk.stream._trajectories[track.traj_id].partitioner
             assert bulk_part.committed == seq_part.committed
-            assert bulk_part.scan_state() == seq_part.scan_state()
+            assert bulk_part.characteristic_points() == (
+                seq_part.characteristic_points()
+            )
             assert np.array_equal(bulk_part.points, seq_part.points)
 
     def test_subsequent_appends_identical(self):

@@ -5,6 +5,7 @@ checkpoint ends in one ReproError naming it."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -154,3 +155,94 @@ class TestBadFiles:
         for path in bad_files(tmp_path):
             with pytest.raises(ReproError, match=path.replace(".", r"\.")):
                 reader(path)
+
+
+def damaged_copy(tmp_path, change):
+    """The committed stream checkpoint with *change* applied to its
+    arrays and to trajectory 2's meta entry (54 timed points, committed
+    points ending at 52)."""
+    with np.load(os.path.join(FIXTURES, "stream.npz")) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    [entry] = [e for e in meta["trajectories"] if e["traj_id"] == 2]
+    change(arrays, entry)
+    arrays["meta"] = np.array(json.dumps(meta))
+    path = str(tmp_path / "damaged.npz")
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+def append_three(pipeline):
+    """Three more points for trajectory 2, after its last one."""
+    points = pipeline.stream._trajectories[2].partitioner.points
+    last_time = pipeline.stream._trajectories[2].times[-1]
+    return pipeline.append(
+        2, points[-1] + np.array([[1.0, 0.5], [2.0, 1.5], [3.0, 1.0]]),
+        times=last_time + np.arange(1.0, 4.0),
+    )
+
+
+def _past_the_end(arrays, entry):
+    entry["committed"].append(59)
+
+
+def _past_the_end_and_resumed_there(arrays, entry):
+    entry["committed"].append(59)
+    entry["start_index"] = 59
+
+
+def _starts_at_three(arrays, entry):
+    entry["committed"] = [3] + [c for c in entry["committed"] if c > 3]
+
+
+def _reversed(arrays, entry):
+    entry["committed"].reverse()
+
+
+def _three_columns(arrays, entry):
+    points = arrays["traj_2_points"]
+    arrays["traj_2_points"] = np.column_stack([points, points[:, 0]])
+
+
+def _non_finite_point(arrays, entry):
+    arrays["traj_2_points"][5, 1] = np.nan
+
+
+def _times_missing(arrays, entry):
+    del arrays["traj_2_times"]
+
+
+def _times_cut_short(arrays, entry):
+    arrays["traj_2_times"] = arrays["traj_2_times"][:-1]
+
+
+def _negative_weight(arrays, entry):
+    entry["weight"] = -1.0
+
+
+class TestDamagedContents:
+    @pytest.mark.parametrize("change", [
+        _past_the_end, _past_the_end_and_resumed_there, _starts_at_three,
+        _reversed, _three_columns, _non_finite_point, _times_missing,
+        _times_cut_short, _negative_weight,
+    ])
+    def test_is_one_repro_error_naming_the_file(self, tmp_path, change):
+        """A checkpoint a session cannot resume from fails on load, not
+        on a later append."""
+        path = damaged_copy(tmp_path, change)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            load_checkpoint(path)
+
+    def test_saved_scan_position_is_not_read(self, tmp_path):
+        """``start_index`` and ``length`` are derived when saved: junk
+        there restores the same session."""
+        def junk(arrays, entry):
+            entry["start_index"], entry["length"] = 59, -4
+
+        reference = load_checkpoint(os.path.join(FIXTURES, "stream.npz"))
+        restored = load_checkpoint(damaged_copy(tmp_path, junk))
+        expected, got = append_three(reference), append_three(restored)
+        assert got.labels == expected.labels
+        assert restored.stream.characteristic_points(2) == (
+            reference.stream.characteristic_points(2)
+        )

@@ -67,15 +67,30 @@ class TestIncrementalPartitioner:
         points = random_walk(40, seed=9)
         partitioner = IncrementalPartitioner()
         partitioner.append(points[:25])
-        start, length = partitioner.scan_state()
         clone = IncrementalPartitioner.restore(
-            0.0, partitioner.points, partitioner.committed, start, length
+            0.0, partitioner.points, partitioner.committed
         )
+        assert clone.committed == partitioner.committed
         partitioner.append(points[25:])
         clone.append(points[25:])
+        assert clone.committed == partitioner.committed
         assert clone.characteristic_points() == (
             partitioner.characteristic_points()
         )
+
+    @pytest.mark.parametrize(
+        "committed", [[], [3, 10], [0, 12, 5], [0, 5, 5], [0, 39]]
+    )
+    def test_restore_rejects_points_figure8_cannot_commit(self, committed):
+        """Committed points rise strictly from 0 and stay below n - 1."""
+        with pytest.raises(PartitionError, match="40-point trajectory"):
+            IncrementalPartitioner.restore(0.0, random_walk(40), committed)
+
+    def test_restore_one_point_trajectory(self):
+        restored = IncrementalPartitioner.restore(0.0, [[1.0, 2.0]], [0])
+        assert restored.characteristic_points() == [0]
+        with pytest.raises(PartitionError):
+            IncrementalPartitioner.restore(0.0, [[1.0, 2.0]], [0, 1])
 
 
 class TestTrajectoryStream:
