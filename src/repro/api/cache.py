@@ -7,9 +7,10 @@ artifact (:mod:`repro.io.artifacts`), named ``<kind>-<key>.npz``, so a
 later CLI invocation or benchmark process starts warm.
 
 The store never interprets payloads; (de)materialising rich objects is
-the workspace's job.  It does count traffic (:class:`CacheStats`) —
-tests and the cold/warm benchmark assert engine short-circuits through
-those counters.
+the workspace's job, handed in as the ``decode`` of
+:meth:`ArtifactStore.load_arrays`.  It does count traffic
+(:class:`CacheStats`) — tests and the cold/warm benchmark assert engine
+short-circuits through those counters.
 
 Both tiers evict least-recently-used entries: the object tier caps the
 entry count per kind, and the npz tier (when ``max_disk_bytes`` is
@@ -21,14 +22,10 @@ victim in-process; cross-process, POSIX unlink semantics keep an
 already-open reader safe, and a reader that loses the
 exists-then-open race treats the vanished file as a plain miss.
 
-Alongside the npz tier the store maintains a sqlite catalog
-(:mod:`repro.api.catalog`): every save indexes the artifact's typed
-metadata, every eviction retires its rows, and the scan-heavy
-consumers — :meth:`ArtifactStore.entries`, the eviction victim query,
-``repro workspace stats``/``query`` — read the index instead of
-statting files.  A directory whose catalog cannot open (or whose
-sqlite gives up mid-session) degrades to the original filesystem
-scans; ``Catalog.rebuild()`` re-derives every row from the npz files.
+The npz files are the store's only record: eviction and listing scan
+the directory, and the store never opens the sqlite catalog
+(:mod:`repro.api.catalog`), which syncs itself from the files when it
+is queried.
 """
 
 from __future__ import annotations
@@ -37,12 +34,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.catalog import Catalog
-from repro.exceptions import CatalogError
 from repro.io.artifacts import (
     DAMAGED_NPZ_ERRORS,
     load_artifact,
@@ -89,7 +84,7 @@ class CacheStats:
     builds: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds spent inside engine builds, by stage: the same
     #: clock as each saved artifact's ``build_seconds`` meta, which the
-    #: catalog indexes for ``repro workspace stats`` (see
+    #: catalog indexes for ``repro workspace query`` (see
     #: :meth:`repro.api.Workspace._materialize`).
     build_seconds: Dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(
@@ -151,11 +146,6 @@ class ArtifactStore:
         self.max_disk_bytes = max_disk_bytes
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
-        # The sqlite catalog (repro.api.catalog) rides every save/evict
-        # below; a directory whose catalog cannot open (read-only
-        # mount, hostile sqlite build) degrades to the filesystem-scan
-        # paths instead of failing artifact traffic.
-        self.catalog: Optional[Catalog] = None
         # Insertion order doubles as recency order (oldest first):
         # get/put re-insert on every touch, making eviction true LRU.
         self._memory: Dict[Tuple[str, str], object] = {}
@@ -166,11 +156,6 @@ class ArtifactStore:
         # registry every one is the shared no-op, so the hot path pays
         # a method call and nothing else.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        if cache_dir is not None:
-            try:
-                self.catalog = Catalog(cache_dir, metrics=self.metrics)
-            except CatalogError:
-                self.catalog = None
         lookups = "repro_cache_lookups_total"
         lookups_help = "Artifact cache lookups by tier and outcome."
         self._m_memory_hits = self.metrics.counter(
@@ -242,21 +227,6 @@ class ArtifactStore:
             else:
                 self._pins[path] = count
 
-    # -- catalog maintenance ------------------------------------------------
-    def _catalog_call(self, method: str, *args):
-        """Run one catalog write/read, degrading to no-catalog for the
-        rest of this store's life if sqlite gives up (the filesystem
-        fallbacks below take over; ``rebuild()`` on a later open
-        recovers the index)."""
-        catalog = self.catalog
-        if catalog is None:
-            return None
-        try:
-            return getattr(catalog, method)(*args)
-        except CatalogError:
-            self.catalog = None
-            return None
-
     # -- level 2: npz files ------------------------------------------------
     def path(self, kind: str, key: str) -> Optional[str]:
         if self.cache_dir is None:
@@ -264,43 +234,46 @@ class ArtifactStore:
         return os.path.join(self.cache_dir, f"{kind}-{key}.npz")
 
     def load_arrays(
-        self, kind: str, key: str
-    ) -> Optional[Tuple[Dict[str, np.ndarray], dict]]:
+        self,
+        kind: str,
+        key: str,
+        decode: Optional[Callable[[Dict[str, np.ndarray], dict], object]] = None,
+    ):
+        """The npz-tier artifact: ``decode(arrays, meta)`` when *decode*
+        is given, else ``(arrays, meta)``; ``None`` on a miss.  A file
+        that is missing, damaged, or that *decode* rejects (a member
+        missing or malformed, as in one written by another version)
+        counts one miss; a disk hit is counted only once decoded."""
         path = self.path(kind, key)
         if path is None:
             # Memory-only store: there is no disk tier to miss.
             return None
         if not os.path.exists(path):
-            self.stats.count_miss()
-            self._m_misses.inc()
-            return None
+            return self._miss()
         self._pin(path)
         started = time.perf_counter()
         try:
             with span("artifact_load", kind=kind):
-                arrays, meta = load_artifact(path)
+                loaded = load_artifact(path)
         except (FileNotFoundError, *DAMAGED_NPZ_ERRORS):
             # Lost the exists-then-open race against a concurrent
             # eviction (another process's budget sweep), or a damaged
             # file that the rebuild replaces — a plain miss.
-            self.stats.count_miss()
-            self._m_misses.inc()
-            return None
+            return self._miss()
         finally:
             self._unpin(path)
         self._m_load_seconds.observe(time.perf_counter() - started)
+        if decode is not None:
+            try:
+                loaded = decode(*loaded)
+            except (KeyError, ValueError):
+                return self._miss()
         if self.max_disk_bytes is not None:
             # Budgeted stores refresh mtime on read — the recency
             # signal eviction sorts on, visible to every process
             # sharing the directory.  Grow-only stores leave mtimes
             # alone (warm re-runs are pure reads; tests pin that).
             self._touch(path)
-            try:
-                mtime = os.stat(path).st_mtime
-            except OSError:  # pragma: no cover - concurrently evicted
-                pass
-            else:
-                self._catalog_call("touch", os.path.basename(path), mtime)
         self.stats.count_disk_hit()
         self._m_disk_hits.inc()
         if self.metrics.enabled:
@@ -308,7 +281,12 @@ class ArtifactStore:
                 self._m_load_bytes.observe(os.path.getsize(path))
             except OSError:  # pragma: no cover - concurrently evicted
                 pass
-        return arrays, meta
+        return loaded
+
+    def _miss(self) -> None:
+        self.stats.count_miss()
+        self._m_misses.inc()
+        return None
 
     def save_arrays(
         self, kind: str, key: str, arrays: Dict[str, np.ndarray], meta: dict
@@ -325,11 +303,6 @@ class ArtifactStore:
                 self._m_save_bytes.observe(os.path.getsize(path))
             except OSError:  # pragma: no cover - concurrently evicted
                 pass
-        # File first, row second: a crash between the two leaves an
-        # unindexed file (recovered by rebuild()), never a row pointing
-        # at nothing.  The row is read back from the file, so a
-        # concurrent writer of the same key cannot leave it stale.
-        self._catalog_call("index_artifact", os.path.basename(path))
         self.enforce_disk_budget()
 
     @staticmethod
@@ -341,43 +314,37 @@ class ArtifactStore:
         except OSError:  # pragma: no cover - concurrently evicted
             pass
 
-    def disk_bytes(self) -> int:
-        """Total size of the npz tier right now (0 when memory-only)."""
-        if self.cache_dir is None:
-            return 0
-        total = 0
+    def _scan(self) -> List[Tuple[float, int, str]]:
+        """``(mtime, bytes, name)`` of every npz file in the directory
+        now; a file evicted between the listing and its stat is
+        skipped."""
+        found = []
         for name in os.listdir(self.cache_dir):
             if not name.endswith(".npz"):
                 continue
             try:
-                total += os.path.getsize(os.path.join(self.cache_dir, name))
+                stat = os.stat(os.path.join(self.cache_dir, name))
             except OSError:
                 continue  # vanished under a concurrent eviction
-        return total
+            found.append((stat.st_mtime, stat.st_size, name))
+        return found
+
+    def disk_bytes(self) -> int:
+        """Total size of the npz tier right now (0 when memory-only)."""
+        if self.cache_dir is None:
+            return 0
+        return sum(size for _, size, _ in self._scan())
 
     def enforce_disk_budget(self) -> int:
-        """Unlink coldest-first npz files until the directory fits
-        ``max_disk_bytes``; returns how many were evicted.  Pinned
-        (mid-read) files are never victims; a file another process is
-        already reading survives its unlink (POSIX keeps the open fd
-        valid)."""
+        """Unlink coldest-first npz files — by (mtime, bytes, name) —
+        until the directory fits ``max_disk_bytes``; returns how many
+        were evicted.  Every npz file in the directory is a candidate,
+        however it got there.  Pinned (mid-read) files are never
+        victims; a file another process is already reading survives its
+        unlink (POSIX keeps the open fd valid)."""
         if self.cache_dir is None or self.max_disk_bytes is None:
             return 0
-        candidates = self._catalog_call("eviction_candidates")
-        if candidates is None:
-            # No catalog (open failed, or it degraded mid-session):
-            # the original listdir+stat scan.
-            candidates = []
-            for name in os.listdir(self.cache_dir):
-                if not name.endswith(".npz"):
-                    continue
-                path = os.path.join(self.cache_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                candidates.append((stat.st_mtime, stat.st_size, name))
-            candidates.sort()  # coldest mtime first
+        candidates = sorted(self._scan())
         total = sum(size for _, size, _ in candidates)
         evicted = 0
         for _, size, name in candidates:
@@ -390,14 +357,10 @@ class ArtifactStore:
             try:
                 os.unlink(path)
             except FileNotFoundError:
-                # Another process won the race — its sweep (or ours,
-                # below) must still retire the row.
-                self._catalog_call("record_eviction", name)
-                total -= size
+                total -= size  # another process evicted it first
                 continue
             except OSError:
                 continue
-            self._catalog_call("record_eviction", name)
             total -= size
             evicted += 1
             self.stats.count_disk_eviction()
@@ -406,54 +369,21 @@ class ArtifactStore:
 
     # -- inspection --------------------------------------------------------
     def entries(self) -> List[dict]:
-        """Every persisted artifact: kind, key, file size, metadata.
+        """Every persisted artifact: kind, key, file size, metadata (a
+        file that does not decode lists ``{"error": "unreadable"}``).
         Sorted by pipeline stage then name (the ``repro workspace``
         inspector prints this)."""
         if self.cache_dir is None:
             return []
-        listing = {
-            name
-            for name in os.listdir(self.cache_dir)
-            if name.endswith(".npz")
-        }
-        if self.catalog is not None:
-            indexed = self._catalog_call("file_stats")
-            if indexed is not None and indexed.keys() != listing:
-                # Files written around the store (raw save_artifact,
-                # another torn process) or rows whose file vanished:
-                # re-derive the index, then serve from it.
-                self._catalog_call("rebuild")
-            elif indexed is not None:
-                # A file changed in place (damaged, or rewritten around
-                # the store): re-index it from what is on disk now.
-                for name in sorted(listing):
-                    try:
-                        stat = os.stat(os.path.join(self.cache_dir, name))
-                    except OSError:
-                        continue  # evicted since the listing
-                    if (stat.st_size, stat.st_mtime) != indexed[name]:
-                        self._catalog_call("index_artifact", name)
-            rows = self._catalog_call("entries", ARTIFACT_KINDS)
-            if rows is not None:
-                return rows
         rows: List[dict] = []
-        for name in sorted(listing):
-            if not name.endswith(".npz"):
-                continue
-            kind, _, rest = name.partition("-")
-            path = os.path.join(self.cache_dir, name)
+        for _, size, name in self._scan():
             try:
-                size = os.path.getsize(path)
-            except OSError:
-                # Evicted between listdir and stat by a concurrent
-                # budget sweep — skip rather than crash the inspector.
-                continue
-            try:
-                meta = load_artifact_meta(path)
+                meta = load_artifact_meta(os.path.join(self.cache_dir, name))
             except FileNotFoundError:
                 continue  # evicted between stat and open
-            except (OSError, *DAMAGED_NPZ_ERRORS):  # pragma: no cover - corrupt file
+            except (OSError, *DAMAGED_NPZ_ERRORS):
                 meta = {"error": "unreadable"}
+            kind, _, rest = name.partition("-")
             rows.append(
                 {
                     "kind": kind,

@@ -1,48 +1,47 @@
-"""A sqlite catalog over the npz artifact store.
+"""A sqlite index over the npz artifact store, synced from the files.
 
 The store (:mod:`repro.api.cache`) can answer "give me artifact X" but
 not "which (ε, MinLns) cells across all cached corpora have ≥ k
-clusters" without loading every payload.  This module maintains that
-answer as a live index — ``catalog.sqlite`` next to the npz files —
-updated incrementally through the store's save/evict paths rather than
-rebuilt by scanning:
+clusters" without loading every payload.  This module keeps that answer
+in ``catalog.sqlite`` next to the npz files.  The npz files are the
+only record: the store never opens the catalog, and every query first
+brings the index up to date (:meth:`Catalog.sync`) — it stats the
+files, re-reads the ``__meta__`` member of each file that is new or
+changed since its row was written, never a payload, and drops the rows
+of files that are gone.
 
 ``artifacts``
     one row per npz file: kind, fingerprint key, corpus fingerprint,
     the config knobs split into typed columns (ε, MinLns,
-    ``use_weights``, γ, suppression, grid shape), byte size, mtime,
-    and the engine build seconds that produced it.
+    ``use_weights``, γ, suppression, grid shape, labels setting), byte
+    size, mtime, inode, and the engine build seconds that produced it.
 ``cells``
     one row per (ε, MinLns) cell of every cached labels grid: cluster
-    count, noise count, segment count, and — once the matching quality
-    artifact lands — QMeasure.  This is the table the cross-corpus
-    analytics (``repro workspace query``, ``GET /v1/query``) hit.
+    count, noise count, segment count, and the QMeasure of a quality
+    artifact of the same corpus, cell and setting, while one is on disk.
 ``corpora``
-    corpus fingerprints with their human names (the serve layer
-    registers spec names) and sizes.
+    corpus fingerprints with the trajectory and segment counts of their
+    partition artifacts, and the human names the serve layer registers
+    — the one fact no file records.
 
-Concurrency: WAL journal mode, so any number of reader processes
-(query CLIs, the serve front-end) proceed while one writer commits;
-writes take an in-process lock plus a ``BEGIN IMMEDIATE`` transaction
-with a generous busy timeout, so the multi-process eviction stress in
-``tests/api/test_catalog_consistency.py`` serialises cleanly.  Every
-row is derivable from ``(os.stat, npz meta)`` alone, so
-:meth:`Catalog.rebuild` recovers a cold or torn catalog by re-scanning
-the directory — reading only each file's lazily-decompressed
-``__meta__`` member, never a payload — and converges to the same rows
-the incremental path wrote.
+Concurrency: sqlite's default rollback journal.  Queries are the only
+writers, and a sync decides each row inside one ``BEGIN IMMEDIATE``
+transaction, re-reading there every file it indexes, so concurrent
+syncs serialise and the last commit describes the files as they are.
+Every row but a corpus name is derivable from ``(os.stat, npz meta)``:
+:meth:`Catalog.rebuild` re-derives the rows a sync converges to, and a
+torn, deleted or older-schema catalog is re-derived at the next query.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
 import sqlite3
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CatalogError
 from repro.io.artifacts import DAMAGED_NPZ_ERRORS, load_artifact_meta
@@ -51,12 +50,9 @@ from repro.obs import NULL_REGISTRY
 #: File name of the catalog database inside a workspace directory.
 CATALOG_FILENAME = "catalog.sqlite"
 
-#: Sidecar file whose exclusive ``flock`` serialises catalog opens.
-OPEN_LOCK_FILENAME = CATALOG_FILENAME + ".lock"
-
 #: Bumped on any schema change; an on-disk catalog with a different
-#: ``user_version`` is dropped and rebuilt from the npz files.
-SCHEMA_VERSION = 1
+#: ``user_version`` is dropped and re-derived from the npz files.
+SCHEMA_VERSION = 2
 
 #: Seconds a writer waits on another process's transaction before
 #: giving up (sqlite busy timeout).
@@ -64,13 +60,14 @@ BUSY_TIMEOUT_SECONDS = 10.0
 
 _SCHEMA = (
     """
-    CREATE TABLE IF NOT EXISTS artifacts (
+    CREATE TABLE artifacts (
         file TEXT PRIMARY KEY,
         kind TEXT NOT NULL,
         key TEXT NOT NULL,
         corpus TEXT,
         bytes INTEGER NOT NULL,
         mtime REAL NOT NULL,
+        inode INTEGER,
         build_seconds REAL,
         suppression REAL,
         eps REAL,
@@ -81,14 +78,14 @@ _SCHEMA = (
         n_eps INTEGER,
         n_min_lns INTEGER,
         qmeasure REAL,
+        setting TEXT,
         meta TEXT
     )
     """,
-    "CREATE INDEX IF NOT EXISTS artifacts_kind ON artifacts(kind)",
-    "CREATE INDEX IF NOT EXISTS artifacts_corpus ON artifacts(corpus)",
-    "CREATE INDEX IF NOT EXISTS artifacts_mtime ON artifacts(mtime)",
+    "CREATE INDEX artifacts_cell ON artifacts(kind, corpus, eps, min_lns)",
+    "CREATE INDEX artifacts_corpus ON artifacts(corpus)",
     """
-    CREATE TABLE IF NOT EXISTS cells (
+    CREATE TABLE cells (
         file TEXT NOT NULL,
         corpus TEXT,
         eps REAL NOT NULL,
@@ -100,9 +97,9 @@ _SCHEMA = (
         PRIMARY KEY (file, eps, min_lns)
     )
     """,
-    "CREATE INDEX IF NOT EXISTS cells_grid ON cells(corpus, eps, min_lns)",
+    "CREATE INDEX cells_grid ON cells(corpus, eps, min_lns)",
     """
-    CREATE TABLE IF NOT EXISTS corpora (
+    CREATE TABLE corpora (
         fingerprint TEXT PRIMARY KEY,
         name TEXT,
         n_trajectories INTEGER,
@@ -112,6 +109,23 @@ _SCHEMA = (
     )
     """,
 )
+
+#: Each grid cell's QMeasure, derived from the quality rows present
+#: now: the first by file name of the same corpus and cell whose setting
+#: is the labels artifact's (an artifact that records none, written
+#: before settings were, matches any).  Run after every indexing write,
+#: so an evicted quality artifact takes its value with it.
+_DERIVE_QMEASURE = """
+    UPDATE cells SET qmeasure = (
+        SELECT q.qmeasure FROM artifacts q, artifacts l
+        WHERE l.file = cells.file AND q.kind = 'quality'
+          AND q.corpus IS cells.corpus AND q.eps = cells.eps
+          AND q.min_lns = cells.min_lns AND q.qmeasure IS NOT NULL
+          AND (q.setting IS NULL OR l.setting IS NULL
+               OR q.setting = l.setting)
+        ORDER BY q.file LIMIT 1
+    )
+"""
 
 #: meta keys lifted into typed columns (same name in both).
 _KNOB_COLUMNS = (
@@ -127,19 +141,28 @@ _KNOB_COLUMNS = (
 )
 
 _OPS_NAME = "repro_catalog_ops_total"
-_OPS_HELP = "Catalog operations by op (index/touch/rebuild/query)."
+_OPS_HELP = "Catalog operations by op (index/touch/rebuild/query/sql)."
 _SECONDS_NAME = "repro_catalog_op_seconds"
 _SECONDS_HELP = "Wall seconds per catalog operation by op."
+
+
+def _signature(stat: os.stat_result) -> Tuple[int, float, int]:
+    """What tells one version of a file from the next: a save replaces
+    the file by rename, so a new inode marks it even when the size and
+    the coarse mtime tick are the old ones; a budgeted read's ``utime``
+    moves the mtime."""
+    return int(stat.st_size), float(stat.st_mtime), int(stat.st_ino)
 
 
 class Catalog:
     """The sqlite index of one workspace directory.
 
     Open via :meth:`repro.api.Workspace.catalog` (or directly with the
-    directory); reads are :meth:`query` (named canned queries) and
-    :meth:`sql` (guarded raw SQL over a read-only connection).  The
-    write methods are called by :class:`~repro.api.cache.ArtifactStore`
-    — user code should never need them.
+    directory) and :meth:`close` when done; reads are :meth:`query`
+    (named canned queries) and :meth:`sql` (guarded raw SQL over a
+    read-only connection), each after a :meth:`sync`.  The one write
+    that is not derived from the files is :meth:`register_corpus`'s
+    corpus name.
     """
 
     def __init__(self, cache_dir: str, metrics=None):
@@ -154,38 +177,26 @@ class Catalog:
                 isolation_level=None,  # explicit BEGIN IMMEDIATE below
                 check_same_thread=False,
             )
-            # Switching a fresh database to WAL needs an exclusive lock
-            # that sqlite does not wait for, so concurrent first opens
-            # fail with "database is locked" unless they queue here.
-            with open(
-                os.path.join(cache_dir, OPEN_LOCK_FILENAME), "a"
-            ) as lock:
-                fcntl.flock(lock, fcntl.LOCK_EX)
-                self._configure()
-        except (OSError, sqlite3.Error) as exc:
+            version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        except sqlite3.Error as exc:
             raise CatalogError(
                 f"cannot open catalog at {self.path!r}: {exc}"
             ) from exc
-        # A cold catalog (fresh db, or schema bump) over a directory
-        # that already holds artifacts: adopt them.
-        if not self._any_rows() and self._npz_names():
-            self.rebuild()
+        if version != SCHEMA_VERSION:
+            self._create_schema()
 
-    def _configure(self) -> None:
-        conn = self._conn
-        # WAL lets readers proceed under a writer; on filesystems that
-        # refuse it sqlite reports the old mode — keep going.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        version = conn.execute("PRAGMA user_version").fetchone()[0]
-        if version not in (0, SCHEMA_VERSION):
-            # Unknown (newer/older) schema: drop and re-derive — every
-            # row is recoverable from the npz files.
+    def _create_schema(self) -> None:
+        """Drop the tables of any other schema version and create this
+        one's — decided inside the write transaction, so concurrent
+        first opens create the tables once.  Every dropped row but a
+        corpus name is re-derived by the next sync."""
+        with self._write() as conn:
+            if conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION:
+                return
             for table in ("artifacts", "cells", "corpora"):
                 conn.execute(f"DROP TABLE IF EXISTS {table}")
-        for statement in _SCHEMA:
-            conn.execute(statement)
-        if version != SCHEMA_VERSION:
+            for statement in _SCHEMA:
+                conn.execute(statement)
             conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
 
     # -- bookkeeping ---------------------------------------------------------
@@ -221,10 +232,6 @@ class Catalog:
             else:
                 self._conn.execute("COMMIT")
 
-    def _any_rows(self) -> bool:
-        row = self._conn.execute("SELECT 1 FROM artifacts LIMIT 1").fetchone()
-        return row is not None
-
     def _npz_names(self) -> Set[str]:
         try:
             names = os.listdir(self.cache_dir)
@@ -239,34 +246,56 @@ class Catalog:
             except sqlite3.Error:  # pragma: no cover - already closed
                 pass
 
-    # -- write paths (driven by ArtifactStore) -------------------------------
-    def index_artifact(self, file: str) -> None:
-        """Make one npz file's rows say what the file says now, after a
-        save or an unlink.
+    # -- indexing ------------------------------------------------------------
+    def sync(self) -> int:
+        """Bring the index up to date with the npz files: re-index every
+        file whose ``(bytes, mtime, inode)`` differs from its row or
+        that has no row, and drop the rows of vanished files.  Write-free
+        when nothing changed.  Returns how many files it re-indexed or
+        dropped."""
+        indexed = self.file_stats()
+        on_disk = {}
+        for name in self._npz_names():
+            try:
+                stat = os.stat(os.path.join(self.cache_dir, name))
+            except OSError:
+                continue  # evicted since the listing
+            on_disk[name] = _signature(stat)
+        changed = sorted(
+            name for name in indexed.keys() | on_disk.keys()
+            if indexed.get(name) != on_disk.get(name)
+        )
+        if changed:
+            self.index_artifact(*changed)
+        return len(changed)
 
-        Decided inside the write transaction: a present file is read
-        back (``os.stat`` and its ``__meta__`` member) and its artifact
-        row and grid cells upserted; a missing file loses its rows.
-        Each writer calls this after its own replace or unlink, so the
-        last commit sees the last change — two writers of one key
-        cannot leave a row describing the file that lost the race."""
+    def index_artifact(self, *files: str) -> None:
+        """Make the rows of the named npz files say what the files say
+        now, then re-derive every cell's QMeasure.
+
+        Decided inside one write transaction: a present file is read
+        back (``os.stat``, then its ``__meta__`` member) and its
+        artifact row and grid cells upserted; a missing file loses its
+        rows.  Concurrent syncs therefore serialise, and the last commit
+        sees the last change.  A file replaced between the stat and the
+        meta read keeps the old signature, so the next sync re-reads
+        it."""
         with self._timed("index"), self._write() as conn:
-            row = self._read_file(file)
-            if row is None:
-                conn.execute("DELETE FROM artifacts WHERE file=?", (file,))
-                conn.execute("DELETE FROM cells WHERE file=?", (file,))
-            else:
-                self._index_one(conn, *row)
+            for file in files:
+                read = self._read_file(file)
+                if read is None:
+                    conn.execute("DELETE FROM artifacts WHERE file=?", (file,))
+                    conn.execute("DELETE FROM cells WHERE file=?", (file,))
+                else:
+                    self._index_one(conn, file, *read)
+            conn.execute(_DERIVE_QMEASURE)
 
-    #: An unlinked file takes the same disk-decided write.
+    #: A vanished file takes the same disk-decided write.
     record_eviction = index_artifact
 
-    def _read_file(
-        self, file: str
-    ) -> Optional[Tuple[str, str, str, int, float, dict]]:
-        """``(file, kind, key, bytes, mtime, meta)`` of one npz file as
-        it is on disk, or ``None`` when it is gone.  Kind and key come
-        from the name ``<kind>-<key>.npz``; only ``__meta__`` is read."""
+    def _read_file(self, file: str) -> Optional[Tuple[os.stat_result, dict]]:
+        """``(stat, meta)`` of one npz file as it is on disk, or
+        ``None`` when it is gone.  Only ``__meta__`` is read."""
         path = os.path.join(self.cache_dir, file)
         try:
             stat = os.stat(path)
@@ -275,16 +304,16 @@ class Catalog:
             return None  # vanished under a concurrent eviction
         except DAMAGED_NPZ_ERRORS:
             meta = {"error": "unreadable"}
-        kind, _, rest = file.partition("-")
-        return (
-            file, kind, rest[: -len(".npz")], stat.st_size, stat.st_mtime,
-            meta if isinstance(meta, dict) else {},
-        )
+        return stat, meta if isinstance(meta, dict) else {}
 
     def _index_one(
-        self, conn, file: str, kind: str, key: str,
-        size: int, mtime: float, meta: dict,
+        self, conn, file: str, stat: os.stat_result, meta: dict
     ) -> None:
+        """Upsert one file's artifact row; a labels file's grid cells
+        and a partition file's corpus counts go with it.  Kind and key
+        come from the name ``<kind>-<key>.npz``."""
+        kind, _, rest = file.partition("-")
+        size, mtime, inode = _signature(stat)
         knobs = {column: _number(meta.get(column)) for column in _KNOB_COLUMNS}
         grid = meta.get("grid")
         if isinstance(grid, (list, tuple)) and len(grid) == 2:
@@ -292,34 +321,33 @@ class Catalog:
             knobs["n_min_lns"] = _number(grid[1])
         use_weights = meta.get("use_weights")
         corpus = meta.get("corpus")
+        corpus = corpus if isinstance(corpus, str) else None
+        setting = meta.get("setting")
         conn.execute(
             "INSERT OR REPLACE INTO artifacts (file, kind, key, corpus,"
-            " bytes, mtime, build_seconds, suppression, eps, min_lns,"
-            " use_weights, gamma, n_segments, n_eps, n_min_lns, qmeasure,"
-            " meta) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+            " bytes, mtime, inode, build_seconds, suppression, eps,"
+            " min_lns, use_weights, gamma, n_segments, n_eps, n_min_lns,"
+            " qmeasure, setting, meta)"
+            " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
             (
-                file, kind, key,
-                corpus if isinstance(corpus, str) else None,
-                int(size), float(mtime),
+                file, kind, rest[: -len(".npz")], corpus, size, mtime, inode,
                 knobs["build_seconds"], knobs["suppression"], knobs["eps"],
                 knobs["min_lns"],
                 None if use_weights is None else int(bool(use_weights)),
                 knobs["gamma"], _integer(knobs["n_segments"]),
                 _integer(knobs["n_eps"]), _integer(knobs["n_min_lns"]),
                 knobs["qmeasure"],
+                setting if isinstance(setting, str) else None,
                 json.dumps(meta, sort_keys=True, default=str),
             ),
         )
         if kind == "labels":
             self._index_cells(conn, file, meta)
-        elif kind == "quality" and knobs["qmeasure"] is not None:
-            # Backfill the matching grid cells (order-independent with
-            # the labels side: whichever lands second completes the row).
-            conn.execute(
-                "UPDATE cells SET qmeasure=? WHERE corpus IS ?"
-                " AND eps=? AND min_lns=?",
-                (knobs["qmeasure"], meta.get("corpus"),
-                 knobs["eps"], knobs["min_lns"]),
+        elif kind == "partition" and corpus is not None:
+            self._merge_corpus(
+                conn, corpus, None,
+                _integer(_number(meta.get("n_trajectories"))),
+                _integer(knobs["n_segments"]),
             )
 
     def _index_cells(self, conn, file: str, meta: dict) -> None:
@@ -344,19 +372,9 @@ class Catalog:
             " n_clusters, n_noise, n_segments) VALUES (?,?,?,?,?,?,?)",
             rows,
         )
-        # Adopt QMeasure from quality artifacts already indexed.
-        conn.execute(
-            "UPDATE cells SET qmeasure = ("
-            "  SELECT a.qmeasure FROM artifacts a WHERE a.kind='quality'"
-            "  AND a.corpus IS cells.corpus AND a.eps=cells.eps"
-            "  AND a.min_lns=cells.min_lns)"
-            " WHERE file=? AND qmeasure IS NULL",
-            (file,),
-        )
 
     def touch(self, file: str, mtime: float) -> None:
-        """Mirror a read-refreshed file mtime (the recency signal the
-        byte-budget eviction orders by)."""
+        """Set one row's mtime (a sync reads it from the file anyway)."""
         with self._timed("touch"), self._write() as conn:
             conn.execute(
                 "UPDATE artifacts SET mtime=? WHERE file=?",
@@ -370,20 +388,28 @@ class Catalog:
         n_trajectories: Optional[int] = None,
         n_segments: Optional[int] = None,
     ) -> None:
-        """Upsert corpus metadata, merging non-``None`` fields.
+        """Upsert corpus metadata, merging non-``None`` fields — the
+        serve layer records a corpus's name here."""
+        with self._timed("index"), self._write() as conn:
+            self._merge_corpus(
+                conn, fingerprint, name, n_trajectories, n_segments
+            )
 
-        Write-free when nothing changed — warm re-runs over an existing
-        directory stay pure reads (``last_seen`` therefore records the
-        last *metadata change*, not the last open)."""
-        with self._lock:
-            try:
-                row = self._conn.execute(
-                    "SELECT name, n_trajectories, n_segments FROM corpora"
-                    " WHERE fingerprint=?",
-                    (fingerprint,),
-                ).fetchone()
-            except sqlite3.Error as exc:
-                raise CatalogError(f"catalog read failed: {exc}") from exc
+    @staticmethod
+    def _merge_corpus(
+        conn,
+        fingerprint: str,
+        name: Optional[str],
+        n_trajectories: Optional[int],
+        n_segments: Optional[int],
+    ) -> None:
+        """Row-free when nothing changed, so ``last_seen`` records the
+        last change of a corpus's facts, not the last sync."""
+        row = conn.execute(
+            "SELECT name, n_trajectories, n_segments FROM corpora"
+            " WHERE fingerprint=?",
+            (fingerprint,),
+        ).fetchone()
         merged = (
             name if name is not None else (row and row[0]),
             n_trajectories if n_trajectories is not None else (row and row[1]),
@@ -392,41 +418,40 @@ class Catalog:
         if row is not None and tuple(row) == merged:
             return
         now = time.time()
-        with self._timed("index"), self._write() as conn:
-            if row is None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO corpora (fingerprint, name,"
-                    " n_trajectories, n_segments, first_seen, last_seen)"
-                    " VALUES (?,?,?,?,?,?)",
-                    (fingerprint, *merged, now, now),
-                )
-            else:
-                conn.execute(
-                    "UPDATE corpora SET name=?, n_trajectories=?,"
-                    " n_segments=?, last_seen=? WHERE fingerprint=?",
-                    (*merged, now, fingerprint),
-                )
+        if row is None:
+            conn.execute(
+                "INSERT INTO corpora (fingerprint, name, n_trajectories,"
+                " n_segments, first_seen, last_seen) VALUES (?,?,?,?,?,?)",
+                (fingerprint, *merged, now, now),
+            )
+        else:
+            conn.execute(
+                "UPDATE corpora SET name=?, n_trajectories=?,"
+                " n_segments=?, last_seen=? WHERE fingerprint=?",
+                (*merged, now, fingerprint),
+            )
 
-    # -- recovery ------------------------------------------------------------
     def rebuild(self) -> int:
         """Re-derive ``artifacts`` and ``cells`` from the npz files
         (``corpora`` keeps its rows — names are not recoverable from
-        disk).  Reads only each file's ``__meta__`` member, never a
-        payload.  Returns the number of artifacts indexed."""
+        disk) — the rows a :meth:`sync` converges to.  Reads only each
+        file's ``__meta__`` member, never a payload.  Returns the number
+        of artifacts indexed."""
         with self._timed("rebuild"):
-            rows = [
-                row
-                for row in map(self._read_file, sorted(self._npz_names()))
-                if row is not None
-            ]
+            rows = []
+            for name in sorted(self._npz_names()):
+                read = self._read_file(name)
+                if read is not None:
+                    rows.append((name, *read))
             with self._write() as conn:
                 conn.execute("DELETE FROM artifacts")
                 conn.execute("DELETE FROM cells")
                 for row in rows:
                     self._index_one(conn, *row)
+                conn.execute(_DERIVE_QMEASURE)
             return len(rows)
 
-    # -- store-facing reads --------------------------------------------------
+    # -- index reads ---------------------------------------------------------
     def _read(self, statement: str, params: Sequence = ()) -> List[tuple]:
         with self._lock:
             try:
@@ -438,22 +463,18 @@ class Catalog:
         """Every indexed npz file name."""
         return set(self.file_stats())
 
-    def file_stats(self) -> Dict[str, Tuple[int, float]]:
-        """``file -> (bytes, mtime)`` as indexed, to compare with disk."""
+    def file_stats(self) -> Dict[str, Tuple[int, float, int]]:
+        """``file -> (bytes, mtime, inode)`` as indexed, to compare with
+        disk."""
         return {
-            file: (int(size), float(mtime))
-            for file, size, mtime in self._read(
-                "SELECT file, bytes, mtime FROM artifacts"
+            file: (int(size), float(mtime), inode)
+            for file, size, mtime, inode in self._read(
+                "SELECT file, bytes, mtime, inode FROM artifacts"
             )
         }
 
-    def total_bytes(self) -> int:
-        row = self._read("SELECT COALESCE(SUM(bytes), 0) FROM artifacts")
-        return int(row[0][0])
-
     def eviction_candidates(self) -> List[Tuple[float, int, str]]:
-        """``(mtime, bytes, file)`` coldest first — the byte-budget
-        sweep's victim order, as one query instead of listdir+stat."""
+        """``(mtime, bytes, file)`` of the indexed files, coldest first."""
         return [
             (float(mtime), int(size), file)
             for file, size, mtime in self._read(
@@ -461,28 +482,10 @@ class Catalog:
             )
         ]
 
-    def entries(self, kind_order: Sequence[str] = ()) -> List[dict]:
-        """The ``ArtifactStore.entries()`` rows, served from the index
-        (no stat, no npz open)."""
-        rows = [
-            {
-                "kind": kind,
-                "key": key,
-                "file": file,
-                "bytes": int(size),
-                "meta": _load_meta_json(meta),
-            }
-            for file, kind, key, size, meta in self._read(
-                "SELECT file, kind, key, bytes, meta FROM artifacts"
-            )
-        ]
-        order = {kind: rank for rank, kind in enumerate(kind_order)}
-        rows.sort(key=lambda row: (order.get(row["kind"], 99), row["file"]))
-        return rows
-
     # -- the query surface ---------------------------------------------------
     def query(self, name: str, **filters) -> List[dict]:
-        """Run a named canned query; returns a list of dict rows.
+        """Run a named canned query after a :meth:`sync`; returns a list
+        of dict rows.
 
         ========== ==========================================================
         name       filters
@@ -510,8 +513,8 @@ class Catalog:
                 f" {', '.join(sorted(remaining))}"
             )
         with self._timed("query"):
-            rows = self._read_dicts(statement, params)
-        return rows
+            self.sync()
+            return self._read_dicts(statement, params)
 
     def _read_dicts(self, statement: str, params: Sequence) -> List[dict]:
         with self._lock:
@@ -523,7 +526,8 @@ class Catalog:
                 raise CatalogError(f"catalog read failed: {exc}") from exc
 
     def sql(self, statement: str, params: Sequence = ()) -> List[dict]:
-        """Run one read-only SELECT over a fresh ``mode=ro`` connection.
+        """Run one read-only SELECT, after a :meth:`sync`, over a fresh
+        ``mode=ro`` connection.
 
         The guard is belt and braces: the statement must be a single
         SELECT/WITH, and the connection itself cannot write even if the
@@ -540,6 +544,7 @@ class Catalog:
                 " SELECT or WITH"
             )
         with self._timed("sql"):
+            self.sync()
             try:
                 conn = sqlite3.connect(
                     f"file:{self.path}?mode=ro",
@@ -571,16 +576,6 @@ def _number(value) -> Optional[float]:
 
 def _integer(value: Optional[float]) -> Optional[int]:
     return None if value is None else int(value)
-
-
-def _load_meta_json(text) -> dict:
-    if not text:
-        return {}
-    try:
-        meta = json.loads(text)
-    except ValueError:  # pragma: no cover - hand-edited catalog
-        return {}
-    return meta if isinstance(meta, dict) else {}
 
 
 def _apply_limit(

@@ -209,19 +209,9 @@ class Workspace:
                 )
             self.trajectories: Optional[List[Trajectory]] = trajectories
             self.corpus_key = corpus_fingerprint(trajectories)
-            if self.store.catalog is not None:
-                self.store._catalog_call(
-                    "register_corpus", self.corpus_key, None,
-                    len(trajectories), None,
-                )
         else:
             self.trajectories = None
             self.corpus_key = segments_fingerprint(_segments)
-            if self.store.catalog is not None:
-                self.store._catalog_call(
-                    "register_corpus", self.corpus_key, None,
-                    None, len(_segments),
-                )
             # A segment-bound workspace starts with its partition
             # artifact pre-materialised (phase 1 already happened).
             self.store.put_object(
@@ -285,8 +275,8 @@ class Workspace:
         and a second look; then the npz tier, where ``decode(arrays,
         meta)`` rebuilds the object (a file it cannot decode — a
         member missing or malformed, as in one written by another
-        version — is a miss, rebuilt and saved over); and only then a
-        build.  A build
+        version — counts as a miss, rebuilt and saved over); and only
+        then a build.  A build
         resolves ``inputs()`` — the upstream artifacts, which count as
         their own builds or hits — before its clock starts, then runs
         ``compute(*inputs)`` inside a ``build:<kind>`` span.  That one
@@ -307,11 +297,7 @@ class Workspace:
             value = self.store.get_object(kind, key)
             if usable(value):
                 return value
-            loaded = self.store.load_arrays(kind, key)
-            try:
-                value = None if loaded is None else decode(*loaded)
-            except (KeyError, ValueError):
-                value = None
+            value = self.store.load_arrays(kind, key, decode)
             if not usable(value):
                 upstream = inputs()
                 started = time.perf_counter()
@@ -346,21 +332,17 @@ class Workspace:
         return self.store.entries()
 
     def catalog(self) -> Catalog:
-        """The sqlite catalog over this workspace's directory — canned
+        """A new sqlite catalog over this workspace's directory — canned
         analytics via :meth:`Catalog.query`, guarded raw SQL via
-        :meth:`Catalog.sql`.  Raises for memory-only workspaces (there
-        is nothing on disk to index)."""
+        :meth:`Catalog.sql`, each synced from the npz files first.  The
+        caller closes it.  Raises for memory-only workspaces (there is
+        nothing on disk to index)."""
         if self.store.cache_dir is None:
             raise WorkspaceError(
                 "memory-only workspaces have no catalog; open the "
                 "workspace with cache_dir to index its artifacts"
             )
-        if self.store.catalog is None:
-            raise WorkspaceError(
-                f"the catalog under {self.store.cache_dir!r} could not "
-                f"be opened; see repro.api.catalog.Catalog"
-            )
-        return self.store.catalog
+        return Catalog(self.store.cache_dir, metrics=self.metrics)
 
     # -- keys ----------------------------------------------------------------
     def _distance_parts(self) -> Tuple:
@@ -399,6 +381,16 @@ class Workspace:
              cardinality_threshold, eps_values, min_lns_values]
         )
 
+    def _setting(self, cardinality_threshold: Optional[float]) -> str:
+        """The labels key less its corpus and grid, recorded in the meta
+        of labels and quality artifacts: the catalog gives a grid cell
+        the QMeasure of a quality artifact with the same setting only."""
+        config = self.config
+        return artifact_key(
+            [config.suppression, *self._distance_parts(),
+             config.use_weights, cardinality_threshold]
+        )
+
     # -- partition artifact --------------------------------------------------
     def partition(self) -> PartitionArtifact:
         """Phase 1 (Figure 8) over the whole corpus — computed once,
@@ -416,18 +408,9 @@ class Workspace:
             },
         )
 
-    def _register_segment_count(self, artifact: PartitionArtifact) -> None:
-        """Record the corpus's segment count in the catalog whenever
-        the partition crosses the npz tier (either direction)."""
-        self.store._catalog_call(
-            "register_corpus", self.corpus_key, None, None,
-            len(artifact.segments),
-        )
-
     def _partition_to_arrays(
         self, artifact: PartitionArtifact
     ) -> Dict[str, np.ndarray]:
-        self._register_segment_count(artifact)
         cps_flat, cps_offsets = pack_ragged(artifact.characteristic_points)
         return {
             "seg_starts": artifact.segments.starts,
@@ -445,13 +428,11 @@ class Workspace:
             arrays["seg_starts"], arrays["seg_ends"],
             arrays["seg_traj_ids"], arrays["seg_weights"],
         )
-        artifact = PartitionArtifact(
+        return PartitionArtifact(
             segments,
             [list(map(int, row)) for row in unpack_ragged(
                 arrays["cps_flat"], arrays["cps_offsets"])],
         )
-        self._register_segment_count(artifact)
-        return artifact
 
     def segments(self) -> SegmentSet:
         """The partition set ``D`` (phase-1 output)."""
@@ -624,6 +605,7 @@ class Workspace:
                 "n_segments": int(labels.shape[2]),
                 "cardinality_threshold": threshold,
                 "cells": _grid_cells(eps_array, min_lns_array, labels),
+                "setting": self._setting(threshold),
             },
             inputs=lambda: (self._engine(eps_array),),
         )
@@ -671,9 +653,10 @@ class Workspace:
         labels."""
         eps_array = np.asarray([eps], dtype=np.float64)
         min_lns_array = np.asarray([min_lns], dtype=np.float64)
+        threshold = self.config.cardinality_threshold
         key = artifact_key(
-            [self._labels_key(eps_array, min_lns_array,
-              self.config.cardinality_threshold), "quality"]
+            [self._labels_key(eps_array, min_lns_array, threshold),
+             "quality"]
         )
         return self._materialize(
             "quality", key,
@@ -690,7 +673,8 @@ class Workspace:
                 noise_penalty=float(arrays["noise_penalty"]),
             ),
             lambda breakdown: {"eps": float(eps), "min_lns": float(min_lns),
-                               "qmeasure": breakdown.qmeasure},
+                               "qmeasure": breakdown.qmeasure,
+                               "setting": self._setting(threshold)},
             inputs=lambda: (self.segments(), self.labels(eps, min_lns)),
         )
 

@@ -64,12 +64,14 @@ import itertools
 import json
 import os
 import sys
+from contextlib import closing
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro import kernels
 from repro.api.cache import ARTIFACT_KINDS, ArtifactStore
+from repro.api.catalog import Catalog
 from repro.api.workspace import Workspace
 from repro.core.config import (
     SWEEP_EXECUTORS,
@@ -262,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ws_query = ws_sub.add_parser(
         "query", parents=[ws_dir, json_out],
-        help="cross-corpus analytics straight off the sqlite catalog "
-             "(never opens an npz payload)",
+        help="cross-corpus analytics off the sqlite catalog, synced "
+             "from the artifacts' metadata (never opens an npz payload)",
     )
     ws_query.set_defaults(handler=_cmd_workspace_query)
     ws_query.add_argument(
@@ -562,11 +564,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_store(directory: str) -> ArtifactStore:
-    """The artifact store of an existing workspace *directory*."""
+def _existing_dir(directory: str) -> str:
+    """*directory*, which must be an existing workspace directory."""
     if not os.path.isdir(directory):
         raise WorkspaceError(f"{directory}: not a directory")
-    return ArtifactStore(directory)
+    return directory
 
 
 def _fetch(url: str) -> str:
@@ -629,22 +631,11 @@ def _cmd_workspace_stats(args: argparse.Namespace) -> int:
     directory = args.directory
     if directory is None:
         raise WorkspaceError("stats needs a workspace DIR or --url")
-    store = _open_store(directory)
     by_kind: "dict[str, dict]" = {}
-    if store.catalog is not None:
-        # One aggregate query off the sqlite catalog — no stat calls,
-        # no npz opens.
-        for row in store.catalog.query("kinds"):
-            by_kind[row["kind"]] = {
-                "count": row["n_artifacts"], "bytes": row["bytes"],
-            }
-    else:
-        for entry in store.entries():
-            bucket = by_kind.setdefault(
-                entry["kind"], {"count": 0, "bytes": 0}
-            )
-            bucket["count"] += 1
-            bucket["bytes"] += entry["bytes"]
+    for entry in ArtifactStore(_existing_dir(directory)).entries():
+        bucket = by_kind.setdefault(entry["kind"], {"count": 0, "bytes": 0})
+        bucket["count"] += 1
+        bucket["bytes"] += entry["bytes"]
     if not by_kind:
         print(f"{directory}: no artifacts")
         return 0
@@ -665,7 +656,7 @@ def _cmd_workspace_stats(args: argparse.Namespace) -> int:
             "directory": directory,
             "total_bytes": total,
             "n_artifacts": n_artifacts,
-            "by_kind": by_kind,
+            "by_kind": dict(sorted(by_kind.items())),
         })
     return 0
 
@@ -675,24 +666,20 @@ def run_workspace_query(
     name: Optional[str] = None,
     filters: Optional[dict] = None,
     sql: Optional[str] = None,
-):
-    """Run one catalog query over a workspace directory.
-
-    Returns ``(rows, stats)`` where *stats* is the backing store's
-    :class:`~repro.api.cache.CacheStats` — every counter stays zero,
-    because analytics answer from the sqlite index without touching an
-    npz payload (a test pins this)."""
-    store = _open_store(directory)
-    if store.catalog is None:
+) -> List[dict]:
+    """Run one catalog query over a workspace directory; returns its
+    rows.  The catalog syncs from the npz files first, reading only
+    their ``__meta__`` members, never a payload."""
+    try:
+        catalog = Catalog(_existing_dir(directory))
+    except CatalogError as error:
         raise CatalogError(
-            f"{directory}: catalog unavailable (sqlite could not open "
-            f"{directory}/catalog.sqlite)"
-        )
-    if sql is not None:
-        rows = store.catalog.sql(sql)
-    else:
-        rows = store.catalog.query(name or "cells", **(filters or {}))
-    return rows, store.stats
+            f"{directory}: catalog unavailable ({error})"
+        ) from None
+    with closing(catalog):
+        if sql is not None:
+            return catalog.sql(sql)
+        return catalog.query(name or "cells", **(filters or {}))
 
 
 def _cmd_workspace_query(args: argparse.Namespace) -> int:
@@ -709,7 +696,7 @@ def _cmd_workspace_query(args: argparse.Namespace) -> int:
         raise WorkspaceError(
             "--sql takes the full statement; drop the canned-query filters"
         )
-    rows, _ = run_workspace_query(
+    rows = run_workspace_query(
         args.directory, name=name, filters=filters, sql=args.sql
     )
     if args.json_out:
@@ -758,7 +745,7 @@ def _render_cell(value) -> str:
 
 
 def _cmd_workspace_inspect(args: argparse.Namespace) -> int:
-    entries = _open_store(args.directory).entries()
+    entries = ArtifactStore(_existing_dir(args.directory)).entries()
     if not entries:
         print(f"{args.directory}: no artifacts")
         return 0

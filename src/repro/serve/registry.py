@@ -12,18 +12,23 @@ re-opened corpus starts warm (read-through).
 
 The registry is thread-safe: the serving front-end calls it from
 executor threads, and each pool worker process builds its own instance
-from the same picklable specs.
+from the same picklable specs.  The first time an instance learns a
+corpus's fingerprint it records the corpus's name in the directory's
+catalog (:mod:`repro.api.catalog`): the one fact no artifact records,
+which ``/v1/query`` filters accept.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.catalog import Catalog
 from repro.api.workspace import Workspace
 from repro.core.config import TraclusConfig
-from repro.exceptions import ServeError
+from repro.exceptions import CatalogError, ServeError
 from repro.model.trajectory import Trajectory
 
 
@@ -119,12 +124,6 @@ class WorkspaceRegistry:
             max_disk_bytes=self.max_disk_bytes,
             metrics=self.metrics,
         )
-        # The workspace registered its fingerprint in the catalog on
-        # open; the registry adds the only thing it alone knows — the
-        # human-facing corpus name ``/v1/query`` filters accept.
-        workspace.store._catalog_call(
-            "register_corpus", workspace.corpus_key, spec.name, None, None
-        )
         with self._lock:
             raced = self._open.pop(name, None)
             if raced is not None:
@@ -137,9 +136,21 @@ class WorkspaceRegistry:
                 del self._open[evicted_name]
                 self.stats.evictions += 1
             self._open[name] = workspace
+            learned = name not in self._fingerprints
             self._fingerprints[name] = workspace.corpus_key
             self.stats.opens += 1
+        if learned and self.cache_dir is not None:
+            self._record_name(name, workspace.corpus_key)
         return workspace
+
+    def _record_name(self, name: str, fingerprint: str) -> None:
+        """Write *name* for *fingerprint* into the catalog; a catalog
+        that cannot open or write costs only the name."""
+        try:
+            with closing(Catalog(self.cache_dir, metrics=self.metrics)) as catalog:
+                catalog.register_corpus(fingerprint, name=name)
+        except CatalogError:
+            pass
 
     def fingerprint(self, name: str) -> str:
         """The corpus's content fingerprint (opens it if needed)."""

@@ -165,8 +165,9 @@ class ServeApp:
         self._inflight: Dict[str, asyncio.Future] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Lazily-opened sqlite catalog over the shared cache_dir — the
-        #: ``/v1/query`` analytics surface.  The front-end only ever
-        #: reads it (WAL keeps readers live under worker writes).
+        #: ``/v1/query`` analytics surface.  Each query first syncs it
+        #: from the npz files the workers save and evict; no worker
+        #: writes it on the request path.
         self._catalog = None
         #: pid -> latest cumulative metrics snapshot shipped by that
         #: pool worker.  Replacing (not adding) per pid keeps the sum

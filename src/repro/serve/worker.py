@@ -7,10 +7,11 @@ Pool workers are initialised once with the picklable corpus specs and
 build a process-local :class:`~repro.serve.registry.WorkspaceRegistry`
 over the shared cache directory — the npz tier is the read-through
 warm path between processes, the per-process registries are the hot
-object tier.  Each worker's artifact stores also write through to the
-shared sqlite catalog (:mod:`repro.api.catalog`): WAL mode makes the
-many-writer traffic safe, and the front-end's read-only ``/v1/query``
-connection sees every save the fleet commits.
+object tier.  Workers never write the sqlite catalog
+(:mod:`repro.api.catalog`) on the request path: the front-end's
+``/v1/query`` syncs it from the npz files before each query, so it sees
+every save the fleet has made, and each registry writes only a
+corpus's name, once per process.
 
 Each call also reports the workspace's *build deltas* (which pipeline
 stages actually recomputed), so the front-end can aggregate artifact

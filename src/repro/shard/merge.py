@@ -266,7 +266,10 @@ class ShardMerger:
 
     def restore_from(self, path: str) -> None:
         """Refill an *empty* merger from :meth:`save_to` output; labels,
-        stable tokens, and future diffs continue identically."""
+        stable tokens, and future diffs continue identically.  A file
+        that is not a merger checkpoint, or lacks a member or meta field
+        read here, raises one :class:`~repro.exceptions.ReproError`
+        naming it."""
         arrays, meta = read_checkpoint(
             path, (MERGER_CHECKPOINT_FORMAT,), "shard merger"
         )

@@ -31,9 +31,9 @@ shares, as it shares :func:`write_checkpoint` /
 :func:`read_checkpoint` for the file itself.  Writes are atomic
 (:func:`repro.io.artifacts.write_npz`): an interrupted write leaves the
 previous checkpoint loadable.  Any file that is not a readable
-checkpoint of the expected kind, or whose trajectories a session
-cannot resume from, raises one :class:`~repro.exceptions.ReproError`
-naming it.
+checkpoint of the expected kind, that lacks a member or meta field its
+reader reads, or whose trajectories a session cannot resume from,
+raises one :class:`~repro.exceptions.ReproError` naming it.
 
 Only NumPy and the standard library are used (``np.savez_compressed``
 plus one JSON metadata string) — no pickle, so checkpoints are
@@ -75,6 +75,18 @@ _GRAPH_ARRAYS = (
 )
 
 
+class _Record(dict):
+    """A checkpoint's arrays or meta record: reading an entry the file
+    lacks raises one :class:`ReproError` naming the file."""
+
+    def __init__(self, entries: dict, path: str, kind: str, what: str):
+        super().__init__(entries)
+        self._missing = f"cannot restore {kind} checkpoint {path}: no {what}"
+
+    def __missing__(self, name: str):
+        raise ReproError(f"{self._missing} {name!r}")
+
+
 def encode_clusterer(clusterer: OnlineDBSCAN) -> Tuple[Dict[str, np.ndarray], int]:
     """The checkpoint arrays of *clusterer* — its slot store, ε-edges
     and stable tokens (``comp_tokens``) — plus the token mint counter
@@ -98,11 +110,12 @@ def decode_clusterer(
 ) -> None:
     """Refill an empty *clusterer* from :func:`encode_clusterer` arrays
     without re-evaluating any distance: the graph is restored, label
-    state rebuilt from it, and components renamed to their checkpointed
-    tokens (when the arrays carry them)."""
+    state rebuilt from it, and — unless *next_token* is ``None`` (a v1
+    stream checkpoint, written before tokens) — components renamed to
+    their checkpointed tokens ``comp_tokens``."""
     clusterer.graph.restore_slots(*(arrays[name] for name in _GRAPH_ARRAYS))
     clusterer.rebuild_from_graph()
-    if "comp_tokens" in arrays:
+    if next_token is not None:
         clusterer.adopt_tokens(arrays["comp_tokens"], int(next_token))
 
 
@@ -119,7 +132,8 @@ def read_checkpoint(
 ) -> Tuple[Dict[str, np.ndarray], dict]:
     """Every array of checkpoint *path* and its meta record.  A missing,
     truncated, foreign or non-npz file, or one whose format is not in
-    *formats*, raises one :class:`ReproError` naming *path*."""
+    *formats*, raises one :class:`ReproError` naming *path*, and so
+    does a later read of an array or meta field the file lacks."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
@@ -128,12 +142,15 @@ def read_checkpoint(
         raise ReproError(
             f"cannot read {kind} checkpoint {path}: {error}"
         ) from None
-    if meta.get("format") not in formats:
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found not in formats:
         raise ReproError(
-            f"{path} is not a {kind} checkpoint "
-            f"(format={meta.get('format')!r})"
+            f"{path} is not a {kind} checkpoint (format={found!r})"
         )
-    return arrays, meta
+    return (
+        _Record(arrays, path, kind, "member"),
+        _Record(meta, path, kind, "meta field"),
+    )
 
 
 def save_checkpoint(pipeline: StreamingTRACLUS, path: str) -> str:
@@ -190,17 +207,22 @@ def load_checkpoint(
     or not ``config.dim`` wide, whose committed points Figure 8 cannot
     have committed on them, whose weight is not positive and finite,
     or whose timestamps are missing or unfit for its points raises one
-    :class:`ReproError` naming *path*.
+    :class:`ReproError` naming *path*, and so does a file that lacks a
+    member or meta field read here (``comp_tokens`` and ``next_token``
+    are read from v2 files only).
 
     *metrics* optionally hands the restored pipeline a
     :class:`~repro.obs.MetricsRegistry` (restored shard workers keep
     reporting)."""
     arrays, meta = read_checkpoint(path, _ACCEPTED_FORMATS, "stream")
     pipeline = StreamingTRACLUS(StreamConfig(**meta["config"]), metrics=metrics)
-    decode_clusterer(pipeline.clusterer, arrays, meta.get("next_token"))
+    decode_clusterer(
+        pipeline.clusterer, arrays,
+        meta["next_token"] if meta["format"] == CHECKPOINT_FORMAT else None,
+    )
     for entry in meta["trajectories"]:
-        traj_id = int(entry["traj_id"])
         try:
+            traj_id = int(entry["traj_id"])
             points = pipeline.stream._checked_points(
                 traj_id, arrays[f"traj_{traj_id}_points"]
             )
@@ -213,14 +235,15 @@ def load_checkpoint(
                 times = _validated_times(
                     arrays[f"traj_{traj_id}_times"], len(points)
                 ).tolist()
+            trailing_key = int(entry["trailing_key"])
         except (KeyError, TrajectoryError, PartitionError) as error:
             raise ReproError(
                 f"cannot restore stream checkpoint {path}: {error}"
             ) from None
         state = _TrajectoryState(partitioner, weight)
         state.times = times
-        if entry["trailing_key"] >= 0:
-            state.trailing_key = int(entry["trailing_key"])
+        if trailing_key >= 0:
+            state.trailing_key = trailing_key
         pipeline.stream._trajectories[traj_id] = state
     pipeline.stream._next_key = int(meta["next_key"])
     pipeline._evict_cursor = int(meta["evict_cursor"])

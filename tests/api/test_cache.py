@@ -242,36 +242,42 @@ class TestDiskBudget:
 
 
 class TestEntriesUnderConcurrentEviction:
-    def test_vanished_file_is_skipped_without_catalog(
-        self, tmp_path, monkeypatch
-    ):
+    def test_vanished_file_is_skipped(self, tmp_path, monkeypatch):
         """Regression: ``entries()`` used to crash with
         ``FileNotFoundError`` when a file was evicted between listdir
         and stat — the ``repro workspace`` inspector died mid-sweep.
-        The scan survives as the no-catalog fallback path."""
+        A file that vanishes before its stat, or between its stat and
+        its meta read, is skipped."""
+        import repro.api.cache as cache_module
+
         store = ArtifactStore(str(tmp_path))
         store.save_arrays("labels", "stays", {"x": np.zeros(2)}, {})
         store.save_arrays("graph", "vanishes", {"x": np.zeros(2)}, {})
-        store.catalog = None  # degrade to the filesystem scan
         victim = store.path("graph", "vanishes")
-        real_getsize = os.path.getsize
+        real_listdir = os.listdir
+        real_meta = cache_module.load_artifact_meta
 
-        def racing_getsize(p):
-            if p == victim and os.path.exists(victim):
+        def racing_listdir(path):
+            return real_listdir(path) + ["graph-evicted.npz"]
+
+        def racing_meta(path):
+            if path == victim:
                 os.unlink(victim)  # concurrent eviction wins the race
-            return real_getsize(p)
+            return real_meta(path)
 
-        monkeypatch.setattr(os.path, "getsize", racing_getsize)
+        monkeypatch.setattr(os, "listdir", racing_listdir)
+        monkeypatch.setattr(cache_module, "load_artifact_meta", racing_meta)
         entries = store.entries()
         assert [entry["key"] for entry in entries] == ["stays"]
 
-    def test_rebuild_skips_file_vanishing_mid_scan(
-        self, tmp_path, monkeypatch
-    ):
-        """The same race, moved to where the stats now happen: a file
-        evicted while ``Catalog.rebuild()`` scans the directory is
-        skipped, not indexed as a dangling row."""
+    def test_sync_skips_file_vanishing_mid_scan(self, tmp_path, monkeypatch):
+        """The same race, where a query's sync reads the files: a file
+        evicted between the sync's stat and its meta read is skipped,
+        not indexed as a dangling row."""
+        from contextlib import closing
+
         import repro.api.catalog as catalog_module
+        from repro.api.catalog import Catalog
 
         store = ArtifactStore(str(tmp_path))
         store.save_arrays("labels", "stays", {"x": np.zeros(2)}, {})
@@ -285,6 +291,7 @@ class TestEntriesUnderConcurrentEviction:
             return real_meta(path)
 
         monkeypatch.setattr(catalog_module, "load_artifact_meta", racing_meta)
-        store.catalog.rebuild()
-        entries = store.entries()
-        assert [entry["key"] for entry in entries] == ["stays"]
+        with closing(Catalog(str(tmp_path))) as catalog:
+            rows = catalog.query("artifacts")
+            assert catalog.files() == {"labels-stays.npz"}
+        assert [row["key"] for row in rows] == ["stays"]

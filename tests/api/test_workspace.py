@@ -1,6 +1,8 @@
 """Workspace artifact semantics: compute-once, exact persistence,
 engine short-circuits, and the single-graph-build invariant."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from repro.cluster.neighbor_graph import (
 )
 from repro.core.config import SweepConfig, TraclusConfig
 from repro.core.traclus import TRACLUS
+from repro.datasets.synthetic import generate_corridor_set
 from repro.exceptions import WorkspaceError
+from repro.obs import MetricsRegistry
 from repro.partition.approximate import partition_all
 from repro.sweep.engine import SweepEngine
 import repro.partition.batched as batched_module
@@ -261,6 +265,37 @@ class TestPersistence:
         warm = Workspace(trajectories, config, cache_dir=str(tmp_path))
         assert warm.characteristic_points() == fresh.characteristic_points
         assert warm.stats.builds == {}
+
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_disk_hit_is_counted_once_decoded(self, tmp_path, damaged):
+        """A partition npz its decoder rejects counts one miss, not a
+        hit (then a build); an intact one counts one hit."""
+        trajectories = generate_corridor_set(n_trajectories=6, seed=40)
+        Workspace(trajectories, cache_dir=str(tmp_path)).partition()
+        [path] = tmp_path.glob("partition-*.npz")
+        if damaged:
+            with np.load(path) as archive:
+                kept = {
+                    name: archive[name]
+                    for name in archive.files if name != "cps_offsets"
+                }
+            np.savez(path, **kept)
+        metrics = MetricsRegistry()
+        fresh = Workspace(
+            trajectories, cache_dir=str(tmp_path), metrics=metrics
+        )
+        fresh.partition()
+        hits, misses = (0, 1) if damaged else (1, 0)
+        assert (fresh.stats.disk_hits, fresh.stats.misses) == (hits, misses)
+        assert fresh.stats.builds == ({"partition": 1} if damaged else {})
+        lookups = {
+            dict(labels)["outcome"]: value
+            for key, value in metrics.snapshot()["series"].items()
+            for name, labels in [json.loads(key)]
+            if name == "repro_cache_lookups_total"
+            and dict(labels)["tier"] == "disk"
+        }
+        assert lookups == {"hit": hits, "miss": misses}
 
     def test_build_seconds_share_one_clock(self, trajectories, tmp_path):
         """One cold build per kind: each saved artifact's

@@ -220,6 +220,29 @@ def _negative_weight(arrays, entry):
     entry["weight"] = -1.0
 
 
+#: The slot store and ε-edge members both checkpoint kinds carry.
+_GRAPH_MEMBERS = (
+    "store_starts", "store_ends", "store_traj_ids", "store_weights",
+    "store_stamps", "store_alive", "edges_u", "edges_v", "edges_d",
+)
+
+
+def lacking(tmp_path, name, entry):
+    """A copy of the committed checkpoint *name* without one member, or
+    without one meta field when *entry* reads ``meta.<field>``."""
+    with np.load(os.path.join(FIXTURES, name)) as archive:
+        arrays = {member: archive[member] for member in archive.files}
+    if entry.startswith("meta."):
+        meta = json.loads(str(arrays["meta"]))
+        del meta[entry[len("meta."):]]
+        arrays["meta"] = np.array(json.dumps(meta))
+    else:
+        del arrays[entry]
+    path = str(tmp_path / f"lacking-{entry}.npz")
+    np.savez_compressed(path, **arrays)
+    return path
+
+
 class TestDamagedContents:
     @pytest.mark.parametrize("change", [
         _past_the_end, _past_the_end_and_resumed_there, _starts_at_three,
@@ -232,6 +255,27 @@ class TestDamagedContents:
         path = damaged_copy(tmp_path, change)
         with pytest.raises(ReproError, match=re.escape(path)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        *_GRAPH_MEMBERS, "key_map", "comp_tokens", "traj_2_points",
+        "meta.config", "meta.trajectories", "meta.next_key",
+        "meta.evict_cursor", "meta.max_stamp", "meta.next_token",
+    ])
+    def test_stream_checkpoint_lacking_an_entry(self, tmp_path, entry):
+        """A missing member or meta field — ``comp_tokens`` of a v2 file
+        too — is one ReproError naming the file, never a KeyError."""
+        path = lacking(tmp_path, "stream.npz", entry)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        *_GRAPH_MEMBERS, "shard_of", "comp_tokens", "l2g_0", "l2g_1",
+        "meta.applied_seq", "meta.next_token",
+    ])
+    def test_merger_checkpoint_lacking_an_entry(self, tmp_path, entry):
+        path = lacking(tmp_path, os.path.join("sharded", "merger.npz"), entry)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            restore_merger(path)
 
     def test_saved_scan_position_is_not_read(self, tmp_path):
         """``start_index`` and ``length`` are derived when saved: junk
