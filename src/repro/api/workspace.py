@@ -490,7 +490,7 @@ class Workspace:
 
     # -- sweep state ---------------------------------------------------------
 
-    #: Engines kept per distinct ε grid (each holds O(E) sorted-edge
+    #: Engines kept per distinct ε grid (each holds O(E) grouped-edge
     #: arrays and its cardinality tables — the graph itself is shared,
     #: so this only caps the derived views).
     _MAX_ENGINES = 4
@@ -801,7 +801,7 @@ class Workspace:
         counts = self.entropy_counts(sweep.eps_values)
         entropies, avg_sizes = entropy_from_counts(counts)
         # Unordered ε_max-graph edge count straight off the stored
-        # distances — no SweepEngine (and hence no edge re-sort) on the
+        # distances — no SweepEngine (and hence no edge grouping) on the
         # warm path where labels and counts came from the cache.
         eps_max = float(max(sweep.eps_values))
         graph = self._ensure_graph(eps_max)

@@ -103,7 +103,9 @@ def save_artifact(
 
 def load_artifact(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
     """Read one artifact back as ``(arrays, meta)``."""
-    with np.load(path) as archive:
+    # The file is opened here, not by ``np.load``: numpy leaves a file
+    # it opened itself open when the zip read of a damaged one raises.
+    with open(path, "rb") as handle, np.load(handle) as archive:
         arrays = {
             name: archive[name] for name in archive.files if name != META_KEY
         }
@@ -122,7 +124,7 @@ def load_artifact_meta(path: str) -> dict:
     the small ``__meta__`` byte array — the inspector can index a cache
     directory full of multi-MB graphs without materialising any of
     them."""
-    with np.load(path) as archive:
+    with open(path, "rb") as handle, np.load(handle) as archive:
         if META_KEY not in archive.files:
             return {}
         return json.loads(archive[META_KEY].tobytes().decode("utf-8"))

@@ -108,22 +108,22 @@ class SegmentSet:
             raise TrajectoryError(
                 "one characteristic-point list is required per trajectory"
             )
-        starts: List[np.ndarray] = []
-        ends: List[np.ndarray] = []
-        traj_ids: List[int] = []
-        weights: List[float] = []
-        for trajectory, cps in zip(trajectories, characteristic_points):
-            for a, b in zip(cps, cps[1:]):
-                starts.append(trajectory.points[a])
-                ends.append(trajectory.points[b])
-                traj_ids.append(trajectory.traj_id)
-                weights.append(trajectory.weight)
-        if not starts:
+        counts = [max(len(cps) - 1, 0) for cps in characteristic_points]
+        if not sum(counts):
             dim = trajectories[0].dim if trajectories else 2
             return cls.empty(dim=dim)
+        starts: List[np.ndarray] = []
+        ends: List[np.ndarray] = []
+        for trajectory, cps in zip(trajectories, characteristic_points):
+            index = np.asarray(cps, dtype=np.intp)
+            starts.append(trajectory.points[index[:-1]])
+            ends.append(trajectory.points[index[1:]])
         return cls(
-            np.array(starts), np.array(ends),
-            np.array(traj_ids, dtype=np.int64), np.array(weights),
+            np.concatenate(starts), np.concatenate(ends),
+            np.repeat(np.array([t.traj_id for t in trajectories],
+                               dtype=np.int64), counts),
+            np.repeat(np.array([t.weight for t in trajectories],
+                               dtype=np.float64), counts),
         )
 
     @classmethod

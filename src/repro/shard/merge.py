@@ -267,13 +267,15 @@ class ShardMerger:
     def restore_from(self, path: str) -> None:
         """Refill an *empty* merger from :meth:`save_to` output; labels,
         stable tokens, and future diffs continue identically.  A file
-        that is not a merger checkpoint, or lacks a member or meta field
-        read here, raises one :class:`~repro.exceptions.ReproError`
-        naming it."""
+        that is not a merger checkpoint, lacks a member or meta field
+        read here, holds a ``next_token`` or ``applied_seq`` that is not
+        an integer, or store and edge arrays
+        :func:`~repro.stream.checkpoint.decode_clusterer` rejects, raises
+        one :class:`~repro.exceptions.ReproError` naming it."""
         arrays, meta = read_checkpoint(
             path, (MERGER_CHECKPOINT_FORMAT,), "shard merger"
         )
-        decode_clusterer(self.clusterer, arrays, meta["next_token"])
+        decode_clusterer(self.clusterer, arrays, meta.integer("next_token"))
         for slot, shard in enumerate(arrays["shard_of"].tolist()):
             self.graph._note_shard(slot, shard)
         for shard in range(self.n_shards):
@@ -282,7 +284,7 @@ class ShardMerger:
                 for local, global_slot in arrays[f"l2g_{shard}"]
             }
         self.view = self.clusterer.snapshot_view()
-        self.applied_seq = int(meta["applied_seq"])
+        self.applied_seq = meta.integer("applied_seq")
 
     # -- queries -----------------------------------------------------------
     def labels(self) -> Tuple[np.ndarray, np.ndarray]:

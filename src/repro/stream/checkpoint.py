@@ -43,13 +43,19 @@ portable and inspectable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import StreamConfig
-from repro.exceptions import PartitionError, ReproError, TrajectoryError
+from repro.exceptions import (
+    ClusteringError,
+    PartitionError,
+    ReproError,
+    TrajectoryError,
+)
 from repro.io.artifacts import DAMAGED_NPZ_ERRORS, write_npz
 from repro.partition.incremental import IncrementalPartitioner
 from repro.stream.ingest import (
@@ -77,14 +83,43 @@ _GRAPH_ARRAYS = (
 
 class _Record(dict):
     """A checkpoint's arrays or meta record: reading an entry the file
-    lacks raises one :class:`ReproError` naming the file."""
+    lacks, or one :meth:`checked` rejects, raises one
+    :class:`ReproError` naming the file."""
 
     def __init__(self, entries: dict, path: str, kind: str, what: str):
         super().__init__(entries)
-        self._missing = f"cannot restore {kind} checkpoint {path}: no {what}"
+        self._context = f"cannot restore {kind} checkpoint {path}"
+        self._what = what
 
     def __missing__(self, name: str):
-        raise ReproError(f"{self._missing} {name!r}")
+        raise self.damaged(f"no {self._what} {name!r}")
+
+    def damaged(self, problem: str) -> ReproError:
+        """The error for a file whose contents fail a check."""
+        return ReproError(f"{self._context}: {problem}")
+
+    def checked(
+        self, name: str, valid: Callable[[object], bool], expected: str
+    ):
+        """Entry *name*, which *valid* must accept."""
+        value = self[name]
+        if not valid(value):
+            raise self.damaged(f"{self._what} {name!r} is not {expected}")
+        return value
+
+    def integer(self, name: str) -> int:
+        return self.checked(name, _is_int, "an integer")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_null_or_finite(value) -> bool:
+    return value is None or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def encode_clusterer(clusterer: OnlineDBSCAN) -> Tuple[Dict[str, np.ndarray], int]:
@@ -105,15 +140,40 @@ def encode_clusterer(clusterer: OnlineDBSCAN) -> Tuple[Dict[str, np.ndarray], in
 
 def decode_clusterer(
     clusterer: OnlineDBSCAN,
-    arrays: Dict[str, np.ndarray],
+    arrays: _Record,
     next_token: Optional[int],
 ) -> None:
     """Refill an empty *clusterer* from :func:`encode_clusterer` arrays
-    without re-evaluating any distance: the graph is restored, label
-    state rebuilt from it, and — unless *next_token* is ``None`` (a v1
-    stream checkpoint, written before tokens) — components renamed to
-    their checkpointed tokens ``comp_tokens``."""
-    clusterer.graph.restore_slots(*(arrays[name] for name in _GRAPH_ARRAYS))
+    (as :func:`read_checkpoint` returns them) without re-evaluating any
+    distance: the graph is restored, label state rebuilt from it, and —
+    unless *next_token* is ``None`` (a v1 stream checkpoint, written
+    before tokens) — components renamed to their checkpointed tokens
+    ``comp_tokens``.  Store columns that differ in length, a
+    ``store_alive`` that is not boolean, edge arrays that differ in
+    length, an edge endpoint that is not a live slot, or a column the
+    slot store rejects raise one :class:`ReproError` naming the file."""
+    columns = [np.asarray(arrays[name]) for name in _GRAPH_ARRAYS]
+    alive, (edges_u, edges_v, edges_d) = columns[5], columns[6:]
+    if alive.dtype != bool or alive.ndim != 1 or any(
+        column.shape[:1] != alive.shape for column in columns[:5]
+    ):
+        raise arrays.damaged(
+            "store columns are not one length with a boolean store_alive"
+        )
+    if edges_u.ndim != 1 or edges_v.shape != edges_u.shape or (
+        edges_d.shape != edges_u.shape
+    ):
+        raise arrays.damaged("edge arrays are not one length")
+    endpoints = np.concatenate([edges_u, edges_v])
+    if endpoints.size and not (
+        endpoints.dtype.kind in "iu" and endpoints.min() >= 0
+        and endpoints.max() < alive.size and alive[endpoints].all()
+    ):
+        raise arrays.damaged("an edge endpoint is not a live slot")
+    try:
+        clusterer.graph.restore_slots(*columns)
+    except ClusteringError as error:
+        raise arrays.damaged(str(error)) from None
     clusterer.rebuild_from_graph()
     if next_token is not None:
         clusterer.adopt_tokens(arrays["comp_tokens"], int(next_token))
@@ -129,13 +189,16 @@ def write_checkpoint(path: str, arrays: Dict[str, np.ndarray], meta: dict) -> st
 
 def read_checkpoint(
     path: str, formats: Sequence[str], kind: str
-) -> Tuple[Dict[str, np.ndarray], dict]:
+) -> Tuple[_Record, _Record]:
     """Every array of checkpoint *path* and its meta record.  A missing,
     truncated, foreign or non-npz file, or one whose format is not in
     *formats*, raises one :class:`ReproError` naming *path*, and so
-    does a later read of an array or meta field the file lacks."""
+    does a later read of an array or meta field the file lacks or that
+    :meth:`_Record.checked` rejects."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as archive:
             arrays = {name: archive[name] for name in archive.files}
         meta = json.loads(str(arrays.pop("meta")))
     except (OSError, KeyError, *DAMAGED_NPZ_ERRORS) as error:
@@ -209,18 +272,37 @@ def load_checkpoint(
     or whose timestamps are missing or unfit for its points raises one
     :class:`ReproError` naming *path*, and so does a file that lacks a
     member or meta field read here (``comp_tokens`` and ``next_token``
-    are read from v2 files only).
+    are read from v2 files only) or holds one of the wrong type or
+    shape: ``config`` a mapping of :class:`StreamConfig` fields,
+    ``next_key``, ``evict_cursor`` and ``next_token`` integers,
+    ``max_stamp`` null or finite, ``trajectories`` a list of mappings,
+    ``key_map`` a ``(k, 2)`` integer array, and the store and edge
+    arrays as :func:`decode_clusterer` checks them.
 
     *metrics* optionally hands the restored pipeline a
     :class:`~repro.obs.MetricsRegistry` (restored shard workers keep
     reporting)."""
     arrays, meta = read_checkpoint(path, _ACCEPTED_FORMATS, "stream")
-    pipeline = StreamingTRACLUS(StreamConfig(**meta["config"]), metrics=metrics)
+    fields = meta.checked(
+        "config", lambda value: isinstance(value, dict), "a mapping"
+    )
+    try:
+        config = StreamConfig(**fields)
+    except (TypeError, ValueError, ReproError) as error:
+        raise meta.damaged(f"meta field 'config': {error}") from None
+    pipeline = StreamingTRACLUS(config, metrics=metrics)
     decode_clusterer(
         pipeline.clusterer, arrays,
-        meta["next_token"] if meta["format"] == CHECKPOINT_FORMAT else None,
+        meta.integer("next_token")
+        if meta["format"] == CHECKPOINT_FORMAT else None,
     )
-    for entry in meta["trajectories"]:
+    trajectories = meta.checked(
+        "trajectories",
+        lambda value: isinstance(value, list)
+        and all(isinstance(entry, dict) for entry in value),
+        "a list of mappings",
+    )
+    for entry in trajectories:
         try:
             traj_id = int(entry["traj_id"])
             points = pipeline.stream._checked_points(
@@ -236,21 +318,28 @@ def load_checkpoint(
                     arrays[f"traj_{traj_id}_times"], len(points)
                 ).tolist()
             trailing_key = int(entry["trailing_key"])
-        except (KeyError, TrajectoryError, PartitionError) as error:
-            raise ReproError(
-                f"cannot restore stream checkpoint {path}: {error}"
-            ) from None
+        except (
+            KeyError, TypeError, ValueError, TrajectoryError, PartitionError
+        ) as error:
+            raise meta.damaged(str(error)) from None
         state = _TrajectoryState(partitioner, weight)
         state.times = times
         if trailing_key >= 0:
             state.trailing_key = trailing_key
         pipeline.stream._trajectories[traj_id] = state
-    pipeline.stream._next_key = int(meta["next_key"])
-    pipeline._evict_cursor = int(meta["evict_cursor"])
-    pipeline._max_stamp = (
-        -np.inf if meta["max_stamp"] is None else float(meta["max_stamp"])
+    pipeline.stream._next_key = meta.integer("next_key")
+    pipeline._evict_cursor = meta.integer("evict_cursor")
+    max_stamp = meta.checked(
+        "max_stamp", _is_null_or_finite, "null or a finite number"
     )
-    pipeline._key_to_slot = {int(k): int(s) for k, s in arrays["key_map"]}
+    pipeline._max_stamp = -np.inf if max_stamp is None else float(max_stamp)
+    key_map = arrays.checked(
+        "key_map",
+        lambda value: value.ndim == 2 and value.shape[1] == 2
+        and value.dtype.kind in "iu",
+        "a (k, 2) integer array",
+    )
+    pipeline._key_to_slot = {int(k): int(s) for k, s in key_map}
     pipeline._slot_to_key = {s: k for k, s in pipeline._key_to_slot.items()}
     pipeline.view = pipeline.clusterer.snapshot_view()
     return pipeline

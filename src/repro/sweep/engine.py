@@ -11,12 +11,13 @@ point:
 * the ε-graph at any ε is a sub-graph of the ε-graph at ``max(eps)``,
   so the distance kernel runs **once**, at the largest radius.
 
-What *does* vary per grid point is cheap.  The builder sorts the
-ε_max-graph's edges by distance; walking a MinLns column with ε
-ascending, each step admits the next run of edges — cardinalities tick
-up, cores are promoted, and core components merge by hooking roots
-onto smaller roots, so every component's root stays its smallest core
-id, the Figure-12 seed.
+What *does* vary per grid point is cheap.  The builder groups the
+ε_max-graph's edges by the first grid ε that admits them (one counting
+pass; no distance sort, and no reordering at all for a one-ε engine);
+walking a MinLns column with ε ascending, each step admits the next
+group of edges — cardinalities tick up, cores are promoted, and core
+components merge by hooking roots onto smaller roots, so every
+component's root stays its smallest core id, the Figure-12 seed.
 Labels then follow from :func:`repro.cluster.labeling.figure12_labels`
 (border rule + Step-3 filter), the one full-array Figure-12 derivation,
 which :meth:`OnlineDBSCAN.labels
@@ -40,7 +41,7 @@ kernel work.
 
 MinLns columns are independent of each other, which is what the
 optional process-pool executor shards (``SweepConfig.executor =
-"process"``): each worker receives the sorted edge arrays and the
+"process"``): each worker receives the grouped edge arrays and the
 cardinality table once and walks its own columns.
 
 When is a per-point refit still preferable?  When ε_max is so large
@@ -115,13 +116,17 @@ def _column_labels(
 ) -> np.ndarray:
     """Labels at every sorted-unique ε for one MinLns.
 
-    ``cuts[k]`` is the number of sorted edges admitted at the k-th ε
-    (``searchsorted(..., side="right")``, so a distance exactly equal to
-    ε is admitted — the same ``dist <= eps`` predicate every engine
-    uses), and ``cardinality[k]`` is every segment's ``|N_eps|`` there:
-    a count, or the Section 4.2 weighted sum.  Each ε step admits its
-    whole tie-block of edges at once: a vectorized core test
-    ``cardinality[k] >= min_lns`` and one :func:`_hook_components` call
+    The edges arrive grouped by the first ε step that admits them, and
+    ``cuts[k]`` is the number admitted at the k-th ε, so the prefix
+    ``edge_u[:cuts[k]]`` holds exactly the edges with ``dist <= eps`` —
+    the same predicate every engine uses, a distance exactly equal to ε
+    included.  The order inside a prefix is free: it is read only
+    through order-free reductions (the ``minimum.at`` rounds of
+    :func:`_hook_components`, the ``minimum.at``/``maximum.at`` of
+    ``figure12_labels``).  ``cardinality[k]`` is every segment's
+    ``|N_eps|`` there: a count, or the Section 4.2 weighted sum.  Each
+    ε step admits its whole group of edges at once: a vectorized core
+    test ``cardinality[k] >= min_lns`` and one :func:`_hook_components` call
     over the admitted core-core edges, then
     :func:`~repro.cluster.labeling.figure12_labels` over the admitted
     edges.  Python loops over ε steps only, never over nodes or edges.
@@ -195,9 +200,9 @@ def _run_column(payload: dict, min_lns: float) -> np.ndarray:
 
 class SweepEngine:
     """Shared sweep state over one segment set: the ε_max neighbor
-    graph, its distance-sorted edge list, and the multi-ε neighborhood
-    counts — everything a grid of (ε, MinLns) points can be derived
-    from without touching the distance kernel again.
+    graph, its edge list grouped by admitting ε step, and the multi-ε
+    neighborhood counts — everything a grid of (ε, MinLns) points can
+    be derived from without touching the distance kernel again.
     """
 
     def __init__(
@@ -253,16 +258,25 @@ class SweepEngine:
             np.arange(n, dtype=np.int64), np.diff(self.graph.indptr)
         )
         upper = self.graph.indices > rows  # one record per unordered pair
-        order = np.argsort(self.graph.data[upper], kind="stable")
-        self._edge_u = rows[upper][order]
-        self._edge_v = self.graph.indices[upper][order]
-        self._edge_dist = self.graph.data[upper][order]
-        # cuts[k]: edges admitted at the k-th sorted-unique ε.  "right"
-        # keeps a distance exactly equal to ε inside — the same
+        edge_u, edge_v = rows[upper], self.graph.indices[upper]
+        # bins[e]: the first sorted-unique ε step that admits edge e.
+        # "left" keeps a distance exactly equal to ε inside — the same
         # ``dist <= eps`` predicate every neighborhood engine applies.
-        self._cuts = np.searchsorted(
-            self._edge_dist, self._unique_eps, side="right"
+        k = self._unique_eps.size
+        bins = np.searchsorted(
+            self._unique_eps, self.graph.data[upper], side="left"
         )
+        if np.any(bins[1:] < bins[:-1]):
+            # Group the edges by step, keeping CSR order within a step;
+            # numpy radix-sorts unsigned ints this narrow.
+            order = np.argsort(
+                bins.astype(np.min_scalar_type(k)), kind="stable"
+            )
+            edge_u, edge_v = edge_u[order], edge_v[order]
+        self._edge_u, self._edge_v = edge_u, edge_v
+        # cuts[k]: edges admitted at the k-th sorted-unique ε.  An edge
+        # in bin k lies beyond ε_max and is never admitted.
+        self._cuts = np.cumsum(np.bincount(bins, minlength=k + 1)[:k])
 
     # -- basic shape ---------------------------------------------------------
     @property
@@ -272,7 +286,7 @@ class SweepEngine:
     @property
     def n_edges(self) -> int:
         """Unordered ε_max-graph edges (diagonal excluded)."""
-        return int(self._edge_dist.size)
+        return int(self._edge_u.size)
 
     # -- multi-ε neighborhood counts (Formula 10 inputs) ---------------------
     def neighborhood_counts(self) -> np.ndarray:
@@ -285,16 +299,19 @@ class SweepEngine:
 
     @cached_property
     def _counts(self) -> np.ndarray:
-        """``(n_unique_eps, n)`` counts on the sorted-unique ε axis: one
-        bincount over (ε bin, row) of every stored entry, diagonal
-        included, then a running sum along ε."""
-        k, n = self._unique_eps.size, self.n_segments
-        rows = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.graph.indptr)
-        )
-        bins = np.searchsorted(self._unique_eps, self.graph.data, side="left")
-        binned = np.bincount(bins * n + rows, minlength=k * n).reshape(k, n)
-        return np.cumsum(binned, axis=0)
+        """``(n_unique_eps, n)`` counts on the sorted-unique ε axis: the
+        diagonal at the first step (``dist(L, L) = 0``), each step's
+        group of newly admitted edges counted at both endpoints, then a
+        running sum along ε."""
+        n = self.n_segments
+        table = np.zeros((self._cuts.size, n), dtype=np.int64)
+        table[0] = 1
+        lo = 0
+        for k, hi in enumerate(self._cuts.tolist()):
+            table[k] += np.bincount(self._edge_u[lo:hi], minlength=n)
+            table[k] += np.bincount(self._edge_v[lo:hi], minlength=n)
+            lo = hi
+        return np.cumsum(table, axis=0, out=table)
 
     @cached_property
     def _weighted_sums(self) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Artifact store: exact npz round trips, ragged packing, inspection."""
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from repro.api.cache import ArtifactStore
 from repro.exceptions import ReproError
 from repro.io.artifacts import (
+    DAMAGED_NPZ_ERRORS,
     load_artifact,
+    load_artifact_meta,
     pack_ragged,
     save_artifact,
     unpack_ragged,
@@ -70,6 +74,24 @@ class TestNpzRoundTrip:
         assert sorted(os.listdir(tmp_path)) == ["artifact.npz"]
         loaded, _ = load_artifact(path)
         assert np.array_equal(loaded["a"], np.ones(4))
+
+
+    @pytest.mark.parametrize("reader", [load_artifact, load_artifact_meta])
+    def test_truncated_file_is_closed(self, tmp_path, reader):
+        """The read of a half-written npz raises and leaves no file
+        handle open behind it."""
+        path = str(tmp_path / "artifact.npz")
+        save_artifact(path, {"a": np.arange(4096.0)}, {"kind": "test"})
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(payload[: len(payload) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DAMAGED_NPZ_ERRORS):
+                reader(path)
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
 
 class TestArtifactStore:

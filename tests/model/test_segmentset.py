@@ -90,6 +90,44 @@ class TestFromPartitions:
         with pytest.raises(TrajectoryError):
             SegmentSet.from_partitions([t], [[0, 1], [0, 1]])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_columns_equal_the_per_segment_construction(self, dim):
+        """A ragged, weighted corpus with a one-segment trajectory: every
+        column is byte- and dtype-equal to appending one segment at a
+        time."""
+        rng = np.random.default_rng(dim)
+        trajectories = [
+            Trajectory(rng.uniform(-50, 50, (length, dim)), traj_id=traj_id,
+                       weight=weight)
+            for traj_id, length, weight in [
+                (4, 9, 1.0), (7, 2, 2.5), (1, 30, 0.75), (12, 5, 1.0),
+            ]
+        ]
+        cps = [[0, 3, 5, 8], [0, 1], [0, 2, 3, 11, 19, 29], [0, 4]]
+        built = SegmentSet.from_partitions(trajectories, cps)
+
+        starts, ends, traj_ids, weights = [], [], [], []
+        for trajectory, points in zip(trajectories, cps):
+            for a, b in zip(points, points[1:]):
+                starts.append(trajectory.points[a])
+                ends.append(trajectory.points[b])
+                traj_ids.append(trajectory.traj_id)
+                weights.append(trajectory.weight)
+        expected = (
+            np.array(starts), np.array(ends),
+            np.array(traj_ids, dtype=np.int64), np.array(weights),
+        )
+        got = (built.starts, built.ends, built.traj_ids, built.weights)
+        for column, reference in zip(got, expected):
+            assert column.dtype == reference.dtype
+            assert column.shape == reference.shape
+            assert column.tobytes() == reference.tobytes()
+
+    def test_no_segments_gives_an_empty_set_of_the_corpus_dim(self):
+        t = Trajectory(np.zeros((3, 3)) + np.arange(3)[:, None], traj_id=0)
+        built = SegmentSet.from_partitions([t], [[0]])
+        assert len(built) == 0 and built.dim == 3
+
 
 class TestAccessors:
     def test_iteration(self, random_segments):

@@ -26,7 +26,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.dbscan import LineSegmentDBSCAN
+from repro.cluster.neighbor_graph import neighborhood_size_counts
 from repro.cluster.neighborhood import BruteForceNeighborhood
+from repro.distance.weighted import SegmentDistance
 from repro.model.segment import Segment
 from repro.model.segmentset import SegmentSet
 from repro.sweep import SweepEngine
@@ -64,6 +66,13 @@ def segment_sets(draw):
     return SegmentSet.from_segments(segments)
 
 
+def sorted_edge_distances(graph):
+    """The realised distance of every unordered edge of *graph* (its
+    stored upper triangle), ascending."""
+    rows = np.repeat(np.arange(graph.n_segments), np.diff(graph.indptr))
+    return np.sort(graph.data[graph.indices > rows])
+
+
 eps_grids = st.lists(
     st.one_of(
         st.just(0.0),
@@ -99,9 +108,9 @@ def test_sweep_labels_equal_fresh_fit_at_every_grid_point(
     # Grow the grid with a realised edge distance (ε exactly at a tie)
     # and a realised cardinality (MinLns exactly at the >= boundary).
     if probe.n_edges:
-        eps_values = eps_values + [
-            float(probe._edge_dist[edge_pick % probe.n_edges])
-        ]
+        eps_values = eps_values + [float(
+            sorted_edge_distances(probe.graph)[edge_pick % probe.n_edges]
+        )]
     counts = SweepEngine(segments, [max(eps_values)]).neighborhood_counts()
     min_lns_values = min_lns_values + [
         float(counts[0][card_pick % counts.shape[1]])
@@ -182,9 +191,9 @@ def test_weighted_sweep_labels_equal_fresh_fit(
     eps_values = eps_values + [crowd_eps]
     probe = SweepEngine(segments, [max(eps_values)])
     if probe.n_edges:
-        eps_values = eps_values + [
-            float(probe._edge_dist[edge_pick % probe.n_edges])
-        ]
+        eps_values = eps_values + [float(
+            sorted_edge_distances(probe.graph)[edge_pick % probe.n_edges]
+        )]
     # MinLns exactly at one row's realised weighted sum at one grid ε.
     graph = probe.graph
     row = card_pick % len(segments)
@@ -208,3 +217,43 @@ def test_weighted_sweep_labels_equal_fresh_fit(
                 f"labels diverge at eps={eps!r}, min_lns={min_lns!r}, "
                 f"threshold={threshold!r}"
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=segment_sets(),
+    eps_values=eps_grids,
+    edge_pick=st.integers(min_value=0, max_value=10**6),
+)
+def test_grouped_edges_admit_exactly_the_pairs_within_each_eps(
+    segments, eps_values, edge_pick
+):
+    """The engine's edges, grouped by the first ε step that admits
+    them, hold at every step's prefix exactly the unordered pairs at
+    distance <= ε there, each once; the counts read off that grouping
+    equal the streaming route's."""
+    n = len(segments)
+    left, right = np.triu_indices(n, 1)
+    distances = SegmentDistance().pairs(segments, left, right)
+    realised = np.sort(distances[distances <= max(eps_values)])
+    if realised.size:
+        # ε exactly at a realised distance, and ε just below every
+        # edge (0.0 when some pair is at distance 0).
+        eps_values = eps_values + [
+            float(realised[edge_pick % realised.size]),
+            float(np.nextafter(realised[0], 0.0)),
+        ]
+    engine = SweepEngine(segments, eps_values)
+    admitted_u, admitted_v = engine._edge_u, engine._edge_v
+    assert np.all(admitted_u < admitted_v)
+    for eps, cut in zip(engine._unique_eps.tolist(), engine._cuts.tolist()):
+        admitted = list(zip(admitted_u[:cut].tolist(),
+                            admitted_v[:cut].tolist()))
+        within = distances <= eps
+        expected = set(zip(left[within].tolist(), right[within].tolist()))
+        assert len(admitted) == len(set(admitted))
+        assert set(admitted) == expected, f"eps={eps!r}"
+    assert np.array_equal(
+        engine.neighborhood_counts(),
+        neighborhood_size_counts(segments, eps_values),
+    )

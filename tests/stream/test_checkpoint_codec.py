@@ -3,9 +3,11 @@ checkpoints: committed files restore to their recorded labels and
 re-save to the same arrays, writes are atomic, and a file that is not a
 checkpoint ends in one ReproError naming it."""
 
+import gc
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +158,16 @@ class TestBadFiles:
             with pytest.raises(ReproError, match=path.replace(".", r"\.")):
                 reader(path)
 
+    @pytest.mark.parametrize("reader", [load_checkpoint, restore_merger])
+    def test_truncated_file_is_closed(self, tmp_path, reader):
+        truncated = bad_files(tmp_path)[2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ReproError):
+                reader(truncated)
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+
 
 def damaged_copy(tmp_path, change):
     """The committed stream checkpoint with *change* applied to its
@@ -243,6 +255,95 @@ def lacking(tmp_path, name, entry):
     return path
 
 
+def altered(tmp_path, name, change):
+    """A copy of the committed checkpoint *name* with *change* applied
+    to its arrays and meta record."""
+    with np.load(os.path.join(FIXTURES, name)) as archive:
+        arrays = {member: archive[member] for member in archive.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    change(arrays, meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+    path = str(tmp_path / "altered.npz")
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+def _next_key_null(arrays, meta):
+    meta["next_key"] = None
+
+
+def _config_a_list(arrays, meta):
+    meta["config"] = list(meta["config"].values())
+
+
+def _config_unknown_field(arrays, meta):
+    meta["config"]["radius"] = 2.0
+
+
+def _key_map_flat(arrays, meta):
+    arrays["key_map"] = arrays["key_map"].ravel()
+
+
+def _trajectories_null(arrays, meta):
+    meta["trajectories"] = None
+
+
+def _trajectory_not_a_mapping(arrays, meta):
+    meta["trajectories"].append(2)
+
+
+def _traj_id_null(arrays, meta):
+    meta["trajectories"][0]["traj_id"] = None
+
+
+def _evict_cursor_a_string(arrays, meta):
+    meta["evict_cursor"] = "224"
+
+
+def _max_stamp_infinite(arrays, meta):
+    meta["max_stamp"] = float("inf")
+
+
+def _next_token_null(arrays, meta):
+    meta["next_token"] = None
+
+
+def _applied_seq_null(arrays, meta):
+    meta["applied_seq"] = None
+
+
+def _edges_u_one_short(arrays, meta):
+    arrays["edges_u"] = arrays["edges_u"][:-1]
+
+
+def _edge_to_a_dead_slot(arrays, meta):
+    arrays["edges_u"][0] = np.flatnonzero(~arrays["store_alive"])[0]
+
+
+def _edge_beyond_the_store(arrays, meta):
+    arrays["edges_v"][0] = arrays["store_alive"].size
+
+
+def _store_alive_not_boolean(arrays, meta):
+    arrays["store_alive"] = arrays["store_alive"].astype(np.int64)
+
+
+def _store_column_one_short(arrays, meta):
+    arrays["store_stamps"] = arrays["store_stamps"][:-1]
+
+
+def _store_weight_not_positive(arrays, meta):
+    arrays["store_weights"][0] = 0.0
+
+
+#: Store and edge damage both checkpoint kinds can carry.
+_GRAPH_DAMAGE = (
+    _edges_u_one_short, _edge_to_a_dead_slot, _edge_beyond_the_store,
+    _store_alive_not_boolean, _store_column_one_short,
+    _store_weight_not_positive,
+)
+
+
 class TestDamagedContents:
     @pytest.mark.parametrize("change", [
         _past_the_end, _past_the_end_and_resumed_there, _starts_at_three,
@@ -274,6 +375,28 @@ class TestDamagedContents:
     ])
     def test_merger_checkpoint_lacking_an_entry(self, tmp_path, entry):
         path = lacking(tmp_path, os.path.join("sharded", "merger.npz"), entry)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            restore_merger(path)
+
+    @pytest.mark.parametrize("change", [
+        _next_key_null, _config_a_list, _config_unknown_field,
+        _key_map_flat, _trajectories_null, _trajectory_not_a_mapping,
+        _traj_id_null, _evict_cursor_a_string, _max_stamp_infinite,
+        _next_token_null, *_GRAPH_DAMAGE,
+    ])
+    def test_malformed_stream_value_is_one_repro_error(self, tmp_path, change):
+        """A member or meta field of the wrong type or shape fails at
+        load as one ReproError naming the file: never a bare error, and
+        never a session restored from a misread value."""
+        path = altered(tmp_path, "stream.npz", change)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [
+        _next_token_null, _applied_seq_null, *_GRAPH_DAMAGE,
+    ])
+    def test_malformed_merger_value_is_one_repro_error(self, tmp_path, change):
+        path = altered(tmp_path, os.path.join("sharded", "merger.npz"), change)
         with pytest.raises(ReproError, match=re.escape(path)):
             restore_merger(path)
 

@@ -86,8 +86,9 @@ class TestLabelsBitwiseIdentity:
     def test_eps_exactly_at_edge_distance_tie(self, corridor_segments):
         # Pick a realised pairwise distance as a grid ε: the admission
         # predicate must treat dist == eps as inside, like every engine.
-        probe = SweepEngine(corridor_segments, [10.0])
-        distances = probe._edge_dist
+        graph = SweepEngine(corridor_segments, [10.0]).graph
+        rows = np.repeat(np.arange(graph.n_segments), np.diff(graph.indptr))
+        distances = np.sort(graph.data[graph.indices > rows])
         assert distances.size > 0
         tie = float(distances[distances.size // 2])
         engine = SweepEngine(corridor_segments, [tie])
@@ -277,6 +278,38 @@ class TestAdversarialUnionFind:
         assert np.all(parent[32:] == 32)
         assert np.all(parent[leaves] == 0) and parent[31] == 0
         assert np.array_equal(parent[16:31], np.arange(16, 31))
+
+
+class TestEdgeGrouping:
+    def test_one_eps_engine_keeps_csr_order(self, corridor_segments):
+        # One ε admits every edge in one step: the engine takes the
+        # graph's upper triangle as stored, with no reordering.
+        engine = SweepEngine(corridor_segments, [8.0])
+        graph = engine.graph
+        rows = np.repeat(np.arange(graph.n_segments), np.diff(graph.indptr))
+        upper = graph.indices > rows
+        assert np.array_equal(engine._edge_u, rows[upper])
+        assert np.array_equal(engine._edge_v, graph.indices[upper])
+        assert engine._cuts.tolist() == [int(np.count_nonzero(upper))]
+
+    def test_edges_are_grouped_by_admitting_step(self, corridor_segments):
+        eps_values = [8.0, 2.0, 5.0]
+        engine = SweepEngine(corridor_segments, eps_values)
+        graph = engine.graph
+        rows = np.repeat(np.arange(graph.n_segments), np.diff(graph.indptr))
+        upper = graph.indices > rows
+        dist = graph.data[upper]
+        lookup = dict(zip(zip(rows[upper].tolist(),
+                              graph.indices[upper].tolist()), dist.tolist()))
+        steps = np.searchsorted(
+            [2.0, 5.0, 8.0],
+            [lookup[pair] for pair in zip(engine._edge_u.tolist(),
+                                          engine._edge_v.tolist())],
+        )
+        assert np.all(np.diff(steps) >= 0)
+        assert engine._cuts.tolist() == [
+            int(np.count_nonzero(dist <= eps)) for eps in (2.0, 5.0, 8.0)
+        ]
 
 
 class TestExecutors:
