@@ -46,6 +46,7 @@ from repro.core.config import StreamConfig
 from repro.exceptions import ClusteringError
 from repro.obs import NULL_REGISTRY
 from repro.stream.checkpoint import (
+    _is_pair_table,
     decode_clusterer,
     encode_clusterer,
     read_checkpoint,
@@ -269,20 +270,51 @@ class ShardMerger:
         stable tokens, and future diffs continue identically.  A file
         that is not a merger checkpoint, lacks a member or meta field
         read here, holds a ``next_token`` or ``applied_seq`` that is not
-        an integer, or store and edge arrays
-        :func:`~repro.stream.checkpoint.decode_clusterer` rejects, raises
-        one :class:`~repro.exceptions.ReproError` naming it."""
+        an integer, store, edge and token arrays
+        :func:`~repro.stream.checkpoint.decode_clusterer` rejects, a
+        ``shard_of`` that is not one integer per store slot with the
+        live ones in ``[0, n_shards)``, or an ``l2g_K`` that is not a
+        ``(k, 2)`` integer array mapping distinct local slots to
+        distinct store slots of shard K, raises one
+        :class:`~repro.exceptions.ReproError` naming it.  A retracted
+        segment keeps its map entry, so a mapped slot may be dead."""
         arrays, meta = read_checkpoint(
             path, (MERGER_CHECKPOINT_FORMAT,), "shard merger"
         )
         decode_clusterer(self.clusterer, arrays, meta.integer("next_token"))
-        for slot, shard in enumerate(arrays["shard_of"].tolist()):
+        store = self.graph.store
+        shard_of = arrays.checked(
+            "shard_of",
+            lambda value: value.shape == (len(store),)
+            and value.dtype.kind in "iu",
+            "one integer per store slot",
+        ).astype(np.int64)
+        live = shard_of[store.alive_mask]
+        if live.size and not (live.min() >= 0 and live.max() < self.n_shards):
+            raise arrays.damaged(
+                f"a live slot's shard_of is not in [0, {self.n_shards})"
+            )
+        for slot, shard in enumerate(shard_of.tolist()):
             self.graph._note_shard(slot, shard)
         for shard in range(self.n_shards):
-            self._local_to_global[shard] = {
-                int(local): int(global_slot)
-                for local, global_slot in arrays[f"l2g_{shard}"]
-            }
+            name = f"l2g_{shard}"
+            pairs = arrays.checked(
+                name, _is_pair_table, "a (k, 2) integer array"
+            ).astype(np.int64)
+            local, mapped = pairs[:, 0], pairs[:, 1]
+            if local.size and not (
+                local.min() >= 0 and np.unique(local).size == local.size
+                and mapped.min() >= 0 and mapped.max() < len(store)
+                and np.unique(mapped).size == mapped.size
+                and (shard_of[mapped] == shard).all()
+            ):
+                raise arrays.damaged(
+                    f"{name} does not map distinct local slots to distinct "
+                    f"store slots of shard {shard}"
+                )
+            self._local_to_global[shard] = dict(
+                zip(local.tolist(), mapped.tolist())
+            )
         self.view = self.clusterer.snapshot_view()
         self.applied_seq = meta.integer("applied_seq")
 

@@ -14,8 +14,9 @@ append-only point streams and sliding-window eviction:
   identical to a batch :class:`~repro.cluster.neighbor_graph.NeighborGraph`
   rebuild (both run the same pair kernel);
 * :mod:`repro.stream.online_dbscan` — DBSCAN labels are maintained
-  incrementally (core promotion/demotion, union-find merges, bounded
-  local reclustering on splits) and reproduce a fresh batch
+  incrementally (core promotion/demotion, union-by-size merges, a
+  local proof that a removal split nothing, reclustering only a
+  component that did split) and reproduce a fresh batch
   :class:`~repro.cluster.dbscan.LineSegmentDBSCAN` refit exactly;
 * :mod:`repro.stream.view` — every update is described by a
   :class:`LabelDiff` in *stable* cluster ids (O(delta), not O(live));

@@ -122,6 +122,12 @@ def _is_null_or_finite(value) -> bool:
     )
 
 
+def _is_pair_table(value: np.ndarray) -> bool:
+    """A ``(k, 2)`` integer array, as ``comp_tokens`` and the merger's
+    slot maps are."""
+    return value.ndim == 2 and value.shape[1] == 2 and value.dtype.kind in "iu"
+
+
 def encode_clusterer(clusterer: OnlineDBSCAN) -> Tuple[Dict[str, np.ndarray], int]:
     """The checkpoint arrays of *clusterer* — its slot store, ε-edges
     and stable tokens (``comp_tokens``) — plus the token mint counter
@@ -150,8 +156,12 @@ def decode_clusterer(
     before tokens) — components renamed to their checkpointed tokens
     ``comp_tokens``.  Store columns that differ in length, a
     ``store_alive`` that is not boolean, edge arrays that differ in
-    length, an edge endpoint that is not a live slot, or a column the
-    slot store rejects raise one :class:`ReproError` naming the file."""
+    length, an edge endpoint that is not a live slot, a column the slot
+    store rejects, a ``comp_tokens`` that is not a ``(k, 2)`` integer
+    array of distinct tokens in ``[0, next_token)`` anchored at
+    distinct live slots, or anchors that do not name the rebuilt
+    components one each raise one :class:`ReproError` naming the
+    file."""
     columns = [np.asarray(arrays[name]) for name in _GRAPH_ARRAYS]
     alive, (edges_u, edges_v, edges_d) = columns[5], columns[6:]
     if alive.dtype != bool or alive.ndim != 1 or any(
@@ -170,13 +180,35 @@ def decode_clusterer(
         and endpoints.max() < alive.size and alive[endpoints].all()
     ):
         raise arrays.damaged("an edge endpoint is not a live slot")
+    if next_token is not None:
+        pairs = np.asarray(arrays["comp_tokens"])
+        if not _is_pair_table(pairs):
+            raise arrays.damaged("comp_tokens is not a (k, 2) integer array")
+        # A uint64 value past int64 turns negative here and fails below.
+        pairs = pairs.astype(np.int64)
+        tokens, anchors = pairs[:, 0], pairs[:, 1]
+        if next_token < 0 or tokens.size and not (
+            tokens.min() >= 0 and tokens.max() < next_token
+            and np.unique(tokens).size == tokens.size
+        ):
+            raise arrays.damaged(
+                "comp_tokens tokens are not distinct and in [0, next_token)"
+            )
+        if anchors.size and not (
+            anchors.min() >= 0 and anchors.max() < alive.size
+            and alive[anchors].all()
+            and np.unique(anchors).size == anchors.size
+        ):
+            raise arrays.damaged(
+                "comp_tokens anchors are not distinct live slots"
+            )
     try:
         clusterer.graph.restore_slots(*columns)
+        clusterer.rebuild_from_graph()
+        if next_token is not None:
+            clusterer.adopt_tokens(pairs, int(next_token))
     except ClusteringError as error:
         raise arrays.damaged(str(error)) from None
-    clusterer.rebuild_from_graph()
-    if next_token is not None:
-        clusterer.adopt_tokens(arrays["comp_tokens"], int(next_token))
 
 
 def write_checkpoint(path: str, arrays: Dict[str, np.ndarray], meta: dict) -> str:
@@ -276,7 +308,7 @@ def load_checkpoint(
     shape: ``config`` a mapping of :class:`StreamConfig` fields,
     ``next_key``, ``evict_cursor`` and ``next_token`` integers,
     ``max_stamp`` null or finite, ``trajectories`` a list of mappings,
-    ``key_map`` a ``(k, 2)`` integer array, and the store and edge
+    ``key_map`` a ``(k, 2)`` integer array, and the store, edge and token
     arrays as :func:`decode_clusterer` checks them.
 
     *metrics* optionally hands the restored pipeline a
@@ -334,10 +366,7 @@ def load_checkpoint(
     )
     pipeline._max_stamp = -np.inf if max_stamp is None else float(max_stamp)
     key_map = arrays.checked(
-        "key_map",
-        lambda value: value.ndim == 2 and value.shape[1] == 2
-        and value.dtype.kind in "iu",
-        "a (k, 2) integer array",
+        "key_map", _is_pair_table, "a (k, 2) integer array"
     )
     pipeline._key_to_slot = {int(k): int(s) for k, s in key_map}
     pipeline._slot_to_key = {s: k for k, s in pipeline._key_to_slot.items()}

@@ -27,8 +27,10 @@ cardinalities, core flags, the core ε-neighbors of every live slot, and
 the core components with their formation keys — and maintains it per
 update: one re-test of the core flag of every slot whose cardinality
 changed (demotions with their repair first, then promotions), merges
-via union-by-size and splits by reclustering bounded to the affected
-component.  :meth:`labels` evaluates the rules above through
+via union-by-size, and a local repair after removals: searches from the
+removed cores' core neighbours prove that a component did not split,
+and only a component that did split is reclustered.  :meth:`labels`
+evaluates the rules above through
 :func:`~repro.cluster.labeling.figure12_labels`, the full-array
 derivation the sweep engine of :mod:`repro.sweep.engine` also runs — and
 because slot order equals compacted positional order, the result is
@@ -45,10 +47,11 @@ On top of the batch-identical derivation, the class maintains a
 tokens (which survive updates) rather than dense ranks (which do not).
 Each update records the slots whose assignment **could** have changed —
 the inserted/evicted slot, promotions and demotions with their graph
-neighborhoods, members moved by a union or split, and the *watchers*
-(borders adjacent to a component) of any component whose identity or
-formation key moved — where each component event (new, union, keep,
-split, drop) happens.
+neighborhoods, members moved by a union or split, the *watchers*
+(borders adjacent to a component) of any component whose identity
+moved, and the *contested* watchers (those adjacent to two or more
+components) of any component whose formation key moved — where each
+component event (new, union, keep, split, drop) happens.
 :meth:`flush_diff` re-derives exactly those slots, updates per-cluster
 distinct-trajectory counts for the Step-3 visibility flips, and emits a
 :class:`~repro.stream.view.LabelDiff` whose cost is O(touched), not
@@ -58,7 +61,8 @@ shard benchmark can pin the complexity claim.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,6 +76,15 @@ from repro.representative.sweep import (
 )
 from repro.stream.dynamic_graph import DynamicNeighborGraph
 from repro.stream.view import LabelDiff, LabelView
+
+
+def _drop(index: Dict[int, Set[int]], token: int, slot: int) -> None:
+    """Remove *slot* from *index*[*token*], dropping an emptied entry."""
+    slots = index.get(token)
+    if slots is not None:
+        slots.discard(slot)
+        if not slots:
+            del index[token]
 
 
 class OnlineDBSCAN:
@@ -93,9 +106,9 @@ class OnlineDBSCAN:
         "use_weights", "graph", "_card", "_core", "_core_neighbors",
         "_comp_of", "_comp_members", "_comp_min", "_next_comp",
         "_rep_cache", "_assign", "_members", "_traj_counts", "_visible",
-        "_watchers", "_watching", "_touched", "_added", "_removed",
-        "_touched_tokens", "_fresh", "_retired", "_merges", "_splits",
-        "_redirect", "view_version", "last_flush_touched",
+        "_watchers", "_watching", "_contested", "_touched", "_added",
+        "_removed", "_touched_tokens", "_fresh", "_retired", "_merges",
+        "_splits", "_redirect", "view_version", "last_flush_touched",
     )
 
     def __init__(
@@ -165,6 +178,10 @@ class OnlineDBSCAN:
         # move), so token -> watching borders and the reverse.
         self._watchers: Dict[int, Set[int]] = {}
         self._watching: Dict[int, Set[int]] = {}
+        # The contested part of _watchers: token -> its watchers that
+        # watch two or more components.  Only these can change claim
+        # when the token's formation key moves alone.
+        self._contested: Dict[int, Set[int]] = {}
         # Per-flush accumulators.
         self._touched: Set[int] = set()
         self._added: Set[int] = set()
@@ -296,7 +313,7 @@ class OnlineDBSCAN:
             old_visible: Optional[int] = None
         else:
             old_visible = self._visible_label(slot)
-        core_degree = len(self._core_neighbors.get(slot, ()))
+        core_mates = self._core_neighbors.get(slot, ())
         neighbors = [int(v) for v in self.graph.evict(slot)]
         # Settled first: the slot then sits in no watch set that the
         # component events below release.
@@ -309,9 +326,9 @@ class OnlineDBSCAN:
         else:
             for v in neighbors:
                 self._card[v] -= 1.0
-        removals: Dict[int, List[Tuple[int, int]]] = {}
+        removals: Dict[int, Set[int]] = {}
         if slot in self._core:
-            self._demote(slot, neighbors, removals, core_degree)
+            self._demote(slot, neighbors, removals, core_mates)
             self._touched.update(neighbors)
         self._retest(neighbors, removals)
 
@@ -319,7 +336,7 @@ class OnlineDBSCAN:
     def _retest(
         self,
         slots: Sequence[int],
-        removals: Dict[int, List[Tuple[int, int]]],
+        removals: Dict[int, Set[int]],
     ) -> None:
         """Re-test the core flag of *slots*, whose cardinalities changed,
         in both directions: demote the cores below MinLns and repair
@@ -338,7 +355,7 @@ class OnlineDBSCAN:
             if v in core and card[v] < min_lns:
                 adjacent_v = [int(w) for w in adjacent(v)]
                 self._demote(
-                    v, adjacent_v, removals, len(self._core_neighbors[v])
+                    v, adjacent_v, removals, self._core_neighbors[v]
                 )
                 touched.add(v)
                 touched.update(adjacent_v)
@@ -372,27 +389,33 @@ class OnlineDBSCAN:
         self,
         slot: int,
         adjacent: Sequence[int],
-        removals: Dict[int, List[Tuple[int, int]]],
-        degree: int,
+        removals: Dict[int, Set[int]],
+        mates: Iterable[int],
     ) -> None:
         """Remove *slot* from the core set and its component, recording
-        ``(slot, degree)`` under the component for :meth:`_repair`;
-        *degree* is its core degree at removal time."""
+        *mates*, its core neighbours at removal time, under the
+        component: the anchors :meth:`_repair` searches from."""
         self._core.discard(slot)
         for w in adjacent:
             self._core_neighbors[w].discard(slot)
         root = self._comp_of.pop(slot)
         self._comp_members[root].discard(slot)
-        removals.setdefault(root, []).append((slot, degree))
+        removals.setdefault(root, set()).update(mates)
 
-    def _repair(self, removals: Dict[int, List[Tuple[int, int]]]) -> None:
+    def _repair(self, removals: Dict[int, Set[int]]) -> None:
         """Re-establish connectivity of each component that lost cores.
-        A lone removal of core degree <= 1 cannot disconnect the rest,
-        so the component keeps its token; any other removal reclusters
-        the component from its members in ascending seed order, which
-        keeps the token when nothing split and mints the parts' tokens
-        in canonical order when something did."""
-        for root, removed in removals.items():
+
+        The component was connected, so every piece its remaining
+        members fall into touches a removed core and holds an *anchor*:
+        a core neighbour of a removed core, recorded at removal time,
+        that is still a member.  At most one anchor, or searches from
+        all of them that meet (:meth:`_joined`), prove that nothing
+        split: the component keeps its token, so the cluster's stable
+        identity survives, and its formation key moves only if its seed
+        left.  Otherwise the component is reclustered from its members
+        in ascending seed order, which mints the parts' tokens in
+        canonical order."""
+        for root, mates in removals.items():
             members = self._comp_members[root]
             if not members:
                 del self._comp_members[root]
@@ -400,9 +423,10 @@ class OnlineDBSCAN:
                 self._release_watchers(root)
                 self._retire(root)
                 continue
-            if len(removed) == 1 and removed[0][1] <= 1:
+            anchors = [w for w in mates if w in members]
+            if len(anchors) <= 1 or self._joined(anchors):
                 self._touched_tokens.add(root)
-                if removed[0][0] == self._comp_min[root]:
+                if self._comp_min[root] not in members:
                     self._set_min(root, min(members))
                 continue
             remaining = set(members)
@@ -421,14 +445,6 @@ class OnlineDBSCAN:
                             part.add(w)
                             stack.append(w)
                 parts.append(part)
-            if len(parts) == 1:
-                # No split after all: the component keeps its token, so
-                # the cluster's stable identity survives the demotion.
-                self._touched_tokens.add(root)
-                minimum = min(members)
-                if minimum != self._comp_min[root]:
-                    self._set_min(root, minimum)
-                continue
             del self._comp_members[root]
             del self._comp_min[root]
             minted = tuple(self._new_component(part) for part in parts)
@@ -437,6 +453,61 @@ class OnlineDBSCAN:
             self._release_watchers(root)
             if self._retire(root):
                 self._splits.append((root, minted))
+
+    def _joined(self, anchors: List[int]) -> bool:
+        """Whether the cores *anchors* still lie in one piece of the
+        core subgraph.
+
+        One breadth-first search per anchor, each taking one step in
+        turn (Even & Shiloach, "An On-Line Edge-Deletion Problem",
+        J. ACM 1981); two searches that reach each other's cores join.
+        The answer is yes as soon as one search is left, and no as soon
+        as a search runs out of cores while others remain: it has
+        walked a whole piece that holds no other search's anchor.  The
+        searches advance in lockstep, so a split costs about the number
+        of searches times the smallest piece, and a component that held
+        together costs the steps its searches take to meet, usually a
+        few around the removed cores — not a walk of the component."""
+        core_neighbors = self._core_neighbors
+        owner = {anchor: search for search, anchor in enumerate(anchors)}
+        joined_to = list(range(len(anchors)))
+        queues: List[Optional[deque]] = [
+            deque((anchor,)) for anchor in anchors
+        ]
+        searches = list(range(len(anchors)))
+        left = len(searches)
+        while True:
+            for search in searches:
+                if joined_to[search] != search:
+                    continue
+                queue = queues[search]
+                if not queue:
+                    return False
+                for w in core_neighbors[queue.popleft()]:
+                    other = owner.get(w)
+                    if other is None:
+                        owner[w] = search
+                        queue.append(w)
+                        continue
+                    while joined_to[other] != other:
+                        joined_to[other] = joined_to[joined_to[other]]
+                        other = joined_to[other]
+                    if other == search:
+                        continue
+                    # Join the other search into this one, moving the
+                    # shorter queue onto the longer.
+                    absorbed = queues[other]
+                    if len(absorbed) > len(queue):
+                        absorbed.extend(queue)
+                        queue = queues[search] = absorbed
+                    else:
+                        queue.extend(absorbed)
+                    queues[other] = None
+                    joined_to[other] = search
+                    left -= 1
+                    if left == 1:
+                        return True
+            searches = [s for s in searches if joined_to[s] == s]
 
     def _new_component(self, members: Set[int]) -> int:
         """Mint a token for the cores *members*; the consumer first
@@ -475,15 +546,18 @@ class OnlineDBSCAN:
         self._redirect[absorbed] = survivor
 
     def _set_min(self, token: int, minimum: int) -> None:
-        """Move the formation key of *token*: every border watching it
-        may change its claim."""
+        """Move the formation key of *token*: the borders watching it
+        and another component may change their claim.  A border next to
+        *token* alone derives to it whatever its key (:meth:`_derive`),
+        so the uncontested watchers are not touched."""
         self._comp_min[token] = minimum
-        watchers = self._watchers.get(token)
-        if watchers:
-            self._touched.update(watchers)
+        contested = self._contested.get(token)
+        if contested:
+            self._touched.update(contested)
 
     def _release_watchers(self, token: int) -> None:
-        """*token* is gone: the borders watching it re-derive."""
+        """*token* is gone: every border watching it re-derives."""
+        self._contested.pop(token, None)
         watchers = self._watchers.pop(token, None)
         if watchers:
             self._touched.update(watchers)
@@ -531,30 +605,37 @@ class OnlineDBSCAN:
         self._touched_tokens.add(token)
 
     def _rewatch(self, slot: int, roots: Set[int]) -> None:
+        """Record that border *slot* watches the components *roots*, in
+        the watch index and, when they are two or more, the contested
+        index."""
         old = self._watching.get(slot)
         if old == roots:
             return
-        fresh_tokens = roots if old is None else roots - old
-        if old:
+        watchers, contested = self._watchers, self._contested
+        if old is None:
+            fresh_tokens = roots
+        else:
+            fresh_tokens = roots - old
             for token in old - roots:
-                watchers = self._watchers.get(token)
-                if watchers is not None:
-                    watchers.discard(slot)
-                    if not watchers:
-                        del self._watchers[token]
+                _drop(watchers, token, slot)
+            if len(old) >= 2:
+                for token in old if len(roots) < 2 else old - roots:
+                    _drop(contested, token, slot)
         for token in fresh_tokens:
-            self._watchers.setdefault(token, set()).add(slot)
+            watchers.setdefault(token, set()).add(slot)
+        if len(roots) >= 2:
+            for token in roots:
+                contested.setdefault(token, set()).add(slot)
         self._watching[slot] = roots
 
     def _unwatch(self, slot: int) -> None:
         old = self._watching.pop(slot, None)
         if old:
             for token in old:
-                watchers = self._watchers.get(token)
-                if watchers is not None:
-                    watchers.discard(slot)
-                    if not watchers:
-                        del self._watchers[token]
+                _drop(self._watchers, token, slot)
+            if len(old) >= 2:
+                for token in old:
+                    _drop(self._contested, token, slot)
 
     def _retire(self, token: int) -> bool:
         """Mark *token* gone; returns True if a consumer ever saw it
@@ -837,6 +918,10 @@ class OnlineDBSCAN:
             token: {int(remap[slot]) for slot in watchers}
             for token, watchers in self._watchers.items()
         }
+        self._contested = {
+            token: {int(remap[slot]) for slot in watchers}
+            for token, watchers in self._contested.items()
+        }
         self._rep_cache.clear()
         return remap
 
@@ -928,6 +1013,7 @@ class OnlineDBSCAN:
         self._visible.clear()
         self._watching.clear()
         self._watchers.clear()
+        self._contested.clear()
         self._touched.clear()
         self._added.clear()
         self._removed.clear()

@@ -1,6 +1,6 @@
 """Hypothesis property tests: streaming == batch, always.
 
-Two claims are pinned:
+Three claims are pinned:
 
 1. **Partitioning** — feeding a trajectory's points through
    :class:`IncrementalPartitioner` in arbitrary chunks yields exactly
@@ -14,6 +14,11 @@ Two claims are pinned:
    *identically*, because the online derivation reproduces the batch
    scan's formation order (see the :mod:`repro.stream.online_dbscan`
    docstring for the argument).
+3. **Local repair** — the label upkeep that proves "no split" from the
+   removed cores' neighbours and touches only contested borders on a
+   formation-key move emits the same diffs (all but their ``touched``
+   counts), tokens and checkpoint arrays as one that reclusters every
+   component that lost a core and touches every watcher.
 """
 
 import itertools
@@ -25,6 +30,7 @@ from repro.cluster.dbscan import LineSegmentDBSCAN
 from repro.distance.weighted import SegmentDistance
 from repro.partition.approximate import approximate_partition
 from repro.partition.incremental import IncrementalPartitioner
+from repro.stream.checkpoint import encode_clusterer
 from repro.stream.online_dbscan import OnlineDBSCAN
 
 # Half-unit lattice coordinates land pair distances exactly on the ε
@@ -72,6 +78,28 @@ def operation_sequences(draw, weights=EXACT_WEIGHTS, max_ops=24):
             weight = draw(st.sampled_from(weights))
             operations.append(("insert", (start, end, traj_id, weight)))
             n_inserted += 1
+    return operations
+
+
+@st.composite
+def lane_sequences(draw):
+    """40-120 inserts and evictions of unit segments along three lanes
+    half a unit apart: at ε near 1 the cores form chains that split
+    when a link leaves, and borders sit between two chains.  A key move
+    flips such a border only in feeds of dozens of operations."""
+    operations = []
+    live = 0
+    for _ in range(draw(st.integers(min_value=40, max_value=120))):
+        if live and draw(st.integers(min_value=0, max_value=3)) == 0:
+            operations.append(("evict", draw(st.integers(0, live - 1))))
+            live -= 1
+            continue
+        x = float(draw(st.integers(min_value=0, max_value=24)))
+        y = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        traj_id = draw(st.integers(min_value=0, max_value=3))
+        weight = draw(st.sampled_from(UNEVEN_WEIGHTS))
+        operations.append(("insert", ((x, y), (x + 1.0, y), traj_id, weight)))
+        live += 1
     return operations
 
 
@@ -268,6 +296,200 @@ class TestBatchedInsertEquivalence:
             eps=eps, min_lns=min_lns, **BATCH_VARIANTS[variant]
         )
         replay_in_chunks(operations, chunk_sizes, clusterer)
+
+
+class FullRecluster(OnlineDBSCAN):
+    """The reference upkeep: every component that lost cores is
+    reclustered from its members in ascending seed order, and a
+    formation-key move touches every border watching the component."""
+
+    __slots__ = ()
+
+    def _repair(self, removals):
+        for root in removals:
+            members = self._comp_members[root]
+            if not members:
+                del self._comp_members[root]
+                del self._comp_min[root]
+                self._release_watchers(root)
+                self._retire(root)
+                continue
+            remaining = set(members)
+            parts = []
+            for seed in sorted(members):
+                if seed not in remaining:
+                    continue
+                remaining.discard(seed)
+                part = {seed}
+                stack = [seed]
+                while stack:
+                    u = stack.pop()
+                    for w in self._core_neighbors[u]:
+                        if w in remaining:
+                            remaining.discard(w)
+                            part.add(w)
+                            stack.append(w)
+                parts.append(part)
+            if len(parts) == 1:
+                self._touched_tokens.add(root)
+                if min(members) != self._comp_min[root]:
+                    self._set_min(root, min(members))
+                continue
+            del self._comp_members[root]
+            del self._comp_min[root]
+            minted = tuple(self._new_component(part) for part in parts)
+            for part in parts:
+                self._touched.update(part)
+            self._release_watchers(root)
+            if self._retire(root):
+                self._splits.append((root, minted))
+
+    def _set_min(self, token, minimum):
+        self._comp_min[token] = minimum
+        self._touched.update(self._watchers.get(token, ()))
+
+
+def diff_fields(diff):
+    """Every :class:`LabelDiff` field but ``touched``."""
+    return (
+        diff.changed, diff.merges, diff.splits, diff.shown, diff.hidden,
+        diff.minima, diff.retired,
+    )
+
+
+def assert_label_state(clusterer):
+    """The components are the connected components of the core
+    subgraph, keyed by their smallest core, and the contested index
+    holds exactly the borders that watch two or more of them."""
+    adjacent = clusterer.graph.adjacent
+    live = clusterer.store.alive_slots().tolist()
+    cores = {
+        v for v in live
+        if clusterer._cardinality(v) >= clusterer.min_lns
+    }
+    assert cores == clusterer._core
+    components = set()
+    seen = set()
+    for seed in sorted(cores):
+        if seed in seen:
+            continue
+        seen.add(seed)
+        part, stack = {seed}, [seed]
+        while stack:
+            for w in adjacent(stack.pop()):
+                if w in cores and w not in seen:
+                    seen.add(w)
+                    part.add(w)
+                    stack.append(w)
+        components.add(frozenset(part))
+    members = clusterer._comp_members
+    assert components == {frozenset(m) for m in members.values()}
+    for token, cores_of in members.items():
+        assert clusterer._comp_min[token] == min(cores_of)
+        assert all(clusterer._comp_of[u] == token for u in cores_of)
+    contested = {}
+    for v in live:
+        if v in cores:
+            continue
+        roots = {
+            clusterer._comp_of[w] for w in adjacent(v) if w in cores
+        }
+        if len(roots) >= 2:
+            for token in roots:
+                contested.setdefault(token, set()).add(v)
+    assert clusterer._contested == contested
+
+
+def assert_local_repair_matches(
+    operations, eps, min_lns, window, compact_every, use_weights
+):
+    """Replay *operations* through :class:`OnlineDBSCAN` and
+    :class:`FullRecluster`: inserts, evictions of a random slot and of
+    the oldest once *window* overflows (several removals in one
+    update), and slot compaction every *compact_every* updates, each
+    update flushed and compared."""
+    local, full = (
+        cls(eps=eps, min_lns=min_lns, use_weights=use_weights)
+        for cls in (OnlineDBSCAN, FullRecluster)
+    )
+    live = []
+    for step, (kind, payload) in enumerate(operations, 1):
+        if kind == "insert":
+            start, end, traj_id, weight = payload
+            for clusterer in (local, full):
+                slot = clusterer.insert(
+                    np.asarray(start, dtype=np.float64),
+                    np.asarray(end, dtype=np.float64),
+                    traj_id,
+                    weight=weight,
+                )
+            live.append(slot)
+            while window is not None and len(live) > window:
+                oldest = live.pop(0)
+                local.evict(oldest)
+                full.evict(oldest)
+        elif live:
+            slot = live.pop(payload % len(live))
+            local.evict(slot)
+            full.evict(slot)
+        got, expected = local.flush_diff(), full.flush_diff()
+        assert diff_fields(got) == diff_fields(expected)
+        assert got.touched <= expected.touched
+        assert local._comp_of == full._comp_of
+        assert local._comp_min == full._comp_min
+        assert local._assign == full._assign
+        assert_label_state(local)
+        if compact_every and step % compact_every == 0:
+            remap = local.compact_slots()
+            assert np.array_equal(full.compact_slots(), remap)
+            live = [int(remap[slot]) for slot in live]
+            assert_label_state(local)
+    (arrays, next_token), (reference, reference_next) = (
+        encode_clusterer(local), encode_clusterer(full)
+    )
+    assert next_token == reference_next
+    assert sorted(arrays) == sorted(reference)
+    for name, array in arrays.items():
+        assert array.dtype == reference[name].dtype, name
+        assert array.tobytes() == reference[name].tobytes(), name
+    assert_online_matches_batch(local)
+
+
+class TestLocalRepairEquivalence:
+    @given(
+        operation_sequences(weights=UNEVEN_WEIGHTS, max_ops=40),
+        eps_values,
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([None, 3, 6]),
+        st.sampled_from([None, 4]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_segments(
+        self, operations, eps, min_lns, window, compact_every, use_weights
+    ):
+        assert_local_repair_matches(
+            operations, eps, min_lns, window, compact_every, use_weights
+        )
+
+    @given(
+        lane_sequences(),
+        st.sampled_from([1.0, 1.5]),
+        st.integers(min_value=4, max_value=6),
+        st.sampled_from([None, 25, 40]),
+        st.sampled_from([None, 5]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lane_chains(
+        self, operations, eps, min_lns, window, compact_every, use_weights
+    ):
+        """Chains that split and borders between two of them, under a
+        window that evicts their seeds: the regime where the proof and
+        the contested index decide."""
+        assert_local_repair_matches(
+            operations, eps, min_lns, window, compact_every, use_weights
+        )
 
 
 class TestIncrementalPartitionEquivalence:

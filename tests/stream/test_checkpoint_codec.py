@@ -344,6 +344,93 @@ _GRAPH_DAMAGE = (
 )
 
 
+def _token_repeated(arrays, meta):
+    """Two components under one stable token."""
+    arrays["comp_tokens"][1, 0] = arrays["comp_tokens"][0, 0]
+
+
+def _next_token_below_live_tokens(arrays, meta):
+    """A later mint would reuse a live token."""
+    meta["next_token"] = 0
+
+
+def _token_negative(arrays, meta):
+    """Token -1 would alias NOISE in the stable view."""
+    arrays["comp_tokens"][0, 0] = -1
+
+
+def _tokens_fractional(arrays, meta):
+    arrays["comp_tokens"] = arrays["comp_tokens"] + 0.5
+
+
+def _tokens_flat(arrays, meta):
+    arrays["comp_tokens"] = arrays["comp_tokens"].ravel()[:3]
+
+
+def _anchor_repeated(arrays, meta):
+    arrays["comp_tokens"][1, 1] = arrays["comp_tokens"][0, 1]
+
+
+def _anchor_dead(arrays, meta):
+    arrays["comp_tokens"][0, 1] = np.flatnonzero(~arrays["store_alive"])[0]
+
+
+def _anchor_not_core(arrays, meta):
+    """The first live slot with fewer than two ε-neighbours, which is
+    not core at MinLns 3 (both fixtures' setting)."""
+    n = arrays["store_alive"].size
+    degree = np.bincount(
+        np.concatenate([arrays["edges_u"], arrays["edges_v"]]), minlength=n
+    )
+    border = np.flatnonzero(arrays["store_alive"] & (degree < 2))
+    arrays["comp_tokens"][0, 1] = border[0]
+
+
+#: Stable-token damage both checkpoint kinds can carry.
+_TOKEN_DAMAGE = (
+    _token_repeated, _next_token_below_live_tokens, _token_negative,
+    _tokens_fractional, _tokens_flat, _anchor_repeated, _anchor_dead,
+    _anchor_not_core,
+)
+
+
+def _shard_of_short(arrays, meta):
+    """The missing slots would keep shard -1."""
+    arrays["shard_of"] = arrays["shard_of"][:-50]
+
+
+def _shard_of_out_of_range(arrays, meta):
+    arrays["shard_of"] = np.full_like(arrays["shard_of"], 7)
+
+
+def _shard_of_fractional(arrays, meta):
+    arrays["shard_of"] = arrays["shard_of"] + 0.5
+
+
+def _l2g_beyond_the_store(arrays, meta):
+    arrays["l2g_0"][0, 1] = 10**6
+
+
+def _l2g_flat(arrays, meta):
+    arrays["l2g_0"] = arrays["l2g_0"].ravel()
+
+
+def _l2g_local_repeated(arrays, meta):
+    arrays["l2g_0"][1, 0] = arrays["l2g_0"][0, 0]
+
+
+def _l2g_slot_of_another_shard(arrays, meta):
+    arrays["l2g_1"][0, 1] = arrays["l2g_0"][0, 1]
+
+
+#: Damage to the merger's slot-origin and local -> global maps.
+_SHARD_MAP_DAMAGE = (
+    _shard_of_short, _shard_of_out_of_range, _shard_of_fractional,
+    _l2g_beyond_the_store, _l2g_flat, _l2g_local_repeated,
+    _l2g_slot_of_another_shard,
+)
+
+
 class TestDamagedContents:
     @pytest.mark.parametrize("change", [
         _past_the_end, _past_the_end_and_resumed_there, _starts_at_three,
@@ -382,7 +469,7 @@ class TestDamagedContents:
         _next_key_null, _config_a_list, _config_unknown_field,
         _key_map_flat, _trajectories_null, _trajectory_not_a_mapping,
         _traj_id_null, _evict_cursor_a_string, _max_stamp_infinite,
-        _next_token_null, *_GRAPH_DAMAGE,
+        _next_token_null, *_GRAPH_DAMAGE, *_TOKEN_DAMAGE,
     ])
     def test_malformed_stream_value_is_one_repro_error(self, tmp_path, change):
         """A member or meta field of the wrong type or shape fails at
@@ -394,6 +481,7 @@ class TestDamagedContents:
 
     @pytest.mark.parametrize("change", [
         _next_token_null, _applied_seq_null, *_GRAPH_DAMAGE,
+        *_TOKEN_DAMAGE, *_SHARD_MAP_DAMAGE,
     ])
     def test_malformed_merger_value_is_one_repro_error(self, tmp_path, change):
         path = altered(tmp_path, os.path.join("sharded", "merger.npz"), change)

@@ -2,10 +2,12 @@
 
 The committed ``stream.npz`` fixture (ε = 2, MinLns = 3, a window of 90
 segments) is restored and fed a fixed, RNG-free sequence of appends.
-Every :class:`~repro.stream.view.LabelDiff` field, ``touched``
-included, and the final labels are hashed; the digest pins the stable
-cluster ids, the merge/split/visibility events and the per-update work,
-not just the labels a batch refit would give.
+Two values are pinned apart: a digest of every
+:class:`~repro.stream.view.LabelDiff` field but ``touched``, plus the
+final labels, pins the semantics (the stable cluster ids, the
+merge/split/visibility events, not just the labels a batch refit would
+give); the per-diff ``touched`` sequence pins the work.  A change that
+re-derives fewer slots for the same diffs moves only the second.
 """
 
 import hashlib
@@ -19,8 +21,16 @@ FIXTURE = os.path.join(
     "checkpoints", "stream.npz",
 )
 
-#: SHA-256 over every diff of :func:`feed` and the final labels.
-DIGEST = "96230ef3ecb88ad60225a5b9a839786574b77e97b0c68eab3fadddecbf5284b3"
+#: SHA-256 over every diff of :func:`feed` (all fields but ``touched``)
+#: and the final labels.
+DIGEST = "c1786fbbc48341961736f4bd5dc7327ccc85f92df7f0b6cbf1dc618af3e724f8"
+
+#: SHA-256 over the ``repr`` of the per-diff ``touched`` list, and its
+#: sum.
+TOUCHED_DIGEST = (
+    "c76a0d717d23dbc7546f927b3e66188de71070b557f5415bd8fce9a15a57f67a"
+)
+TOUCHED_TOTAL = 5544
 
 EVENTS = ("merges", "splits", "shown", "hidden", "retired")
 
@@ -43,7 +53,8 @@ def feed():
 
 
 def encode(diff):
-    """A canonical byte string of every field (dicts in key order)."""
+    """A canonical byte string of every field but ``touched`` (dicts in
+    key order)."""
     return repr((
         sorted(diff.changed.items()),
         diff.merges,
@@ -52,18 +63,19 @@ def encode(diff):
         diff.hidden,
         sorted(diff.minima.items()),
         diff.retired,
-        diff.touched,
     )).encode()
 
 
 def test_restored_stream_diffs_match_the_golden_digest(pair_backend):
     digest = hashlib.sha256()
+    touched = []
     seen = dict.fromkeys(EVENTS, 0)
     with kernels.use_backend(pair_backend):
         pipeline = load_checkpoint(FIXTURE)
         for traj_id, points in feed():
             diff = pipeline.append(traj_id, points).diff
             digest.update(encode(diff))
+            touched.append(diff.touched)
             for kind in EVENTS:
                 seen[kind] += len(getattr(diff, kind))
     slots, labels = pipeline.labels()
@@ -71,3 +83,7 @@ def test_restored_stream_diffs_match_the_golden_digest(pair_backend):
     digest.update(labels.tobytes())
     assert all(seen.values()), seen
     assert digest.hexdigest() == DIGEST
+    assert sum(touched) == TOUCHED_TOTAL
+    assert hashlib.sha256(repr(touched).encode()).hexdigest() == (
+        TOUCHED_DIGEST
+    )

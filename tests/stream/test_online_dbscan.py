@@ -212,6 +212,161 @@ class TestFigure12Details:
         assert_matches_batch(clusterer)
 
 
+def unit_segment(x, y, traj_id):
+    """``[x, y] -> [x + 1, y]``.  At ε = 1 two of them on one lane are
+    ε-neighbors up to two units apart (sharing an endpoint puts their
+    parallel distance at 0), and on lanes half a unit apart up to one
+    unit apart."""
+    return np.array([x, y]), np.array([x + 1.0, y]), traj_id
+
+
+def assert_batch_and_restore_agree(clusterer):
+    """Labels equal a batch refit, and a checkpoint restore answers the
+    same labels and the same stable tokens."""
+    arrays, next_token = encode_clusterer(clusterer)
+    restored = OnlineDBSCAN(
+        eps=clusterer.eps, min_lns=clusterer.min_lns,
+        distance=clusterer.distance,
+        cardinality_threshold=clusterer.cardinality_threshold,
+        use_weights=clusterer.use_weights,
+    )
+    decode_clusterer(restored, arrays, next_token)
+    _, labels = clusterer.labels()
+    assert labels.tolist() == batch_labels(clusterer).tolist()
+    assert restored.labels()[1].tolist() == labels.tolist()
+    assert restored.snapshot_view().dense_map() == (
+        clusterer.snapshot_view().dense_map()
+    )
+    assert restored.export_tokens()[0].tolist() == (
+        clusterer.export_tokens()[0].tolist()
+    )
+
+
+def token_pairs(clusterer):
+    """``[token, seed]`` of every component, by token."""
+    return clusterer.export_tokens()[0].tolist()
+
+
+class TestLocalRepair:
+    """A removal keeps the component's token unless searches from the
+    removed cores' neighbours find a split; a split reclusters and
+    mints the parts' tokens in ascending seed order; a formation-key
+    move re-derives the borders that watch two components."""
+
+    def test_fifo_chain_evicting_the_seed_every_time(self):
+        """A window over a chain appended at its right end: every
+        eviction removes the oldest core, the component's seed."""
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=3)
+        live = [clusterer.insert(*unit_segment(x, 0.0, x)) for x in range(6)]
+        clusterer.flush_diff()
+        [[token, _]] = token_pairs(clusterer)
+        for x in range(6, 16):
+            live.append(clusterer.insert(*unit_segment(x, 0.0, x)))
+            assert token_pairs(clusterer) == [[token, live[0]]]
+            clusterer.evict(live.pop(0))
+            diff = clusterer.flush_diff()
+            assert (diff.merges, diff.splits, diff.retired) == ((), (), ())
+            assert token_pairs(clusterer) == [[token, live[0]]]
+            assert diff.minima == {token: live[0]}
+            assert_batch_and_restore_agree(clusterer)
+
+    def test_evicting_the_bridging_core_splits_the_component(self):
+        """Two chains joined by one core: evicting it splits the
+        component, and the parts' tokens are minted in ascending seed
+        order after every token the session minted before (the tokens
+        reclustering the whole component minted)."""
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=3)
+        for x in (0, 1, 2, 3, 4, 8, 9, 10, 11, 12):
+            clusterer.insert(*unit_segment(x, 0.0, x))
+        bridge = clusterer.insert(*unit_segment(6, 0.0, 6))
+        clusterer.flush_diff()
+        [[joined, _]] = token_pairs(clusterer)
+        clusterer.evict(bridge)
+        diff = clusterer.flush_diff()
+        assert diff.splits == ((joined, (11, 12)),)
+        assert token_pairs(clusterer) == [[11, 0], [12, 5]]
+        assert_batch_and_restore_agree(clusterer)
+
+    def test_two_adjacent_cores_evicted_in_one_update_keep_the_band(self):
+        """Two lanes: evicting two neighboring cores of one lane leaves
+        the other lane holding the band together."""
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=3)
+        slots = {
+            (x, y): clusterer.insert(*unit_segment(x, y, x))
+            for y in (0.0, 0.5) for x in range(8)
+        }
+        clusterer.flush_diff()
+        [[token, _]] = token_pairs(clusterer)
+        clusterer.evict(slots[3, 0.0])
+        clusterer.evict(slots[4, 0.0])
+        diff = clusterer.flush_diff()
+        assert (diff.merges, diff.splits, diff.retired) == ((), (), ())
+        assert token_pairs(clusterer) == [[token, slots[0, 0.0]]]
+        assert_batch_and_restore_agree(clusterer)
+
+    def test_two_adjacent_cores_evicted_in_one_update_split_a_chain(self):
+        """One lane: the chain splits, with tokens minted as reclustering
+        the whole component minted them."""
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=3)
+        slots = [clusterer.insert(*unit_segment(x, 0.0, x)) for x in range(10)]
+        clusterer.flush_diff()
+        [[token, _]] = token_pairs(clusterer)
+        clusterer.evict(slots[4])
+        clusterer.evict(slots[5])
+        diff = clusterer.flush_diff()
+        assert diff.splits == ((token, (10, 11)),)
+        assert token_pairs(clusterer) == [[10, 0], [11, 6]]
+        assert_batch_and_restore_agree(clusterer)
+
+    def test_demotion_moves_a_key_and_a_contested_border_follows(self):
+        """Evicting border 5 demotes cores 1 and 7 (no core is
+        evicted): their component keeps its token and its seed moves
+        from 1 to 4.  Border 2 is adjacent to cores 0 and 4 of the two
+        components and to no removed slot; once 4 is a seed, the later
+        seed claims it (Figure 12 line 07).  Only the contested index
+        re-derives border 2."""
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=4, cardinality_threshold=1)
+        for traj_id, (x, y) in enumerate([
+            (2, 0.5), (7, 0.0), (3, 0.0), (0, 0.5), (5, 0.0), (7, 0.5),
+            (1, 0.5), (7, 0.0),
+        ]):
+            clusterer.insert(*unit_segment(x, y, traj_id))
+        clusterer.flush_diff()
+        assert sorted(clusterer.graph.adjacent(2)) == [0, 4]
+        assert token_pairs(clusterer) == [[0, 0], [1, 1]]
+        assert clusterer.snapshot_view().dense_map()[2] == 0
+        clusterer.evict(5)
+        diff = clusterer.flush_diff()
+        assert not clusterer.is_core(1) and not clusterer.is_core(7)
+        assert token_pairs(clusterer) == [[0, 0], [1, 4]]
+        assert diff.changed == {2: (0, 1), 5: (1, None)}
+        assert diff.minima == {0: 0, 1: 4}
+        assert_batch_and_restore_agree(clusterer)
+
+    def test_weighted_window(self):
+        """Weighted segments at random lane positions under a window of
+        12: cores come and go, and components split and merge."""
+        rng = np.random.default_rng(1)
+        clusterer = OnlineDBSCAN(eps=1.0, min_lns=3.0, use_weights=True)
+        live, events = [], {"splits": 0, "merges": 0}
+        for step in range(60):
+            x = float(rng.integers(0, 12))
+            y = float(rng.choice([0.0, 0.5]))
+            weight = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            start, end, traj_id = unit_segment(x, y, step % 4)
+            live.append(clusterer.insert(start, end, traj_id, weight=weight))
+            if len(live) > 12:
+                clusterer.evict(live.pop(0))
+            diff = clusterer.flush_diff()
+            events["splits"] += len(diff.splits)
+            events["merges"] += len(diff.merges)
+            assert_batch_and_restore_agree(clusterer)
+        assert events == {"splits": 4, "merges": 5}
+        assert token_pairs(clusterer) == [[72, 50], [73, 48]]
+        assert clusterer.export_tokens()[1] == 76
+
+
+
 def rounding_band(seed, tiny, last_y=None):
     """Eight unit segments ``[0, y] -> [1, y]``, all within ε = 1.6 of
     each other, whose weights leave out one of about 1e-17: MinLns is
